@@ -73,10 +73,6 @@ class FieldSpec:
         if self.char > 0 and not is_prime(self.char):
             raise AlgebraError(f"characteristic {self.char} is not prime")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.char > 0
-
     def zero(self):
         return 0 if self.char else Fraction(0)
 
@@ -111,9 +107,6 @@ class FieldSpec:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, -1, self.char) if self.char else Fraction(1) / a
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def format(self, a) -> str:
         return str(a)
@@ -352,14 +345,6 @@ class Poly:
         if not c:
             return self.ring.zero()
         return Poly(self.ring, {m: fld.mul(v, c) for m, v in self.terms.items()})
-
-    def mul_monomial(self, mono: tuple, coeff=None) -> "Poly":
-        fld = self.ring.field
-        coeff = fld.one() if coeff is None else coeff
-        if not coeff:
-            return self.ring.zero()
-        return Poly(self.ring, {mono_mul(m, mono): fld.mul(c, coeff)
-                                for m, c in self.terms.items()})
 
     def monic(self) -> "Poly":
         if self.is_zero():

@@ -223,7 +223,7 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS) -> Membershi
     f = query.candidate
     if f is None or f.is_zero() or not f.is_homogeneous():
         raise BoundsError("need a nonzero homogeneous candidate element")
-    e = query.frobenius_exponent or 1
+    e = 1 if query.frobenius_exponent is None else query.frobenius_exponent
     if e < 1:
         raise BoundsError("Frobenius exponent must be >= 1")
     qpow = p ** e

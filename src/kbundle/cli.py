@@ -251,17 +251,24 @@ def task_check(kind, payload, options, caps):
 
 
 def _parse_twist_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(t) for t in _split_list(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            twists = list(range(int(lo), int(hi) + 1))
+        else:
+            twists = [int(t) for t in _split_list(text)]
+    except ValueError:
+        raise InputError(f"bad twist range {text!r}: twists must be integers") from None
+    if not twists:
+        raise InputError(f"empty twist range {text!r}")
+    return twists
 
 
 def task_sections(kind, payload, options, caps):
     bundle, _ = _require_bundle(kind, payload)
     kind_name = options.get("kind", "exterior")
     q = options.get("q", 1)
-    twists = list(_parse_twist_range(options.get("twists", "0..0")))
+    twists = _parse_twist_range(options.get("twists", "0..0"))
     engine = options.get("engine", "linalg")
     if engine == "both":
         table_gb = tannaka.section_dim_table(bundle, kind_name, q, twists, "gb", caps)

@@ -9,6 +9,11 @@ bundle layer converts at the boundary.
 
 The module order is position-over-term: basis vectors compared by generator
 index ascending (e_0 largest), ties broken by the ring's monomial order.
+
+Buchberger, tail reduction and ideal membership share one reduction loop for
+both fields.  It runs on integer coefficients: fraction-free over QQ, residues
+mod p.  Its normal forms are exact up to a nonzero scalar, which is all any
+caller needs; the reduced basis is made monic at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -170,16 +175,6 @@ class ModuleElement:
             return ModuleElement(self.module, {})
         return ModuleElement(self.module, {t: fld.mul(v, c) for t, v in self.terms.items()})
 
-    def mul_monomial(self, mono: tuple, coeff=None) -> "ModuleElement":
-        fld = self.module.ring.field
-        coeff = fld.one() if coeff is None else coeff
-        if not coeff:
-            return ModuleElement(self.module, {})
-        return ModuleElement(
-            self.module,
-            {(i, mono_mul(m, mono)): fld.mul(c, coeff)
-             for (i, m), c in self.terms.items()})
-
     def monic(self) -> "ModuleElement":
         if not self.terms:
             return self
@@ -209,76 +204,38 @@ class ModuleElement:
 # Buchberger with optional Schreyer-style cofactor tracking.
 # ---------------------------------------------------------------------------
 
-def _axpy(dst: dict, src: dict, mono: tuple, coeff, fld):
-    """dst -= coeff * x^mono * src, on raw term dicts."""
-    zero = fld.zero()
-    for (i, m), c in src.items():
-        t = (i, mono_mul(m, mono))
-        s = fld.sub(dst.get(t, zero), fld.mul(c, coeff))
-        if s:
-            dst[t] = s
-        else:
-            dst.pop(t, None)
-
-
 def _integerize(*dicts):
-    """Scale term dicts jointly so all coefficients become integers.
-
-    Returns the common positive multiplier applied.
-    """
-    from math import lcm
+    """Scale term dicts jointly by a positive integer so that every
+    coefficient becomes an integer (a no-op on residues mod p)."""
     dens = [c.denominator for d in dicts if d is not None
             for c in d.values() if isinstance(c, Fraction)]
-    if not dens:
-        return 1
-    scale = lcm(*dens) if len(dens) > 1 else dens[0]
-    if scale == 1:
+    if dens:
+        scale = lcm(*dens)
         for d in dicts:
             if d is not None:
-                for t in d:
-                    if isinstance(d[t], Fraction):
-                        d[t] = d[t].numerator
-        return 1
-    for d in dicts:
-        if d is not None:
-            for t in d:
-                v = d[t] * scale
-                d[t] = v.numerator if isinstance(v, Fraction) else v
-    return scale
+                for t, c in d.items():
+                    d[t] = (c * scale).numerator
 
 
-def _strip_content(*dicts):
-    """Divide term dicts jointly by the gcd of all integer coefficients."""
-    from math import gcd
-    g = 0
-    for d in dicts:
-        if d is not None:
-            for c in d.values():
-                g = gcd(g, c)
-    if g > 1:
-        for d in dicts:
-            if d is not None:
-                for t in d:
-                    d[t] //= g
-    return g if g else 1
+def _normal_form_terms(terms: dict, rep, basis_by_comp: dict, module, caps: Caps):
+    """Normal form up to a nonzero scalar on raw term dicts; rep (raw dict or
+    None) tracks cofactors under the same scalar.
 
-
-def _normal_form_terms_zz(terms: dict, rep, basis_by_comp: dict, module, caps: Caps,
-                          true_scale: bool = True):
-    """Fraction-free normal form over the rationals.
-
-    Reducers are primitive integer vectors with positive leading coefficient;
-    cross-multiplication keeps all arithmetic in the integers.  With true_scale
-    the accumulated multiplier is divided out at the end so the exact normal
-    form is returned; without it the result is a positive scalar multiple
-    (enough for basis building, which re-normalizes anyway).
+    One integer loop serves both fields.  Reducers come from _reducer_entry.
+    Over QQ it is fraction-free: the current term c and the reducer's leading
+    coefficient l are cross-multiplied by their gcd cofactors, so every
+    coefficient stays an integer and the result is a positive multiple of the
+    normal form.  Mod p the same step runs on residues: reducers are monic, so
+    gcd(c, 1) = 1, nothing is rescaled and the result is the exact normal form.
+    Terms are consumed largest-first through a lazy heap, so each reduction
+    cancels the current maximum and the loop terminates degreewise.
     """
-    from math import gcd
     from .algebra import monomial_heap_key
+    p = module.ring.field.char
     hkey = monomial_heap_key(module.ring.order)
     work = dict(terms)
     rep = dict(rep) if rep is not None else None
-    multiplier = _integerize(work, rep)
+    _integerize(work, rep)
     heap = [(i, hkey(m), (i, m)) for (i, m) in work]
     heapq.heapify(heap)
     done: dict = {}
@@ -304,7 +261,6 @@ def _normal_form_terms_zz(terms: dict, rep, basis_by_comp: dict, module, caps: C
         cc = c // g
         ll = lead // g
         if ll != 1:
-            multiplier *= ll
             for d in (work, done, rep):
                 if d is not None:
                     for tt in d:
@@ -314,6 +270,8 @@ def _normal_form_terms_zz(terms: dict, rep, basis_by_comp: dict, module, caps: C
             if tt == t:
                 continue
             s = work.get(tt, 0) - cc * rc
+            if p:
+                s %= p
             if s:
                 work[tt] = s
                 heapq.heappush(heap, (tt[0], hkey(tt[1]), tt))
@@ -323,71 +281,13 @@ def _normal_form_terms_zz(terms: dict, rep, basis_by_comp: dict, module, caps: C
             for (ri, rm), rc in reducer["rep"].items():
                 tt = (ri, mono_mul(rm, q))
                 s = rep.get(tt, 0) - cc * rc
+                if p:
+                    s %= p
                 if s:
                     rep[tt] = s
                 else:
                     rep.pop(tt, None)
-    if true_scale and multiplier != 1:
-        for d in (done, rep):
-            if d is not None:
-                for t in d:
-                    d[t] = Fraction(d[t], multiplier)
     return done, rep
-
-
-def _normal_form_terms(terms: dict, rep, basis_by_comp: dict, module, caps: Caps,
-                       true_scale: bool = True):
-    """Full normal form on raw term dicts; rep (raw dict or None) tracks cofactors.
-
-    Terms are consumed largest-first through a lazy heap, so each reduction
-    cancels the current maximum and the loop terminates degreewise.
-    """
-    from .algebra import monomial_heap_key
-    fld = module.ring.field
-    if fld.char == 0:
-        return _normal_form_terms_zz(terms, rep, basis_by_comp, module, caps,
-                                     true_scale)
-    hkey = monomial_heap_key(module.ring.order)
-    work = dict(terms)
-    rep = dict(rep) if rep is not None else None
-    heap = [(i, hkey(m), (i, m)) for (i, m) in work]
-    heapq.heapify(heap)
-    done: dict = {}
-    while heap:
-        caps.check_time()
-        _, _, t = heapq.heappop(heap)
-        c = work.get(t)
-        if not c:
-            continue
-        del work[t]
-        comp, mono = t
-        reducer = None
-        for b in basis_by_comp.get(comp, ()):
-            if mono_divides(b["ltmono"], mono):
-                reducer = b
-                break
-        if reducer is None:
-            done[t] = c
-            continue
-        q = mono_quot(mono, reducer["ltmono"])
-        c = fld.div(c, reducer["ltcoeff"])
-        for (ri, rm), rc in reducer["terms"].items():
-            tt = (ri, mono_mul(rm, q))
-            if tt == t:
-                continue
-            s = fld.sub(work.get(tt, fld.zero()), fld.mul(rc, c))
-            if s:
-                work[tt] = s
-                heapq.heappush(heap, (tt[0], hkey(tt[1]), tt))
-            else:
-                work.pop(tt, None)
-        if rep is not None:
-            _axpy(rep, reducer["rep"], q, c, fld)
-    return done, rep
-
-
-def _scale_terms(terms: dict, coeff, fld):
-    return {t: fld.mul(c, coeff) for t, c in terms.items()}
 
 
 def _combine_shifted(ta: dict, qa: tuple, ca, tb: dict, qb: tuple, cb, fld):
@@ -408,26 +308,27 @@ def _combine_shifted(ta: dict, qa: tuple, ca, tb: dict, qb: tuple, cb, fld):
     return out
 
 
-def _lead_term(terms: dict, module: GradedFreeModule):
-    key = module.term_key()
-    return max(terms, key=key)
-
-
-def _reducer_entry(terms: dict, module: GradedFreeModule) -> dict:
-    """Normalize a term dict into a reducer entry for the normal-form loops."""
-    fld = module.ring.field
-    lt = _lead_term(terms, module)
-    if fld.char == 0:
-        terms = dict(terms)
-        _integerize(terms)
-        _strip_content(terms)
-        if terms[lt] < 0:
-            for t in terms:
-                terms[t] = -terms[t]
+def _reducer_entry(terms: dict, rep, module: GradedFreeModule) -> dict:
+    """Normalize a nonzero term dict, and its cofactor rep (or None) jointly,
+    into a reducer for _normal_form_terms: over QQ the primitive integer
+    vector with positive leading coefficient, mod p the monic one."""
+    p = module.ring.field.char
+    lt = max(terms, key=module.term_key())
+    terms = dict(terms)
+    rep = dict(rep) if rep is not None else None
+    _integerize(terms, rep)
+    if p:
+        inv = pow(terms[lt], -1, p)
     else:
-        terms = _scale_terms(terms, fld.inv(terms[lt]), fld)
+        g = gcd(*terms.values(), *(rep.values() if rep else ()))
+        if terms[lt] < 0:
+            g = -g
+    for d in (terms, rep):
+        if d is not None:
+            for t, c in d.items():
+                d[t] = c * inv % p if p else c // g
     return {"terms": terms, "ltcomp": lt[0], "ltmono": lt[1],
-            "ltcoeff": terms[lt], "rep": None}
+            "ltcoeff": terms[lt], "rep": rep}
 
 
 def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[GradedFreeModule]):
@@ -446,47 +347,24 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
     heap: list = []
     processed_pairs = 0
 
-    def term_degree(t):
-        return mono_deg(t[1]) + module.generator_degrees[t[0]]
-
     def add_element(terms, rep):
-        nf, nfrep = _normal_form_terms(terms, rep, by_comp, module, caps,
-                                       true_scale=False)
+        nf, nfrep = _normal_form_terms(terms, rep, by_comp, module, caps)
         if not nf:
             if track and nfrep:
                 syzygies.append(nfrep)
             return
-        lt = _lead_term(nf, module)
-        caps.check_degree(term_degree(lt))
-        if fld.char == 0:
-            # primitive integer vector with positive leading coefficient
-            nf = dict(nf)
-            nfrep = dict(nfrep) if track else None
-            _integerize(nf, nfrep)
-            _strip_content(nf, nfrep)
-            if nf[lt] < 0:
-                for d in (nf, nfrep):
-                    if d is not None:
-                        for t in d:
-                            d[t] = -d[t]
-        else:
-            inv = fld.inv(nf[lt])
-            nf = _scale_terms(nf, inv, fld)
-            nfrep = _scale_terms(nfrep, inv, fld) if track else None
-        entry = {"terms": nf,
-                 "ltcomp": lt[0],
-                 "ltmono": lt[1],
-                 "ltcoeff": nf[lt],
-                 "rep": nfrep}
+        entry = _reducer_entry(nf, nfrep, module)
+        comp, mono = entry["ltcomp"], entry["ltmono"]
+        caps.check_degree(mono_deg(mono) + module.generator_degrees[comp])
         idx = len(basis)
         for i, b in enumerate(basis):
-            if b["ltcomp"] != lt[0]:
+            if b["ltcomp"] != comp:
                 continue
-            lcm = mono_lcm(b["ltmono"], lt[1])
-            deg = mono_deg(lcm) + module.generator_degrees[lt[0]]
+            lcm = mono_lcm(b["ltmono"], mono)
+            deg = mono_deg(lcm) + module.generator_degrees[comp]
             heapq.heappush(heap, (deg, i, idx))
         basis.append(entry)
-        by_comp.setdefault(lt[0], []).append(entry)
+        by_comp.setdefault(comp, []).append(entry)
 
     for gen, rep in inputs:
         if not gen.is_homogeneous():
@@ -508,13 +386,10 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
         lcm = mono_lcm(a["ltmono"], b["ltmono"])
         qa = mono_quot(lcm, a["ltmono"])
         qb = mono_quot(lcm, b["ltmono"])
-        if fld.char == 0:
-            from math import gcd
-            g = gcd(a["ltcoeff"], b["ltcoeff"])
-            ca = b["ltcoeff"] // g
-            cb = a["ltcoeff"] // g
-        else:
-            ca = cb = fld.one()
+        # gcd cofactors of the leading coefficients (both 1 mod p)
+        g = gcd(a["ltcoeff"], b["ltcoeff"])
+        ca = b["ltcoeff"] // g
+        cb = a["ltcoeff"] // g
         spair = _combine_shifted(a["terms"], qa, ca, b["terms"], qb, cb, fld)
         sprep = (_combine_shifted(a["rep"], qa, ca, b["rep"], qb, cb, fld)
                  if track else None)
@@ -540,8 +415,7 @@ def _reduce_basis(basis, module: GradedFreeModule, caps: Caps):
         for k in kept:
             if k is not b:
                 by_comp.setdefault(k["ltcomp"], []).append(k)
-        nf, _ = _normal_form_terms(b["terms"], None, by_comp, module, caps,
-                                   true_scale=False)
+        nf, _ = _normal_form_terms(b["terms"], None, by_comp, module, caps)
         reduced.append(ModuleElement(module, nf).monic())
     reduced.sort(key=lambda e: key(e.leading()[0]), reverse=True)
     return tuple(reduced)
@@ -553,9 +427,6 @@ class GroebnerBasis:
 
     module: GradedFreeModule
     elements: tuple
-
-    def leading_terms(self):
-        return tuple(e.leading()[0] for e in self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -723,7 +594,6 @@ def graded_piece_dim(gb: GroebnerBasis, t: int) -> int:
     nvars = module.ring.nvars
     by_component: dict = {}
     for e in gb.elements:
-        (c, m), _ = e.leading(), None
         comp, mono = e.leading()[0]
         by_component.setdefault(comp, []).append(mono)
     return sum(
@@ -816,12 +686,6 @@ def kernel_dim_linalg(columns, source: GradedFreeModule, target: GradedFreeModul
     return dim
 
 
-def kernel_dim_linalg_matrix(matrix, source: GradedFreeModule,
-                             target: GradedFreeModule, t: int,
-                             caps: Caps = NO_CAPS) -> int:
-    return kernel_dim_linalg(_matrix_columns(matrix), source, target, t, caps)
-
-
 def kernel_sections_linalg(columns, source: GradedFreeModule,
                            target: GradedFreeModule, t: int,
                            caps: Caps = NO_CAPS):
@@ -840,21 +704,15 @@ def kernel_sections_linalg(columns, source: GradedFreeModule,
 # Ideal-theoretic tests.
 # ---------------------------------------------------------------------------
 
-def normal_form_poly(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> Poly:
-    if gb.module.rank != 1:
-        raise AlgebraError("polynomial normal form needs a rank-one module")
-    elt = ModuleElement.from_components(gb.module, {0: f})
-    by_comp: dict = {}
-    for e in gb.elements:
-        entry = _reducer_entry(dict(e.terms), gb.module)
-        by_comp.setdefault(entry["ltcomp"], []).append(entry)
-    nf, _ = _normal_form_terms(dict(elt.terms), None, by_comp, gb.module, caps)
-    return ModuleElement(gb.module, nf).components().get(0, f.ring.zero())
-
-
 def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
-    """True iff the normal form of f against the ideal's basis vanishes."""
-    return normal_form_poly(f, gb, caps).is_zero()
+    """True iff the normal form of f against the ideal's basis vanishes; a
+    nonzero scalar multiple of it answers that as well."""
+    if gb.module.rank != 1:
+        raise AlgebraError("ideal membership needs a rank-one module")
+    reducers = [_reducer_entry(e.terms, None, gb.module) for e in gb.elements]
+    nf, _ = _normal_form_terms({(0, m): c for m, c in f.terms.items()}, None,
+                               {0: reducers}, gb.module, caps)
+    return not nf
 
 
 def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS) -> bool:

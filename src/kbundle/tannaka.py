@@ -178,30 +178,29 @@ def section_dim_power(bundle: KernelBundle, kind: str, q: int, k: int = 0,
             raise TannakaError("the staged engine only computes tensor powers")
         return TensorSections(bundle, caps).dim(q, k)
     pres = power_presentation(bundle, kind, q)
-    source = pres.source_module()
-    target = pres.target_module()
     if engine == "linalg":
-        return kernel_dim_linalg(pres.columns_list(), source, target, k, caps)
+        return kernel_dim_linalg(pres.columns_list(), pres.source_module(),
+                                 pres.target_module(), k, caps)
     if engine == "gb":
-        syz = syzygy_module_columns(pres.columns_list(), source, target, caps)
-        if not syz.elements:
-            return 0
-        gb = buchberger(list(syz.elements), caps)
-        return graded_piece_dim(gb, k)
+        gb = _syzygy_groebner(pres, caps)
+        return 0 if gb is None else graded_piece_dim(gb, k)
     raise TannakaError(f"unknown engine {engine!r}")
+
+
+def _syzygy_groebner(pres, caps: Caps):
+    """Groebner basis of the syzygy module of a power presentation, or None
+    when there are no syzygies."""
+    syz = syzygy_module_columns(pres.columns_list(), pres.source_module(),
+                                pres.target_module(), caps)
+    return buchberger(list(syz.elements), caps) if syz.elements else None
 
 
 def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
                       engine: str = "auto", caps: Caps = NO_CAPS) -> dict:
     """h^0 for a range of twists; the gb engine reuses one syzygy basis."""
     if engine == "gb":
-        pres = power_presentation(bundle, kind, q)
-        syz = syzygy_module_columns(pres.columns_list(), pres.source_module(),
-                                    pres.target_module(), caps)
-        if not syz.elements:
-            return {k: 0 for k in twists}
-        gb = buchberger(list(syz.elements), caps)
-        return {k: graded_piece_dim(gb, k) for k in twists}
+        gb = _syzygy_groebner(power_presentation(bundle, kind, q), caps)
+        return {k: 0 if gb is None else graded_piece_dim(gb, k) for k in twists}
     return {k: section_dim_power(bundle, kind, q, k, engine, caps)
             for k in twists}
 

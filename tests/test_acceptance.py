@@ -15,11 +15,8 @@ from kbundle.bundle import from_syzygy, invariants, pullback_powers, validate
 from kbundle.modgb import apply_columns, syzygy_module_columns
 from kbundle.powers import (
     exterior_power_matrix,
-    sym_expand,
     symmetric_power_matrix,
-    tensor_expand,
     tensor_power_matrix,
-    wedge_expand,
 )
 from kbundle.stability import (
     analyze_bundle,
@@ -29,6 +26,7 @@ from kbundle.stability import (
 )
 from kbundle.tannaka import classify_group, fingerprint, section_dim_table, tensor_dim_cell
 
+from power_expand import sym_expand, tensor_expand, wedge_expand
 from sample_bundles import (
     RING_QQ3,
     dual_five_monomials,

@@ -1,0 +1,22 @@
+"""The traced benchmark run patches kbundle functions by name; every name it
+lists must exist, or `bench/run.py --trace 1` breaks."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def test_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for mod_name, attr in tracing.TRACED:
+        owner = importlib.import_module(f"kbundle.{mod_name}")
+        *classes, name = attr.split(".")
+        for cls_name in classes:
+            owner = getattr(owner, cls_name)
+        value = owner.__dict__[name] if classes else getattr(owner, name)
+        assert callable(value), f"{mod_name}.{attr}"

@@ -188,6 +188,12 @@ def test_genus_helper():
     assert q.resolved_genus() == 3
 
 
+def test_frobenius_exponent_zero_rejected():
+    q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", e=0, genus=3)
+    with pytest.raises(BoundsError):
+        frobenius_membership(q)
+
+
 def test_frobenius_requires_positive_characteristic():
     ring = make_ring(3)
     q = ClosureQuery(generators=parse_many(["X^2", "Y^2", "Z^2"], ring),

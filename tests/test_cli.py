@@ -58,6 +58,14 @@ def test_malformed_polynomial_exits_1(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("twists", ["5..3", "", "a..b", "1,x"])
+def test_malformed_twist_range_exits_1(twists, capsys):
+    code, _, err = run_cli([
+        "sections", "--syzygy", FIVE_QUADRICS, f"--twists={twists}"], capsys)
+    assert code == 1
+    assert "input error" in err and "twist range" in err
+
+
 def test_unknown_variable_exits_1(capsys):
     code, _, err = run_cli(["check", "--syzygy", "X^2, W^2, Z^2"], capsys)
     assert code == 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from kbundle.modgb import (
     initial_degree,
     is_irrelevant_primary,
     kernel_dim_linalg,
-    kernel_dim_linalg_matrix,
     kernel_sections_linalg,
     syzygy_module,
     syzygy_module_columns,
@@ -205,6 +205,20 @@ def test_ideal_membership_examples():
     assert not ideal_membership(P("Z^2"), gb)
     gb2 = ideal_groebner([P("X^2"), P("Y^2")])
     assert not ideal_membership(P("X"), gb2)
+    # non-monic rational generators; Y*f + X*g = 3*X^2*Y + ... meets the
+    # reducer 4*X^2 - 3*Y^2 and so needs the fraction-free rescale
+    f, g = P("2*X^2 - 3/2*Y^2"), P("X*Y + 5/3*Z^2")
+    gb3 = ideal_groebner([f, g])
+    assert ideal_membership(P("Y") * f + P("X") * g, gb3)
+    assert ideal_membership(P("7/5*X - 2/3*Z") * f + P("-3*Y + 1/2*Z") * g, gb3)
+    assert ideal_membership(P("Y^3 + 20/9*X*Z^2"), gb3)
+    assert not ideal_membership(P("X^2"), gb3)
+    # the same loop mod p
+    ring7 = make_ring(3, FieldSpec(7))
+    f7, g7 = P("3*X^2 - Y^2", ring7), P("2*X*Y + Z^2", ring7)
+    gb7 = ideal_groebner([f7, g7])
+    assert ideal_membership(P("X + 2*Z", ring7) * f7 + P("5*Y", ring7) * g7, gb7)
+    assert not ideal_membership(P("X*Y", ring7), gb7)
 
 
 def test_is_irrelevant_primary_examples():
@@ -216,14 +230,25 @@ def test_is_irrelevant_primary_examples():
     assert not is_irrelevant_primary([P("0")])
 
 
+def reduce_columns(cols, source, target, char):
+    """The same presentation over F_char (unchanged for char 0)."""
+    if char == 0:
+        return cols, source, target
+    ring_p = make_ring(3, FieldSpec(char))
+    cols_p = [[(j, parse_polynomial(str(p), ring_p)) for j, p in col]
+              for col in cols]
+    return (cols_p, GradedFreeModule(ring_p, source.generator_degrees),
+            GradedFreeModule(ring_p, target.generator_degrees))
+
+
 def test_engine_cross_check_randomized():
-    """Central property: syzygy-GB graded dimensions equal kernel dimensions."""
+    """Central property: syzygy-GB graded dimensions equal kernel dimensions,
+    over QQ and over F_5 and F_32003 on the same random bundles."""
     rng = random.Random(424242)
-    for _ in range(25):
-        bundle = random_kernel_bundle(rng)
-        source = bundle.source_module()
-        target = bundle.target_module()
-        cols = bundle.columns()
+    bundles = [random_kernel_bundle(rng) for _ in range(25)]
+    for char, bundle in itertools.product((0, 5, 32003), bundles):
+        cols, source, target = reduce_columns(
+            bundle.columns(), bundle.source_module(), bundle.target_module(), char)
         syz = syzygy_module_columns(cols, source, target)
         lo = min(source.generator_degrees)
         if syz.elements:
@@ -277,8 +302,3 @@ def test_resource_caps_abort():
         syzygy_module([[P(t) for t in FIVE_MONOMIALS]], source, target,
                       caps=Caps(max_pairs=1))
 
-
-def test_dense_matrix_wrapper_matches_columns():
-    source, target = one_row_modules((1, 1, 1))
-    matrix = [[P("X"), P("Y"), P("Z")]]
-    assert kernel_dim_linalg_matrix(matrix, source, target, 2) == 3
