@@ -492,23 +492,6 @@ def _validate_columns(columns, source: GradedFreeModule, target: GradedFreeModul
                     f"entry ({j},{i}) must be homogeneous of degree {want}")
 
 
-def _matrix_columns(matrix) -> list:
-    """Dense m x n matrix -> sparse columns [(row index, entry), ...]."""
-    if not matrix:
-        return []
-    m = len(matrix)
-    n = len(matrix[0])
-    cols = []
-    for i in range(n):
-        col = []
-        for j in range(m):
-            p = matrix[j][i]
-            if not p.is_zero():
-                col.append((j, p))
-        cols.append(col)
-    return cols
-
-
 def syzygy_module_columns(columns, source: GradedFreeModule,
                           target: GradedFreeModule,
                           caps: Caps = NO_CAPS) -> SyzygyGenerators:
@@ -534,12 +517,6 @@ def syzygy_module_columns(columns, source: GradedFreeModule,
     ordered = tuple(sorted((s.monic() for s in syzygies),
                            key=lambda e: (e.degree(), key(e.leading()[0]))))
     return SyzygyGenerators(source, ordered)
-
-
-def syzygy_module(matrix, source: GradedFreeModule, target: GradedFreeModule,
-                  caps: Caps = NO_CAPS) -> SyzygyGenerators:
-    """Kernel generators of the map given by a dense homogeneous matrix."""
-    return syzygy_module_columns(_matrix_columns(matrix), source, target, caps)
 
 
 def apply_columns(columns, target: GradedFreeModule, element: ModuleElement) -> ModuleElement:
@@ -601,48 +578,58 @@ def graded_piece_dim(gb: GroebnerBasis, t: int) -> int:
         for comp, monos in by_component.items())
 
 
-def _echelon_kernel(vectors, fld, caps: Caps, want_vectors: bool = False):
-    """Kernel dimension (and optionally combination vectors) of sparse columns.
+def _add_scaled(dst: dict, c, src: dict, p: int) -> dict:
+    """dst += c * src in place on plain field elements (Fractions over QQ,
+    residues mod p), dropping zeros; c == 1 skips the products."""
+    unit = c == 1
+    for t, s in src.items():
+        x = s if unit else c * s
+        old = dst.get(t)
+        if old is not None:
+            x += old
+        if p:
+            x %= p
+        if x:
+            dst[t] = x
+        else:
+            dst.pop(t, None)
+    return dst
+
+
+def _echelon_kernel(vectors, p: int, caps: Caps, want_vectors: bool = False):
+    """Kernel dimension (and optionally combination vectors) of sparse columns
+    with plain field entries: Fractions over QQ (p == 0), residues mod p.
 
     Each vector is a dict keyed by comparable row keys.  Pivots are chosen at
     the maximal row key, which makes every reduction strictly decrease the
-    current maximum and guarantees termination.
+    current maximum and guarantees termination.  A dependent column's
+    combination is its unique relation with the independent columns before
+    it (coefficient one on itself), so it does not depend on the row keys.
+    A pivot is stored as -v / lead without its lead entry.
     """
     caps.start()
+    one = 1 if p else Fraction(1)
     pivots: dict = {}
     kernel_dim = 0
     combos = []
     for idx, vec in enumerate(vectors):
         caps.check_time()
         v = dict(vec)
-        combo = {idx: fld.one()} if want_vectors else None
+        combo = {idx: one} if want_vectors else None
         while v:
             lead = max(v)
             hit = pivots.get(lead)
             if hit is None:
                 break
-            pv, pcombo = hit
-            c = v[lead]
-            for t, pc in pv.items():
-                s = fld.sub(v.get(t, fld.zero()), fld.mul(c, pc))
-                if s:
-                    v[t] = s
-                else:
-                    v.pop(t, None)
+            c = v.pop(lead)
+            _add_scaled(v, c, hit[0], p)
             if want_vectors:
-                for t, pc in pcombo.items():
-                    s = fld.sub(combo.get(t, fld.zero()), fld.mul(c, pc))
-                    if s:
-                        combo[t] = s
-                    else:
-                        combo.pop(t, None)
+                _add_scaled(combo, c, hit[1], p)
         if v:
-            lead = max(v)
-            inv = fld.inv(v[lead])
-            v = {t: fld.mul(c, inv) for t, c in v.items()}
-            if want_vectors:
-                combo = {t: fld.mul(c, inv) for t, c in combo.items()}
-            pivots[lead] = (v, combo)
+            lc = v.pop(lead)
+            inv = -pow(lc, -1, p) % p if p else -1 / lc
+            pivots[lead] = (_add_scaled({}, inv, v, p),
+                            _add_scaled({}, inv, combo, p) if want_vectors else None)
         else:
             kernel_dim += 1
             if want_vectors:
@@ -650,27 +637,53 @@ def _echelon_kernel(vectors, fld, caps: Caps, want_vectors: bool = False):
     return kernel_dim, combos
 
 
-def _degree_columns(columns, source: GradedFreeModule, target: GradedFreeModule, t: int):
-    """Scalar columns of the degree-t piece of the map, with their labels.
+def _monomial_vectors(nvars: int, d: int) -> list:
+    """The monomial sections of degree d as vectors {((), mono): 1}."""
+    return [{((), mono): 1} for mono in monomials_of_degree(nvars, d)]
 
-    Column labels are (source component, monomial); row keys are
-    (target component, monomial).
+
+def _section_kernel(columns, sections, p: int, caps: Caps,
+                    want_vectors: bool = False):
+    """Kernel of a presentation on given sections of its source.
+
+    sections[i] lists sparse vectors {(beta, mono): c} in source summand i,
+    beta an index tuple (() for monomial sections).  Each vector is mapped
+    through column i to {(j, beta, mono): c}, the images are eliminated, and
+    each kernel combination is lifted to {((i,) + beta, mono): c}.  Returns
+    (kernel dimension, lifted vectors, empty unless want_vectors).
     """
-    ring = source.ring
+    images = []
     labels = []
-    vectors = []
     for i, col in enumerate(columns):
-        d = t - source.generator_degrees[i]
-        if d < 0:
-            continue
-        for mono in monomials_of_degree(ring.nvars, d):
-            vec = {}
-            for j, entry in col:
-                for em, ec in entry.terms.items():
-                    vec[(j, mono_mul(em, mono))] = ec
-            labels.append((i, mono))
-            vectors.append(vec)
-    return labels, vectors
+        terms = [(j, em, ec) for j, entry in col for em, ec in entry.terms.items()]
+        shifted: dict = {}
+        for vec in sections[i]:
+            out: dict = {}
+            for (beta, mono), c in vec.items():
+                img = shifted.get((beta, mono))
+                if img is None:
+                    img = shifted[(beta, mono)] = {
+                        (j, beta, mono_mul(em, mono)): ec for j, em, ec in terms}
+                _add_scaled(out, c, img, p)
+            images.append(out)
+            labels.append((i, vec))
+    dim, combos = _echelon_kernel(images, p, caps, want_vectors)
+    lifted = []
+    for combo in combos:
+        out = {}
+        for idx, coeff in combo.items():
+            i, vec = labels[idx]
+            for (beta, mono), c in vec.items():
+                # c is 1 on monomial sections, so scale by c, not by coeff
+                _add_scaled(out, c, {((i,) + beta, mono): coeff}, p)
+        lifted.append(out)
+    return dim, lifted
+
+
+def _monomial_sections(source: GradedFreeModule, t: int) -> list:
+    """Per source summand, its monomial sections in module degree t."""
+    nvars = source.ring.nvars
+    return [_monomial_vectors(nvars, t - d) for d in source.generator_degrees]
 
 
 def kernel_dim_linalg(columns, source: GradedFreeModule, target: GradedFreeModule,
@@ -681,8 +694,8 @@ def kernel_dim_linalg(columns, source: GradedFreeModule, target: GradedFreeModul
     Groebner bases, only the scalar matrix of the degree-t component.
     """
     _validate_columns(columns, source, target)
-    _, vectors = _degree_columns(columns, source, target, t)
-    dim, _ = _echelon_kernel(vectors, source.ring.field, caps)
+    dim, _ = _section_kernel(columns, _monomial_sections(source, t),
+                             source.ring.field.char, caps)
     return dim
 
 
@@ -691,13 +704,11 @@ def kernel_sections_linalg(columns, source: GradedFreeModule,
                            caps: Caps = NO_CAPS):
     """Degree-t kernel dimension together with explicit kernel elements."""
     _validate_columns(columns, source, target)
-    labels, vectors = _degree_columns(columns, source, target, t)
-    dim, combos = _echelon_kernel(vectors, source.ring.field, caps, want_vectors=True)
-    elements = []
-    for combo in combos:
-        terms = {labels[idx]: c for idx, c in combo.items()}
-        elements.append(ModuleElement(source, terms))
-    return dim, elements
+    dim, vectors = _section_kernel(columns, _monomial_sections(source, t),
+                                   source.ring.field.char, caps, want_vectors=True)
+    return dim, [ModuleElement(source, {(alpha[0], mono): c
+                                        for (alpha, mono), c in v.items()})
+                 for v in vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from typing import Optional
 
 from .algebra import AlgebraError, monomial_family_gcd, mono_deg
 from .bundle import (
+    BundleError,
     KernelBundle,
     SyzygyBundleSpec,
     invariants,
     pullback_powers,
     require_valid,
     twist,
-    validate,
 )
 from .modgb import (
     Caps,
@@ -47,6 +47,10 @@ from . import tannaka
 
 class StabilityError(AlgebraError):
     pass
+
+
+class NotPrimaryError(StabilityError):
+    """The generators have a common zero, so they present no vector bundle."""
 
 
 class InternalCheckError(RuntimeError):
@@ -142,37 +146,26 @@ def _scan_exterior(bundle: KernelBundle, q: int, mu: Fraction, mode: str,
     target = pres.target_module()
     cols = pres.columns_list()
 
-    def result(alpha, relation, element=None):
-        check = PowerCheck(q, alpha, threshold, relation, top, low)
-        return check, element
-
-    if low > top:
-        return result(None, ">")
-
-    if engine == "gb":
+    alpha = element = None
+    if engine == "gb" and low <= top:
         syz = syzygy_module_columns(cols, source, target, caps)
         alpha = initial_degree(syz)
-        if alpha is None or alpha > top:
-            return result(None, ">")
-        element = min((e for e in syz.elements if e.degree() == alpha),
-                      key=lambda e: sorted(e.terms))
-        if Fraction(alpha) < threshold:
-            return result(alpha, "<", element)
-        return result(alpha, "=", element)
-
-    if engine == "linalg":
+        if alpha is not None and alpha < threshold:
+            element = min((e for e in syz.elements if e.degree() == alpha),
+                          key=lambda e: sorted(e.terms))
+    elif engine == "linalg":
+        # one elimination per degree; hoppe_check only keeps a "<" witness
         for k in range(low, top + 1):
-            dim = kernel_dim_linalg(cols, source, target, k, caps)
-            if dim == 0:
-                continue
-            _, elements = kernel_sections_linalg(cols, source, target, k, caps)
-            element = elements[0]
-            if Fraction(k) < threshold:
-                return result(k, "<", element)
-            return result(k, "=", element)
-        return result(None, ">")
-
-    raise StabilityError(f"unknown engine {engine!r}")
+            if kernel_dim_linalg(cols, source, target, k, caps):
+                alpha = k
+                if k < threshold:
+                    element = kernel_sections_linalg(
+                        cols, source, target, k, caps)[1][0]
+                break
+    if alpha is None or alpha > top:
+        return PowerCheck(q, None, threshold, ">", top, low), None
+    relation = "<" if alpha < threshold else "="
+    return PowerCheck(q, alpha, threshold, relation, top, low), element
 
 
 def _scan_with_engines(bundle, q, mu, mode, engine, caps):
@@ -302,8 +295,10 @@ class BrennerResult:
     has_equality: bool
 
 
-def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS,
-                     max_generators: int = 25) -> BrennerResult:
+BRENNER_GENERATOR_CAP = 25   # the subset enumeration is exponential
+
+
+def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS) -> BrennerResult:
     """Subset criterion for monomial families.
 
     For every subset J of at least two generators compare
@@ -313,14 +308,14 @@ def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS,
     """
     gens = spec.generators
     n = len(gens)
-    if n > max_generators:
-        raise StabilityError(
-            f"{n} generators exceed the subset enumeration cap {max_generators}")
+    if n > BRENNER_GENERATOR_CAP:
+        raise StabilityError(f"{n} generators exceed the subset enumeration "
+                             f"cap {BRENNER_GENERATOR_CAP}")
     for g in gens:
         if not g.is_monomial():
             raise StabilityError("the monomial criterion needs monomial generators")
     if not is_irrelevant_primary(list(gens), caps):
-        raise StabilityError("the monomial family must be irrelevant-primary")
+        raise NotPrimaryError("the monomial family must be irrelevant-primary")
     degrees = spec.degrees
     bound = Fraction(-sum(degrees), n - 1)
     violations = []
@@ -464,21 +459,57 @@ class Analysis:
     pullback: Optional["Analysis"] = None
 
 
-def _check_criteria_consistency(report: StabilityReport, criteria: dict):
+def _check_criteria_consistency(bundle: KernelBundle, report: StabilityReport,
+                                criteria: dict, caps: Caps):
+    """A criterion contradicting the driver means a wrong input or a bug.  The
+    driver assumes a surjective presentation, so that is tested first: a
+    non-bundle raises BundleError, anything else InternalCheckError."""
     for name, res in criteria.items():
         verdict = res.verdict
         if verdict in ("stable", "semistable") and report.verdict == "unstable":
-            raise InternalCheckError(
-                f"{name} says {verdict} but the exterior-power driver says "
-                "unstable")
-        if verdict == "unstable" and report.verdict == "semistable":
-            raise InternalCheckError(
-                f"{name} says unstable but the exterior-power driver says "
-                "semistable")
-        if verdict == "stable" and report.stability == "not_stable":
-            raise InternalCheckError(
-                f"{name} says stable but the driver proved strict "
-                "semistability")
+            problem = (f"{name} says {verdict} but the exterior-power driver "
+                       "says unstable")
+        elif verdict == "unstable" and report.verdict == "semistable":
+            problem = (f"{name} says unstable but the exterior-power driver "
+                       "says semistable")
+        elif verdict == "stable" and report.stability == "not_stable":
+            problem = (f"{name} says stable but the driver proved strict "
+                       "semistability")
+        else:
+            continue
+        require_valid(bundle, check_surjectivity=True, caps=caps)
+        raise InternalCheckError(problem)
+
+
+def _criteria(bundle: KernelBundle, spec: Optional[SyzygyBundleSpec],
+              caps: Caps) -> dict:
+    """The auxiliary criteria that apply.  A syzygy family found not to be
+    irrelevant-primary on the way presents no bundle: BundleError."""
+    criteria = {}
+    bs = bohnhorst_spindler(bundle)
+    if bs.verdict != "not_applicable":
+        criteria["bohnhorst_spindler"] = bs
+    if spec is None:
+        return criteria
+    gens = list(spec.generators)
+    primary = None
+    if all(g.is_monomial() for g in gens):
+        try:
+            criteria["brenner_monomial"] = brenner_monomial(spec, caps)
+            primary = True
+        except NotPrimaryError:
+            primary = False
+        except StabilityError:
+            pass
+    if len(gens) == bundle.N + 1 and primary is None:
+        primary = is_irrelevant_primary(gens, caps)
+    if primary is False:
+        raise BundleError("the syzygy generators have a common zero: the "
+                          "presentation is not surjective, so it is no bundle")
+    if len(gens) == bundle.N + 1:
+        criteria["parameter_criterion"] = parameter_criterion(
+            bundle.N, spec.degrees)
+    return criteria
 
 
 def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
@@ -486,7 +517,6 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
                    upgrade_selfdual: bool = True,
                    via_pullback: Optional[int] = None,
                    spec: Optional[SyzygyBundleSpec] = None,
-                   run_criteria: bool = True,
                    caps: Caps = NO_CAPS) -> Analysis:
     """Full driver: slope gate + exterior loop, auxiliary criteria, the
     self-duality upgrade, and stability descent along coordinate-power
@@ -494,31 +524,14 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
     report = hoppe_check(bundle, engine, mode, caps)
     analysis = Analysis(bundle=bundle, report=report)
 
-    if run_criteria:
-        criteria = {}
-        bs = bohnhorst_spindler(bundle)
-        if bs.verdict != "not_applicable":
-            criteria["bohnhorst_spindler"] = bs
-        if spec is not None:
-            if all(g.is_monomial() for g in spec.generators):
-                try:
-                    criteria["brenner_monomial"] = brenner_monomial(spec, caps)
-                except StabilityError:
-                    pass
-            if len(spec.generators) == bundle.N + 1 and \
-                    is_irrelevant_primary(list(spec.generators), caps):
-                criteria["parameter_criterion"] = parameter_criterion(
-                    bundle.N, spec.degrees)
-        _check_criteria_consistency(report, criteria)
-        analysis.criteria = criteria
-        for name, res in criteria.items():
-            report.criteria_trace.append(f"{name}: {res.verdict}")
-        if report.is_semistable and report.stability == "undetermined":
-            decided = {res.verdict for res in criteria.values()}
-            if "stable" in decided:
-                report.stability = "proven_stable"
-                report.criteria_trace.append(
-                    "stability from an auxiliary criterion")
+    analysis.criteria = criteria = _criteria(bundle, spec, caps)
+    _check_criteria_consistency(bundle, report, criteria, caps)
+    for name, res in criteria.items():
+        report.criteria_trace.append(f"{name}: {res.verdict}")
+    if report.is_semistable and report.stability == "undetermined" and \
+            any(res.verdict == "stable" for res in criteria.values()):
+        report.stability = "proven_stable"
+        report.criteria_trace.append("stability from an auxiliary criterion")
 
     if upgrade_selfdual and report.is_semistable \
             and report.stability == "undetermined":
@@ -529,8 +542,7 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
         pb_bundle = pullback_powers(bundle, via_pullback)
         pb = analyze_bundle(pb_bundle, engine=engine, mode=mode,
                             upgrade_selfdual=upgrade_selfdual,
-                            via_pullback=None, spec=None,
-                            run_criteria=run_criteria, caps=caps)
+                            via_pullback=None, spec=None, caps=caps)
         analysis.pullback = pb
         if pb.report.is_stable_proven:
             report.stability = pb.report.stability

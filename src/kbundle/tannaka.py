@@ -14,20 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (
-    AlgebraError,
-    CoefficientError,
-    FieldSpec,
-    Poly,
-    PolyRing,
-    monomials_of_degree,
-    mono_mul,
-)
+from .algebra import AlgebraError, CoefficientError, FieldSpec, Poly, PolyRing
 from .bundle import KernelBundle, invariants, twist
 from .modgb import (
     Caps,
     NO_CAPS,
     _echelon_kernel,
+    _monomial_vectors,
+    _section_kernel,
     buchberger,
     graded_piece_dim,
     kernel_dim_linalg,
@@ -96,95 +90,36 @@ class TensorSections:
         self.columns = bundle.columns()
         self._basis_cache: dict = {}
 
-    def _column_vectors(self, q: int, t: int):
-        """Constraint columns for level q from the level q-1 bases."""
+    def _kernel(self, q: int, t: int, want_vectors: bool):
+        """Level q in degree t: the slot-one map on the level q-1 bases."""
         a = self.bundle.twists_a
-        fld = self.ring.field
-        columns = []
-        labels = []
-        for i in range(self.bundle.n):
-            lower = self.basis(q - 1, t + a[i])
-            for idx, vec in enumerate(lower):
-                out: dict = {}
-                for (beta, mono), c in vec.items():
-                    for j, entry in self.columns[i]:
-                        for em, ec in entry.terms.items():
-                            key = (j, beta, mono_mul(em, mono))
-                            s = fld.add(out.get(key, fld.zero()), fld.mul(ec, c))
-                            if s:
-                                out[key] = s
-                            else:
-                                out.pop(key, None)
-                columns.append(out)
-                labels.append((i, idx))
-        return labels, columns
+        lower = [self.basis(q - 1, t + a[i]) for i in range(self.bundle.n)]
+        return _section_kernel(self.columns, lower, self.ring.field.char,
+                               self.caps, want_vectors)
 
     def basis(self, q: int, t: int):
         """Basis vectors of the degree-t sections of the q-th tensor power."""
         key = (q, t)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        fld = self.ring.field
-        if q == 0:
-            basis = [{((), mono): fld.one()}
-                     for mono in monomials_of_degree(self.ring.nvars, t)]
+        basis = self._basis_cache.get(key)
+        if basis is None:
+            if q == 0:
+                basis = _monomial_vectors(self.ring.nvars, t)
+            else:
+                _, basis = self._kernel(q, t, want_vectors=True)
             self._basis_cache[key] = basis
-            return basis
-        labels, columns = self._column_vectors(q, t)
-        _, combos = _echelon_kernel(columns, fld, self.caps, want_vectors=True)
-        a = self.bundle.twists_a
-        basis = []
-        for combo in combos:
-            vec: dict = {}
-            for col_idx, coeff in combo.items():
-                i, idx = labels[col_idx]
-                lower = self.basis(q - 1, t + a[i])[idx]
-                for (beta, mono), c in lower.items():
-                    key2 = ((i,) + beta, mono)
-                    s = fld.add(vec.get(key2, fld.zero()), fld.mul(c, coeff))
-                    if s:
-                        vec[key2] = s
-                    else:
-                        vec.pop(key2, None)
-            basis.append(vec)
-        self._basis_cache[key] = basis
         return basis
 
     def dim(self, q: int, t: int) -> int:
-        if q == 0:
-            return len(list(monomials_of_degree(self.ring.nvars, t))) if t >= 0 else 0
-        cached = self._basis_cache.get((q, t))
-        if cached is not None:
-            return len(cached)
-        _, columns = self._column_vectors(q, t)
-        dim, _ = _echelon_kernel(columns, self.ring.field, self.caps)
+        if q == 0 or (q, t) in self._basis_cache:
+            return len(self.basis(q, t))
+        dim, _ = self._kernel(q, t, want_vectors=False)
         return dim
 
 
 def section_dim_power(bundle: KernelBundle, kind: str, q: int, k: int = 0,
                       engine: str = "auto", caps: Caps = NO_CAPS) -> int:
-    """h^0 of the q-th tensor/exterior/symmetric power twisted by k.
-
-    Engines: "linalg" eliminates the degree-k piece of the power presentation,
-    "gb" takes the graded piece of its syzygy module, "staged" (tensor only)
-    intersects slot conditions level by level.  "auto" picks staged for
-    tensor powers with q >= 3 and linalg otherwise.
-    """
-    if engine == "auto":
-        engine = "staged" if (kind == "tensor" and q >= 3) else "linalg"
-    if engine == "staged":
-        if kind != "tensor":
-            raise TannakaError("the staged engine only computes tensor powers")
-        return TensorSections(bundle, caps).dim(q, k)
-    pres = power_presentation(bundle, kind, q)
-    if engine == "linalg":
-        return kernel_dim_linalg(pres.columns_list(), pres.source_module(),
-                                 pres.target_module(), k, caps)
-    if engine == "gb":
-        gb = _syzygy_groebner(pres, caps)
-        return 0 if gb is None else graded_piece_dim(gb, k)
-    raise TannakaError(f"unknown engine {engine!r}")
+    """h^0 of the q-th tensor/exterior/symmetric power twisted by k."""
+    return section_dim_table(bundle, kind, q, (k,), engine, caps)[k]
 
 
 def _syzygy_groebner(pres, caps: Caps):
@@ -197,12 +132,31 @@ def _syzygy_groebner(pres, caps: Caps):
 
 def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
                       engine: str = "auto", caps: Caps = NO_CAPS) -> dict:
-    """h^0 for a range of twists; the gb engine reuses one syzygy basis."""
+    """h^0 of the q-th tensor/exterior/symmetric power for a range of twists.
+
+    Engines: "linalg" eliminates the degree-k pieces of the power
+    presentation, "gb" takes graded pieces of its syzygy module, "staged"
+    (tensor only) intersects slot conditions level by level.  "auto" picks
+    staged for tensor powers with q >= 3 and linalg otherwise.  The
+    presentation, its syzygy basis or the staged levels are built once.
+    """
+    if engine == "auto":
+        engine = "staged" if (kind == "tensor" and q >= 3) else "linalg"
+    if engine == "staged":
+        if kind != "tensor":
+            raise TannakaError("the staged engine only computes tensor powers")
+        sections = TensorSections(bundle, caps)
+        return {k: sections.dim(q, k) for k in twists}
+    pres = power_presentation(bundle, kind, q)
+    if engine == "linalg":
+        cols, source, target = (pres.columns_list(), pres.source_module(),
+                                pres.target_module())
+        return {k: kernel_dim_linalg(cols, source, target, k, caps)
+                for k in twists}
     if engine == "gb":
-        gb = _syzygy_groebner(power_presentation(bundle, kind, q), caps)
+        gb = _syzygy_groebner(pres, caps)
         return {k: 0 if gb is None else graded_piece_dim(gb, k) for k in twists}
-    return {k: section_dim_power(bundle, kind, q, k, engine, caps)
-            for k in twists}
+    raise TannakaError(f"unknown engine {engine!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +175,7 @@ class DimCell:
 
 def tensor_dim_cell(bundle: KernelBundle, q: int, k: int = 0,
                     method: str = "two_prime", engine: str = "auto",
-                    caps: Caps = NO_CAPS, primes=DEFAULT_PRIMES) -> DimCell:
+                    caps: Caps = NO_CAPS) -> DimCell:
     """A tensor-power section dimension with its evidence level.
 
     Over a prime field the kernel dimension can only exceed the rational one,
@@ -241,7 +195,7 @@ def tensor_dim_cell(bundle: KernelBundle, q: int, k: int = 0,
     if method == "two_prime":
         seen: dict = {}
         tried = 0
-        for p in primes:
+        for p in DEFAULT_PRIMES:
             try:
                 reduced = reduce_bundle_mod_p(bundle, p)
             except PrimeUnusableError:
@@ -268,45 +222,27 @@ def _candidate_points(nvars: int):
         yield tuple(Fraction(t) ** i for i in range(nvars))
 
 
-def _matrix_rank_at_point(bundle: KernelBundle, point) -> int:
-    fld = bundle.ring.field
-    cols = []
-    for i in range(bundle.n):
-        vec = {}
-        for j in range(bundle.m):
-            v = bundle.matrix[j][i].evaluate(point)
-            if v:
-                vec[j] = v
-        cols.append(vec)
-    dim, _ = _echelon_kernel(cols, fld, NO_CAPS)
-    return bundle.n - dim
+def _rank_at_point(columns, point, caps: Caps) -> int:
+    """Rank over QQ of a polynomial matrix, given by sparse columns
+    [(row, entry), ...], evaluated at a point."""
+    vectors = [{j: v for j, entry in col if (v := entry.evaluate(point))}
+               for col in columns]
+    dim, _ = _echelon_kernel(vectors, 0, caps)
+    return len(columns) - dim
 
 
-def _pairing_rank_at_point(bundle: KernelBundle, section, point) -> int:
-    """Rank of a section of (E (x) E)(t), evaluated as an n x n scalar matrix.
+def _pairing_columns(n: int, section) -> list:
+    """A section of (E (x) E)(t) as the columns of an n x n polynomial matrix.
 
     The section lies fiberwise in E_x (x) E_x, so its matrix rank equals the
     rank of the induced pairing; full rank at one point certifies that the
     associated map E* -> E(t) is an isomorphism (its determinant is a constant).
+    Source labels of the tensor-square presentation list the pairs (i1, i2)
+    lexicographically.
     """
-    fld = bundle.ring.field
-    n = bundle.n
     comps = section.components()
-    cols = []
-    for i2 in range(n):
-        vec = {}
-        for i1 in range(n):
-            # source labels of the tensor-square presentation list the pairs
-            # (i1, i2) lexicographically
-            poly = comps.get(i1 * n + i2)
-            if poly is None:
-                continue
-            v = poly.evaluate(point)
-            if v:
-                vec[i1] = v
-        cols.append(vec)
-    dim, _ = _echelon_kernel(cols, fld, NO_CAPS)
-    return n - dim
+    return [[(i1, comps[i1 * n + i2]) for i1 in range(n) if i1 * n + i2 in comps]
+            for i2 in range(n)]
 
 
 def selfdual_detect(bundle: KernelBundle, engine: str = "linalg",
@@ -352,14 +288,16 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
         pres.columns_list(), pres.source_module(), pres.target_module(), 0, caps)
     if dim == 0:
         return False, 0
+    columns = bundle0.columns()
     for point in _candidate_points(bundle0.ring.nvars):
-        if _matrix_rank_at_point(bundle0, point) != bundle0.m:
+        if _rank_at_point(columns, point, caps) != bundle0.m:
             continue
         # the determinant of each induced map E* -> E is a constant, so one
         # point with a full-rank fiber decides per section; callers pair this
         # with h0 = 1, where the basis section is the only candidate
         for section in sections:
-            if _pairing_rank_at_point(bundle0, section, point) == bundle0.rank:
+            pairing = _pairing_columns(bundle0.n, section)
+            if _rank_at_point(pairing, point, caps) == bundle0.rank:
                 return True, dim
         return False, dim
     raise TannakaError("no generic evaluation point found")
@@ -399,8 +337,7 @@ class GroupGuess:
 
 def fingerprint(bundle: KernelBundle, stability_status: str,
                 q_max: int = 4, method: str = "two_prime",
-                engine: str = "auto", caps: Caps = NO_CAPS,
-                primes=DEFAULT_PRIMES) -> TannakaFingerprint:
+                engine: str = "auto", caps: Caps = NO_CAPS) -> TannakaFingerprint:
     """Invariant dimensions h^0(E0^{(x)q}) of the degree-0 normalization E0.
 
     Small cells (q <= 2) are always computed exactly over the rationals; the
@@ -421,7 +358,7 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
                 section_dim_power(bundle0, "tensor", q, 0, "linalg", caps),
                 "exact-rational")
         else:
-            dims[q] = tensor_dim_cell(bundle0, q, 0, method, "auto", caps, primes)
+            dims[q] = tensor_dim_cell(bundle0, q, 0, method, "auto", caps)
     selfdual, reason = selfdual_detect(bundle0, "linalg", caps, stability_status)
     return TannakaFingerprint(
         rank=bundle.rank,

@@ -66,6 +66,20 @@ def test_malformed_twist_range_exits_1(twists, capsys):
     assert "input error" in err and "twist range" in err
 
 
+@pytest.mark.parametrize("presentation", [
+    # a common zero of the generators, seen by the parameter criterion
+    ["--syzygy", "X^2, X*Y, Y^2"],
+    # the same, seen by the monomial (Brenner) criterion
+    ["--syzygy", "X^2, X*Y, Y^2, X*Z"],
+    # no syzygy spec: the criteria disagree and the surjectivity test decides
+    ["--matrix", "X^2, X*Y, Y^2", "--twists-a=-2,-2,-2", "--twists-b", "0"],
+])
+def test_check_rejects_non_bundle(presentation, capsys):
+    code, out, err = run_cli(["check"] + presentation, capsys)
+    assert code == 1
+    assert err.startswith("input error:") and not out
+
+
 def test_unknown_variable_exits_1(capsys):
     code, _, err = run_cli(["check", "--syzygy", "X^2, W^2, Z^2"], capsys)
     assert code == 1

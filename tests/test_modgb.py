@@ -8,6 +8,7 @@ from kbundle.algebra import AlgebraError, FieldSpec, make_ring, parse_polynomial
 from kbundle.bundle import module_from_twists
 from kbundle.modgb import (
     Caps,
+    _echelon_kernel,
     GradedFreeModule,
     GradingError,
     ModuleElement,
@@ -21,7 +22,6 @@ from kbundle.modgb import (
     is_irrelevant_primary,
     kernel_dim_linalg,
     kernel_sections_linalg,
-    syzygy_module,
     syzygy_module_columns,
 )
 
@@ -78,9 +78,14 @@ def one_row_modules(degrees, ring=RING_QQ3):
     return source, target
 
 
+def one_row_columns(*texts):
+    """Sparse columns of a one-row matrix; a zero entry gives an empty column."""
+    return [[(0, P(t))] if t != "0" else [] for t in texts]
+
+
 def test_koszul_syzygy_of_two_variables():
     source, target = one_row_modules((1, 1))
-    syz = syzygy_module([[P("X"), P("Y")]], source, target)
+    syz = syzygy_module_columns(one_row_columns("X", "Y"), source, target)
     assert len(syz) == 1
     gen = syz.elements[0]
     assert gen.degree() == 2
@@ -92,12 +97,11 @@ def test_koszul_syzygy_of_two_variables():
 
 def test_koszul_syzygies_of_three_variables():
     source, target = one_row_modules((1, 1, 1))
-    cols = [[P("X"), P("Y"), P("Z")]]
-    syz = syzygy_module(cols, source, target)
+    columns = one_row_columns("X", "Y", "Z")
+    syz = syzygy_module_columns(columns, source, target)
     found = {str(e) for e in syz.elements}
     assert found == {"(Y, -X, 0)", "(Z, 0, -X)", "(0, Z, -Y)"}
     # every generator is annihilated by the matrix
-    columns = [[(0, P("X"))], [(0, P("Y"))], [(0, P("Z"))]]
     for e in syz.elements:
         assert apply_columns(columns, target, e).is_zero()
 
@@ -107,21 +111,21 @@ FIVE_MONOMIALS = ["X^2", "Y^2", "X*Y", "X*Z", "Y*Z"]
 
 def test_five_monomial_family_initial_degree_three():
     source, target = one_row_modules((2, 2, 2, 2, 2))
-    syz = syzygy_module([[P(t) for t in FIVE_MONOMIALS]], source, target)
+    cols = one_row_columns(*FIVE_MONOMIALS)
+    syz = syzygy_module_columns(cols, source, target)
     assert initial_degree(syz) == 3
     assert min(syz.degrees()) == 3
     # frozen via the independent linear-algebra oracle below
-    cols = [[(0, P(t))] for t in FIVE_MONOMIALS]
     assert kernel_dim_linalg(cols, source, target, 2) == 0
     assert kernel_dim_linalg(cols, source, target, 3) > 0
 
 
 def test_initial_degree_zero_module():
     source, target = one_row_modules((1, 2))
-    syz = syzygy_module([[P("X"), P("Y^2")]], source, target)
+    syz = syzygy_module_columns(one_row_columns("X", "Y^2"), source, target)
     # a genuinely zero kernel: single injective column
     source1 = GradedFreeModule(RING_QQ3, (1,))
-    syz0 = syzygy_module([[P("X")]], source1, target)
+    syz0 = syzygy_module_columns(one_row_columns("X"), source1, target)
     assert initial_degree(syz0) is None
     assert len(syz0) == 0
     assert initial_degree(syz) == 3
@@ -129,27 +133,27 @@ def test_initial_degree_zero_module():
 
 def test_zero_columns_give_basis_syzygies():
     source, target = one_row_modules((1, 2))
-    syz = syzygy_module([[P("X"), P("0")]], source, target)
+    syz = syzygy_module_columns(one_row_columns("X", "0"), source, target)
     assert any(str(e) == "(0, 1)" for e in syz.elements)
     assert initial_degree(syz) == 2
 
 
 def test_zero_matrix_kernel_is_whole_source():
     source, target = one_row_modules((1, 1))
-    syz = syzygy_module([[P("0"), P("0")]], source, target)
+    syz = syzygy_module_columns(one_row_columns("0", "0"), source, target)
     assert {str(e) for e in syz.elements} == {"(1, 0)", "(0, 1)"}
 
 
 def test_grading_validation():
     source, target = one_row_modules((1, 1))
     with pytest.raises(GradingError):
-        syzygy_module([[P("X^2"), P("Y")]], source, target)
+        syzygy_module_columns(one_row_columns("X^2", "Y"), source, target)
 
 
 def test_dependent_column_syzygy():
     # duplicated column: the difference of basis vectors is a syzygy
     source, target = one_row_modules((1, 1))
-    syz = syzygy_module([[P("X"), P("X")]], source, target)
+    syz = syzygy_module_columns(one_row_columns("X", "X"), source, target)
     assert initial_degree(syz) == 1
     assert any(e.components().get(0) == P("1") or e.components().get(1) == P("1")
                for e in syz.elements)
@@ -293,12 +297,41 @@ def test_mod_p_kernel_dominates_rational_kernel():
             assert dp >= dq
 
 
+def test_echelon_combinations_ignore_row_order():
+    # a dependent column's combination is its unique relation with the
+    # independent columns before it, whichever rows the pivots land on
+    rng = random.Random(4242)
+    rows = [(j, k) for j in range(3) for k in range(3)]
+    reverse = {r: -i for i, r in enumerate(sorted(rows))}
+    for p in (0, 7):
+        for _ in range(20):
+            vectors = []
+            for _ in range(6):
+                if vectors and rng.random() < 0.5:
+                    picks = rng.sample(vectors, min(2, len(vectors)))
+                    vec = {}
+                    for v in picks:
+                        c = rng.randint(-3, 3)
+                        for r, x in v.items():
+                            vec[r] = vec.get(r, 0) + c * x
+                else:
+                    vec = {r: rng.randint(-3, 3) for r in rows if rng.random() < 0.4}
+                field = (lambda x: x % p) if p else Fraction
+                vec = {r: field(x) for r, x in vec.items() if field(x)}
+                vectors.append(vec)
+            relabelled = [{reverse[r]: x for r, x in v.items()} for v in vectors]
+            dim, combos = _echelon_kernel(vectors, p, Caps(), want_vectors=True)
+            assert (dim, combos) == _echelon_kernel(relabelled, p, Caps(),
+                                                    want_vectors=True)
+            assert dim == len(combos)
+
+
 def test_resource_caps_abort():
     source, target = one_row_modules((2, 2, 2, 2, 2))
     with pytest.raises(ResourceCapError):
-        syzygy_module([[P(t) for t in FIVE_MONOMIALS]], source, target,
-                      caps=Caps(max_degree=2))
+        syzygy_module_columns(one_row_columns(*FIVE_MONOMIALS), source, target,
+                              caps=Caps(max_degree=2))
     with pytest.raises(ResourceCapError):
-        syzygy_module([[P(t) for t in FIVE_MONOMIALS]], source, target,
-                      caps=Caps(max_pairs=1))
+        syzygy_module_columns(one_row_columns(*FIVE_MONOMIALS), source, target,
+                              caps=Caps(max_pairs=1))
 

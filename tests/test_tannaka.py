@@ -43,6 +43,15 @@ def test_engines_agree_on_small_cells():
     for k in (-3, -2, -1):
         assert section_dim_power(d, "tensor", 1, k, "linalg") == \
                section_dim_power(d, "tensor", 1, k, "staged")
+    # the staged engine over F_p computes every two-prime cell
+    cells = {b: ((1, 0), (1, 2), (2, 0), (2, 1)),
+             d: ((1, -3), (1, -2), (2, -6), (2, -5))}
+    for prime in (5, 32003):
+        for bundle, pairs in cells.items():
+            reduced = reduce_bundle_mod_p(bundle, prime)
+            for q, k in pairs:
+                assert section_dim_power(reduced, "tensor", q, k, "staged") == \
+                       section_dim_power(reduced, "tensor", q, k, "linalg")
 
 
 def test_simplicity_of_normalized_quartics():
