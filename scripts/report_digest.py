@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """One digest line per benchmark pool job, to compare two versions of kbundle.
 
-    python3 scripts/report_digest.py WORKLOAD
+    python3 scripts/report_digest.py [WORKLOAD ...]
 
-runs every `workloads.pool_ids(WORKLOAD)` job of `bench/` through
+runs every `workloads.pool_ids(WORKLOAD)` job of `bench/` for each named
+workload (all of them when none is named) through
 `kbundle.cli.execute_job` (from this checkout's `src/`), one after another
 in this process, and prints per job
 
-    <job id> <sha256> <outcome>
+    <workload> <job id> <sha256> <outcome>
 
 where the sha256 covers the report minus `timing` (JSON, sorted keys) and
 the human lines, and the outcome is `exit <code>` or, when the job raises,
@@ -42,13 +43,14 @@ def digest_line(workload: str, job_id: str) -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1 or argv[0] not in workloads.WORKLOADS:
-        print(f"usage: report_digest.py {{{','.join(workloads.WORKLOADS)}}}",
+    names = (sys.argv[1:] if argv is None else argv) or list(workloads.WORKLOADS)
+    if any(name not in workloads.WORKLOADS for name in names):
+        print(f"usage: report_digest.py [{{{','.join(workloads.WORKLOADS)}}} ...]",
               file=sys.stderr)
         return 2
-    for job_id in workloads.pool_ids(argv[0]):
-        print(digest_line(argv[0], job_id), flush=True)
+    for name in names:
+        for job_id in workloads.pool_ids(name):
+            print(name, digest_line(name, job_id), flush=True)
     return 0
 
 

@@ -421,6 +421,18 @@ def substitute_powers(p: Poly, k: int) -> Poly:
     return Poly(p.ring, {tuple(e * k for e in m): c for m, c in p.terms.items()})
 
 
+def reduce_poly_mod_p(p: Poly, ring_p: PolyRing) -> Poly:
+    """Image of a rational polynomial in ring_p, the same ring over F_p.
+    Raises CoefficientError when p divides a denominator."""
+    fld = ring_p.field
+    terms = {}
+    for mono, c in p.terms.items():
+        v = fld.from_fraction(Fraction(c))
+        if v:
+            terms[mono] = v
+    return Poly(ring_p, terms)
+
+
 def monomial_family_gcd(polys) -> tuple:
     """Componentwise-min exponent vector of a family of monomials."""
     monos = []

@@ -27,6 +27,8 @@ from typing import Optional, Sequence
 
 from .algebra import (
     AlgebraError,
+    CoefficientError,
+    FieldSpec,
     Poly,
     PolyRing,
     mono_deg,
@@ -35,6 +37,7 @@ from .algebra import (
     mono_mul,
     mono_quot,
     monomials_of_degree,
+    reduce_poly_mod_p,
 )
 
 
@@ -331,20 +334,59 @@ def _reducer_entry(terms: dict, rep, module: GradedFreeModule) -> dict:
             "ltcoeff": terms[lt], "rep": rep}
 
 
+def _gebauer_moller(lts: list, pending: dict, h: tuple) -> list:
+    """Gebauer-Moeller update (Gebauer & Moeller 1988) for an ideal basis with
+    leading monomials lts gaining the leading monomial h.
+
+    Chain criterion: an old pair (i, j) is deleted from pending when h divides
+    its lcm L and both lcm(lts[i], h) and lcm(lts[j], h) differ from L; its
+    S-polynomial then combines those of (i, new) and (j, new), whose lcms
+    properly divide L.  New pairs (i, new): a pair whose lcm is properly
+    divisible by another new pair's lcm is dropped the same way; of the pairs
+    with equal lcm the first is kept, or none when one of them is coprime,
+    since a coprime pair reduces to zero (product criterion).  Equal-lcm pairs
+    differ by an old pair that the chain criterion never deletes with h.
+    Returns the kept new pairs as (i, lcm).
+    """
+    for (i, j), big in list(pending.items()):
+        if (mono_divides(h, big) and mono_lcm(lts[i], h) != big
+                and mono_lcm(lts[j], h) != big):
+            del pending[(i, j)]
+    new = [(i, mono_lcm(m, h), mono_mul(m, h)) for i, m in enumerate(lts)]
+    coprime = {lc for _, lc, prod in new if lc == prod}
+    lcms = {lc for _, lc, _ in new}
+    kept: dict = {}
+    for i, lc, _ in new:
+        if lc in kept or lc in coprime:
+            continue
+        if any(o != lc and mono_divides(o, lc) for o in lcms):
+            continue
+        kept[lc] = i
+    return [(i, lc) for lc, i in kept.items()]
+
+
 def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[GradedFreeModule]):
     """Shared Buchberger driver on raw term dicts.
 
     With source set, every input carries its basis vector as cofactor and every
     S-pair (or dependent input) that reduces to zero contributes one homogeneous
     syzygy; processing every same-component pair keeps the output generating.
+
+    In ideal mode (rank one, no cofactors) _gebauer_moller skips the pairs
+    the product and chain criteria make redundant.  Modules keep every pair:
+    the product criterion fails for vectors, and with cofactors the syzygies
+    of the processed pairs must still generate, which is not shown for the
+    chain criterion.  The reduced basis is canonical either way.
     """
     caps.start()
     fld = module.ring.field
     track = source is not None
+    ideal_mode = module.rank == 1 and not track
     basis: list = []
     by_comp: dict = {}
     syzygies: list = []
     heap: list = []
+    pending: dict = {}          # (i, j) -> lcm of the pairs still to process
     processed_pairs = 0
 
     def add_element(terms, rep):
@@ -357,10 +399,13 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
         comp, mono = entry["ltcomp"], entry["ltmono"]
         caps.check_degree(mono_deg(mono) + module.generator_degrees[comp])
         idx = len(basis)
-        for i, b in enumerate(basis):
-            if b["ltcomp"] != comp:
-                continue
-            lcm = mono_lcm(b["ltmono"], mono)
+        if ideal_mode:
+            pairs = _gebauer_moller([b["ltmono"] for b in basis], pending, mono)
+        else:
+            pairs = [(i, mono_lcm(b["ltmono"], mono))
+                     for i, b in enumerate(basis) if b["ltcomp"] == comp]
+        for i, lcm in pairs:
+            pending[(i, idx)] = lcm
             deg = mono_deg(lcm) + module.generator_degrees[comp]
             heapq.heappush(heap, (deg, i, idx))
         basis.append(entry)
@@ -378,12 +423,14 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
 
     while heap:
         deg, i, j = heapq.heappop(heap)
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
+            continue                # deleted by the chain criterion
         processed_pairs += 1
         caps.check_pairs(processed_pairs)
         caps.check_degree(deg)
         caps.check_time()
         a, b = basis[i], basis[j]
-        lcm = mono_lcm(a["ltmono"], b["ltmono"])
         qa = mono_quot(lcm, a["ltmono"])
         qb = mono_quot(lcm, b["ltmono"])
         # gcd cofactors of the leading coefficients (both 1 mod p)
@@ -726,11 +773,41 @@ def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
     return not nf
 
 
+PRIMARY_TEST_PRIME = 32003
+
+
+def _leading_terms_cover_variables(polys, caps: Caps) -> bool:
+    """The leading-term ideal of the homogeneous, non-constant polys (zeros
+    ignored) contains a pure power of every variable."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return False
+    covered = set()
+    for e in ideal_groebner(polys, caps).elements:
+        (_, mono), _ = e.leading()
+        support = [k for k, exp in enumerate(mono) if exp > 0]
+        if len(support) == 1:
+            covered.add(support[0])
+    return len(covered) == polys[0].ring.nvars
+
+
 def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS) -> bool:
     """True iff the homogeneous ideal has radical equal to (X_0, ..., X_N).
 
     Zero-dimensionality test: the leading-term ideal of the reduced basis must
     contain a pure power of every variable.  The unit ideal fails the test.
+
+    Over QQ the test first runs on the generators reduced mod
+    PRIMARY_TEST_PRIME, and a "yes" there is a proof.  Scale the generators
+    to be p-integral.  The degree-d piece I_d is the row space of the
+    Macaulay matrix whose rows are the products x^a * f_i of degree d, and
+    the reduction of that matrix mod p spans (I_p)_d, where I_p is generated
+    by the reduced f_i.  A minor that is nonzero mod p is nonzero over QQ, so
+    rank mod p <= rank over QQ.  Hence I_p containing m^d (all forms of
+    degree d) forces I to contain m^d, and I is m-primary.  A "no" mod p
+    proves nothing (the prime may kill a generator or a minor), so the test
+    then runs over QQ.  The pass is skipped when the prime divides a
+    denominator, since the generators have no image mod p.
     """
     polys = [p for p in generators if not p.is_zero()]
     if not polys:
@@ -738,14 +815,16 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS) -> b
     for p in polys:
         if not p.is_homogeneous():
             raise AlgebraError("primary test requires homogeneous generators")
-    gb = ideal_groebner(polys, caps)
-    nvars = polys[0].ring.nvars
-    covered = [False] * nvars
-    for e in gb.elements:
-        (_, mono), _ = e.leading()
-        if mono_deg(mono) == 0:
-            return False
-        support = [k for k, exp in enumerate(mono) if exp > 0]
-        if len(support) == 1:
-            covered[support[0]] = True
-    return all(covered)
+    if any(p.is_constant() for p in polys):
+        return False                # the unit ideal
+    ring = polys[0].ring
+    if ring.field.char == 0:
+        ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME), ring.order)
+        try:
+            reduced = [reduce_poly_mod_p(p, ring_p) for p in polys]
+        except CoefficientError:
+            pass                    # the prime divides a denominator
+        else:
+            if _leading_terms_cover_variables(reduced, caps):
+                return True
+    return _leading_terms_cover_variables(polys, caps)

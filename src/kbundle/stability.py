@@ -459,11 +459,9 @@ class Analysis:
     pullback: Optional["Analysis"] = None
 
 
-def _check_criteria_consistency(bundle: KernelBundle, report: StabilityReport,
-                                criteria: dict, caps: Caps):
-    """A criterion contradicting the driver means a wrong input or a bug.  The
-    driver assumes a surjective presentation, so that is tested first: a
-    non-bundle raises BundleError, anything else InternalCheckError."""
+def _check_criteria_consistency(report: StabilityReport, criteria: dict):
+    """A criterion contradicting the exterior-power verdict on a bundle is
+    a bug: InternalCheckError."""
     for name, res in criteria.items():
         verdict = res.verdict
         if verdict in ("stable", "semistable") and report.verdict == "unstable":
@@ -477,20 +475,21 @@ def _check_criteria_consistency(bundle: KernelBundle, report: StabilityReport,
                        "semistability")
         else:
             continue
-        require_valid(bundle, check_surjectivity=True, caps=caps)
         raise InternalCheckError(problem)
 
 
 def _criteria(bundle: KernelBundle, spec: Optional[SyzygyBundleSpec],
-              caps: Caps) -> dict:
-    """The auxiliary criteria that apply.  A syzygy family found not to be
-    irrelevant-primary on the way presents no bundle: BundleError."""
+              caps: Caps):
+    """The auxiliary criteria that apply, and whether the syzygy generators
+    (the maximal minors of its presentation) are irrelevant-primary: True,
+    or None when no criterion needed to know.  A syzygy family found not to
+    be irrelevant-primary presents no bundle: BundleError."""
     criteria = {}
     bs = bohnhorst_spindler(bundle)
     if bs.verdict != "not_applicable":
         criteria["bohnhorst_spindler"] = bs
     if spec is None:
-        return criteria
+        return criteria, None
     gens = list(spec.generators)
     primary = None
     if all(g.is_monomial() for g in gens):
@@ -509,7 +508,7 @@ def _criteria(bundle: KernelBundle, spec: Optional[SyzygyBundleSpec],
     if len(gens) == bundle.N + 1:
         criteria["parameter_criterion"] = parameter_criterion(
             bundle.N, spec.degrees)
-    return criteria
+    return criteria, primary
 
 
 def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
@@ -520,12 +519,26 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
                    caps: Caps = NO_CAPS) -> Analysis:
     """Full driver: slope gate + exterior loop, auxiliary criteria, the
     self-duality upgrade, and stability descent along coordinate-power
-    pullbacks (stability of the pullback implies stability downstairs)."""
+    pullbacks (stability of the pullback implies stability downstairs).
+
+    The presentation must be surjective (its maximal minors irrelevant-
+    primary), else it is no bundle and BundleError is raised."""
+    return _analyze(bundle, engine, mode, upgrade_selfdual, via_pullback,
+                    spec, caps, check_bundle=True)
+
+
+def _analyze(bundle: KernelBundle, engine: str, mode: str,
+             upgrade_selfdual: bool, via_pullback: Optional[int],
+             spec: Optional[SyzygyBundleSpec], caps: Caps,
+             check_bundle: bool) -> Analysis:
     report = hoppe_check(bundle, engine, mode, caps)
     analysis = Analysis(bundle=bundle, report=report)
 
-    analysis.criteria = criteria = _criteria(bundle, spec, caps)
-    _check_criteria_consistency(bundle, report, criteria, caps)
+    criteria, primary = _criteria(bundle, spec, caps)
+    analysis.criteria = criteria
+    if check_bundle and primary is None:
+        require_valid(bundle, check_surjectivity=True, caps=caps)
+    _check_criteria_consistency(report, criteria)
     for name, res in criteria.items():
         report.criteria_trace.append(f"{name}: {res.verdict}")
     if report.is_semistable and report.stability == "undetermined" and \
@@ -539,10 +552,9 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
 
     if via_pullback and report.is_semistable \
             and report.stability == "undetermined":
-        pb_bundle = pullback_powers(bundle, via_pullback)
-        pb = analyze_bundle(pb_bundle, engine=engine, mode=mode,
-                            upgrade_selfdual=upgrade_selfdual,
-                            via_pullback=None, spec=None, caps=caps)
+        # the pullback along a finite surjective map of a bundle is a bundle
+        pb = _analyze(pullback_powers(bundle, via_pullback), engine, mode,
+                      upgrade_selfdual, None, None, caps, check_bundle=False)
         analysis.pullback = pb
         if pb.report.is_stable_proven:
             report.stability = pb.report.stability

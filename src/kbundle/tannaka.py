@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraError, CoefficientError, FieldSpec, Poly, PolyRing
+from .algebra import (
+    AlgebraError,
+    CoefficientError,
+    FieldSpec,
+    PolyRing,
+    reduce_poly_mod_p,
+)
 from .bundle import KernelBundle, invariants, twist
 from .modgb import (
     Caps,
@@ -47,23 +53,13 @@ DEFAULT_PRIMES = (1000003, 1000033, 1000037, 1000039,
 # Reductions mod p for the prefilter engines.
 # ---------------------------------------------------------------------------
 
-def reduce_poly_mod_p(p: Poly, ring_p: PolyRing) -> Poly:
-    fld = ring_p.field
-    terms = {}
-    for mono, c in p.terms.items():
-        try:
-            v = fld.from_fraction(Fraction(c))
-        except CoefficientError as exc:
-            raise PrimeUnusableError(str(exc)) from exc
-        if v:
-            terms[mono] = v
-    return Poly(ring_p, terms)
-
-
 def reduce_bundle_mod_p(bundle: KernelBundle, prime: int) -> KernelBundle:
     ring_p = PolyRing(bundle.ring.variables, FieldSpec(prime), bundle.ring.order)
-    rows = tuple(tuple(reduce_poly_mod_p(p, ring_p) for p in row)
-                 for row in bundle.matrix)
+    try:
+        rows = tuple(tuple(reduce_poly_mod_p(p, ring_p) for p in row)
+                     for row in bundle.matrix)
+    except CoefficientError as exc:
+        raise PrimeUnusableError(str(exc)) from exc
     return KernelBundle(ring_p, bundle.twists_a, bundle.twists_b, rows)
 
 
@@ -337,7 +333,7 @@ class GroupGuess:
 
 def fingerprint(bundle: KernelBundle, stability_status: str,
                 q_max: int = 4, method: str = "two_prime",
-                engine: str = "auto", caps: Caps = NO_CAPS) -> TannakaFingerprint:
+                caps: Caps = NO_CAPS) -> TannakaFingerprint:
     """Invariant dimensions h^0(E0^{(x)q}) of the degree-0 normalization E0.
 
     Small cells (q <= 2) are always computed exactly over the rationals; the

@@ -71,8 +71,11 @@ def test_malformed_twist_range_exits_1(twists, capsys):
     ["--syzygy", "X^2, X*Y, Y^2"],
     # the same, seen by the monomial (Brenner) criterion
     ["--syzygy", "X^2, X*Y, Y^2, X*Z"],
-    # no syzygy spec: the criteria disagree and the surjectivity test decides
+    # no syzygy spec: the surjectivity test of the maximal minors decides
     ["--matrix", "X^2, X*Y, Y^2", "--twists-a=-2,-2,-2", "--twists-b", "0"],
+    # the same where no criterion applies to contradict the verdict
+    ["--matrix", "X^2, X*Y, Y^2, X*Z", "--twists-a=-2,-2,-2,-2",
+     "--twists-b", "0"],
 ])
 def test_check_rejects_non_bundle(presentation, capsys):
     code, out, err = run_cli(["check"] + presentation, capsys)

@@ -4,9 +4,17 @@ import random
 import pytest
 from fractions import Fraction
 
-from kbundle.algebra import AlgebraError, FieldSpec, make_ring, parse_polynomial
+from kbundle.algebra import (
+    AlgebraError,
+    FieldSpec,
+    Poly,
+    make_ring,
+    monomials_of_degree,
+    parse_polynomial,
+)
 from kbundle.bundle import module_from_twists
 from kbundle.modgb import (
+    PRIMARY_TEST_PRIME,
     Caps,
     _echelon_kernel,
     GradedFreeModule,
@@ -232,6 +240,79 @@ def test_is_irrelevant_primary_examples():
         [P("X^2 - Y^2"), P("X^2 - Z^2"), P("X*Y"), P("X*Z"), P("Y*Z")])
     assert is_irrelevant_primary([P("X"), P("Y"), P("Z")])
     assert not is_irrelevant_primary([P("0")])
+
+
+def test_is_irrelevant_primary_prime_fallbacks():
+    p = PRIMARY_TEST_PRIME
+    # the prime kills a generator: no mod p, yes over QQ
+    assert is_irrelevant_primary([P(f"{p}*X"), P("Y"), P("Z")])
+    assert is_irrelevant_primary([P(f"{p}*X^2 + {p}*Y^2"), P("X*Y"), P("Z^3"),
+                                  P("X^2 - Y^2")])
+    # the prime divides a denominator: the QQ test alone decides
+    assert is_irrelevant_primary([P(f"1/{p}*X^2"), P("Y^2"), P("Z^2")])
+    assert not is_irrelevant_primary([P(f"1/{p}*X^2"), P("X*Y"), P("X*Z")])
+    # truly not primary, with a generator the prime kills
+    assert not is_irrelevant_primary([P("X*Y - Z^2"), P("X*Z"), P(f"{p}*Y^2")])
+    # a constant makes the unit ideal, even when the prime kills it
+    assert not is_irrelevant_primary([P("X"), P("Y"), P("Z"), P(str(p))])
+
+
+def test_ideal_criteria_skip_pairs():
+    # every pair coprime: the product criterion leaves nothing to process
+    gb = ideal_groebner([P("X^2"), P("Y^3"), P("Z^4")], Caps(max_pairs=0))
+    assert leading_monos(gb) == {(2, 0, 0), (0, 3, 0), (0, 0, 4)}
+    assert is_irrelevant_primary([P("X^2"), P("Y^3"), P("Z^4")],
+                                 Caps(max_pairs=0))
+    # three pairs with one lcm XYZ: the last element's two pairs count once
+    ideal_groebner([P("X*Y"), P("Y*Z"), P("X*Z")], Caps(max_pairs=2))
+    # chain criterion: X*Y*Z deletes the old pair of lcm X^2*Y^2*Z
+    ideal_groebner([P("X^2*Z"), P("Y^2*Z"), P("X*Y*Z")], Caps(max_pairs=2))
+    with pytest.raises(ResourceCapError):
+        ideal_groebner([P("X^2*Z"), P("Y^2*Z"), P("X*Y*Z")], Caps(max_pairs=1))
+
+
+def macaulay_rank(polys, d):
+    """dim I_d as the rank of the rows x^a * f of degree d."""
+    nvars = polys[0].ring.nvars
+    p = polys[0].ring.field.char
+    rows = []
+    for f in polys:
+        e = d - f.homogeneous_degree()
+        if e < 0:
+            continue
+        for mono in monomials_of_degree(nvars, e):
+            rows.append((Poly(f.ring, {mono: f.ring.field.one()}) * f).terms)
+    kernel, _ = _echelon_kernel(rows, p, Caps())
+    return len(rows) - kernel
+
+
+def sparse_form(ring, degree, rng):
+    """A form with one to three terms: sparse ideals share leading-term
+    lcms, which is where the pair criteria act."""
+    monos = list(monomials_of_degree(ring.nvars, degree))
+    picks = rng.sample(monos, min(rng.randint(1, 3), len(monos)))
+    return Poly(ring, {m: ring.field.from_int(rng.choice([1, -1, 2, 3]))
+                       for m in picks})
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_ideal_groebner_matches_macaulay_rank(nvars, char):
+    """Random homogeneous ideals: graded pieces of the basis equal Macaulay
+    ranks, and the primary test agrees with I_d == R_d at the Macaulay bound
+    d = (N+1)(D-1)+1 for generators of degree at most D."""
+    rng = random.Random(1000 * nvars + char)
+    ring = make_ring(nvars, FieldSpec(char))
+    top = 3
+    for _ in range(40):
+        polys = [sparse_form(ring, rng.randint(1, top), rng)
+                 for _ in range(rng.randint(nvars - 1, nvars + 1))]
+        gb = ideal_groebner(polys)
+        for d in range(top + 3):
+            assert graded_piece_dim(gb, d) == macaulay_rank(polys, d)
+        bound = nvars * (max(f.homogeneous_degree() for f in polys) - 1) + 1
+        full = len(list(monomials_of_degree(nvars, bound)))
+        assert is_irrelevant_primary(polys) == (macaulay_rank(polys, bound) == full)
 
 
 def reduce_columns(cols, source, target, char):

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from kbundle.algebra import Poly
+from kbundle.algebra import CoefficientError, Poly, reduce_poly_mod_p
 from kbundle.bundle import twist
 from kbundle.tannaka import (
     DimCell,
@@ -12,7 +12,6 @@ from kbundle.tannaka import (
     classify_group,
     fingerprint,
     reduce_bundle_mod_p,
-    reduce_poly_mod_p,
     section_dim_power,
     section_dim_table,
     selfdual_certify,
@@ -29,6 +28,7 @@ from sample_bundles import (
     five_quartics,
     rank2_degree0_bundle,
     sl3_bundle,
+    syzygy_bundle,
 )
 
 
@@ -200,8 +200,11 @@ def test_fingerprint_quartics_full_pipeline():
 def test_reduce_poly_prime_unusable():
     p = Poly(RING_QQ3, {(1, 0, 0): Fraction(1, 5)})
     ring5 = reduce_bundle_mod_p(rank2_degree0_bundle(), 5).ring
-    with pytest.raises(PrimeUnusableError):
+    with pytest.raises(CoefficientError):
         reduce_poly_mod_p(p, ring5)
+    bundle = syzygy_bundle(["1/5*X^2", "Y^2", "Z^2"])
+    with pytest.raises(PrimeUnusableError):
+        reduce_bundle_mod_p(bundle, 5)
 
 
 def test_section_dim_table_gb_reuses_basis():
