@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterator
 
 
@@ -127,7 +128,7 @@ def mono_deg(m: tuple) -> int:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_gcd(a: tuple, b: tuple) -> tuple:
@@ -139,12 +140,12 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quot(a: tuple, b: tuple) -> tuple:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple]:

@@ -220,7 +220,53 @@ def _integerize(*dicts):
                     d[t] = (c * scale).numerator
 
 
-def _normal_form_terms(terms: dict, rep, basis_by_comp: dict, module, caps: Caps):
+class _Reducers:
+    """Reducer entries (from _reducer_entry) by component, answering how a
+    term reduces: by the first entry whose leading monomial divides it.
+
+    Entries are only ever appended, so a remembered reduction stays the one
+    by the first divisor, and a term that had none is next checked against
+    the new entries only.  Terms recur across the normal forms of one
+    Buchberger run; the memo spares them the scan of the basis and the
+    products of the reducer's terms with the quotient.  The shifted terms
+    are interned, since the same terms recur in many reductions.
+    """
+
+    def __init__(self, entries=()):
+        self.by_comp: dict = {}
+        self.memo: dict = {}    # term -> reduction, or the count of entries seen
+        self.terms: dict = {}   # interned shifted terms
+        for entry in entries:
+            self.add(entry)
+
+    def add(self, entry: dict):
+        self.by_comp.setdefault(entry["ltcomp"], []).append(entry)
+
+    def reduction(self, t):
+        """(entry, q, shifted) for the first entry whose leading monomial
+        divides the term t: q = t / lt(entry), and shifted holds the terms of
+        x^q * entry["tail"], in the order of entry["tailcoeffs"].  None if no
+        entry divides t."""
+        hit = self.memo.get(t, 0)
+        if type(hit) is tuple:
+            return hit
+        entries = self.by_comp.get(t[0], ())
+        mono = t[1]
+        for k in range(hit, len(entries)):
+            entry = entries[k]
+            if mono_divides(entry["ltmono"], mono):
+                q = mono_quot(mono, entry["ltmono"])
+                intern = self.terms.setdefault
+                shifted = tuple(intern(tt, tt) for tt in
+                                ((ri, mono_mul(rm, q)) for ri, rm in entry["tail"]))
+                hit = (entry, q, shifted)
+                self.memo[t] = hit
+                return hit
+        self.memo[t] = len(entries)
+        return None
+
+
+def _normal_form_terms(terms: dict, rep, reducers: _Reducers, module, caps: Caps):
     """Normal form up to a nonzero scalar on raw term dicts; rep (raw dict or
     None) tracks cofactors under the same scalar.
 
@@ -231,7 +277,9 @@ def _normal_form_terms(terms: dict, rep, basis_by_comp: dict, module, caps: Caps
     normal form.  Mod p the same step runs on residues: reducers are monic, so
     gcd(c, 1) = 1, nothing is rescaled and the result is the exact normal form.
     Terms are consumed largest-first through a lazy heap, so each reduction
-    cancels the current maximum and the loop terminates degreewise.
+    cancels the current maximum and the loop terminates degreewise.  A term
+    enters the heap when it enters work; every term a reduction adds is
+    smaller than the one it cancels, so none is popped before it is queued.
     """
     from .algebra import monomial_heap_key
     p = module.ring.field.char
@@ -243,22 +291,16 @@ def _normal_form_terms(terms: dict, rep, basis_by_comp: dict, module, caps: Caps
     heapq.heapify(heap)
     done: dict = {}
     while heap:
-        caps.check_time()
         _, _, t = heapq.heappop(heap)
-        c = work.get(t)
-        if not c:
-            continue
-        del work[t]
-        comp, mono = t
-        reducer = None
-        for b in basis_by_comp.get(comp, ()):
-            if mono_divides(b["ltmono"], mono):
-                reducer = b
-                break
-        if reducer is None:
+        c = work.pop(t, None)
+        if c is None:
+            continue                # cancelled since it was queued
+        reduction = reducers.reduction(t)
+        if reduction is None:
             done[t] = c
             continue
-        q = mono_quot(mono, reducer["ltmono"])
+        caps.check_time()
+        reducer, q, shifted = reduction
         lead = reducer["ltcoeff"]
         g = gcd(c, lead)
         cc = c // g
@@ -268,18 +310,17 @@ def _normal_form_terms(terms: dict, rep, basis_by_comp: dict, module, caps: Caps
                 if d is not None:
                     for tt in d:
                         d[tt] *= ll
-        for (ri, rm), rc in reducer["terms"].items():
-            tt = (ri, mono_mul(rm, q))
-            if tt == t:
-                continue
-            s = work.get(tt, 0) - cc * rc
+        for tt, rc in zip(shifted, reducer["tailcoeffs"]):
+            old = work.get(tt)
+            s = -cc * rc if old is None else old - cc * rc
             if p:
                 s %= p
             if s:
                 work[tt] = s
-                heapq.heappush(heap, (tt[0], hkey(tt[1]), tt))
-            else:
-                work.pop(tt, None)
+                if old is None:
+                    heapq.heappush(heap, (tt[0], hkey(tt[1]), tt))
+            elif old is not None:
+                del work[tt]
         if rep is not None:
             for (ri, rm), rc in reducer["rep"].items():
                 tt = (ri, mono_mul(rm, q))
@@ -330,8 +371,10 @@ def _reducer_entry(terms: dict, rep, module: GradedFreeModule) -> dict:
         if d is not None:
             for t, c in d.items():
                 d[t] = c * inv % p if p else c // g
+    tail = [t for t in terms if t != lt]
     return {"terms": terms, "ltcomp": lt[0], "ltmono": lt[1],
-            "ltcoeff": terms[lt], "rep": rep}
+            "ltcoeff": terms[lt], "rep": rep,
+            "tail": tail, "tailcoeffs": [terms[t] for t in tail]}
 
 
 def _gebauer_moller(lts: list, pending: dict, h: tuple) -> list:
@@ -383,14 +426,14 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
     track = source is not None
     ideal_mode = module.rank == 1 and not track
     basis: list = []
-    by_comp: dict = {}
+    reducers = _Reducers()
     syzygies: list = []
     heap: list = []
     pending: dict = {}          # (i, j) -> lcm of the pairs still to process
     processed_pairs = 0
 
     def add_element(terms, rep):
-        nf, nfrep = _normal_form_terms(terms, rep, by_comp, module, caps)
+        nf, nfrep = _normal_form_terms(terms, rep, reducers, module, caps)
         if not nf:
             if track and nfrep:
                 syzygies.append(nfrep)
@@ -409,7 +452,7 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
             deg = mono_deg(lcm) + module.generator_degrees[comp]
             heapq.heappush(heap, (deg, i, idx))
         basis.append(entry)
-        by_comp.setdefault(comp, []).append(entry)
+        reducers.add(entry)
 
     for gen, rep in inputs:
         if not gen.is_homogeneous():
@@ -458,11 +501,8 @@ def _reduce_basis(basis, module: GradedFreeModule, caps: Caps):
         kept.append(b)
     reduced = []
     for b in kept:
-        by_comp: dict = {}
-        for k in kept:
-            if k is not b:
-                by_comp.setdefault(k["ltcomp"], []).append(k)
-        nf, _ = _normal_form_terms(b["terms"], None, by_comp, module, caps)
+        others = _Reducers(k for k in kept if k is not b)
+        nf, _ = _normal_form_terms(b["terms"], None, others, module, caps)
         reduced.append(ModuleElement(module, nf).monic())
     reduced.sort(key=lambda e: key(e.leading()[0]), reverse=True)
     return tuple(reduced)
@@ -769,7 +809,7 @@ def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
         raise AlgebraError("ideal membership needs a rank-one module")
     reducers = [_reducer_entry(e.terms, None, gb.module) for e in gb.elements]
     nf, _ = _normal_form_terms({(0, m): c for m, c in f.terms.items()}, None,
-                               {0: reducers}, gb.module, caps)
+                               _Reducers(reducers), gb.module, caps)
     return not nf
 
 
@@ -778,17 +818,20 @@ PRIMARY_TEST_PRIME = 32003
 
 def _leading_terms_cover_variables(polys, caps: Caps) -> bool:
     """The leading-term ideal of the homogeneous, non-constant polys (zeros
-    ignored) contains a pure power of every variable."""
+    ignored) contains a pure power of every variable.  The leading monomials
+    of any Groebner basis generate that ideal, so the basis is not reduced."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return False
+    module = GradedFreeModule(polys[0].ring, (0,))
+    basis, _ = _gb_core([(ModuleElement.from_components(module, {0: p}), None)
+                         for p in polys], module, caps, None)
     covered = set()
-    for e in ideal_groebner(polys, caps).elements:
-        (_, mono), _ = e.leading()
-        support = [k for k, exp in enumerate(mono) if exp > 0]
+    for b in basis:
+        support = [k for k, exp in enumerate(b["ltmono"]) if exp > 0]
         if len(support) == 1:
             covered.add(support[0])
-    return len(covered) == polys[0].ring.nvars
+    return len(covered) == module.ring.nvars
 
 
 def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS) -> bool:

@@ -17,6 +17,8 @@ from kbundle.modgb import (
     PRIMARY_TEST_PRIME,
     Caps,
     _echelon_kernel,
+    _reducer_entry,
+    _Reducers,
     GradedFreeModule,
     GradingError,
     ModuleElement,
@@ -405,6 +407,27 @@ def test_echelon_combinations_ignore_row_order():
             assert (dim, combos) == _echelon_kernel(relabelled, p, Caps(),
                                                     want_vectors=True)
             assert dim == len(combos)
+
+
+def test_reducers_memo_keeps_first_divisor():
+    # a term remembered without a divisor is checked against later entries,
+    # and a remembered reduction is the one by the first divisor appended
+    module = GradedFreeModule(RING_QQ3, (0,))
+
+    def entry(text):
+        return _reducer_entry({(0, m): c for m, c in P(text).terms.items()},
+                              None, module)
+
+    xy, x2 = entry("X*Y - Z^2"), entry("X^2 + Y*Z")
+    reducers = _Reducers([xy])
+    x2z, x2y = (0, (2, 0, 1)), (0, (2, 1, 0))
+    assert reducers.reduction(x2z) is None
+    reducers.add(x2)
+    assert reducers.reduction(x2z) == (x2, (0, 0, 1), ((0, (0, 1, 2)),))
+    assert x2["tailcoeffs"] == [1]
+    assert reducers.reduction(x2y) == (xy, (1, 0, 0), ((0, (1, 0, 2)),))
+    assert xy["tailcoeffs"] == [-1]
+    assert reducers.reduction(x2y) is reducers.reduction(x2y)
 
 
 def test_resource_caps_abort():
