@@ -169,14 +169,19 @@ class ClosureReport:
     trace: list = field(default_factory=list)
 
 
-def closure_threshold(query: ClosureQuery, caps: Caps = NO_CAPS) -> ClosureReport:
+def closure_threshold(query: ClosureQuery, caps: Caps = NO_CAPS,
+                      primary_proven: bool = False) -> ClosureReport:
     """Inclusion threshold tau = sum(d_i)/(n-1): every homogeneous form of
     degree at least tau lies in the (tight/solid) closure; below it,
-    membership falls to the Frobenius tests."""
+    membership falls to the Frobenius tests.
+
+    primary_proven: the caller has already proven the generators
+    irrelevant-primary (the stability analysis of their syzygy bundle does),
+    so the test is not run again."""
     gens = list(query.generators)
     if len(gens) < 2:
         raise BoundsError("need at least two ideal generators")
-    if not is_irrelevant_primary(gens, caps):
+    if not primary_proven and not is_irrelevant_primary(gens, caps):
         raise BoundsError("the ideal is not irrelevant-primary")
     trace = []
     if query.char == 0:
@@ -209,13 +214,15 @@ class MembershipReport:
     trace: list = field(default_factory=list)
 
 
-def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS) -> MembershipReport:
+def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
+                         closure: Optional[ClosureReport] = None) -> MembershipReport:
     """Frobenius-power membership test f^q in (f_1^q, ..., f_n^q), q = p^e.
 
     A positive answer always certifies closure membership (Frobenius closure
     sits inside tight closure).  The report states which prime/exponent regime
     the data satisfies: p above 4(g-1)(n-1)^3, or q above 6g, makes the test
     decide tight closure; otherwise it is labeled necessary-condition only.
+    closure is closure_threshold(query) when the caller already has it.
     """
     p = query.char
     if p == 0:
@@ -227,7 +234,8 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS) -> Membershi
     if e < 1:
         raise BoundsError("Frobenius exponent must be >= 1")
     qpow = p ** e
-    closure = closure_threshold(query, caps)
+    if closure is None:
+        closure = closure_threshold(query, caps)
     trace = list(closure.trace)
     m = f.homogeneous_degree()
     if m >= closure.tau:

@@ -378,6 +378,7 @@ def task_closure(kind, payload, options, caps):
     ring = gens[0].ring
     certificate = options.get("assume_stability")
     trace = []
+    primary_proven = False
     if ring.field.char == 0 and certificate is None:
         spec = SyzygyBundleSpec(ring, gens, 0)
         analysis = analyze_bundle(from_syzygy(spec), spec=spec, caps=caps,
@@ -389,6 +390,8 @@ def task_closure(kind, payload, options, caps):
                 "bound does not apply")
         certificate = "stable" if report.is_stable_proven else "semistable"
         trace.append(f"semistability certificate computed: {certificate}")
+        # a bundle: the analysis proved its generators irrelevant-primary
+        primary_proven = True
     candidate_text = options.get("candidate")
     query = ClosureQuery(
         generators=gens,
@@ -399,7 +402,7 @@ def task_closure(kind, payload, options, caps):
         candidate=parse_polynomial(candidate_text, ring) if candidate_text else None,
         frobenius_exponent=options.get("frobenius_exponent"),
     )
-    closure = closure_threshold(query, caps)
+    closure = closure_threshold(query, caps, primary_proven)
     results = {
         "ideal": {"generators": [str(g) for g in gens],
                   "degrees": list(query.degrees)},
@@ -423,7 +426,7 @@ def task_closure(kind, payload, options, caps):
                          + ("in the closure by the threshold rule" if member
                             else "below the threshold; not decided"))
         else:
-            membership = frobenius_membership(query, caps)
+            membership = frobenius_membership(query, caps, closure)
             results["membership"] = {
                 "candidate": str(query.candidate),
                 "member": membership.member,

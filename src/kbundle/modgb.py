@@ -334,17 +334,20 @@ def _normal_form_terms(terms: dict, rep, reducers: _Reducers, module, caps: Caps
     return done, rep
 
 
-def _combine_shifted(ta: dict, qa: tuple, ca, tb: dict, qb: tuple, cb, fld):
-    """ca * x^qa * ta - cb * x^qb * tb on raw term dicts."""
+def _combine_shifted(ta: dict, qa: tuple, ca: int, tb: dict, qb: tuple,
+                     cb: int, p: int) -> dict:
+    """ca * x^qa * ta - cb * x^qb * tb on integer term dicts (residues mod p
+    when p is nonzero), dropping zeros."""
     out = {}
     for (i, m), c in ta.items():
-        v = fld.mul(c, ca)
+        v = c * ca % p if p else c * ca
         if v:
             out[(i, mono_mul(m, qa))] = v
-    zero = fld.zero()
     for (i, m), c in tb.items():
         t = (i, mono_mul(m, qb))
-        s = fld.sub(out.get(t, zero), fld.mul(c, cb))
+        s = out.get(t, 0) - c * cb
+        if p:
+            s %= p
         if s:
             out[t] = s
         else:
@@ -408,7 +411,8 @@ def _gebauer_moller(lts: list, pending: dict, h: tuple) -> list:
     return [(i, lc) for lc, i in kept.items()]
 
 
-def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[GradedFreeModule]):
+def _gb_core(inputs, module: GradedFreeModule, caps: Caps,
+             source: Optional[GradedFreeModule], top: Optional[int] = None):
     """Shared Buchberger driver on raw term dicts.
 
     With source set, every input carries its basis vector as cofactor and every
@@ -420,9 +424,25 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
     the product criterion fails for vectors, and with cofactors the syzygies
     of the processed pairs must still generate, which is not shown for the
     chain criterion.  The reduced basis is canonical either way.
+
+    With top set, the run is truncated at degree top (degree-by-degree
+    Buchberger, Kreuzer & Robbiano, Computational Commutative Algebra 2,
+    4.5): nonzero inputs of degree above top are left out, and pairs whose
+    lcm degree exceeds top are never queued.  Everything is homogeneous, so a
+    normal form of degree d uses only basis elements of degree <= d, an
+    S-pair of degree d yields an element or syzygy of degree d, and a pair
+    built on an element of degree d has degree >= d.  Pairs leave the heap
+    in degree order, so the truncated run is the prefix of the full run that
+    ends after its last pair of degree <= top (the pair criteria decide a
+    pair from pairs of no larger degree; leaving out inputs above top shifts
+    basis indices monotonely, so ties pop in the same order).  Its basis is
+    a Groebner basis in degrees <= top, and its syzygies of degree <= top
+    are those of the full run, in the same order: they generate the kernel
+    in degrees <= top.  (A zero input still yields its syzygy, whatever its
+    degree.)
     """
     caps.start()
-    fld = module.ring.field
+    p = module.ring.field.char
     track = source is not None
     ideal_mode = module.rank == 1 and not track
     basis: list = []
@@ -448,8 +468,10 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
             pairs = [(i, mono_lcm(b["ltmono"], mono))
                      for i, b in enumerate(basis) if b["ltcomp"] == comp]
         for i, lcm in pairs:
-            pending[(i, idx)] = lcm
             deg = mono_deg(lcm) + module.generator_degrees[comp]
+            if top is not None and deg > top:
+                continue
+            pending[(i, idx)] = lcm
             heapq.heappush(heap, (deg, i, idx))
         basis.append(entry)
         reducers.add(entry)
@@ -461,6 +483,8 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
         if gen.is_zero():
             if track and rep_terms:
                 syzygies.append(rep_terms)
+            continue
+        if top is not None and gen.degree() > top:
             continue
         add_element(dict(gen.terms), rep_terms)
 
@@ -480,8 +504,8 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps, source: Optional[Grad
         g = gcd(a["ltcoeff"], b["ltcoeff"])
         ca = b["ltcoeff"] // g
         cb = a["ltcoeff"] // g
-        spair = _combine_shifted(a["terms"], qa, ca, b["terms"], qb, cb, fld)
-        sprep = (_combine_shifted(a["rep"], qa, ca, b["rep"], qb, cb, fld)
+        spair = _combine_shifted(a["terms"], qa, ca, b["terms"], qb, cb, p)
+        sprep = (_combine_shifted(a["rep"], qa, ca, b["rep"], qb, cb, p)
                  if track else None)
         add_element(spair, sprep)
 
@@ -519,8 +543,13 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def buchberger(generators: Sequence[ModuleElement], caps: Caps = NO_CAPS) -> GroebnerBasis:
-    """Canonical reduced Groebner basis of the submodule the generators span."""
+def buchberger(generators: Sequence[ModuleElement], caps: Caps = NO_CAPS,
+               top: Optional[int] = None) -> GroebnerBasis:
+    """Canonical reduced Groebner basis of the submodule the generators span.
+
+    With top set, the reduced basis of the run truncated at degree top
+    (_gb_core): its leading terms give the leading-term module, and hence
+    graded_piece_dim, in every degree <= top."""
     gens = [g for g in generators]
     if not gens:
         raise AlgebraError("buchberger needs at least one generator (may be zero)")
@@ -528,7 +557,7 @@ def buchberger(generators: Sequence[ModuleElement], caps: Caps = NO_CAPS) -> Gro
     for g in gens:
         if g.module != module:
             raise AlgebraError("generators live in different modules")
-    basis, _ = _gb_core([(g, None) for g in gens], module, caps, None)
+    basis, _ = _gb_core([(g, None) for g in gens], module, caps, None, top)
     return GroebnerBasis(module, _reduce_basis(basis, module, caps))
 
 
@@ -581,11 +610,14 @@ def _validate_columns(columns, source: GradedFreeModule, target: GradedFreeModul
 
 def syzygy_module_columns(columns, source: GradedFreeModule,
                           target: GradedFreeModule,
-                          caps: Caps = NO_CAPS) -> SyzygyGenerators:
+                          caps: Caps = NO_CAPS,
+                          top: Optional[int] = None) -> SyzygyGenerators:
     """Homogeneous generators of the kernel, via Buchberger with cofactors.
 
     Zero columns contribute their basis vectors directly; every S-pair or
-    dependent input that reduces to zero yields one syzygy.
+    dependent input that reduces to zero yields one syzygy.  With top set,
+    only the syzygies of degree <= top, which generate the kernel in those
+    degrees: the full run's generators of degree <= top, in the same order.
     """
     _validate_columns(columns, source, target)
     syzygies: list = []
@@ -598,8 +630,10 @@ def syzygy_module_columns(columns, source: GradedFreeModule,
         elt = ModuleElement.from_components(target, dict(col))
         inputs.append((elt, rep))
     if inputs:
-        _, more = _gb_core(inputs, target, caps, source)
+        _, more = _gb_core(inputs, target, caps, source, top)
         syzygies.extend(more)
+    if top is not None:
+        syzygies = [s for s in syzygies if s.degree() <= top]
     key = source.term_key()
     ordered = tuple(sorted((s.monic() for s in syzygies),
                            key=lambda e: (e.degree(), key(e.leading()[0]))))

@@ -148,7 +148,8 @@ def _scan_exterior(bundle: KernelBundle, q: int, mu: Fraction, mode: str,
 
     alpha = element = None
     if engine == "gb" and low <= top:
-        syz = syzygy_module_columns(cols, source, target, caps)
+        # degrees above the window are never read: stop the run at top
+        syz = syzygy_module_columns(cols, source, target, caps, top)
         alpha = initial_degree(syz)
         if alpha is not None and alpha < threshold:
             element = min((e for e in syz.elements if e.degree() == alpha),

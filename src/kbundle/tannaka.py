@@ -118,12 +118,13 @@ def section_dim_power(bundle: KernelBundle, kind: str, q: int, k: int = 0,
     return section_dim_table(bundle, kind, q, (k,), engine, caps)[k]
 
 
-def _syzygy_groebner(pres, caps: Caps):
-    """Groebner basis of the syzygy module of a power presentation, or None
-    when there are no syzygies."""
+def _syzygy_groebner(pres, caps: Caps, top: int):
+    """Groebner basis of the syzygy module of a power presentation in degrees
+    <= top (both runs truncated there), or None when there are no syzygies
+    in those degrees."""
     syz = syzygy_module_columns(pres.columns_list(), pres.source_module(),
-                                pres.target_module(), caps)
-    return buchberger(list(syz.elements), caps) if syz.elements else None
+                                pres.target_module(), caps, top)
+    return buchberger(list(syz.elements), caps, top) if syz.elements else None
 
 
 def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
@@ -131,10 +132,11 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
     """h^0 of the q-th tensor/exterior/symmetric power for a range of twists.
 
     Engines: "linalg" eliminates the degree-k pieces of the power
-    presentation, "gb" takes graded pieces of its syzygy module, "staged"
-    (tensor only) intersects slot conditions level by level.  "auto" picks
-    staged for tensor powers with q >= 3 and linalg otherwise.  The
-    presentation, its syzygy basis or the staged levels are built once.
+    presentation, "gb" takes graded pieces of its syzygy module (computed
+    only up to the largest twist), "staged" (tensor only) intersects slot
+    conditions level by level.  "auto" picks staged for tensor powers with
+    q >= 3 and linalg otherwise.  The presentation, its syzygy basis or the
+    staged levels are built once.
     """
     if engine == "auto":
         engine = "staged" if (kind == "tensor" and q >= 3) else "linalg"
@@ -150,7 +152,7 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
         return {k: kernel_dim_linalg(cols, source, target, k, caps)
                 for k in twists}
     if engine == "gb":
-        gb = _syzygy_groebner(pres, caps)
+        gb = _syzygy_groebner(pres, caps, max(twists))
         return {k: 0 if gb is None else graded_piece_dim(gb, k) for k in twists}
     raise TannakaError(f"unknown engine {engine!r}")
 

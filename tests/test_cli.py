@@ -121,21 +121,42 @@ def test_restrict_langer_quartics(capsys):
     assert "k_min = 61" in out
 
 
-def test_closure_five_quadrics(capsys):
+def count_primary_tests(monkeypatch) -> list:
+    """Records every irrelevant-primary test the kbundle modules run."""
+    import kbundle.bounds
+    import kbundle.bundle
+    import kbundle.stability
+    from kbundle.modgb import is_irrelevant_primary
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_irrelevant_primary(*args, **kwargs)
+
+    for module in (kbundle.bounds, kbundle.bundle, kbundle.stability):
+        monkeypatch.setattr(module, "is_irrelevant_primary", counted)
+    return calls
+
+
+def test_closure_five_quadrics(capsys, monkeypatch):
+    calls = count_primary_tests(monkeypatch)
     code, out, _ = run_cli([
         "closure", "--ideal", FIVE_QUADRICS], capsys)
     assert code == 0
     assert "tau = 5/2" in out
     assert "m >= 3" in out
+    assert len(calls) == 1      # the analysis proved it; the bound reuses it
 
 
-def test_closure_frobenius(capsys):
+def test_closure_frobenius(capsys, monkeypatch):
+    calls = count_primary_tests(monkeypatch)
     code, out, _ = run_cli([
         "closure", "--field", "fp:7", "--ideal", "X^2, Y^2, Z^2",
         "--candidate", "X*Y", "--genus", "0",
         "--strong-flag", "elliptic-curve"], capsys)
     assert code == 0
     assert "membership: False" in out
+    assert len(calls) == 1      # the membership test reuses the threshold
 
 
 def test_tannaka_rank2(capsys):

@@ -330,7 +330,9 @@ def reduce_columns(cols, source, target, char):
 
 def test_engine_cross_check_randomized():
     """Central property: syzygy-GB graded dimensions equal kernel dimensions,
-    over QQ and over F_5 and F_32003 on the same random bundles."""
+    over QQ and over F_5 and F_32003 on the same random bundles.  A run
+    truncated at degree top returns the full run's syzygies of degree <= top,
+    in order, and its truncated basis gives every dimension up to top."""
     rng = random.Random(424242)
     bundles = [random_kernel_bundle(rng) for _ in range(25)]
     for char, bundle in itertools.product((0, 5, 32003), bundles):
@@ -338,19 +340,24 @@ def test_engine_cross_check_randomized():
             bundle.columns(), bundle.source_module(), bundle.target_module(), char)
         syz = syzygy_module_columns(cols, source, target)
         lo = min(source.generator_degrees)
+        dims = {t: kernel_dim_linalg(cols, source, target, t)
+                for t in range(lo, lo + 8)}
         if syz.elements:
             gb = buchberger(list(syz.elements))
             for t in range(lo, lo + 5):
-                assert graded_piece_dim(gb, t) == kernel_dim_linalg(cols, source, target, t)
+                assert graded_piece_dim(gb, t) == dims[t]
         else:
             for t in range(lo, lo + 5):
-                assert kernel_dim_linalg(cols, source, target, t) == 0
+                assert dims[t] == 0
+        for top in range(lo, lo + 5):
+            cut = syzygy_module_columns(cols, source, target, top=top)
+            assert cut.elements == tuple(e for e in syz.elements
+                                         if e.degree() <= top)
+            cut_gb = buchberger(list(cut.elements), top=top) if cut.elements else None
+            for t in range(lo, top + 1):
+                assert (graded_piece_dim(cut_gb, t) if cut_gb else 0) == dims[t]
         # initial degree agrees with the first positive kernel dimension
-        first = None
-        for t in range(lo, lo + 8):
-            if kernel_dim_linalg(cols, source, target, t) > 0:
-                first = t
-                break
+        first = next((t for t in range(lo, lo + 8) if dims[t] > 0), None)
         alpha = initial_degree(syz)
         if first is not None:
             assert alpha == first

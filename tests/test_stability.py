@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from kbundle.bundle import invariants, twist
+from kbundle.algebra import Poly, make_ring, monomials_of_degree
+from kbundle.bundle import SyzygyBundleSpec, invariants, twist
+from kbundle.modgb import Caps
 from kbundle.stability import (
     InternalCheckError,
     StabilityError,
@@ -160,6 +162,23 @@ def test_engine_agreement_is_enforced():
     for bundle in (dual_five_monomials(), five_quadrics(),
                    monomial_cubes_family(), rank2_degree0_bundle()):
         hoppe_check(bundle, engine="both")
+
+
+def test_gb_scan_reads_only_the_window():
+    """Generic Syz of 4 cubics on P^3: the gb scan stops at the window top,
+    so ten S-pairs decide it, as linalg does.  The full syzygy module takes
+    hundreds of pairs."""
+    ring = make_ring(4)
+    rng = random.Random(7)
+    gens = [Poly(ring, {m: ring.field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+                        for m in monomials_of_degree(4, 3)})
+            for _ in range(4)]
+    bundle = from_syzygy(SyzygyBundleSpec(ring, gens, 0))
+    gb = hoppe_check(bundle, engine="gb", caps=Caps(max_pairs=10))
+    la = hoppe_check(bundle, engine="linalg")
+    assert (gb.verdict, gb.stability) == (la.verdict, la.stability)
+    assert ([(c.q, c.alpha, c.relation) for c in gb.per_power]
+            == [(c.q, c.alpha, c.relation) for c in la.per_power])
 
 
 def test_brenner_stable_family():
