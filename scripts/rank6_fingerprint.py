@@ -2,10 +2,10 @@
 """Full pipeline for the rank-6 self-dual syzygy bundle.
 
 Runs the semistability driver with both engines, upgrades stability via the
-certified self-dual pairing, computes the invariant dimensions with two-prime
-confirmation plus an exact rational confirmation of the decisive cell, and
-classifies the dual group.  Expected outcome: semistable, self-dual,
-h0(E0^(x)4) = 3, group Sp(6).
+certified self-dual pairing, computes the invariant dimensions as intervals
+(one prime from above, the pairing's sections from below) plus an exact
+rational confirmation of the decisive cell, and classifies the dual group.
+Expected outcome: semistable, self-dual, h0(E0^(x)4) = 3, group Sp(6).
 """
 
 import sys
@@ -47,7 +47,7 @@ def main() -> int:
         print("unexpected verdict", file=sys.stderr)
         return 1
 
-    fp = fingerprint(bundle, report.stability, q_max=4, method="two_prime")
+    fp = fingerprint(bundle, report.stability, q_max=4, method="default")
     for q, cell in sorted(fp.dims.items()):
         print(f"h0(E0^(x){q}) = {cell.value}  [{cell.evidence}]")
     print(f"self-dual: {fp.selfdual} ({fp.selfdual_reason})")
@@ -55,7 +55,7 @@ def main() -> int:
     exact4 = tensor_dim_cell(bundle, 4, 0, method="exact")
     print(f"exact rational confirmation of the q=4 cell: {exact4.value}")
     if exact4.value != fp.dims[4].value:
-        print("prime confirmation disagrees with the exact value", file=sys.stderr)
+        print("interval cell disagrees with the exact value", file=sys.stderr)
         return 1
 
     guess = classify_group(fp)

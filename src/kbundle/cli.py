@@ -306,9 +306,8 @@ def task_tannaka(kind, payload, options, caps):
         status = analysis.report.stability if analysis.report.is_semistable \
             else "unstable"
         report_dict = _report_dict(analysis.report)
-    method = options.get("method", "two_prime")
     fp = tannaka.fingerprint(bundle, status, q_max=options.get("q_max", 4),
-                             method=method, caps=caps)
+                             method=options.get("method", "default"), caps=caps)
     results = {
         "bundle": _bundle_summary(bundle),
         "stability": report_dict,
@@ -505,8 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tannaka", help="invariant fingerprint and dual group")
     _add_common(p)
     p.add_argument("--q-max", dest="q_max", type=int, default=4)
-    p.add_argument("--method", default="two-prime",
-                   help="two-prime, exact, or prime:P")
+    p.add_argument("--method", default="default",
+                   help="default (one prime plus proven lower bounds) or exact")
     p.add_argument("--engine", default="linalg", choices=["gb", "linalg"])
     p.add_argument("--assume-stability", dest="assume_stability",
                    choices=["proven_stable", "proven_via_selfduality"])
@@ -568,11 +567,7 @@ def _job_from_args(args) -> dict:
     if "theorem" in options:
         options["theorem"] = options["theorem"].replace("-", "_")
     if "method" in options:
-        m = options["method"].replace("-", "_")
-        if m.startswith("prime:"):
-            options["method"] = ("prime", int(m.split(":", 1)[1]))
-        else:
-            options["method"] = m
+        options["method"] = options["method"].replace("-", "_")
     return {
         "ring": _ring_config_from_args(args),
         "object": _object_config_from_args(args),
@@ -605,12 +600,9 @@ def execute_job(job: dict):
     started = time.perf_counter()
     results, lines, code = TASKS[name](kind, payload, options, caps)
     elapsed = time.perf_counter() - started
-    def jsonable(opt):
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in opt.items()}
     report = {
         "job": {"ring": job["ring"], "object": job["object"],
-                "task": {"name": name, "options": jsonable(options)}},
+                "task": {"name": name, "options": options}},
         "results": results,
         "resources": {"max_degree": options.get("max_degree"),
                       "max_pairs": options.get("max_pairs"),

@@ -49,6 +49,10 @@ class ResourceCapError(RuntimeError):
     """A configured resource cap was exceeded; the result is indeterminate."""
 
 
+class InternalCheckError(RuntimeError):
+    """Two supposedly-equivalent computations disagreed; never a verdict."""
+
+
 @dataclass
 class Caps:
     """Resource guards.  Exceeding any cap aborts, never returns a wrong answer."""

@@ -32,6 +32,7 @@ from .bundle import (
 )
 from .modgb import (
     Caps,
+    InternalCheckError,
     NO_CAPS,
     ModuleElement,
     apply_columns,
@@ -51,10 +52,6 @@ class StabilityError(AlgebraError):
 
 class NotPrimaryError(StabilityError):
     """The generators have a common zero, so they present no vector bundle."""
-
-
-class InternalCheckError(RuntimeError):
-    """Two supposedly-equivalent computations disagreed; never a verdict."""
 
 
 MODES = ("semistability", "stability_evidence")

@@ -3,8 +3,10 @@ the dual group in the decided low-rank cases (SL_r, Sp_4, Sp_6).
 
 A stable degree-0 bundle generates a tensor category equivalent to the
 representations of a connected semisimple group; the group is pinned down by
-the invariant dimensions h^0 of its tensor powers.  Only classification rows
-with a decided invariant count are shipped; everything else returns the raw
+the invariant dimensions h^0 of its tensor powers.  A large cell is an
+interval: one prime bounds it from above, sections proven to exist bound it
+from below, and it is certified when the two meet.  Only classification rows
+with a certified invariant count are shipped; everything else returns the raw
 fingerprint.
 """
 
@@ -24,6 +26,7 @@ from .algebra import (
 from .bundle import KernelBundle, invariants, twist
 from .modgb import (
     Caps,
+    InternalCheckError,
     NO_CAPS,
     _echelon_kernel,
     _monomial_vectors,
@@ -158,57 +161,70 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
 
 
 # ---------------------------------------------------------------------------
-# Evidence-graded dimension cells.
+# Dimension cells: intervals of section dimensions.
 # ---------------------------------------------------------------------------
+
+def _check_method(method) -> None:
+    if method not in ("default", "two_prime", "exact"):  # two_prime: old name
+        raise TannakaError(f"unknown dimension method {method!r}; "
+                           "use 'default' or 'exact'")
+
 
 @dataclass(frozen=True)
 class DimCell:
-    value: int
+    """A section dimension known to lie in [lo, hi]."""
+    lo: int
+    hi: int
     evidence: str
 
     @property
+    def value(self) -> int:
+        return self.hi
+
+    @property
     def certified(self) -> bool:
-        return self.evidence.startswith("exact") or self.evidence.startswith("two-prime")
+        return self.lo == self.hi
 
 
 def tensor_dim_cell(bundle: KernelBundle, q: int, k: int = 0,
-                    method: str = "two_prime", engine: str = "auto",
+                    method: str = "default", engine: str = "auto",
                     caps: Caps = NO_CAPS) -> DimCell:
-    """A tensor-power section dimension with its evidence level.
+    """h^0(E^{(x)q}(k)) as an interval [lo, hi] with its evidence.
 
-    Over a prime field the kernel dimension can only exceed the rational one,
-    so a value confirmed by two independent primes is accepted; a single prime
-    is reported as evidence only.
+    Over F_p, and with method "exact", lo == hi is the exact value.  The
+    default takes hi mod the first usable default prime (a kernel mod p is
+    never smaller than over QQ) and lo from sections proven to exist at
+    k == 0 when c1(E) == 0: det E = O lies in E^{(x)rank}, so lo >= 1 at
+    q == rank; at q == 4 the slot permutations w12*w34, w13*w24, w14*w23 of
+    w (x) w, for a section w of E (x) E, stay in E^{(x)4}, and values
+    independent at one point prove them independent.  lo > hi is a bug.
     """
-    if bundle.ring.field.char != 0:
+    _check_method(method)
+    char = bundle.ring.field.char
+    if char != 0 or method == "exact":
         value = section_dim_power(bundle, "tensor", q, k, engine, caps)
-        return DimCell(value, f"exact-F{bundle.ring.field.char}")
-    if method == "exact":
-        value = section_dim_power(bundle, "tensor", q, k, engine, caps)
-        return DimCell(value, "exact-rational")
-    if isinstance(method, tuple) and method[0] == "prime":
-        reduced = reduce_bundle_mod_p(bundle, method[1])
-        value = section_dim_power(reduced, "tensor", q, k, engine, caps)
-        return DimCell(value, f"single-prime({method[1]})")
-    if method == "two_prime":
-        seen: dict = {}
-        tried = 0
-        for p in DEFAULT_PRIMES:
-            try:
-                reduced = reduce_bundle_mod_p(bundle, p)
-            except PrimeUnusableError:
-                continue
-            value = section_dim_power(reduced, "tensor", q, k, engine, caps)
-            tried += 1
-            seen.setdefault(value, []).append(p)
-            if len(seen[value]) == 2:
-                return DimCell(value, f"two-prime{tuple(seen[value])}")
-            if tried >= 5:
-                break
-        raise TannakaError(
-            "no two primes agreed on the section dimension; "
-            "rerun with method='exact'")
-    raise TannakaError(f"unknown dimension method {method!r}")
+        return DimCell(value, value,
+                       f"exact-F{char}" if char else "exact-rational")
+    for p in DEFAULT_PRIMES:
+        try:
+            reduced = reduce_bundle_mod_p(bundle, p)
+        except PrimeUnusableError:
+            continue
+        break
+    else:
+        raise TannakaError("every default prime divides a denominator; "
+                           "rerun with method='exact'")
+    hi = section_dim_power(reduced, "tensor", q, k, engine, caps)
+    lo, why = 0, ""
+    if k == 0 and invariants(bundle).c1 == 0:
+        if q == bundle.rank:
+            lo, why = 1, "determinant"
+        if q == 4 and (pairing := _pairing_products_rank(bundle, caps)) > lo:
+            lo, why = pairing, "pairing"
+    if lo > hi:
+        raise InternalCheckError(f"h0(E^(x){q}): {why} proves {lo} sections, "
+                                 f"but F{p} gives {hi}")
+    return DimCell(lo, hi, f"F{p} <= {hi}" + (f", {why} >= {lo}" if lo else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +245,13 @@ def _rank_at_point(columns, point, caps: Caps) -> int:
     return len(columns) - dim
 
 
+def _square_sections(bundle: KernelBundle, caps: Caps) -> list:
+    """A basis of H^0(E (x) E) over QQ."""
+    pres = tensor_power_matrix(bundle, 2)
+    return kernel_sections_linalg(pres.columns_list(), pres.source_module(),
+                                  pres.target_module(), 0, caps)[1]
+
+
 def _pairing_columns(n: int, section) -> list:
     """A section of (E (x) E)(t) as the columns of an n x n polynomial matrix.
 
@@ -241,6 +264,30 @@ def _pairing_columns(n: int, section) -> list:
     comps = section.components()
     return [[(i1, comps[i1 * n + i2]) for i1 in range(n) if i1 * n + i2 in comps]
             for i2 in range(n)]
+
+
+def _pairing_products_rank(bundle: KernelBundle, caps: Caps = NO_CAPS) -> int:
+    """Rank at the candidate points of the sections w12*w34, w13*w24 and
+    w14*w23 of E^{(x)4}, for the first section w of E (x) E (0 if none):
+    3 for a nondegenerate pairing of rank >= 4, at most 2 on rank 2, where
+    the Pluecker relation w12*w34 - w13*w24 + w14*w23 = 0 holds."""
+    sections = _square_sections(bundle, caps)
+    if not sections:
+        return 0
+    best = 0
+    for point in _candidate_points(bundle.ring.nvars):
+        # source labels of the tensor square list the pairs (i1, i2) in order
+        w = [(*divmod(i, bundle.n), v) for i, c in sections[0].components().items()
+             if (v := c.evaluate(point))]
+        products = ({}, {}, {})
+        for a, b, x in w:
+            for c, d, y in w:
+                products[0][a, b, c, d] = products[1][a, c, b, d] = \
+                    products[2][a, c, d, b] = x * y
+        best = max(best, 3 - _echelon_kernel(products, 0, caps)[0])
+        if best == 3:
+            break
+    return best
 
 
 def selfdual_detect(bundle: KernelBundle, engine: str = "linalg",
@@ -281,10 +328,8 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
         raise TannakaError("certification runs over the rationals")
     if invariants(bundle0).mu != 0:
         raise TannakaError("certification expects a degree-0 bundle")
-    pres = tensor_power_matrix(bundle0, 2)
-    dim, sections = kernel_sections_linalg(
-        pres.columns_list(), pres.source_module(), pres.target_module(), 0, caps)
-    if dim == 0:
+    sections = _square_sections(bundle0, caps)
+    if not sections:
         return False, 0
     columns = bundle0.columns()
     for point in _candidate_points(bundle0.ring.nvars):
@@ -296,8 +341,8 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
         for section in sections:
             pairing = _pairing_columns(bundle0.n, section)
             if _rank_at_point(pairing, point, caps) == bundle0.rank:
-                return True, dim
-        return False, dim
+                return True, len(sections)
+        return False, len(sections)
     raise TannakaError("no generic evaluation point found")
 
 
@@ -334,13 +379,19 @@ class GroupGuess:
 
 
 def fingerprint(bundle: KernelBundle, stability_status: str,
-                q_max: int = 4, method: str = "two_prime",
+                q_max: int = 4, method: str = "default",
                 caps: Caps = NO_CAPS) -> TannakaFingerprint:
-    """Invariant dimensions h^0(E0^{(x)q}) of the degree-0 normalization E0.
-
-    Small cells (q <= 2) are always computed exactly over the rationals; the
-    requested method applies to the larger cells.
+    """Invariant dimensions h^0(E0^{(x)q}), 1 <= q <= q_max (>= 2), of the
+    degree-0 normalization E0: exact for q <= 2, else `tensor_dim_cell`s of
+    the method.  The default's lower bounds are det E0 = O (c1 = 0) at
+    q == rank and, at q == 4, the slot permutations of w (x) w for a section
+    w of E0 (x) E0: they stay in E0^{(x)4}, and are independent when their
+    values at one point are.
     """
+    _check_method(method)
+    if q_max < 2:
+        raise TannakaError(
+            f"q_max must be at least 2 (the simplicity cell), got {q_max}")
     if bundle.ring.field.char != 0:
         raise TannakaError("fingerprints are defined in characteristic 0")
     inv = invariants(bundle)
@@ -349,14 +400,9 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
             f"slope {inv.mu} admits no degree-0 normalizing twist")
     c = -int(inv.mu)
     bundle0 = twist(bundle, c)
-    dims = {}
-    for q in range(1, q_max + 1):
-        if q <= 2:
-            dims[q] = DimCell(
-                section_dim_power(bundle0, "tensor", q, 0, "linalg", caps),
-                "exact-rational")
-        else:
-            dims[q] = tensor_dim_cell(bundle0, q, 0, method, "auto", caps)
+    dims = {q: tensor_dim_cell(bundle0, q, 0, "exact" if q <= 2 else method,
+                               "auto", caps)
+            for q in range(1, q_max + 1)}
     selfdual, reason = selfdual_detect(bundle0, "linalg", caps, stability_status)
     return TannakaFingerprint(
         rank=bundle.rank,
@@ -370,7 +416,7 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
 
 
 def classify_group(fp: TannakaFingerprint) -> GroupGuess:
-    """Decision table; only rows with a decided invariant count may fire.
+    """Decision table; only rows with a certified invariant count may fire.
 
     The standard representation of SL(r) has a one-dimensional space of
     invariants in the r-th tensor power (the determinant), so that rule
@@ -389,19 +435,14 @@ def classify_group(fp: TannakaFingerprint) -> GroupGuess:
                           f"h0(E0^(x){r}) = 1 [{cell_r.evidence}]: exactly the "
                           "determinant invariant of the standard representation",
                           fp)
-    if r == 4 and fp.selfdual and cell_4 is not None and cell_4.value == 3 \
-            and cell_4.certified:
-        return GroupGuess("Sp", 4,
-                          f"rank 4, self-dual, h0(E0^(x)4) = 3 [{cell_4.evidence}]",
+    if r in (4, 6) and fp.selfdual and cell_4 is not None \
+            and cell_4.value == 3 and cell_4.certified:
+        return GroupGuess("Sp", r,
+                          f"rank {r}, self-dual, h0(E0^(x)4) = 3 [{cell_4.evidence}]",
                           fp)
-    if r == 6 and fp.selfdual and cell_4 is not None and cell_4.value == 3 \
-            and cell_4.certified:
-        return GroupGuess("Sp", 6,
-                          f"rank 6, self-dual, h0(E0^(x)4) = 3 [{cell_4.evidence}]",
-                          fp)
-    notes = []
-    if cell_r is not None and not cell_r.certified:
-        notes.append(f"dims[{r}] carries {cell_r.evidence} evidence only")
+    notes = [f"dims[{q}] lies in [{cell.lo}, {cell.hi}] [{cell.evidence}]"
+             for q, cell in sorted(fp.dims.items())
+             if q in (r, 4) and not cell.certified]
     if r == 4 and cell_4 is not None and cell_4.value == 4 and not fp.selfdual:
         notes.append("invariant count matches a type-A candidate, but no "
                      "decision row applies without self-duality")

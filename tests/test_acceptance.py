@@ -104,9 +104,9 @@ def test_criterion_03_five_quartics_full_pipeline():
     b0 = five_quartics(twist=5)
     simplicity = tensor_dim_cell(b0, 2, 0, method="exact")
     assert simplicity.value == 1
-    cell4 = tensor_dim_cell(b0, 4, 0, method="two_prime")
-    assert cell4.value == 3 and cell4.certified
-    assert tensor_dim_cell(b0, 4, 0, method="exact").value == 3
+    cell4 = tensor_dim_cell(b0, 4, 0)
+    exact4 = tensor_dim_cell(b0, 4, 0, method="exact")
+    assert cell4.lo == cell4.hi == exact4.value == 3
     fp = fingerprint(bundle, report.stability, q_max=4)
     assert fp.selfdual
     assert classify_group(fp).label() == "Sp(4)"
@@ -130,8 +130,9 @@ def test_criterion_05_sl3_case():
     bundle = sl3_bundle()
     analysis = analyze_bundle(bundle, spec=sl3_spec())
     assert analysis.report.stability == "proven_stable"
-    cell3 = tensor_dim_cell(bundle, 3, 0, method="two_prime")
-    assert cell3.value == 1
+    cell3 = tensor_dim_cell(bundle, 3, 0)
+    exact3 = tensor_dim_cell(bundle, 3, 0, method="exact")
+    assert cell3.lo == cell3.hi == exact3.value == 1
     fp = fingerprint(bundle, analysis.report.stability, q_max=3)
     assert fp.dim_value(3) == 1
     assert classify_group(fp).label() == "SL(3)"
@@ -144,10 +145,10 @@ def test_criterion_06_rank6_bundle():
     report = analysis.report
     assert report.verdict == "semistable"
     assert report.stability == "proven_via_selfduality"
-    fp = fingerprint(bundle, report.stability, q_max=4, method="two_prime")
+    fp = fingerprint(bundle, report.stability, q_max=4)
     assert fp.selfdual
-    assert fp.dim_value(4) == 3
-    assert fp.dims[4].certified
+    exact4 = tensor_dim_cell(bundle, 4, 0, method="exact")    # degree 0 already
+    assert fp.dims[4].lo == fp.dims[4].hi == exact4.value == 3
     assert classify_group(fp).label() == "Sp(6)"
     announce(6, "rank-6 bundle semistable, self-dual, dims[4]=3, Sp(6);")
 

@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from kbundle.tannaka import reduce_bundle_mod_p, tensor_dim_cell
+
+from sample_bundles import rank2_degree0_bundle
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -20,3 +24,11 @@ def test_traced_names_resolve():
             owner = getattr(owner, cls_name)
         value = owner.__dict__[name] if classes else getattr(owner, name)
         assert callable(value), f"{mod_name}.{attr}"
+
+
+def test_tensor_dim_cell_evidence_is_a_string():
+    """The traced run calls `.evidence.startswith` on every cell it wraps."""
+    bundle = rank2_degree0_bundle()
+    for b in (bundle, reduce_bundle_mod_p(bundle, 32003)):
+        for method in ("default", "exact"):
+            assert isinstance(tensor_dim_cell(b, 3, 0, method).evidence, str)

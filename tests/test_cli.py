@@ -167,6 +167,28 @@ def test_tannaka_rank2(capsys):
     assert "dual group: SL(2)" in out
 
 
+@pytest.mark.parametrize("q_max", ["1", "0"])
+def test_tannaka_q_max_below_two_is_input_error(capsys, q_max):
+    code, _, err = run_cli([
+        "tannaka", "--syzygy", "X^2, Y^2, Z^2", "--q-max", q_max], capsys)
+    assert code == 1
+    assert "input error: q_max must be at least 2" in err
+
+
+@pytest.mark.parametrize("method", ["bogus", "prime:1000003", "two-prime"])
+def test_tannaka_method_is_validated(capsys, method):
+    code, out, err = run_cli([
+        "tannaka", "--syzygy", "X^3, Y^3, Z^3, X*Y*Z", "--twist", "4",
+        "--q-max", "3", "--method", method], capsys)
+    if method == "two-prime":       # the old name of the default
+        assert code == 0
+        assert "h^0(E0^(x)3) = 1  [F1000003 <= 1, determinant >= 1]" in out
+        assert "dual group: SL(3)" in out
+    else:
+        assert code == 1
+        assert "input error: unknown dimension method" in err
+
+
 def test_job_file_roundtrip_and_determinism(tmp_path, capsys):
     job_path = tmp_path / "job.json"
     job_path.write_text(json.dumps(DUAL_JOB))

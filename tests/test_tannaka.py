@@ -1,14 +1,17 @@
-import pytest
+import random
 from fractions import Fraction
 
+import pytest
+
 from kbundle.algebra import CoefficientError, Poly, reduce_poly_mod_p
-from kbundle.bundle import twist
+from kbundle.bundle import SyzygyBundleSpec, from_syzygy, twist, validate
 from kbundle.tannaka import (
     DimCell,
     GroupGuess,
     PrimeUnusableError,
     TannakaError,
     TannakaFingerprint,
+    _pairing_products_rank,
     classify_group,
     fingerprint,
     reduce_bundle_mod_p,
@@ -26,7 +29,9 @@ from sample_bundles import (
     dual_five_monomials,
     five_quadrics,
     five_quartics,
+    random_homogeneous,
     rank2_degree0_bundle,
+    rank6_bundle,
     sl3_bundle,
     syzygy_bundle,
 )
@@ -43,7 +48,7 @@ def test_engines_agree_on_small_cells():
     for k in (-3, -2, -1):
         assert section_dim_power(d, "tensor", 1, k, "linalg") == \
                section_dim_power(d, "tensor", 1, k, "staged")
-    # the staged engine over F_p computes every two-prime cell
+    # the staged engine over F_p computes every default-method cell
     cells = {b: ((1, 0), (1, 2), (2, 0), (2, 1)),
              d: ((1, -3), (1, -2), (2, -6), (2, -5))}
     for prime in (5, 32003):
@@ -70,19 +75,64 @@ def test_sl3_third_power_invariant():
     assert cell.value == 1
 
 
-def test_exact_method_matches_two_prime():
+def test_exact_method_matches_default():
     b0 = five_quartics(twist=5)
     exact = tensor_dim_cell(b0, 4, 0, method="exact")
-    pref = tensor_dim_cell(b0, 4, 0, method="two_prime")
-    assert exact.value == pref.value == 3
+    cell = tensor_dim_cell(b0, 4, 0)
+    assert (exact.lo, exact.hi) == (cell.lo, cell.hi) == (3, 3)
     assert exact.evidence == "exact-rational"
-    assert pref.evidence.startswith("two-prime")
+    assert cell.evidence == "F1000003 <= 3, pairing >= 3"
+    assert tensor_dim_cell(b0, 4, 0, method="two_prime") == cell
 
 
-def test_single_prime_is_evidence_only():
-    cell = tensor_dim_cell(five_quartics(twist=5), 4, 0, method=("prime", 1000003))
-    assert cell.value == 3
+def test_cell_without_lower_bound_is_open():
+    # no lower-bound argument applies at twist k = 1: lo = 0 < hi
+    b0 = five_quartics(twist=5)
+    cell = tensor_dim_cell(b0, 3, 1)
+    assert (cell.lo, cell.hi) == (0, 15)
     assert not cell.certified
+    assert tensor_dim_cell(b0, 3, 1, method="exact").value == 15
+
+
+def test_lower_bounds_only_at_degree_zero_and_twist_zero():
+    # below twist 0, or with c1 < 0, neither det E nor E (x) E gives a section
+    assert tensor_dim_cell(sl3_bundle(), 3, -1) == DimCell(0, 0, "F1000003 <= 0")
+    assert tensor_dim_cell(five_quartics(twist=4), 4) == \
+        DimCell(0, 0, "F1000003 <= 0")
+
+
+def random_degree0_syzygy_bundles(seed):
+    """Syzygy bundles of random forms on P^2 twisted to degree 0: two of
+    three quadrics (rank 2), one of three quadrics and a cubic (rank 3).  A
+    draw whose forms share a zero presents no bundle and is drawn again."""
+    rng = random.Random(seed)
+    for degrees in ((2, 2, 2), (2, 2, 2), (2, 2, 2, 3)):
+        twist0 = sum(degrees) // (len(degrees) - 1)
+        while True:
+            gens = tuple(random_homogeneous(RING_QQ3, d, rng) for d in degrees)
+            bundle = from_syzygy(SyzygyBundleSpec(RING_QQ3, gens, twist0))
+            if validate(bundle, check_surjectivity=True).ok:
+                yield bundle
+                break
+
+
+def test_interval_contains_exact_value():
+    bundles = [rank2_degree0_bundle(), five_quartics(twist=5), sl3_bundle(),
+               rank6_bundle(), *random_degree0_syzygy_bundles(20261018)]
+    for bundle in bundles:
+        exact = {q: tensor_dim_cell(bundle, q, method="exact").value
+                 for q in (3, 4)}
+        for q in (3, 4):
+            cell = tensor_dim_cell(bundle, q)
+            assert cell.lo <= exact[q] <= cell.hi, (bundle.rank, q, cell, exact)
+        assert _pairing_products_rank(bundle) <= exact[4]
+
+
+def test_pairing_bound_on_self_dual_bundles():
+    assert _pairing_products_rank(five_quartics(twist=5)) == 3
+    assert _pairing_products_rank(rank6_bundle()) == 3
+    # the Pluecker relation w12*w34 - w13*w24 + w14*w23 = 0 on rank 2
+    assert _pairing_products_rank(rank2_degree0_bundle()) == 2
 
 
 def test_stable_degree_zero_bundle_has_no_sections():
@@ -160,10 +210,11 @@ def test_classify_requires_proven_stability():
 
 
 def synthetic_fp(rank, dims, selfdual, stability="proven_stable"):
-    cells = {q: DimCell(v, "two-prime(1000003, 1000033)")
+    """dims maps q to a value (a certified cell) or to an interval (lo, hi)."""
+    cells = {q: DimCell(*(v if isinstance(v, tuple) else (v, v)), "synthetic")
              for q, v in dims.items()}
     return TannakaFingerprint(rank=rank, normalizing_twist=0, dims=cells,
-                              simplicity=cells.get(2, DimCell(1, "exact-rational")),
+                              simplicity=cells.get(2, DimCell(1, 1, "exact-rational")),
                               selfdual=selfdual, selfdual_reason="synthetic",
                               stability=stability)
 
@@ -177,15 +228,14 @@ def test_classify_rule_table():
     assert "type-A" in guess.justification
 
 
-def test_classify_rejects_single_prime_evidence():
-    cells = {3: DimCell(1, "single-prime(1000003)")}
-    fp = TannakaFingerprint(rank=3, normalizing_twist=0, dims=cells,
-                            simplicity=DimCell(0, "exact-rational"),
-                            selfdual=False, selfdual_reason="",
-                            stability="proven_stable")
-    guess = classify_group(fp)
+def test_classify_rejects_open_interval():
+    guess = classify_group(synthetic_fp(3, {2: 0, 3: (0, 1)}, False))
     assert guess.group == "unknown"
-    assert "single-prime" in guess.justification
+    assert "dims[3] lies in [0, 1]" in guess.justification
+    for rank in (4, 6):
+        guess = classify_group(synthetic_fp(rank, {2: 1, 4: (2, 3)}, True))
+        assert guess.group == "unknown"
+        assert "dims[4] lies in [2, 3]" in guess.justification
 
 
 def test_fingerprint_quartics_full_pipeline():
