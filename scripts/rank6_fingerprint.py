@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from kbundle.algebra import make_ring, parse_many
 from kbundle.bundle import SyzygyBundleSpec, from_syzygy
 from kbundle.stability import analyze_bundle
-from kbundle.tannaka import classify_group, fingerprint, tensor_dim_cell
+from kbundle.tannaka import TensorSections, classify_group, fingerprint, tensor_dim_cell
 
 
 GENERATORS = [
@@ -52,7 +52,7 @@ def main() -> int:
         print(f"h0(E0^(x){q}) = {cell.value}  [{cell.evidence}]")
     print(f"self-dual: {fp.selfdual} ({fp.selfdual_reason})")
 
-    exact4 = tensor_dim_cell(bundle, 4, 0, method="exact")
+    exact4 = tensor_dim_cell(TensorSections(bundle), 4, 0, method="exact")
     print(f"exact rational confirmation of the q=4 cell: {exact4.value}")
     if exact4.value != fp.dims[4].value:
         print("interval cell disagrees with the exact value", file=sys.stderr)

@@ -95,9 +95,6 @@ class FieldSpec:
     def add(self, a, b):
         return (a + b) % self.char if self.char else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.char if self.char else a - b
-
     def mul(self, a, b):
         return (a * b) % self.char if self.char else a * b
 
@@ -290,13 +287,6 @@ class Poly:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def leading(self):
-        """(monomial, coefficient) of the largest term in the ring order."""
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no leading term")
-        m = max(self.terms, key=self.ring.mono_key)
-        return m, self.terms[m]
-
     def sorted_terms(self):
         key = self.ring.mono_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
@@ -346,12 +336,6 @@ class Poly:
         if not c:
             return self.ring.zero()
         return Poly(self.ring, {m: fld.mul(v, c) for m, v in self.terms.items()})
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        _, lc = self.leading()
-        return self.scale(self.ring.field.inv(lc))
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of field scalars."""

@@ -73,6 +73,8 @@ def build_ring(cfg: dict) -> PolyRing:
             raise InputError(f"bad field spec {field_text!r}: {exc}") from exc
     else:
         raise InputError(f"unknown field {field_text!r} (use qq or fp:P)")
+    if "variables" not in cfg:
+        raise InputError("the ring block needs a 'variables' list")
     try:
         return PolyRing(tuple(cfg["variables"]), field,
                         cfg.get("order", "degrevlex"))
@@ -584,6 +586,10 @@ def _job_from_file(path: str) -> dict:
     for block in ("ring", "object", "task"):
         if block not in job:
             raise InputError(f"job file is missing the {block!r} block")
+        if not isinstance(job[block], dict):
+            raise InputError(f"the {block!r} block must be an object")
+    if not isinstance(job["task"].get("options", {}), dict):
+        raise InputError("task options must be an object of name: value pairs")
     return job
 
 

@@ -169,13 +169,6 @@ class ModuleElement:
                 out.pop(t, None)
         return ModuleElement(self.module, out)
 
-    def __neg__(self) -> "ModuleElement":
-        fld = self.module.ring.field
-        return ModuleElement(self.module, {t: fld.neg(c) for t, c in self.terms.items()})
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
-
     def scale(self, c) -> "ModuleElement":
         fld = self.module.ring.field
         if not c:

@@ -521,6 +521,8 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
 
     The presentation must be surjective (its maximal minors irrelevant-
     primary), else it is no bundle and BundleError is raised."""
+    if via_pullback is not None and via_pullback < 1:
+        raise StabilityError(f"pullback exponent must be >= 1, got {via_pullback}")
     return _analyze(bundle, engine, mode, upgrade_selfdual, via_pullback,
                     spec, caps, check_bundle=True)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .algebra import (
@@ -34,10 +35,9 @@ from .modgb import (
     buchberger,
     graded_piece_dim,
     kernel_dim_linalg,
-    kernel_sections_linalg,
     syzygy_module_columns,
 )
-from .powers import power_presentation, tensor_power_matrix
+from .powers import power_presentation
 
 
 class TannakaError(AlgebraError):
@@ -137,12 +137,15 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
     Engines: "linalg" eliminates the degree-k pieces of the power
     presentation, "gb" takes graded pieces of its syzygy module (computed
     only up to the largest twist), "staged" (tensor only) intersects slot
-    conditions level by level.  "auto" picks staged for tensor powers with
-    q >= 3 and linalg otherwise.  The presentation, its syzygy basis or the
-    staged levels are built once.
+    conditions level by level.  "auto" picks staged for every tensor power
+    (its level 1 is the linalg step on E itself) and linalg otherwise.  The
+    presentation, its syzygy basis or the staged levels are built once.
+    Every engine needs q >= 1.
     """
+    if q < 1:
+        raise TannakaError(f"{kind} power needs q >= 1, got {q}")
     if engine == "auto":
-        engine = "staged" if (kind == "tensor" and q >= 3) else "linalg"
+        engine = "staged" if kind == "tensor" else "linalg"
     if engine == "staged":
         if kind != "tensor":
             raise TannakaError("the staged engine only computes tensor powers")
@@ -186,23 +189,25 @@ class DimCell:
         return self.lo == self.hi
 
 
-def tensor_dim_cell(bundle: KernelBundle, q: int, k: int = 0,
-                    method: str = "default", engine: str = "auto",
-                    caps: Caps = NO_CAPS) -> DimCell:
-    """h^0(E^{(x)q}(k)) as an interval [lo, hi] with its evidence.
+def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
+                    method: str = "default") -> DimCell:
+    """h^0(E^{(x)q}(k)) as an interval [lo, hi] with its evidence, for the
+    bundle E of a section store.
 
-    Over F_p, and with method "exact", lo == hi is the exact value.  The
-    default takes hi mod the first usable default prime (a kernel mod p is
-    never smaller than over QQ) and lo from sections proven to exist at
-    k == 0 when c1(E) == 0: det E = O lies in E^{(x)rank}, so lo >= 1 at
-    q == rank; at q == 4 the slot permutations w12*w34, w13*w24, w14*w23 of
-    w (x) w, for a section w of E (x) E, stay in E^{(x)4}, and values
-    independent at one point prove them independent.  lo > hi is a bug.
+    Over F_p, and with method "exact", lo == hi is the exact value read from
+    the store.  The default takes hi from a store of E mod the first usable
+    default prime (a kernel mod p is never smaller than over QQ) and lo from
+    sections proven to exist at k == 0 when c1(E) == 0: det E = O lies in
+    E^{(x)rank}, so lo >= 1 at q == rank; at q == 4 the slot permutations
+    w12*w34, w13*w24, w14*w23 of w (x) w, for a section w of E (x) E in the
+    store, stay in E^{(x)4}, and values independent at one point prove them
+    independent.  lo > hi is a bug.
     """
     _check_method(method)
+    bundle = sections.bundle
     char = bundle.ring.field.char
     if char != 0 or method == "exact":
-        value = section_dim_power(bundle, "tensor", q, k, engine, caps)
+        value = sections.dim(q, k)
         return DimCell(value, value,
                        f"exact-F{char}" if char else "exact-rational")
     for p in DEFAULT_PRIMES:
@@ -214,12 +219,12 @@ def tensor_dim_cell(bundle: KernelBundle, q: int, k: int = 0,
     else:
         raise TannakaError("every default prime divides a denominator; "
                            "rerun with method='exact'")
-    hi = section_dim_power(reduced, "tensor", q, k, engine, caps)
+    hi = TensorSections(reduced, sections.caps).dim(q, k)
     lo, why = 0, ""
     if k == 0 and invariants(bundle).c1 == 0:
         if q == bundle.rank:
             lo, why = 1, "determinant"
-        if q == 4 and (pairing := _pairing_products_rank(bundle, caps)) > lo:
+        if q == 4 and (pairing := _pairing_products_rank(sections)) > lo:
             lo, why = pairing, "pairing"
     if lo > hi:
         raise InternalCheckError(f"h0(E^(x){q}): {why} proves {lo} sections, "
@@ -245,61 +250,63 @@ def _rank_at_point(columns, point, caps: Caps) -> int:
     return len(columns) - dim
 
 
-def _square_sections(bundle: KernelBundle, caps: Caps) -> list:
-    """A basis of H^0(E (x) E) over QQ."""
-    pres = tensor_power_matrix(bundle, 2)
-    return kernel_sections_linalg(pres.columns_list(), pres.source_module(),
-                                  pres.target_module(), 0, caps)[1]
+def _values_at(section, point) -> dict:
+    """A tensor-power section {(alpha, mono): c} of a store evaluated at a
+    point: {alpha: value}, zero values dropped."""
+    values: dict = {}
+    for (alpha, mono), c in section.items():
+        values[alpha] = values.get(alpha, 0) + c * prod(map(pow, point, mono))
+    return {alpha: v for alpha, v in values.items() if v}
 
 
-def _pairing_columns(n: int, section) -> list:
-    """A section of (E (x) E)(t) as the columns of an n x n polynomial matrix.
+def _pairing_rank(n: int, values: dict, caps: Caps) -> int:
+    """Rank of the n x n matrix {(i1, i2): value} of a section of (E (x) E)(t)
+    evaluated at a point.
 
     The section lies fiberwise in E_x (x) E_x, so its matrix rank equals the
     rank of the induced pairing; full rank at one point certifies that the
     associated map E* -> E(t) is an isomorphism (its determinant is a constant).
-    Source labels of the tensor-square presentation list the pairs (i1, i2)
-    lexicographically.
     """
-    comps = section.components()
-    return [[(i1, comps[i1 * n + i2]) for i1 in range(n) if i1 * n + i2 in comps]
-            for i2 in range(n)]
+    rows: list = [{} for _ in range(n)]
+    for (i1, i2), v in values.items():
+        rows[i1][i2] = v
+    return n - _echelon_kernel(rows, 0, caps)[0]
 
 
-def _pairing_products_rank(bundle: KernelBundle, caps: Caps = NO_CAPS) -> int:
+def _pairing_products_rank(sections: TensorSections) -> int:
     """Rank at the candidate points of the sections w12*w34, w13*w24 and
-    w14*w23 of E^{(x)4}, for the first section w of E (x) E (0 if none):
-    3 for a nondegenerate pairing of rank >= 4, at most 2 on rank 2, where
-    the Pluecker relation w12*w34 - w13*w24 + w14*w23 = 0 holds."""
-    sections = _square_sections(bundle, caps)
-    if not sections:
+    w14*w23 of E^{(x)4}, for the first section w of E (x) E in the store (0 if
+    none): 3 for a nondegenerate pairing of rank >= 4, at most 2 on rank 2,
+    where the Pluecker relation w12*w34 - w13*w24 + w14*w23 = 0 holds."""
+    square = sections.basis(2, 0)
+    if not square:
         return 0
     best = 0
-    for point in _candidate_points(bundle.ring.nvars):
-        # source labels of the tensor square list the pairs (i1, i2) in order
-        w = [(*divmod(i, bundle.n), v) for i, c in sections[0].components().items()
-             if (v := c.evaluate(point))]
+    for point in _candidate_points(sections.ring.nvars):
+        w = _values_at(square[0], point).items()
         products = ({}, {}, {})
-        for a, b, x in w:
-            for c, d, y in w:
+        for (a, b), x in w:
+            for (c, d), y in w:
                 products[0][a, b, c, d] = products[1][a, c, b, d] = \
                     products[2][a, c, d, b] = x * y
-        best = max(best, 3 - _echelon_kernel(products, 0, caps)[0])
+        best = max(best, 3 - _echelon_kernel(products, 0, sections.caps)[0])
         if best == 3:
             break
     return best
 
 
-def selfdual_detect(bundle: KernelBundle, engine: str = "linalg",
-                    caps: Caps = NO_CAPS,
+def selfdual_detect(sections: TensorSections,
                     stability_status: Optional[str] = None):
-    """Evidence that E is isomorphic to a twist of its dual.
+    """Evidence that the bundle E of a section store is isomorphic to a twist
+    of its dual.
 
     Returns (flag, reason).  For a stable bundle a nonzero section of
     (E (x) E)(-2*mu) forces a map E* -> E(-2*mu) between stable bundles of
     equal slope, hence an isomorphism; for merely semistable bundles the flag
-    is evidence, not proof.
+    is evidence, not proof.  Those sections are read as a basis of the store,
+    so later cells and the pairing bound reuse them.
     """
+    bundle = sections.bundle
     inv = invariants(bundle)
     two_mu = 2 * inv.mu
     if two_mu.denominator != 1:
@@ -310,7 +317,7 @@ def selfdual_detect(bundle: KernelBundle, engine: str = "linalg",
     if bundle.rank == 2:
         return True, "rank-2 identity: E* = E(-c1)"
     t = int(-two_mu)
-    h = section_dim_power(bundle, "tensor", 2, t, engine, caps)
+    h = len(sections.basis(2, t))
     if h >= 1:
         grade = "proof" if stability_status in ("proven_stable",
                                                 "proven_via_selfduality") else "evidence"
@@ -328,8 +335,8 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
         raise TannakaError("certification runs over the rationals")
     if invariants(bundle0).mu != 0:
         raise TannakaError("certification expects a degree-0 bundle")
-    sections = _square_sections(bundle0, caps)
-    if not sections:
+    square = TensorSections(bundle0, caps).basis(2, 0)
+    if not square:
         return False, 0
     columns = bundle0.columns()
     for point in _candidate_points(bundle0.ring.nvars):
@@ -338,11 +345,11 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
         # the determinant of each induced map E* -> E is a constant, so one
         # point with a full-rank fiber decides per section; callers pair this
         # with h0 = 1, where the basis section is the only candidate
-        for section in sections:
-            pairing = _pairing_columns(bundle0.n, section)
-            if _rank_at_point(pairing, point, caps) == bundle0.rank:
-                return True, len(sections)
-        return False, len(sections)
+        for section in square:
+            values = _values_at(section, point)
+            if _pairing_rank(bundle0.n, values, caps) == bundle0.rank:
+                return True, len(square)
+        return False, len(square)
     raise TannakaError("no generic evaluation point found")
 
 
@@ -382,8 +389,9 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
                 q_max: int = 4, method: str = "default",
                 caps: Caps = NO_CAPS) -> TannakaFingerprint:
     """Invariant dimensions h^0(E0^{(x)q}), 1 <= q <= q_max (>= 2), of the
-    degree-0 normalization E0: exact for q <= 2, else `tensor_dim_cell`s of
-    the method.  The default's lower bounds are det E0 = O (c1 = 0) at
+    degree-0 normalization E0, read from one `TensorSections` store of E0
+    over QQ that also serves `selfdual_detect`: exact for q <= 2, else
+    `tensor_dim_cell`s of the method.  The default's lower bounds are det E0 = O (c1 = 0) at
     q == rank and, at q == 4, the slot permutations of w (x) w for a section
     w of E0 (x) E0: they stay in E0^{(x)4}, and are independent when their
     values at one point are.
@@ -400,10 +408,12 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
             f"slope {inv.mu} admits no degree-0 normalizing twist")
     c = -int(inv.mu)
     bundle0 = twist(bundle, c)
-    dims = {q: tensor_dim_cell(bundle0, q, 0, "exact" if q <= 2 else method,
-                               "auto", caps)
+    sections = TensorSections(bundle0, caps)
+    # self-duality first: its basis of E0 (x) E0 also serves dims[2] and the
+    # q == 4 pairing bound
+    selfdual, reason = selfdual_detect(sections, stability_status)
+    dims = {q: tensor_dim_cell(sections, q, 0, "exact" if q <= 2 else method)
             for q in range(1, q_max + 1)}
-    selfdual, reason = selfdual_detect(bundle0, "linalg", caps, stability_status)
     return TannakaFingerprint(
         rank=bundle.rank,
         normalizing_twist=c,

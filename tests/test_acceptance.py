@@ -24,7 +24,13 @@ from kbundle.stability import (
     brenner_monomial,
     hoppe_check,
 )
-from kbundle.tannaka import classify_group, fingerprint, section_dim_table, tensor_dim_cell
+from kbundle.tannaka import (
+    TensorSections,
+    classify_group,
+    fingerprint,
+    section_dim_table,
+    tensor_dim_cell,
+)
 
 from power_expand import sym_expand, tensor_expand, wedge_expand
 from sample_bundles import (
@@ -101,11 +107,11 @@ def test_criterion_03_five_quartics_full_pipeline():
     table2 = section_dim_table(bundle, "exterior", 2, range(8, 11), engine="linalg")
     assert table2[8] == 0 and table2[9] == 0 and table2[10] > 0
     # invariant cells of the degree-0 normalization
-    b0 = five_quartics(twist=5)
-    simplicity = tensor_dim_cell(b0, 2, 0, method="exact")
+    sections0 = TensorSections(five_quartics(twist=5))
+    simplicity = tensor_dim_cell(sections0, 2, 0, method="exact")
     assert simplicity.value == 1
-    cell4 = tensor_dim_cell(b0, 4, 0)
-    exact4 = tensor_dim_cell(b0, 4, 0, method="exact")
+    cell4 = tensor_dim_cell(sections0, 4, 0)
+    exact4 = tensor_dim_cell(sections0, 4, 0, method="exact")
     assert cell4.lo == cell4.hi == exact4.value == 3
     fp = fingerprint(bundle, report.stability, q_max=4)
     assert fp.selfdual
@@ -130,8 +136,9 @@ def test_criterion_05_sl3_case():
     bundle = sl3_bundle()
     analysis = analyze_bundle(bundle, spec=sl3_spec())
     assert analysis.report.stability == "proven_stable"
-    cell3 = tensor_dim_cell(bundle, 3, 0)
-    exact3 = tensor_dim_cell(bundle, 3, 0, method="exact")
+    sections = TensorSections(bundle)
+    cell3 = tensor_dim_cell(sections, 3, 0)
+    exact3 = tensor_dim_cell(sections, 3, 0, method="exact")
     assert cell3.lo == cell3.hi == exact3.value == 1
     fp = fingerprint(bundle, analysis.report.stability, q_max=3)
     assert fp.dim_value(3) == 1
@@ -147,7 +154,8 @@ def test_criterion_06_rank6_bundle():
     assert report.stability == "proven_via_selfduality"
     fp = fingerprint(bundle, report.stability, q_max=4)
     assert fp.selfdual
-    exact4 = tensor_dim_cell(bundle, 4, 0, method="exact")    # degree 0 already
+    # degree 0 already
+    exact4 = tensor_dim_cell(TensorSections(bundle), 4, 0, method="exact")
     assert fp.dims[4].lo == fp.dims[4].hi == exact4.value == 3
     assert classify_group(fp).label() == "Sp(6)"
     announce(6, "rank-6 bundle semistable, self-dual, dims[4]=3, Sp(6);")

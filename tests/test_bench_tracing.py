@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from kbundle.tannaka import reduce_bundle_mod_p, tensor_dim_cell
+from kbundle.tannaka import TensorSections, reduce_bundle_mod_p, tensor_dim_cell
 
 from sample_bundles import rank2_degree0_bundle
 
@@ -30,5 +30,6 @@ def test_tensor_dim_cell_evidence_is_a_string():
     """The traced run calls `.evidence.startswith` on every cell it wraps."""
     bundle = rank2_degree0_bundle()
     for b in (bundle, reduce_bundle_mod_p(bundle, 32003)):
+        sections = TensorSections(b)
         for method in ("default", "exact"):
-            assert isinstance(tensor_dim_cell(b, 3, 0, method).evidence, str)
+            assert isinstance(tensor_dim_cell(sections, 3, 0, method).evidence, str)

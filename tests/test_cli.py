@@ -217,6 +217,42 @@ def test_job_file_missing_block(tmp_path, capsys):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("job, message", [
+    ({**DUAL_JOB, "ring": {}}, "the ring block needs a 'variables' list"),
+    ({**DUAL_JOB, "task": {"name": "check", "options": ["engine", "both"]}},
+     "task options must be an object"),
+    ({**DUAL_JOB, "ring": ["X", "Y", "Z"]}, "the 'ring' block must be an object"),
+    ({**DUAL_JOB, "task": "check"}, "the 'task' block must be an object"),
+])
+def test_malformed_job_file_is_input_error(tmp_path, capsys, job, message):
+    job_path = tmp_path / "bad.json"
+    job_path.write_text(json.dumps(job))
+    code, _, err = run_cli(["run", str(job_path)], capsys)
+    assert code == 1
+    assert f"input error: {message}" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_via_pullback_below_one_is_input_error(capsys, k):
+    # stability of this bundle is decided before any pullback would run
+    code, _, err = run_cli([
+        "check", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3",
+        "--via-pullback", k], capsys)
+    assert code == 1
+    assert f"input error: pullback exponent must be >= 1, got {k}" in err
+
+
+@pytest.mark.parametrize("engine", ["staged", "linalg", "gb", "both"])
+def test_sections_tensor_power_zero_is_input_error(capsys, engine):
+    code, out, err = run_cli([
+        "sections", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3",
+        "--kind", "tensor", "--q", "0", "--engine", engine,
+        "--twists", "0..2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "input error: tensor power needs q >= 1, got 0" in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "kbundle.cli", "check", "--syzygy",

@@ -1,16 +1,28 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from kbundle.algebra import CoefficientError, Poly, reduce_poly_mod_p
 from kbundle.bundle import SyzygyBundleSpec, from_syzygy, twist, validate
+from kbundle.modgb import (
+    ModuleElement,
+    _echelon_kernel,
+    apply_columns,
+    kernel_sections_linalg,
+)
+from kbundle.powers import tensor_power_matrix
 from kbundle.tannaka import (
     DimCell,
     GroupGuess,
     PrimeUnusableError,
     TannakaError,
     TannakaFingerprint,
+    TensorSections,
     _pairing_products_rank,
     classify_group,
     fingerprint,
@@ -65,39 +77,41 @@ def test_simplicity_of_normalized_quartics():
 
 
 def test_quartics_fourth_power_invariants():
-    cell = tensor_dim_cell(five_quartics(twist=5), 4, 0, method="two_prime")
+    cell = tensor_dim_cell(TensorSections(five_quartics(twist=5)), 4, 0,
+                           method="two_prime")
     assert cell.value == 3
     assert cell.certified
 
 
 def test_sl3_third_power_invariant():
-    cell = tensor_dim_cell(sl3_bundle(), 3, 0, method="two_prime")
+    cell = tensor_dim_cell(TensorSections(sl3_bundle()), 3, 0, method="two_prime")
     assert cell.value == 1
 
 
 def test_exact_method_matches_default():
-    b0 = five_quartics(twist=5)
-    exact = tensor_dim_cell(b0, 4, 0, method="exact")
-    cell = tensor_dim_cell(b0, 4, 0)
+    sections = TensorSections(five_quartics(twist=5))
+    exact = tensor_dim_cell(sections, 4, 0, method="exact")
+    cell = tensor_dim_cell(sections, 4, 0)
     assert (exact.lo, exact.hi) == (cell.lo, cell.hi) == (3, 3)
     assert exact.evidence == "exact-rational"
     assert cell.evidence == "F1000003 <= 3, pairing >= 3"
-    assert tensor_dim_cell(b0, 4, 0, method="two_prime") == cell
+    assert tensor_dim_cell(sections, 4, 0, method="two_prime") == cell
 
 
 def test_cell_without_lower_bound_is_open():
     # no lower-bound argument applies at twist k = 1: lo = 0 < hi
-    b0 = five_quartics(twist=5)
-    cell = tensor_dim_cell(b0, 3, 1)
+    sections = TensorSections(five_quartics(twist=5))
+    cell = tensor_dim_cell(sections, 3, 1)
     assert (cell.lo, cell.hi) == (0, 15)
     assert not cell.certified
-    assert tensor_dim_cell(b0, 3, 1, method="exact").value == 15
+    assert tensor_dim_cell(sections, 3, 1, method="exact").value == 15
 
 
 def test_lower_bounds_only_at_degree_zero_and_twist_zero():
     # below twist 0, or with c1 < 0, neither det E nor E (x) E gives a section
-    assert tensor_dim_cell(sl3_bundle(), 3, -1) == DimCell(0, 0, "F1000003 <= 0")
-    assert tensor_dim_cell(five_quartics(twist=4), 4) == \
+    assert tensor_dim_cell(TensorSections(sl3_bundle()), 3, -1) == \
+        DimCell(0, 0, "F1000003 <= 0")
+    assert tensor_dim_cell(TensorSections(five_quartics(twist=4)), 4) == \
         DimCell(0, 0, "F1000003 <= 0")
 
 
@@ -120,19 +134,43 @@ def test_interval_contains_exact_value():
     bundles = [rank2_degree0_bundle(), five_quartics(twist=5), sl3_bundle(),
                rank6_bundle(), *random_degree0_syzygy_bundles(20261018)]
     for bundle in bundles:
-        exact = {q: tensor_dim_cell(bundle, q, method="exact").value
+        sections = TensorSections(bundle)
+        exact = {q: tensor_dim_cell(sections, q, method="exact").value
                  for q in (3, 4)}
         for q in (3, 4):
-            cell = tensor_dim_cell(bundle, q)
+            cell = tensor_dim_cell(sections, q)
             assert cell.lo <= exact[q] <= cell.hi, (bundle.rank, q, cell, exact)
-        assert _pairing_products_rank(bundle) <= exact[4]
+        assert _pairing_products_rank(sections) <= exact[4]
+
+
+def test_staged_square_matches_presentation():
+    """The staged basis of (E (x) E)(t) against the full tensor-square
+    presentation: the same dimension, every staged vector in its kernel (the
+    pair (i1, i2) is source label i1 * n + i2), and independent vectors."""
+    bundles = [five_quartics(twist=5), rank6_bundle(), rank2_degree0_bundle(),
+               *islice(random_degree0_syzygy_bundles(20261018), 1, 3)]
+    for bundle in bundles:
+        pres = tensor_power_matrix(bundle, 2)
+        columns, source, target = (pres.columns_list(), pres.source_module(),
+                                   pres.target_module())
+        sections = TensorSections(bundle)
+        for t in (-1, 0, 1):
+            staged = sections.basis(2, t)
+            dim, _ = kernel_sections_linalg(columns, source, target, t)
+            assert len(staged) == dim, (bundle.rank, t)
+            for vec in staged:
+                element = ModuleElement(source, {
+                    (i1 * bundle.n + i2, mono): c
+                    for ((i1, i2), mono), c in vec.items()})
+                assert apply_columns(columns, target, element).is_zero()
+            assert _echelon_kernel(staged, 0, sections.caps)[0] == 0
 
 
 def test_pairing_bound_on_self_dual_bundles():
-    assert _pairing_products_rank(five_quartics(twist=5)) == 3
-    assert _pairing_products_rank(rank6_bundle()) == 3
+    assert _pairing_products_rank(TensorSections(five_quartics(twist=5))) == 3
+    assert _pairing_products_rank(TensorSections(rank6_bundle())) == 3
     # the Pluecker relation w12*w34 - w13*w24 + w14*w23 = 0 on rank 2
-    assert _pairing_products_rank(rank2_degree0_bundle()) == 2
+    assert _pairing_products_rank(TensorSections(rank2_degree0_bundle())) == 2
 
 
 def test_stable_degree_zero_bundle_has_no_sections():
@@ -142,34 +180,34 @@ def test_stable_degree_zero_bundle_has_no_sections():
 
 
 def test_selfdual_detect_quartics():
-    flag, reason = selfdual_detect(five_quartics(twist=5))
+    flag, reason = selfdual_detect(TensorSections(five_quartics(twist=5)))
     assert flag
     assert "h0" in reason
 
 
 def test_selfdual_detect_odd_rank_plane_syzygy():
-    flag, reason = selfdual_detect(sl3_bundle())
+    flag, reason = selfdual_detect(TensorSections(sl3_bundle()))
     assert not flag
     assert "odd-rank" in reason
 
 
 def test_selfdual_detect_rank_two():
-    flag, reason = selfdual_detect(rank2_degree0_bundle())
+    flag, reason = selfdual_detect(TensorSections(rank2_degree0_bundle()))
     assert flag and "rank-2" in reason
 
 
 def test_selfdual_detect_twist_invariant():
-    base = selfdual_detect(five_quartics(twist=5))[0]
-    shifted = selfdual_detect(five_quartics(twist=2))[0]
+    base = selfdual_detect(TensorSections(five_quartics(twist=5)))[0]
+    shifted = selfdual_detect(TensorSections(five_quartics(twist=2)))[0]
     assert base == shifted
 
 
 def test_selfdual_slope_obstruction():
-    flag, reason = selfdual_detect(dual_five_monomials())
+    flag, reason = selfdual_detect(TensorSections(dual_five_monomials()))
     # mu = 5/2, so 2*mu = 5 is integral and the tensor test runs; rank 4 even
     assert isinstance(flag, bool)
     bundle = five_quartics(twist=5)
-    assert selfdual_detect(bundle)[0]
+    assert selfdual_detect(TensorSections(bundle))[0]
 
 
 def test_selfdual_certify_quartics():
@@ -272,3 +310,11 @@ def test_staged_respects_m_greater_one():
     for q, k in ((2, -7), (2, -6), (2, -5)):
         assert section_dim_power(b, "tensor", q, k, "staged") == \
                section_dim_power(b, "tensor", q, k, "linalg")
+
+
+def test_rank6_fingerprint_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "rank6_fingerprint.py"
+    proc = subprocess.run([sys.executable, str(script)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "dual group: Sp(6)" in proc.stdout
