@@ -1,14 +1,17 @@
 """Exact coefficient fields, sparse multivariate polynomials, monomial orders,
 and the polynomial-expression parser.
 
-Coefficients are `fractions.Fraction` over the rationals or canonical integers
-in [0, p) over a prime field.  Nothing in this package touches floating point.
+Coefficients are plain Python numbers: `fractions.Fraction` (or int) over the
+rationals, canonical ints in [0, p) over F_p.  Every sum of term dicts goes
+through `add_scaled`; everything else is `*` or `pow`, reduced `% p` when
+p != 0.  Nothing in this package touches floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import add, le, sub
 from typing import Iterator
 
@@ -62,8 +65,9 @@ def is_prime(n: int) -> bool:
 class FieldSpec:
     """The rationals (char == 0) or the prime field Z/char.
 
-    Elements are plain Fractions resp. ints in [0, char); the methods below are
-    the single place where coefficient arithmetic happens.
+    Elements are plain Fractions resp. ints in [0, char); the methods below
+    only make them.  Arithmetic on them is Python's, with `add_scaled` for
+    sums of term dicts.
     """
 
     char: int = 0
@@ -73,9 +77,6 @@ class FieldSpec:
             raise AlgebraError(f"invalid characteristic {self.char}")
         if self.char > 0 and not is_prime(self.char):
             raise AlgebraError(f"characteristic {self.char} is not prime")
-
-    def zero(self):
-        return 0 if self.char else Fraction(0)
 
     def one(self):
         return 1 if self.char else Fraction(1)
@@ -92,28 +93,29 @@ class FieldSpec:
                 f"coefficient {x} is not representable in F_{self.char}")
         return num * pow(den, -1, self.char) % self.char
 
-    def add(self, a, b):
-        return (a + b) % self.char if self.char else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.char if self.char else a * b
-
-    def neg(self, a):
-        return (-a) % self.char if self.char else -a
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        return pow(a, -1, self.char) if self.char else Fraction(1) / a
-
-    def format(self, a) -> str:
-        return str(a)
-
     def __str__(self):
         return "QQ" if self.char == 0 else f"F_{self.char}"
 
 
 QQ = FieldSpec(0)
+
+
+def add_scaled(dst: dict, c, src: dict, p: int) -> dict:
+    """dst += c * src in place on term dicts of plain field elements, reduced
+    mod p when p != 0, dropping zeros; c == 1 skips the products."""
+    unit = c == 1
+    for t, s in src.items():
+        x = s if unit else c * s
+        old = dst.get(t)
+        if old is not None:
+            x += old
+        if p:
+            x %= p
+        if x:
+            dst[t] = x
+        else:
+            dst.pop(t, None)
+    return dst
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +221,6 @@ class PolyRing:
     def one(self) -> "Poly":
         return Poly(self, {(0,) * self.nvars: self.field.one()})
 
-    def constant(self, c) -> "Poly":
-        c = self.field.from_fraction(Fraction(c)) if not isinstance(c, Fraction) \
-            else self.field.from_fraction(c)
-        return Poly(self, {(0,) * self.nvars: c} if c else {})
-
-    def variable(self, i: int) -> "Poly":
-        mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, {mono: self.field.one()})
-
-    def monomial(self, mono: tuple, coeff=None) -> "Poly":
-        coeff = self.field.one() if coeff is None else coeff
-        return Poly(self, {tuple(mono): coeff} if coeff else {})
-
     def __str__(self):
         return f"{self.field}[{','.join(self.variables)}]"
 
@@ -300,56 +289,38 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        fld = self.ring.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = fld.add(out.get(m, fld.zero()), c)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+        return Poly(self.ring, add_scaled(dict(self.terms), 1, other.terms,
+                                          self.ring.field.char))
 
     def __neg__(self) -> "Poly":
-        fld = self.ring.field
-        return Poly(self.ring, {m: fld.neg(c) for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        return Poly(self.ring, add_scaled(dict(self.terms), -1, other.terms,
+                                          self.ring.field.char))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        fld = self.ring.field
-        out = {}
+        p = self.ring.field.char
+        out: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = fld.add(out.get(m, fld.zero()), fld.mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            add_scaled(out, c1, {mono_mul(m1, m2): c2
+                                 for m2, c2 in other.terms.items()}, p)
         return Poly(self.ring, out)
 
     def scale(self, c) -> "Poly":
-        fld = self.ring.field
-        if not c:
-            return self.ring.zero()
-        return Poly(self.ring, {m: fld.mul(v, c) for m, v in self.terms.items()})
+        p = self.ring.field.char
+        return Poly(self.ring, {m: v * c % p if p else v * c
+                                for m, v in self.terms.items()})
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of field scalars."""
         if len(point) != self.ring.nvars:
             raise AlgebraError("evaluation point has wrong length")
-        fld = self.ring.field
-        total = fld.zero()
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(point, m):
-                if e:
-                    v = fld.mul(v, x ** e if fld.char == 0 else pow(x, e, fld.char))
-            total = fld.add(total, v)
-        return total
+        p = self.ring.field.char
+        total = sum(c * prod(map(pow, point, m)) for m, c in self.terms.items())
+        return total % p if p else total
 
     # -- equality / printing -------------------------------------------------
 
@@ -363,29 +334,18 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        fld = self.ring.field
+        char = self.ring.field.char
         names = self.ring.variables
         pieces = []
         for m, c in self.sorted_terms():
             factors = [n if e == 1 else f"{n}^{e}"
                        for n, e in zip(names, m) if e > 0]
-            if fld.char == 0:
-                negative = c < 0
-                mag = -c if negative else c
-                if not factors:
-                    body = fld.format(mag)
-                elif mag == 1:
-                    body = "*".join(factors)
-                else:
-                    body = "*".join([fld.format(mag)] + factors)
+            negative = char == 0 and c < 0
+            mag = -c if negative else c
+            if factors and mag == 1:
+                body = "*".join(factors)
             else:
-                negative = False
-                if not factors:
-                    body = fld.format(c)
-                elif c == 1:
-                    body = "*".join(factors)
-                else:
-                    body = "*".join([fld.format(c)] + factors)
+                body = "*".join([str(mag)] + factors)
             pieces.append(("-" if negative else "+", body))
         sign, body = pieces[0]
         out = ("-" if sign == "-" else "") + body
@@ -478,6 +438,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
     pos = 0
     var_index = {name: i for i, name in enumerate(ring.variables)}
     fld = ring.field
+    p = fld.char
 
     def peek():
         return tokens[pos]
@@ -527,20 +488,14 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
         while peek()[0] == "*":
             advance()
             c2, m2 = parse_atom()
-            coeff = fld.mul(coeff, c2)
+            coeff = coeff * c2 % p if p else coeff * c2
             mono = mono_mul(mono, m2)
         return coeff, mono
 
     terms = {}
 
     def accumulate(sign, coeff, mono):
-        if sign < 0:
-            coeff = fld.neg(coeff)
-        s = fld.add(terms.get(mono, fld.zero()), coeff)
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
+        add_scaled(terms, sign, {mono: coeff}, p)
 
     sign = 1
     kind, _, _ = peek()

@@ -63,7 +63,7 @@ def _ring_config_from_args(args) -> dict:
 
 
 def build_ring(cfg: dict) -> PolyRing:
-    field_text = cfg.get("field", "qq").lower()
+    field_text = _typed(cfg.get("field", "qq"), _STR, "field").lower()
     if field_text in ("qq", "q", "rationals"):
         field = FieldSpec(0)
     elif field_text.startswith("fp:"):
@@ -71,6 +71,8 @@ def build_ring(cfg: dict) -> PolyRing:
             field = FieldSpec(int(field_text[3:]))
         except ValueError as exc:
             raise InputError(f"bad field spec {field_text!r}: {exc}") from exc
+        if not field.char:
+            raise InputError(f"bad field spec {field_text!r}: P must be a prime")
     else:
         raise InputError(f"unknown field {field_text!r} (use qq or fp:P)")
     if "variables" not in cfg:
@@ -84,6 +86,24 @@ def build_ring(cfg: dict) -> PolyRing:
 
 def _split_list(text: str) -> list:
     return [t.strip() for t in text.split(",") if t.strip()]
+
+
+_BOOL, _INT, _STR = ("a boolean", bool), ("an integer", int), ("a string", str)
+_NUMBER = ("a number", int, float)
+
+
+def _typed(value, kind: tuple, what: str):
+    """value, if its type is one of kind's types (so True is no integer)."""
+    if type(value) not in kind[1:]:
+        raise InputError(f"{what} must be {kind[0]}, got {value!r}")
+    return value
+
+
+def _int_list(text: str, what: str) -> list:
+    try:
+        return [int(t) for t in _split_list(text)]
+    except ValueError:
+        raise InputError(f"{what} must be integers, got {text!r}") from None
 
 
 def _object_config_from_args(args) -> dict:
@@ -100,8 +120,8 @@ def _object_config_from_args(args) -> dict:
         raise InputError("--matrix needs --twists-a and --twists-b")
     rows = [_split_list(row) for row in args.matrix.split(";")]
     return {"kernel": {
-        "twists_a": [int(t) for t in _split_list(args.twists_a)],
-        "twists_b": [int(t) for t in _split_list(args.twists_b)],
+        "twists_a": _int_list(args.twists_a, "--twists-a"),
+        "twists_b": _int_list(args.twists_b, "--twists-b"),
         "matrix": rows,
     }}
 
@@ -114,14 +134,16 @@ def build_object(cfg: dict, ring: PolyRing):
             spec_cfg = cfg["syzygy"]
             gens = tuple(parse_polynomial(t, ring)
                          for t in spec_cfg["generators"])
-            spec = SyzygyBundleSpec(ring, gens, int(spec_cfg.get("twist", 0)))
+            spec = SyzygyBundleSpec(ring, gens,
+                                    _typed(spec_cfg.get("twist", 0), _INT, "twist"))
             return "bundle", (from_syzygy(spec), spec)
         if "kernel" in cfg:
             kcfg = cfg["kernel"]
             matrix = [[parse_polynomial(t, ring) for t in row]
                       for row in kcfg["matrix"]]
-            bundle = make_kernel_bundle(ring, kcfg["twists_a"],
-                                        kcfg["twists_b"], matrix)
+            twists = [[_typed(t, _INT, f"{name} entry") for t in kcfg[name]]
+                      for name in ("twists_a", "twists_b")]
+            bundle = make_kernel_bundle(ring, *twists, matrix)
             return "bundle", (bundle, None)
         if "ideal" in cfg:
             gens = tuple(parse_polynomial(t, ring)
@@ -132,10 +154,39 @@ def build_object(cfg: dict, ring: PolyRing):
     raise InputError("object block must contain syzygy, kernel, or ideal")
 
 
-def _caps_from_options(options: dict) -> Caps:
-    return Caps(max_degree=options.get("max_degree"),
-                max_pairs=options.get("max_pairs"),
-                timeout_seconds=options.get("timeout_seconds"))
+# The options a job of each task takes, under the names a command line job
+# passes on, with the kind of their values; then the caps options (the fields
+# of Caps), which every task takes, and the stability assumptions a task
+# accepts.
+_TASK_OPTIONS = {
+    "validate": {"surjectivity": _BOOL},
+    "check": {"engine": _STR, "mode": _STR, "via_pullback": _INT,
+              "upgrade_selfdual": _BOOL},
+    "sections": {"kind": _STR, "q": _INT, "twists": _STR, "engine": _STR},
+    "tannaka": {"q_max": _INT, "method": _STR, "engine": _STR,
+                "assume_stability": _STR, "via_pullback": _INT},
+    "restrict": {"theorem": _STR, "c": _INT, "engine": _STR,
+                 "assume_stability": _STR, "via_pullback": _INT},
+    "closure": {"engine": _STR, "candidate": _STR, "frobenius_exponent": _INT,
+                "genus": _INT, "plane_curve_degree": _INT, "strong_flag": _STR,
+                "assume_stability": _STR},
+}
+_CAPS_OPTIONS = {"max_degree": _INT, "max_pairs": _INT, "timeout_seconds": _NUMBER}
+_ASSUMPTIONS = {"tannaka": ("proven_stable", "proven_via_selfduality"),
+                "restrict": ("semistable", "stable"),
+                "closure": ("semistable", "stable")}
+
+
+def _check_options(name: str, options: dict):
+    kinds = {**_TASK_OPTIONS[name], **_CAPS_OPTIONS}
+    for key, value in options.items():
+        if key not in kinds:
+            raise InputError(f"unknown option {key!r} for task {name!r}")
+        _typed(value, kinds[key], f"option {key!r}")
+    assumed = options.get("assume_stability")
+    if assumed is not None and assumed not in _ASSUMPTIONS[name]:
+        raise InputError(f"option 'assume_stability' must be one of "
+                         f"{', '.join(_ASSUMPTIONS[name])}, got {assumed!r}")
 
 
 def _require_bundle(kind, payload):
@@ -510,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="default (one prime plus proven lower bounds) or exact")
     p.add_argument("--engine", default="linalg", choices=["gb", "linalg"])
     p.add_argument("--assume-stability", dest="assume_stability",
-                   choices=["proven_stable", "proven_via_selfduality"])
+                   choices=_ASSUMPTIONS["tannaka"])
     p.add_argument("--via-pullback", dest="via_pullback", type=int)
 
     p = sub.add_parser("restrict", help="restriction-degree bounds")
@@ -521,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of general divisors (flenner)")
     p.add_argument("--engine", default="linalg", choices=["gb", "linalg", "both"])
     p.add_argument("--assume-stability", dest="assume_stability",
-                   choices=["semistable", "stable"])
+                   choices=_ASSUMPTIONS["restrict"])
     p.add_argument("--via-pullback", dest="via_pullback", type=int)
 
     p = sub.add_parser("closure", help="closure thresholds and membership")
@@ -534,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong-flag", dest="strong_flag",
                    help="justification for strong semistability in char p")
     p.add_argument("--assume-stability", dest="assume_stability",
-                   choices=["semistable", "stable"])
+                   choices=_ASSUMPTIONS["closure"])
 
     p = sub.add_parser("run", help="execute a JSON job file")
     p.add_argument("jobfile")
@@ -542,30 +593,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TASK_OPTION_KEYS = {
-    "validate": ("surjectivity",),
-    "check": ("engine", "mode", "via_pullback", "upgrade"),
-    "sections": ("kind", "q", "twists", "engine"),
-    "tannaka": ("q_max", "method", "engine", "assume_stability", "via_pullback"),
-    "restrict": ("theorem", "c", "engine", "assume_stability", "via_pullback"),
-    "closure": ("engine", "candidate", "frobenius_exponent", "genus",
-                "plane_curve_degree", "strong_flag", "assume_stability"),
-}
-
-
 def _job_from_args(args) -> dict:
     options = {}
-    for key in _TASK_OPTION_KEYS[args.command]:
+    for key in [*_TASK_OPTIONS[args.command], *_CAPS_OPTIONS]:
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
-    for key in ("max_degree", "max_pairs", "timeout_seconds"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    if options.get("upgrade") == "none":
+    if getattr(args, "upgrade", None) == "none":
         options["upgrade_selfdual"] = False
-    options.pop("upgrade", None)
     if "theorem" in options:
         options["theorem"] = options["theorem"].replace("-", "_")
     if "method" in options:
@@ -602,7 +637,9 @@ def execute_job(job: dict):
     if name not in TASKS:
         raise InputError(f"unknown task {name!r}")
     options = dict(task.get("options", {}))
-    caps = _caps_from_options(options)
+    _check_options(name, options)
+    resources = {key: options.get(key) for key in _CAPS_OPTIONS}
+    caps = Caps(**resources).start()
     started = time.perf_counter()
     results, lines, code = TASKS[name](kind, payload, options, caps)
     elapsed = time.perf_counter() - started
@@ -610,9 +647,7 @@ def execute_job(job: dict):
         "job": {"ring": job["ring"], "object": job["object"],
                 "task": {"name": name, "options": options}},
         "results": results,
-        "resources": {"max_degree": options.get("max_degree"),
-                      "max_pairs": options.get("max_pairs"),
-                      "timeout_seconds": options.get("timeout_seconds")},
+        "resources": resources,
         "timing": {"seconds": round(elapsed, 6)},
     }
     return report, lines, code

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
@@ -31,6 +31,7 @@ from .algebra import (
     FieldSpec,
     Poly,
     PolyRing,
+    add_scaled,
     mono_deg,
     mono_divides,
     mono_lcm,
@@ -53,7 +54,7 @@ class InternalCheckError(RuntimeError):
     """Two supposedly-equivalent computations disagreed; never a verdict."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Caps:
     """Resource guards.  Exceeding any cap aborts, never returns a wrong answer."""
 
@@ -63,9 +64,11 @@ class Caps:
     _deadline: Optional[float] = field(default=None, repr=False)
 
     def start(self) -> "Caps":
-        if self.timeout_seconds is not None and self._deadline is None:
-            self._deadline = time.monotonic() + self.timeout_seconds
-        return self
+        """A copy whose timeout runs from now; an armed Caps is returned as
+        it is, so the calls it is passed to share its deadline."""
+        if self.timeout_seconds is None or self._deadline is not None:
+            return self
+        return replace(self, _deadline=time.monotonic() + self.timeout_seconds)
 
     def check_time(self):
         if self._deadline is not None and time.monotonic() > self._deadline:
@@ -159,27 +162,22 @@ class ModuleElement:
         return t, self.terms[t]
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        fld = self.module.ring.field
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = fld.add(out.get(t, fld.zero()), c)
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return ModuleElement(self.module, out)
+        return ModuleElement(self.module, add_scaled(
+            dict(self.terms), 1, other.terms, self.module.ring.field.char))
 
     def scale(self, c) -> "ModuleElement":
-        fld = self.module.ring.field
-        if not c:
-            return ModuleElement(self.module, {})
-        return ModuleElement(self.module, {t: fld.mul(v, c) for t, v in self.terms.items()})
+        p = self.module.ring.field.char
+        return ModuleElement(self.module, {t: v * c % p if p else v * c
+                                           for t, v in self.terms.items()})
 
     def monic(self) -> "ModuleElement":
+        """The multiple with leading coefficient one (a Fraction over QQ,
+        also where the terms are ints)."""
         if not self.terms:
             return self
         _, lc = self.leading()
-        return self.scale(self.module.ring.field.inv(lc))
+        p = self.module.ring.field.char
+        return self.scale(pow(lc, -1, p) if p else Fraction(1, lc))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement) and self.module == other.module
@@ -335,21 +333,8 @@ def _combine_shifted(ta: dict, qa: tuple, ca: int, tb: dict, qb: tuple,
                      cb: int, p: int) -> dict:
     """ca * x^qa * ta - cb * x^qb * tb on integer term dicts (residues mod p
     when p is nonzero), dropping zeros."""
-    out = {}
-    for (i, m), c in ta.items():
-        v = c * ca % p if p else c * ca
-        if v:
-            out[(i, mono_mul(m, qa))] = v
-    for (i, m), c in tb.items():
-        t = (i, mono_mul(m, qb))
-        s = out.get(t, 0) - c * cb
-        if p:
-            s %= p
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
-    return out
+    out = add_scaled({}, ca, {(i, mono_mul(m, qa)): c for (i, m), c in ta.items()}, p)
+    return add_scaled(out, -cb, {(i, mono_mul(m, qb)): c for (i, m), c in tb.items()}, p)
 
 
 def _reducer_entry(terms: dict, rep, module: GradedFreeModule) -> dict:
@@ -438,7 +423,7 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps,
     in degrees <= top.  (A zero input still yields its syzygy, whatever its
     degree.)
     """
-    caps.start()
+    caps = caps.start()
     p = module.ring.field.char
     track = source is not None
     ideal_mode = module.rank == 1 and not track
@@ -639,13 +624,12 @@ def syzygy_module_columns(columns, source: GradedFreeModule,
 
 def apply_columns(columns, target: GradedFreeModule, element: ModuleElement) -> ModuleElement:
     """Image of a source element under the map with the given sparse columns."""
-    comps = element.components()
-    out = ModuleElement(target, {})
-    for i, poly in comps.items():
+    p = target.ring.field.char
+    out: dict = {}
+    for i, poly in element.components().items():
         for j, entry in columns[i]:
-            prod = entry * poly
-            out = out + ModuleElement.from_components(target, {j: prod})
-    return out
+            add_scaled(out, 1, {(j, m): c for m, c in (entry * poly).terms.items()}, p)
+    return ModuleElement(target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -696,24 +680,6 @@ def graded_piece_dim(gb: GroebnerBasis, t: int) -> int:
         for comp, monos in by_component.items())
 
 
-def _add_scaled(dst: dict, c, src: dict, p: int) -> dict:
-    """dst += c * src in place on plain field elements (Fractions over QQ,
-    residues mod p), dropping zeros; c == 1 skips the products."""
-    unit = c == 1
-    for t, s in src.items():
-        x = s if unit else c * s
-        old = dst.get(t)
-        if old is not None:
-            x += old
-        if p:
-            x %= p
-        if x:
-            dst[t] = x
-        else:
-            dst.pop(t, None)
-    return dst
-
-
 def _echelon_kernel(vectors, p: int, caps: Caps, want_vectors: bool = False):
     """Kernel dimension (and optionally combination vectors) of sparse columns
     with plain field entries: Fractions over QQ (p == 0), residues mod p.
@@ -725,7 +691,7 @@ def _echelon_kernel(vectors, p: int, caps: Caps, want_vectors: bool = False):
     it (coefficient one on itself), so it does not depend on the row keys.
     A pivot is stored as -v / lead without its lead entry.
     """
-    caps.start()
+    caps = caps.start()
     one = 1 if p else Fraction(1)
     pivots: dict = {}
     kernel_dim = 0
@@ -740,14 +706,14 @@ def _echelon_kernel(vectors, p: int, caps: Caps, want_vectors: bool = False):
             if hit is None:
                 break
             c = v.pop(lead)
-            _add_scaled(v, c, hit[0], p)
+            add_scaled(v, c, hit[0], p)
             if want_vectors:
-                _add_scaled(combo, c, hit[1], p)
+                add_scaled(combo, c, hit[1], p)
         if v:
             lc = v.pop(lead)
             inv = -pow(lc, -1, p) % p if p else -1 / lc
-            pivots[lead] = (_add_scaled({}, inv, v, p),
-                            _add_scaled({}, inv, combo, p) if want_vectors else None)
+            pivots[lead] = (add_scaled({}, inv, v, p),
+                            add_scaled({}, inv, combo, p) if want_vectors else None)
         else:
             kernel_dim += 1
             if want_vectors:
@@ -782,7 +748,7 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
                 if img is None:
                     img = shifted[(beta, mono)] = {
                         (j, beta, mono_mul(em, mono)): ec for j, em, ec in terms}
-                _add_scaled(out, c, img, p)
+                add_scaled(out, c, img, p)
             images.append(out)
             labels.append((i, vec))
     dim, combos = _echelon_kernel(images, p, caps, want_vectors)
@@ -793,7 +759,7 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
             i, vec = labels[idx]
             for (beta, mono), c in vec.items():
                 # c is 1 on monomial sections, so scale by c, not by coeff
-                _add_scaled(out, c, {((i,) + beta, mono): coeff}, p)
+                add_scaled(out, c, {((i,) + beta, mono): coeff}, p)
         lifted.append(out)
     return dim, lifted
 

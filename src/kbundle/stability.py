@@ -195,7 +195,7 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     if engine not in ENGINES:
         raise StabilityError(f"unknown engine {engine!r}")
     require_valid(bundle)
-    caps.start()
+    caps = caps.start()
     inv = invariants(bundle)
     mu = inv.mu
     r = inv.rank
@@ -520,11 +520,12 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
     pullbacks (stability of the pullback implies stability downstairs).
 
     The presentation must be surjective (its maximal minors irrelevant-
-    primary), else it is no bundle and BundleError is raised."""
+    primary), else it is no bundle and BundleError is raised.  The caps'
+    timeout bounds the whole call."""
     if via_pullback is not None and via_pullback < 1:
         raise StabilityError(f"pullback exponent must be >= 1, got {via_pullback}")
     return _analyze(bundle, engine, mode, upgrade_selfdual, via_pullback,
-                    spec, caps, check_bundle=True)
+                    spec, caps.start(), check_bundle=True)
 
 
 def _analyze(bundle: KernelBundle, engine: str, mode: str,

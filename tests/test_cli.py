@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,15 @@ def test_unknown_variable_exits_1(capsys):
     code, _, err = run_cli(["check", "--syzygy", "X^2, W^2, Z^2"], capsys)
     assert code == 1
     assert "W" in err
+
+
+def test_zero_second_budget_exits_2(capsys):
+    code, out, err = run_cli([
+        "check", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3",
+        "--timeout-seconds", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "indeterminate: timeout exceeded\n"
 
 
 def test_resource_cap_exits_2(capsys):
@@ -251,6 +261,155 @@ def test_sections_tensor_power_zero_is_input_error(capsys, engine):
     assert code == 1
     assert out == ""
     assert "input error: tensor power needs q >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--field", "fp:0", "--syzygy", "X^2, Y^2, Z^2"],
+     "bad field spec 'fp:0': P must be a prime"),
+    (["--matrix", "X, Y, Z", "--twists-a", "1,x,1", "--twists-b", "2"],
+     "--twists-a must be integers, got '1,x,1'"),
+])
+def test_bad_ring_or_object_flags_are_input_errors(capsys, args, message):
+    code, out, err = run_cli(["check"] + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
+SYZ_JOB = {
+    "ring": {"variables": ["X", "Y", "Z"]},
+    "object": {"syzygy": {"generators": ["X^2", "Y^2", "Z^2"], "twist": 3}},
+    "task": {"name": "check", "options": {}},
+}
+
+
+def with_object(**changes):
+    kernel = {**DUAL_JOB["object"]["kernel"], **changes}
+    return {**DUAL_JOB, "object": {"kernel": kernel}}
+
+
+def with_task(name, **options):
+    return {**SYZ_JOB, "task": {"name": name, "options": options}}
+
+
+@pytest.mark.parametrize("job, message", [
+    ({**SYZ_JOB, "object": {"syzygy": {"generators": ["X^2", "Y^2", "Z^2"],
+                                       "twist": "abc"}}},
+     "twist must be an integer, got 'abc'"),
+    ({**SYZ_JOB, "ring": {"variables": ["X", "Y", "Z"], "field": 7}},
+     "field must be a string, got 7"),
+    (with_object(twists_a=[3, 3, 3, "x", 3, 3]),
+     "twists_a entry must be an integer, got 'x'"),
+    (with_object(twists_b=[4, 4.5]),
+     "twists_b entry must be an integer, got 4.5"),
+    (with_task("check", engin="gb"), "unknown option 'engin' for task 'check'"),
+    (with_task("check", upgrade="none"),
+     "unknown option 'upgrade' for task 'check'"),
+    (with_task("tannaka", assume_stability="bogus"),
+     "option 'assume_stability' must be one of proven_stable, "
+     "proven_via_selfduality, got 'bogus'"),
+    (with_task("restrict", assume_stability="proven_stable"),
+     "option 'assume_stability' must be one of semistable, stable, "
+     "got 'proven_stable'"),
+    (with_task("sections", q="2"), "option 'q' must be an integer, got '2'"),
+    (with_task("check", via_pullback=True),
+     "option 'via_pullback' must be an integer, got True"),
+    (with_task("check", timeout_seconds="1"),
+     "option 'timeout_seconds' must be a number, got '1'"),
+    (with_task("restrict", theorem=5), "option 'theorem' must be a string, got 5"),
+    (with_task("validate", surjectivity="no"),
+     "option 'surjectivity' must be a boolean, got 'no'"),
+])
+def test_bad_job_file_values_are_input_errors(tmp_path, capsys, job, message):
+    job_path = tmp_path / "bad.json"
+    job_path.write_text(json.dumps(job))
+    code, out, err = run_cli(["run", str(job_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
+def test_job_file_takes_translated_option_names(tmp_path, capsys):
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(with_task(
+        "check", engine="gb", upgrade_selfdual=False, timeout_seconds=60)))
+    code, out, _ = run_cli(["run", str(job_path)], capsys)
+    assert code == 0
+    assert "verdict: semistable; stability: proven_stable" in out
+
+
+def test_restrict_with_computed_certificate(capsys):
+    code, out, _ = run_cli([
+        "restrict", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "certificate: stable (computed (proven_stable))",
+        "langer: k_min = 7",
+        "restriction to any smooth divisor of degree k >= 7 with "
+        "torsion-free restriction stays stable"]
+
+
+def test_tannaka_assume_stability(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli([
+        "tannaka", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3", "--q-max", "2",
+        "--assume-stability", "proven_stable", "--json-out", str(out_path)],
+        capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "stability status: proven_stable"
+    assert "dual group: SL(2)" in out
+    report = json.loads(out_path.read_text())
+    assert report["results"]["stability"] == {"assumed": "proven_stable"}
+
+
+@pytest.mark.parametrize("candidate, line, member", [
+    ("X*Y*Z", "candidate degree 3: in the closure by the threshold rule", True),
+    ("X*Y", "candidate degree 2: below the threshold; not decided", False),
+])
+def test_closure_candidate_in_characteristic_zero(capsys, tmp_path, candidate,
+                                                  line, member):
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli([
+        "closure", "--ideal", "X^2, Y^2, Z^2", "--candidate", candidate,
+        "--json-out", str(out_path)], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "tau = 3: R_m lies in the closure for m >= 3", line]
+    membership = json.loads(out_path.read_text())["results"]["membership"]
+    assert membership["candidate"] == candidate
+    assert membership["member_by_threshold"] is member
+
+
+def test_check_unstable_reports_witness(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli([
+        "check", "--syzygy", "X, Y, Z^4", "--json-out", str(out_path)], capsys)
+    assert code == 0
+    assert "witness: q=1, degree 2, verified" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: unstable"
+    witness = json.loads(out_path.read_text())["results"]["report"]["witness"]
+    assert witness == {"q": 1, "degree": 2, "verified": True,
+                       "element": "(-Y, X, 0)"}
+
+
+def test_sections_engine_both(capsys):
+    code, out, _ = run_cli([
+        "sections", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3",
+        "--engine", "both", "--twists", "0..2"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "h^0((exterior^1 E)(k)) for k in 0..2:",
+        "  k = 0: 0", "  k = 1: 3", "  k = 2: 9"]
+
+
+def test_report_digest_paper_matches_frozen_answers():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+    proc = subprocess.run([sys.executable, str(script), "paper"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 40
+    assert all(line.split()[-1] == "match" for line in lines), lines
 
 
 def test_console_script_entry_point():

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from kbundle.algebra import Poly, make_ring, monomials_of_degree
 from kbundle.bundle import SyzygyBundleSpec, invariants, twist
-from kbundle.modgb import Caps
+from kbundle.modgb import Caps, ResourceCapError
 from kbundle.stability import (
     InternalCheckError,
     StabilityError,
@@ -300,3 +301,37 @@ def test_mod_p_run_allowed():
     report = hoppe_check(bundle, engine="both")
     assert report.verdict == "semistable"
     assert report.stability == "proven_stable"
+
+
+def test_reused_caps_apply_per_call():
+    # the second call starts after the first call's budget has run out
+    caps = Caps(timeout_seconds=0.5)
+    spec = syzygy_spec(["X^2", "Y^2", "Z^2"], twist=3)
+    for _ in range(2):
+        analysis = analyze_bundle(rank2_degree0_bundle(), spec=spec, caps=caps)
+        assert analysis.report.stability == "proven_stable"
+        time.sleep(0.6)
+    assert caps == Caps(timeout_seconds=0.5)
+
+
+def test_zero_second_budget_raises():
+    with pytest.raises(ResourceCapError, match="timeout exceeded"):
+        analyze_bundle(rank2_degree0_bundle(), caps=Caps(timeout_seconds=0))
+
+
+def test_analysis_shares_one_deadline(monkeypatch):
+    import kbundle.stability as stability
+    seen = []
+    real = stability.hoppe_check
+
+    def recording(bundle, engine, mode, caps):
+        seen.append(caps)
+        return real(bundle, engine, mode, caps)
+
+    monkeypatch.setattr(stability, "hoppe_check", recording)
+    caps = Caps(timeout_seconds=60)
+    analyze_bundle(five_quadrics(), via_pullback=2, spec=five_quadrics_spec(),
+                   caps=caps)
+    # the bundle and its pullback are scanned under one armed copy
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0]._deadline is not None and caps._deadline is None
