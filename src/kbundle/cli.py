@@ -77,9 +77,10 @@ def build_ring(cfg: dict) -> PolyRing:
         raise InputError(f"unknown field {field_text!r} (use qq or fp:P)")
     if "variables" not in cfg:
         raise InputError("the ring block needs a 'variables' list")
+    variables = tuple(_typed(v, _STR, "variables entry")
+                      for v in _typed(cfg["variables"], _LIST, "variables"))
     try:
-        return PolyRing(tuple(cfg["variables"]), field,
-                        cfg.get("order", "degrevlex"))
+        return PolyRing(variables, field, cfg.get("order", "degrevlex"))
     except AlgebraError as exc:
         raise InputError(str(exc)) from exc
 
@@ -89,6 +90,7 @@ def _split_list(text: str) -> list:
 
 
 _BOOL, _INT, _STR = ("a boolean", bool), ("an integer", int), ("a string", str)
+_LIST, _DICT = ("a list", list), ("an object", dict)
 _NUMBER = ("a number", int, float)
 
 
@@ -126,29 +128,34 @@ def _object_config_from_args(args) -> dict:
     }}
 
 
+def _polys(texts, ring: PolyRing, what: str) -> list:
+    return [parse_polynomial(_typed(t, _STR, f"{what} entry"), ring)
+            for t in _typed(texts, _LIST, what)]
+
+
 def build_object(cfg: dict, ring: PolyRing):
     """Returns (kind, payload): kind "bundle" pairs the bundle with an optional
     syzygy spec; kind "ideal" carries the generator list."""
     try:
         if "syzygy" in cfg:
-            spec_cfg = cfg["syzygy"]
-            gens = tuple(parse_polynomial(t, ring)
-                         for t in spec_cfg["generators"])
+            spec_cfg = _typed(cfg["syzygy"], _DICT, "syzygy")
+            gens = tuple(_polys(spec_cfg["generators"], ring, "generators"))
             spec = SyzygyBundleSpec(ring, gens,
                                     _typed(spec_cfg.get("twist", 0), _INT, "twist"))
             return "bundle", (from_syzygy(spec), spec)
         if "kernel" in cfg:
-            kcfg = cfg["kernel"]
-            matrix = [[parse_polynomial(t, ring) for t in row]
-                      for row in kcfg["matrix"]]
-            twists = [[_typed(t, _INT, f"{name} entry") for t in kcfg[name]]
+            kcfg = _typed(cfg["kernel"], _DICT, "kernel")
+            matrix = [_polys(row, ring, "matrix row")
+                      for row in _typed(kcfg["matrix"], _LIST, "matrix")]
+            twists = [[_typed(t, _INT, f"{name} entry")
+                       for t in _typed(kcfg[name], _LIST, name)]
                       for name in ("twists_a", "twists_b")]
             bundle = make_kernel_bundle(ring, *twists, matrix)
             return "bundle", (bundle, None)
         if "ideal" in cfg:
-            gens = tuple(parse_polynomial(t, ring)
-                         for t in cfg["ideal"]["generators"])
-            return "ideal", gens
+            ideal_cfg = _typed(cfg["ideal"], _DICT, "ideal")
+            return "ideal", tuple(_polys(ideal_cfg["generators"], ring,
+                                         "generators"))
     except (AlgebraError, BundleError, KeyError) as exc:
         raise InputError(str(exc)) from exc
     raise InputError("object block must contain syzygy, kernel, or ideal")
@@ -183,6 +190,8 @@ def _check_options(name: str, options: dict):
         if key not in kinds:
             raise InputError(f"unknown option {key!r} for task {name!r}")
         _typed(value, kinds[key], f"option {key!r}")
+        if key in _CAPS_OPTIONS and not value >= 0:    # NaN fails too
+            raise InputError(f"option {key!r} must be nonnegative, got {value!r}")
     assumed = options.get("assume_stability")
     if assumed is not None and assumed not in _ASSUMPTIONS[name]:
         raise InputError(f"option 'assume_stability' must be one of "
@@ -230,7 +239,8 @@ def _report_dict(report) -> dict:
         "rank": report.rank,
         "per_power": [
             {"q": c.q, "alpha": c.alpha, "threshold": _frac(c.threshold),
-             "relation": c.relation, "window": [c.window_low, c.window_top]}
+             "relation": c.relation, "window": [c.window_low, c.window_top],
+             "prime": c.prime}
             for c in report.per_power
         ],
         "trace": list(report.criteria_trace),
@@ -289,8 +299,9 @@ def task_check(kind, payload, options, caps):
              f"slope gate: {report.gate}"]
     for c in report.per_power:
         if c.relation == ">":
+            by = f", mod {c.prime}" if c.prime else ""
             lines.append(f"q={c.q}: no sections up to twist {c.window_top} "
-                         f"(threshold {c.threshold})")
+                         f"(threshold {c.threshold}{by})")
         else:
             lines.append(f"q={c.q}: first section at twist {c.alpha} "
                          f"{c.relation} threshold {c.threshold}")

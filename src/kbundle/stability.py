@@ -34,6 +34,7 @@ from .modgb import (
     Caps,
     InternalCheckError,
     NO_CAPS,
+    PRIMARY_TEST_PRIME,
     ModuleElement,
     apply_columns,
     initial_degree,
@@ -64,7 +65,8 @@ class PowerCheck:
 
     relation "<" means a section strictly below the threshold -q*mu exists
     (witnessed), "=" means the first section sits exactly at the threshold,
-    ">" means no section up to window_top (the scanned boundary).
+    ">" means no section up to window_top (the scanned boundary).  prime is
+    the prime whose elimination proved a ">" (None when QQ decided).
     """
 
     q: int
@@ -73,6 +75,7 @@ class PowerCheck:
     relation: str
     window_top: int
     window_low: int
+    prime: Optional[int] = None
 
 
 @dataclass
@@ -131,9 +134,48 @@ def _verify_witness(pres, element: ModuleElement, degree: int,
     return image.is_zero()
 
 
+def _reduced_for_first_pass(bundle: KernelBundle) -> Optional[KernelBundle]:
+    """The bundle mod PRIMARY_TEST_PRIME for the `linalg` first pass, or None
+    when the pass is skipped: over F_p already, or the prime divides a
+    denominator."""
+    if bundle.ring.field.char != 0:
+        return None
+    try:
+        return tannaka.reduce_bundle_mod_p(bundle, PRIMARY_TEST_PRIME)
+    except tannaka.PrimeUnusableError:
+        return None
+
+
+def _first_section_mod_p(bundle_p: KernelBundle, q: int, low: int, top: int,
+                         caps: Caps) -> Optional[int]:
+    """Lower bound alpha_p <= alpha for the first section of (wedge^q E)(k)
+    over QQ, or None when there is none up to top.
+
+    Sound for two reasons.  The degree-k matrix of the reduced presentation
+    is the degree-k matrix over QQ reduced mod p, and rank mod p never
+    exceeds rank over QQ, so dim K_p,k >= dim K_k.  The kernel K of a graded
+    map of free modules is torsion-free, so a linear form maps K_k
+    injectively into K_{k+1}, and K_top = 0 forces K_k = 0 for every
+    k <= top.  Hence K_p,top = 0 proves that no section exists up to top, and
+    the first k with K_p,k != 0 bounds alpha from below.
+    """
+    pres = exterior_power_matrix(bundle_p, q)
+    args = (pres.columns_list(), pres.source_module(), pres.target_module())
+    if not kernel_dim_linalg(*args, top, caps):
+        return None
+    return next((k for k in range(low, top)
+                 if kernel_dim_linalg(*args, k, caps)), top)
+
+
 def _scan_exterior(bundle: KernelBundle, q: int, mu: Fraction, mode: str,
-                   engine: str, caps: Caps):
-    """Check one exterior rank; returns (PowerCheck, witness element or None)."""
+                   engine: str, caps: Caps,
+                   bundle_p: Optional[KernelBundle] = None):
+    """Check one exterior rank; returns (PowerCheck, witness element or None).
+
+    bundle_p, the bundle mod PRIMARY_TEST_PRIME, gives the `linalg` scan its
+    first pass (`_first_section_mod_p`); the QQ scan then starts at alpha_p,
+    and alpha and its witness are still found over QQ.
+    """
     threshold = -q * mu
     semi_top = ceil(threshold) - 1
     top = floor(threshold) if mode == "stability_evidence" else semi_top
@@ -152,8 +194,14 @@ def _scan_exterior(bundle: KernelBundle, q: int, mu: Fraction, mode: str,
             element = min((e for e in syz.elements if e.degree() == alpha),
                           key=lambda e: sorted(e.terms))
     elif engine == "linalg":
+        start = low
+        if bundle_p is not None and low <= top:
+            start = _first_section_mod_p(bundle_p, q, low, top, caps)
+            if start is None:
+                return PowerCheck(q, None, threshold, ">", top, low,
+                                  PRIMARY_TEST_PRIME), None
         # one elimination per degree; hoppe_check only keeps a "<" witness
-        for k in range(low, top + 1):
+        for k in range(start, top + 1):
             if kernel_dim_linalg(cols, source, target, k, caps):
                 alpha = k
                 if k < threshold:
@@ -166,11 +214,12 @@ def _scan_exterior(bundle: KernelBundle, q: int, mu: Fraction, mode: str,
     return PowerCheck(q, alpha, threshold, relation, top, low), element
 
 
-def _scan_with_engines(bundle, q, mu, mode, engine, caps):
+def _scan_with_engines(bundle, q, mu, mode, engine, caps, bundle_p):
     if engine != "both":
-        return _scan_exterior(bundle, q, mu, mode, engine, caps)
+        return _scan_exterior(bundle, q, mu, mode, engine, caps, bundle_p)
     check_gb, elt_gb = _scan_exterior(bundle, q, mu, mode, "gb", caps)
-    check_la, elt_la = _scan_exterior(bundle, q, mu, mode, "linalg", caps)
+    check_la, elt_la = _scan_exterior(bundle, q, mu, mode, "linalg", caps,
+                                      bundle_p)
     if (check_gb.alpha, check_gb.relation) != (check_la.alpha, check_la.relation):
         raise InternalCheckError(
             f"engine mismatch at q={q}: gb found ({check_gb.alpha}, "
@@ -188,7 +237,9 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     The loop runs q = 1 .. rank-2 (with a lone q = 1 for rank <= 3) when the
     slope gate passes, since the gate covers rank-1 quotients and hence the
     top exterior rank; when the gate fails, the loop extends to rank-1 and a
-    found section is returned as an explicit verified witness.
+    found section is returned as an explicit verified witness.  Over QQ the
+    `linalg` engine reduces the bundle mod PRIMARY_TEST_PRIME once for its
+    first pass (`_first_section_mod_p`); `gb` runs over QQ only.
     """
     if mode not in MODES:
         raise StabilityError(f"unknown mode {mode!r}")
@@ -225,8 +276,10 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                              mu=mu, gate=gate, mode=mode, engine=engine,
                              criteria_trace=trace)
 
+    bundle_p = None if engine == "gb" else _reduced_for_first_pass(bundle)
     for q in q_list:
-        check, element = _scan_with_engines(bundle, q, mu, mode, engine, caps)
+        check, element = _scan_with_engines(bundle, q, mu, mode, engine, caps,
+                                            bundle_p)
         report.per_power.append(check)
         if check.relation == "<":
             pres = exterior_power_matrix(bundle, q)

@@ -319,6 +319,28 @@ def with_task(name, **options):
     (with_task("restrict", theorem=5), "option 'theorem' must be a string, got 5"),
     (with_task("validate", surjectivity="no"),
      "option 'surjectivity' must be a boolean, got 'no'"),
+    ({**SYZ_JOB, "object": {"syzygy": {"generators": 5}}},
+     "generators must be a list, got 5"),
+    ({**SYZ_JOB, "object": {"syzygy": {"generators": "X^2, Y^2, Z^2"}}},
+     "generators must be a list, got 'X^2, Y^2, Z^2'"),
+    ({**SYZ_JOB, "object": {"syzygy": {"generators": ["X^2", 2, "Z^2"]}}},
+     "generators entry must be a string, got 2"),
+    ({**SYZ_JOB, "object": {"ideal": {"generators": 5}}},
+     "generators must be a list, got 5"),
+    ({**SYZ_JOB, "object": {"syzygy": ["X^2", "Y^2", "Z^2"]}},
+     "syzygy must be an object, got ['X^2', 'Y^2', 'Z^2']"),
+    (with_object(twists_a=3), "twists_a must be a list, got 3"),
+    (with_object(twists_b="44"), "twists_b must be a list, got '44'"),
+    (with_object(matrix=5), "matrix must be a list, got 5"),
+    (with_object(matrix=["X, -Y", "Y, Z"]),
+     "matrix row must be a list, got 'X, -Y'"),
+    ({**SYZ_JOB, "ring": {"variables": 5}}, "variables must be a list, got 5"),
+    (with_task("check", max_degree=-1),
+     "option 'max_degree' must be nonnegative, got -1"),
+    (with_task("check", max_pairs=-3),
+     "option 'max_pairs' must be nonnegative, got -3"),
+    (with_task("check", timeout_seconds=-0.5),
+     "option 'timeout_seconds' must be nonnegative, got -0.5"),
 ])
 def test_bad_job_file_values_are_input_errors(tmp_path, capsys, job, message):
     job_path = tmp_path / "bad.json"
@@ -327,6 +349,19 @@ def test_bad_job_file_values_are_input_errors(tmp_path, capsys, job, message):
     assert code == 1
     assert out == ""
     assert f"input error: {message}" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-degree", "-1"), ("--max-pairs", "-1"),
+    ("--timeout-seconds", "-1"), ("--timeout-seconds", "nan"),
+])
+def test_negative_cap_flags_are_input_errors(capsys, flag, value):
+    code, out, err = run_cli(["check", "--syzygy", "X, Y, Z", flag, value],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    option = flag[2:].replace("-", "_")
+    assert f"input error: option '{option}' must be nonnegative" in err
 
 
 def test_job_file_takes_translated_option_names(tmp_path, capsys):
@@ -410,6 +445,39 @@ def test_report_digest_paper_matches_frozen_answers():
     lines = proc.stdout.splitlines()
     assert len(lines) == 40
     assert all(line.split()[-1] == "match" for line in lines), lines
+
+
+def test_check_reports_the_deciding_prime(capsys, tmp_path):
+    lines = {}
+    for engine in ("linalg", "gb"):
+        out_path = tmp_path / f"{engine}.json"
+        code, out, _ = run_cli([
+            "check", "--syzygy", FIVE_QUADRICS, "--engine", engine,
+            "--json-out", str(out_path)], capsys)
+        assert code == 0
+        lines[engine] = out.splitlines()[2:4]
+        per_power = json.loads(out_path.read_text())["results"]["report"]["per_power"]
+        assert [c["prime"] for c in per_power] == (
+            [32003, None] if engine == "linalg" else [None, None])
+    assert lines["linalg"] == [
+        "q=1: no sections up to twist 2 (threshold 5/2, mod 32003)",
+        "q=2: first section at twist 5 = threshold 5"]
+    assert lines["gb"] == [
+        "q=1: no sections up to twist 2 (threshold 5/2)",
+        "q=2: first section at twist 5 = threshold 5"]
+
+
+def test_report_digest_scan_linalg_matches_frozen_answers():
+    # every generic scan job through the linalg first pass, against the
+    # answers frozen in bench/expected; the two "-" jobs have none
+    script = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+    proc = subprocess.run([sys.executable, str(script), "scan_linalg"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    answers = [line.split()[-1] for line in proc.stdout.splitlines()]
+    assert "MISMATCH" not in answers
+    assert answers.count("match") == 214
+    assert answers.count("-") == 2
 
 
 def test_console_script_entry_point():

@@ -1,12 +1,15 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from math import floor
 
 import pytest
 
-from kbundle.algebra import Poly, make_ring, monomials_of_degree
-from kbundle.bundle import SyzygyBundleSpec, invariants, twist
-from kbundle.modgb import Caps, ResourceCapError
+from kbundle.algebra import FieldSpec, Poly, make_ring, monomials_of_degree, parse_many
+from kbundle.bundle import SyzygyBundleSpec, invariants, make_kernel_bundle, twist
+from kbundle.modgb import PRIMARY_TEST_PRIME, Caps, ResourceCapError, kernel_dim_linalg
+from kbundle.powers import exterior_power_matrix
 from kbundle.stability import (
     InternalCheckError,
     StabilityError,
@@ -335,3 +338,154 @@ def test_analysis_shares_one_deadline(monkeypatch):
     # the bundle and its pullback are scanned under one armed copy
     assert len(seen) == 2 and seen[0] is seen[1]
     assert seen[0]._deadline is not None and caps._deadline is None
+
+
+# ---------------------------------------------------------------------------
+# The mod-p first pass of the linalg scan.
+# ---------------------------------------------------------------------------
+
+def random_form(ring, degree, rng):
+    return Poly(ring, {m: ring.field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+                       for m in monomials_of_degree(ring.nvars, degree)})
+
+
+def random_syzygy_bundle(N, degrees, seed):
+    ring = make_ring(N + 1)
+    rng = random.Random(seed)
+    gens = tuple(random_form(ring, d, rng) for d in degrees)
+    return from_syzygy(SyzygyBundleSpec(ring, gens, 0))
+
+
+def random_m2_kernel_bundle(N, twists_a, twists_b, seed):
+    ring = make_ring(N + 1)
+    rng = random.Random(seed)
+    rows = [[random_form(ring, b - a, rng) for a in twists_a] for b in twists_b]
+    return make_kernel_bundle(ring, list(twists_a), list(twists_b), rows)
+
+
+def reference_scan(bundle, qs):
+    """(q, alpha, relation, low, top) per exterior rank from one exact QQ
+    elimination at every degree of the stability_evidence window."""
+    mu = invariants(bundle).mu
+    out = []
+    for q in qs:
+        threshold = -q * mu
+        top = floor(threshold)
+        pres = exterior_power_matrix(bundle, q)
+        low = -max(pres.source_twists)
+        args = (pres.columns_list(), pres.source_module(), pres.target_module())
+        dims = [kernel_dim_linalg(*args, k) for k in range(low, top + 1)]
+        alpha = next((low + i for i, d in enumerate(dims) if d), None)
+        if alpha is not None:
+            # the kernel is torsion-free: no section is lost going up
+            assert all(dims[alpha - low:])
+        relation = (">" if alpha is None else
+                    "<" if alpha < threshold else "=")
+        out.append((q, alpha, relation, low, top))
+    return out
+
+
+def scan_fields(report):
+    return [(c.q, c.alpha, c.relation, c.window_low, c.window_top)
+            for c in report.per_power]
+
+
+# (builder, per exterior rank: relation; "<" ends the scan as unstable)
+FIRST_PASS_CASES = {
+    "p2 3 quadrics": (lambda s: random_syzygy_bundle(2, (2, 2, 2), s), [">"]),
+    "p2 4 cubics": (lambda s: random_syzygy_bundle(2, (3, 3, 3, 3), s), [">"]),
+    "p2 5 quadrics": (lambda s: random_syzygy_bundle(2, (2,) * 5, s), [">", "="]),
+    "p2 degrees 1,1,2": (lambda s: random_syzygy_bundle(2, (1, 1, 2), s), ["="]),
+    "p2 degrees 1,1,4": (lambda s: random_syzygy_bundle(2, (1, 1, 4), s), ["<"]),
+    "p2 degrees 1,2,2,3": (lambda s: random_syzygy_bundle(2, (1, 2, 2, 3), s),
+                           [">", "<"]),
+    "p2 m=2 kernel": (lambda s: random_m2_kernel_bundle(
+        2, (0, 0, 0, 0, -1), (1, 1), s), ["="]),
+    "p3 4 quadrics": (lambda s: random_syzygy_bundle(3, (2, 2, 2, 2), s), [">"]),
+    "p3 degrees 1,1,1,3": (lambda s: random_syzygy_bundle(3, (1, 1, 1, 3), s),
+                           ["=", "<"]),
+    "p3 degrees 1,1,2,4": (lambda s: random_syzygy_bundle(3, (1, 1, 2, 4), s),
+                           ["<"]),
+    "p3 m=2 kernel": (lambda s: random_m2_kernel_bundle(
+        3, (0,) * 6, (1, 1), s), [">", ">"]),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_PASS_CASES))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_linalg_first_pass_matches_plain_qq_scan_and_gb(name, seed):
+    build, relations = FIRST_PASS_CASES[name]
+    bundle = build(seed)
+    la = hoppe_check(bundle, engine="linalg")
+    gb = hoppe_check(bundle, engine="gb")
+    assert [c.relation for c in la.per_power] == relations
+    assert scan_fields(la) == reference_scan(bundle, [c.q for c in la.per_power])
+    assert scan_fields(la) == scan_fields(gb)
+    assert (la.verdict, la.stability) == (gb.verdict, gb.stability)
+    assert [c.prime for c in gb.per_power] == [None] * len(gb.per_power)
+    # on these generic bundles the prime sees what QQ sees
+    assert [c.prime for c in la.per_power] == [
+        PRIMARY_TEST_PRIME if c.relation == ">" else None for c in la.per_power]
+    if la.verdict == "unstable":
+        assert la.witness.verified and la.witness.degree == gb.witness.degree
+
+
+def test_prime_dividing_a_coefficient_does_not_decide():
+    # mod 32003 the third generator vanishes and sections appear in the
+    # window; QQ has none, so QQ decides ">"
+    base = hoppe_check(syzygy_bundle(["X", "Y", "Z"]), engine="linalg")
+    report = hoppe_check(syzygy_bundle(["X", "Y", "32003*Z"]), engine="linalg")
+    assert (report.verdict, report.stability) == (base.verdict, base.stability)
+    assert scan_fields(report) == scan_fields(base)
+    assert [c.prime for c in base.per_power] == [PRIMARY_TEST_PRIME]
+    assert [c.prime for c in report.per_power] == [None]
+
+
+def count_linalg_calls_by_characteristic(monkeypatch):
+    import kbundle.stability as stability
+    calls = Counter()
+    real = stability.kernel_dim_linalg
+
+    def counting(columns, source, target, t, caps):
+        calls[source.ring.field.char] += 1
+        return real(columns, source, target, t, caps)
+
+    monkeypatch.setattr(stability, "kernel_dim_linalg", counting)
+    return calls
+
+
+def test_prime_in_a_denominator_skips_the_first_pass(monkeypatch):
+    calls = count_linalg_calls_by_characteristic(monkeypatch)
+    base = hoppe_check(syzygy_bundle(["X", "Y", "Z"]), engine="linalg")
+    calls.clear()
+    report = hoppe_check(syzygy_bundle(["X", "Y", "1/32003*Z"]), engine="linalg")
+    assert scan_fields(report) == scan_fields(base)
+    assert [c.prime for c in report.per_power] == [None]
+    assert set(calls) == {0}
+
+
+def test_bundle_over_fp_is_never_reduced_to_another_prime(monkeypatch):
+    import kbundle.tannaka as tannaka
+
+    def refuse(bundle, prime):
+        raise AssertionError(f"reduced a bundle over {bundle.ring.field} "
+                             f"mod {prime}")
+
+    monkeypatch.setattr(tannaka, "reduce_bundle_mod_p", refuse)
+    calls = count_linalg_calls_by_characteristic(monkeypatch)
+    ring7 = make_ring(3, FieldSpec(7))
+    bundle = from_syzygy(SyzygyBundleSpec(
+        ring7, parse_many(["X^2", "Y^2", "Z^2"], ring7), 3))
+    for engine in ("linalg", "both"):
+        report = hoppe_check(bundle, engine=engine)
+        assert report.stability == "proven_stable"
+        assert [c.prime for c in report.per_power] == [None]
+    assert set(calls) == {7}
+
+
+def test_stable_generic_bundle_runs_no_qq_elimination(monkeypatch):
+    calls = count_linalg_calls_by_characteristic(monkeypatch)
+    report = hoppe_check(random_syzygy_bundle(2, (3, 3, 3, 3), 5),
+                         engine="linalg")
+    assert report.stability == "proven_stable"
+    assert calls[0] == 0 and calls[PRIMARY_TEST_PRIME] == len(report.per_power)
