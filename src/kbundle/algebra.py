@@ -273,9 +273,6 @@ class Poly:
             raise AlgebraError("polynomial is not homogeneous")
         return degs.pop()
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def sorted_terms(self):
         key = self.ring.mono_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)

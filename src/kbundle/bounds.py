@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil, comb
 from typing import Optional
 
-from .algebra import AlgebraError, Poly
+from .algebra import AlgebraError, Poly, substitute_powers
 from .modgb import Caps, NO_CAPS, ideal_groebner, ideal_membership, is_irrelevant_primary
 
 
@@ -141,6 +141,12 @@ class ClosureQuery:
     candidate: Optional[Poly] = None
     frobenius_exponent: Optional[int] = None
 
+    def __post_init__(self):
+        if any(f.is_zero() for f in self.generators):
+            raise BoundsError("ideal generators must be nonzero")
+        if self.genus is not None and self.genus < 0:
+            raise BoundsError(f"genus must be >= 0, got {self.genus}")
+
     @property
     def ring(self):
         return self.generators[0].ring
@@ -247,9 +253,11 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
     if g is None:
         raise BoundsError("genus (or plane curve degree) required below the "
                           "threshold in positive characteristic")
-    frob_gens = [_poly_power(gen, qpow) for gen in query.generators]
+    # over F_p Frobenius is additive and fixes every coefficient, so
+    # f^q is f with each exponent vector scaled by q
+    frob_gens = [substitute_powers(gen, qpow) for gen in query.generators]
     gb = ideal_groebner(frob_gens, caps)
-    member = ideal_membership(_poly_power(f, qpow), gb, caps)
+    member = ideal_membership(substitute_powers(f, qpow), gb, caps)
     bound_a = 4 * (g - 1) * (n - 1) ** 3
     if p > bound_a:
         regime = f"p = {p} > 4(g-1)(n-1)^3 = {bound_a}: decides tight closure"
@@ -269,14 +277,3 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
         trace.append("positive answer certifies membership via Frobenius closure")
     return MembershipReport(member, decisive, regime, "frobenius-power", trace)
 
-
-def _poly_power(p: Poly, q: int) -> Poly:
-    out = p.ring.one()
-    base = p
-    e = q
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base if e > 1 else base
-        e >>= 1
-    return out

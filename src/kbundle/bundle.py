@@ -89,21 +89,19 @@ class SyzygyBundleSpec:
         return tuple(f.homogeneous_degree() for f in self.generators)
 
 
-def make_kernel_bundle(ring: PolyRing, twists_a, twists_b, matrix,
-                       canonicalize: bool = True) -> KernelBundle:
-    """Assemble a bundle, optionally sorting both twist lists (matrix permuted
+def make_kernel_bundle(ring: PolyRing, twists_a, twists_b, matrix) -> KernelBundle:
+    """Assemble a bundle, sorting both twist lists (matrix permuted
     consistently) so equal presentations compare equal."""
     twists_a = list(twists_a)
     twists_b = list(twists_b)
     rows = [list(r) for r in matrix]
     if len(rows) != len(twists_b) or any(len(r) != len(twists_a) for r in rows):
         raise BundleError("matrix shape does not match the twist lists")
-    if canonicalize:
-        col_perm = sorted(range(len(twists_a)), key=lambda i: (-twists_a[i], i))
-        row_perm = sorted(range(len(twists_b)), key=lambda j: (-twists_b[j], j))
-        twists_a = [twists_a[i] for i in col_perm]
-        twists_b = [twists_b[j] for j in row_perm]
-        rows = [[rows[j][i] for i in col_perm] for j in row_perm]
+    col_perm = sorted(range(len(twists_a)), key=lambda i: (-twists_a[i], i))
+    row_perm = sorted(range(len(twists_b)), key=lambda j: (-twists_b[j], j))
+    twists_a = [twists_a[i] for i in col_perm]
+    twists_b = [twists_b[j] for j in row_perm]
+    rows = [[rows[j][i] for i in col_perm] for j in row_perm]
     return KernelBundle(ring, tuple(twists_a), tuple(twists_b),
                         tuple(tuple(r) for r in rows))
 
@@ -256,12 +254,6 @@ def invariants(bundle: KernelBundle) -> Invariants:
     c2 = Fraction(sa * sa - sa2, 2) + Fraction(sb * sb + sb2, 2) - sa * sb
     delta = 2 * r * c2 - (r - 1) * c1 * c1
     return Invariants(rank=r, c1=c1, mu=Fraction(c1, r), c2=c2, delta=delta)
-
-
-def syzygy_delta(degrees: Sequence[int]) -> int:
-    """Discriminant of a syzygy bundle directly from the generator degrees."""
-    s = sum(degrees)
-    return s * s - (len(degrees) - 1) * sum(d * d for d in degrees)
 
 
 def twist(bundle: KernelBundle, c: int) -> KernelBundle:

@@ -560,9 +560,6 @@ class SyzygyGenerators:
     module: GradedFreeModule          # the source module the syzygies live in
     elements: tuple
 
-    def degrees(self):
-        return tuple(e.degree() for e in self.elements)
-
     def __len__(self):
         return len(self.elements)
 

@@ -22,7 +22,6 @@ from typing import Optional
 
 from .algebra import AlgebraError, monomial_family_gcd, mono_deg
 from .bundle import (
-    BundleError,
     KernelBundle,
     SyzygyBundleSpec,
     invariants,
@@ -49,10 +48,6 @@ from . import tannaka
 
 class StabilityError(AlgebraError):
     pass
-
-
-class NotPrimaryError(StabilityError):
-    """The generators have a common zero, so they present no vector bundle."""
 
 
 MODES = ("semistability", "stability_evidence")
@@ -134,98 +129,59 @@ def _verify_witness(pres, element: ModuleElement, degree: int,
     return image.is_zero()
 
 
-def _reduced_for_first_pass(bundle: KernelBundle) -> Optional[KernelBundle]:
-    """The bundle mod PRIMARY_TEST_PRIME for the `linalg` first pass, or None
-    when the pass is skipped: over F_p already, or the prime divides a
-    denominator."""
-    if bundle.ring.field.char != 0:
-        return None
-    try:
-        return tannaka.reduce_bundle_mod_p(bundle, PRIMARY_TEST_PRIME)
-    except tannaka.PrimeUnusableError:
-        return None
-
-
-def _first_section_mod_p(bundle_p: KernelBundle, q: int, low: int, top: int,
-                         caps: Caps) -> Optional[int]:
-    """Lower bound alpha_p <= alpha for the first section of (wedge^q E)(k)
-    over QQ, or None when there is none up to top.
-
-    Sound for two reasons.  The degree-k matrix of the reduced presentation
-    is the degree-k matrix over QQ reduced mod p, and rank mod p never
-    exceeds rank over QQ, so dim K_p,k >= dim K_k.  The kernel K of a graded
-    map of free modules is torsion-free, so a linear form maps K_k
-    injectively into K_{k+1}, and K_top = 0 forces K_k = 0 for every
-    k <= top.  Hence K_p,top = 0 proves that no section exists up to top, and
-    the first k with K_p,k != 0 bounds alpha from below.
-    """
-    pres = exterior_power_matrix(bundle_p, q)
+def _first_section(pres, start: int, top: int, caps: Caps) -> Optional[int]:
+    """The first degree k in start..top with a nonzero kernel piece of the
+    presentation, or None: one elimination per degree."""
     args = (pres.columns_list(), pres.source_module(), pres.target_module())
-    if not kernel_dim_linalg(*args, top, caps):
-        return None
-    return next((k for k in range(low, top)
-                 if kernel_dim_linalg(*args, k, caps)), top)
+    return next((k for k in range(start, top + 1)
+                 if kernel_dim_linalg(*args, k, caps)), None)
 
 
-def _scan_exterior(bundle: KernelBundle, q: int, mu: Fraction, mode: str,
-                   engine: str, caps: Caps,
-                   bundle_p: Optional[KernelBundle] = None):
-    """Check one exterior rank; returns (PowerCheck, witness element or None).
+def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
+                   caps: Caps):
+    """Check one exterior rank on its presentation pres; returns (PowerCheck,
+    witness element or None).
 
-    bundle_p, the bundle mod PRIMARY_TEST_PRIME, gives the `linalg` scan its
-    first pass (`_first_section_mod_p`); the QQ scan then starts at alpha_p,
-    and alpha and its witness are still found over QQ.
+    pres_p, the same presentation mod PRIMARY_TEST_PRIME, gives the `linalg`
+    scan its first pass.  It is sound for two reasons.  The degree-k matrix
+    of pres_p is that of pres reduced mod p, and rank mod p never exceeds
+    rank over QQ, so dim K_p,k >= dim K_k.  The kernel K of a graded map of
+    free modules is torsion-free, so a linear form maps K_k injectively into
+    K_{k+1}, and K_top = 0 forces K_k = 0 for every k <= top.  Hence
+    K_p,top = 0 proves that no section exists up to top, and the first k
+    with K_p,k != 0 bounds alpha from below: the QQ scan starts there, and
+    alpha and its witness are still found over QQ.
     """
     threshold = -q * mu
     semi_top = ceil(threshold) - 1
     top = floor(threshold) if mode == "stability_evidence" else semi_top
-    pres = exterior_power_matrix(bundle, q)
     low = -max(pres.source_twists)
-    source = pres.source_module()
-    target = pres.target_module()
-    cols = pres.columns_list()
+    args = (pres.columns_list(), pres.source_module(), pres.target_module())
 
     alpha = element = None
     if engine == "gb" and low <= top:
         # degrees above the window are never read: stop the run at top
-        syz = syzygy_module_columns(cols, source, target, caps, top)
+        syz = syzygy_module_columns(*args, caps, top)
         alpha = initial_degree(syz)
         if alpha is not None and alpha < threshold:
             element = min((e for e in syz.elements if e.degree() == alpha),
                           key=lambda e: sorted(e.terms))
-    elif engine == "linalg":
+    elif engine == "linalg" and low <= top:
         start = low
-        if bundle_p is not None and low <= top:
-            start = _first_section_mod_p(bundle_p, q, low, top, caps)
-            if start is None:
+        if pres_p is not None:
+            if _first_section(pres_p, top, top, caps) is None:
                 return PowerCheck(q, None, threshold, ">", top, low,
                                   PRIMARY_TEST_PRIME), None
-        # one elimination per degree; hoppe_check only keeps a "<" witness
-        for k in range(start, top + 1):
-            if kernel_dim_linalg(cols, source, target, k, caps):
-                alpha = k
-                if k < threshold:
-                    element = kernel_sections_linalg(
-                        cols, source, target, k, caps)[1][0]
-                break
+            start = _first_section(pres_p, low, top - 1, caps)
+            start = top if start is None else start
+        alpha = _first_section(pres, start, top, caps)
+        if alpha is not None and alpha < threshold:
+            # hoppe_check only keeps a "<" witness
+            element = kernel_sections_linalg(*args, alpha, caps)[1][0]
     if alpha is None or alpha > top:
         return PowerCheck(q, None, threshold, ">", top, low), None
     relation = "<" if alpha < threshold else "="
     return PowerCheck(q, alpha, threshold, relation, top, low), element
-
-
-def _scan_with_engines(bundle, q, mu, mode, engine, caps, bundle_p):
-    if engine != "both":
-        return _scan_exterior(bundle, q, mu, mode, engine, caps, bundle_p)
-    check_gb, elt_gb = _scan_exterior(bundle, q, mu, mode, "gb", caps)
-    check_la, elt_la = _scan_exterior(bundle, q, mu, mode, "linalg", caps,
-                                      bundle_p)
-    if (check_gb.alpha, check_gb.relation) != (check_la.alpha, check_la.relation):
-        raise InternalCheckError(
-            f"engine mismatch at q={q}: gb found ({check_gb.alpha}, "
-            f"{check_gb.relation}), linalg found ({check_la.alpha}, "
-            f"{check_la.relation})")
-    return check_la, elt_la
 
 
 def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
@@ -237,9 +193,11 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     The loop runs q = 1 .. rank-2 (with a lone q = 1 for rank <= 3) when the
     slope gate passes, since the gate covers rank-1 quotients and hence the
     top exterior rank; when the gate fails, the loop extends to rank-1 and a
-    found section is returned as an explicit verified witness.  Over QQ the
-    `linalg` engine reduces the bundle mod PRIMARY_TEST_PRIME once for its
-    first pass (`_first_section_mod_p`); `gb` runs over QQ only.
+    found section is returned as an explicit verified witness.  Each
+    exterior presentation is built once and serves every engine and the
+    witness check.  Over QQ the `linalg` engine reduces the bundle mod
+    PRIMARY_TEST_PRIME once for its first pass (see `_scan_exterior`); `gb`
+    runs over QQ only.
     """
     if mode not in MODES:
         raise StabilityError(f"unknown mode {mode!r}")
@@ -276,13 +234,26 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                              mu=mu, gate=gate, mode=mode, engine=engine,
                              criteria_trace=trace)
 
-    bundle_p = None if engine == "gb" else _reduced_for_first_pass(bundle)
+    bundle_p = None
+    if engine != "gb" and bundle.ring.field.char == 0:
+        try:
+            bundle_p = tannaka.reduce_bundle_mod_p(bundle, PRIMARY_TEST_PRIME)
+        except tannaka.PrimeUnusableError:
+            pass
+    engines = ("gb", "linalg") if engine == "both" else (engine,)
     for q in q_list:
-        check, element = _scan_with_engines(bundle, q, mu, mode, engine, caps,
-                                            bundle_p)
+        pres = exterior_power_matrix(bundle, q)
+        pres_p = None if bundle_p is None else exterior_power_matrix(bundle_p, q)
+        scans = [_scan_exterior(pres, pres_p, q, mu, mode, e, caps)
+                 for e in engines]
+        first, (check, element) = scans[0][0], scans[-1]
+        if (first.alpha, first.relation) != (check.alpha, check.relation):
+            raise InternalCheckError(
+                f"engine mismatch at q={q}: gb found ({first.alpha}, "
+                f"{first.relation}), linalg found ({check.alpha}, "
+                f"{check.relation})")
         report.per_power.append(check)
         if check.relation == "<":
-            pres = exterior_power_matrix(bundle, q)
             witness = Witness(q, check.alpha, element)
             witness.verified = _verify_witness(pres, element, check.alpha,
                                                check.threshold)
@@ -366,7 +337,7 @@ def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS) -> BrennerRes
         if not g.is_monomial():
             raise StabilityError("the monomial criterion needs monomial generators")
     if not is_irrelevant_primary(list(gens), caps):
-        raise NotPrimaryError("the monomial family must be irrelevant-primary")
+        raise StabilityError("the monomial family must be irrelevant-primary")
     degrees = spec.degrees
     bound = Fraction(-sum(degrees), n - 1)
     violations = []
@@ -530,36 +501,23 @@ def _check_criteria_consistency(report: StabilityReport, criteria: dict):
 
 
 def _criteria(bundle: KernelBundle, spec: Optional[SyzygyBundleSpec],
-              caps: Caps):
-    """The auxiliary criteria that apply, and whether the syzygy generators
-    (the maximal minors of its presentation) are irrelevant-primary: True,
-    or None when no criterion needed to know.  A syzygy family found not to
-    be irrelevant-primary presents no bundle: BundleError."""
+              caps: Caps) -> dict:
+    """The auxiliary criteria that apply."""
     criteria = {}
     bs = bohnhorst_spindler(bundle)
     if bs.verdict != "not_applicable":
         criteria["bohnhorst_spindler"] = bs
     if spec is None:
-        return criteria, None
-    gens = list(spec.generators)
-    primary = None
-    if all(g.is_monomial() for g in gens):
+        return criteria
+    if all(g.is_monomial() for g in spec.generators):
         try:
             criteria["brenner_monomial"] = brenner_monomial(spec, caps)
-            primary = True
-        except NotPrimaryError:
-            primary = False
         except StabilityError:
             pass
-    if len(gens) == bundle.N + 1 and primary is None:
-        primary = is_irrelevant_primary(gens, caps)
-    if primary is False:
-        raise BundleError("the syzygy generators have a common zero: the "
-                          "presentation is not surjective, so it is no bundle")
-    if len(gens) == bundle.N + 1:
+    if len(spec.generators) == bundle.N + 1:
         criteria["parameter_criterion"] = parameter_criterion(
             bundle.N, spec.degrees)
-    return criteria, primary
+    return criteria
 
 
 def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
@@ -573,25 +531,22 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
     pullbacks (stability of the pullback implies stability downstairs).
 
     The presentation must be surjective (its maximal minors irrelevant-
-    primary), else it is no bundle and BundleError is raised.  The caps'
-    timeout bounds the whole call."""
+    primary), else it is no bundle and BundleError is raised before any
+    scan.  The caps' timeout bounds the whole call."""
     if via_pullback is not None and via_pullback < 1:
         raise StabilityError(f"pullback exponent must be >= 1, got {via_pullback}")
+    caps = caps.start()
+    require_valid(bundle, check_surjectivity=True, caps=caps)
     return _analyze(bundle, engine, mode, upgrade_selfdual, via_pullback,
-                    spec, caps.start(), check_bundle=True)
+                    spec, caps)
 
 
 def _analyze(bundle: KernelBundle, engine: str, mode: str,
              upgrade_selfdual: bool, via_pullback: Optional[int],
-             spec: Optional[SyzygyBundleSpec], caps: Caps,
-             check_bundle: bool) -> Analysis:
+             spec: Optional[SyzygyBundleSpec], caps: Caps) -> Analysis:
     report = hoppe_check(bundle, engine, mode, caps)
-    analysis = Analysis(bundle=bundle, report=report)
-
-    criteria, primary = _criteria(bundle, spec, caps)
-    analysis.criteria = criteria
-    if check_bundle and primary is None:
-        require_valid(bundle, check_surjectivity=True, caps=caps)
+    criteria = _criteria(bundle, spec, caps)
+    analysis = Analysis(bundle=bundle, report=report, criteria=criteria)
     _check_criteria_consistency(report, criteria)
     for name, res in criteria.items():
         report.criteria_trace.append(f"{name}: {res.verdict}")
@@ -608,7 +563,7 @@ def _analyze(bundle: KernelBundle, engine: str, mode: str,
             and report.stability == "undetermined":
         # the pullback along a finite surjective map of a bundle is a bundle
         pb = _analyze(pullback_powers(bundle, via_pullback), engine, mode,
-                      upgrade_selfdual, None, None, caps, check_bundle=False)
+                      upgrade_selfdual, None, None, caps)
         analysis.pullback = pb
         if pb.report.is_stable_proven:
             report.stability = pb.report.stability

@@ -367,10 +367,6 @@ class TannakaFingerprint:
     selfdual_reason: str
     stability: str
 
-    def dim_value(self, q: int):
-        cell = self.dims.get(q)
-        return cell.value if cell else None
-
 
 @dataclass
 class GroupGuess:

@@ -90,8 +90,7 @@ def double_rank2_bundle():
     f = [P("X^2"), P("Y^2"), P("Z^2")]
     row1 = f + [z, z, z]
     row2 = [z, z, z] + f
-    return make_kernel_bundle(ring, [1] * 6, [3, 3], [row1, row2],
-                              canonicalize=False)
+    return make_kernel_bundle(ring, [1] * 6, [3, 3], [row1, row2])
 
 
 def random_homogeneous(ring, degree, rng, allow_zero=False, density=0.6):

@@ -141,7 +141,7 @@ def test_criterion_05_sl3_case():
     exact3 = tensor_dim_cell(sections, 3, 0, method="exact")
     assert cell3.lo == cell3.hi == exact3.value == 1
     fp = fingerprint(bundle, analysis.report.stability, q_max=3)
-    assert fp.dim_value(3) == 1
+    assert fp.dims[3].value == 1
     assert classify_group(fp).label() == "SL(3)"
     announce(5, "cube+product family stable, dims[3]=1, SL(3);")
 

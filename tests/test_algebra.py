@@ -22,7 +22,7 @@ from sample_bundles import P, RING_QQ3, random_homogeneous
 
 def test_parse_difference_of_squares():
     p = P("X^2 - Y^2")
-    assert p.num_terms() == 2
+    assert len(p.terms) == 2
     assert p.degree() == 2
     assert p.is_homogeneous()
 

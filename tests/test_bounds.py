@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kbundle.algebra import FieldSpec, make_ring, parse_many, parse_polynomial
+from kbundle.modgb import Caps, ideal_groebner, ideal_membership
 from kbundle.bounds import (
     BoundsError,
     ClosureQuery,
@@ -200,3 +201,32 @@ def test_frobenius_requires_positive_characteristic():
                      certificate="semistable", candidate=P("X*Y"))
     with pytest.raises(BoundsError):
         frobenius_membership(q)
+
+
+def power_by_multiplication(f, n):
+    out = f.ring.one()
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("candidate", ["X*Y + Z^2", "X*Y", "X^2 - 3*Y*Z"])
+def test_frobenius_membership_matches_repeated_multiplication(candidate, e):
+    # over F_p, f^(p^e) is f with its exponents scaled by p^e
+    gens = ["X^2 + Y^2", "Y^2 + Z^2", "X*Z"]
+    query = fp_query(gens, candidate=candidate, e=e, genus=3)
+    qpow = 7 ** e
+    gb = ideal_groebner([power_by_multiplication(g, qpow)
+                         for g in query.generators])
+    expected = ideal_membership(
+        power_by_multiplication(query.candidate, qpow), gb)
+    assert frobenius_membership(query).member == expected
+
+
+def test_frobenius_high_exponent_decides_under_the_cap():
+    query = fp_query(["X^2 + Y^2", "Y^2 + Z^2", "X*Z"],
+                     candidate="X*Y + Z^2", e=6, genus=3)
+    rep = frobenius_membership(query, Caps(timeout_seconds=5))
+    assert rep.decisive and not rep.member
+    assert rep.regime == "q = 117649 > 6g = 18: decides tight closure"

@@ -5,6 +5,7 @@ import pytest
 
 from kbundle.bundle import (
     BundleError,
+    KernelBundle,
     SyzygyBundleSpec,
     from_syzygy,
     invariants,
@@ -12,7 +13,6 @@ from kbundle.bundle import (
     maximal_minors,
     pullback_powers,
     require_valid,
-    syzygy_delta,
     twist,
     validate,
 )
@@ -63,8 +63,7 @@ def test_from_syzygy_rejects_constant():
 
 def test_validate_degree_mismatch_location():
     bad = make_kernel_bundle(RING_QQ3, [-1, -1, -2], [0],
-                             [[P("X"), P("Y^2"), P("Z^2")]],
-                             canonicalize=False)
+                             [[P("X"), P("Y^2"), P("Z^2")]])
     report = validate(bad)
     assert not report.ok
     assert any(p.code == "degree-mismatch" and p.location == (0, 1)
@@ -73,14 +72,14 @@ def test_validate_degree_mismatch_location():
 
 def test_validate_constant_entry():
     bad = make_kernel_bundle(RING_QQ3, [0, -1, -1], [0],
-                             [[P("1"), P("Y"), P("Z")]], canonicalize=False)
+                             [[P("1"), P("Y"), P("Z")]])
     report = validate(bad)
     assert any(p.code == "constant-entry" for p in report.problems)
 
 
 def test_validate_unsorted():
-    bad = make_kernel_bundle(RING_QQ3, [-2, -1, -1], [0],
-                             [[P("X^2"), P("Y"), P("Z")]], canonicalize=False)
+    bad = KernelBundle(RING_QQ3, (-2, -1, -1), (0,),
+                       ((P("X^2"), P("Y"), P("Z")),))
     report = validate(bad)
     assert any(p.code == "unsorted" for p in report.problems)
 
@@ -159,19 +158,6 @@ def test_pullback_identity_and_scaling():
         assert validate(pb).ok == validate(r).ok
 
 
-def test_syzygy_delta_specialization_matches_general_formula():
-    rng = random.Random(4321)
-    for _ in range(20):
-        degs = [rng.randint(1, 4) for _ in range(rng.randint(3, 6))]
-        gens = []
-        for d in degs:
-            from sample_bundles import random_homogeneous
-            gens.append(random_homogeneous(RING_QQ3, d, rng))
-        spec = SyzygyBundleSpec(RING_QQ3, tuple(gens), rng.randint(-2, 2))
-        b = from_syzygy(spec)
-        assert invariants(b).delta == syzygy_delta(degs)
-
-
 def test_invariants_permutation_independent():
     gens = ["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"]
     rng = random.Random(5)
@@ -183,6 +169,6 @@ def test_invariants_permutation_independent():
 
 def test_require_valid_raises():
     bad = make_kernel_bundle(RING_QQ3, [0, -1, -1], [0],
-                             [[P("1"), P("Y"), P("Z")]], canonicalize=False)
+                             [[P("1"), P("Y"), P("Z")]])
     with pytest.raises(BundleError):
         require_valid(bad)

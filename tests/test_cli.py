@@ -169,6 +169,22 @@ def test_closure_frobenius(capsys, monkeypatch):
     assert len(calls) == 1      # the membership test reuses the threshold
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2, 0", "--strong-flag", "x"],
+     "ideal generators must be nonzero"),
+    (["--ideal", "X^2, Y^2, Z^2, 0", "--assume-stability", "semistable"],
+     "ideal generators must be nonzero"),
+    (["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2", "--candidate", "X*Y",
+      "--genus", "-3", "--strong-flag", "x"],
+     "genus must be >= 0, got -3"),
+])
+def test_closure_invalid_query_is_input_error(capsys, args, message):
+    code, out, err = run_cli(["closure"] + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
 def test_tannaka_rank2(capsys):
     code, out, _ = run_cli([
         "tannaka", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3",
@@ -478,6 +494,33 @@ def test_report_digest_scan_linalg_matches_frozen_answers():
     assert "MISMATCH" not in answers
     assert answers.count("match") == 214
     assert answers.count("-") == 2
+
+
+def test_report_digest_scan_gb_matches_frozen_answers():
+    # the same jobs through the gb engine
+    script = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+    proc = subprocess.run([sys.executable, str(script), "scan_gb"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    answers = [line.split()[-1] for line in proc.stdout.splitlines()]
+    assert "MISMATCH" not in answers
+    assert answers.count("match") == 214
+    assert answers.count("-") == 2
+
+
+def test_engine_mismatch_exits_2(capsys, monkeypatch):
+    import kbundle.stability as stability
+    # a gb engine that never finds a section disagrees with linalg at q = 2
+    monkeypatch.setattr(stability, "initial_degree", lambda syz: None)
+    code, out, err = run_cli([
+        "check", "--matrix", "X, -Y, -Y, 0, -Z, 0; 0, 0, X, -Y, 0, Z",
+        "--twists-a", "3,3,3,3,3,3", "--twists-b", "4,4",
+        "--engine", "both"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("INTERNAL cross-check mismatch, no verdict: "
+                          "engine mismatch at q=2: gb found (None, >), "
+                          "linalg found (-5, =)")
 
 
 def test_console_script_entry_point():

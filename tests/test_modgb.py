@@ -124,7 +124,7 @@ def test_five_monomial_family_initial_degree_three():
     cols = one_row_columns(*FIVE_MONOMIALS)
     syz = syzygy_module_columns(cols, source, target)
     assert initial_degree(syz) == 3
-    assert min(syz.degrees()) == 3
+    assert min(e.degree() for e in syz.elements) == 3
     # frozen via the independent linear-algebra oracle below
     assert kernel_dim_linalg(cols, source, target, 2) == 0
     assert kernel_dim_linalg(cols, source, target, 3) > 0

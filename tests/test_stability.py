@@ -7,10 +7,17 @@ from math import floor
 import pytest
 
 from kbundle.algebra import FieldSpec, Poly, make_ring, monomials_of_degree, parse_many
-from kbundle.bundle import SyzygyBundleSpec, invariants, make_kernel_bundle, twist
+from kbundle.bundle import (
+    BundleError,
+    SyzygyBundleSpec,
+    invariants,
+    make_kernel_bundle,
+    twist,
+)
 from kbundle.modgb import PRIMARY_TEST_PRIME, Caps, ResourceCapError, kernel_dim_linalg
 from kbundle.powers import exterior_power_matrix
 from kbundle.stability import (
+    ENGINES,
     InternalCheckError,
     StabilityError,
     analyze_bundle,
@@ -166,6 +173,32 @@ def test_engine_agreement_is_enforced():
     for bundle in (dual_five_monomials(), five_quadrics(),
                    monomial_cubes_family(), rank2_degree0_bundle()):
         hoppe_check(bundle, engine="both")
+
+
+def test_engine_mismatch_raises(monkeypatch):
+    import kbundle.stability as stability
+    # a gb engine that never finds a section disagrees with linalg at q = 2
+    monkeypatch.setattr(stability, "initial_degree", lambda syz: None)
+    with pytest.raises(InternalCheckError, match="engine mismatch at q=2"):
+        hoppe_check(dual_five_monomials(), engine="both")
+
+
+def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
+    import kbundle.stability as stability
+    calls = Counter()
+    for name in ("kernel_dim_linalg", "syzygy_module_columns"):
+        real = getattr(stability, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(stability, name, counting)
+    spec = syzygy_spec(["X^2", "X*Y", "Y^2"])     # common zero (0:0:1)
+    for engine in ENGINES:
+        with pytest.raises(BundleError, match="not-surjective"):
+            analyze_bundle(from_syzygy(spec), engine=engine, spec=spec)
+    assert calls == Counter()
 
 
 def test_gb_scan_reads_only_the_window():

@@ -228,8 +228,8 @@ def test_selfdual_certify_double_bundle_not_simple():
 def test_fingerprint_rank2():
     fp = fingerprint(rank2_degree0_bundle(), "proven_stable", q_max=4)
     assert fp.rank == 2
-    assert fp.dim_value(1) == 0
-    assert fp.dim_value(2) == 1
+    assert fp.dims[1].value == 0
+    assert fp.dims[2].value == 1
     assert fp.simplicity.value == 1
     assert fp.selfdual
     guess = classify_group(fp)
@@ -278,8 +278,8 @@ def test_classify_rejects_open_interval():
 
 def test_fingerprint_quartics_full_pipeline():
     fp = fingerprint(five_quartics(twist=5), "proven_via_selfduality", q_max=4)
-    assert fp.dim_value(2) == 1
-    assert fp.dim_value(4) == 3
+    assert fp.dims[2].value == 1
+    assert fp.dims[4].value == 3
     assert fp.selfdual
     guess = classify_group(fp)
     assert guess.label() == "Sp(4)"
