@@ -34,6 +34,7 @@ from .bundle import (
     from_syzygy,
     invariants,
     make_kernel_bundle,
+    require_valid,
     validate,
 )
 from .modgb import Caps, ResourceCapError
@@ -198,9 +199,14 @@ def _check_options(name: str, options: dict):
                          f"{', '.join(_ASSUMPTIONS[name])}, got {assumed!r}")
 
 
-def _require_bundle(kind, payload):
+def _require_bundle(kind, payload, well_formed: bool = True):
+    """The (bundle, spec) payload.  Unless well_formed is False (validate,
+    which reports the problems), a presentation that fails validate's
+    structure checks is an input error; surjectivity is analyze_bundle's."""
     if kind != "bundle":
         raise InputError("this task needs a bundle object (syzygy or kernel)")
+    if well_formed:
+        require_valid(payload[0])
     return payload
 
 
@@ -215,17 +221,19 @@ def _require_ideal(kind, payload):
 # ---------------------------------------------------------------------------
 
 def _bundle_summary(bundle: KernelBundle) -> dict:
-    inv = invariants(bundle)
-    return {
+    """Twists and rank; the Chern data too unless the rank is below one
+    (validate reports such a shape, which has no slope)."""
+    summary = {
         "N": bundle.N,
         "twists_a": list(bundle.twists_a),
         "twists_b": list(bundle.twists_b),
-        "rank": inv.rank,
-        "c1": inv.c1,
-        "mu": _frac(inv.mu),
-        "c2": _frac(inv.c2),
-        "delta": _frac(inv.delta),
+        "rank": bundle.rank,
     }
+    if bundle.rank >= 1:
+        inv = invariants(bundle)
+        summary.update(c1=inv.c1, mu=_frac(inv.mu), c2=_frac(inv.c2),
+                       delta=_frac(inv.delta))
+    return summary
 
 
 def _report_dict(report) -> dict:
@@ -254,7 +262,7 @@ def _report_dict(report) -> dict:
 
 
 def task_validate(kind, payload, options, caps):
-    bundle, _ = _require_bundle(kind, payload)
+    bundle, _ = _require_bundle(kind, payload, well_formed=False)
     report = validate(bundle, check_surjectivity=options.get("surjectivity", False),
                       caps=caps)
     results = {

@@ -1,6 +1,6 @@
-"""Graded free modules over the polynomial ring, Buchberger's algorithm with
-syzygy extraction, graded-piece dimensions by two independent engines, and
-ideal-theoretic tests.
+"""Graded free modules over the polynomial ring, Buchberger's algorithm and
+syzygies from the graph module, graded-piece dimensions by two independent
+engines, and ideal-theoretic tests.
 
 Grading convention: a sheaf twist a corresponds to module generator degree -a,
 so global sections of the kernel sheaf twisted by k are exactly the degree-k
@@ -99,10 +99,6 @@ class GradedFreeModule:
     def rank(self) -> int:
         return len(self.generator_degrees)
 
-    def basis_element(self, i: int) -> "ModuleElement":
-        mono = (0,) * self.ring.nvars
-        return ModuleElement(self, {(i, mono): self.ring.field.one()})
-
     def term_key(self):
         mk = self.ring.mono_key
         return lambda t: (-t[0], mk(t[1]))
@@ -199,20 +195,17 @@ class ModuleElement:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with optional Schreyer-style cofactor tracking.
+# Buchberger; syzygies as the source block of the graph module.
 # ---------------------------------------------------------------------------
 
-def _integerize(*dicts):
-    """Scale term dicts jointly by a positive integer so that every
-    coefficient becomes an integer (a no-op on residues mod p)."""
-    dens = [c.denominator for d in dicts if d is not None
-            for c in d.values() if isinstance(c, Fraction)]
+def _integerize(d: dict):
+    """Scale a term dict by a positive integer so that every coefficient
+    becomes an integer (a no-op on residues mod p)."""
+    dens = [c.denominator for c in d.values() if isinstance(c, Fraction)]
     if dens:
         scale = lcm(*dens)
-        for d in dicts:
-            if d is not None:
-                for t, c in d.items():
-                    d[t] = (c * scale).numerator
+        for t, c in d.items():
+            d[t] = (c * scale).numerator
 
 
 class _Reducers:
@@ -261,9 +254,8 @@ class _Reducers:
         return None
 
 
-def _normal_form_terms(terms: dict, rep, reducers: _Reducers, module, caps: Caps):
-    """Normal form up to a nonzero scalar on raw term dicts; rep (raw dict or
-    None) tracks cofactors under the same scalar.
+def _normal_form_terms(terms: dict, reducers: _Reducers, module, caps: Caps):
+    """Normal form up to a nonzero scalar on a raw term dict.
 
     One integer loop serves both fields.  Reducers come from _reducer_entry.
     Over QQ it is fraction-free: the current term c and the reducer's leading
@@ -275,14 +267,16 @@ def _normal_form_terms(terms: dict, rep, reducers: _Reducers, module, caps: Caps
     cancels the current maximum and the loop terminates degreewise.  A term
     enters the heap when it enters work; every term a reduction adds is
     smaller than the one it cancels, so none is popped before it is queued.
+    Terms in a component where no reducer leads never reduce, so they skip
+    the heap and join the result at the end.
     """
     from .algebra import monomial_heap_key
     p = module.ring.field.char
     hkey = monomial_heap_key(module.ring.order)
+    live = reducers.by_comp
     work = dict(terms)
-    rep = dict(rep) if rep is not None else None
-    _integerize(work, rep)
-    heap = [(i, hkey(m), (i, m)) for (i, m) in work]
+    _integerize(work)
+    heap = [(i, hkey(m), (i, m)) for (i, m) in work if i in live]
     heapq.heapify(heap)
     done: dict = {}
     while heap:
@@ -295,16 +289,15 @@ def _normal_form_terms(terms: dict, rep, reducers: _Reducers, module, caps: Caps
             done[t] = c
             continue
         caps.check_time()
-        reducer, q, shifted = reduction
+        reducer, _, shifted = reduction
         lead = reducer["ltcoeff"]
         g = gcd(c, lead)
         cc = c // g
         ll = lead // g
         if ll != 1:
-            for d in (work, done, rep):
-                if d is not None:
-                    for tt in d:
-                        d[tt] *= ll
+            for d in (work, done):
+                for tt in d:
+                    d[tt] *= ll
         for tt, rc in zip(shifted, reducer["tailcoeffs"]):
             old = work.get(tt)
             s = -cc * rc if old is None else old - cc * rc
@@ -312,21 +305,12 @@ def _normal_form_terms(terms: dict, rep, reducers: _Reducers, module, caps: Caps
                 s %= p
             if s:
                 work[tt] = s
-                if old is None:
+                if old is None and tt[0] in live:
                     heapq.heappush(heap, (tt[0], hkey(tt[1]), tt))
             elif old is not None:
                 del work[tt]
-        if rep is not None:
-            for (ri, rm), rc in reducer["rep"].items():
-                tt = (ri, mono_mul(rm, q))
-                s = rep.get(tt, 0) - cc * rc
-                if p:
-                    s %= p
-                if s:
-                    rep[tt] = s
-                else:
-                    rep.pop(tt, None)
-    return done, rep
+    done.update(work)
+    return done
 
 
 def _combine_shifted(ta: dict, qa: tuple, ca: int, tb: dict, qb: tuple,
@@ -337,28 +321,24 @@ def _combine_shifted(ta: dict, qa: tuple, ca: int, tb: dict, qb: tuple,
     return add_scaled(out, -cb, {(i, mono_mul(m, qb)): c for (i, m), c in tb.items()}, p)
 
 
-def _reducer_entry(terms: dict, rep, module: GradedFreeModule) -> dict:
-    """Normalize a nonzero term dict, and its cofactor rep (or None) jointly,
-    into a reducer for _normal_form_terms: over QQ the primitive integer
-    vector with positive leading coefficient, mod p the monic one."""
+def _reducer_entry(terms: dict, module: GradedFreeModule) -> dict:
+    """Normalize a nonzero term dict into a reducer for _normal_form_terms:
+    over QQ the primitive integer vector with positive leading coefficient,
+    mod p the monic one."""
     p = module.ring.field.char
     lt = max(terms, key=module.term_key())
     terms = dict(terms)
-    rep = dict(rep) if rep is not None else None
-    _integerize(terms, rep)
+    _integerize(terms)
     if p:
         inv = pow(terms[lt], -1, p)
     else:
-        g = gcd(*terms.values(), *(rep.values() if rep else ()))
+        g = gcd(*terms.values())
         if terms[lt] < 0:
             g = -g
-    for d in (terms, rep):
-        if d is not None:
-            for t, c in d.items():
-                d[t] = c * inv % p if p else c // g
+    for t, c in terms.items():
+        terms[t] = c * inv % p if p else c // g
     tail = [t for t in terms if t != lt]
-    return {"terms": terms, "ltcomp": lt[0], "ltmono": lt[1],
-            "ltcoeff": terms[lt], "rep": rep,
+    return {"terms": terms, "ltcomp": lt[0], "ltmono": lt[1], "ltcoeff": terms[lt],
             "tail": tail, "tailcoeffs": [terms[t] for t in tail]}
 
 
@@ -393,24 +373,34 @@ def _gebauer_moller(lts: list, pending: dict, h: tuple) -> list:
     return [(i, lc) for lc, i in kept.items()]
 
 
-def _gb_core(inputs, module: GradedFreeModule, caps: Caps,
-             source: Optional[GradedFreeModule], top: Optional[int] = None):
-    """Shared Buchberger driver on raw term dicts.
+def _gb_core(gens, module: GradedFreeModule, caps: Caps,
+             top: Optional[int] = None, split: Optional[int] = None):
+    """Shared Buchberger driver on homogeneous elements; returns the basis as
+    reducer entries and the syzygies as raw term dicts.
 
-    With source set, every input carries its basis vector as cofactor and every
-    S-pair (or dependent input) that reduces to zero contributes one homogeneous
-    syzygy; processing every same-component pair keeps the output generating.
+    Syzygies come from the graph module (Greuel & Pfister, A Singular
+    Introduction to Commutative Algebra, 2.5): components from split on form
+    the source block, and syzygy_module_columns passes column i plus the
+    source basis vector e_i.  Under position-over-term the target comes
+    first, so a normal form without target terms is a syzygy; it joins
+    neither the basis nor the reducers.  No reducer then leads in the source
+    block, so no source term is ever reduced: each element's source block is
+    the cofactor of its target part, the combination of inputs it was built
+    from, under the same fraction-free scalars.  Every dependent input or
+    S-pair whose target part reduces to zero yields its syzygy, and
+    processing every same-component pair keeps the syzygies generating.
+    Without split nothing is a syzygy.
 
-    In ideal mode (rank one, no cofactors) _gebauer_moller skips the pairs
-    the product and chain criteria make redundant.  Modules keep every pair:
-    the product criterion fails for vectors, and with cofactors the syzygies
-    of the processed pairs must still generate, which is not shown for the
-    chain criterion.  The reduced basis is canonical either way.
+    In ideal mode (rank one) _gebauer_moller skips the pairs the product and
+    chain criteria make redundant.  Modules keep every pair: the product
+    criterion fails for vectors, and in the graph module the syzygies of the
+    processed pairs must still generate, which is not shown for the chain
+    criterion.  The reduced basis is canonical either way.
 
     With top set, the run is truncated at degree top (degree-by-degree
     Buchberger, Kreuzer & Robbiano, Computational Commutative Algebra 2,
-    4.5): nonzero inputs of degree above top are left out, and pairs whose
-    lcm degree exceeds top are never queued.  Everything is homogeneous, so a
+    4.5): inputs of degree above top are left out, and pairs whose lcm
+    degree exceeds top are never queued.  Everything is homogeneous, so a
     normal form of degree d uses only basis elements of degree <= d, an
     S-pair of degree d yields an element or syzygy of degree d, and a pair
     built on an element of degree d has degree >= d.  Pairs leave the heap
@@ -418,15 +408,14 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps,
     ends after its last pair of degree <= top (the pair criteria decide a
     pair from pairs of no larger degree; leaving out inputs above top shifts
     basis indices monotonely, so ties pop in the same order).  Its basis is
-    a Groebner basis in degrees <= top, and its syzygies of degree <= top
-    are those of the full run, in the same order: they generate the kernel
-    in degrees <= top.  (A zero input still yields its syzygy, whatever its
-    degree.)
+    a Groebner basis in degrees <= top, and its syzygies are those of the
+    full run of degree <= top, in the same order: they generate the kernel
+    in degrees <= top.
     """
     caps = caps.start()
     p = module.ring.field.char
-    track = source is not None
-    ideal_mode = module.rank == 1 and not track
+    split = module.rank if split is None else split
+    ideal_mode = module.rank == 1
     basis: list = []
     reducers = _Reducers()
     syzygies: list = []
@@ -434,13 +423,14 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps,
     pending: dict = {}          # (i, j) -> lcm of the pairs still to process
     processed_pairs = 0
 
-    def add_element(terms, rep):
-        nf, nfrep = _normal_form_terms(terms, rep, reducers, module, caps)
+    def add_element(terms):
+        nf = _normal_form_terms(terms, reducers, module, caps)
         if not nf:
-            if track and nfrep:
-                syzygies.append(nfrep)
             return
-        entry = _reducer_entry(nf, nfrep, module)
+        if all(i >= split for i, _ in nf):
+            syzygies.append(nf)
+            return
+        entry = _reducer_entry(nf, module)
         comp, mono = entry["ltcomp"], entry["ltmono"]
         caps.check_degree(mono_deg(mono) + module.generator_degrees[comp])
         idx = len(basis)
@@ -458,17 +448,12 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps,
         basis.append(entry)
         reducers.add(entry)
 
-    for gen, rep in inputs:
+    for gen in gens:
         if not gen.is_homogeneous():
             raise AlgebraError("generators must be homogeneous")
-        rep_terms = dict(rep.terms) if (track and rep is not None) else None
-        if gen.is_zero():
-            if track and rep_terms:
-                syzygies.append(rep_terms)
+        if gen.is_zero() or (top is not None and gen.degree() > top):
             continue
-        if top is not None and gen.degree() > top:
-            continue
-        add_element(dict(gen.terms), rep_terms)
+        add_element(dict(gen.terms))
 
     while heap:
         deg, i, j = heapq.heappop(heap)
@@ -480,19 +465,12 @@ def _gb_core(inputs, module: GradedFreeModule, caps: Caps,
         caps.check_degree(deg)
         caps.check_time()
         a, b = basis[i], basis[j]
-        qa = mono_quot(lcm, a["ltmono"])
-        qb = mono_quot(lcm, b["ltmono"])
         # gcd cofactors of the leading coefficients (both 1 mod p)
         g = gcd(a["ltcoeff"], b["ltcoeff"])
-        ca = b["ltcoeff"] // g
-        cb = a["ltcoeff"] // g
-        spair = _combine_shifted(a["terms"], qa, ca, b["terms"], qb, cb, p)
-        sprep = (_combine_shifted(a["rep"], qa, ca, b["rep"], qb, cb, p)
-                 if track else None)
-        add_element(spair, sprep)
-
-    syz_elements = [ModuleElement(source, s) for s in syzygies] if track else []
-    return basis, syz_elements
+        add_element(_combine_shifted(
+            a["terms"], mono_quot(lcm, a["ltmono"]), b["ltcoeff"] // g,
+            b["terms"], mono_quot(lcm, b["ltmono"]), a["ltcoeff"] // g, p))
+    return basis, syzygies
 
 
 def _reduce_basis(basis, module: GradedFreeModule, caps: Caps):
@@ -508,7 +486,7 @@ def _reduce_basis(basis, module: GradedFreeModule, caps: Caps):
     reduced = []
     for b in kept:
         others = _Reducers(k for k in kept if k is not b)
-        nf, _ = _normal_form_terms(b["terms"], None, others, module, caps)
+        nf = _normal_form_terms(b["terms"], others, module, caps)
         reduced.append(ModuleElement(module, nf).monic())
     reduced.sort(key=lambda e: key(e.leading()[0]), reverse=True)
     return tuple(reduced)
@@ -539,7 +517,7 @@ def buchberger(generators: Sequence[ModuleElement], caps: Caps = NO_CAPS,
     for g in gens:
         if g.module != module:
             raise AlgebraError("generators live in different modules")
-    basis, _ = _gb_core([(g, None) for g in gens], module, caps, None, top)
+    basis, _ = _gb_core(gens, module, caps, top)
     return GroebnerBasis(module, _reduce_basis(basis, module, caps))
 
 
@@ -591,29 +569,28 @@ def syzygy_module_columns(columns, source: GradedFreeModule,
                           target: GradedFreeModule,
                           caps: Caps = NO_CAPS,
                           top: Optional[int] = None) -> SyzygyGenerators:
-    """Homogeneous generators of the kernel, via Buchberger with cofactors.
-
-    Zero columns contribute their basis vectors directly; every S-pair or
-    dependent input that reduces to zero yields one syzygy.  With top set,
-    only the syzygies of degree <= top, which generate the kernel in those
-    degrees: the full run's generators of degree <= top, in the same order.
+    """Homogeneous generators of the kernel, from one Buchberger run on the
+    graph module (_gb_core): the target components, then the source ones,
+    with column i plus e_i as input i.  Every dependent input or S-pair
+    whose target part reduces to zero yields one syzygy; a zero column's
+    input is its basis vector, a syzygy at once.  With top set, only the
+    syzygies of degree <= top, which generate the kernel in those degrees:
+    the full run's generators of degree <= top, in the same order.
     """
     _validate_columns(columns, source, target)
-    syzygies: list = []
+    m = target.rank
+    graph = GradedFreeModule(source.ring, target.generator_degrees
+                             + source.generator_degrees)
+    unit = (0,) * source.ring.nvars
     inputs = []
     for i, col in enumerate(columns):
-        rep = source.basis_element(i)
-        if not col:
-            syzygies.append(rep)
-            continue
-        elt = ModuleElement.from_components(target, dict(col))
-        inputs.append((elt, rep))
-    if inputs:
-        _, more = _gb_core(inputs, target, caps, source, top)
-        syzygies.extend(more)
-    if top is not None:
-        syzygies = [s for s in syzygies if s.degree() <= top]
+        terms = {(j, mono): c for j, entry in col for mono, c in entry.terms.items()}
+        terms[(m + i, unit)] = source.ring.field.one()
+        inputs.append(ModuleElement(graph, terms))
+    _, found = _gb_core(inputs, graph, caps, top, split=m)
     key = source.term_key()
+    syzygies = (ModuleElement(source, {(k - m, mono): c for (k, mono), c in s.items()})
+                for s in found)
     ordered = tuple(sorted((s.monic() for s in syzygies),
                            key=lambda e: (e.degree(), key(e.leading()[0]))))
     return SyzygyGenerators(source, ordered)
@@ -801,9 +778,9 @@ def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
     nonzero scalar multiple of it answers that as well."""
     if gb.module.rank != 1:
         raise AlgebraError("ideal membership needs a rank-one module")
-    reducers = [_reducer_entry(e.terms, None, gb.module) for e in gb.elements]
-    nf, _ = _normal_form_terms({(0, m): c for m, c in f.terms.items()}, None,
-                               _Reducers(reducers), gb.module, caps)
+    reducers = [_reducer_entry(e.terms, gb.module) for e in gb.elements]
+    nf = _normal_form_terms({(0, m): c for m, c in f.terms.items()},
+                            _Reducers(reducers), gb.module, caps)
     return not nf
 
 
@@ -818,8 +795,8 @@ def _leading_terms_cover_variables(polys, caps: Caps) -> bool:
     if not polys:
         return False
     module = GradedFreeModule(polys[0].ring, (0,))
-    basis, _ = _gb_core([(ModuleElement.from_components(module, {0: p}), None)
-                         for p in polys], module, caps, None)
+    basis, _ = _gb_core([ModuleElement.from_components(module, {0: p})
+                         for p in polys], module, caps)
     covered = set()
     for b in basis:
         support = [k for k, exp in enumerate(b["ltmono"]) if exp > 0]

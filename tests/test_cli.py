@@ -122,6 +122,49 @@ def test_validate_bad_bundle_exits_1(capsys):
     assert "degree-mismatch" in out
 
 
+RANK_ZERO = ["--matrix", "X", "--twists-a", "0", "--twists-b", "1"]
+SHAPE = "shape: need n > m >= 1, got n=1, m=1"
+
+
+def test_validate_rank_zero_names_the_shape(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(["validate", *RANK_ZERO, "--json-out",
+                              str(out_path)], capsys)
+    assert code == 1 and not err
+    assert f"problem: {SHAPE}" in out.splitlines()
+    report = json.loads(out_path.read_text())
+    assert report["results"]["bundle"]["rank"] == 0
+    assert "mu" not in report["results"]["bundle"]
+    assert report["results"]["problems"] == [SHAPE]
+
+
+@pytest.mark.parametrize("args, problem", [
+    (["tannaka", *RANK_ZERO, "--assume-stability", "proven_stable"], SHAPE),
+    (["restrict", *RANK_ZERO, "--assume-stability", "stable"], SHAPE),
+    (["sections", *RANK_ZERO], SHAPE),
+    (["check", *RANK_ZERO], SHAPE),
+    (["restrict", "--matrix", "X^2, Y, 1", "--twists-a", "0,0,0",
+      "--twists-b", "1", "--assume-stability", "stable"],
+     "degree-mismatch at (0, 0): entry must be homogeneous of degree 1; "
+     "degree-mismatch at (0, 2): entry must be homogeneous of degree 1"),
+    (["tannaka", "--matrix", "X, Y, 0, 1", "--twists-a", "0,0,0,1",
+      "--twists-b", "1", "--assume-stability", "proven_stable"],
+     "constant-entry at (0, 0): nonzero constant entries are not allowed"),
+    (["sections", "--matrix", "X^3, Y, Z", "--twists-a", "0,0,0",
+      "--twists-b", "1", "--kind", "tensor", "--engine", "staged",
+      "--twists", "0..1"],
+     "degree-mismatch at (0, 0): entry must be homogeneous of degree 1"),
+    (["sections", "--vars", "X,Y", "--syzygy", "X^2, Y^2, X*Y"],
+     "dimension: need projective dimension N >= 2, got 1"),
+])
+def test_bundle_tasks_reject_what_validate_reports(capsys, args, problem):
+    # only validate reports on a malformed presentation; every other bundle
+    # task stops at it, whichever path it takes
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and not out
+    assert err == f"input error: {problem}\n"
+
+
 def test_restrict_langer_quartics(capsys):
     code, out, _ = run_cli([
         "restrict", "--syzygy",

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -369,6 +371,55 @@ def test_engine_cross_check_randomized():
             assert e.is_homogeneous()
 
 
+GOLDEN_SYZYGIES = Path(__file__).with_name("syzygy_golden.json")
+
+
+def golden_presentations():
+    """Named presentations (columns, source, target) whose syzygy generators
+    are pinned in syzygy_golden.json: seeded random bundles over QQ and
+    F_32003, one presentation with a zero column and one whose third column
+    is the sum of the first two."""
+    cases = {}
+    for seed in (5, 16, 20, 38):
+        bundle = random_kernel_bundle(random.Random(seed))
+        for char in (0, 32003):
+            cases[f"random{seed}/{char}"] = reduce_columns(
+                bundle.columns(), bundle.source_module(),
+                bundle.target_module(), char)
+    target = GradedFreeModule(RING_QQ3, (0, 0))
+
+    def columns(*entries):
+        return [[(j, P(t)) for j, t in enumerate(col) if t != "0"]
+                for col in entries]
+
+    cases["zero_column"] = (
+        columns(("X", "Y"), ("0", "0"), ("Z", "X"), ("Y^2", "Z^2")),
+        GradedFreeModule(RING_QQ3, (1, 1, 1, 2)), target)
+    cases["dependent_column"] = (
+        columns(("X", "Y"), ("Y", "Z"), ("X + Y", "Y + Z"), ("Z", "X")),
+        GradedFreeModule(RING_QQ3, (1, 1, 1, 1)), target)
+    return cases
+
+
+def golden_syzygy_strings():
+    """str() of the generators per case: the full run, and the runs
+    truncated at its initial degree and one above."""
+    out = {}
+    for name, (cols, source, target) in golden_presentations().items():
+        full = syzygy_module_columns(cols, source, target)
+        alpha = initial_degree(full)
+        out[name] = {label: [str(e) for e in syz.elements] for label, syz in (
+            ("full", full),
+            *((f"top={top}", syzygy_module_columns(cols, source, target, top=top))
+              for top in (alpha, alpha + 1)))}
+    return out
+
+
+def test_syzygy_generators_golden():
+    # the exact generators, in order; witness strings in reports print them
+    assert golden_syzygy_strings() == json.loads(GOLDEN_SYZYGIES.read_text())
+
+
 def test_mod_p_kernel_dominates_rational_kernel():
     rng = random.Random(777)
     ring_p = make_ring(3, FieldSpec(5))
@@ -423,7 +474,7 @@ def test_reducers_memo_keeps_first_divisor():
 
     def entry(text):
         return _reducer_entry({(0, m): c for m, c in P(text).terms.items()},
-                              None, module)
+                              module)
 
     xy, x2 = entry("X*Y - Z^2"), entry("X^2 + Y*Z")
     reducers = _Reducers([xy])
