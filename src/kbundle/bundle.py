@@ -247,6 +247,8 @@ def invariants(bundle: KernelBundle) -> Invariants:
     """
     a, b = bundle.twists_a, bundle.twists_b
     r = bundle.rank
+    if r < 1:
+        raise BundleError(f"rank {r}: the slope needs rank >= 1")
     sa, sb = sum(a), sum(b)
     sa2 = sum(x * x for x in a)
     sb2 = sum(x * x for x in b)

@@ -342,14 +342,7 @@ def task_sections(kind, payload, options, caps):
     q = options.get("q", 1)
     twists = _parse_twist_range(options.get("twists", "0..0"))
     engine = options.get("engine", "linalg")
-    if engine == "both":
-        table_gb = tannaka.section_dim_table(bundle, kind_name, q, twists, "gb", caps)
-        table = tannaka.section_dim_table(bundle, kind_name, q, twists, "linalg", caps)
-        if table != table_gb:
-            raise InternalCheckError(
-                f"engine mismatch in section table: gb {table_gb} vs linalg {table}")
-    else:
-        table = tannaka.section_dim_table(bundle, kind_name, q, twists, engine, caps)
+    table = tannaka.section_dim_table(bundle, kind_name, q, twists, engine, caps)
     results = {
         "bundle": _bundle_summary(bundle),
         "power": {"kind": kind_name, "q": q},

@@ -231,9 +231,9 @@ class _Reducers:
         self.by_comp.setdefault(entry["ltcomp"], []).append(entry)
 
     def reduction(self, t):
-        """(entry, q, shifted) for the first entry whose leading monomial
-        divides the term t: q = t / lt(entry), and shifted holds the terms of
-        x^q * entry["tail"], in the order of entry["tailcoeffs"].  None if no
+        """(entry, shifted) for the first entry whose leading monomial divides
+        the term t: shifted holds the terms of x^q * entry["tail"] for
+        x^q = t / lt(entry), in the order of entry["tailcoeffs"].  None if no
         entry divides t."""
         hit = self.memo.get(t, 0)
         if type(hit) is tuple:
@@ -247,7 +247,7 @@ class _Reducers:
                 intern = self.terms.setdefault
                 shifted = tuple(intern(tt, tt) for tt in
                                 ((ri, mono_mul(rm, q)) for ri, rm in entry["tail"]))
-                hit = (entry, q, shifted)
+                hit = (entry, shifted)
                 self.memo[t] = hit
                 return hit
         self.memo[t] = len(entries)
@@ -289,7 +289,7 @@ def _normal_form_terms(terms: dict, reducers: _Reducers, module, caps: Caps):
             done[t] = c
             continue
         caps.check_time()
-        reducer, _, shifted = reduction
+        reducer, shifted = reduction
         lead = reducer["ltcoeff"]
         g = gcd(c, lead)
         cc = c // g
@@ -503,13 +503,9 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def buchberger(generators: Sequence[ModuleElement], caps: Caps = NO_CAPS,
-               top: Optional[int] = None) -> GroebnerBasis:
-    """Canonical reduced Groebner basis of the submodule the generators span.
-
-    With top set, the reduced basis of the run truncated at degree top
-    (_gb_core): its leading terms give the leading-term module, and hence
-    graded_piece_dim, in every degree <= top."""
+def buchberger(generators: Sequence[ModuleElement],
+               caps: Caps = NO_CAPS) -> GroebnerBasis:
+    """Canonical reduced Groebner basis of the submodule the generators span."""
     gens = [g for g in generators]
     if not gens:
         raise AlgebraError("buchberger needs at least one generator (may be zero)")
@@ -517,7 +513,7 @@ def buchberger(generators: Sequence[ModuleElement], caps: Caps = NO_CAPS,
     for g in gens:
         if g.module != module:
             raise AlgebraError("generators live in different modules")
-    basis, _ = _gb_core(gens, module, caps, top)
+    basis, _ = _gb_core(gens, module, caps)
     return GroebnerBasis(module, _reduce_basis(basis, module, caps))
 
 
@@ -540,16 +536,6 @@ class SyzygyGenerators:
 
     def __len__(self):
         return len(self.elements)
-
-
-def initial_degree(syz: SyzygyGenerators):
-    """Smallest t with a nonzero degree-t piece; None for the zero module.
-
-    The ring is standard graded, so the minimum over any homogeneous
-    generating set equals the true initial degree.
-    """
-    degs = [e.degree() for e in syz.elements if not e.is_zero()]
-    return min(degs) if degs else None
 
 
 def _validate_columns(columns, source: GradedFreeModule, target: GradedFreeModule):
@@ -610,48 +596,64 @@ def apply_columns(columns, target: GradedFreeModule, element: ModuleElement) -> 
 # Graded piece dimensions: leading-term counting and exact linear algebra.
 # ---------------------------------------------------------------------------
 
-def _count_ideal_monomials(gens, d: int, nvars: int) -> int:
-    """Monomials of degree d divisible by at least one generator.
-
-    Inclusion-exclusion over lcms, pruned once the lcm degree exceeds d.
-    """
-    if d < 0 or not gens:
-        return 0
-    minimal = []
-    for g in sorted(gens, key=mono_deg):
-        if not any(mono_divides(h, g) for h in minimal):
-            minimal.append(g)
+def _leading_piece_dim(leading, module: GradedFreeModule, t: int) -> int:
+    """Degree-t monomial terms of the module divisible by one of the leading
+    terms (component, monomial): by Macaulay's basis theorem, the degree-t
+    dimension of a submodule with these leading terms in degrees <= t.
+    Inclusion-exclusion over lcms per component, pruned once the lcm degree
+    exceeds the degree left."""
+    nvars = module.ring.nvars
+    minimal: dict = {}
+    for comp, mono in sorted(leading, key=lambda lt: mono_deg(lt[1])):
+        kept = minimal.setdefault(comp, [])
+        if not any(mono_divides(h, mono) for h in kept):
+            kept.append(mono)
     total = 0
 
-    def rec(start, lcm, size):
+    def rec(monos, d, start, lcm, sign):
         nonlocal total
-        for k in range(start, len(minimal)):
-            new = mono_lcm(lcm, minimal[k]) if size else minimal[k]
+        for k in range(start, len(monos)):
+            new = mono_lcm(lcm, monos[k])
             e = d - mono_deg(new)
-            if e < 0:
-                continue
-            total += (1 if size % 2 == 0 else -1) * comb(e + nvars - 1, nvars - 1)
-            rec(k + 1, new, size + 1)
+            if e >= 0:
+                total += sign * comb(e + nvars - 1, nvars - 1)
+                rec(monos, d, k + 1, new, -sign)
 
-    rec(0, (0,) * nvars, 0)
+    for comp, monos in minimal.items():
+        rec(monos, t - module.generator_degrees[comp], 0, (0,) * nvars, 1)
     return total
 
 
 def graded_piece_dim(gb: GroebnerBasis, t: int) -> int:
-    """Dimension of the degree-t piece of the submodule a Groebner basis spans.
+    """Dimension of the degree-t piece of the submodule a Groebner basis
+    spans, counted on its leading terms."""
+    return _leading_piece_dim([e.leading()[0] for e in gb.elements], gb.module, t)
 
-    By Macaulay's principle this equals the count of degree-t monomial terms
-    in the leading-term module, computed per component.
-    """
-    module = gb.module
-    nvars = module.ring.nvars
-    by_component: dict = {}
-    for e in gb.elements:
-        comp, mono = e.leading()[0]
-        by_component.setdefault(comp, []).append(mono)
-    return sum(
-        _count_ideal_monomials(monos, t - module.generator_degrees[comp], nvars)
-        for comp, monos in by_component.items())
+
+def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
+                   caps: Caps, top: int):
+    """k -> dimension of the degree-k kernel piece, for every k <= top: by
+    rank-nullity, the degree-k monomial terms of the source minus the
+    degree-k piece of the image the columns span in the target.  One
+    Buchberger run on the columns, truncated at top (_gb_core), is a
+    Groebner basis in degrees <= top; it is not reduced, since that keeps
+    its leading terms, which count the image."""
+    _validate_columns(columns, source, target)
+    gens = [ModuleElement(target, {(j, mono): c for j, entry in col
+                                   for mono, c in entry.terms.items()})
+            for col in columns]
+    basis, _ = _gb_core(gens, target, caps, top)
+    leading = [(b["ltcomp"], b["ltmono"]) for b in basis]
+    nvars = source.ring.nvars
+
+    def dim(k: int) -> int:
+        if k > top:
+            raise AlgebraError(f"degree {k} lies above the run's top {top}")
+        free = sum(comb(k - d + nvars - 1, nvars - 1)
+                   for d in source.generator_degrees if k >= d)
+        return free - _leading_piece_dim(leading, target, k)
+
+    return dim
 
 
 def _echelon_kernel(vectors, p: int, caps: Caps, want_vectors: bool = False):

@@ -3,10 +3,10 @@
 The driver applies Hoppe's criterion: E is semistable iff for every exterior
 rank q below the rank and every integer k strictly below -q*mu(E) the twisted
 exterior power (wedge^q E)(k) has no nonzero global section.  Sections are
-read off the kernel presentations of the exterior powers, through either the
-Groebner engine (syzygy module, initial degree) or the linear-algebra engine
-(exact elimination degree by degree); a numeric slope gate handles line-bundle
-quotients, which covers the top exterior rank.
+read off the kernel presentations of the exterior powers degree by degree,
+through either the Groebner engine (rank-nullity on the leading terms of the
+image) or the linear-algebra engine (exact elimination); a numeric slope gate
+handles line-bundle quotients, which covers the top exterior rank.
 
 All slope comparisons are exact rational arithmetic.
 """
@@ -36,9 +36,9 @@ from .modgb import (
     PRIMARY_TEST_PRIME,
     ModuleElement,
     apply_columns,
-    initial_degree,
     is_irrelevant_primary,
     kernel_dim_linalg,
+    kernel_dims_gb,
     kernel_sections_linalg,
     syzygy_module_columns,
 )
@@ -129,18 +129,24 @@ def _verify_witness(pres, element: ModuleElement, degree: int,
     return image.is_zero()
 
 
-def _first_section(pres, start: int, top: int, caps: Caps) -> Optional[int]:
-    """The first degree k in start..top with a nonzero kernel piece of the
-    presentation, or None: one elimination per degree."""
+def _first_section(dim, start: int, top: int) -> Optional[int]:
+    """The first degree k in start..top with dim(k) != 0, or None."""
+    return next((k for k in range(start, top + 1) if dim(k)), None)
+
+
+def _kernel_dims(pres, engine: str, caps: Caps, top: int):
+    """k -> dimension of the degree-k kernel piece of pres, for k <= top:
+    `gb` counts it on one Buchberger run on the image truncated at top,
+    `linalg` eliminates degree k."""
     args = (pres.columns_list(), pres.source_module(), pres.target_module())
-    return next((k for k in range(start, top + 1)
-                 if kernel_dim_linalg(*args, k, caps)), None)
+    if engine == "gb":
+        return kernel_dims_gb(*args, caps, top)
+    return lambda k: kernel_dim_linalg(*args, k, caps)
 
 
 def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
-                   caps: Caps):
-    """Check one exterior rank on its presentation pres; returns (PowerCheck,
-    witness element or None).
+                   caps: Caps) -> PowerCheck:
+    """Check one exterior rank on its presentation pres.
 
     pres_p, the same presentation mod PRIMARY_TEST_PRIME, gives the `linalg`
     scan its first pass.  It is sound for two reasons.  The degree-k matrix
@@ -156,32 +162,21 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     semi_top = ceil(threshold) - 1
     top = floor(threshold) if mode == "stability_evidence" else semi_top
     low = -max(pres.source_twists)
-    args = (pres.columns_list(), pres.source_module(), pres.target_module())
-
-    alpha = element = None
-    if engine == "gb" and low <= top:
-        # degrees above the window are never read: stop the run at top
-        syz = syzygy_module_columns(*args, caps, top)
-        alpha = initial_degree(syz)
-        if alpha is not None and alpha < threshold:
-            element = min((e for e in syz.elements if e.degree() == alpha),
-                          key=lambda e: sorted(e.terms))
-    elif engine == "linalg" and low <= top:
-        start = low
-        if pres_p is not None:
-            if _first_section(pres_p, top, top, caps) is None:
-                return PowerCheck(q, None, threshold, ">", top, low,
-                                  PRIMARY_TEST_PRIME), None
-            start = _first_section(pres_p, low, top - 1, caps)
-            start = top if start is None else start
-        alpha = _first_section(pres, start, top, caps)
-        if alpha is not None and alpha < threshold:
-            # hoppe_check only keeps a "<" witness
-            element = kernel_sections_linalg(*args, alpha, caps)[1][0]
-    if alpha is None or alpha > top:
-        return PowerCheck(q, None, threshold, ">", top, low), None
+    if low > top:
+        return PowerCheck(q, None, threshold, ">", top, low)
+    start = low
+    if engine == "linalg" and pres_p is not None:
+        dim_p = _kernel_dims(pres_p, engine, caps, top)
+        if not dim_p(top):
+            return PowerCheck(q, None, threshold, ">", top, low,
+                              PRIMARY_TEST_PRIME)
+        start = _first_section(dim_p, low, top - 1)
+        start = top if start is None else start
+    alpha = _first_section(_kernel_dims(pres, engine, caps, top), start, top)
+    if alpha is None:
+        return PowerCheck(q, None, threshold, ">", top, low)
     relation = "<" if alpha < threshold else "="
-    return PowerCheck(q, alpha, threshold, relation, top, low), element
+    return PowerCheck(q, alpha, threshold, relation, top, low)
 
 
 def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
@@ -197,7 +192,7 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     exterior presentation is built once and serves every engine and the
     witness check.  Over QQ the `linalg` engine reduces the bundle mod
     PRIMARY_TEST_PRIME once for its first pass (see `_scan_exterior`); `gb`
-    runs over QQ only.
+    runs over QQ only, and under "both" builds no witness.
     """
     if mode not in MODES:
         raise StabilityError(f"unknown mode {mode!r}")
@@ -246,7 +241,7 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
         pres_p = None if bundle_p is None else exterior_power_matrix(bundle_p, q)
         scans = [_scan_exterior(pres, pres_p, q, mu, mode, e, caps)
                  for e in engines]
-        first, (check, element) = scans[0][0], scans[-1]
+        first, check = scans[0], scans[-1]
         if (first.alpha, first.relation) != (check.alpha, check.relation):
             raise InternalCheckError(
                 f"engine mismatch at q={q}: gb found ({first.alpha}, "
@@ -254,6 +249,16 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                 f"{check.relation})")
         report.per_power.append(check)
         if check.relation == "<":
+            # the kept engine's witness; for gb the smallest syzygy of the run
+            # truncated at alpha, a prefix of any run truncated higher
+            args = (pres.columns_list(), pres.source_module(),
+                    pres.target_module())
+            if engines[-1] == "linalg":
+                element = kernel_sections_linalg(*args, check.alpha, caps)[1][0]
+            else:
+                syz = syzygy_module_columns(*args, caps, check.alpha)
+                element = min(syz.elements, key=lambda e: sorted(e.terms),
+                              default=ModuleElement(syz.module, {}))
             witness = Witness(q, check.alpha, element)
             witness.verified = _verify_witness(pres, element, check.alpha,
                                                check.threshold)

@@ -32,10 +32,8 @@ from .modgb import (
     _echelon_kernel,
     _monomial_vectors,
     _section_kernel,
-    buchberger,
-    graded_piece_dim,
     kernel_dim_linalg,
-    syzygy_module_columns,
+    kernel_dims_gb,
 )
 from .powers import power_presentation
 
@@ -121,26 +119,19 @@ def section_dim_power(bundle: KernelBundle, kind: str, q: int, k: int = 0,
     return section_dim_table(bundle, kind, q, (k,), engine, caps)[k]
 
 
-def _syzygy_groebner(pres, caps: Caps, top: int):
-    """Groebner basis of the syzygy module of a power presentation in degrees
-    <= top (both runs truncated there), or None when there are no syzygies
-    in those degrees."""
-    syz = syzygy_module_columns(pres.columns_list(), pres.source_module(),
-                                pres.target_module(), caps, top)
-    return buchberger(list(syz.elements), caps, top) if syz.elements else None
-
-
 def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
                       engine: str = "auto", caps: Caps = NO_CAPS) -> dict:
     """h^0 of the q-th tensor/exterior/symmetric power for a range of twists.
 
     Engines: "linalg" eliminates the degree-k pieces of the power
-    presentation, "gb" takes graded pieces of its syzygy module (computed
-    only up to the largest twist), "staged" (tensor only) intersects slot
-    conditions level by level.  "auto" picks staged for every tensor power
-    (its level 1 is the linalg step on E itself) and linalg otherwise.  The
-    presentation, its syzygy basis or the staged levels are built once.
-    Every engine needs q >= 1.
+    presentation, "gb" subtracts the image's degree-k piece, counted on the
+    leading terms of one Buchberger run on the columns (computed only up to
+    the largest twist), from the source's, "both" runs the two and raises
+    InternalCheckError when their tables differ, and "staged" (tensor only)
+    intersects slot conditions level by level.  "auto" picks staged for
+    every tensor power (its level 1 is the linalg step on E itself) and
+    linalg otherwise.  The presentation, its image basis or the staged
+    levels are built once.  Every engine needs q >= 1.
     """
     if q < 1:
         raise TannakaError(f"{kind} power needs q >= 1, got {q}")
@@ -152,15 +143,19 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
         sections = TensorSections(bundle, caps)
         return {k: sections.dim(q, k) for k in twists}
     pres = power_presentation(bundle, kind, q)
-    if engine == "linalg":
-        cols, source, target = (pres.columns_list(), pres.source_module(),
-                                pres.target_module())
-        return {k: kernel_dim_linalg(cols, source, target, k, caps)
-                for k in twists}
-    if engine == "gb":
-        gb = _syzygy_groebner(pres, caps, max(twists))
-        return {k: 0 if gb is None else graded_piece_dim(gb, k) for k in twists}
-    raise TannakaError(f"unknown engine {engine!r}")
+    if engine not in ("gb", "linalg", "both"):
+        raise TannakaError(f"unknown engine {engine!r}")
+    args = (pres.columns_list(), pres.source_module(), pres.target_module())
+    if engine != "linalg":
+        dim = kernel_dims_gb(*args, caps, max(twists))
+        table_gb = {k: dim(k) for k in twists}
+        if engine == "gb":
+            return table_gb
+    table = {k: kernel_dim_linalg(*args, k, caps) for k in twists}
+    if engine == "both" and table != table_gb:
+        raise InternalCheckError(
+            f"engine mismatch in section table: gb {table_gb} vs linalg {table}")
+    return table
 
 
 # ---------------------------------------------------------------------------

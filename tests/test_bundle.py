@@ -158,6 +158,13 @@ def test_pullback_identity_and_scaling():
         assert validate(pb).ok == validate(r).ok
 
 
+def test_invariants_need_positive_rank():
+    # one column over one row: rank 0 has no slope
+    bundle = make_kernel_bundle(RING_QQ3, [0], [1], [[P("X")]])
+    with pytest.raises(BundleError, match="rank 0"):
+        invariants(bundle)
+
+
 def test_invariants_permutation_independent():
     gens = ["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"]
     rng = random.Random(5)

@@ -486,6 +486,28 @@ def test_check_unstable_reports_witness(capsys, tmp_path):
                        "element": "(-Y, X, 0)"}
 
 
+@pytest.mark.parametrize("generators, q, degree, element", [
+    ("X + 2*Y, Y - Z + W, X*Z + W^2 - Y^2, X^4 + Y^3*Z - 2*W^4 + Z^2*X*Y",
+     1, 2, "(Y - Z + W, -X - 2*Y, 0, 0)"),
+    ("X^2 + Y^2, X*Y + Z^2, Y^2 - W^2, X^2 + Z*W, X^3 + Y^3 + Z^3 + W^3",
+     3, 8, "(X^2 + Z*W, -Y^2 + W^2, X*Y + Z^2, -X^2 - Y^2, 0, 0, 0, 0, 0, 0)"),
+])
+def test_check_gb_witness_is_frozen(capsys, tmp_path, generators, q, degree,
+                                    element):
+    # the gb engine's "<" witness is the smallest syzygy of the graph-module
+    # run truncated at its degree, a prefix of the run truncated at the
+    # window top, which gave these same strings
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli([
+        "check", "--syzygy", generators, "--vars", "X,Y,Z,W", "--dim", "3",
+        "--engine", "gb", "--json-out", str(out_path)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: unstable"
+    witness = json.loads(out_path.read_text())["results"]["report"]["witness"]
+    assert witness == {"q": q, "degree": degree, "verified": True,
+                       "element": element}
+
+
 def test_sections_engine_both(capsys):
     code, out, _ = run_cli([
         "sections", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3",
@@ -554,7 +576,7 @@ def test_report_digest_scan_gb_matches_frozen_answers():
 def test_engine_mismatch_exits_2(capsys, monkeypatch):
     import kbundle.stability as stability
     # a gb engine that never finds a section disagrees with linalg at q = 2
-    monkeypatch.setattr(stability, "initial_degree", lambda syz: None)
+    monkeypatch.setattr(stability, "kernel_dims_gb", lambda *args: lambda k: 0)
     code, out, err = run_cli([
         "check", "--matrix", "X, -Y, -Y, 0, -Z, 0; 0, 0, X, -Y, 0, Z",
         "--twists-a", "3,3,3,3,3,3", "--twists-b", "4,4",

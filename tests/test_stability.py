@@ -178,15 +178,16 @@ def test_engine_agreement_is_enforced():
 def test_engine_mismatch_raises(monkeypatch):
     import kbundle.stability as stability
     # a gb engine that never finds a section disagrees with linalg at q = 2
-    monkeypatch.setattr(stability, "initial_degree", lambda syz: None)
+    monkeypatch.setattr(stability, "kernel_dims_gb", lambda *args: lambda k: 0)
     with pytest.raises(InternalCheckError, match="engine mismatch at q=2"):
         hoppe_check(dual_five_monomials(), engine="both")
 
 
-def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
+def count_calls(monkeypatch, names) -> Counter:
+    """Count the calls stability makes to the named functions."""
     import kbundle.stability as stability
     calls = Counter()
-    for name in ("kernel_dim_linalg", "syzygy_module_columns"):
+    for name in names:
         real = getattr(stability, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
@@ -194,11 +195,36 @@ def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(stability, name, counting)
+    return calls
+
+
+def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
+    calls = count_calls(monkeypatch, ("kernel_dim_linalg", "kernel_dims_gb",
+                                      "syzygy_module_columns"))
     spec = syzygy_spec(["X^2", "X*Y", "Y^2"])     # common zero (0:0:1)
     for engine in ENGINES:
         with pytest.raises(BundleError, match="not-surjective"):
             analyze_bundle(from_syzygy(spec), engine=engine, spec=spec)
     assert calls == Counter()
+
+
+def test_witness_comes_from_the_kept_engine(monkeypatch):
+    # the "<" rank's witness is built by the engine whose report is kept,
+    # so under both the gb side runs no syzygy computation at all
+    calls = count_calls(monkeypatch, ("kernel_dims_gb", "syzygy_module_columns",
+                                      "kernel_sections_linalg"))
+    witnesses = {}
+    for engine in ENGINES:
+        calls.clear()
+        report = hoppe_check(monomial_cubes_family(), engine=engine)
+        assert report.witness.verified and report.witness.q == 2
+        witnesses[engine] = str(report.witness.element)
+        assert calls == {
+            "gb": Counter(kernel_dims_gb=2, syzygy_module_columns=1),
+            "linalg": Counter(kernel_sections_linalg=1),
+            "both": Counter(kernel_dims_gb=2, kernel_sections_linalg=1),
+        }[engine]
+    assert witnesses["both"] == witnesses["linalg"]
 
 
 def test_gb_scan_reads_only_the_window():

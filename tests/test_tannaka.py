@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -8,8 +9,15 @@ from pathlib import Path
 import pytest
 
 from kbundle.algebra import CoefficientError, Poly, reduce_poly_mod_p
-from kbundle.bundle import SyzygyBundleSpec, from_syzygy, twist, validate
+from kbundle.bundle import (
+    SyzygyBundleSpec,
+    from_syzygy,
+    make_kernel_bundle,
+    twist,
+    validate,
+)
 from kbundle.modgb import (
+    InternalCheckError,
     ModuleElement,
     _echelon_kernel,
     apply_columns,
@@ -42,6 +50,7 @@ from sample_bundles import (
     five_quadrics,
     five_quartics,
     random_homogeneous,
+    random_kernel_bundle,
     rank2_degree0_bundle,
     rank6_bundle,
     sl3_bundle,
@@ -303,6 +312,44 @@ def test_section_dim_table_gb_reuses_basis():
     assert table == direct
     assert table[-7] == 0 and table[-6] == 0
     assert table[-5] > 0
+
+
+def test_section_dim_table_gb_matches_linalg_randomized():
+    """gb tables (rank-nullity on the image's leading terms) equal linalg
+    tables for tensor, exterior and symmetric powers, q = 1..3, over QQ and
+    F_7, on seeded random presentations and one with a zero column, at
+    twists from two below the power's lowest generator degree to 5 - q
+    above it."""
+    rng = random.Random(1212)
+    zero_column = make_kernel_bundle(RING_QQ3, [0, 0, -1, 0, 0], [1], [
+        [P("X"), P("0"), P("Y^2"), P("Z"), P("X + Y")]])
+    bundles = [zero_column] + [random_kernel_bundle(rng, max_n=5)
+                               for _ in range(3)]
+    for bundle in bundles:
+        for char in (0, 7):
+            b = bundle if char == 0 else reduce_bundle_mod_p(bundle, char)
+            for kind, q in itertools.product(("tensor", "exterior", "symmetric"),
+                                             (1, 2, 3)):
+                if kind == "exterior" and q >= b.rank:
+                    continue    # no presentation
+                low = -q * max(b.twists_a)
+                twists = range(low - 2, low + 6 - q)
+                assert (section_dim_table(b, kind, q, twists, "gb")
+                        == section_dim_table(b, kind, q, twists, "linalg")), \
+                    (bundle.describe(), char, kind, q)
+
+
+def test_section_dim_table_both_raises_on_mismatch(monkeypatch):
+    import kbundle.tannaka as tannaka
+    b = dual_five_monomials()
+    assert section_dim_table(b, "exterior", 2, range(-6, -4), "both") == \
+        {-6: 0, -5: section_dim_power(b, "exterior", 2, -5, "linalg")}
+    # a gb engine that never finds a section disagrees with linalg at -5
+    monkeypatch.setattr(tannaka, "kernel_dims_gb", lambda *args: lambda k: 0)
+    with pytest.raises(InternalCheckError,
+                       match=r"engine mismatch in section table: "
+                             r"gb \{-6: 0, -5: 0\} vs linalg \{-6: 0, -5: [1-9]"):
+        section_dim_table(b, "exterior", 2, range(-6, -4), "both")
 
 
 def test_staged_respects_m_greater_one():
