@@ -10,12 +10,14 @@ entries, so zero entries are meaningful.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb, lcm
 from typing import Sequence
 
-from .algebra import AlgebraError, Poly, PolyRing, substitute_powers
+from .algebra import AlgebraError, Poly, PolyRing, mono_mul, substitute_powers
 from .modgb import Caps, GradedFreeModule, NO_CAPS, is_irrelevant_primary
 
 
@@ -141,29 +143,90 @@ class ValidationReport:
         return not self.problems
 
 
-def _minor_determinant(bundle: KernelBundle, rows, cols) -> Poly:
-    """Determinant by cofactor expansion; m is small for these presentations."""
-    ring = bundle.ring
-    if len(rows) == 1:
-        return bundle.entry(rows[0], cols[0])
-    total = ring.zero()
-    r0 = rows[0]
-    rest = rows[1:]
-    for k, c in enumerate(cols):
-        e = bundle.entry(r0, c)
-        if e.is_zero():
-            continue
-        sub = _minor_determinant(bundle, rest, cols[:k] + cols[k + 1:])
-        term = e * sub
-        total = total + (term if k % 2 == 0 else -term)
-    return total
-
-
 def maximal_minors(bundle: KernelBundle):
-    """All m x m minors of the presenting matrix."""
-    rows = tuple(range(bundle.m))
-    return [_minor_determinant(bundle, rows, cols)
-            for cols in combinations(range(bundle.n), bundle.m)]
+    """All m x m minors of the presenting matrix, one per column subset in
+    the order of combinations(range(n), m).
+
+    Fraction-free: each row is scaled by the lcm of its denominators (mod p
+    by one), cofactor expansion along the rows runs on integer coefficients,
+    sharing the subminors of the lower rows, and each minor is divided once
+    by the product of the row scales, since the determinant is linear in
+    each row."""
+    ring = bundle.ring
+    p = ring.field.char
+    m = bundle.m
+    rows = []
+    scale = 1
+    for row in bundle.matrix:
+        dens = [c.denominator for e in row for c in e.terms.values()
+                if isinstance(c, Fraction)]
+        s = lcm(*dens) if dens else 1
+        rows.append([{mono: int(c * s) for mono, c in e.terms.items()}
+                     for e in row])
+        scale *= s
+    memo: dict = {}
+
+    def det(cols):
+        """The minor on cols and the last len(cols) rows."""
+        hit = memo.get(cols)
+        if hit is not None:
+            return hit
+        row = rows[m - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        out: dict = {}
+        for k, c in enumerate(cols):
+            if not row[c]:
+                continue
+            sub = det(cols[:k] + cols[k + 1:])
+            sign = -1 if k % 2 else 1
+            for m1, c1 in row[c].items():
+                c1 *= sign
+                for m2, c2 in sub.items():
+                    key = mono_mul(m1, m2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        if p:
+            out = {mono: c % p for mono, c in out.items()}
+        hit = memo[cols] = {mono: c for mono, c in out.items() if c}
+        return hit
+
+    return [Poly(ring, {mono: c if p else Fraction(c, scale)
+                        for mono, c in det(cols).items()})
+            for cols in combinations(range(bundle.n), m)]
+
+
+def minor_ideal_dims(bundle: KernelBundle):
+    """d -> dim I_d for the ideal I of maximal minors of a surjective map,
+    read off the Eagon-Northcott complex; None unless n - m == N.
+
+    A surjective map has I m-primary, of grade N + 1 = n - m + 1, the most a
+    maximal-minor ideal can have, so the Eagon-Northcott complex (Eagon &
+    Northcott, Proc. R. Soc. A 269, 1962) with F = (+) R(a_i) and
+    G = (+) R(b_j),
+
+        0 -> C_{n-m+1} -> ... -> C_1 -> R -> R/I -> 0,
+        C_{k+1} = Lambda^{m+k} F (x) D_k(G*) (x) Lambda^m G*,
+
+    is a graded free resolution of R/I.  Its terms depend only on the
+    twists: C_{k+1} has one generator of degree sum(b) + sum(M) - sum(T) per
+    (m+k)-subset T of the a's and size-k multiset M of the b's, and
+    dim I_d = sum_k (-1)^k sum over C_{k+1}'s generators g of
+    dim R_{d - deg g}.  For m = 1 it is the Koszul complex of the N+1
+    entries."""
+    n, m, N = bundle.n, bundle.m, bundle.N
+    if n - m != N:
+        return None
+    a, b = bundle.twists_a, bundle.twists_b
+    degrees: Counter = Counter()
+    for k in range(n - m + 1):
+        for T in combinations(a, m + k):
+            for M in combinations_with_replacement(b, k):
+                degrees[sum(b) + sum(M) - sum(T)] += (-1) ** k
+
+    def dim(d: int) -> int:
+        return sum(c * comb(d - e + N, N) for e, c in degrees.items() if d >= e)
+
+    return dim
 
 
 def validate(bundle: KernelBundle, check_surjectivity: bool = False,
@@ -171,7 +234,8 @@ def validate(bundle: KernelBundle, check_surjectivity: bool = False,
     """Check the presentation invariants; optionally certify surjectivity.
 
     Surjectivity holds iff the ideal of all m x m minors has radical
-    (X_0, ..., X_N), which is decided by the zero-dimensionality test.
+    (X_0, ..., X_N), which is decided by the zero-dimensionality test,
+    Hilbert-driven by minor_ideal_dims where n - m = N.
     """
     problems = []
     n, m = bundle.n, bundle.m
@@ -210,7 +274,7 @@ def validate(bundle: KernelBundle, check_surjectivity: bool = False,
     if check_surjectivity and not problems:
         surjective = is_irrelevant_primary(
             [p for p in maximal_minors(bundle) if not p.is_zero()] or
-            [bundle.ring.zero()], caps)
+            [bundle.ring.zero()], caps, expected=minor_ideal_dims(bundle))
         if not surjective:
             problems.append(ValidationProblem(
                 "not-surjective", (),

@@ -374,7 +374,8 @@ def _gebauer_moller(lts: list, pending: dict, h: tuple) -> list:
 
 
 def _gb_core(gens, module: GradedFreeModule, caps: Caps,
-             top: Optional[int] = None, split: Optional[int] = None):
+             top: Optional[int] = None, split: Optional[int] = None,
+             expected=None, cover: Optional[set] = None):
     """Shared Buchberger driver on homogeneous elements; returns the basis as
     reducer entries and the syzygies as raw term dicts.
 
@@ -411,6 +412,21 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
     a Groebner basis in degrees <= top, and its syzygies are those of the
     full run of degree <= top, in the same order: they generate the kernel
     in degrees <= top.
+
+    With expected, d -> the degree-d dimension of the submodule the gens
+    span, the run is Hilbert-driven (Traverso, J. Symb. Comp. 22, 1996).
+    Before it pops a pair of degree d it counts the degree-d terms divisible
+    by a leading term of the basis, kept incrementally as S_d = x * S_{d-1}
+    joined with the leading terms of degree d.  Basis multiples with these
+    distinct leading terms are independent, so once the count reaches
+    expected(d) they span the degree-d piece, every element of it reduces to
+    zero, and the rest of the degree-d pairs are dropped unprocessed.  A
+    wrong expected can only drop pairs that would have added elements: the
+    basis still lies in the submodule but need not be a Groebner basis.
+
+    With cover, a set of variable indices (ideal mode), the run adds each
+    variable of which a new leading monomial is a pure power, and stops
+    once the set holds every variable.
     """
     caps = caps.start()
     p = module.ring.field.char
@@ -422,6 +438,27 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
     heap: list = []
     pending: dict = {}          # (i, j) -> lcm of the pairs still to process
     processed_pairs = 0
+    nvars = module.ring.nvars
+    leads: dict = {}            # degree -> leading terms of the basis
+    span_deg, span, want = None, set(), 0   # d, S_d and expected(d)
+    steps = [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
+
+    def complete(d: int) -> bool:
+        """|S_d| >= expected(d); pairs come in degree order, so S only
+        advances."""
+        nonlocal span_deg, span, want
+        if span_deg != d:
+            if span_deg is None:
+                span_deg = min(leads) - 1
+            while span_deg < d:
+                span_deg += 1
+                span = {(c, mono_mul(m, x)) for c, m in span for x in steps}
+                span.update(leads.get(span_deg, ()))
+            want = expected(d)
+        return len(span) >= want
+
+    def covered() -> bool:
+        return cover is not None and len(cover) == nvars
 
     def add_element(terms):
         nf = _normal_form_terms(terms, reducers, module, caps)
@@ -432,7 +469,16 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
             return
         entry = _reducer_entry(nf, module)
         comp, mono = entry["ltcomp"], entry["ltmono"]
-        caps.check_degree(mono_deg(mono) + module.generator_degrees[comp])
+        degree = mono_deg(mono) + module.generator_degrees[comp]
+        caps.check_degree(degree)
+        if expected is not None:
+            leads.setdefault(degree, []).append((comp, mono))
+            if degree == span_deg:
+                span.add((comp, mono))
+        if cover is not None:
+            support = [k for k, e in enumerate(mono) if e]
+            if len(support) == 1:
+                cover.add(support[0])
         idx = len(basis)
         if ideal_mode:
             pairs = _gebauer_moller([b["ltmono"] for b in basis], pending, mono)
@@ -453,13 +499,17 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
             raise AlgebraError("generators must be homogeneous")
         if gen.is_zero() or (top is not None and gen.degree() > top):
             continue
+        if covered():
+            break
         add_element(dict(gen.terms))
 
-    while heap:
+    while heap and not covered():
         deg, i, j = heapq.heappop(heap)
         lcm = pending.pop((i, j), None)
         if lcm is None:
             continue                # deleted by the chain criterion
+        if expected is not None and complete(deg):
+            continue                # the degree is complete
         processed_pairs += 1
         caps.check_pairs(processed_pairs)
         caps.check_degree(deg)
@@ -789,29 +839,43 @@ def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
 PRIMARY_TEST_PRIME = 32003
 
 
-def _leading_terms_cover_variables(polys, caps: Caps) -> bool:
+def _leading_terms_cover_variables(polys, caps: Caps, expected=None) -> bool:
     """The leading-term ideal of the homogeneous, non-constant polys (zeros
-    ignored) contains a pure power of every variable.  The leading monomials
-    of any Groebner basis generate that ideal, so the basis is not reduced."""
+    ignored) contains a pure power of every variable.  The run (_gb_core)
+    stops at the first cover: its elements lie in the ideal I, so their
+    leading monomials lie in LT(I).  Without a cover it completes the basis,
+    whose leading monomials generate LT(I), so a "no" is a proof too; not so
+    with expected, which may drop pairs, and then only a "yes" is."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return False
     module = GradedFreeModule(polys[0].ring, (0,))
-    basis, _ = _gb_core([ModuleElement.from_components(module, {0: p})
-                         for p in polys], module, caps)
-    covered = set()
-    for b in basis:
-        support = [k for k, exp in enumerate(b["ltmono"]) if exp > 0]
-        if len(support) == 1:
-            covered.add(support[0])
+    covered: set = set()
+    _gb_core([ModuleElement.from_components(module, {0: p}) for p in polys],
+             module, caps, expected=expected, cover=covered)
     return len(covered) == module.ring.nvars
 
 
-def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS) -> bool:
+def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
+                          expected=None) -> bool:
     """True iff the homogeneous ideal has radical equal to (X_0, ..., X_N).
 
-    Zero-dimensionality test: the leading-term ideal of the reduced basis must
-    contain a pure power of every variable.  The unit ideal fails the test.
+    Zero-dimensionality test: the leading-term ideal must contain a pure
+    power of every variable.  The unit ideal fails the test.  Every "yes"
+    comes from a cover: Buchberger elements of I whose leading monomials
+    hold a pure power of every variable.  These powers lie in LT(I), so
+    R/LT(I), and with it R/I (same Hilbert function), is finite-dimensional:
+    I is m-primary, m = (X_0, ..., X_N).
+
+    expected, when given, is the Hilbert function d -> dim I_d that I has if
+    it is m-primary (bundle.minor_ideal_dims reads it off the Eagon-Northcott
+    resolution).  The first run is then Hilbert-driven (_gb_core): it drops
+    the pairs of a degree whose piece its leading terms already fill.  A
+    dropped pair can only lose elements, never add one outside I, so a wrong
+    expected can cost a fallback but never a wrong "yes"; on a "yes" the
+    prediction is exact and the dropped pairs are exactly those that reduce
+    to zero.  Without a cover the test falls back to a plain run, which
+    completes the basis, so its "no" is a proof.
 
     Over QQ the test first runs on the generators reduced mod
     PRIMARY_TEST_PRIME, and a "yes" there is a proof.  Scale the generators
@@ -822,8 +886,9 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS) -> b
     rank mod p <= rank over QQ.  Hence I_p containing m^d (all forms of
     degree d) forces I to contain m^d, and I is m-primary.  A "no" mod p
     proves nothing (the prime may kill a generator or a minor), so the test
-    then runs over QQ.  The pass is skipped when the prime divides a
-    denominator, since the generators have no image mod p.
+    then runs over QQ, without expected.  The pass is skipped when the prime
+    divides a denominator, since the generators have no image mod p.  Over
+    F_p the plain run follows a driven one only when expected is given.
     """
     polys = [p for p in generators if not p.is_zero()]
     if not polys:
@@ -841,6 +906,9 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS) -> b
         except CoefficientError:
             pass                    # the prime divides a denominator
         else:
-            if _leading_terms_cover_variables(reduced, caps):
+            if _leading_terms_cover_variables(reduced, caps, expected):
                 return True
+    elif expected is not None and _leading_terms_cover_variables(
+            polys, caps, expected):
+        return True
     return _leading_terms_cover_variables(polys, caps)

@@ -149,3 +149,15 @@ def random_primary_monomial_spec(rng, max_extra=3, max_degree=4):
     if len(gens) < 3:
         return random_primary_monomial_spec(rng, max_extra, max_degree)
     return SyzygyBundleSpec(ring, gens, 0)
+
+
+def interlaced_bundle(rng, ring=RING_QQ3, m=1, low=-2):
+    """Random presentation with n - m = N, shaped like criterion 07: twists
+    a in low..0, b_j = a_j + 1 or 2, dense random entries where b_j > a_i
+    and zero elsewhere (need not be surjective)."""
+    n = ring.nvars - 1 + m
+    a = sorted((rng.randint(low, 0) for _ in range(n)), reverse=True)
+    b = sorted((a[j] + rng.randint(1, 2) for j in range(m)), reverse=True)
+    rows = [[random_homogeneous(ring, bj - ai, rng, density=0.7) if bj > ai
+             else ring.zero() for ai in a] for bj in b]
+    return make_kernel_bundle(ring, a, b, rows)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from kbundle.algebra import FieldSpec, Poly, make_ring
 from kbundle.bundle import (
     BundleError,
     KernelBundle,
@@ -11,11 +14,13 @@ from kbundle.bundle import (
     invariants,
     make_kernel_bundle,
     maximal_minors,
+    minor_ideal_dims,
     pullback_powers,
     require_valid,
     twist,
     validate,
 )
+from kbundle.modgb import graded_piece_dim, ideal_groebner, is_irrelevant_primary
 
 from sample_bundles import (
     P,
@@ -23,6 +28,8 @@ from sample_bundles import (
     dual_five_monomials,
     five_quadrics,
     five_quartics,
+    interlaced_bundle,
+    random_homogeneous,
     random_kernel_bundle,
     syzygy_bundle,
     syzygy_spec,
@@ -100,6 +107,111 @@ def test_minors_of_single_row_are_entries():
     minors = maximal_minors(b)
     assert len(minors) == 5
     assert P("X*Y") in minors
+
+
+def cofactor_minors(bundle):
+    """The maximal minors by cofactor expansion on the Poly entries, as
+    bundle.maximal_minors computed them before it went fraction-free."""
+    def det(rows, cols):
+        if len(rows) == 1:
+            return bundle.entry(rows[0], cols[0])
+        total = bundle.ring.zero()
+        for k, c in enumerate(cols):
+            e = bundle.entry(rows[0], c)
+            if e.is_zero():
+                continue
+            term = e * det(rows[1:], cols[:k] + cols[k + 1:])
+            total = total + (term if k % 2 == 0 else -term)
+        return total
+    rows = tuple(range(bundle.m))
+    return [det(rows, cols) for cols in combinations(range(bundle.n), bundle.m)]
+
+
+def random_presentation(rng, ring, rational):
+    """m = 1..3 rows, n = m+1..m+3 columns, entries of degree 0..2 (zero
+    at random), over QQ with rational coefficients when rational is set."""
+    m = rng.randint(1, 3)
+    n = rng.randint(m + 1, m + 3)
+    a = sorted((rng.randint(-1, 0) for _ in range(n)), reverse=True)
+    b = sorted((rng.randint(1, 2) for _ in range(m)), reverse=True)
+    rows = []
+    for bj in b:
+        row = []
+        for ai in a:
+            f = (ring.zero() if rng.random() < 0.2 else
+                 random_homogeneous(ring, bj - ai, rng, density=0.5))
+            if rational:
+                f = Poly(ring, {mono: c * Fraction(rng.randint(-5, 5) or 1,
+                                                   rng.randint(1, 9))
+                                for mono, c in f.terms.items()})
+            row.append(f)
+        rows.append(row)
+    return KernelBundle(ring, tuple(a), tuple(b), tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_maximal_minors_match_cofactor_expansion(char):
+    ring = make_ring(3, FieldSpec(char))
+    rng = random.Random(41 + char)
+    for _ in range(25):
+        bundle = random_presentation(rng, ring, rational=char == 0)
+        minors = maximal_minors(bundle)
+        assert minors == cofactor_minors(bundle)
+        for f in minors:
+            assert all(type(c) is (int if char else Fraction)
+                       for c in f.terms.values())
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_minor_ideal_dims_match_the_basis(char, N, m):
+    """On surjective presentations the Eagon-Northcott count is the Hilbert
+    function of the minor ideal, up to the first degree it fills."""
+    ring = make_ring(N + 1, FieldSpec(char))
+    rng = random.Random(f"{N}/{m}/{char}")
+    found = 0
+    while found < 2:
+        bundle = interlaced_bundle(rng, ring, m, low=-1 if N == 2 else 0)
+        minors = [f for f in maximal_minors(bundle) if not f.is_zero()]
+        if not minors or not is_irrelevant_primary(minors):
+            continue
+        found += 1
+        gb = ideal_groebner(minors)
+        dims = minor_ideal_dims(bundle)
+        d = 0
+        while True:
+            assert graded_piece_dim(gb, d) == dims(d)
+            if dims(d) == comb(d + N, N):
+                break
+            d += 1
+
+
+def test_minor_ideal_dims_of_one_row_is_complete_intersection():
+    """m = 1: the Koszul complex, Hilbert series prod(1 - t^d_i) / (1 - t)^(N+1)
+    for R/I."""
+    rng = random.Random(7)
+    for N in (2, 3):
+        ring = make_ring(N + 1, FieldSpec(0))
+        for _ in range(5):
+            degrees = [rng.randint(1, 4) for _ in range(N + 1)]
+            bundle = from_syzygy(SyzygyBundleSpec(ring, tuple(
+                random_homogeneous(ring, d, rng) for d in degrees)))
+            numerator = {0: 1}
+            for d in degrees:
+                for e, c in list(numerator.items()):
+                    numerator[e + d] = numerator.get(e + d, 0) - c
+            dims = minor_ideal_dims(bundle)
+            for d in range(16):
+                quotient = sum(c * comb(d - e + N, N)
+                               for e, c in numerator.items() if d >= e)
+                assert dims(d) == comb(d + N, N) - quotient
+
+
+def test_minor_ideal_dims_need_n_minus_m_equal_N():
+    assert minor_ideal_dims(five_quadrics()) is None
+    assert minor_ideal_dims(syzygy_bundle(["X^2", "Y^2"])) is None
+    assert minor_ideal_dims(syzygy_bundle(["X^2", "Y^2", "Z^2"])) is not None
 
 
 def test_invariants_five_quadrics():

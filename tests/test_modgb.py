@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,13 @@ from kbundle.algebra import (
     monomials_of_degree,
     parse_polynomial,
 )
-from kbundle.bundle import module_from_twists
+from kbundle import modgb
+from kbundle.bundle import maximal_minors, minor_ideal_dims, module_from_twists
 from kbundle.modgb import (
     PRIMARY_TEST_PRIME,
     Caps,
     _echelon_kernel,
+    _leading_terms_cover_variables,
     _reducer_entry,
     _Reducers,
     GradedFreeModule,
@@ -37,7 +40,13 @@ from kbundle.modgb import (
     syzygy_module_columns,
 )
 
-from sample_bundles import P, RING_QQ3, random_homogeneous, random_kernel_bundle
+from sample_bundles import (
+    P,
+    RING_QQ3,
+    interlaced_bundle,
+    random_homogeneous,
+    random_kernel_bundle,
+)
 
 
 def ideal_elements(*texts):
@@ -279,6 +288,88 @@ def test_ideal_criteria_skip_pairs():
     ideal_groebner([P("X^2*Z"), P("Y^2*Z"), P("X*Y*Z")], Caps(max_pairs=2))
     with pytest.raises(ResourceCapError):
         ideal_groebner([P("X^2*Z"), P("Y^2*Z"), P("X*Y*Z")], Caps(max_pairs=1))
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_cover_stops_the_plain_run(char):
+    ring = make_ring(3, FieldSpec(char))
+    # the inputs cover, so the run stops before the pair (X^2, X*Y) that a
+    # Groebner basis needs
+    polys = [P(t, ring) for t in ("X^2", "Y^2", "Z^2", "X*Y + Y*Z + X*Z")]
+    with pytest.raises(ResourceCapError):
+        ideal_groebner(polys, Caps(max_pairs=0))
+    assert _leading_terms_cover_variables(polys, Caps(max_pairs=0))
+    assert is_irrelevant_primary(polys, Caps(max_pairs=0))
+    # the pair (X^2, X*Z - Z^2) gives Z^3, the cover, before the pair
+    # (Z^3, X*Z - Z^2) that a Groebner basis needs
+    polys = [P(t, ring) for t in ("X^2", "Y^2", "X*Z - Z^2")]
+    with pytest.raises(ResourceCapError):
+        ideal_groebner(polys, Caps(max_pairs=1))
+    assert _leading_terms_cover_variables(polys, Caps(max_pairs=1))
+    assert is_irrelevant_primary(polys, Caps(max_pairs=1))
+
+
+def primary_test_ideals(char):
+    """(generators, Hilbert function of their ideal) for yes and no ideals
+    over QQ or F_char: the examples and prime fallbacks above, then the
+    maximal minors of interlaced presentations on P^2 with their
+    Eagon-Northcott count."""
+    p = PRIMARY_TEST_PRIME
+    ring = make_ring(3, FieldSpec(char))
+    texts = [
+        ["X^2", "Y^2", "Z^2"], ["X^2", "X*Y", "X*Z"],
+        ["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"], ["X", "Y", "Z"],
+        [f"{p}*X", "Y", "Z"], [f"{p}*X^2 + {p}*Y^2", "X*Y", "Z^3", "X^2 - Y^2"],
+        [f"1/{p}*X^2", "Y^2", "Z^2"], [f"1/{p}*X^2", "X*Y", "X*Z"],
+        ["X*Y - Z^2", "X*Z", f"{p}*Y^2"], ["X", "Y", "Z", str(p)],
+    ]
+    for row in texts:
+        polys = [P(t, ring) for t in row]
+        gb = ideal_groebner(polys)
+        yield polys, lambda d, gb=gb: graded_piece_dim(gb, d)
+    rng = random.Random(17 + char)
+    for m in (1, 2, 2, 3):
+        for _ in range(3):
+            bundle = interlaced_bundle(rng, ring, m)
+            yield ([f for f in maximal_minors(bundle) if not f.is_zero()],
+                   minor_ideal_dims(bundle))
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_wrong_expected_never_changes_the_answer(char):
+    """A wrong Hilbert function costs at most a fallback run: set to 0,
+    to dim R_d or off by one, the answer stays the plain test's."""
+    answers = []
+    for polys, hilbert in primary_test_ideals(char):
+        truth = is_irrelevant_primary(polys)
+        answers.append(truth)
+        mutants = [hilbert, lambda d: 0, lambda d: comb(d + 2, 2),
+                   lambda d: hilbert(d) + 1, lambda d: hilbert(d) - 1]
+        for expected in mutants:
+            assert is_irrelevant_primary(polys, Caps(), expected) == truth
+    assert answers[:10] == [True, False, True, True, True, True, True, False,
+                            False, False]
+    assert True in answers[10:] and False in answers[10:]
+
+
+def test_driven_pass_halves_the_zero_reductions(monkeypatch):
+    bundle = interlaced_bundle(random.Random(0), make_ring(4), 2)
+    assert (bundle.twists_a, bundle.twists_b) == ((0, -1, -1, -1, -2), (2, 1))
+    minors = [f for f in maximal_minors(bundle) if not f.is_zero()]
+    zeros = []
+    original = modgb._normal_form_terms
+
+    def counting(*args):
+        nf = original(*args)
+        zeros[-1] += not nf
+        return nf
+
+    monkeypatch.setattr(modgb, "_normal_form_terms", counting)
+    for expected in (None, minor_ideal_dims(bundle)):
+        zeros.append(0)
+        assert is_irrelevant_primary(minors, Caps(), expected)
+    plain, driven = zeros
+    assert 2 * driven <= plain
 
 
 def macaulay_rank(polys, d):
