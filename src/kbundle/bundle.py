@@ -14,11 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, lcm
+from math import lcm
 from typing import Sequence
 
 from .algebra import AlgebraError, Poly, PolyRing, mono_mul, substitute_powers
-from .modgb import Caps, GradedFreeModule, NO_CAPS, is_irrelevant_primary
+from .modgb import (Caps, GradedFreeModule, NO_CAPS, free_module_dims,
+                    is_irrelevant_primary)
 
 
 class BundleError(AlgebraError):
@@ -223,10 +224,7 @@ def minor_ideal_dims(bundle: KernelBundle):
             for M in combinations_with_replacement(b, k):
                 degrees[sum(b) + sum(M) - sum(T)] += (-1) ** k
 
-    def dim(d: int) -> int:
-        return sum(c * comb(d - e + N, N) for e, c in degrees.items() if d >= e)
-
-    return dim
+    return free_module_dims(degrees, N + 1)
 
 
 def validate(bundle: KernelBundle, check_surjectivity: bool = False,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -416,9 +417,8 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
     With expected, d -> the degree-d dimension of the submodule the gens
     span, the run is Hilbert-driven (Traverso, J. Symb. Comp. 22, 1996).
     Before it pops a pair of degree d it counts the degree-d terms divisible
-    by a leading term of the basis, kept incrementally as S_d = x * S_{d-1}
-    joined with the leading terms of degree d.  Basis multiples with these
-    distinct leading terms are independent, so once the count reaches
+    by a leading term of the basis (_LeadingSpan).  Basis multiples with
+    these distinct leading terms are independent, so once the count reaches
     expected(d) they span the degree-d piece, every element of it reduces to
     zero, and the rest of the degree-d pairs are dropped unprocessed.  A
     wrong expected can only drop pairs that would have added elements: the
@@ -439,23 +439,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
     pending: dict = {}          # (i, j) -> lcm of the pairs still to process
     processed_pairs = 0
     nvars = module.ring.nvars
-    leads: dict = {}            # degree -> leading terms of the basis
-    span_deg, span, want = None, set(), 0   # d, S_d and expected(d)
-    steps = [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
-
-    def complete(d: int) -> bool:
-        """|S_d| >= expected(d); pairs come in degree order, so S only
-        advances."""
-        nonlocal span_deg, span, want
-        if span_deg != d:
-            if span_deg is None:
-                span_deg = min(leads) - 1
-            while span_deg < d:
-                span_deg += 1
-                span = {(c, mono_mul(m, x)) for c, m in span for x in steps}
-                span.update(leads.get(span_deg, ()))
-            want = expected(d)
-        return len(span) >= want
+    span = _LeadingSpan(module)
 
     def covered() -> bool:
         return cover is not None and len(cover) == nvars
@@ -471,10 +455,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         comp, mono = entry["ltcomp"], entry["ltmono"]
         degree = mono_deg(mono) + module.generator_degrees[comp]
         caps.check_degree(degree)
-        if expected is not None:
-            leads.setdefault(degree, []).append((comp, mono))
-            if degree == span_deg:
-                span.add((comp, mono))
+        span.add(comp, mono)
         if cover is not None:
             support = [k for k, e in enumerate(mono) if e]
             if len(support) == 1:
@@ -508,7 +489,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         lcm = pending.pop((i, j), None)
         if lcm is None:
             continue                # deleted by the chain criterion
-        if expected is not None and complete(deg):
+        if expected is not None and span.size(deg) >= expected(deg):
             continue                # the degree is complete
         processed_pairs += 1
         caps.check_pairs(processed_pairs)
@@ -646,38 +627,59 @@ def apply_columns(columns, target: GradedFreeModule, element: ModuleElement) -> 
 # Graded piece dimensions: leading-term counting and exact linear algebra.
 # ---------------------------------------------------------------------------
 
-def _leading_piece_dim(leading, module: GradedFreeModule, t: int) -> int:
-    """Degree-t monomial terms of the module divisible by one of the leading
-    terms (component, monomial): by Macaulay's basis theorem, the degree-t
-    dimension of a submodule with these leading terms in degrees <= t.
-    Inclusion-exclusion over lcms per component, pruned once the lcm degree
-    exceeds the degree left."""
-    nvars = module.ring.nvars
-    minimal: dict = {}
-    for comp, mono in sorted(leading, key=lambda lt: mono_deg(lt[1])):
-        kept = minimal.setdefault(comp, [])
-        if not any(mono_divides(h, mono) for h in kept):
-            kept.append(mono)
-    total = 0
+class _LeadingSpan:
+    """Counts the degree-d monomial terms of a module divisible by one of
+    the leading terms (component, monomial) added: by Macaulay's basis
+    theorem, the degree-d dimension of a submodule whose leading terms in
+    degrees <= d are these.  The set S_d of such terms is x * S_{d-1}
+    joined with the leading terms of degree d; it is built upward from
+    below the lowest one, and its sizes are remembered for queries below
+    the degree reached.  A leading term added at that degree joins S_d, one
+    added below it makes the count start over."""
 
-    def rec(monos, d, start, lcm, sign):
-        nonlocal total
-        for k in range(start, len(monos)):
-            new = mono_lcm(lcm, monos[k])
-            e = d - mono_deg(new)
-            if e >= 0:
-                total += sign * comb(e + nvars - 1, nvars - 1)
-                rec(monos, d, k + 1, new, -sign)
+    def __init__(self, module: GradedFreeModule, leading=()):
+        self.module = module
+        self.leads: dict = {}       # degree -> leading terms
+        self.deg, self.span, self.sizes = None, set(), {}  # S_deg, |S_e| (e < deg)
+        nvars = module.ring.nvars
+        self.steps = [tuple(int(k == v) for k in range(nvars))
+                      for v in range(nvars)]
+        for comp, mono in leading:
+            self.add(comp, mono)
 
-    for comp, monos in minimal.items():
-        rec(monos, t - module.generator_degrees[comp], 0, (0,) * nvars, 1)
-    return total
+    def add(self, comp: int, mono: tuple):
+        d = mono_deg(mono) + self.module.generator_degrees[comp]
+        self.leads.setdefault(d, []).append((comp, mono))
+        if d == self.deg:
+            self.span.add((comp, mono))
+        elif self.deg is not None and d < self.deg:
+            self.deg = None
+
+    def size(self, d: int) -> int:
+        if self.deg is None:
+            self.deg = min(self.leads, default=d) - 1
+            self.span, self.sizes = set(), {}
+        while self.deg < d:
+            self.sizes[self.deg] = len(self.span)
+            self.deg += 1
+            self.span = {(c, mono_mul(m, x)) for c, m in self.span
+                         for x in self.steps}
+            self.span.update(self.leads.get(self.deg, ()))
+        return len(self.span) if d == self.deg else self.sizes.get(d, 0)
+
+
+def free_module_dims(degrees: dict, nvars: int):
+    """d -> the degree-d dimension of the sum over e of c copies of R(-e),
+    for degrees e -> c (a negative c subtracts, as in an alternating sum),
+    R the polynomial ring in nvars variables."""
+    return lambda d: sum(c * comb(d - e + nvars - 1, nvars - 1)
+                         for e, c in degrees.items() if d >= e)
 
 
 def graded_piece_dim(gb: GroebnerBasis, t: int) -> int:
     """Dimension of the degree-t piece of the submodule a Groebner basis
     spans, counted on its leading terms."""
-    return _leading_piece_dim([e.leading()[0] for e in gb.elements], gb.module, t)
+    return _LeadingSpan(gb.module, (e.leading()[0] for e in gb.elements)).size(t)
 
 
 def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
@@ -693,15 +695,13 @@ def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
                                    for mono, c in entry.terms.items()})
             for col in columns]
     basis, _ = _gb_core(gens, target, caps, top)
-    leading = [(b["ltcomp"], b["ltmono"]) for b in basis]
-    nvars = source.ring.nvars
+    image = _LeadingSpan(target, ((b["ltcomp"], b["ltmono"]) for b in basis))
+    free = free_module_dims(Counter(source.generator_degrees), source.ring.nvars)
 
     def dim(k: int) -> int:
         if k > top:
             raise AlgebraError(f"degree {k} lies above the run's top {top}")
-        free = sum(comb(k - d + nvars - 1, nvars - 1)
-                   for d in source.generator_degrees if k >= d)
-        return free - _leading_piece_dim(leading, target, k)
+        return free(k) - image.size(k)
 
     return dim
 

@@ -179,6 +179,13 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     return PowerCheck(q, alpha, threshold, relation, top, low)
 
 
+def _check_choices(engine: str, mode: str):
+    if mode not in MODES:
+        raise StabilityError(f"unknown mode {mode!r}")
+    if engine not in ENGINES:
+        raise StabilityError(f"unknown engine {engine!r}")
+
+
 def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                 mode: str = "stability_evidence",
                 caps: Caps = NO_CAPS) -> StabilityReport:
@@ -194,10 +201,7 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     PRIMARY_TEST_PRIME once for its first pass (see `_scan_exterior`); `gb`
     runs over QQ only, and under "both" builds no witness.
     """
-    if mode not in MODES:
-        raise StabilityError(f"unknown mode {mode!r}")
-    if engine not in ENGINES:
-        raise StabilityError(f"unknown engine {engine!r}")
+    _check_choices(engine, mode)
     require_valid(bundle)
     caps = caps.start()
     inv = invariants(bundle)
@@ -537,7 +541,9 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
 
     The presentation must be surjective (its maximal minors irrelevant-
     primary), else it is no bundle and BundleError is raised before any
-    scan.  The caps' timeout bounds the whole call."""
+    scan, but after the engine, mode and pullback exponent are checked.
+    The caps' timeout bounds the whole call."""
+    _check_choices(engine, mode)
     if via_pullback is not None and via_pullback < 1:
         raise StabilityError(f"pullback exponent must be >= 1, got {via_pullback}")
     caps = caps.start()

@@ -137,14 +137,14 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
         raise TannakaError(f"{kind} power needs q >= 1, got {q}")
     if engine == "auto":
         engine = "staged" if kind == "tensor" else "linalg"
+    if engine not in ("gb", "linalg", "both", "staged"):
+        raise TannakaError(f"unknown engine {engine!r}")
     if engine == "staged":
         if kind != "tensor":
             raise TannakaError("the staged engine only computes tensor powers")
         sections = TensorSections(bundle, caps)
         return {k: sections.dim(q, k) for k in twists}
     pres = power_presentation(bundle, kind, q)
-    if engine not in ("gb", "linalg", "both"):
-        raise TannakaError(f"unknown engine {engine!r}")
     args = (pres.columns_list(), pres.source_module(), pres.target_module())
     if engine != "linalg":
         dim = kernel_dims_gb(*args, caps, max(twists))

@@ -103,8 +103,9 @@ def test_criterion_03_five_quartics_full_pipeline():
     assert table1[4] == 0 and table1[5] == 0
     q1 = report.per_power[0]
     assert q1.relation == ">" and q1.window_top == 5
-    # wedge-square vanishing below 10, nonzero at 10
-    table2 = section_dim_table(bundle, "exterior", 2, range(8, 11), engine="linalg")
+    # wedge-square vanishing below 10, nonzero at 10; "both" checks the gb
+    # table, counted up to 10 first and read below it, against linalg's
+    table2 = section_dim_table(bundle, "exterior", 2, [10, 8, 9], engine="both")
     assert table2[8] == 0 and table2[9] == 0 and table2[10] > 0
     # invariant cells of the degree-0 normalization
     sections0 = TensorSections(five_quartics(twist=5))

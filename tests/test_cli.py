@@ -423,6 +423,37 @@ def test_negative_cap_flags_are_input_errors(capsys, flag, value):
     assert f"input error: option '{option}' must be nonnegative" in err
 
 
+@pytest.mark.parametrize("job, skipped, message", [
+    (with_task("check", engine="fast"), "kbundle.bundle.maximal_minors",
+     "unknown engine 'fast'"),
+    (with_task("check", mode="quick"), "kbundle.bundle.maximal_minors",
+     "unknown mode 'quick'"),
+    (with_task("tannaka", engine="fast"), "kbundle.bundle.maximal_minors",
+     "unknown engine 'fast'"),
+    (with_task("restrict", engine="fast"), "kbundle.bundle.maximal_minors",
+     "unknown engine 'fast'"),
+    ({**with_task("closure", engine="fast"),
+      "object": {"ideal": {"generators": ["X^2", "Y^2", "Z^2"]}}},
+     "kbundle.bundle.maximal_minors", "unknown engine 'fast'"),
+    (with_task("sections", engine="fast", q=2),
+     "kbundle.tannaka.power_presentation", "unknown engine 'fast'"),
+])
+def test_unknown_engine_or_mode_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, job, skipped, message):
+    # the bundle test (maximal minors) or the power presentation would run
+    # first if the option were checked late
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{skipped} ran before the options were checked")
+
+    monkeypatch.setattr(skipped, refused)
+    job_path = tmp_path / "bad.json"
+    job_path.write_text(json.dumps(job))
+    code, out, err = run_cli(["run", str(job_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
 def test_job_file_takes_translated_option_names(tmp_path, capsys):
     job_path = tmp_path / "job.json"
     job_path.write_text(json.dumps(with_task(

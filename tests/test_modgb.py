@@ -21,6 +21,7 @@ from kbundle.modgb import (
     PRIMARY_TEST_PRIME,
     Caps,
     _echelon_kernel,
+    _LeadingSpan,
     _leading_terms_cover_variables,
     _reducer_entry,
     _Reducers,
@@ -576,12 +577,33 @@ def test_kernel_dims_gb_counts_the_image():
     for t in range(-1, 4):
         assert dims(t) == kernel_dim_linalg(cols, source, target, t)
     assert [dims(t) for t in (0, 1, 2)] == [0, 1, 5]
+    # a fresh run read from the top down counts the same
+    down = range(3, -2, -1)
+    dims = kernel_dims_gb(cols, source, target, Caps(), 3)
+    assert [dims(t) for t in down] == [kernel_dim_linalg(cols, source, target, t)
+                                       for t in down]
     # degrees above the truncation are never counted
     with pytest.raises(AlgebraError):
         dims(4)
     with pytest.raises(GradingError):
         kernel_dims_gb([[(0, P("X^2"))]], GradedFreeModule(RING_QQ3, (1,)),
                        target, Caps(), 2)
+
+
+def test_leading_span_counts_leads_added_at_or_below_the_degree_reached():
+    module = GradedFreeModule(RING_QQ3, (0,))
+    span = _LeadingSpan(module, [(0, (2, 0, 0))])      # X^2
+    assert [span.size(d) for d in (3, 1, 2)] == [3, 0, 1]
+    span.add(0, (0, 0, 3))                              # Z^3, at degree 3
+    assert span.size(3) == 4
+    span.add(0, (0, 1, 0))                              # Y, below it
+    # degree 3: all ten cubics but X*Z^2 (Z^3 is a lead now)
+    assert [span.size(d) for d in (1, 2, 3)] == [1, 4, 9]
+    # a module counts per component, from its generator degrees
+    span = _LeadingSpan(GradedFreeModule(RING_QQ3, (0, 1)),
+                        [(0, (1, 0, 0)), (1, (0, 0, 0))])
+    assert [span.size(d) for d in (0, 1, 2)] == [0, 1 + 1, 3 + 3]
+    assert _LeadingSpan(module).size(4) == 0
 
 
 def test_reducers_memo_keeps_first_divisor():
