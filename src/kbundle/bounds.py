@@ -184,6 +184,7 @@ def closure_threshold(query: ClosureQuery, caps: Caps = NO_CAPS,
     primary_proven: the caller has already proven the generators
     irrelevant-primary (the stability analysis of their syzygy bundle does),
     so the test is not run again."""
+    caps = caps.start()
     gens = list(query.generators)
     if len(gens) < 2:
         raise BoundsError("need at least two ideal generators")
@@ -230,6 +231,7 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
     decide tight closure; otherwise it is labeled necessary-condition only.
     closure is closure_threshold(query) when the caller already has it.
     """
+    caps = caps.start()
     p = query.char
     if p == 0:
         raise BoundsError("Frobenius membership requires positive characteristic")

@@ -235,6 +235,7 @@ def validate(bundle: KernelBundle, check_surjectivity: bool = False,
     (X_0, ..., X_N), which is decided by the zero-dimensionality test,
     Hilbert-driven by minor_ideal_dims where n - m = N.
     """
+    caps = caps.start()
     problems = []
     n, m = bundle.n, bundle.m
     if not (n > m >= 1):

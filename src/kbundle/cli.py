@@ -155,8 +155,10 @@ def build_object(cfg: dict, ring: PolyRing):
             return "bundle", (bundle, None)
         if "ideal" in cfg:
             ideal_cfg = _typed(cfg["ideal"], _DICT, "ideal")
-            return "ideal", tuple(_polys(ideal_cfg["generators"], ring,
-                                         "generators"))
+            gens = tuple(_polys(ideal_cfg["generators"], ring, "generators"))
+            if not gens:
+                raise InputError("an ideal needs at least one generator")
+            return "ideal", gens
     except (AlgebraError, BundleError, KeyError) as exc:
         raise InputError(str(exc)) from exc
     raise InputError("object block must contain syzygy, kernel, or ideal")

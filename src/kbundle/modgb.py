@@ -1,6 +1,11 @@
-"""Graded free modules over the polynomial ring, Buchberger's algorithm and
-syzygies from the graph module, graded-piece dimensions by two independent
-engines, and ideal-theoretic tests.
+"""Graded free modules over the polynomial ring, Buchberger's algorithm,
+graded-piece dimensions by two independent engines, and ideal-theoretic
+tests.
+
+One Buchberger driver, with one Gebauer-Moeller pair rule, serves ideals,
+images of graded maps and the graph module, whose basis elements that lead
+in the source block are a Groebner basis of the kernel (syzygies by
+elimination).
 
 Grading convention: a sheaf twist a corresponds to module generator degree -a,
 so global sections of the kernel sheaf twisted by k are exactly the degree-k
@@ -158,15 +163,6 @@ class ModuleElement:
         t = max(self.terms, key=self.module.term_key())
         return t, self.terms[t]
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        return ModuleElement(self.module, add_scaled(
-            dict(self.terms), 1, other.terms, self.module.ring.field.char))
-
-    def scale(self, c) -> "ModuleElement":
-        p = self.module.ring.field.char
-        return ModuleElement(self.module, {t: v * c % p if p else v * c
-                                           for t, v in self.terms.items()})
-
     def monic(self) -> "ModuleElement":
         """The multiple with leading coefficient one (a Fraction over QQ,
         also where the terms are ints)."""
@@ -174,7 +170,9 @@ class ModuleElement:
             return self
         _, lc = self.leading()
         p = self.module.ring.field.char
-        return self.scale(pow(lc, -1, p) if p else Fraction(1, lc))
+        c = pow(lc, -1, p) if p else Fraction(1, lc)
+        return ModuleElement(self.module, {t: v * c % p if p else v * c
+                                           for t, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement) and self.module == other.module
@@ -343,26 +341,33 @@ def _reducer_entry(terms: dict, module: GradedFreeModule) -> dict:
             "tail": tail, "tailcoeffs": [terms[t] for t in tail]}
 
 
-def _gebauer_moller(lts: list, pending: dict, h: tuple) -> list:
-    """Gebauer-Moeller update (Gebauer & Moeller 1988) for an ideal basis with
-    leading monomials lts gaining the leading monomial h.
+def _gebauer_moller(lts: list, pending: dict, h: tuple, product: bool) -> list:
+    """Gebauer-Moeller update (Gebauer & Moeller 1988) for a basis with
+    leading terms lts, (component, monomial) pairs, gaining the leading term
+    h = (c, hm).  Pairs lie within one component, where the criteria below
+    hold for module elements as for polynomials.
 
-    Chain criterion: an old pair (i, j) is deleted from pending when h divides
-    its lcm L and both lcm(lts[i], h) and lcm(lts[j], h) differ from L; its
-    S-polynomial then combines those of (i, new) and (j, new), whose lcms
-    properly divide L.  New pairs (i, new): a pair whose lcm is properly
-    divisible by another new pair's lcm is dropped the same way; of the pairs
-    with equal lcm the first is kept, or none when one of them is coprime,
-    since a coprime pair reduces to zero (product criterion).  Equal-lcm pairs
-    differ by an old pair that the chain criterion never deletes with h.
-    Returns the kept new pairs as (i, lcm).
+    Chain criterion: an old pair (i, j) of component c is deleted from
+    pending when hm divides its lcm L and both lcm(lts[i], hm) and
+    lcm(lts[j], hm) differ from L; its S-element then combines those of
+    (i, new) and (j, new), whose lcms properly divide L.  New pairs (i, new),
+    lts[i] in component c: a pair whose lcm is properly divisible by another
+    new pair's lcm is dropped the same way; of the pairs with equal lcm the
+    first is kept, or, with product set (rank one), none when one of them is
+    coprime, since a coprime pair of polynomials reduces to zero (product
+    criterion; it fails for vectors).  Equal-lcm pairs differ by an old pair
+    that the chain criterion never deletes with h.  Returns the kept new
+    pairs as (i, lcm).
     """
+    c, hm = h
     for (i, j), big in list(pending.items()):
-        if (mono_divides(h, big) and mono_lcm(lts[i], h) != big
-                and mono_lcm(lts[j], h) != big):
+        if (lts[i][0] == c and mono_divides(hm, big)
+                and mono_lcm(lts[i][1], hm) != big
+                and mono_lcm(lts[j][1], hm) != big):
             del pending[(i, j)]
-    new = [(i, mono_lcm(m, h), mono_mul(m, h)) for i, m in enumerate(lts)]
-    coprime = {lc for _, lc, prod in new if lc == prod}
+    new = [(i, mono_lcm(m, hm), mono_mul(m, hm))
+           for i, (comp, m) in enumerate(lts) if comp == c]
+    coprime = {lc for _, lc, prod in new if product and lc == prod}
     lcms = {lc for _, lc, _ in new}
     kept: dict = {}
     for i, lc, _ in new:
@@ -375,44 +380,25 @@ def _gebauer_moller(lts: list, pending: dict, h: tuple) -> list:
 
 
 def _gb_core(gens, module: GradedFreeModule, caps: Caps,
-             top: Optional[int] = None, split: Optional[int] = None,
-             expected=None, cover: Optional[set] = None):
+             top: Optional[int] = None, expected=None,
+             cover: Optional[set] = None) -> list:
     """Shared Buchberger driver on homogeneous elements; returns the basis as
-    reducer entries and the syzygies as raw term dicts.
-
-    Syzygies come from the graph module (Greuel & Pfister, A Singular
-    Introduction to Commutative Algebra, 2.5): components from split on form
-    the source block, and syzygy_module_columns passes column i plus the
-    source basis vector e_i.  Under position-over-term the target comes
-    first, so a normal form without target terms is a syzygy; it joins
-    neither the basis nor the reducers.  No reducer then leads in the source
-    block, so no source term is ever reduced: each element's source block is
-    the cofactor of its target part, the combination of inputs it was built
-    from, under the same fraction-free scalars.  Every dependent input or
-    S-pair whose target part reduces to zero yields its syzygy, and
-    processing every same-component pair keeps the syzygies generating.
-    Without split nothing is a syzygy.
-
-    In ideal mode (rank one) _gebauer_moller skips the pairs the product and
-    chain criteria make redundant.  Modules keep every pair: the product
-    criterion fails for vectors, and in the graph module the syzygies of the
-    processed pairs must still generate, which is not shown for the chain
-    criterion.  The reduced basis is canonical either way.
+    reducer entries, in the order the run found them.  Every update goes
+    through _gebauer_moller, with the product criterion at rank one only.
 
     With top set, the run is truncated at degree top (degree-by-degree
     Buchberger, Kreuzer & Robbiano, Computational Commutative Algebra 2,
     4.5): inputs of degree above top are left out, and pairs whose lcm
     degree exceeds top are never queued.  Everything is homogeneous, so a
     normal form of degree d uses only basis elements of degree <= d, an
-    S-pair of degree d yields an element or syzygy of degree d, and a pair
-    built on an element of degree d has degree >= d.  Pairs leave the heap
-    in degree order, so the truncated run is the prefix of the full run that
-    ends after its last pair of degree <= top (the pair criteria decide a
-    pair from pairs of no larger degree; leaving out inputs above top shifts
+    S-pair of degree d yields an element of degree d, and a pair built on an
+    element of degree d has degree >= d.  Pairs leave the heap in degree
+    order, so the truncated run is the prefix of the full run that ends
+    after its last pair of degree <= top (the pair criteria decide a pair
+    from pairs of no larger degree; leaving out inputs above top shifts
     basis indices monotonely, so ties pop in the same order).  Its basis is
-    a Groebner basis in degrees <= top, and its syzygies are those of the
-    full run of degree <= top, in the same order: they generate the kernel
-    in degrees <= top.
+    a Groebner basis in degrees <= top: the full run's elements of degree
+    <= top, in the same order.
 
     With expected, d -> the degree-d dimension of the submodule the gens
     span, the run is Hilbert-driven (Traverso, J. Symb. Comp. 22, 1996).
@@ -430,11 +416,9 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
     """
     caps = caps.start()
     p = module.ring.field.char
-    split = module.rank if split is None else split
-    ideal_mode = module.rank == 1
     basis: list = []
+    lts: list = []              # (component, monomial) per basis element
     reducers = _Reducers()
-    syzygies: list = []
     heap: list = []
     pending: dict = {}          # (i, j) -> lcm of the pairs still to process
     processed_pairs = 0
@@ -448,9 +432,6 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         nf = _normal_form_terms(terms, reducers, module, caps)
         if not nf:
             return
-        if all(i >= split for i, _ in nf):
-            syzygies.append(nf)
-            return
         entry = _reducer_entry(nf, module)
         comp, mono = entry["ltcomp"], entry["ltmono"]
         degree = mono_deg(mono) + module.generator_degrees[comp]
@@ -461,18 +442,15 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
             if len(support) == 1:
                 cover.add(support[0])
         idx = len(basis)
-        if ideal_mode:
-            pairs = _gebauer_moller([b["ltmono"] for b in basis], pending, mono)
-        else:
-            pairs = [(i, mono_lcm(b["ltmono"], mono))
-                     for i, b in enumerate(basis) if b["ltcomp"] == comp]
-        for i, lcm in pairs:
+        for i, lcm in _gebauer_moller(lts, pending, (comp, mono),
+                                      module.rank == 1):
             deg = mono_deg(lcm) + module.generator_degrees[comp]
             if top is not None and deg > top:
                 continue
             pending[(i, idx)] = lcm
             heapq.heappush(heap, (deg, i, idx))
         basis.append(entry)
+        lts.append((comp, mono))
         reducers.add(entry)
 
     for gen in gens:
@@ -501,7 +479,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         add_element(_combine_shifted(
             a["terms"], mono_quot(lcm, a["ltmono"]), b["ltcoeff"] // g,
             b["terms"], mono_quot(lcm, b["ltmono"]), a["ltcoeff"] // g, p))
-    return basis, syzygies
+    return basis
 
 
 def _reduce_basis(basis, module: GradedFreeModule, caps: Caps):
@@ -525,7 +503,9 @@ def _reduce_basis(basis, module: GradedFreeModule, caps: Caps):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Canonical reduced Groebner basis: monic, auto-reduced, unique per order."""
+    """Groebner basis of a submodule: its leading terms generate the
+    leading-term module.  buchberger's is the reduced one: monic,
+    auto-reduced, unique per order."""
 
     module: GradedFreeModule
     elements: tuple
@@ -544,8 +524,9 @@ def buchberger(generators: Sequence[ModuleElement],
     for g in gens:
         if g.module != module:
             raise AlgebraError("generators live in different modules")
-    basis, _ = _gb_core(gens, module, caps)
-    return GroebnerBasis(module, _reduce_basis(basis, module, caps))
+    caps = caps.start()
+    return GroebnerBasis(module, _reduce_basis(_gb_core(gens, module, caps),
+                                               module, caps))
 
 
 def ideal_groebner(polys: Sequence[Poly], caps: Caps = NO_CAPS) -> GroebnerBasis:
@@ -556,17 +537,6 @@ def ideal_groebner(polys: Sequence[Poly], caps: Caps = NO_CAPS) -> GroebnerBasis
     module = GradedFreeModule(ring, (0,))
     gens = [ModuleElement.from_components(module, {0: p}) for p in polys]
     return buchberger(gens, caps)
-
-
-@dataclass(frozen=True)
-class SyzygyGenerators:
-    """Homogeneous generating set of the kernel of a graded matrix."""
-
-    module: GradedFreeModule          # the source module the syzygies live in
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def _validate_columns(columns, source: GradedFreeModule, target: GradedFreeModule):
@@ -585,14 +555,18 @@ def _validate_columns(columns, source: GradedFreeModule, target: GradedFreeModul
 def syzygy_module_columns(columns, source: GradedFreeModule,
                           target: GradedFreeModule,
                           caps: Caps = NO_CAPS,
-                          top: Optional[int] = None) -> SyzygyGenerators:
-    """Homogeneous generators of the kernel, from one Buchberger run on the
-    graph module (_gb_core): the target components, then the source ones,
-    with column i plus e_i as input i.  Every dependent input or S-pair
-    whose target part reduces to zero yields one syzygy; a zero column's
-    input is its basis vector, a syzygy at once.  With top set, only the
-    syzygies of degree <= top, which generate the kernel in those degrees:
-    the full run's generators of degree <= top, in the same order.
+                          top: Optional[int] = None) -> GroebnerBasis:
+    """Groebner basis of the kernel, from one Buchberger run on the graph
+    module (Greuel & Pfister, A Singular Introduction to Commutative
+    Algebra, 2.5): the target components, then the source ones, with column
+    i plus e_i as input i.  Under position-over-term the target comes first,
+    so a basis element that leads in the source block has no target part,
+    and these elements are a Groebner basis of the graph module's
+    intersection with the source block, the kernel.  They are returned
+    monic, not reduced, by degree and then leading term.  With top set, the
+    run is truncated (_gb_core), and the result is a Groebner basis of the
+    kernel in degrees <= top: the full run's elements of degree <= top, in
+    the same order.
     """
     _validate_columns(columns, source, target)
     m = target.rank
@@ -604,13 +578,13 @@ def syzygy_module_columns(columns, source: GradedFreeModule,
         terms = {(j, mono): c for j, entry in col for mono, c in entry.terms.items()}
         terms[(m + i, unit)] = source.ring.field.one()
         inputs.append(ModuleElement(graph, terms))
-    _, found = _gb_core(inputs, graph, caps, top, split=m)
     key = source.term_key()
-    syzygies = (ModuleElement(source, {(k - m, mono): c for (k, mono), c in s.items()})
-                for s in found)
-    ordered = tuple(sorted((s.monic() for s in syzygies),
-                           key=lambda e: (e.degree(), key(e.leading()[0]))))
-    return SyzygyGenerators(source, ordered)
+    kernel = (ModuleElement(source, {(k - m, mono): c
+                                     for (k, mono), c in b["terms"].items()})
+              for b in _gb_core(inputs, graph, caps, top) if b["ltcomp"] >= m)
+    return GroebnerBasis(source, tuple(sorted(
+        (e.monic() for e in kernel),
+        key=lambda e: (e.degree(), key(e.leading()[0])))))
 
 
 def apply_columns(columns, target: GradedFreeModule, element: ModuleElement) -> ModuleElement:
@@ -694,8 +668,8 @@ def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
     gens = [ModuleElement(target, {(j, mono): c for j, entry in col
                                    for mono, c in entry.terms.items()})
             for col in columns]
-    basis, _ = _gb_core(gens, target, caps, top)
-    image = _LeadingSpan(target, ((b["ltcomp"], b["ltmono"]) for b in basis))
+    image = _LeadingSpan(target, ((b["ltcomp"], b["ltmono"])
+                                  for b in _gb_core(gens, target, caps, top)))
     free = free_module_dims(Counter(source.generator_degrees), source.ring.nvars)
 
     def dim(k: int) -> int:
@@ -828,6 +802,7 @@ def kernel_sections_linalg(columns, source: GradedFreeModule,
 def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
     """True iff the normal form of f against the ideal's basis vanishes; a
     nonzero scalar multiple of it answers that as well."""
+    caps = caps.start()
     if gb.module.rank != 1:
         raise AlgebraError("ideal membership needs a rank-one module")
     reducers = [_reducer_entry(e.terms, gb.module) for e in gb.elements]
@@ -890,6 +865,7 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
     divides a denominator, since the generators have no image mod p.  Over
     F_p the plain run follows a driven one only when expected is given.
     """
+    caps = caps.start()
     polys = [p for p in generators if not p.is_zero()]
     if not polys:
         return False

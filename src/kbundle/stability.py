@@ -36,7 +36,6 @@ from .modgb import (
     PRIMARY_TEST_PRIME,
     ModuleElement,
     apply_columns,
-    is_irrelevant_primary,
     kernel_dim_linalg,
     kernel_dims_gb,
     kernel_sections_linalg,
@@ -335,8 +334,11 @@ def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS) -> BrennerRes
     For every subset J of at least two generators compare
     (deg gcd(J) - sum_J d_i) / (|J| - 1) with -sum_I d_i / (n - 1): all below
     gives semistable, strictly below gives stable, any excess is inconclusive
-    (the criterion is sufficient only).
+    (the criterion is sufficient only).  The family must be irrelevant-primary,
+    which for monomials means that none is constant and every variable has a
+    pure power among them.
     """
+    caps = caps.start()
     gens = spec.generators
     n = len(gens)
     if n > BRENNER_GENERATOR_CAP:
@@ -345,7 +347,9 @@ def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS) -> BrennerRes
     for g in gens:
         if not g.is_monomial():
             raise StabilityError("the monomial criterion needs monomial generators")
-    if not is_irrelevant_primary(list(gens), caps):
+    supports = [[k for k, e in enumerate(mono) if e] for g in gens for mono in g.terms]
+    powers = {s[0] for s in supports if len(s) == 1}
+    if not all(supports) or len(powers) < spec.ring.nvars:
         raise StabilityError("the monomial family must be irrelevant-primary")
     degrees = spec.degrees
     bound = Fraction(-sum(degrees), n - 1)

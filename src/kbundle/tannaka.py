@@ -133,6 +133,7 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
     linalg otherwise.  The presentation, its image basis or the staged
     levels are built once.  Every engine needs q >= 1.
     """
+    caps = caps.start()
     if q < 1:
         raise TannakaError(f"{kind} power needs q >= 1, got {q}")
     if engine == "auto":
@@ -326,6 +327,7 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
     Extracts the sections of (E (x) E)(0) exactly and checks that some section
     has full matrix rank at a generic point.  Returns (ok, h0).
     """
+    caps = caps.start()
     if bundle0.ring.field.char != 0:
         raise TannakaError("certification runs over the rationals")
     if invariants(bundle0).mu != 0:
@@ -387,6 +389,7 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
     w of E0 (x) E0: they stay in E0^{(x)4}, and are independent when their
     values at one point are.
     """
+    caps = caps.start()
     _check_method(method)
     if q_max < 2:
         raise TannakaError(

@@ -178,7 +178,6 @@ def count_primary_tests(monkeypatch) -> list:
     """Records every irrelevant-primary test the kbundle modules run."""
     import kbundle.bounds
     import kbundle.bundle
-    import kbundle.stability
     from kbundle.modgb import is_irrelevant_primary
     calls = []
 
@@ -186,7 +185,7 @@ def count_primary_tests(monkeypatch) -> list:
         calls.append(args)
         return is_irrelevant_primary(*args, **kwargs)
 
-    for module in (kbundle.bounds, kbundle.bundle, kbundle.stability):
+    for module in (kbundle.bounds, kbundle.bundle):
         monkeypatch.setattr(module, "is_irrelevant_primary", counted)
     return calls
 
@@ -299,6 +298,18 @@ def test_malformed_job_file_is_input_error(tmp_path, capsys, job, message):
     code, _, err = run_cli(["run", str(job_path)], capsys)
     assert code == 1
     assert f"input error: {message}" in err
+
+
+def test_ideal_without_generators_is_input_error(tmp_path, capsys):
+    job = {"ring": {"variables": ["X", "Y", "Z"]},
+           "object": {"ideal": {"generators": []}},
+           "task": {"name": "closure"}}
+    job_path = tmp_path / "empty.json"
+    job_path.write_text(json.dumps(job))
+    code, out, err = run_cli(["run", str(job_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "input error: an ideal needs at least one generator" in err
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

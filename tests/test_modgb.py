@@ -12,11 +12,18 @@ from kbundle.algebra import (
     FieldSpec,
     Poly,
     make_ring,
+    mono_mul,
     monomials_of_degree,
     parse_polynomial,
 )
 from kbundle import modgb
-from kbundle.bundle import maximal_minors, minor_ideal_dims, module_from_twists
+from kbundle.bounds import ClosureQuery, closure_threshold, frobenius_membership
+from kbundle.bundle import (
+    maximal_minors,
+    minor_ideal_dims,
+    module_from_twists,
+    validate,
+)
 from kbundle.modgb import (
     PRIMARY_TEST_PRIME,
     Caps,
@@ -40,13 +47,18 @@ from kbundle.modgb import (
     kernel_sections_linalg,
     syzygy_module_columns,
 )
+from kbundle.stability import brenner_monomial
+from kbundle.tannaka import fingerprint, section_dim_table, selfdual_certify
 
 from sample_bundles import (
     P,
     RING_QQ3,
+    five_quadrics,
+    five_quartics,
     interlaced_bundle,
     random_homogeneous,
     random_kernel_bundle,
+    syzygy_spec,
 )
 
 
@@ -195,7 +207,7 @@ def test_product_column_syzygies():
     assert initial_degree(syz) == 2
     assert kernel_dim_linalg(cols, source, target, 2) == 2
     gb = buchberger(list(syz.elements))
-    assert graded_piece_dim(gb, 2) == 2
+    assert graded_piece_dim(syz, 2) == graded_piece_dim(gb, 2) == 2
 
 
 def test_graded_piece_dims_of_irrelevant_ideal():
@@ -417,6 +429,78 @@ def test_ideal_groebner_matches_macaulay_rank(nvars, char):
         assert is_irrelevant_primary(polys) == (macaulay_rank(polys, bound) == full)
 
 
+def module_macaulay_rank(gens, d):
+    """dim U_d as the rank of the rows x^a * g of module degree d."""
+    ring = gens[0].module.ring
+    rows = []
+    for g in gens:
+        e = g.degree()
+        if e is None or e > d:
+            continue
+        for mono in monomials_of_degree(ring.nvars, d - e):
+            rows.append({(i, mono_mul(m, mono)): c for (i, m), c in g.terms.items()})
+    kernel, _ = _echelon_kernel(rows, ring.field.char, Caps())
+    return len(rows) - kernel
+
+
+def sparse_module_element(module, degree, rng):
+    """An element of the given degree with one or two nonzero components,
+    each a sparse form."""
+    comps = [c for c, e in enumerate(module.generator_degrees) if e <= degree]
+    picks = rng.sample(comps, min(rng.randint(1, 2), len(comps)))
+    return ModuleElement.from_components(module, {
+        c: sparse_form(module.ring, degree - module.generator_degrees[c], rng)
+        for c in picks})
+
+
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_module_groebner_matches_macaulay_rank(char):
+    """Random sparse inputs in target ranks 2 and 3: graded pieces of the
+    basis equal Macaulay ranks.  Sparse components make coprime leading
+    monomials and shared lcms within a component, where a pair criterion
+    used beyond its reach (the product criterion on vectors, the chain
+    criterion across components) loses basis elements."""
+    rng = random.Random(5000 + char)
+    ring = make_ring(3, FieldSpec(char))
+    for _ in range(30):
+        module = GradedFreeModule(ring, tuple(rng.randint(0, 1)
+                                              for _ in range(rng.randint(2, 3))))
+        gens = [sparse_module_element(module, rng.randint(1, 3), rng)
+                for _ in range(rng.randint(3, 6))]
+        gb = buchberger(gens)
+        for d in range(6):
+            assert graded_piece_dim(gb, d) == module_macaulay_rank(gens, d)
+
+
+def test_chain_criterion_drops_module_pairs(monkeypatch):
+    # leading terms X^2, Y^2 and X*Y in component 0 of a rank-2 module: the
+    # third deletes the queued pair of lcm X^2*Y^2, as in an ideal; the
+    # product criterion is off, so that coprime pair was queued at all
+    module = GradedFreeModule(RING_QQ3, (0, 1))
+    gens = [ModuleElement.from_components(module, {0: P(a), 1: P(b)})
+            for a, b in (("X^2", "Y"), ("Y^2", "Z"), ("X*Y", "X"))]
+    deleted = []
+    update = modgb._gebauer_moller
+
+    def recording(lts, pending, h, product):
+        assert not product
+        before = set(pending)
+        kept = update(lts, pending, h, product)
+        deleted.extend(before - set(pending))
+        return kept
+
+    monkeypatch.setattr(modgb, "_gebauer_moller", recording)
+    gb = buchberger(gens)
+    assert (0, 1) in deleted
+    for d in range(6):
+        assert graded_piece_dim(gb, d) == module_macaulay_rank(gens, d)
+    # a new leading term never touches another component's pairs
+    pending = {(0, 1): (2, 2, 0)}
+    assert update([(1, (2, 0, 0)), (1, (0, 2, 0))], pending, (0, (1, 1, 0)),
+                  False) == []
+    assert pending == {(0, 1): (2, 2, 0)}
+
+
 def reduce_columns(cols, source, target, char):
     """The same presentation over F_char (unchanged for char 0)."""
     if char == 0:
@@ -429,10 +513,11 @@ def reduce_columns(cols, source, target, char):
 
 
 def test_engine_cross_check_randomized():
-    """Central property: syzygy-GB graded dimensions equal kernel dimensions,
-    over QQ and over F_5 and F_32003 on the same random bundles.  A run
-    truncated at degree top returns the full run's syzygies of degree <= top,
-    in order, and its truncated basis gives every dimension up to top."""
+    """Central property: the kernel's Groebner basis counts the kernel
+    dimensions on its leading terms, as does its reduced basis, over QQ and
+    over F_5 and F_32003 on the same random bundles.  A run truncated at
+    degree top returns the full run's elements of degree <= top, in order,
+    which count every dimension up to top, as the image run does."""
     rng = random.Random(424242)
     bundles = [random_kernel_bundle(rng) for _ in range(25)]
     for char, bundle in itertools.product((0, 5, 32003), bundles):
@@ -442,22 +527,20 @@ def test_engine_cross_check_randomized():
         lo = min(source.generator_degrees)
         dims = {t: kernel_dim_linalg(cols, source, target, t)
                 for t in range(lo, lo + 8)}
-        if syz.elements:
-            gb = buchberger(list(syz.elements))
-            for t in range(lo, lo + 5):
-                assert graded_piece_dim(gb, t) == dims[t]
-        else:
-            for t in range(lo, lo + 5):
-                assert dims[t] == 0
+        gb = buchberger(list(syz.elements)) if syz.elements else syz
+        for t in range(lo, lo + 8):
+            assert graded_piece_dim(syz, t) == dims[t]
+        for t in range(lo, lo + 5):
+            assert graded_piece_dim(gb, t) == dims[t]
         for top in range(lo, lo + 5):
             cut = syzygy_module_columns(cols, source, target, top=top)
             assert cut.elements == tuple(e for e in syz.elements
                                          if e.degree() <= top)
-            cut_gb = buchberger(list(cut.elements)) if cut.elements else None
+            cut_gb = buchberger(list(cut.elements)) if cut.elements else cut
             image_dims = kernel_dims_gb(cols, source, target, Caps(), top)
             for t in range(lo - 2, top + 1):
-                assert (graded_piece_dim(cut_gb, t) if cut_gb else 0) == \
-                    image_dims(t) == (dims[t] if t >= lo else 0)
+                assert graded_piece_dim(cut, t) == graded_piece_dim(cut_gb, t) \
+                    == image_dims(t) == (dims[t] if t >= lo else 0)
         # initial degree agrees with the first positive kernel dimension
         first = next((t for t in range(lo, lo + 8) if dims[t] > 0), None)
         alpha = initial_degree(syz)
@@ -636,3 +719,50 @@ def test_resource_caps_abort():
         syzygy_module_columns(one_row_columns(*FIVE_MONOMIALS), source, target,
                               caps=Caps(max_pairs=1))
 
+
+def test_ideal_membership_arms_its_timeout():
+    gb = ideal_groebner([P("X^2 - Y^2"), P("X*Y")])
+    assert ideal_membership(P("X^3"), gb)
+    with pytest.raises(ResourceCapError):
+        ideal_membership(P("X^3"), gb, Caps(timeout_seconds=0))
+
+
+def test_one_deadline_per_public_call(monkeypatch):
+    """A public call arms its timeout once: every stage under it checks the
+    same deadline, not one of its own."""
+    seen = []
+    check_time = Caps.check_time
+
+    def recording(self):
+        seen.append(self._deadline)
+        check_time(self)
+
+    monkeypatch.setattr(Caps, "check_time", recording)
+    caps = Caps(timeout_seconds=600)
+    ring7 = make_ring(3, FieldSpec(7))
+    gens7 = tuple(P(t, ring7) for t in ("X^2 - Y^2", "X*Y", "Z^2"))
+    quadrics = tuple(P(t) for t in ("X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"))
+    gb = ideal_groebner([P("X^2 - Y^2"), P("X*Y")])
+    calls = {
+        "validate": lambda: validate(five_quadrics(), True, caps),
+        "is_irrelevant_primary": lambda: is_irrelevant_primary(
+            [P("X^2"), P("X*Y"), P("X*Z")], caps),
+        "section_dim_table": lambda: section_dim_table(
+            five_quadrics(), "exterior", 2, (4, 5), "both", caps),
+        "fingerprint": lambda: fingerprint(five_quartics(twist=5), "semistable",
+                                           2, caps=caps),
+        "selfdual_certify": lambda: selfdual_certify(five_quartics(twist=5), caps),
+        "closure_threshold": lambda: closure_threshold(
+            ClosureQuery(quadrics, certificate="semistable"), caps),
+        "frobenius_membership": lambda: frobenius_membership(ClosureQuery(
+            gens7, strong_flag="elliptic-curve", genus=0,
+            candidate=P("X*Z", ring7)), caps),
+        "brenner_monomial": lambda: brenner_monomial(
+            syzygy_spec(["X^2", "Y^2", "Z^2", "X*Y"]), caps),
+        "buchberger": lambda: buchberger(ideal_elements("X^2 - Y^2", "X*Y"), caps),
+        "ideal_membership": lambda: ideal_membership(P("X^3"), gb, caps),
+    }
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert seen and None not in seen and len(set(seen)) == 1, name

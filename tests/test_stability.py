@@ -14,7 +14,13 @@ from kbundle.bundle import (
     make_kernel_bundle,
     twist,
 )
-from kbundle.modgb import PRIMARY_TEST_PRIME, Caps, ResourceCapError, kernel_dim_linalg
+from kbundle.modgb import (
+    PRIMARY_TEST_PRIME,
+    Caps,
+    ResourceCapError,
+    is_irrelevant_primary,
+    kernel_dim_linalg,
+)
 from kbundle.powers import exterior_power_matrix
 from kbundle.stability import (
     ENGINES,
@@ -271,6 +277,30 @@ def test_brenner_rejects_non_monomial():
 def test_brenner_rejects_non_primary():
     with pytest.raises(StabilityError):
         brenner_monomial(syzygy_spec(["X^2", "X*Y", "X*Z"]))
+
+
+def test_brenner_primary_test_matches_buchberger():
+    # the exact monomial test (no constant, a pure power of every variable)
+    # against the Groebner test, on families with and without pure powers
+    rng = random.Random(2718)
+    answers = set()
+    for nvars in (3, 4):
+        ring = make_ring(nvars)
+        for _ in range(40):
+            monos = [tuple(rng.randint(1, 3) * (k == v) for k in range(nvars))
+                     for v in range(nvars) if rng.random() < 0.8]
+            monos += [tuple(rng.randint(0, 2) for _ in range(nvars))
+                      for _ in range(rng.randint(2, 4))]
+            gens = tuple(Poly(ring, {m: ring.field.one()}) for m in monos)
+            try:
+                brenner_monomial(SyzygyBundleSpec(ring, gens))
+                primary = True
+            except StabilityError as exc:
+                assert "irrelevant-primary" in str(exc)
+                primary = False
+            assert primary == is_irrelevant_primary(list(gens))
+            answers.add((primary, (0,) * nvars in monos))
+    assert {(True, False), (False, False), (False, True)} <= answers
 
 
 def test_bohnhorst_spindler_examples():
