@@ -182,7 +182,7 @@ _TASK_OPTIONS = {
                 "assume_stability": _STR},
 }
 _CAPS_OPTIONS = {"max_degree": _INT, "max_pairs": _INT, "timeout_seconds": _NUMBER}
-_ASSUMPTIONS = {"tannaka": ("proven_stable", "proven_via_selfduality"),
+_ASSUMPTIONS = {"tannaka": tannaka.PROVEN,
                 "restrict": ("semistable", "stable"),
                 "closure": ("semistable", "stable")}
 
@@ -355,6 +355,14 @@ def task_sections(kind, payload, options, caps):
     return results, lines, 0
 
 
+def _stability_report(bundle, spec, options, caps):
+    """The stability analysis of `tannaka`, `restrict` and `closure` when no
+    stability is assumed: engine linalg unless the job names one."""
+    return analyze_bundle(bundle, engine=options.get("engine", "linalg"),
+                          via_pullback=options.get("via_pullback"),
+                          spec=spec, caps=caps).report
+
+
 def task_tannaka(kind, payload, options, caps):
     bundle, spec = _require_bundle(kind, payload)
     assume = options.get("assume_stability")
@@ -362,17 +370,9 @@ def task_tannaka(kind, payload, options, caps):
         status = assume
         report_dict = {"assumed": assume}
     else:
-        analysis = analyze_bundle(
-            bundle,
-            engine=options.get("engine", "linalg"),
-            upgrade_selfdual=True,
-            via_pullback=options.get("via_pullback"),
-            spec=spec,
-            caps=caps,
-        )
-        status = analysis.report.stability if analysis.report.is_semistable \
-            else "unstable"
-        report_dict = _report_dict(analysis.report)
+        report = _stability_report(bundle, spec, options, caps)
+        status = report.stability if report.is_semistable else "unstable"
+        report_dict = _report_dict(report)
     fp = tannaka.fingerprint(bundle, status, q_max=options.get("q_max", 4),
                              method=options.get("method", "default"), caps=caps)
     results = {
@@ -383,7 +383,7 @@ def task_tannaka(kind, payload, options, caps):
             "normalizing_twist": fp.normalizing_twist,
             "dims": {str(q): {"value": cell.value, "evidence": cell.evidence}
                      for q, cell in sorted(fp.dims.items())},
-            "simplicity": fp.simplicity.value,
+            "simplicity": fp.dims[2].value,
             "selfdual": fp.selfdual,
             "selfdual_reason": fp.selfdual_reason,
         },
@@ -412,10 +412,7 @@ def task_restrict(kind, payload, options, caps):
         certificate = assume
         cert_source = f"assumed {assume}"
     else:
-        analysis = analyze_bundle(bundle, engine=options.get("engine", "linalg"),
-                                  spec=spec, caps=caps,
-                                  via_pullback=options.get("via_pullback"))
-        report = analysis.report
+        report = _stability_report(bundle, spec, options, caps)
         if not report.is_semistable:
             raise BoundsError("the bundle is unstable; no restriction theorem "
                               "applies")
@@ -447,9 +444,7 @@ def task_closure(kind, payload, options, caps):
     primary_proven = False
     if ring.field.char == 0 and certificate is None:
         spec = SyzygyBundleSpec(ring, gens, 0)
-        analysis = analyze_bundle(from_syzygy(spec), spec=spec, caps=caps,
-                                  engine=options.get("engine", "linalg"))
-        report = analysis.report
+        report = _stability_report(from_syzygy(spec), spec, options, caps)
         if not report.is_semistable:
             raise BoundsError(
                 "the syzygy bundle of the ideal is unstable; the inclusion "
@@ -617,8 +612,6 @@ def _job_from_args(args) -> dict:
         options["upgrade_selfdual"] = False
     if "theorem" in options:
         options["theorem"] = options["theorem"].replace("-", "_")
-    if "method" in options:
-        options["method"] = options["method"].replace("-", "_")
     return {
         "ring": _ring_config_from_args(args),
         "object": _object_config_from_args(args),

@@ -99,7 +99,7 @@ class StabilityReport:
 
     @property
     def is_stable_proven(self) -> bool:
-        return self.stability in ("proven_stable", "proven_via_selfduality")
+        return self.stability in tannaka.PROVEN
 
 
 def numeric_slope_gate(bundle: KernelBundle) -> str:

@@ -164,7 +164,7 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
 # ---------------------------------------------------------------------------
 
 def _check_method(method) -> None:
-    if method not in ("default", "two_prime", "exact"):  # two_prime: old name
+    if method not in ("default", "exact"):
         raise TannakaError(f"unknown dimension method {method!r}; "
                            "use 'default' or 'exact'")
 
@@ -229,7 +229,7 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Self-duality detection and certification.
+# Pairings: the q == 4 lower bound and the self-duality certificate.
 # ---------------------------------------------------------------------------
 
 def _candidate_points(nvars: int):
@@ -291,36 +291,6 @@ def _pairing_products_rank(sections: TensorSections) -> int:
     return best
 
 
-def selfdual_detect(sections: TensorSections,
-                    stability_status: Optional[str] = None):
-    """Evidence that the bundle E of a section store is isomorphic to a twist
-    of its dual.
-
-    Returns (flag, reason).  For a stable bundle a nonzero section of
-    (E (x) E)(-2*mu) forces a map E* -> E(-2*mu) between stable bundles of
-    equal slope, hence an isomorphism; for merely semistable bundles the flag
-    is evidence, not proof.  Those sections are read as a basis of the store,
-    so later cells and the pairing bound reuse them.
-    """
-    bundle = sections.bundle
-    inv = invariants(bundle)
-    two_mu = 2 * inv.mu
-    if two_mu.denominator != 1:
-        return False, "slope obstruction: 2*mu is not an integer"
-    if bundle.rank % 2 == 1 and bundle.m == 1 and bundle.N == 2:
-        return False, ("odd-rank syzygy bundles on the projective plane are "
-                       "never self-dual up to twist (assuming non-split)")
-    if bundle.rank == 2:
-        return True, "rank-2 identity: E* = E(-c1)"
-    t = int(-two_mu)
-    h = len(sections.basis(2, t))
-    if h >= 1:
-        grade = "proof" if stability_status in ("proven_stable",
-                                                "proven_via_selfduality") else "evidence"
-        return True, (f"h0((E(x)E)({t})) = {h} >= 1 ({grade} grade)")
-    return False, f"h0((E(x)E)({t})) = 0"
-
-
 def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
     """Certify nondegeneracy of the pairing on a degree-0 bundle over QQ.
 
@@ -354,15 +324,43 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
 # Fingerprints and classification.
 # ---------------------------------------------------------------------------
 
+PROVEN = ("proven_stable", "proven_via_selfduality")
+
+
+def _pairing_type(w) -> str:
+    """"symmetric" or "alternating": the slot swap of E0 (x) E0 maps its
+    sections to sections, so when they span a line it maps w to w or -w."""
+    swapped = {((i2, i1), mono): c for ((i1, i2), mono), c in w.items()}
+    if swapped == w:
+        return "symmetric"
+    if swapped == {key: -c for key, c in w.items()}:
+        return "alternating"
+    raise InternalCheckError("the slot swap maps the only section of "
+                             "E0 (x) E0 to neither w nor -w")
+
+
 @dataclass
 class TannakaFingerprint:
     rank: int
     normalizing_twist: int
     dims: dict                    # power -> DimCell, at extra twist 0
-    simplicity: DimCell
-    selfdual: bool
-    selfdual_reason: str
+    pairing: Optional[str]        # "symmetric"/"alternating" iff dims[2] == 1
     stability: str
+
+    @property
+    def selfdual(self) -> bool:
+        """A section of E0 (x) E0 = Hom(E0*, E0) between stable bundles of
+        slope 0 is an isomorphism; for merely semistable E0 the flag is
+        evidence, not proof."""
+        return self.dims[2].value >= 1
+
+    @property
+    def selfdual_reason(self) -> str:
+        h = self.dims[2].value
+        if not h:
+            return "h0((E(x)E)(0)) = 0"
+        grade = "proof" if self.stability in PROVEN else "evidence"
+        return f"h0((E(x)E)(0)) = {h} >= 1 ({grade} grade)"
 
 
 @dataclass
@@ -370,7 +368,6 @@ class GroupGuess:
     group: str                    # "SL", "Sp" or "unknown"
     degree: Optional[int]         # r in SL(r) / Sp(r)
     justification: str
-    fingerprint: TannakaFingerprint
 
     def label(self) -> str:
         if self.group == "unknown":
@@ -383,11 +380,12 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
                 caps: Caps = NO_CAPS) -> TannakaFingerprint:
     """Invariant dimensions h^0(E0^{(x)q}), 1 <= q <= q_max (>= 2), of the
     degree-0 normalization E0, read from one `TensorSections` store of E0
-    over QQ that also serves `selfdual_detect`: exact for q <= 2, else
-    `tensor_dim_cell`s of the method.  The default's lower bounds are det E0 = O (c1 = 0) at
-    q == rank and, at q == 4, the slot permutations of w (x) w for a section
-    w of E0 (x) E0: they stay in E0^{(x)4}, and are independent when their
-    values at one point are.
+    over QQ: exact for q <= 2, else `tensor_dim_cell`s of the method.  The
+    default's lower bounds are det E0 = O (c1 = 0) at q == rank and, at
+    q == 4, the slot permutations of w (x) w for a section w of E0 (x) E0:
+    they stay in E0^{(x)4}, and are independent when their values at one
+    point are.  When dims[2] == 1 the pairing records whether w is
+    symmetric or alternating.
     """
     caps = caps.start()
     _check_method(method)
@@ -401,54 +399,55 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
         raise TannakaError(
             f"slope {inv.mu} admits no degree-0 normalizing twist")
     c = -int(inv.mu)
-    bundle0 = twist(bundle, c)
-    sections = TensorSections(bundle0, caps)
-    # self-duality first: its basis of E0 (x) E0 also serves dims[2] and the
-    # q == 4 pairing bound
-    selfdual, reason = selfdual_detect(sections, stability_status)
+    sections = TensorSections(twist(bundle, c), caps)
+    # one basis of E0 (x) E0 serves dims[2], the q == 4 pairing bound and
+    # the pairing type
+    square = sections.basis(2, 0)
     dims = {q: tensor_dim_cell(sections, q, 0, "exact" if q <= 2 else method)
             for q in range(1, q_max + 1)}
     return TannakaFingerprint(
         rank=bundle.rank,
         normalizing_twist=c,
         dims=dims,
-        simplicity=dims[2],
-        selfdual=selfdual,
-        selfdual_reason=reason,
+        pairing=_pairing_type(square[0]) if len(square) == 1 else None,
         stability=stability_status,
     )
 
 
 def classify_group(fp: TannakaFingerprint) -> GroupGuess:
-    """Decision table; only rows with a certified invariant count may fire.
+    """Decision table on the certified cells, the rank and the pairing.
 
-    The standard representation of SL(r) has a one-dimensional space of
-    invariants in the r-th tensor power (the determinant), so that rule
-    requires equality with 1.  Rank-4 and rank-6 self-dual bundles with
-    h^0(E^{(x)4}) = 3 carry the symplectic group.
+    G is connected (Nori: P^N has a trivial fundamental group scheme), lies
+    in SL(r) and acts irreducibly.  SL(r) has one invariant in V^{(x)r}, and
+    so has SO(r) for odd r.  By Dynkin's maximal subgroups, the proper
+    connected irreducible subgroups of SL(r), r <= 5, are self-dual; from
+    r = 6 on (SL(3) on Sym^2, SL(2) x SL(3)) they need not be, and SL(r)
+    stays unknown.  SO(6) has 3 invariants in V^{(x)4}, as Sp(6) has, but a
+    symmetric pairing.
     """
-    if fp.stability not in ("proven_stable", "proven_via_selfduality"):
+    if fp.stability not in PROVEN:
         raise TannakaError(
             "classification requires proven stability; fingerprints of "
             "undetermined bundles are reported as raw evidence only")
-    r = fp.rank
+    r, h2 = fp.rank, fp.dims[2].value
     cell_r = fp.dims.get(r)
     cell_4 = fp.dims.get(4)
+    notes = []
     if cell_r is not None and cell_r.value == 1 and cell_r.certified:
-        return GroupGuess("SL", r,
-                          f"h0(E0^(x){r}) = 1 [{cell_r.evidence}]: exactly the "
-                          "determinant invariant of the standard representation",
-                          fp)
-    if r in (4, 6) and fp.selfdual and cell_4 is not None \
+        if r <= 2 or (r <= 5 and not h2):
+            return GroupGuess("SL", r, f"h0(E0^(x){r}) = 1 [{cell_r.evidence}]: "
+                              "exactly the determinant invariant of the "
+                              "standard representation")
+        why = "E0 is self-dual" if h2 else "from rank 6 on, so have others"
+        notes.append(f"h0(E0^(x){r}) = 1 [{cell_r.evidence}], but {why}")
+    if r in (4, 6) and fp.pairing == "alternating" and cell_4 is not None \
             and cell_4.value == 3 and cell_4.certified:
         return GroupGuess("Sp", r,
-                          f"rank {r}, self-dual, h0(E0^(x)4) = 3 [{cell_4.evidence}]",
-                          fp)
-    notes = [f"dims[{q}] lies in [{cell.lo}, {cell.hi}] [{cell.evidence}]"
-             for q, cell in sorted(fp.dims.items())
-             if q in (r, 4) and not cell.certified]
-    if r == 4 and cell_4 is not None and cell_4.value == 4 and not fp.selfdual:
+                          f"rank {r}, self-dual, h0(E0^(x)4) = 3 [{cell_4.evidence}]")
+    notes.extend(f"dims[{q}] lies in [{cell.lo}, {cell.hi}] [{cell.evidence}]"
+                 for q, cell in sorted(fp.dims.items())
+                 if q in (r, 4) and not cell.certified)
+    if r == 4 and cell_4 is not None and cell_4.value == 4 and not h2:
         notes.append("invariant count matches a type-A candidate, but no "
                      "decision row applies without self-duality")
-    return GroupGuess("unknown", None,
-                      "; ".join(notes) or "no decision row applies", fp)
+    return GroupGuess("unknown", None, "; ".join(notes) or "no decision row applies")

@@ -235,6 +235,23 @@ def test_tannaka_rank2(capsys):
     assert "dual group: SL(2)" in out
 
 
+def test_tannaka_self_dual_rank3_is_not_sl3(capsys):
+    """Sym^2 of Syz(X^2, Y^2, Z^2)(3): its group is SO(3), whose volume form
+    is one invariant in the third tensor power, as the determinant of SL(3)
+    is; the self-dual pairing rules SL(3) out."""
+    code, out, _ = run_cli([
+        "tannaka", "--matrix", "2*X^2, Y^2, Z^2, 0, 0, 0; "
+        "0, X^2, 0, 2*Y^2, Z^2, 0; 0, 0, X^2, 0, Y^2, 2*Z^2",
+        "--twists-a", "2,2,2,2,2,2", "--twists-b", "4,4,4", "--q-max", "4"],
+        capsys)
+    assert code == 0
+    dims = [line.split(" = ")[1].split()[0] for line in out.splitlines()
+            if line.startswith("h^0(E0^(x)")]
+    assert dims == ["0", "1", "1", "3"]
+    assert "self-dual: True" in out
+    assert "dual group: unknown" in out
+
+
 @pytest.mark.parametrize("q_max", ["1", "0"])
 def test_tannaka_q_max_below_two_is_input_error(capsys, q_max):
     code, _, err = run_cli([
@@ -245,16 +262,11 @@ def test_tannaka_q_max_below_two_is_input_error(capsys, q_max):
 
 @pytest.mark.parametrize("method", ["bogus", "prime:1000003", "two-prime"])
 def test_tannaka_method_is_validated(capsys, method):
-    code, out, err = run_cli([
+    code, _, err = run_cli([
         "tannaka", "--syzygy", "X^3, Y^3, Z^3, X*Y*Z", "--twist", "4",
         "--q-max", "3", "--method", method], capsys)
-    if method == "two-prime":       # the old name of the default
-        assert code == 0
-        assert "h^0(E0^(x)3) = 1  [F1000003 <= 1, determinant >= 1]" in out
-        assert "dual group: SL(3)" in out
-    else:
-        assert code == 1
-        assert "input error: unknown dimension method" in err
+    assert code == 1
+    assert "input error: unknown dimension method" in err
 
 
 def test_job_file_roundtrip_and_determinism(tmp_path, capsys):

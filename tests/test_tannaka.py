@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -23,10 +24,9 @@ from kbundle.modgb import (
     apply_columns,
     kernel_sections_linalg,
 )
-from kbundle.powers import tensor_power_matrix
+from kbundle.powers import symmetric_power_matrix, tensor_power_matrix
 from kbundle.tannaka import (
     DimCell,
-    GroupGuess,
     PrimeUnusableError,
     TannakaError,
     TannakaFingerprint,
@@ -38,7 +38,6 @@ from kbundle.tannaka import (
     section_dim_power,
     section_dim_table,
     selfdual_certify,
-    selfdual_detect,
     tensor_dim_cell,
 )
 
@@ -86,14 +85,13 @@ def test_simplicity_of_normalized_quartics():
 
 
 def test_quartics_fourth_power_invariants():
-    cell = tensor_dim_cell(TensorSections(five_quartics(twist=5)), 4, 0,
-                           method="two_prime")
+    cell = tensor_dim_cell(TensorSections(five_quartics(twist=5)), 4, 0)
     assert cell.value == 3
     assert cell.certified
 
 
 def test_sl3_third_power_invariant():
-    cell = tensor_dim_cell(TensorSections(sl3_bundle()), 3, 0, method="two_prime")
+    cell = tensor_dim_cell(TensorSections(sl3_bundle()), 3, 0)
     assert cell.value == 1
 
 
@@ -104,7 +102,7 @@ def test_exact_method_matches_default():
     assert (exact.lo, exact.hi) == (cell.lo, cell.hi) == (3, 3)
     assert exact.evidence == "exact-rational"
     assert cell.evidence == "F1000003 <= 3, pairing >= 3"
-    assert tensor_dim_cell(sections, 4, 0, method="two_prime") == cell
+    assert tensor_dim_cell(sections, 4, 0, method="default") == cell
 
 
 def test_cell_without_lower_bound_is_open():
@@ -188,35 +186,73 @@ def test_stable_degree_zero_bundle_has_no_sections():
         assert section_dim_power(b0, "tensor", 1, 0) == 0
 
 
-def test_selfdual_detect_quartics():
-    flag, reason = selfdual_detect(TensorSections(five_quartics(twist=5)))
-    assert flag
-    assert "h0" in reason
+def test_fingerprint_selfdual_quartics():
+    fp = fingerprint(five_quartics(twist=5), "proven_via_selfduality", q_max=2)
+    assert fp.selfdual
+    assert fp.selfdual_reason == "h0((E(x)E)(0)) = 1 >= 1 (proof grade)"
+    assert fp.pairing == "alternating"
+    semistable = fingerprint(five_quartics(twist=5), "semistable", q_max=2)
+    assert semistable.selfdual_reason.endswith("(evidence grade)")
 
 
-def test_selfdual_detect_odd_rank_plane_syzygy():
-    flag, reason = selfdual_detect(TensorSections(sl3_bundle()))
-    assert not flag
-    assert "odd-rank" in reason
+def test_fingerprint_sl3_not_selfdual():
+    fp = fingerprint(sl3_bundle(), "proven_stable", q_max=3)
+    assert not fp.selfdual
+    assert fp.selfdual_reason == "h0((E(x)E)(0)) = 0"
+    assert fp.pairing is None
 
 
-def test_selfdual_detect_rank_two():
-    flag, reason = selfdual_detect(TensorSections(rank2_degree0_bundle()))
-    assert flag and "rank-2" in reason
+def test_fingerprint_rank2_selfdual():
+    # Lambda^2 E0 = O puts the determinant pairing in E0 (x) E0
+    fp = fingerprint(rank2_degree0_bundle(), "proven_stable", q_max=2)
+    assert fp.selfdual
+    assert fp.pairing == "alternating"
 
 
-def test_selfdual_detect_twist_invariant():
-    base = selfdual_detect(TensorSections(five_quartics(twist=5)))[0]
-    shifted = selfdual_detect(TensorSections(five_quartics(twist=2)))[0]
-    assert base == shifted
+def test_fingerprint_twist_invariant():
+    base = fingerprint(five_quartics(twist=5), "proven_stable")
+    shifted = fingerprint(five_quartics(twist=2), "proven_stable")
+    assert (base.normalizing_twist, shifted.normalizing_twist) == (0, 3)
+    assert dataclasses.replace(shifted, normalizing_twist=0) == base
 
 
-def test_selfdual_slope_obstruction():
-    flag, reason = selfdual_detect(TensorSections(dual_five_monomials()))
-    # mu = 5/2, so 2*mu = 5 is integral and the tensor test runs; rank 4 even
-    assert isinstance(flag, bool)
-    bundle = five_quartics(twist=5)
-    assert selfdual_detect(TensorSections(bundle))[0]
+SYM2_ROWS = (("2*X^2", "Y^2", "Z^2", "0", "0", "0"),
+             ("0", "X^2", "0", "2*Y^2", "Z^2", "0"),
+             ("0", "0", "X^2", "0", "Y^2", "2*Z^2"))
+
+
+def sym2_rank2_bundle():
+    """Sym^2 Syz(X^2, Y^2, Z^2)(3), presented by its symmetric square matrix:
+    rank 3, degree 0, dual group SO(3)."""
+    return make_kernel_bundle(RING_QQ3, [2] * 6, [4] * 3,
+                              [[P(f) for f in row] for row in SYM2_ROWS])
+
+
+def test_pairing_type_of_the_only_section():
+    """The stored section w of E0 (x) E0 is alternating on the Sp bundles
+    and symmetric on Sym^2 of a rank-2 bundle (the SO(3) pairing)."""
+    for bundle, pairing in ((five_quartics(twist=5), "alternating"),
+                            (rank6_bundle(), "alternating"),
+                            (sym2_rank2_bundle(), "symmetric")):
+        fp = fingerprint(bundle, "proven_stable", q_max=2)
+        assert (fp.dims[2].value, fp.pairing) == (1, pairing), bundle.describe()
+    pres = symmetric_power_matrix(rank2_degree0_bundle(), 2)
+    assert [dict(col) for col in sym2_rank2_bundle().columns()] == \
+        [dict(col) for col in pres.columns]
+
+
+def test_pairing_is_exactly_symmetric_or_alternating():
+    """Whenever h0(E0 (x) E0) = 1, the slot swap maps the stored section w
+    to exactly w or -w."""
+    for bundle in random_degree0_syzygy_bundles(20261018):
+        fp = fingerprint(bundle, "proven_stable", q_max=2)
+        if fp.dims[2].value != 1:
+            assert fp.pairing is None
+            continue
+        w = TensorSections(bundle).basis(2, 0)[0]
+        swapped = {((i2, i1), mono): c for ((i1, i2), mono), c in w.items()}
+        sign = {"symmetric": 1, "alternating": -1}[fp.pairing]
+        assert swapped == {key: sign * c for key, c in w.items()}
 
 
 def test_selfdual_certify_quartics():
@@ -239,15 +275,16 @@ def test_fingerprint_rank2():
     assert fp.rank == 2
     assert fp.dims[1].value == 0
     assert fp.dims[2].value == 1
-    assert fp.simplicity.value == 1
     assert fp.selfdual
     guess = classify_group(fp)
     assert (guess.group, guess.degree) == ("SL", 2)
 
 
 def test_fingerprint_requires_integral_slope():
-    with pytest.raises(TannakaError):
-        fingerprint(five_quadrics(), "proven_stable")
+    # mu = 5/4 and mu = 5/2: no degree-0 twist, so no self-duality question
+    for bundle in (five_quadrics(), dual_five_monomials()):
+        with pytest.raises(TannakaError, match="admits no degree-0"):
+            fingerprint(bundle, "proven_stable")
 
 
 def test_classify_requires_proven_stability():
@@ -256,31 +293,42 @@ def test_classify_requires_proven_stability():
         classify_group(fp)
 
 
-def synthetic_fp(rank, dims, selfdual, stability="proven_stable"):
+def synthetic_fp(rank, dims, pairing=None, stability="proven_stable"):
     """dims maps q to a value (a certified cell) or to an interval (lo, hi)."""
     cells = {q: DimCell(*(v if isinstance(v, tuple) else (v, v)), "synthetic")
              for q, v in dims.items()}
     return TannakaFingerprint(rank=rank, normalizing_twist=0, dims=cells,
-                              simplicity=cells.get(2, DimCell(1, 1, "exact-rational")),
-                              selfdual=selfdual, selfdual_reason="synthetic",
-                              stability=stability)
+                              pairing=pairing, stability=stability)
 
 
 def test_classify_rule_table():
-    assert classify_group(synthetic_fp(4, {2: 1, 4: 3}, True)).label() == "Sp(4)"
-    assert classify_group(synthetic_fp(6, {2: 1, 4: 3}, True)).label() == "Sp(6)"
-    assert classify_group(synthetic_fp(3, {2: 0, 3: 1}, False)).label() == "SL(3)"
-    guess = classify_group(synthetic_fp(4, {2: 1, 4: 4}, False))
+    alt, sym = "alternating", "symmetric"
+    assert classify_group(synthetic_fp(4, {2: 1, 4: 3}, alt)).label() == "Sp(4)"
+    assert classify_group(synthetic_fp(6, {2: 1, 4: 3}, alt)).label() == "Sp(6)"
+    assert classify_group(synthetic_fp(3, {2: 0, 3: 1})).label() == "SL(3)"
+    assert classify_group(synthetic_fp(2, {2: 1}, alt)).label() == "SL(2)"
+    guess = classify_group(synthetic_fp(4, {2: 0, 4: 4}))
     assert guess.group == "unknown"
     assert "type-A" in guess.justification
+    # SO(3) has one invariant in V (x) V and one in V^(x)3; from rank 6 on,
+    # proper subgroups of SL(r) need not be self-dual
+    for rank, dims, pairing, note in (
+            (3, {2: 1, 3: 1}, sym, "but E0 is self-dual"),
+            (6, {2: 0, 6: 1}, None, "but from rank 6 on")):
+        guess = classify_group(synthetic_fp(rank, dims, pairing))
+        assert guess.group == "unknown", (rank, dims)
+        assert f"h0(E0^(x){rank}) = 1 [synthetic], {note}" in guess.justification
+    # SO(6) has 3 invariants in V^(x)4, as Sp(6) has, but a symmetric pairing
+    assert classify_group(synthetic_fp(6, {2: 1, 4: 3}, sym)).group == "unknown"
 
 
 def test_classify_rejects_open_interval():
-    guess = classify_group(synthetic_fp(3, {2: 0, 3: (0, 1)}, False))
+    guess = classify_group(synthetic_fp(3, {2: 0, 3: (0, 1)}))
     assert guess.group == "unknown"
     assert "dims[3] lies in [0, 1]" in guess.justification
     for rank in (4, 6):
-        guess = classify_group(synthetic_fp(rank, {2: 1, 4: (2, 3)}, True))
+        guess = classify_group(synthetic_fp(rank, {2: 1, 4: (2, 3)},
+                                            "alternating"))
         assert guess.group == "unknown"
         assert "dims[4] lies in [2, 3]" in guess.justification
 
