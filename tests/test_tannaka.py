@@ -281,10 +281,16 @@ def test_fingerprint_rank2():
 
 
 def test_fingerprint_requires_integral_slope():
-    # mu = 5/4 and mu = 5/2: no degree-0 twist, so no self-duality question
-    for bundle in (five_quadrics(), dual_five_monomials()):
-        with pytest.raises(TannakaError, match="admits no degree-0"):
-            fingerprint(bundle, "proven_stable")
+    with pytest.raises(TannakaError, match="admits no degree-0"):
+        fingerprint(five_quadrics(), "proven_stable")
+
+
+def test_selfdual_slope_obstruction():
+    # mu = 5/2: no degree-0 twist, so the fingerprint refuses before any
+    # self-duality question; the integral-slope quartics are self-dual
+    with pytest.raises(TannakaError, match="admits no degree-0"):
+        fingerprint(dual_five_monomials(), "proven_stable")
+    assert fingerprint(five_quartics(twist=5), "proven_stable", q_max=2).selfdual
 
 
 def test_classify_requires_proven_stability():
