@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import add, le, sub
+from operator import add, le
 from typing import Iterator
 
 
@@ -134,17 +134,8 @@ def mono_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_divides(a: tuple, b: tuple) -> bool:
     return all(map(le, a, b))
-
-
-def mono_quot(a: tuple, b: tuple) -> tuple:
-    """a / b, assuming b divides a."""
-    return tuple(map(sub, a, b))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple]:
@@ -170,17 +161,6 @@ def monomial_sort_key(order: str):
         return lambda m: (sum(m), m)
     if order == "lex":
         return lambda m: m
-    raise AlgebraError(f"unknown monomial order {order!r}")
-
-
-def monomial_heap_key(order: str):
-    """Min-heap key: smaller key == larger monomial (for largest-first pops)."""
-    if order == "degrevlex":
-        return lambda m: (-sum(m), tuple(reversed(m)))
-    if order == "deglex":
-        return lambda m: (-sum(m), tuple(-e for e in m))
-    if order == "lex":
-        return lambda m: tuple(-e for e in m)
     raise AlgebraError(f"unknown monomial order {order!r}")
 
 

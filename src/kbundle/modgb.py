@@ -19,6 +19,17 @@ Buchberger, tail reduction and ideal membership share one reduction loop for
 both fields.  It runs on integer coefficients: fraction-free over QQ, residues
 mod p.  Its normal forms are exact up to a nonzero scalar, which is all any
 caller needs; the reduced basis is made monic at the end.
+
+The loop runs on terms packed into single ints (_TermCodec), encoded where
+terms enter a run and decoded where its results leave.  The encoding T =
+base(component) + L(monomial) is linear in the exponents, so multiplying by
+x^q adds L(q), and comparing ints is the module term order under degrevlex,
+deglex or lex.  The heap holds -T, the work dicts and the reduction memo are
+keyed by T, a reducer's shifted tail and an S-element are int shifts, and
+divisibility and lcms in the pair criteria are bit operations on the
+exponent digits.  Every field is TERM_FIELD_BITS wide; a degree that would
+not fit raises ResourceCapError naming the stage, so a value never wraps
+into the next field.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -39,10 +51,7 @@ from .algebra import (
     PolyRing,
     add_scaled,
     mono_deg,
-    mono_divides,
-    mono_lcm,
     mono_mul,
-    mono_quot,
     monomials_of_degree,
     reduce_poly_mod_p,
 )
@@ -207,6 +216,113 @@ def _integerize(d: dict):
             d[t] = (c * scale).numerator
 
 
+TERM_FIELD_BITS = 64
+
+
+class _TermCodec:
+    """The terms (component, monomial) of one module as ints T = base(comp)
+    + L(mono), with L linear in the exponents and T ordered as the terms.
+
+    Each field is TERM_FIELD_BITS = k bits wide, W = 2^k, n variables:
+    degrevlex L = deg * W^n - sum e_i W^i, deglex L = deg * W^n +
+    sum e_i W^(n-1-i), lex L = sum e_i W^(n-1-i).  The exponents are the
+    digits of a base-W number below the top field, which holds the degree,
+    so for one degree comparing L compares the exponent vectors
+    lexicographically: from the last variable, negated, under degrevlex,
+    from the first under the others.  base(comp) = (rank - 1 - comp) * 2^span
+    lies above every L, so component 0 is largest (position over term).  As
+    L is linear, T + L(q) is the term times x^q, and within a component a
+    quotient of terms is a difference of ints.
+
+    The word of a term is its plain digits P = sum e_i W^i (W^(n-1-i) under
+    the others), read off T at one subtraction.  Each field keeps its top
+    bit clear, so a divides b iff P(b) - P(a) sets no top bit: the lowest
+    field where b falls short borrows into its own top bit.  The lcm of two
+    words takes per field the larger digit, chosen by the same top bits.
+    Every degree, the top field's included, must stay below W / 2: a larger
+    one raises ResourceCapError naming the stage, never wraps into a
+    neighbouring field or component.  The bound is on the module degree D,
+    set so that the monomials of degree D in every component fit; reductions
+    and S-elements of homogeneous elements keep D.
+    """
+
+    def __init__(self, module: GradedFreeModule, stage: str):
+        ring = module.ring
+        k, n = TERM_FIELD_BITS, ring.nvars
+        self.stage = stage
+        self.p = ring.field.char
+        self.rank = module.rank
+        self.degrees = module.generator_degrees
+        self.max_degree = (1 << (k - 1)) - 1 + min(self.degrees, default=0)
+        self.order = ring.order
+        self.top = k * n              # the degree field starts here
+        if self.order == "degrevlex":
+            self.digits = [k * i for i in range(n)]
+            self.weights = [(1 << self.top) - (1 << s) for s in self.digits]
+        else:
+            self.digits = [k * (n - 1 - i) for i in range(n)]
+            high = (1 << self.top) if self.order == "deglex" else 0
+            self.weights = [high + (1 << s) for s in self.digits]
+        self.span = self.top + (self.order != "lex") * k
+        self.base = [(self.rank - 1 - c) << self.span for c in range(self.rank)]
+        self.field = (1 << k) - 1
+        self.guard = sum(1 << (s + k - 1) for s in self.digits)
+        self.ones = sum(1 << s for s in self.digits)
+
+    def check_degree(self, d: int):
+        """d is a module degree."""
+        if d > self.max_degree:
+            raise ResourceCapError(
+                f"{self.stage}: degree {d} does not fit the "
+                f"{TERM_FIELD_BITS}-bit term fields (at most {self.max_degree})")
+
+    def encode(self, comp: int, mono: tuple) -> int:
+        self.check_degree(sum(mono) + self.degrees[comp])
+        return self.base[comp] + sum(map(mul, mono, self.weights))
+
+    def encode_terms(self, terms: dict) -> dict:
+        return {self.encode(c, m): v for (c, m), v in terms.items()}
+
+    def from_word(self, comp: int, word: int, d: int) -> int:
+        """The term of the word in component comp, of module degree d."""
+        self.check_degree(d)
+        high = (d - self.degrees[comp]) << self.top
+        if self.order == "degrevlex":
+            return self.base[comp] + high - word
+        return self.base[comp] + (high if self.order == "deglex" else 0) + word
+
+    def comp(self, t: int) -> int:
+        return self.rank - 1 - (t >> self.span)
+
+    def word(self, t: int) -> int:
+        ell = t & ((1 << self.span) - 1)
+        if self.order == "degrevlex":
+            return (-(-ell >> self.top) << self.top) - ell
+        return ell & ((1 << self.top) - 1)
+
+    def degree(self, word: int) -> int:
+        """The monomial degree of a word (an lcm's too): its digit sum, which
+        is field n - 1 of word * (1 + W + ... + W^(n-1)) and fits it."""
+        return word * self.ones >> (self.top - TERM_FIELD_BITS) & self.field
+
+    def divides(self, a: int, b: int) -> bool:
+        """The term a divides the term b."""
+        return (a >> self.span == b >> self.span
+                and not (self.word(b) - self.word(a)) & self.guard)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two words."""
+        ge = ((a | self.guard) - b & self.guard) >> (TERM_FIELD_BITS - 1)
+        return b ^ (a ^ b) & ((ge << TERM_FIELD_BITS) - ge)
+
+    def decode(self, t: int) -> tuple:
+        word, mask = self.word(t), self.field
+        return self.comp(t), tuple(word >> s & mask for s in self.digits)
+
+    def decode_terms(self, terms: dict) -> dict:
+        return {self.decode(t): c for t, c in terms.items()}
+
+
 class _Reducers:
     """Reducer entries (from _reducer_entry) by component, answering how a
     term reduces: by the first entry whose leading monomial divides it.
@@ -215,88 +331,93 @@ class _Reducers:
     by the first divisor, and a term that had none is next checked against
     the new entries only.  Terms recur across the normal forms of one
     Buchberger run; the memo spares them the scan of the basis and the
-    products of the reducer's terms with the quotient.  The shifted terms
-    are interned, since the same terms recur in many reductions.
+    shift of the reducer's tail.
     """
 
-    def __init__(self, entries=()):
+    def __init__(self, codec: _TermCodec, entries=()):
+        self.codec = codec
         self.by_comp: dict = {}
         self.memo: dict = {}    # term -> reduction, or the count of entries seen
-        self.terms: dict = {}   # interned shifted terms
         for entry in entries:
             self.add(entry)
 
     def add(self, entry: dict):
         self.by_comp.setdefault(entry["ltcomp"], []).append(entry)
 
-    def reduction(self, t):
-        """(entry, shifted) for the first entry whose leading monomial divides
-        the term t: shifted holds the terms of x^q * entry["tail"] for
+    def reduction(self, t: int):
+        """(entry, shifted) for the first entry whose leading term divides
+        the term t: shifted lists the terms of x^q * entry["tail"] for
         x^q = t / lt(entry), in the order of entry["tailcoeffs"].  None if no
         entry divides t."""
         hit = self.memo.get(t, 0)
         if type(hit) is tuple:
             return hit
-        entries = self.by_comp.get(t[0], ())
-        mono = t[1]
+        codec = self.codec
+        entries = self.by_comp.get(codec.comp(t), ())
+        word, guard = codec.word(t), codec.guard
         for k in range(hit, len(entries)):
             entry = entries[k]
-            if mono_divides(entry["ltmono"], mono):
-                q = mono_quot(mono, entry["ltmono"])
-                intern = self.terms.setdefault
-                shifted = tuple(intern(tt, tt) for tt in
-                                ((ri, mono_mul(rm, q)) for ri, rm in entry["tail"]))
-                hit = (entry, shifted)
+            if not (word - entry["ltword"]) & guard:
+                shift = t - entry["lt"]
+                hit = (entry, [u + shift for u in entry["tail"]])
                 self.memo[t] = hit
                 return hit
         self.memo[t] = len(entries)
         return None
 
 
-def _normal_form_terms(terms: dict, reducers: _Reducers, module, caps: Caps):
-    """Normal form up to a nonzero scalar on a raw term dict.
+def _normal_form_terms(terms: dict, reducers: _Reducers, caps: Caps) -> dict:
+    """Normal form up to a nonzero scalar on a term dict keyed by the
+    reducers' codec.
 
     One integer loop serves both fields.  Reducers come from _reducer_entry.
     Over QQ it is fraction-free: the current term c and the reducer's leading
     coefficient l are cross-multiplied by their gcd cofactors, so every
     coefficient stays an integer and the result is a positive multiple of the
     normal form.  Mod p the same step runs on residues: reducers are monic, so
-    gcd(c, 1) = 1, nothing is rescaled and the result is the exact normal form.
-    Terms are consumed largest-first through a lazy heap, so each reduction
-    cancels the current maximum and the loop terminates degreewise.  A term
-    enters the heap when it enters work; every term a reduction adds is
-    smaller than the one it cancels, so none is popped before it is queued.
-    Terms in a component where no reducer leads never reduce, so they skip
-    the heap and join the result at the end.
+    nothing is rescaled and the result is the exact normal form.
+    Terms are consumed largest-first through a lazy heap of negated terms, so
+    each reduction cancels the current maximum and the loop terminates
+    degreewise.  A term enters the heap when it enters work; every term a
+    reduction adds is smaller than the one it cancels, so none is popped
+    before it is queued.  Terms in a component where no reducer leads never
+    reduce, so they skip the heap and join the result at the end.
     """
-    from .algebra import monomial_heap_key
-    p = module.ring.field.char
-    hkey = monomial_heap_key(module.ring.order)
-    live = reducers.by_comp
+    codec = reducers.codec
+    p, span = codec.p, codec.span
+    live = {codec.rank - 1 - c for c in reducers.by_comp}
+    every = len(live) == codec.rank
+    memo = reducers.memo
     work = dict(terms)
-    _integerize(work)
-    heap = [(i, hkey(m), (i, m)) for (i, m) in work if i in live]
+    if not p:
+        _integerize(work)
+    heap = [-t for t in work if every or t >> span in live]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     done: dict = {}
     while heap:
-        _, _, t = heapq.heappop(heap)
+        t = -pop(heap)
         c = work.pop(t, None)
         if c is None:
             continue                # cancelled since it was queued
-        reduction = reducers.reduction(t)
-        if reduction is None:
-            done[t] = c
-            continue
+        reduction = memo.get(t)
+        if type(reduction) is not tuple:
+            reduction = reducers.reduction(t)
+            if reduction is None:
+                done[t] = c
+                continue
         caps.check_time()
         reducer, shifted = reduction
         lead = reducer["ltcoeff"]
-        g = gcd(c, lead)
-        cc = c // g
-        ll = lead // g
-        if ll != 1:
-            for d in (work, done):
-                for tt in d:
-                    d[tt] *= ll
+        cc = c
+        if lead != 1:
+            g = gcd(c, lead)
+            cc //= g
+            ll = lead // g
+            if ll != 1:
+                for d in (work, done):
+                    for tt in d:
+                        d[tt] *= ll
         for tt, rc in zip(shifted, reducer["tailcoeffs"]):
             old = work.get(tt)
             s = -cc * rc if old is None else old - cc * rc
@@ -304,52 +425,47 @@ def _normal_form_terms(terms: dict, reducers: _Reducers, module, caps: Caps):
                 s %= p
             if s:
                 work[tt] = s
-                if old is None and tt[0] in live:
-                    heapq.heappush(heap, (tt[0], hkey(tt[1]), tt))
+                if old is None and (every or tt >> span in live):
+                    push(heap, -tt)
             elif old is not None:
                 del work[tt]
     done.update(work)
     return done
 
 
-def _combine_shifted(ta: dict, qa: tuple, ca: int, tb: dict, qb: tuple,
-                     cb: int, p: int) -> dict:
-    """ca * x^qa * ta - cb * x^qb * tb on integer term dicts (residues mod p
-    when p is nonzero), dropping zeros."""
-    out = add_scaled({}, ca, {(i, mono_mul(m, qa)): c for (i, m), c in ta.items()}, p)
-    return add_scaled(out, -cb, {(i, mono_mul(m, qb)): c for (i, m), c in tb.items()}, p)
-
-
-def _reducer_entry(terms: dict, module: GradedFreeModule) -> dict:
-    """Normalize a nonzero term dict into a reducer for _normal_form_terms:
-    over QQ the primitive integer vector with positive leading coefficient,
-    mod p the monic one."""
-    p = module.ring.field.char
-    lt = max(terms, key=module.term_key())
+def _reducer_entry(terms: dict, codec: _TermCodec) -> dict:
+    """Normalize a nonzero term dict keyed by the codec into a reducer for
+    _normal_form_terms: over QQ the primitive integer vector with positive
+    leading coefficient, mod p the monic one."""
+    p = codec.p
+    lt = max(terms)
     terms = dict(terms)
-    _integerize(terms)
     if p:
         inv = pow(terms[lt], -1, p)
     else:
+        _integerize(terms)
         g = gcd(*terms.values())
         if terms[lt] < 0:
             g = -g
     for t, c in terms.items():
         terms[t] = c * inv % p if p else c // g
     tail = [t for t in terms if t != lt]
-    return {"terms": terms, "ltcomp": lt[0], "ltmono": lt[1], "ltcoeff": terms[lt],
+    comp, mono = codec.decode(lt)
+    return {"terms": terms, "lt": lt, "ltword": codec.word(lt),
+            "ltcomp": comp, "ltmono": mono, "ltcoeff": terms[lt],
             "tail": tail, "tailcoeffs": [terms[t] for t in tail]}
 
 
-def _gebauer_moller(lts: list, pending: dict, h: tuple, product: bool) -> list:
+def _gebauer_moller(codec: _TermCodec, lts: list, pending: dict, h: tuple,
+                    product: bool) -> list:
     """Gebauer-Moeller update (Gebauer & Moeller 1988) for a basis with
-    leading terms lts, (component, monomial) pairs, gaining the leading term
-    h = (c, hm).  Pairs lie within one component, where the criteria below
-    hold for module elements as for polynomials.
+    leading terms lts, (component, word) pairs (_TermCodec words), gaining
+    the leading term h = (c, hw).  Pairs lie within one component, where
+    the criteria below hold for module elements as for polynomials.
 
     Chain criterion: an old pair (i, j) of component c is deleted from
-    pending when hm divides its lcm L and both lcm(lts[i], hm) and
-    lcm(lts[j], hm) differ from L; its S-element then combines those of
+    pending when hw divides its lcm L and both lcm(lts[i], hw) and
+    lcm(lts[j], hw) differ from L; its S-element then combines those of
     (i, new) and (j, new), whose lcms properly divide L.  New pairs (i, new),
     lts[i] in component c: a pair whose lcm is properly divisible by another
     new pair's lcm is dropped the same way; of the pairs with equal lcm the
@@ -357,34 +473,38 @@ def _gebauer_moller(lts: list, pending: dict, h: tuple, product: bool) -> list:
     coprime, since a coprime pair of polynomials reduces to zero (product
     criterion; it fails for vectors).  Equal-lcm pairs differ by an old pair
     that the chain criterion never deletes with h.  Returns the kept new
-    pairs as (i, lcm).
+    pairs as (i, lcm word).
     """
-    c, hm = h
+    c, hw = h
+    guard, lcm = codec.guard, codec.lcm
+    new = {i: lcm(w, hw) for i, (comp, w) in enumerate(lts) if comp == c}
     for (i, j), big in list(pending.items()):
-        if (lts[i][0] == c and mono_divides(hm, big)
-                and mono_lcm(lts[i][1], hm) != big
-                and mono_lcm(lts[j][1], hm) != big):
+        if (i in new and not (big - hw) & guard
+                and new[i] != big and new[j] != big):
             del pending[(i, j)]
-    new = [(i, mono_lcm(m, hm), mono_mul(m, hm))
-           for i, (comp, m) in enumerate(lts) if comp == c]
-    coprime = {lc for _, lc, prod in new if product and lc == prod}
-    lcms = {lc for _, lc, _ in new}
+    # coprime iff the lcm is the product, as the word sum
+    coprime = {lc for i, lc in new.items() if product and lc == lts[i][1] + hw}
+    # words order as monomials do under a lex order, so divisors come first
+    minimal: list = []
+    for lc in sorted(set(new.values())):
+        if all((lc - o) & guard for o in minimal):
+            minimal.append(lc)
+    minimal = set(minimal)
     kept: dict = {}
-    for i, lc, _ in new:
-        if lc in kept or lc in coprime:
-            continue
-        if any(o != lc and mono_divides(o, lc) for o in lcms):
-            continue
-        kept[lc] = i
+    for i, lc in new.items():
+        if lc in minimal and lc not in kept and lc not in coprime:
+            kept[lc] = i
     return [(i, lc) for lc, i in kept.items()]
 
 
 def _gb_core(gens, module: GradedFreeModule, caps: Caps,
              top: Optional[int] = None, expected=None,
-             cover: Optional[set] = None) -> list:
-    """Shared Buchberger driver on homogeneous elements; returns the basis as
-    reducer entries, in the order the run found them.  Every update goes
-    through _gebauer_moller, with the product criterion at rank one only.
+             cover: Optional[set] = None) -> tuple:
+    """Shared Buchberger driver on homogeneous elements; returns the run's
+    _TermCodec and the basis as reducer entries keyed by it, in the order
+    the run found them; callers decode only the terms they read.  Every
+    update goes through _gebauer_moller, with the product criterion at rank
+    one only.
 
     With top set, the run is truncated at degree top (degree-by-degree
     Buchberger, Kreuzer & Robbiano, Computational Commutative Algebra 2,
@@ -415,12 +535,13 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
     once the set holds every variable.
     """
     caps = caps.start()
-    p = module.ring.field.char
+    codec = _TermCodec(module, "buchberger")
+    p = codec.p
     basis: list = []
-    lts: list = []              # (component, monomial) per basis element
-    reducers = _Reducers()
+    lts: list = []              # (component, word) per basis element
+    reducers = _Reducers(codec)
     heap: list = []
-    pending: dict = {}          # (i, j) -> lcm of the pairs still to process
+    pending: dict = {}          # (i, j) -> lcm word of the pairs still to process
     processed_pairs = 0
     nvars = module.ring.nvars
     span = _LeadingSpan(module)
@@ -429,10 +550,10 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         return cover is not None and len(cover) == nvars
 
     def add_element(terms):
-        nf = _normal_form_terms(terms, reducers, module, caps)
+        nf = _normal_form_terms(terms, reducers, caps)
         if not nf:
             return
-        entry = _reducer_entry(nf, module)
+        entry = _reducer_entry(nf, codec)
         comp, mono = entry["ltcomp"], entry["ltmono"]
         degree = mono_deg(mono) + module.generator_degrees[comp]
         caps.check_degree(degree)
@@ -442,15 +563,15 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
             if len(support) == 1:
                 cover.add(support[0])
         idx = len(basis)
-        for i, lcm in _gebauer_moller(lts, pending, (comp, mono),
-                                      module.rank == 1):
-            deg = mono_deg(lcm) + module.generator_degrees[comp]
+        lead = (comp, entry["ltword"])
+        for i, lcm in _gebauer_moller(codec, lts, pending, lead, module.rank == 1):
+            deg = codec.degree(lcm) + module.generator_degrees[comp]
             if top is not None and deg > top:
                 continue
             pending[(i, idx)] = lcm
             heapq.heappush(heap, (deg, i, idx))
         basis.append(entry)
-        lts.append((comp, mono))
+        lts.append(lead)
         reducers.add(entry)
 
     for gen in gens:
@@ -460,7 +581,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
             continue
         if covered():
             break
-        add_element(dict(gen.terms))
+        add_element(codec.encode_terms(gen.terms))
 
     while heap and not covered():
         deg, i, j = heapq.heappop(heap)
@@ -474,31 +595,35 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         caps.check_degree(deg)
         caps.check_time()
         a, b = basis[i], basis[j]
+        top_term = codec.from_word(a["ltcomp"], lcm, deg)
         # gcd cofactors of the leading coefficients (both 1 mod p)
         g = gcd(a["ltcoeff"], b["ltcoeff"])
-        add_element(_combine_shifted(
-            a["terms"], mono_quot(lcm, a["ltmono"]), b["ltcoeff"] // g,
-            b["terms"], mono_quot(lcm, b["ltmono"]), a["ltcoeff"] // g, p))
-    return basis
+        s = add_scaled({}, b["ltcoeff"] // g, _shifted(a, top_term), p)
+        add_element(add_scaled(s, -(a["ltcoeff"] // g), _shifted(b, top_term), p))
+    return codec, basis
 
 
-def _reduce_basis(basis, module: GradedFreeModule, caps: Caps):
-    """Minimalize and tail-reduce into the canonical reduced basis."""
-    key = module.term_key()
-    ordered = sorted(basis, key=lambda b: key((b["ltcomp"], b["ltmono"])))
+def _shifted(entry: dict, term: int) -> dict:
+    """x^q * entry["terms"] for x^q = term / lt(entry)."""
+    shift = term - entry["lt"]
+    return {u + shift: c for u, c in entry["terms"].items()}
+
+
+def _reduce_basis(codec: _TermCodec, basis, module: GradedFreeModule,
+                  caps: Caps):
+    """Minimalize and tail-reduce the entries of a _gb_core run into the
+    canonical reduced basis."""
+    ordered = sorted(basis, key=lambda e: e["lt"])
     kept = []
-    for b in ordered:
-        if any(k["ltcomp"] == b["ltcomp"] and mono_divides(k["ltmono"], b["ltmono"])
-               for k in kept):
+    for e in ordered:
+        if any(codec.divides(k["lt"], e["lt"]) for k in kept):
             continue
-        kept.append(b)
-    reduced = []
-    for b in kept:
-        others = _Reducers(k for k in kept if k is not b)
-        nf = _normal_form_terms(b["terms"], others, module, caps)
-        reduced.append(ModuleElement(module, nf).monic())
-    reduced.sort(key=lambda e: key(e.leading()[0]), reverse=True)
-    return tuple(reduced)
+        kept.append(e)
+    reduced = [_normal_form_terms(e["terms"], _Reducers(
+        codec, (k for k in kept if k is not e)), caps) for e in kept]
+    reduced.sort(key=max, reverse=True)
+    return tuple(ModuleElement(module, codec.decode_terms(nf)).monic()
+                 for nf in reduced)
 
 
 @dataclass(frozen=True)
@@ -525,7 +650,7 @@ def buchberger(generators: Sequence[ModuleElement],
         if g.module != module:
             raise AlgebraError("generators live in different modules")
     caps = caps.start()
-    return GroebnerBasis(module, _reduce_basis(_gb_core(gens, module, caps),
+    return GroebnerBasis(module, _reduce_basis(*_gb_core(gens, module, caps),
                                                module, caps))
 
 
@@ -578,10 +703,11 @@ def syzygy_module_columns(columns, source: GradedFreeModule,
         terms = {(j, mono): c for j, entry in col for mono, c in entry.terms.items()}
         terms[(m + i, unit)] = source.ring.field.one()
         inputs.append(ModuleElement(graph, terms))
+    codec, basis = _gb_core(inputs, graph, caps, top)
     key = source.term_key()
-    kernel = (ModuleElement(source, {(k - m, mono): c
-                                     for (k, mono), c in b["terms"].items()})
-              for b in _gb_core(inputs, graph, caps, top) if b["ltcomp"] >= m)
+    kernel = (ModuleElement(source, {(k - m, mono): c for (k, mono), c in
+                                     codec.decode_terms(b["terms"]).items()})
+              for b in basis if b["ltcomp"] >= m)
     return GroebnerBasis(source, tuple(sorted(
         (e.monic() for e in kernel),
         key=lambda e: (e.degree(), key(e.leading()[0])))))
@@ -605,27 +731,26 @@ class _LeadingSpan:
     """Counts the degree-d monomial terms of a module divisible by one of
     the leading terms (component, monomial) added: by Macaulay's basis
     theorem, the degree-d dimension of a submodule whose leading terms in
-    degrees <= d are these.  The set S_d of such terms is x * S_{d-1}
-    joined with the leading terms of degree d; it is built upward from
-    below the lowest one, and its sizes are remembered for queries below
-    the degree reached.  A leading term added at that degree joins S_d, one
-    added below it makes the count start over."""
+    degrees <= d are these.  The set S_d of such terms, encoded
+    (_TermCodec), is x * S_{d-1} joined with the leading terms of degree d;
+    it is built upward from below the lowest one, and its sizes are
+    remembered for queries below the degree reached.  A leading term added
+    at that degree joins S_d, one added below it makes the count start
+    over."""
 
     def __init__(self, module: GradedFreeModule, leading=()):
-        self.module = module
-        self.leads: dict = {}       # degree -> leading terms
+        self.codec = _TermCodec(module, "leading-term count")
+        self.leads: dict = {}       # degree -> encoded leading terms
         self.deg, self.span, self.sizes = None, set(), {}  # S_deg, |S_e| (e < deg)
-        nvars = module.ring.nvars
-        self.steps = [tuple(int(k == v) for k in range(nvars))
-                      for v in range(nvars)]
         for comp, mono in leading:
             self.add(comp, mono)
 
     def add(self, comp: int, mono: tuple):
-        d = mono_deg(mono) + self.module.generator_degrees[comp]
-        self.leads.setdefault(d, []).append((comp, mono))
+        d = mono_deg(mono) + self.codec.degrees[comp]
+        t = self.codec.encode(comp, mono)
+        self.leads.setdefault(d, []).append(t)
         if d == self.deg:
-            self.span.add((comp, mono))
+            self.span.add(t)
         elif self.deg is not None and d < self.deg:
             self.deg = None
 
@@ -633,11 +758,12 @@ class _LeadingSpan:
         if self.deg is None:
             self.deg = min(self.leads, default=d) - 1
             self.span, self.sizes = set(), {}
+        steps = self.codec.weights      # x_v * t is t + weights[v]
         while self.deg < d:
             self.sizes[self.deg] = len(self.span)
             self.deg += 1
-            self.span = {(c, mono_mul(m, x)) for c, m in self.span
-                         for x in self.steps}
+            self.codec.check_degree(self.deg)
+            self.span = {t + x for t in self.span for x in steps}
             self.span.update(self.leads.get(self.deg, ()))
         return len(self.span) if d == self.deg else self.sizes.get(d, 0)
 
@@ -668,8 +794,8 @@ def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
     gens = [ModuleElement(target, {(j, mono): c for j, entry in col
                                    for mono, c in entry.terms.items()})
             for col in columns]
-    image = _LeadingSpan(target, ((b["ltcomp"], b["ltmono"])
-                                  for b in _gb_core(gens, target, caps, top)))
+    _, basis = _gb_core(gens, target, caps, top)
+    image = _LeadingSpan(target, ((b["ltcomp"], b["ltmono"]) for b in basis))
     free = free_module_dims(Counter(source.generator_degrees), source.ring.nvars)
 
     def dim(k: int) -> int:
@@ -805,10 +931,11 @@ def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
     caps = caps.start()
     if gb.module.rank != 1:
         raise AlgebraError("ideal membership needs a rank-one module")
-    reducers = [_reducer_entry(e.terms, gb.module) for e in gb.elements]
-    nf = _normal_form_terms({(0, m): c for m, c in f.terms.items()},
-                            _Reducers(reducers), gb.module, caps)
-    return not nf
+    codec = _TermCodec(gb.module, "ideal membership")
+    reducers = _Reducers(codec, (_reducer_entry(codec.encode_terms(e.terms), codec)
+                                 for e in gb.elements))
+    terms = codec.encode_terms({(0, m): c for m, c in f.terms.items()})
+    return not _normal_form_terms(terms, reducers, caps)
 
 
 PRIMARY_TEST_PRIME = 32003

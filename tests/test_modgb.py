@@ -8,10 +8,12 @@ import pytest
 from fractions import Fraction
 
 from kbundle.algebra import (
+    MONOMIAL_ORDERS,
     AlgebraError,
     FieldSpec,
     Poly,
     make_ring,
+    mono_divides,
     mono_mul,
     monomials_of_degree,
     parse_polynomial,
@@ -26,12 +28,14 @@ from kbundle.bundle import (
 )
 from kbundle.modgb import (
     PRIMARY_TEST_PRIME,
+    TERM_FIELD_BITS,
     Caps,
     _echelon_kernel,
     _LeadingSpan,
     _leading_terms_cover_variables,
     _reducer_entry,
     _Reducers,
+    _TermCodec,
     GradedFreeModule,
     GradingError,
     ModuleElement,
@@ -409,14 +413,22 @@ def sparse_form(ring, degree, rng):
                        for m in picks})
 
 
-@pytest.mark.parametrize("nvars", [3, 4])
-@pytest.mark.parametrize("char", [0, 7, 32003])
-def test_ideal_groebner_matches_macaulay_rank(nvars, char):
+def with_orders(cases):
+    """Each case under every monomial order; degrevlex, the default order,
+    keeps the case's plain id."""
+    return [pytest.param(*case, order, id="-".join(map(str, case))
+                         + ("" if order == "degrevlex" else f"-{order}"))
+            for case in cases for order in MONOMIAL_ORDERS]
+
+
+@pytest.mark.parametrize("char,nvars,order",
+                         with_orders(itertools.product([0, 7, 32003], [3, 4])))
+def test_ideal_groebner_matches_macaulay_rank(char, nvars, order):
     """Random homogeneous ideals: graded pieces of the basis equal Macaulay
     ranks, and the primary test agrees with I_d == R_d at the Macaulay bound
     d = (N+1)(D-1)+1 for generators of degree at most D."""
     rng = random.Random(1000 * nvars + char)
-    ring = make_ring(nvars, FieldSpec(char))
+    ring = make_ring(nvars, FieldSpec(char), order)
     top = 3
     for _ in range(40):
         polys = [sparse_form(ring, rng.randint(1, top), rng)
@@ -453,15 +465,15 @@ def sparse_module_element(module, degree, rng):
         for c in picks})
 
 
-@pytest.mark.parametrize("char", [0, 7, 32003])
-def test_module_groebner_matches_macaulay_rank(char):
+@pytest.mark.parametrize("char,order", with_orders([(0,), (7,), (32003,)]))
+def test_module_groebner_matches_macaulay_rank(char, order):
     """Random sparse inputs in target ranks 2 and 3: graded pieces of the
     basis equal Macaulay ranks.  Sparse components make coprime leading
     monomials and shared lcms within a component, where a pair criterion
     used beyond its reach (the product criterion on vectors, the chain
     criterion across components) loses basis elements."""
     rng = random.Random(5000 + char)
-    ring = make_ring(3, FieldSpec(char))
+    ring = make_ring(3, FieldSpec(char), order)
     for _ in range(30):
         module = GradedFreeModule(ring, tuple(rng.randint(0, 1)
                                               for _ in range(rng.randint(2, 3))))
@@ -482,10 +494,10 @@ def test_chain_criterion_drops_module_pairs(monkeypatch):
     deleted = []
     update = modgb._gebauer_moller
 
-    def recording(lts, pending, h, product):
+    def recording(codec, lts, pending, h, product):
         assert not product
         before = set(pending)
-        kept = update(lts, pending, h, product)
+        kept = update(codec, lts, pending, h, product)
         deleted.extend(before - set(pending))
         return kept
 
@@ -495,10 +507,15 @@ def test_chain_criterion_drops_module_pairs(monkeypatch):
     for d in range(6):
         assert graded_piece_dim(gb, d) == module_macaulay_rank(gens, d)
     # a new leading term never touches another component's pairs
-    pending = {(0, 1): (2, 2, 0)}
-    assert update([(1, (2, 0, 0)), (1, (0, 2, 0))], pending, (0, (1, 1, 0)),
-                  False) == []
-    assert pending == {(0, 1): (2, 2, 0)}
+    codec = _TermCodec(module, "test")
+
+    def word(mono):
+        return codec.word(codec.encode(0, mono))
+
+    pending = {(0, 1): word((2, 2, 0))}
+    assert update(codec, [(1, word((2, 0, 0))), (1, word((0, 2, 0)))], pending,
+                  (0, word((1, 1, 0))), False) == []
+    assert pending == {(0, 1): word((2, 2, 0))}
 
 
 def reduce_columns(cols, source, target, char):
@@ -692,22 +709,91 @@ def test_leading_span_counts_leads_added_at_or_below_the_degree_reached():
 def test_reducers_memo_keeps_first_divisor():
     # a term remembered without a divisor is checked against later entries,
     # and a remembered reduction is the one by the first divisor appended
-    module = GradedFreeModule(RING_QQ3, (0,))
+    codec = _TermCodec(GradedFreeModule(RING_QQ3, (0,)), "test")
+
+    def term(mono):
+        return codec.encode(0, mono)
 
     def entry(text):
-        return _reducer_entry({(0, m): c for m, c in P(text).terms.items()},
-                              module)
+        return _reducer_entry(codec.encode_terms(
+            {(0, m): c for m, c in P(text).terms.items()}), codec)
 
     xy, x2 = entry("X*Y - Z^2"), entry("X^2 + Y*Z")
-    reducers = _Reducers([xy])
-    x2z, x2y = (0, (2, 0, 1)), (0, (2, 1, 0))
+    reducers = _Reducers(codec, [xy])
+    x2z, x2y = term((2, 0, 1)), term((2, 1, 0))
     assert reducers.reduction(x2z) is None
     reducers.add(x2)
-    assert reducers.reduction(x2z) == (x2, ((0, (0, 1, 2)),))
+    assert reducers.reduction(x2z) == (x2, [term((0, 1, 2))])
     assert x2["tailcoeffs"] == [1]
-    assert reducers.reduction(x2y) == (xy, ((0, (1, 0, 2)),))
+    assert reducers.reduction(x2y) == (xy, [term((1, 0, 2))])
     assert xy["tailcoeffs"] == [-1]
     assert reducers.reduction(x2y) is reducers.reduction(x2y)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", MONOMIAL_ORDERS)
+def test_term_codec_matches_tuple_terms(order, rank):
+    """Encoded terms compare as term_key does, shift by L(q) as mono_mul
+    multiplies, decode back, and divide and take lcms as the tuples do,
+    also with exponents near the top of their field."""
+    rng = random.Random(20261019 + 10 * rank + MONOMIAL_ORDERS.index(order))
+    for nvars in (1, 3, 4):
+        module = GradedFreeModule(make_ring(nvars, order=order),
+                                  tuple(rng.randint(-2, 2) for _ in range(rank)))
+        codec = _TermCodec(module, "test")
+        key = module.term_key()
+
+        def random_term(top):
+            return (rng.randrange(rank),
+                    tuple(rng.randint(0, top) for _ in range(nvars)))
+
+        terms = {random_term(3) for _ in range(40)}
+        terms |= {random_term(2 ** (TERM_FIELD_BITS - 4)) for _ in range(10)}
+        terms |= {(c, m) for c, m in list(terms)[:5] for c in range(rank)}
+        terms = sorted(terms)
+        encoded = {t: codec.encode(*t) for t in terms}
+        assert sorted(terms, key=key) == sorted(terms, key=encoded.get)
+        zero = (0,) * nvars
+        for a in terms:
+            assert codec.decode(encoded[a]) == a
+            c, q = rng.choice(terms)
+            shift = codec.encode(c, q) - codec.encode(c, zero)
+            assert encoded[a] + shift == codec.encode(a[0], mono_mul(a[1], q))
+        for a, b in itertools.product(terms, repeat=2):
+            ta, tb = encoded[a], encoded[b]
+            assert codec.divides(ta, tb) == (a[0] == b[0]
+                                             and mono_divides(a[1], b[1]))
+            lcm = codec.lcm(codec.word(ta), codec.word(tb))
+            both = tuple(map(max, a[1], b[1]))
+            assert lcm == codec.word(codec.encode(b[0], both))
+            assert codec.degree(lcm) == sum(both)
+
+
+def test_term_fields_refuse_degrees_that_do_not_fit(monkeypatch):
+    """An exponent past the field bound raises at encode time, before any
+    reduction; an S-pair whose lcm would not fit raises when it is formed;
+    a degree at the bound is computed."""
+    bound = 2 ** (TERM_FIELD_BITS - 1) - 1
+    ring = make_ring(3)
+
+    def mono(*exps):
+        return Poly(ring, {exps: ring.field.one()})
+
+    assert leading_monos(ideal_groebner([mono(bound, 0, 0)])) == {(bound, 0, 0)}
+    original = modgb._normal_form_terms
+
+    def forbidden(*args):
+        raise AssertionError("reduced a term that does not fit")
+
+    monkeypatch.setattr(modgb, "_normal_form_terms", forbidden)
+    with pytest.raises(ResourceCapError, match="^buchberger: degree"):
+        ideal_groebner([mono(bound + 1, 0, 0)])
+    monkeypatch.setattr(modgb, "_normal_form_terms", original)
+    half = bound // 2 + 1
+    with pytest.raises(ResourceCapError, match=f"^buchberger: degree {2 * half}"):
+        ideal_groebner([mono(half, 1, 0), mono(1, half, 0)])
+    with pytest.raises(ResourceCapError, match="^ideal membership: degree"):
+        ideal_membership(mono(0, bound + 1, 0), ideal_groebner([mono(1, 0, 0)]))
 
 
 def test_resource_caps_abort():
