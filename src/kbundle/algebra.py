@@ -84,7 +84,8 @@ class FieldSpec:
     def from_int(self, n: int):
         return n % self.char if self.char else Fraction(n)
 
-    def from_fraction(self, x: Fraction):
+    def from_fraction(self, x):
+        """The image of a rational x (a Fraction or an int) in the field."""
         if self.char == 0:
             return Fraction(x)
         num, den = x.numerator, x.denominator
@@ -349,7 +350,7 @@ def reduce_poly_mod_p(p: Poly, ring_p: PolyRing) -> Poly:
     fld = ring_p.field
     terms = {}
     for mono, c in p.terms.items():
-        v = fld.from_fraction(Fraction(c))
+        v = fld.from_fraction(c)
         if v:
             terms[mono] = v
     return Poly(ring_p, terms)

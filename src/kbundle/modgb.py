@@ -51,7 +51,6 @@ from .algebra import (
     PolyRing,
     add_scaled,
     mono_deg,
-    mono_mul,
     monomials_of_degree,
     reduce_poly_mod_p,
 )
@@ -808,43 +807,93 @@ def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
 
 def _echelon_kernel(vectors, p: int, caps: Caps, want_vectors: bool = False):
     """Kernel dimension (and optionally combination vectors) of sparse columns
-    with plain field entries: Fractions over QQ (p == 0), residues mod p.
+    with plain field entries: Fractions or ints over QQ (p == 0), residues
+    mod p.
 
     Each vector is a dict keyed by comparable row keys.  Pivots are chosen at
     the maximal row key, which makes every reduction strictly decrease the
     current maximum and guarantees termination.  A dependent column's
     combination is its unique relation with the independent columns before
-    it (coefficient one on itself), so it does not depend on the row keys.
-    A pivot is stored as -v / lead without its lead entry.
+    it (coefficient one on itself), so it depends neither on the row keys nor
+    on how the rows are scaled.
+
+    Mod p a pivot is stored monic, as -v / lead without its lead entry.  Over
+    QQ the rows are integers (fraction-free): each column is scaled by the
+    lcm of its denominators, a pivot is primitive with a positive lead entry
+    L, and a row whose lead entry is c becomes a*v - b*pivot, with
+    (a, b) = (L, c) / gcd(L, c), divided by its content when a != 1.  The
+    combination is tracked in the same integers, so the content is taken
+    over both; a returned one undoes the column scales and is normalised to
+    one on its own column, in Fractions.
     """
     caps = caps.start()
-    one = 1 if p else Fraction(1)
     pivots: dict = {}
     kernel_dim = 0
     combos = []
+    scales = []
     for idx, vec in enumerate(vectors):
         caps.check_time()
-        v = dict(vec)
-        combo = {idx: one} if want_vectors else None
+        if p:
+            v = dict(vec)
+        else:
+            scale = lcm(*[x.denominator for x in vec.values()])
+            v = {k: x.numerator * (scale // x.denominator) for k, x in vec.items()}
+            scales.append(scale)
+        combo = {idx: 1} if want_vectors else None
         while v:
             lead = max(v)
             hit = pivots.get(lead)
             if hit is None:
                 break
             c = v.pop(lead)
-            add_scaled(v, c, hit[0], p)
+            tail, track, lc = hit
+            if p:
+                a = 1
+            else:
+                g = gcd(lc, c)
+                a, c = lc // g, -c // g
+                if a != 1:
+                    for k in v:
+                        v[k] *= a
+                    if want_vectors:
+                        for k in combo:
+                            combo[k] *= a
+            add_scaled(v, c, tail, p)
             if want_vectors:
-                add_scaled(combo, c, hit[1], p)
+                add_scaled(combo, c, track, p)
+            if a != 1:
+                _divide_content(v, combo)
         if v:
-            lc = v.pop(lead)
-            inv = -pow(lc, -1, p) % p if p else -1 / lc
-            pivots[lead] = (add_scaled({}, inv, v, p),
-                            add_scaled({}, inv, combo, p) if want_vectors else None)
+            if p:
+                lc = v.pop(lead)
+                inv = -pow(lc, -1, p) % p
+                track = add_scaled({}, inv, combo, p) if want_vectors else None
+                pivots[lead] = (add_scaled({}, inv, v, p), track, 1)
+            else:
+                _divide_content(v, combo, -1 if v[lead] < 0 else 1)
+                pivots[lead] = (v, combo, v.pop(lead))
         else:
             kernel_dim += 1
             if want_vectors:
+                if not p:
+                    den = combo[idx] * scales[idx]
+                    combo = {k: Fraction(x * scales[k], den)
+                             for k, x in combo.items()}
                 combos.append(combo)
     return kernel_dim, combos
+
+
+def _divide_content(v: dict, combo, sign: int = 1):
+    """Divide an integer row and its combination (None when not tracked) by
+    sign (+1 or -1) times their content."""
+    g = gcd(*v.values(), *combo.values()) if combo else gcd(*v.values())
+    g *= sign
+    if g and g != 1:
+        for k in v:
+            v[k] //= g
+        if combo:
+            for k in combo:
+                combo[k] //= g
 
 
 def _monomial_vectors(nvars: int, d: int) -> list:
@@ -858,23 +907,64 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
 
     sections[i] lists sparse vectors {(beta, mono): c} in source summand i,
     beta an index tuple (() for monomial sections).  Each vector is mapped
-    through column i to {(j, beta, mono): c}, the images are eliminated, and
-    each kernel combination is lifted to {((i,) + beta, mono): c}.  Returns
-    (kernel dimension, lifted vectors, empty unless want_vectors).
+    through column i to the target coordinates (j, beta, mono), the images
+    are eliminated, and each kernel combination is lifted to
+    {((i,) + beta, mono): c}.  Returns (kernel dimension, lifted vectors,
+    empty unless want_vectors).
+
+    A target coordinate is one int, block(j, beta) << span plus the exponents
+    of mono as digits of w bits, span = w * nvars.  Every exponent of an
+    image is at most the largest entry degree plus the largest section
+    degree, which is below 2^w, so a sum of exponents never carries into the
+    next digit: a product of monomials is one addition, and distinct
+    coordinates are distinct ints.
     """
+    terms = [[(j, em, ec) for j, entry in col for em, ec in entry.terms.items()]
+             for col in columns]
+    monos = {mono for vecs in sections for vec in vecs for _, mono in vec}
+    if not monos:
+        return 0, []
+    top = max(map(sum, monos)) + max((sum(em) for col in terms for _, em, _ in col),
+                                     default=0)
+    w = top.bit_length()
+    shifts = [w * v for v in range(len(next(iter(monos))))]
+    span = w * len(shifts)
+
+    def pack(mono):
+        return sum(e << s for e, s in zip(mono, shifts))
+
+    packed = {mono: pack(mono) for mono in monos}
+    blocks: dict = {}
     images = []
     labels = []
-    for i, col in enumerate(columns):
-        terms = [(j, em, ec) for j, entry in col for em, ec in entry.terms.items()]
-        shifted: dict = {}
+    for i, col in enumerate(terms):
+        col = [(j, pack(em), ec) for j, em, ec in col]
+        rows: dict = {}         # beta -> [(coordinate of (j, beta, em), ec)]
+        shifted: dict = {}      # (beta, mono) -> image of the term
+
+        def image(key):
+            img = shifted.get(key)
+            if img is None:
+                beta, mono = key
+                row = rows.get(beta)
+                if row is None:
+                    row = rows[beta] = [
+                        (blocks.setdefault((j, beta), len(blocks) << span) + pem, ec)
+                        for j, pem, ec in col]
+                m = packed[mono]
+                img = shifted[key] = {r + m: ec for r, ec in row}
+            return img
+
         for vec in sections[i]:
-            out: dict = {}
-            for (beta, mono), c in vec.items():
-                img = shifted.get((beta, mono))
-                if img is None:
-                    img = shifted[(beta, mono)] = {
-                        (j, beta, mono_mul(em, mono)): ec for j, em, ec in terms}
-                add_scaled(out, c, img, p)
+            if len(vec) == 1:
+                # one term, e.g. a monomial section: its image is the
+                # cached one, as the kernel never writes to its input
+                (key, c), = vec.items()
+                out = image(key) if c == 1 else add_scaled({}, c, image(key), p)
+            else:
+                out = {}
+                for key, c in vec.items():
+                    add_scaled(out, c, image(key), p)
             images.append(out)
             labels.append((i, vec))
     dim, combos = _echelon_kernel(images, p, caps, want_vectors)

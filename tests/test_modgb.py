@@ -640,8 +640,11 @@ def test_mod_p_kernel_dominates_rational_kernel():
 
 def test_echelon_combinations_ignore_row_order():
     # a dependent column's combination is its unique relation with the
-    # independent columns before it, whichever rows the pivots land on
+    # independent columns before it, whichever rows the pivots land on;
+    # over QQ the fresh entries have denominators, so that the column
+    # scaling of the fraction-free rows is exercised
     rng = random.Random(4242)
+    dens = random.Random(4343)
     rows = [(j, k) for j in range(3) for k in range(3)]
     reverse = {r: -i for i, r in enumerate(sorted(rows))}
     for p in (0, 7):
@@ -657,6 +660,9 @@ def test_echelon_combinations_ignore_row_order():
                             vec[r] = vec.get(r, 0) + c * x
                 else:
                     vec = {r: rng.randint(-3, 3) for r in rows if rng.random() < 0.4}
+                    if not p:
+                        vec = {r: Fraction(x, dens.choice((1, 2, 3, 4, 6, 35)))
+                               for r, x in vec.items()}
                 field = (lambda x: x % p) if p else Fraction
                 vec = {r: field(x) for r, x in vec.items() if field(x)}
                 vectors.append(vec)
@@ -665,6 +671,111 @@ def test_echelon_combinations_ignore_row_order():
             assert (dim, combos) == _echelon_kernel(relabelled, p, Caps(),
                                                     want_vectors=True)
             assert dim == len(combos)
+
+
+def fraction_gauss_jordan(vectors):
+    """Reference for _echelon_kernel over QQ: Gauss-Jordan in Fractions.
+    Every basis vector is one at its pivot row and zero at the other pivot
+    rows, so one pass over the basis clears every pivot row of a column."""
+    basis = []                      # [pivot row, vector, combination]
+    dim, combos = 0, []
+    for idx, vec in enumerate(vectors):
+        v = {r: Fraction(x) for r, x in vec.items()}
+        combo = {idx: Fraction(1)}
+        for row, b, bc in basis:
+            c = v.get(row)
+            if c:
+                for d, src in ((v, b), (combo, bc)):
+                    for r, x in src.items():
+                        d[r] = d.get(r, 0) - c * x
+                        if not d[r]:
+                            del d[r]
+        if not v:
+            dim += 1
+            combos.append(combo)
+            continue
+        row = min(v, key=repr)
+        inv = 1 / v[row]
+        v = {r: x * inv for r, x in v.items()}
+        combo = {r: x * inv for r, x in combo.items()}
+        for entry in basis:
+            c = entry[1].get(row)
+            if c:
+                for d, src in ((entry[1], v), (entry[2], combo)):
+                    for r, x in src.items():
+                        d[r] = d.get(r, 0) - c * x
+                        if not d[r]:
+                            del d[r]
+        basis.append([row, v, combo])
+    return dim, combos
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_echelon_qq_matches_fraction_gauss_jordan(seed):
+    """Sparse columns of Fractions with denominators, plain ints and planted
+    dependent columns: the fraction-free elimination gives the reference's
+    dimension and Fraction combinations, and each combination annihilates
+    its columns exactly."""
+    rng = random.Random(9000 + seed)
+    nrows = rng.randint(3, 12)
+    rows = rng.sample([(j, k) for j in range(4) for k in range(6)], nrows)
+    vectors = []
+    for _ in range(rng.randint(4, 18)):
+        roll = rng.random()
+        if vectors and roll < 0.4:
+            vec = {}
+            for v in rng.sample(vectors, min(rng.randint(1, 3), len(vectors))):
+                c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 7, 10**6 + 3)))
+                for r, x in v.items():
+                    vec[r] = vec.get(r, 0) + c * x
+        elif roll < 0.7:
+            vec = {r: rng.randint(-20, 20) for r in rows if rng.random() < 0.5}
+        else:
+            vec = {r: Fraction(rng.randint(-10**4, 10**4),
+                               rng.choice((1, 2, 3, 12, 97, 2**40)))
+                   for r in rows if rng.random() < 0.5}
+        vectors.append({r: x for r, x in vec.items() if x})
+    dim, combos = _echelon_kernel(vectors, 0, Caps(), want_vectors=True)
+    assert (dim, combos) == fraction_gauss_jordan(vectors)
+    assert _echelon_kernel(vectors, 0, Caps()) == (dim, [])
+    assert dim == len(combos) and dim > 0
+    for combo in combos:
+        assert all(type(c) is Fraction and c for c in combo.values())
+        assert combo[max(combo)] == 1
+        total: dict = {}
+        for idx, c in combo.items():
+            for r, x in vectors[idx].items():
+                total[r] = total.get(r, 0) + c * x
+        assert not any(total.values())
+
+
+def test_section_coordinates_do_not_carry_at_the_digit_width():
+    """One row of degree-7 forms: in module degree t the target exponents
+    reach t, and the digit width picked for the call is t.bit_length(), so t
+    = 15 fills every digit and t = 16 needs one more bit.  A carry between
+    digits (X^8 * Z^2 landing on Y^9 * Z with 3-bit digits, say) would merge
+    two coordinates and change a dimension."""
+    source, target = one_row_modules((7, 7, 7, 7))
+    cols = one_row_columns("X^7", "Y^7", "Z^7", "X^6*Z")
+    dims = kernel_dims_gb(cols, source, target, Caps(), 17)
+    for t in range(6, 18):
+        assert kernel_dim_linalg(cols, source, target, t) == dims(t)
+    ring = make_ring(3, FieldSpec(32003))
+    source_p, target_p = one_row_modules((7, 7, 7, 7), ring)
+    cols_p = [[(0, parse_polynomial(str(f), ring))] for [(_, f)] in cols]
+    for t in (14, 15, 16, 17):
+        assert kernel_dim_linalg(cols_p, source_p, target_p, t) == dims(t)
+    # a carry out of the last digit lands in the next block: with d = 16
+    # and 4-bit digits, Z^16 in row 0 would be the constant of row 1
+    for d in (15, 16):
+        source = GradedFreeModule(RING_QQ3, (d, d, d))
+        target = GradedFreeModule(RING_QQ3, (0, d))
+        z, one = P(f"Z^{d}"), P("1")
+        cols = [[(0, z), (1, one)], [(1, one)], [(0, z)]]
+        dims = kernel_dims_gb(cols, source, target, Caps(), d + 1)
+        assert dims(d) == 1
+        for t in (d - 1, d, d + 1):
+            assert kernel_dim_linalg(cols, source, target, t) == dims(t)
 
 
 def test_kernel_dims_gb_counts_the_image():

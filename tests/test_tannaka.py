@@ -173,6 +173,54 @@ def test_staged_square_matches_presentation():
             assert _echelon_kernel(staged, 0, sections.caps)[0] == 0
 
 
+# The one section of E0^(x)3 in degree 0 for E0 = sl3_bundle(), as
+# (alpha, monomial, coefficient), frozen from the Fraction elimination that
+# the fraction-free one replaced; E0^(x)2 has no section in degree 0.
+SL3_CUBE_SECTION = [
+    ((0, 1, 2), (1, 1, 1), 1),
+    ((0, 1, 3), (0, 0, 3), -1),
+    ((0, 2, 1), (1, 1, 1), -1),
+    ((0, 2, 3), (0, 3, 0), 1),
+    ((0, 3, 1), (0, 0, 3), 1),
+    ((0, 3, 2), (0, 3, 0), -1),
+    ((1, 0, 2), (1, 1, 1), -1),
+    ((1, 0, 3), (0, 0, 3), 1),
+    ((1, 2, 0), (1, 1, 1), 1),
+    ((1, 2, 3), (3, 0, 0), -1),
+    ((1, 3, 0), (0, 0, 3), -1),
+    ((1, 3, 2), (3, 0, 0), 1),
+    ((2, 0, 1), (1, 1, 1), 1),
+    ((2, 0, 3), (0, 3, 0), -1),
+    ((2, 1, 0), (1, 1, 1), -1),
+    ((2, 1, 3), (3, 0, 0), 1),
+    ((2, 3, 0), (0, 3, 0), 1),
+    ((2, 3, 1), (3, 0, 0), -1),
+    ((3, 0, 1), (0, 0, 3), -1),
+    ((3, 0, 2), (0, 3, 0), 1),
+    ((3, 1, 0), (0, 0, 3), 1),
+    ((3, 1, 2), (3, 0, 0), -1),
+    ((3, 2, 0), (0, 3, 0), -1),
+    ((3, 2, 1), (3, 0, 0), 1),
+]
+
+
+def test_sl3_staged_bases_golden():
+    """The staged bases of E0^(x)q in degree 0, q = 2 and 3, over QQ (as
+    Fractions) and mod 1000003 (as residues): later levels are cut out of
+    these lifted vectors, so their exact coefficients are pinned down."""
+    golden = {(alpha, mono): c for alpha, mono, c in SL3_CUBE_SECTION}
+    prime = 1000003
+    for bundle, field in ((sl3_bundle(), Fraction),
+                          (reduce_bundle_mod_p(sl3_bundle(), prime), int)):
+        sections = TensorSections(bundle)
+        assert sections.basis(2, 0) == []
+        [section] = sections.basis(3, 0)
+        assert all(type(c) is field for c in section.values())
+        want = golden if field is Fraction else {
+            key: c % prime for key, c in golden.items()}
+        assert section == want
+
+
 def test_pairing_bound_on_self_dual_bundles():
     assert _pairing_products_rank(TensorSections(five_quartics(twist=5))) == 3
     assert _pairing_products_rank(TensorSections(rank6_bundle())) == 3
