@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .algebra import AlgebraError, Poly, PolyRing, mono_mul, substitute_powers
 from .modgb import (Caps, GradedFreeModule, NO_CAPS, free_module_dims,
-                    is_irrelevant_primary)
+                    has_degree, is_irrelevant_primary)
 
 
 class BundleError(AlgebraError):
@@ -260,7 +260,7 @@ def validate(bundle: KernelBundle, check_surjectivity: bool = False,
             if p.is_zero():
                 continue
             want = bundle.twists_b[j] - bundle.twists_a[i]
-            if not p.is_homogeneous() or p.homogeneous_degree() != want:
+            if not has_degree(p, want):
                 problems.append(ValidationProblem(
                     "degree-mismatch", (j, i),
                     f"entry must be homogeneous of degree {want}"))

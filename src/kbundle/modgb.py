@@ -663,6 +663,12 @@ def ideal_groebner(polys: Sequence[Poly], caps: Caps = NO_CAPS) -> GroebnerBasis
     return buchberger(gens, caps)
 
 
+def has_degree(p: Poly, want: int) -> bool:
+    """True iff p is nonzero and homogeneous of degree want: one pass over
+    the term degrees."""
+    return set(map(sum, p.terms)) == {want}
+
+
 def _validate_columns(columns, source: GradedFreeModule, target: GradedFreeModule):
     for i, col in enumerate(columns):
         for j, p in col:
@@ -671,7 +677,7 @@ def _validate_columns(columns, source: GradedFreeModule, target: GradedFreeModul
             if p.is_zero():
                 continue
             want = source.generator_degrees[i] - target.generator_degrees[j]
-            if not p.is_homogeneous() or p.homogeneous_degree() != want:
+            if not has_degree(p, want):
                 raise GradingError(
                     f"entry ({j},{i}) must be homogeneous of degree {want}")
 

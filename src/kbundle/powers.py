@@ -1,19 +1,26 @@
-"""Presenting matrices for tensor, exterior and symmetric powers of a kernel
-bundle.
+"""Kernel presentations of tensor, exterior and symmetric powers of a bundle.
 
-Each power of E = ker((+) O(a_i) -> (+) O(b_j)) again sits as the kernel of an
-explicit graded map between splitting bundles (the map is in general no longer
-surjective, which is fine: only the kernel is consumed downstream).
+Each power of E = ker(F -> G), F = (+) O(a_i), G = (+) O(b_j), again sits as
+the kernel of a graded map P^q F -> P^(q-1) F (x) G between splitting bundles
+(in general no longer surjective, which is fine: only the kernel is used).
+One builder serves the three kinds; a kind is a label family and the slots
+(p, i = label[p], scalar) of a label:
 
-Index orders are fixed for determinism: tuples lexicographic, subsets as
-ascending lists ranked colexicographically, multisets as weakly increasing
-lists ranked lexicographically.
+- tensor: all q-tuples over range(n), lexicographic; every p, scalar 1.
+- exterior: q-subsets as ascending tuples in colex order; every p, (-1)^p.
+- symmetric: weakly increasing q-tuples, lexicographic; the first p of each
+  value, scalar its multiplicity.
+
+A slot puts scalar * a_ji at the target (label minus p, j), for tensor
+(label minus p, j, p).  Targets run over family(n, q - 1) x rows (x slots
+for tensor) in that nested order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, count,
+                       cycle, product, repeat)
 
 from .algebra import AlgebraError
 from .bundle import KernelBundle, module_from_twists
@@ -25,7 +32,8 @@ class PowerError(AlgebraError):
 
 
 class CharacteristicError(PowerError):
-    """Symmetric powers refuse to run when the characteristic divides q."""
+    """Sym^q in characteristic 0 < p <= q: the presentation's kernel also
+    holds p-th powers, which the map kills, so it is larger than Sym^q E."""
 
 
 @dataclass(frozen=True)
@@ -55,138 +63,78 @@ class PowerPresentation:
     def target_module(self) -> GradedFreeModule:
         return module_from_twists(self.ring, self.target_twists)
 
-    def columns_list(self):
-        return [list(col) for col in self.columns]
+
+# kind -> (label family, slots (p, label[p], scalar) of a label)
+_KINDS = {
+    "tensor": (lambda n, q: product(range(n), repeat=q),
+               lambda alpha: zip(count(), alpha, repeat(1))),
+    "exterior": (lambda n, q: sorted(combinations(range(n), q),
+                                     key=lambda A: A[::-1]),
+                 lambda A: zip(count(), A, cycle((1, -1)))),
+    "symmetric": (lambda n, q: combinations_with_replacement(range(n), q),
+                  lambda M: [(p, i, M.count(i)) for p, i in enumerate(M)
+                             if not p or M[p - 1] != i]),
+}
 
 
-def _subset_colex_key(A):
-    return tuple(reversed(A))
-
-
-def tensor_power_matrix(bundle: KernelBundle, q: int) -> PowerPresentation:
-    """q-th tensor power: source basis e_alpha over alpha in I^q, and
-    e_alpha maps to the sum over (j, p) of a_{j, alpha_p} e_{(alpha^(p), j, p)}.
-    """
-    if q < 1:
-        raise PowerError(f"tensor power needs q >= 1, got {q}")
-    n, m = bundle.n, bundle.m
-    a, b = bundle.twists_a, bundle.twists_b
-    source_labels = tuple(product(range(n), repeat=q))
-    target_labels = tuple(sorted(
-        (beta, j, p)
-        for beta in product(range(n), repeat=q - 1)
-        for j in range(m) for p in range(q)))
-    target_index = {lab: k for k, lab in enumerate(target_labels)}
+def _power(bundle: KernelBundle, kind: str, q: int) -> PowerPresentation:
+    n, m, a, b = bundle.n, bundle.m, bundle.twists_a, bundle.twists_b
+    if q < 1 or (kind == "exterior" and q >= n - m):
+        bound = f"1 <= q < rank = {n - m}" if kind == "exterior" else "q >= 1"
+        raise PowerError(f"{kind} power needs {bound}, got {q}")
+    fld = bundle.ring.field
+    if kind == "symmetric" and 0 < fld.char <= q:
+        raise CharacteristicError(f"symmetric power q={q} is unavailable in "
+                                  f"characteristic {fld.char}")
+    family, slots = _KINDS[kind]
+    keep = kind == "tensor"   # the target label keeps the removed slot
+    width = q if keep else 1
+    tails = ([(j, p) for j in range(m) for p in range(q)] if keep
+             else [(j,) for j in range(m)])
+    lower = tuple(family(n, q - 1))
+    offset = {beta: r * len(tails) for r, beta in enumerate(lower)}
+    target_labels = tuple((beta, *t) for beta in lower for t in tails)
+    target_twists = tuple(sum(a[i] for i in beta) + b[t[0]]
+                          for beta in lower for t in tails)
+    source_labels = tuple(family(n, q))
     source_twists = tuple(sum(a[i] for i in alpha) for alpha in source_labels)
-    target_twists = tuple(sum(a[i] for i in beta) + b[j]
-                          for (beta, j, p) in target_labels)
+    # scalar c -> per source index i, [(j * width, c * a_ji) for a_ji != 0];
+    # a symmetric scalar is a multiplicity <= q < char, so never zero in K
+    scaled = {}
     cols = []
     for alpha in source_labels:
         col = []
-        for p in range(q):
-            i = alpha[p]
-            beta = alpha[:p] + alpha[p + 1:]
-            for j in range(m):
-                entry = bundle.entry(j, i)
-                if entry.is_zero():
-                    continue
-                col.append((target_index[(beta, j, p)], entry))
+        for p, i, c in slots(alpha):
+            if c not in scaled:
+                scaled[c] = [[(j * width, e if c == 1 else -e if c == -1
+                               else e.scale(fld.from_int(c))) for j, e in col_i]
+                             for col_i in bundle.columns()]
+            base = offset[alpha[:p] + alpha[p + 1:]] + (p if keep else 0)
+            for jw, e in scaled[c][i]:
+                col.append((base + jw, e))
         cols.append(tuple(col))
-    return PowerPresentation("tensor", q, bundle.ring, source_twists,
-                             target_twists, source_labels, target_labels,
-                             tuple(cols))
+    return PowerPresentation(kind, q, bundle.ring, source_twists, target_twists,
+                             source_labels, target_labels, tuple(cols))
+
+
+def tensor_power_matrix(bundle: KernelBundle, q: int) -> PowerPresentation:
+    """q-th tensor power, q >= 1."""
+    return _power(bundle, "tensor", q)
 
 
 def exterior_power_matrix(bundle: KernelBundle, q: int) -> PowerPresentation:
-    """q-th exterior power, 1 <= q < n - m: source basis e_A over q-subsets,
-    with e_A mapping to sum over (i in A, j) of sign(i, A) a_{ji} e_{(A-i, j)}.
-
-    sign(i, A) is -1 exactly when i sits at an even (1-based) position of the
-    ascending list A.
-    """
-    n, m = bundle.n, bundle.m
-    if not 1 <= q < n - m:
-        raise PowerError(
-            f"exterior power needs 1 <= q < rank + 1 = {n - m}, got {q}")
-    a, b = bundle.twists_a, bundle.twists_b
-    source_labels = tuple(sorted(combinations(range(n), q), key=_subset_colex_key))
-    target_labels = tuple(sorted(
-        ((B, j) for B in combinations(range(n), q - 1) for j in range(m)),
-        key=lambda t: (_subset_colex_key(t[0]), t[1])))
-    target_index = {lab: k for k, lab in enumerate(target_labels)}
-    source_twists = tuple(sum(a[i] for i in A) for A in source_labels)
-    target_twists = tuple(sum(a[i] for i in B) + b[j] for (B, j) in target_labels)
-    cols = []
-    for A in source_labels:
-        col = []
-        for pos, i in enumerate(A):
-            sign = 1 if pos % 2 == 0 else -1
-            B = A[:pos] + A[pos + 1:]
-            for j in range(m):
-                entry = bundle.entry(j, i)
-                if entry.is_zero():
-                    continue
-                col.append((target_index[(B, j)],
-                            entry if sign == 1 else -entry))
-        cols.append(tuple(col))
-    return PowerPresentation("exterior", q, bundle.ring, source_twists,
-                             target_twists, source_labels, target_labels,
-                             tuple(cols))
+    """q-th exterior power, 1 <= q < rank."""
+    return _power(bundle, "exterior", q)
 
 
 def symmetric_power_matrix(bundle: KernelBundle, q: int) -> PowerPresentation:
-    """q-th symmetric power (requires char(K) to not divide q): source basis
-    over weakly increasing q-multisets; removing one copy of i from the
-    multiset M contributes mult_M(i) * a_{ji}.
-
-    The multiplicity factor is forced by the monomial basis of Sym: with it,
-    products of kernel elements are annihilated exactly.
-    """
-    if q < 1:
-        raise PowerError(f"symmetric power needs q >= 1, got {q}")
-    char = bundle.ring.field.char
-    if char > 0 and q % char == 0:
-        raise CharacteristicError(
-            f"symmetric power q={q} is unavailable in characteristic {char}")
-    n, m = bundle.n, bundle.m
-    a, b = bundle.twists_a, bundle.twists_b
-    source_labels = tuple(combinations_with_replacement(range(n), q))
-    target_labels = tuple(sorted(
-        (M, j) for M in combinations_with_replacement(range(n), q - 1)
-        for j in range(m)))
-    target_index = {lab: k for k, lab in enumerate(target_labels)}
-    source_twists = tuple(sum(a[i] for i in M) for M in source_labels)
-    target_twists = tuple(sum(a[i] for i in M) + b[j] for (M, j) in target_labels)
-    fld = bundle.ring.field
-    cols = []
-    for M in source_labels:
-        col = []
-        seen = set()
-        for pos, i in enumerate(M):
-            if i in seen:
-                continue
-            seen.add(i)
-            mult = M.count(i)
-            reduced = M[:pos] + M[pos + 1:]
-            for j in range(m):
-                entry = bundle.entry(j, i)
-                if entry.is_zero():
-                    continue
-                scaled = entry.scale(fld.from_int(mult))
-                if scaled.is_zero():
-                    continue
-                col.append((target_index[(reduced, j)], scaled))
-        cols.append(tuple(col))
-    return PowerPresentation("symmetric", q, bundle.ring, source_twists,
-                             target_twists, source_labels, target_labels,
-                             tuple(cols))
+    """q-th symmetric power, q >= 1, in characteristic 0 or > q; the
+    multiplicity scalars make products of kernel elements vanish exactly."""
+    return _power(bundle, "symmetric", q)
 
 
 def power_presentation(bundle: KernelBundle, kind: str, q: int) -> PowerPresentation:
-    if kind == "tensor":
-        return tensor_power_matrix(bundle, q)
-    if kind == "exterior":
-        return exterior_power_matrix(bundle, q)
-    if kind == "symmetric":
-        return symmetric_power_matrix(bundle, q)
-    raise PowerError(f"unknown power kind {kind!r}")
+    if kind not in _KINDS:
+        raise PowerError(f"unknown power kind {kind!r}")
+    return {"tensor": tensor_power_matrix, "exterior": exterior_power_matrix,
+            "symmetric": symmetric_power_matrix}[kind](bundle, q)

@@ -124,7 +124,7 @@ def _verify_witness(pres, element: ModuleElement, degree: int,
         return False
     if element.degree() != degree or not Fraction(degree) < threshold:
         return False
-    image = apply_columns(pres.columns_list(), pres.target_module(), element)
+    image = apply_columns(pres.columns, pres.target_module(), element)
     return image.is_zero()
 
 
@@ -137,7 +137,7 @@ def _kernel_dims(pres, engine: str, caps: Caps, top: int):
     """k -> dimension of the degree-k kernel piece of pres, for k <= top:
     `gb` counts it on one Buchberger run on the image truncated at top,
     `linalg` eliminates degree k."""
-    args = (pres.columns_list(), pres.source_module(), pres.target_module())
+    args = (pres.columns, pres.source_module(), pres.target_module())
     if engine == "gb":
         return kernel_dims_gb(*args, caps, top)
     return lambda k: kernel_dim_linalg(*args, k, caps)
@@ -254,8 +254,7 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
         if check.relation == "<":
             # the kept engine's witness; for gb the smallest syzygy of the run
             # truncated at alpha, a prefix of any run truncated higher
-            args = (pres.columns_list(), pres.source_module(),
-                    pres.target_module())
+            args = (pres.columns, pres.source_module(), pres.target_module())
             if engines[-1] == "linalg":
                 element = kernel_sections_linalg(*args, check.alpha, caps)[1][0]
             else:

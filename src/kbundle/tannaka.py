@@ -146,7 +146,7 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
         sections = TensorSections(bundle, caps)
         return {k: sections.dim(q, k) for k in twists}
     pres = power_presentation(bundle, kind, q)
-    args = (pres.columns_list(), pres.source_module(), pres.target_module())
+    args = (pres.columns, pres.source_module(), pres.target_module())
     if engine != "linalg":
         dim = kernel_dims_gb(*args, caps, max(twists))
         table_gb = {k: dim(k) for k in twists}

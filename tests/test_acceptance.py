@@ -82,7 +82,7 @@ def test_criterion_02_monomial_cubes_unstable():
     assert Fraction(9) < Fraction(28, 3)
     # the witness element really is a kernel element of the wedge-square map
     pres = exterior_power_matrix(monomial_cubes_family(), 2)
-    assert apply_columns(pres.columns_list(), pres.target_module(),
+    assert apply_columns(pres.columns, pres.target_module(),
                          w.element).is_zero()
     res = brenner_monomial(monomial_cubes_spec())
     assert res.verdict == "inconclusive"
@@ -252,14 +252,14 @@ def test_criterion_09_kernel_closure_signs():
         picks = [gens[rng.randrange(len(gens))] for _ in range(take)]
         tp = tensor_power_matrix(bundle, take)
         t_el = tensor_expand(tp, picks)
-        assert apply_columns(tp.columns_list(), tp.target_module(), t_el).is_zero()
+        assert apply_columns(tp.columns, tp.target_module(), t_el).is_zero()
         sp = symmetric_power_matrix(bundle, take)
         s_el = sym_expand(sp, picks)
-        assert apply_columns(sp.columns_list(), sp.target_module(), s_el).is_zero()
+        assert apply_columns(sp.columns, sp.target_module(), s_el).is_zero()
         ep = exterior_power_matrix(bundle, take)
         w_el = wedge_expand(ep, picks)
         if not w_el.is_zero():
-            assert apply_columns(ep.columns_list(), ep.target_module(),
+            assert apply_columns(ep.columns, ep.target_module(),
                                  w_el).is_zero()
         checked += 1
     announce(9, "100 random kernel-closure expansions annihilated exactly;")

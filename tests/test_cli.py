@@ -345,6 +345,18 @@ def test_sections_tensor_power_zero_is_input_error(capsys, engine):
     assert "input error: tensor power needs q >= 1, got 0" in err
 
 
+def test_sections_symmetric_power_in_small_characteristic_is_refused(capsys):
+    # over F_2 the kernel of the Sym^3 presentation is larger than Sym^3 E:
+    # its h^0 at k = 0..3 is 27, 51, 81, 117, where QQ and F_5 give 0, 0, 0, 10
+    code, out, err = run_cli([
+        "sections", "--field", "fp:2", "--syzygy", "X^2,Y^2,Z^2", "--twist",
+        "3", "--kind", "symmetric", "--q", "3", "--twists", "0..3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("input error: symmetric power q=3 is unavailable in "
+                   "characteristic 2\n")
+
+
 @pytest.mark.parametrize("args, message", [
     (["--field", "fp:0", "--syzygy", "X^2, Y^2, Z^2"],
      "bad field spec 'fp:0': P must be a prime"),

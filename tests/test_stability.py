@@ -462,7 +462,7 @@ def reference_scan(bundle, qs):
         top = floor(threshold)
         pres = exterior_power_matrix(bundle, q)
         low = -max(pres.source_twists)
-        args = (pres.columns_list(), pres.source_module(), pres.target_module())
+        args = (pres.columns, pres.source_module(), pres.target_module())
         dims = [kernel_dim_linalg(*args, k) for k in range(low, top + 1)]
         alpha = next((low + i for i, d in enumerate(dims) if d), None)
         if alpha is not None:

@@ -158,7 +158,7 @@ def test_staged_square_matches_presentation():
                *islice(random_degree0_syzygy_bundles(20261018), 1, 3)]
     for bundle in bundles:
         pres = tensor_power_matrix(bundle, 2)
-        columns, source, target = (pres.columns_list(), pres.source_module(),
+        columns, source, target = (pres.columns, pres.source_module(),
                                    pres.target_module())
         sections = TensorSections(bundle)
         for t in (-1, 0, 1):
