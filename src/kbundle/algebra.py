@@ -9,9 +9,11 @@ p != 0.  Nothing in this package touches floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import chain
+from math import gcd, prod
 from operator import add, le
 from typing import Iterator
 
@@ -230,7 +232,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return bool(self.terms) and all(mono_deg(m) == 0 for m in self.terms)
+        return bool(self.terms) and not any(map(sum, self.terms))
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -242,12 +244,11 @@ class Poly:
         return max(mono_deg(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_deg(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def homogeneous_degree(self):
         """Degree of a homogeneous polynomial; None if zero; error if mixed."""
-        degs = {mono_deg(m) for m in self.terms}
+        degs = set(map(sum, self.terms))
         if not degs:
             return None
         if len(degs) > 1:
@@ -374,121 +375,139 @@ def monomial_family_gcd(polys) -> tuple:
 #   expr   := ['+'|'-'] term (('+'|'-') term)*
 #   term   := atom ('*' atom)*
 #   atom   := NUMBER ['/' NUMBER] | VARIABLE ['^' NUMBER]
+# A NUMBER is ASCII digits; a VARIABLE starts with a letter or '_' and goes
+# on with letters, digits and '_'.
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
+# One token per match, after whitespace: a number with its denominator if
+# one follows, a word with its exponent if one follows, or one other
+# character.  lastindex tells them apart.  A word that starts with neither a
+# letter nor '_', and a character that is no operator, are unexpected.
+_TOKEN = re.compile(
+    r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(\w+)(?:\s*\^\s*([0-9]+))?|(\S))")
+_NUMBER, _FRACTION, _WORD, _POWER, _OTHER = 1, 2, 3, 4, 5
+_START, _ATOM, _AFTER_ATOM = 0, 1, 2   # where a sign, an atom, an operator may come
+
+
+def _starts_word(text: str) -> bool:
+    return text[:1].isalpha() or text[:1] == "_"
+
+
+def _start(match) -> int:
+    """Where the token of a match begins, after its leading whitespace."""
+    return match.end() - len(match[0].lstrip())
+
+
+def _unexpected(match):
+    """The error for a token that starts with an unexpected character, else
+    None."""
+    kind = match.lastindex
+    token = match[0].lstrip()
+    if (kind == _OTHER and token not in "+-*/^"
+            or _WORD <= kind <= _POWER and not _starts_word(token)):
+        return PolyParseError(f"unexpected character {token[0]!r}", _start(match))
+    return None
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Poly:
     """Parse an expression into the canonical sparse polynomial.
 
-    Parsing, printing, then re-parsing is a fixed point on canonical forms.
+    One pass over the tokens.  A term's coefficient is kept as integers
+    num/den and becomes a field element once, where the term ends.  The
+    error raised is the first unexpected character of the text if it has
+    one, as if the whole text were tokenized before it is parsed, else the
+    first syntax or coefficient error.  Parsing, printing, then re-parsing
+    is a fixed point on canonical forms.
     """
-    tokens = _tokenize(text)
-    pos = 0
-    var_index = {name: i for i, name in enumerate(ring.variables)}
-    fld = ring.field
-    p = fld.char
+    p = ring.field.char
+    index = {name: i for i, name in enumerate(ring.variables) if _starts_word(name)}
+    nvars = ring.nvars
+    tokens = _TOKEN.finditer(text)
+    terms: dict = {}
+    state, last = _START, None
+    sign, num, den, exps = 1, 1, 1, [0] * nvars
 
-    def peek():
-        return tokens[pos]
+    def fail(error, pending=None):
+        """Raise error, unless the token pending or one after it is
+        unexpected."""
+        for match in chain((pending,) if pending else (), tokens):
+            unexpected = _unexpected(match)
+            if unexpected is not None:
+                raise unexpected
+        raise error
 
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def end_term():
+        mono = tuple(exps)
+        if p:
+            c = sign * num * (1 if den == 1 else pow(den, -1, p)) % p
+        else:
+            c = Fraction(sign * num) if den == 1 else Fraction(sign * num, den)
+        old = terms.get(mono)
+        if old is not None:
+            c = (old + c) % p if p else old + c
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
 
-    def parse_atom():
-        kind, value, at = peek()
-        if kind == "num":
-            advance()
-            num = value
-            if peek()[0] == "/":
-                advance()
-                kind2, den, at2 = peek()
-                if kind2 != "num":
-                    raise PolyParseError("expected denominator after '/'", at2)
-                advance()
-                if den == 0:
-                    raise PolyParseError("zero denominator", at2)
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            return fld.from_fraction(coeff), (0,) * ring.nvars
-        if kind == "name":
-            advance()
-            if value not in var_index:
-                raise PolyParseError(f"unknown variable {value!r}", at)
-            exp = 1
-            if peek()[0] == "^":
-                advance()
-                kind2, e, at2 = peek()
-                if kind2 != "num":
-                    raise PolyParseError("expected integer exponent after '^'", at2)
-                advance()
-                exp = e
-            mono = tuple(exp if j == var_index[value] else 0
-                         for j in range(ring.nvars))
-            return fld.one(), mono
-        raise PolyParseError("expected a coefficient or a variable", at)
-
-    def parse_term():
-        coeff, mono = parse_atom()
-        while peek()[0] == "*":
-            advance()
-            c2, m2 = parse_atom()
-            coeff = coeff * c2 % p if p else coeff * c2
-            mono = mono_mul(mono, m2)
-        return coeff, mono
-
-    terms = {}
-
-    def accumulate(sign, coeff, mono):
-        add_scaled(terms, sign, {mono: coeff}, p)
-
-    sign = 1
-    kind, _, _ = peek()
-    if kind in ("+", "-"):
-        sign = -1 if kind == "-" else 1
-        advance()
-    coeff, mono = parse_term()
-    accumulate(sign, coeff, mono)
-    while peek()[0] in ("+", "-"):
-        kind, _, _ = advance()
-        coeff, mono = parse_term()
-        accumulate(-1 if kind == "-" else 1, coeff, mono)
-    kind, _, at = peek()
-    if kind != "end":
-        raise PolyParseError("unexpected trailing input", at)
+    for match in tokens:
+        kind = match.lastindex
+        if state != _AFTER_ATOM and kind <= _FRACTION:
+            atom = int(match[1])
+            num *= atom
+            if kind == _FRACTION:
+                d = int(match[2])
+                if d == 0:
+                    fail(PolyParseError("zero denominator", match.start(2)))
+                if p and d % p == 0:
+                    # num/den stays prime to p: the atom enters reduced
+                    g = gcd(atom, d)
+                    if d // g % p == 0:
+                        fail(CoefficientError(f"coefficient {Fraction(atom, d)} "
+                                              f"is not representable in F_{p}"))
+                    num //= g
+                    d //= g
+                den *= d
+            state, last = _AFTER_ATOM, kind
+            continue
+        if state != _AFTER_ATOM and kind <= _POWER:
+            variable = index.get(match[3])
+            if variable is not None:
+                exps[variable] += 1 if kind == _WORD else int(match[4])
+                state, last = _AFTER_ATOM, kind
+                continue
+            if _starts_word(match[3]):
+                fail(PolyParseError(f"unknown variable {match[3]!r}", match.start(3)))
+        elif kind == _OTHER:
+            op = match[5]
+            if state == _AFTER_ATOM:
+                if op == "*":
+                    state = _ATOM
+                    continue
+                if op == "+" or op == "-":
+                    end_term()
+                    sign, num, den, exps = -1 if op == "-" else 1, 1, 1, [0] * nvars
+                    state = _ATOM
+                    continue
+                if op == "/" and last == _NUMBER or op == "^" and last == _WORD:
+                    # what follows the operator is no number
+                    after = next(tokens, None)
+                    fail(PolyParseError(
+                        "expected denominator after '/'" if op == "/" else
+                        "expected integer exponent after '^'",
+                        _start(after) if after else len(text)), after)
+            elif state == _START and (op == "+" or op == "-"):
+                sign = -1 if op == "-" else 1
+                state = _ATOM
+                continue
+        unexpected = _unexpected(match)
+        if unexpected is not None:
+            raise unexpected
+        fail(PolyParseError("unexpected trailing input" if state == _AFTER_ATOM else
+                            "expected a coefficient or a variable", _start(match)))
+    if state != _AFTER_ATOM:
+        raise PolyParseError("expected a coefficient or a variable", len(text))
+    end_term()
     return Poly(ring, terms)
 
 

@@ -205,14 +205,16 @@ class ModuleElement:
 # Buchberger; syzygies as the source block of the graph module.
 # ---------------------------------------------------------------------------
 
-def _integerize(d: dict):
-    """Scale a term dict by a positive integer so that every coefficient
-    becomes an integer (a no-op on residues mod p)."""
-    dens = [c.denominator for c in d.values() if isinstance(c, Fraction)]
+def _integerize(d: dict) -> dict:
+    """d scaled in place by a positive integer so that every coefficient is
+    an integer (a no-op on residues mod p).  The reduction loop runs on
+    integers only, so this runs where terms enter it."""
+    dens = [c.denominator for c in d.values() if type(c) is not int]
     if dens:
         scale = lcm(*dens)
         for t, c in d.items():
             d[t] = (c * scale).numerator
+    return d
 
 
 TERM_FIELD_BITS = 64
@@ -366,21 +368,26 @@ class _Reducers:
 
 
 def _normal_form_terms(terms: dict, reducers: _Reducers, caps: Caps) -> dict:
-    """Normal form up to a nonzero scalar on a term dict keyed by the
-    reducers' codec.
+    """Normal form up to a nonzero scalar on a term dict with integer
+    coefficients (_integerize) keyed by the reducers' codec.
 
     One integer loop serves both fields.  Reducers come from _reducer_entry.
     Over QQ it is fraction-free: the current term c and the reducer's leading
     coefficient l are cross-multiplied by their gcd cofactors, so every
     coefficient stays an integer and the result is a positive multiple of the
     normal form.  Mod p the same step runs on residues: reducers are monic, so
-    nothing is rescaled and the result is the exact normal form.
-    Terms are consumed largest-first through a lazy heap of negated terms, so
+    nothing is rescaled and the result is the exact normal form.  Residues
+    are lazy: a reducer's tail coefficient r enters as c * (p - r) (over QQ,
+    p = 0, as -c * r), without a reduction mod p or the removal of a term
+    that cancels; a coefficient is reduced mod p when its term is popped or
+    leaves in the result, where a zero one is dropped.
+    Terms are consumed largest-first through a heap of negated terms, so
     each reduction cancels the current maximum and the loop terminates
-    degreewise.  A term enters the heap when it enters work; every term a
-    reduction adds is smaller than the one it cancels, so none is popped
-    before it is queued.  Terms in a component where no reducer leads never
-    reduce, so they skip the heap and join the result at the end.
+    degreewise.  A term enters the heap when it enters work and stays in
+    work until it is popped; every term a reduction adds is smaller than the
+    one it cancels, so none is popped before it is queued.  Terms in a
+    component where no reducer leads never reduce, so they skip the heap and
+    join the result at the end.
     """
     codec = reducers.codec
     p, span = codec.p, codec.span
@@ -388,16 +395,16 @@ def _normal_form_terms(terms: dict, reducers: _Reducers, caps: Caps) -> dict:
     every = len(live) == codec.rank
     memo = reducers.memo
     work = dict(terms)
-    if not p:
-        _integerize(work)
     heap = [-t for t in work if every or t >> span in live]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     done: dict = {}
     while heap:
         t = -pop(heap)
-        c = work.pop(t, None)
-        if c is None:
+        c = work.pop(t)
+        if p:
+            c %= p
+        if not c:
             continue                # cancelled since it was queued
         reduction = memo.get(t)
         if type(reduction) is not tuple:
@@ -419,30 +426,30 @@ def _normal_form_terms(terms: dict, reducers: _Reducers, caps: Caps) -> dict:
                         d[tt] *= ll
         for tt, rc in zip(shifted, reducer["tailcoeffs"]):
             old = work.get(tt)
-            s = -cc * rc if old is None else old - cc * rc
-            if p:
-                s %= p
-            if s:
-                work[tt] = s
-                if old is None and (every or tt >> span in live):
+            if old is None:
+                work[tt] = cc * (p - rc)
+                if every or tt >> span in live:
                     push(heap, -tt)
-            elif old is not None:
-                del work[tt]
-    done.update(work)
+            else:
+                work[tt] = old + cc * (p - rc)
+    for t, c in work.items():
+        if p:
+            c %= p
+        if c:
+            done[t] = c
     return done
 
 
 def _reducer_entry(terms: dict, codec: _TermCodec) -> dict:
-    """Normalize a nonzero term dict keyed by the codec into a reducer for
-    _normal_form_terms: over QQ the primitive integer vector with positive
-    leading coefficient, mod p the monic one."""
+    """Normalize a nonzero term dict with integer coefficients keyed by the
+    codec into a reducer for _normal_form_terms: over QQ the primitive
+    integer vector with positive leading coefficient, mod p the monic one."""
     p = codec.p
     lt = max(terms)
     terms = dict(terms)
     if p:
         inv = pow(terms[lt], -1, p)
     else:
-        _integerize(terms)
         g = gcd(*terms.values())
         if terms[lt] < 0:
             g = -g
@@ -580,7 +587,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
             continue
         if covered():
             break
-        add_element(codec.encode_terms(gen.terms))
+        add_element(_integerize(codec.encode_terms(gen.terms)))
 
     while heap and not covered():
         deg, i, j = heapq.heappop(heap)
@@ -999,10 +1006,16 @@ def kernel_dim_linalg(columns, source: GradedFreeModule, target: GradedFreeModul
     This is the independent oracle for section dimensions: it never touches
     Groebner bases, only the scalar matrix of the degree-t component.
     """
+    return kernel_dims_linalg(columns, source, target, caps)(t)
+
+
+def kernel_dims_linalg(columns, source: GradedFreeModule, target: GradedFreeModule,
+                       caps: Caps = NO_CAPS):
+    """k -> kernel_dim_linalg(columns, source, target, k, caps), with the
+    columns checked once for every k."""
     _validate_columns(columns, source, target)
-    dim, _ = _section_kernel(columns, _monomial_sections(source, t),
-                             source.ring.field.char, caps)
-    return dim
+    p = source.ring.field.char
+    return lambda k: _section_kernel(columns, _monomial_sections(source, k), p, caps)[0]
 
 
 def kernel_sections_linalg(columns, source: GradedFreeModule,
@@ -1028,9 +1041,10 @@ def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
     if gb.module.rank != 1:
         raise AlgebraError("ideal membership needs a rank-one module")
     codec = _TermCodec(gb.module, "ideal membership")
-    reducers = _Reducers(codec, (_reducer_entry(codec.encode_terms(e.terms), codec)
+    reducers = _Reducers(codec, (_reducer_entry(_integerize(codec.encode_terms(e.terms)),
+                                                codec)
                                  for e in gb.elements))
-    terms = codec.encode_terms({(0, m): c for m, c in f.terms.items()})
+    terms = _integerize(codec.encode_terms({(0, m): c for m, c in f.terms.items()}))
     return not _normal_form_terms(terms, reducers, caps)
 
 
@@ -1055,7 +1069,7 @@ def _leading_terms_cover_variables(polys, caps: Caps, expected=None) -> bool:
 
 
 def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
-                          expected=None) -> bool:
+                          expected=None, reduced=None) -> bool:
     """True iff the homogeneous ideal has radical equal to (X_0, ..., X_N).
 
     Zero-dimensionality test: the leading-term ideal must contain a pure
@@ -1085,8 +1099,12 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
     degree d) forces I to contain m^d, and I is m-primary.  A "no" mod p
     proves nothing (the prime may kill a generator or a minor), so the test
     then runs over QQ, without expected.  The pass is skipped when the prime
-    divides a denominator, since the generators have no image mod p.  Over
-    F_p the plain run follows a driven one only when expected is given.
+    divides a denominator, since the generators have no image mod p.
+    reduced, when given, stands in for that reduction: the images mod p of
+    p-integral elements of I, such as those of the generators, where the
+    caller has them cheaper (bundle.validate reads them off its
+    fraction-free minors).  Over F_p the plain run follows a driven one only
+    when expected is given.
     """
     caps = caps.start()
     polys = [p for p in generators if not p.is_zero()]
@@ -1099,14 +1117,15 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
         return False                # the unit ideal
     ring = polys[0].ring
     if ring.field.char == 0:
-        ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME), ring.order)
-        try:
-            reduced = [reduce_poly_mod_p(p, ring_p) for p in polys]
-        except CoefficientError:
-            pass                    # the prime divides a denominator
-        else:
-            if _leading_terms_cover_variables(reduced, caps, expected):
-                return True
+        if reduced is None:
+            ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME), ring.order)
+            try:
+                reduced = [reduce_poly_mod_p(p, ring_p) for p in polys]
+            except CoefficientError:
+                pass                # the prime divides a denominator
+        if reduced is not None and _leading_terms_cover_variables(
+                reduced, caps, expected):
+            return True
     elif expected is not None and _leading_terms_cover_variables(
             polys, caps, expected):
         return True

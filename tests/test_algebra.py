@@ -55,10 +55,49 @@ def test_parse_error_position_and_unknown_variable():
         P("X Y")  # juxtaposition is not allowed
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("X^2 Y", "unexpected trailing input", 5),
+    ("2X", "unexpected trailing input", 2),
+    ("X^-1", "expected integer exponent after '^'", 3),
+    ("1/0*X", "zero denominator", 3),
+    ("", "expected a coefficient or a variable", 1),
+    ("+", "expected a coefficient or a variable", 2),
+    ("-X+ -Y", "expected a coefficient or a variable", 5),
+    ("X - (Y)", "unexpected character '('", 5),
+    ("x", "unknown variable 'x'", 1),
+    ("2/", "expected denominator after '/'", 3),
+    ("2/X", "expected denominator after '/'", 3),
+    # digits are ASCII: a superscript or Arabic-Indic digit is no number
+    ("X^\u00b2", "unexpected character '\u00b2'", 3),
+    ("\u0663*X", "unexpected character '\u0663'", 1),
+    ("2\u0663*X", "unexpected character '\u0663'", 2),
+    # an unexpected character anywhere wins over an earlier syntax error
+    ("X^ + Y + (", "unexpected character '('", 10),
+    ("1/0*X + \u00b2", "unexpected character '\u00b2'", 9),
+])
+def test_parse_errors_name_the_first_fault_and_its_position(text, message, position):
+    with pytest.raises(PolyParseError) as err:
+        P(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position - 1
+
+
 def test_coefficient_not_representable_mod_2():
     ring = make_ring(3, FieldSpec(2))
     with pytest.raises(CoefficientError):
         parse_polynomial("1/2*X", ring)
+
+
+def test_coefficient_not_representable_names_the_number():
+    ring = make_ring(3, FieldSpec(32003))
+    with pytest.raises(CoefficientError) as err:
+        parse_polynomial("1/32003*X", ring)
+    assert str(err.value) == "coefficient 1/32003 is not representable in F_32003"
+    # the number is reduced first: 32003/64006 is 1/2
+    assert parse_polynomial("32003/64006*X", ring) == parse_polynomial("1/2*X", ring)
+    with pytest.raises(CoefficientError) as err:
+        parse_polynomial("2*3/64006*X", ring)
+    assert str(err.value) == "coefficient 3/64006 is not representable in F_32003"
 
 
 def test_prime_field_normalization():
@@ -138,6 +177,60 @@ def test_parse_print_roundtrip():
     for _ in range(15):
         p = random_homogeneous(ring7, rng.randint(0, 3), rng, allow_zero=True)
         assert parse_polynomial(str(p), ring7) == p
+
+
+def written_term(rng, ring, coeff, mono) -> str:
+    """A product of factors for coeff * x^mono: the coefficient split into
+    numeric factors (some rational), variables repeated or with exponents,
+    the factors shuffled and spaced at random."""
+    numerator, denominator = coeff.numerator, coeff.denominator
+    k = rng.randint(1, 3)
+    numbers = [f"{abs(numerator) * k}/{denominator}", f"1/{k}"]
+    if rng.random() < 0.5:
+        numbers = [f"{abs(numerator) * k * 2}/{4 * denominator}", f"2/{k}"]
+    factors = numbers[:]
+    for name, e in zip(ring.variables, mono):
+        while e:
+            step = rng.randint(1, e)
+            factors.append(name if step == 1 and rng.random() < 0.5
+                           else f"{name}^{step}")
+            e -= step
+    if rng.random() < 0.3:
+        factors.append(f"{rng.choice(ring.variables)}^0")
+    rng.shuffle(factors)
+    return rng.choice(["*", " * ", "*  "]).join(factors)
+
+
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_parse_matches_poly_arithmetic(char):
+    """Seeded random polynomials written with rational literals, numeric
+    products, repeated variables, spaces and cancelling terms parse to the
+    Poly that arithmetic builds, and parse(str(p)) == p."""
+    ring = make_ring(3, FieldSpec(char))
+    fld = ring.field
+    rng = random.Random(2026 + char)
+    for _ in range(60):
+        pieces, want = [], ring.zero()
+        for _ in range(rng.randint(1, 6)):
+            coeff = Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 6))
+            mono = tuple(rng.randint(0, 3) for _ in range(3))
+            term = Poly(ring, {mono: fld.from_fraction(coeff)})
+            text = written_term(rng, ring, coeff, mono)
+            sign = "-" if coeff < 0 else "+"
+            pieces.append((sign, text))
+            want = want + term
+            if rng.random() < 0.2:      # a term and its negative
+                pieces.append(("+" if sign == "-" else "-", text))
+                want = want - term
+        sign, text = pieces[0]
+        out = ("-" if sign == "-" else rng.choice(["", "+", " + "])) + text
+        for sign, text in pieces[1:]:
+            out += rng.choice([f" {sign} ", sign, f"{sign}  "]) + text
+        p = parse_polynomial(out, ring)
+        assert p == want, out
+        assert parse_polynomial(str(p), ring) == p
+    assert parse_polynomial("X - X", ring).is_zero()
+    assert parse_polynomial("2*3/4*X*X^2", ring) == parse_polynomial("3/2*X^3", ring)
 
 
 def test_monomials_of_degree_counts_and_order():

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from kbundle.algebra import FieldSpec, Poly, make_ring
+from kbundle.algebra import FieldSpec, Poly, make_ring, reduce_poly_mod_p
 from kbundle.bundle import (
     BundleError,
     KernelBundle,
@@ -20,7 +20,8 @@ from kbundle.bundle import (
     twist,
     validate,
 )
-from kbundle.modgb import graded_piece_dim, ideal_groebner, is_irrelevant_primary
+from kbundle.modgb import (PRIMARY_TEST_PRIME, graded_piece_dim, ideal_groebner,
+                           is_irrelevant_primary)
 
 from sample_bundles import (
     P,
@@ -107,6 +108,12 @@ def test_minors_of_single_row_are_entries():
     minors = maximal_minors(b)
     assert len(minors) == 5
     assert P("X*Y") in minors
+    # the entries themselves, not recomputed copies
+    assert all(f is e for f, e in zip(minors, b.matrix[0]))
+    # zero entries keep their place
+    b = KernelBundle(RING_QQ3, (-1, -1, -2, -2), (0,),
+                     ((P("X"), P("0"), P("1/2*Y^2"), P("0")),))
+    assert maximal_minors(b) == [P("X"), P("0"), P("1/2*Y^2"), P("0")]
 
 
 def cofactor_minors(bundle):
@@ -153,13 +160,60 @@ def random_presentation(rng, ring, rational):
 def test_maximal_minors_match_cofactor_expansion(char):
     ring = make_ring(3, FieldSpec(char))
     rng = random.Random(41 + char)
+    rows = set()
     for _ in range(25):
         bundle = random_presentation(rng, ring, rational=char == 0)
+        rows.add(bundle.m)
         minors = maximal_minors(bundle)
         assert minors == cofactor_minors(bundle)
         for f in minors:
             assert all(type(c) is (int if char else Fraction)
                        for c in f.terms.values())
+    assert rows == {1, 2, 3}
+
+
+def test_bundle_test_reads_the_minors_mod_p(monkeypatch):
+    """validate's mod-p pass gets the QQ minors reduced mod
+    PRIMARY_TEST_PRIME.  Where the prime divides a denominator of the rows,
+    the test gets the Fraction minors, so it skips the pass where one of
+    them has no image mod p, as before the minors went fraction-free."""
+    import kbundle.bundle as bundle_module
+    passes = []
+    real = bundle_module.is_irrelevant_primary
+
+    def spy(generators, caps, expected, reduced=None):
+        passes.append((generators, reduced))
+        return real(generators, caps, expected, reduced)
+
+    monkeypatch.setattr(bundle_module, "is_irrelevant_primary", spy)
+    ring_p = make_ring(3, FieldSpec(PRIMARY_TEST_PRIME))
+    rng = random.Random(314)
+    tested = 0
+    while tested < 15:
+        bundle = random_presentation(rng, RING_QQ3, rational=True)
+        if bundle.m == 1:
+            continue
+        tested += 1
+        report = validate(bundle, check_surjectivity=True)
+        generators, reduced = passes.pop()
+        minors = maximal_minors(bundle)
+        assert reduced == [reduce_poly_mod_p(f, ring_p) for f in minors]
+        # the run over QQ gets one multiple of all minors: the same ideal
+        scales = set()
+        for g, f in zip(generators, minors):
+            assert g.is_zero() == f.is_zero()
+            if not f.is_zero():
+                mono = next(iter(f.terms))
+                scales.add(g.terms[mono] / f.terms[mono])
+                assert f.scale(g.terms[mono] / f.terms[mono]) == g
+        assert len(scales) == 1
+        assert report.surjective == is_irrelevant_primary(minors)
+    bundle = KernelBundle(RING_QQ3, (-1, -1, -1, -1), (0, 0), (
+        (P(f"1/{PRIMARY_TEST_PRIME}*X"), P("Y"), P("Z"), P("0")),
+        (P("0"), P("X"), P("Y"), P("Z"))))
+    assert validate(bundle, check_surjectivity=True).surjective
+    generators, reduced = passes.pop()
+    assert reduced is None and generators == maximal_minors(bundle)
 
 
 @pytest.mark.parametrize("char", [0, 32003])

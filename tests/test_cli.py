@@ -59,6 +59,16 @@ def test_malformed_polynomial_exits_1(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("generators, char", [
+    ("X^\u00b2,Y^2,Z^2", "\u00b2"), ("\u0663*X,Y^2,Z^2", "\u0663")])
+def test_non_ascii_digit_is_an_input_error(generators, char, capsys):
+    code, out, err = run_cli(["check", "--syzygy", generators], capsys)
+    assert code == 1 and not out
+    position = generators.index(char) + 1
+    assert err == (f"input error: unexpected character {char!r} "
+                   f"(at position {position})\n")
+
+
 @pytest.mark.parametrize("twists", ["5..3", "", "a..b", "1,x"])
 def test_malformed_twist_range_exits_1(twists, capsys):
     code, _, err = run_cli([

@@ -31,6 +31,7 @@ from kbundle.modgb import (
     TERM_FIELD_BITS,
     Caps,
     _echelon_kernel,
+    _integerize,
     _LeadingSpan,
     _leading_terms_cover_variables,
     _reducer_entry,
@@ -826,8 +827,8 @@ def test_reducers_memo_keeps_first_divisor():
         return codec.encode(0, mono)
 
     def entry(text):
-        return _reducer_entry(codec.encode_terms(
-            {(0, m): c for m, c in P(text).terms.items()}), codec)
+        return _reducer_entry(_integerize(codec.encode_terms(
+            {(0, m): c for m, c in P(text).terms.items()})), codec)
 
     xy, x2 = entry("X*Y - Z^2"), entry("X^2 + Y*Z")
     reducers = _Reducers(codec, [xy])
@@ -839,6 +840,68 @@ def test_reducers_memo_keeps_first_divisor():
     assert reducers.reduction(x2y) == (xy, [term((1, 0, 2))])
     assert xy["tailcoeffs"] == [-1]
     assert reducers.reduction(x2y) is reducers.reduction(x2y)
+
+
+def loop_normal_form(f, gb):
+    """The reduction loop's normal form of f on the reducers of gb's
+    elements, set up as ideal_membership does, as {mono: coefficient}."""
+    codec = _TermCodec(gb.module, "test")
+    reducers = _Reducers(codec, [
+        _reducer_entry(_integerize(codec.encode_terms(e.terms)), codec)
+        for e in gb.elements])
+    terms = _integerize(codec.encode_terms({(0, m): c for m, c in f.terms.items()}))
+    nf = modgb._normal_form_terms(terms, reducers, Caps())
+    return {mono: c for (_, mono), c in codec.decode_terms(nf).items()}
+
+
+def division_normal_form(f, gb):
+    """The normal form by the division algorithm in Poly arithmetic: cancel
+    the largest term that a leading monomial of the monic basis divides,
+    until none does."""
+    key = f.ring.mono_key
+    basis = [(e.leading()[0][1], e.components()[0]) for e in gb.elements]
+    r = f
+    while True:
+        for mono in sorted(r.terms, key=key, reverse=True):
+            hit = next(((lm, g) for lm, g in basis if mono_divides(lm, mono)), None)
+            if hit is not None:
+                break
+        else:
+            return r
+        lm, g = hit
+        quotient = Poly(f.ring, {tuple(a - b for a, b in zip(mono, lm)): r.terms[mono]})
+        r = r - quotient * g
+
+
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_normal_form_is_the_division_remainder(char):
+    """Random ideals and forms with rational coefficients: mod p the loop's
+    lazy residues leave only residues in 1..p-1, and the result is the
+    normal form; over QQ it is a positive multiple of it.  f - NF(f)
+    reduces to zero on the reduced basis."""
+    rng = random.Random(4242 + char)
+    ring = make_ring(3, FieldSpec(char))
+    fld = ring.field
+    for _ in range(20):
+        gb = ideal_groebner([sparse_form(ring, rng.randint(1, 3), rng)
+                             for _ in range(rng.randint(2, 4))])
+        for _ in range(3):
+            d = rng.randint(2, 4)
+            f = sum((random_homogeneous(ring, d, rng).scale(fld.from_fraction(
+                Fraction(rng.randint(1, 5), rng.randint(1, 4))))
+                for _ in range(2)), ring.zero())
+            nf, want = loop_normal_form(f, gb), division_normal_form(f, gb)
+            if char:
+                assert all(type(c) is int and 0 < c < char for c in nf.values())
+                assert nf == want.terms
+            else:
+                assert all(type(c) is int for c in nf.values())
+                assert nf.keys() == want.terms.keys()
+                if nf:
+                    mono = next(iter(nf))
+                    ratio = nf[mono] / want.terms[mono]
+                    assert ratio > 0 and Poly(ring, nf) == want.scale(ratio)
+            assert ideal_membership(f - want, gb)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
