@@ -17,10 +17,9 @@ from itertools import combinations, combinations_with_replacement
 from math import lcm
 from typing import Sequence
 
-from .algebra import (AlgebraError, FieldSpec, Poly, PolyRing, mono_mul,
-                      substitute_powers)
-from .modgb import (PRIMARY_TEST_PRIME, Caps, GradedFreeModule, NO_CAPS,
-                    free_module_dims, has_degree, is_irrelevant_primary)
+from .algebra import AlgebraError, Poly, PolyRing, mono_mul, substitute_powers
+from .modgb import (Caps, GradedFreeModule, NO_CAPS, free_module_dims,
+                    has_degree, is_irrelevant_primary)
 
 
 class BundleError(AlgebraError):
@@ -147,29 +146,17 @@ class ValidationReport:
 
 def maximal_minors(bundle: KernelBundle):
     """All m x m minors of the presenting matrix, one per column subset in
-    the order of combinations(range(n), m): for m = 1 the entries
-    themselves, otherwise the fraction-free minors (_integer_minors)
-    divided by their scale."""
+    the order of combinations(range(n), m); for m = 1 the entries themselves.
+
+    Fraction-free: each row is scaled by the lcm of its denominators (mod p
+    by one), cofactor expansion along the rows runs on integer coefficients,
+    sharing the subminors of the lower rows, and each minor is divided once
+    by the product of the row scales, since the determinant is linear in
+    each row."""
     if bundle.m == 1:
         return list(bundle.matrix[0])
     ring = bundle.ring
-    minors, scale = _integer_minors(bundle)
-    if ring.field.char:
-        return [Poly(ring, minor) for minor in minors]
-    return [Poly(ring, {mono: Fraction(c, scale) for mono, c in minor.items()})
-            for minor in minors]
-
-
-def _integer_minors(bundle: KernelBundle) -> tuple:
-    """(minors, scale): the maximal minors times scale, as term dicts with
-    integer coefficients (residues mod p, where scale is 1), in the order
-    of maximal_minors.
-
-    Each row is scaled by the lcm of its denominators and scale is the
-    product of these, since the determinant is linear in each row; cofactor
-    expansion along the rows runs on integer coefficients, sharing the
-    subminors of the lower rows."""
-    p = bundle.ring.field.char
+    p = ring.field.char
     m = bundle.m
     rows = []
     scale = 1
@@ -206,7 +193,9 @@ def _integer_minors(bundle: KernelBundle) -> tuple:
         hit = memo[cols] = {mono: c for mono, c in out.items() if c}
         return hit
 
-    return [det(cols) for cols in combinations(range(bundle.n), m)], scale
+    return [Poly(ring, {mono: c if p else Fraction(c, scale)
+                        for mono, c in det(cols).items()})
+            for cols in combinations(range(bundle.n), m)]
 
 
 def minor_ideal_dims(bundle: KernelBundle):
@@ -284,37 +273,14 @@ def validate(bundle: KernelBundle, check_surjectivity: bool = False,
                     "nonzero constant entries are not allowed"))
     surjective = None
     if check_surjectivity and not problems:
-        surjective = _minors_irrelevant_primary(bundle, caps)
+        surjective = is_irrelevant_primary(
+            [p for p in maximal_minors(bundle) if not p.is_zero()] or
+            [bundle.ring.zero()], caps, expected=minor_ideal_dims(bundle))
         if not surjective:
             problems.append(ValidationProblem(
                 "not-surjective", (),
                 "the ideal of maximal minors is not irrelevant-primary"))
     return ValidationReport(problems, surjective)
-
-
-def _minors_irrelevant_primary(bundle: KernelBundle, caps: Caps) -> bool:
-    """is_irrelevant_primary on the maximal minors, Hilbert-driven by
-    minor_ideal_dims.
-
-    Over QQ with m >= 2 and PRIMARY_TEST_PRIME not dividing the scale of
-    the integer minors c, the mod-p pass gets the residues c * scale^-1,
-    the images of the minors c / scale, and a run over QQ the minors c,
-    which span the same ideal, so no Fraction is made.  Otherwise the
-    minors go in as they are, and a prime that divides the denominator of
-    one skips the mod-p pass."""
-    expected = minor_ideal_dims(bundle)
-    ring = bundle.ring
-    p = PRIMARY_TEST_PRIME
-    if bundle.m > 1 and not ring.field.char:
-        minors, scale = _integer_minors(bundle)
-        if scale % p:
-            inv = pow(scale, -1, p)
-            ring_p = PolyRing(ring.variables, FieldSpec(p), ring.order)
-            reduced = [Poly(ring_p, {mono: c * inv % p for mono, c in minor.items()})
-                       for minor in minors]
-            return is_irrelevant_primary([Poly(ring, minor) for minor in minors],
-                                         caps, expected, reduced)
-    return is_irrelevant_primary(maximal_minors(bundle), caps, expected)
 
 
 def require_valid(bundle: KernelBundle, check_surjectivity: bool = False,

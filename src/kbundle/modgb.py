@@ -1006,16 +1006,10 @@ def kernel_dim_linalg(columns, source: GradedFreeModule, target: GradedFreeModul
     This is the independent oracle for section dimensions: it never touches
     Groebner bases, only the scalar matrix of the degree-t component.
     """
-    return kernel_dims_linalg(columns, source, target, caps)(t)
-
-
-def kernel_dims_linalg(columns, source: GradedFreeModule, target: GradedFreeModule,
-                       caps: Caps = NO_CAPS):
-    """k -> kernel_dim_linalg(columns, source, target, k, caps), with the
-    columns checked once for every k."""
     _validate_columns(columns, source, target)
-    p = source.ring.field.char
-    return lambda k: _section_kernel(columns, _monomial_sections(source, k), p, caps)[0]
+    dim, _ = _section_kernel(columns, _monomial_sections(source, t),
+                             source.ring.field.char, caps)
+    return dim
 
 
 def kernel_sections_linalg(columns, source: GradedFreeModule,
@@ -1069,7 +1063,7 @@ def _leading_terms_cover_variables(polys, caps: Caps, expected=None) -> bool:
 
 
 def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
-                          expected=None, reduced=None) -> bool:
+                          expected=None) -> bool:
     """True iff the homogeneous ideal has radical equal to (X_0, ..., X_N).
 
     Zero-dimensionality test: the leading-term ideal must contain a pure
@@ -1099,12 +1093,8 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
     degree d) forces I to contain m^d, and I is m-primary.  A "no" mod p
     proves nothing (the prime may kill a generator or a minor), so the test
     then runs over QQ, without expected.  The pass is skipped when the prime
-    divides a denominator, since the generators have no image mod p.
-    reduced, when given, stands in for that reduction: the images mod p of
-    p-integral elements of I, such as those of the generators, where the
-    caller has them cheaper (bundle.validate reads them off its
-    fraction-free minors).  Over F_p the plain run follows a driven one only
-    when expected is given.
+    divides a denominator, since the generators have no image mod p.  Over
+    F_p the plain run follows a driven one only when expected is given.
     """
     caps = caps.start()
     polys = [p for p in generators if not p.is_zero()]
@@ -1117,15 +1107,14 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
         return False                # the unit ideal
     ring = polys[0].ring
     if ring.field.char == 0:
-        if reduced is None:
-            ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME), ring.order)
-            try:
-                reduced = [reduce_poly_mod_p(p, ring_p) for p in polys]
-            except CoefficientError:
-                pass                # the prime divides a denominator
-        if reduced is not None and _leading_terms_cover_variables(
-                reduced, caps, expected):
-            return True
+        ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME), ring.order)
+        try:
+            reduced = [reduce_poly_mod_p(p, ring_p) for p in polys]
+        except CoefficientError:
+            pass                    # the prime divides a denominator
+        else:
+            if _leading_terms_cover_variables(reduced, caps, expected):
+                return True
     elif expected is not None and _leading_terms_cover_variables(
             polys, caps, expected):
         return True

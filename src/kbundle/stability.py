@@ -36,8 +36,8 @@ from .modgb import (
     PRIMARY_TEST_PRIME,
     ModuleElement,
     apply_columns,
+    kernel_dim_linalg,
     kernel_dims_gb,
-    kernel_dims_linalg,
     kernel_sections_linalg,
     syzygy_module_columns,
 )
@@ -140,7 +140,7 @@ def _kernel_dims(pres, engine: str, caps: Caps, top: int):
     args = (pres.columns, pres.source_module(), pres.target_module())
     if engine == "gb":
         return kernel_dims_gb(*args, caps, top)
-    return kernel_dims_linalg(*args, caps)
+    return lambda k: kernel_dim_linalg(*args, k, caps)
 
 
 def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,

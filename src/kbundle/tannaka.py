@@ -32,8 +32,8 @@ from .modgb import (
     _echelon_kernel,
     _monomial_vectors,
     _section_kernel,
+    kernel_dim_linalg,
     kernel_dims_gb,
-    kernel_dims_linalg,
 )
 from .powers import power_presentation
 
@@ -148,12 +148,11 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
     pres = power_presentation(bundle, kind, q)
     args = (pres.columns, pres.source_module(), pres.target_module())
     if engine != "linalg":
-        dim_gb = kernel_dims_gb(*args, caps, max(twists))
-        table_gb = {k: dim_gb(k) for k in twists}
+        dim = kernel_dims_gb(*args, caps, max(twists))
+        table_gb = {k: dim(k) for k in twists}
         if engine == "gb":
             return table_gb
-    dim = kernel_dims_linalg(*args, caps)
-    table = {k: dim(k) for k in twists}
+    table = {k: kernel_dim_linalg(*args, k, caps) for k in twists}
     if engine == "both" and table != table_gb:
         raise InternalCheckError(
             f"engine mismatch in section table: gb {table_gb} vs linalg {table}")

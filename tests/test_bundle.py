@@ -174,46 +174,39 @@ def test_maximal_minors_match_cofactor_expansion(char):
 
 def test_bundle_test_reads_the_minors_mod_p(monkeypatch):
     """validate's mod-p pass gets the QQ minors reduced mod
-    PRIMARY_TEST_PRIME.  Where the prime divides a denominator of the rows,
-    the test gets the Fraction minors, so it skips the pass where one of
-    them has no image mod p, as before the minors went fraction-free."""
-    import kbundle.bundle as bundle_module
-    passes = []
-    real = bundle_module.is_irrelevant_primary
+    PRIMARY_TEST_PRIME; where the prime divides a denominator of one, the
+    pass is skipped and every run is over QQ."""
+    import kbundle.modgb as modgb
+    runs = []
+    real = modgb._leading_terms_cover_variables
 
-    def spy(generators, caps, expected, reduced=None):
-        passes.append((generators, reduced))
-        return real(generators, caps, expected, reduced)
+    def spy(polys, caps, expected=None):
+        runs.append(polys)
+        return real(polys, caps, expected)
 
-    monkeypatch.setattr(bundle_module, "is_irrelevant_primary", spy)
+    monkeypatch.setattr(modgb, "_leading_terms_cover_variables", spy)
     ring_p = make_ring(3, FieldSpec(PRIMARY_TEST_PRIME))
     rng = random.Random(314)
+    rows = set()
     tested = 0
-    while tested < 15:
+    while tested < 20:
         bundle = random_presentation(rng, RING_QQ3, rational=True)
-        if bundle.m == 1:
-            continue
-        tested += 1
+        runs.clear()
         report = validate(bundle, check_surjectivity=True)
-        generators, reduced = passes.pop()
-        minors = maximal_minors(bundle)
-        assert reduced == [reduce_poly_mod_p(f, ring_p) for f in minors]
-        # the run over QQ gets one multiple of all minors: the same ideal
-        scales = set()
-        for g, f in zip(generators, minors):
-            assert g.is_zero() == f.is_zero()
-            if not f.is_zero():
-                mono = next(iter(f.terms))
-                scales.add(g.terms[mono] / f.terms[mono])
-                assert f.scale(g.terms[mono] / f.terms[mono]) == g
-        assert len(scales) == 1
+        if not runs:
+            continue                # invalid, or a constant minor
+        tested += 1
+        rows.add(bundle.m)
+        minors = [f for f in cofactor_minors(bundle) if not f.is_zero()]
+        assert runs[0] == [reduce_poly_mod_p(f, ring_p) for f in minors]
         assert report.surjective == is_irrelevant_primary(minors)
+    assert rows == {1, 2, 3}
     bundle = KernelBundle(RING_QQ3, (-1, -1, -1, -1), (0, 0), (
         (P(f"1/{PRIMARY_TEST_PRIME}*X"), P("Y"), P("Z"), P("0")),
         (P("0"), P("X"), P("Y"), P("Z"))))
+    runs.clear()
     assert validate(bundle, check_surjectivity=True).surjective
-    generators, reduced = passes.pop()
-    assert reduced is None and generators == maximal_minors(bundle)
+    assert runs and all(f.ring == RING_QQ3 for polys in runs for f in polys)
 
 
 @pytest.mark.parametrize("char", [0, 32003])

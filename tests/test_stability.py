@@ -205,7 +205,7 @@ def count_calls(monkeypatch, names) -> Counter:
 
 
 def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
-    calls = count_calls(monkeypatch, ("kernel_dims_linalg", "kernel_dims_gb",
+    calls = count_calls(monkeypatch, ("kernel_dim_linalg", "kernel_dims_gb",
                                       "syzygy_module_columns"))
     spec = syzygy_spec(["X^2", "X*Y", "Y^2"])     # common zero (0:0:1)
     for engine in ENGINES:
@@ -531,21 +531,15 @@ def test_prime_dividing_a_coefficient_does_not_decide():
 
 
 def count_linalg_calls_by_characteristic(monkeypatch):
-    """Counts the degree pieces the linalg scan eliminates, by characteristic."""
     import kbundle.stability as stability
     calls = Counter()
-    real = stability.kernel_dims_linalg
+    real = stability.kernel_dim_linalg
 
-    def counting(columns, source, target, caps):
-        dim = real(columns, source, target, caps)
+    def counting(columns, source, target, t, caps):
+        calls[source.ring.field.char] += 1
+        return real(columns, source, target, t, caps)
 
-        def counted(t):
-            calls[source.ring.field.char] += 1
-            return dim(t)
-
-        return counted
-
-    monkeypatch.setattr(stability, "kernel_dims_linalg", counting)
+    monkeypatch.setattr(stability, "kernel_dim_linalg", counting)
     return calls
 
 
