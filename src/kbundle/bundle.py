@@ -164,7 +164,8 @@ def maximal_minors(bundle: KernelBundle):
         dens = [c.denominator for e in row for c in e.terms.values()
                 if isinstance(c, Fraction)]
         s = lcm(*dens) if dens else 1
-        rows.append([{mono: int(c * s) for mono, c in e.terms.items()}
+        rows.append([{mono: c.numerator * (s // c.denominator)
+                      for mono, c in e.terms.items()}
                      for e in row])
         scale *= s
     memo: dict = {}

@@ -213,7 +213,7 @@ def _integerize(d: dict) -> dict:
     if dens:
         scale = lcm(*dens)
         for t, c in d.items():
-            d[t] = (c * scale).numerator
+            d[t] = c.numerator * (scale // c.denominator)
     return d
 
 
@@ -821,79 +821,136 @@ def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
 def _echelon_kernel(vectors, p: int, caps: Caps, want_vectors: bool = False):
     """Kernel dimension (and optionally combination vectors) of sparse columns
     with plain field entries: Fractions or ints over QQ (p == 0), residues
-    mod p.
+    mod p.  The input dicts are never written to.
 
     Each vector is a dict keyed by comparable row keys.  Pivots are chosen at
     the maximal row key, which makes every reduction strictly decrease the
-    current maximum and guarantees termination.  A dependent column's
-    combination is its unique relation with the independent columns before
-    it (coefficient one on itself), so it depends neither on the row keys nor
-    on how the rows are scaled.
+    current maximum and guarantees termination.  The columns are eliminated
+    sparsest first (a stable sort by term count), as structured elimination
+    does (LaMacchia & Odlyzko, CRYPTO 1990): fewer terms fill in, and the rank
+    does not depend on the order.
 
-    Mod p a pivot is stored monic, as -v / lead without its lead entry.  Over
-    QQ the rows are integers (fraction-free): each column is scaled by the
-    lcm of its denominators, a pivot is primitive with a positive lead entry
-    L, and a row whose lead entry is c becomes a*v - b*pivot, with
-    (a, b) = (L, c) / gcd(L, c), divided by its content when a != 1.  The
-    combination is tracked in the same integers, so the content is taken
-    over both; a returned one undoes the column scales and is normalised to
-    one on its own column, in Fractions.
+    A returned combination is the unique relation of a dependent column with
+    the independent columns before it, in the given order (coefficient one on
+    itself), so it depends neither on the order of elimination, nor on the
+    row keys, nor on how the rows are scaled.  These relations are the
+    reduced echelon basis of the kernel in which each vector leads at its
+    largest column index: the columns that lead are exactly the dependent
+    ones, and each vector vanishes at the others' leads.  That basis is
+    unique, so one final pass computes it from the kernel vectors the
+    elimination found (tracked by original column index): reduce them to
+    echelon form at their largest index, clear every lead from the vectors
+    above it, and scale each to one at its lead.  They are returned in
+    increasing order of the lead.
+
+    A pivot is stored as (tail, combination, lc), its row without the lead
+    entry.  Mod p the row is stored as it stands (no monic copy) and lc is
+    -1/lead, so a row whose lead entry is c takes c * lc times the pivot.
+    Over QQ the rows are integers (fraction-free): each column is scaled by
+    the lcm of its denominators, a pivot is primitive with a positive lead
+    entry lc, and a row whose lead entry is c becomes a*v - b*pivot, with
+    (a, b) = (lc, c) / gcd(lc, c), divided by its content when a != 1.  The
+    combination is tracked in the same integers, so the content is taken over
+    both; the final pass undoes the column scales and returns Fractions.
     """
     caps = caps.start()
     pivots: dict = {}
+    kernel = []
     kernel_dim = 0
-    combos = []
-    scales = []
-    for idx, vec in enumerate(vectors):
+    scales = {}
+    for idx in sorted(range(len(vectors)), key=lambda i: len(vectors[i])):
         caps.check_time()
+        vec = vectors[idx]
         if p:
             v = dict(vec)
         else:
             scale = lcm(*[x.denominator for x in vec.values()])
             v = {k: x.numerator * (scale // x.denominator) for k, x in vec.items()}
-            scales.append(scale)
+            scales[idx] = scale
         combo = {idx: 1} if want_vectors else None
-        while v:
-            lead = max(v)
-            hit = pivots.get(lead)
-            if hit is None:
-                break
-            c = v.pop(lead)
-            tail, track, lc = hit
-            if p:
-                a = 1
-            else:
-                g = gcd(lc, c)
-                a, c = lc // g, -c // g
-                if a != 1:
-                    for k in v:
-                        v[k] *= a
-                    if want_vectors:
-                        for k in combo:
-                            combo[k] *= a
-            add_scaled(v, c, tail, p)
-            if want_vectors:
-                add_scaled(combo, c, track, p)
-            if a != 1:
-                _divide_content(v, combo)
-        if v:
-            if p:
-                lc = v.pop(lead)
-                inv = -pow(lc, -1, p) % p
-                track = add_scaled({}, inv, combo, p) if want_vectors else None
-                pivots[lead] = (add_scaled({}, inv, v, p), track, 1)
-            else:
-                _divide_content(v, combo, -1 if v[lead] < 0 else 1)
-                pivots[lead] = (v, combo, v.pop(lead))
-        else:
+        lead = _reduce_to_new_lead(v, combo, pivots, p)
+        if lead is None:
             kernel_dim += 1
             if want_vectors:
-                if not p:
-                    den = combo[idx] * scales[idx]
-                    combo = {k: Fraction(x * scales[k], den)
-                             for k, x in combo.items()}
-                combos.append(combo)
-    return kernel_dim, combos
+                kernel.append(combo)
+        else:
+            pivots[lead] = _make_pivot(v, combo, lead, p)
+    if not want_vectors:
+        return kernel_dim, []
+    return kernel_dim, _canonical_kernel(kernel, scales, p, caps)
+
+
+def _reduce_to_new_lead(v: dict, combo, pivots: dict, p: int):
+    """Reduce v (and its combination) by the pivots at its lead until the
+    lead has no pivot; the lead, or None once v is zero."""
+    while v:
+        lead = max(v)
+        hit = pivots.get(lead)
+        if hit is None:
+            return lead
+        _clear(v, combo, v.pop(lead), hit, p)
+    return None
+
+
+def _clear(v: dict, combo, c, hit, p: int):
+    """Add to v (and combo, None when not tracked) the multiple of the pivot
+    hit = (tail, track, lc) that cancels the entry c just popped from v."""
+    tail, track, lc = hit
+    if p:
+        a, c = 1, c * lc % p
+    else:
+        g = gcd(lc, c)
+        a, c = lc // g, -c // g
+        if a != 1:
+            for k in v:
+                v[k] *= a
+            if combo:
+                for k in combo:
+                    combo[k] *= a
+    add_scaled(v, c, tail, p)
+    if combo is not None:
+        add_scaled(combo, c, track, p)
+    if a != 1:
+        _divide_content(v, combo)
+
+
+def _make_pivot(v: dict, combo, lead, p: int) -> tuple:
+    """The pivot (tail, combo, lc) of a row v leading at lead; v becomes its
+    tail."""
+    if p:
+        return v, combo, -pow(v.pop(lead), -1, p) % p
+    _divide_content(v, combo, -1 if v[lead] < 0 else 1)
+    return v, combo, v.pop(lead)
+
+
+def _canonical_kernel(kernel: list, scales: dict, p: int, caps: Caps) -> list:
+    """The reduced echelon basis of the span of kernel (relations keyed by
+    column index, over the columns scaled by scales when p == 0), each vector
+    one at its largest index, in increasing order of that index."""
+    rows: dict = {}
+    for combo in kernel:
+        caps.check_time()
+        if not p:
+            combo = {k: x * scales[k] for k, x in combo.items()}
+        lead = _reduce_to_new_lead(combo, None, rows, p)
+        rows[lead] = _make_pivot(combo, None, lead, p)
+    out = []
+    for lead in sorted(rows):
+        caps.check_time()
+        tail, _, lc = rows[lead]
+        if not p:
+            tail[lead] = lc
+        for k in [k for k in tail if k in rows and k != lead]:
+            _clear(tail, None, tail.pop(k), rows[k], p)
+        if p:
+            inv = p - lc
+            out.append({lead: 1, **{k: x * inv % p for k, x in tail.items()}})
+        else:
+            rows[lead] = _make_pivot(tail, None, lead, 0)
+            lc = rows[lead][2]
+            out.append({lead: Fraction(1),
+                        **{k: Fraction(x, lc) for k, x in tail.items()}})
+    return out
 
 
 def _divide_content(v: dict, combo, sign: int = 1):
@@ -930,7 +987,11 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
     image is at most the largest entry degree plus the largest section
     degree, which is below 2^w, so a sum of exponents never carries into the
     next digit: a product of monomials is one addition, and distinct
-    coordinates are distinct ints.
+    coordinates are distinct ints.  So the image of a vector is a sum of
+    shifts of its coordinates in block j, one per term of the entry in row j.
+    A vector with several terms is packed into those coordinates once per
+    block j: slots with equal twists list the same vectors, so the packing
+    is kept by vector for the call.
     """
     terms = [[(j, em, ec) for j, entry in col for em, ec in entry.terms.items()]
              for col in columns]
@@ -948,16 +1009,29 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
 
     packed = {mono: pack(mono) for mono in monos}
     blocks: dict = {}
+    packs: dict = {}            # (id(vec), j) -> [(coordinate of (j, beta, mono), c)]
+
+    def pack_vector(vec, j):
+        key = (id(vec), j)
+        hit = packs.get(key)
+        if hit is None:
+            hit = packs[key] = [
+                (blocks.setdefault((j, beta), len(blocks) << span) + packed[mono], c)
+                for (beta, mono), c in vec.items()]
+        return hit
+
     images = []
     labels = []
     for i, col in enumerate(terms):
         col = [(j, pack(em), ec) for j, em, ec in col]
+        by_row: dict = {}       # j -> [(packed em, ec)]
+        for j, pem, ec in col:
+            by_row.setdefault(j, []).append((pem, ec))
         rows: dict = {}         # beta -> [(coordinate of (j, beta, em), ec)]
-        shifted: dict = {}      # (beta, mono) -> image of the term
-
-        def image(key):
-            img = shifted.get(key)
-            if img is None:
+        for vec in sections[i]:
+            if len(vec) == 1:
+                # one term, e.g. a monomial section
+                (key, c), = vec.items()
                 beta, mono = key
                 row = rows.get(beta)
                 if row is None:
@@ -965,30 +1039,46 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
                         (blocks.setdefault((j, beta), len(blocks) << span) + pem, ec)
                         for j, pem, ec in col]
                 m = packed[mono]
-                img = shifted[key] = {r + m: ec for r, ec in row}
-            return img
-
-        for vec in sections[i]:
-            if len(vec) == 1:
-                # one term, e.g. a monomial section: its image is the
-                # cached one, as the kernel never writes to its input
-                (key, c), = vec.items()
-                out = image(key) if c == 1 else add_scaled({}, c, image(key), p)
+                if c == 1:
+                    out = {r + m: ec for r, ec in row}
+                else:
+                    out = {r + m: c * ec % p if p else c * ec for r, ec in row}
             else:
                 out = {}
-                for key, c in vec.items():
-                    add_scaled(out, c, image(key), p)
+                get = out.get
+                for j, ents in by_row.items():
+                    for r, c in pack_vector(vec, j):
+                        unit = c == 1
+                        for pem, ec in ents:
+                            x = ec if unit else c * ec
+                            old = get(r + pem)
+                            out[r + pem] = x if old is None else old + x
+                if p:
+                    out = {r: y for r, x in out.items() if (y := x % p)}
+                else:
+                    out = {r: x for r, x in out.items() if x}
             images.append(out)
             labels.append((i, vec))
     dim, combos = _echelon_kernel(images, p, caps, want_vectors)
+    lifts: dict = {}            # index of an image -> [(lifted key, c)]
     lifted = []
     for combo in combos:
         out = {}
+        get = out.get
         for idx, coeff in combo.items():
-            i, vec = labels[idx]
-            for (beta, mono), c in vec.items():
-                # c is 1 on monomial sections, so scale by c, not by coeff
-                add_scaled(out, c, {((i,) + beta, mono): coeff}, p)
+            keys = lifts.get(idx)
+            if keys is None:
+                i, vec = labels[idx]
+                keys = lifts[idx] = [(((i,) + beta, mono), c)
+                                     for (beta, mono), c in vec.items()]
+            for key, c in keys:
+                x = coeff if c == 1 else coeff * c
+                old = get(key)
+                out[key] = x if old is None else old + x
+        if p:
+            out = {key: y for key, x in out.items() if (y := x % p)}
+        else:
+            out = {key: x for key, x in out.items() if x}
         lifted.append(out)
     return dim, lifted
 

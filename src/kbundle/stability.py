@@ -133,6 +133,22 @@ def _first_section(dim, start: int, top: int) -> Optional[int]:
     return next((k for k in range(start, top + 1) if dim(k)), None)
 
 
+def _first_mod_p_section(dim_p, low: int, top: int) -> int:
+    """The first degree k in low..top with dim_p(k) != 0, given dim_p(top)
+    != 0 and dim_p non-decreasing (see `_scan_exterior`): top when
+    dim_p(top - 1) == 0, else found by bisection below top - 1."""
+    hi = top - 1
+    if hi < low or not dim_p(hi):
+        return top
+    while low < hi:
+        mid = (low + hi) // 2
+        if dim_p(mid):
+            hi = mid
+        else:
+            low = mid + 1
+    return hi
+
+
 def _kernel_dims(pres, engine: str, caps: Caps, top: int):
     """k -> dimension of the degree-k kernel piece of pres, for k <= top:
     `gb` counts it on one Buchberger run on the image truncated at top,
@@ -155,7 +171,9 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     K_{k+1}, and K_top = 0 forces K_k = 0 for every k <= top.  Hence
     K_p,top = 0 proves that no section exists up to top, and the first k
     with K_p,k != 0 bounds alpha from below: the QQ scan starts there, and
-    alpha and its witness are still found over QQ.
+    alpha and its witness are still found over QQ.  The same injection mod p
+    makes dim K_p,k non-decreasing in k, so that first k is searched from the
+    top: top - 1 first, then by bisection below it.
     """
     threshold = -q * mu
     semi_top = ceil(threshold) - 1
@@ -169,8 +187,7 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
         if not dim_p(top):
             return PowerCheck(q, None, threshold, ">", top, low,
                               PRIMARY_TEST_PRIME)
-        start = _first_section(dim_p, low, top - 1)
-        start = top if start is None else start
+        start = _first_mod_p_section(dim_p, low, top)
     alpha = _first_section(_kernel_dims(pres, engine, caps, top), start, top)
     if alpha is None:
         return PowerCheck(q, None, threshold, ">", top, low)

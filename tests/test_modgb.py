@@ -674,39 +674,44 @@ def test_echelon_combinations_ignore_row_order():
             assert dim == len(combos)
 
 
-def fraction_gauss_jordan(vectors):
-    """Reference for _echelon_kernel over QQ: Gauss-Jordan in Fractions.
-    Every basis vector is one at its pivot row and zero at the other pivot
-    rows, so one pass over the basis clears every pivot row of a column."""
+def gauss_jordan(vectors, p=0):
+    """Reference for _echelon_kernel: Gauss-Jordan in the given column order,
+    in Fractions over QQ (p == 0) and in residues mod p.  Every basis vector
+    is one at its pivot row and zero at the other pivot rows, so one pass
+    over the basis clears every pivot row of a column, and a dependent
+    column's combination is its relation with the columns before it."""
+    def field(x):
+        return x % p if p else Fraction(x)
+
+    def sub(d, c, src):
+        for r, x in src.items():
+            d[r] = field(d.get(r, 0) - c * x)
+            if not d[r]:
+                del d[r]
+
     basis = []                      # [pivot row, vector, combination]
     dim, combos = 0, []
     for idx, vec in enumerate(vectors):
-        v = {r: Fraction(x) for r, x in vec.items()}
-        combo = {idx: Fraction(1)}
+        v = {r: field(x) for r, x in vec.items()}
+        combo = {idx: field(1)}
         for row, b, bc in basis:
             c = v.get(row)
             if c:
-                for d, src in ((v, b), (combo, bc)):
-                    for r, x in src.items():
-                        d[r] = d.get(r, 0) - c * x
-                        if not d[r]:
-                            del d[r]
+                sub(v, c, b)
+                sub(combo, c, bc)
         if not v:
             dim += 1
             combos.append(combo)
             continue
         row = min(v, key=repr)
-        inv = 1 / v[row]
-        v = {r: x * inv for r, x in v.items()}
-        combo = {r: x * inv for r, x in combo.items()}
+        inv = pow(v[row], -1, p) if p else 1 / v[row]
+        v = {r: field(x * inv) for r, x in v.items()}
+        combo = {r: field(x * inv) for r, x in combo.items()}
         for entry in basis:
             c = entry[1].get(row)
             if c:
-                for d, src in ((entry[1], v), (entry[2], combo)):
-                    for r, x in src.items():
-                        d[r] = d.get(r, 0) - c * x
-                        if not d[r]:
-                            del d[r]
+                sub(entry[1], c, v)
+                sub(entry[2], c, combo)
         basis.append([row, v, combo])
     return dim, combos
 
@@ -737,7 +742,7 @@ def test_echelon_qq_matches_fraction_gauss_jordan(seed):
                    for r in rows if rng.random() < 0.5}
         vectors.append({r: x for r, x in vec.items() if x})
     dim, combos = _echelon_kernel(vectors, 0, Caps(), want_vectors=True)
-    assert (dim, combos) == fraction_gauss_jordan(vectors)
+    assert (dim, combos) == gauss_jordan(vectors)
     assert _echelon_kernel(vectors, 0, Caps()) == (dim, [])
     assert dim == len(combos) and dim > 0
     for combo in combos:
@@ -748,6 +753,66 @@ def test_echelon_qq_matches_fraction_gauss_jordan(seed):
             for r, x in vectors[idx].items():
                 total[r] = total.get(r, 0) + c * x
         assert not any(total.values())
+
+
+def seeded_columns(rng, p):
+    """Sparse columns over QQ (Fraction and int entries, p == 0) or F_p: a
+    zero column, duplicates (an equal copy and the same dict twice), planted
+    combinations of other columns placed anywhere, and term counts spread so
+    that sparsest first is not the given order."""
+    rows = rng.sample([(j, k) for j in range(5) for k in range(5)],
+                      rng.randint(4, 14))
+
+    def entry():
+        x = 0
+        while not (x % p if p else x):
+            x = rng.choice((rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+        if p:
+            return x % p
+        return Fraction(x, rng.choice((1, 3, 8, 97, 2**40))) if rng.random() < 0.5 else x
+
+    vectors = [{r: entry() for r in rng.sample(rows, rng.randint(1, len(rows)))}
+               for _ in range(rng.randint(3, 9))]
+    for _ in range(rng.randint(2, 6)):
+        vec: dict = {}
+        for v in rng.sample(vectors, min(rng.randint(1, 3), len(vectors))):
+            c = entry()
+            for r, x in v.items():
+                vec[r] = vec.get(r, 0) + c * x
+        vectors.append({r: x % p if p else x for r, x in vec.items()
+                        if (x % p if p else x)})
+    vectors += [{}, dict(vectors[0]), vectors[1]]
+    rng.shuffle(vectors)
+    return vectors
+
+
+@pytest.mark.parametrize("p", (0, 7, 32003, 1000003))
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_matches_gauss_jordan_in_given_order(p, seed):
+    """Eliminated sparsest first, the kernel still has the dimension of the
+    reference and the combinations of dependent columns with the columns
+    before them in the given order, with the same value types (Fraction over
+    QQ, int mod p) and one on each vector's own column; the inputs are left
+    as they were."""
+    rng = random.Random(f"echelon/{p}/{seed}")
+    vectors = seeded_columns(rng, p)
+    order = sorted(range(len(vectors)), key=lambda i: len(vectors[i]))
+    assert order != list(range(len(vectors)))
+    before = [[(r, type(x), x) for r, x in v.items()] for v in vectors]
+    dim, combos = _echelon_kernel(vectors, p, Caps(), want_vectors=True)
+    assert [[(r, type(x), x) for r, x in v.items()] for v in vectors] == before
+    want_dim, want = gauss_jordan(vectors, p)
+    assert (dim, combos) == (want_dim, want)
+    assert _echelon_kernel(vectors, p, Caps()) == (dim, [])
+    field = int if p else Fraction
+    for combo, ref in zip(combos, want):
+        assert [type(c) for c in combo.values()] == [field] * len(combo)
+        assert combo[max(combo)] == 1 and max(combo) == max(ref)
+        total: dict = {}
+        for idx, c in combo.items():
+            for r, x in vectors[idx].items():
+                total[r] = total.get(r, 0) + c * x
+        assert not any(x % p if p else x for x in total.values())
 
 
 def test_section_coordinates_do_not_carry_at_the_digit_width():

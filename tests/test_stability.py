@@ -26,6 +26,7 @@ from kbundle.stability import (
     ENGINES,
     InternalCheckError,
     StabilityError,
+    _first_mod_p_section,
     analyze_bundle,
     bohnhorst_spindler,
     brenner_monomial,
@@ -45,6 +46,7 @@ from sample_bundles import (
     monomial_cubes_spec,
     rank2_degree0_bundle,
     random_primary_monomial_spec,
+    rank6_bundle,
     sl3_spec,
     syzygy_bundle,
     syzygy_spec,
@@ -578,3 +580,40 @@ def test_stable_generic_bundle_runs_no_qq_elimination(monkeypatch):
                          engine="linalg")
     assert report.stability == "proven_stable"
     assert calls[0] == 0 and calls[PRIMARY_TEST_PRIME] == len(report.per_power)
+
+
+def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
+    """The rank-6 check probes the mod-p kernel at top and top - 1 only:
+    with no section at top - 1, the QQ scan starts at top."""
+    import kbundle.stability as stability
+    probes = []
+    real = stability.kernel_dim_linalg
+
+    def logging(columns, source, target, t, caps):
+        probes.append((source.ring.field.char, t))
+        return real(columns, source, target, t, caps)
+
+    monkeypatch.setattr(stability, "kernel_dim_linalg", logging)
+    report = hoppe_check(rank6_bundle(), engine="linalg")
+    assert [(c.q, c.relation, c.window_low, c.window_top)
+            for c in report.per_power] == [
+        (1, ">", -1, 0), (2, "=", -2, 0), (3, ">", -3, 0), (4, "=", -4, 0)]
+    p = PRIMARY_TEST_PRIME
+    assert probes == [(p, 0),                       # wedge^1: none at top
+                      (p, 0), (p, -1), (0, 0),      # wedge^2
+                      (p, 0),                       # wedge^3
+                      (p, 0), (p, -1), (0, 0)]      # wedge^4
+
+
+@pytest.mark.parametrize("low, top", [(-6, 0), (-3, 2), (0, 1), (2, 2), (-5, -4)])
+def test_first_mod_p_section_bisects_a_monotone_count(low, top):
+    for first in range(low, top + 1):
+        probes = []
+
+        def dim_p(k):
+            probes.append(k)
+            return int(k >= first)
+
+        assert _first_mod_p_section(dim_p, low, top) == first
+        assert len(probes) <= 2 + (top - low).bit_length()
+        assert all(low <= k < top for k in probes)

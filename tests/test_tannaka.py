@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -219,6 +220,36 @@ def test_sl3_staged_bases_golden():
         want = golden if field is Fraction else {
             key: c % prime for key, c in golden.items()}
         assert section == want
+
+
+RANK6_STAGED_GOLDEN = Path(__file__).with_name("rank6_staged_golden.json")
+RANK6_STAGED_CELLS = ((1, 3), (2, 2), (3, 1))
+
+
+def rank6_staged_bases(sections) -> dict:
+    """The staged bases of a store at RANK6_STAGED_CELLS, in JSON form:
+    "q,t" -> one [[alpha, monomial, coefficient], ...] per basis vector, its
+    terms sorted."""
+    return {f"{q},{t}": [sorted([list(alpha), list(mono), c]
+                                for (alpha, mono), c in vec.items())
+                         for vec in sections.basis(q, t)]
+            for q, t in RANK6_STAGED_CELLS}
+
+
+def test_rank6_staged_bases_golden():
+    """The staged bases of rank6_bundle() mod 1000003 in
+    rank6_staged_golden.json (frozen from the elimination that kept pivots
+    monic and columns in the given order), with residues as ints: each
+    level is cut out of the lifted vectors below it, so the exact vectors,
+    and their order, are pinned down.  Cells 3 and 4 of the store at twist
+    0 are 0 and 3 (the Sp(6) moments)."""
+    sections = TensorSections(reduce_bundle_mod_p(rank6_bundle(), 1000003))
+    want = json.loads(RANK6_STAGED_GOLDEN.read_text())
+    assert rank6_staged_bases(sections) == want
+    for q, t in RANK6_STAGED_CELLS:
+        assert all(type(c) is int for vec in sections.basis(q, t)
+                   for c in vec.values())
+    assert (sections.dim(3, 0), sections.dim(4, 0)) == (0, 3)
 
 
 def test_pairing_bound_on_self_dual_bundles():
