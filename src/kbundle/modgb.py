@@ -1029,20 +1029,17 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
             by_row.setdefault(j, []).append((pem, ec))
         rows: dict = {}         # beta -> [(coordinate of (j, beta, em), ec)]
         for vec in sections[i]:
-            if len(vec) == 1:
-                # one term, e.g. a monomial section
-                (key, c), = vec.items()
-                beta, mono = key
+            if len(vec) == 1 and next(iter(vec.values())) == 1:
+                # one unit term: a monomial section or a kernel vector scaled
+                # to one at its lead
+                (beta, mono), = vec
                 row = rows.get(beta)
                 if row is None:
                     row = rows[beta] = [
                         (blocks.setdefault((j, beta), len(blocks) << span) + pem, ec)
                         for j, pem, ec in col]
                 m = packed[mono]
-                if c == 1:
-                    out = {r + m: ec for r, ec in row}
-                else:
-                    out = {r + m: c * ec % p if p else c * ec for r, ec in row}
+                out = {r + m: ec for r, ec in row}
             else:
                 out = {}
                 get = out.get
@@ -1060,18 +1057,14 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
             images.append(out)
             labels.append((i, vec))
     dim, combos = _echelon_kernel(images, p, caps, want_vectors)
-    lifts: dict = {}            # index of an image -> [(lifted key, c)]
     lifted = []
     for combo in combos:
         out = {}
         get = out.get
         for idx, coeff in combo.items():
-            keys = lifts.get(idx)
-            if keys is None:
-                i, vec = labels[idx]
-                keys = lifts[idx] = [(((i,) + beta, mono), c)
-                                     for (beta, mono), c in vec.items()]
-            for key, c in keys:
+            i, vec = labels[idx]
+            for (beta, mono), c in vec.items():
+                key = ((i,) + beta, mono)
                 x = coeff if c == 1 else coeff * c
                 old = get(key)
                 out[key] = x if old is None else old + x

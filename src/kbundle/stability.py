@@ -39,7 +39,6 @@ from .modgb import (
     kernel_dim_linalg,
     kernel_dims_gb,
     kernel_sections_linalg,
-    syzygy_module_columns,
 )
 from .powers import exterior_power_matrix
 from . import tannaka
@@ -215,7 +214,10 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     exterior presentation is built once and serves every engine and the
     witness check.  Over QQ the `linalg` engine reduces the bundle mod
     PRIMARY_TEST_PRIME once for its first pass (see `_scan_exterior`); `gb`
-    runs over QQ only, and under "both" builds no witness.
+    runs over QQ only.  Every engine takes the "<" witness from one
+    `kernel_sections_linalg` call at alpha (the first vector of the
+    canonical kernel basis), so all three report the same witness, and
+    `_verify_witness` checks it exactly.
     """
     _check_choices(engine, mode)
     require_valid(bundle)
@@ -269,15 +271,12 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                 f"{check.relation})")
         report.per_power.append(check)
         if check.relation == "<":
-            # the kept engine's witness; for gb the smallest syzygy of the run
-            # truncated at alpha, a prefix of any run truncated higher
-            args = (pres.columns, pres.source_module(), pres.target_module())
-            if engines[-1] == "linalg":
-                element = kernel_sections_linalg(*args, check.alpha, caps)[1][0]
-            else:
-                syz = syzygy_module_columns(*args, caps, check.alpha)
-                element = min(syz.elements, key=lambda e: sorted(e.terms),
-                              default=ModuleElement(syz.module, {}))
+            # under gb an empty kernel here is an engine disagreement, which
+            # the verification below reports
+            source = pres.source_module()
+            _, vectors = kernel_sections_linalg(
+                pres.columns, source, pres.target_module(), check.alpha, caps)
+            element = vectors[0] if vectors else ModuleElement(source, {})
             witness = Witness(q, check.alpha, element)
             witness.verified = _verify_witness(pres, element, check.alpha,
                                                check.threshold)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -550,6 +551,49 @@ def test_closure_candidate_in_characteristic_zero(capsys, tmp_path, candidate,
     assert membership["member_by_threshold"] is member
 
 
+def test_tannaka_of_unstable_bundle_is_not_classified(capsys):
+    code, out, _ = run_cli(["tannaka", "--syzygy", "X, Y, Z^4"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "stability status: unstable"
+    assert out.splitlines()[-1] == (
+        "dual group not classified: classification requires proven "
+        "stability; fingerprints of undetermined bundles are reported as raw "
+        "evidence only")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["restrict", "--syzygy", "X, Y, Z^4"],
+     "the bundle is unstable; no restriction theorem applies"),
+    (["closure", "--ideal", "X, Y, Z^4", "--candidate", "X*Y"],
+     "the syzygy bundle of the ideal is unstable; the inclusion bound does "
+     "not apply"),
+])
+def test_unstable_bundle_is_refused_by_restrict_and_closure(capsys, args,
+                                                            message):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
+def test_check_upgrade_none_and_undetermined_pullback(capsys, tmp_path):
+    # without the self-duality upgrade the five quadrics and their pullback
+    # both stop at a boundary section of wedge^2
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli([
+        "check", "--syzygy", FIVE_QUADRICS, "--upgrade", "none",
+        "--via-pullback", "2", "--json-out", str(out_path)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: semistable; stability: undetermined"
+    report = json.loads(out_path.read_text())
+    assert report["job"]["task"]["options"]["upgrade_selfdual"] is False
+    results = report["results"]
+    assert results["pullback"]["report"]["stability"] == "undetermined"
+    assert results["report"]["trace"][-1] == (
+        "pullback (k = 2) is semistable but its stability is also "
+        "undetermined")
+
+
 def test_check_unstable_reports_witness(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli([
@@ -564,15 +608,12 @@ def test_check_unstable_reports_witness(capsys, tmp_path):
 
 @pytest.mark.parametrize("generators, q, degree, element", [
     ("X + 2*Y, Y - Z + W, X*Z + W^2 - Y^2, X^4 + Y^3*Z - 2*W^4 + Z^2*X*Y",
-     1, 2, "(Y - Z + W, -X - 2*Y, 0, 0)"),
+     1, 2, "(-1/2*Y + 1/2*Z - 1/2*W, 1/2*X + Y, 0, 0)"),
     ("X^2 + Y^2, X*Y + Z^2, Y^2 - W^2, X^2 + Z*W, X^3 + Y^3 + Z^3 + W^3",
-     3, 8, "(X^2 + Z*W, -Y^2 + W^2, X*Y + Z^2, -X^2 - Y^2, 0, 0, 0, 0, 0, 0)"),
+     3, 8, "(-X^2 - Z*W, Y^2 - W^2, -X*Y - Z^2, X^2 + Y^2, 0, 0, 0, 0, 0, 0)"),
 ])
 def test_check_gb_witness_is_frozen(capsys, tmp_path, generators, q, degree,
                                     element):
-    # the gb engine's "<" witness is the smallest syzygy of the graph-module
-    # run truncated at its degree, a prefix of the run truncated at the
-    # window top, which gave these same strings
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli([
         "check", "--syzygy", generators, "--vars", "X,Y,Z,W", "--dim", "3",
@@ -602,6 +643,28 @@ def test_report_digest_paper_matches_frozen_answers():
     lines = proc.stdout.splitlines()
     assert len(lines) == 40
     assert all(line.split()[-1] == "match" for line in lines), lines
+
+
+def test_unexecuted_lines_summarizes_every_module():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "unexecuted_lines.py"), "paper"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    split = lines.index("unexecuted:")
+    summaries = [re.fullmatch(r"src/kbundle/(\w+\.py): (\d+) of (\d+) lines ran",
+                              line) for line in lines[:split]]
+    assert all(summaries), lines[:split]
+    assert [m[1] for m in summaries] == sorted(
+        path.name for path in (root / "src" / "kbundle").glob("*.py"))
+    counts = [(int(m[2]), int(m[3])) for m in summaries]
+    assert all(0 < ran <= executable for ran, executable in counts)
+    # the paper pool leaves some lines unrun, and each is listed once
+    missing = lines[split + 1:]
+    assert missing and len(set(missing)) == len(missing)
+    assert len(missing) == sum(executable - ran for ran, executable in counts)
+    assert all(re.match(r"src/kbundle/\w+\.py:\d+: ", line) for line in missing)
 
 
 def test_check_reports_the_deciding_prime(capsys, tmp_path):

@@ -247,6 +247,29 @@ def test_kernel_sections_give_verified_elements():
         assert apply_columns(cols, target, e).is_zero()
 
 
+@pytest.mark.parametrize("p", [0, 7])
+def test_section_kernel_scales_one_term_sections(p):
+    # one-term sections with coefficients other than one (no caller passes
+    # them today) have the same kernel as the monomial sections, each
+    # lifted vector a multiple of the unscaled one
+    ring = make_ring(3, FieldSpec(p))
+    columns = [[(0, P(t, ring))] for t in ("X", "Y", "Z", "X + Y")]
+    sections = [modgb._monomial_vectors(3, 1) for _ in columns]
+    rng = random.Random(5)
+    scaled = [[{key: ring.field.from_int(rng.choice((2, 3, -1, 1)))
+                for key in vec} for vec in vecs] for vecs in sections]
+    dim, vectors = modgb._section_kernel(columns, sections, p, Caps(), True)
+    dim_c, vectors_c = modgb._section_kernel(columns, scaled, p, Caps(), True)
+
+    def monic(vec):
+        lead = vec[max(vec)]
+        inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
+        return {k: c * inv % p if p else c * inv for k, c in vec.items()}
+
+    assert dim == dim_c == len(vectors) == 6
+    assert [monic(v) for v in vectors_c] == [monic(v) for v in vectors]
+
+
 def test_ideal_membership_examples():
     gb = ideal_groebner([P(t) for t in FIVE_MONOMIALS])
     assert ideal_membership(P("X^2"), gb)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -13,6 +14,7 @@ from kbundle.bundle import (
     invariants,
     make_kernel_bundle,
     twist,
+    validate,
 )
 from kbundle.modgb import (
     PRIMARY_TEST_PRIME,
@@ -25,6 +27,7 @@ from kbundle.powers import exterior_power_matrix
 from kbundle.stability import (
     ENGINES,
     InternalCheckError,
+    NumericCriterionResult,
     StabilityError,
     _first_mod_p_section,
     analyze_bundle,
@@ -45,6 +48,7 @@ from sample_bundles import (
     monomial_cubes_family,
     monomial_cubes_spec,
     rank2_degree0_bundle,
+    random_kernel_bundle,
     random_primary_monomial_spec,
     rank6_bundle,
     sl3_spec,
@@ -191,6 +195,16 @@ def test_engine_mismatch_raises(monkeypatch):
         hoppe_check(dual_five_monomials(), engine="both")
 
 
+def test_gb_section_without_linalg_witness_raises(monkeypatch):
+    import kbundle.stability as stability
+    # a gb engine that counts a section in every degree claims q = 1 at the
+    # lowest degree, where linalg finds no vector to witness it
+    monkeypatch.setattr(stability, "kernel_dims_gb", lambda *args: lambda k: 1)
+    with pytest.raises(InternalCheckError,
+                       match="witness at q=1, degree -1 failed verification"):
+        hoppe_check(syzygy_bundle(["X^2", "Y^2", "Z^2"], twist=3), engine="gb")
+
+
 def count_calls(monkeypatch, names) -> Counter:
     """Count the calls stability makes to the named functions."""
     import kbundle.stability as stability
@@ -208,7 +222,7 @@ def count_calls(monkeypatch, names) -> Counter:
 
 def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
     calls = count_calls(monkeypatch, ("kernel_dim_linalg", "kernel_dims_gb",
-                                      "syzygy_module_columns"))
+                                      "kernel_sections_linalg"))
     spec = syzygy_spec(["X^2", "X*Y", "Y^2"])     # common zero (0:0:1)
     for engine in ENGINES:
         with pytest.raises(BundleError, match="not-surjective"):
@@ -217,10 +231,9 @@ def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
 
 
 def test_witness_comes_from_the_kept_engine(monkeypatch):
-    # the "<" rank's witness is built by the engine whose report is kept,
-    # so under both the gb side runs no syzygy computation at all
-    calls = count_calls(monkeypatch, ("kernel_dims_gb", "syzygy_module_columns",
-                                      "kernel_sections_linalg"))
+    # every engine builds the "<" rank's witness with one
+    # kernel_sections_linalg call, so all three report the same one
+    calls = count_calls(monkeypatch, ("kernel_dims_gb", "kernel_sections_linalg"))
     witnesses = {}
     for engine in ENGINES:
         calls.clear()
@@ -228,11 +241,38 @@ def test_witness_comes_from_the_kept_engine(monkeypatch):
         assert report.witness.verified and report.witness.q == 2
         witnesses[engine] = str(report.witness.element)
         assert calls == {
-            "gb": Counter(kernel_dims_gb=2, syzygy_module_columns=1),
+            "gb": Counter(kernel_dims_gb=2, kernel_sections_linalg=1),
             "linalg": Counter(kernel_sections_linalg=1),
             "both": Counter(kernel_dims_gb=2, kernel_sections_linalg=1),
         }[engine]
-    assert witnesses["both"] == witnesses["linalg"]
+    assert witnesses["gb"] == witnesses["linalg"] == witnesses["both"]
+
+
+def test_every_engine_reports_one_witness():
+    """Seeded differential test: monomial syzygy bundles on P^2 and
+    surjective random presentations get the same verdict, per-rank outcome
+    and witness string under gb, linalg and both.  The deciding prime is
+    left out, since only linalg's first pass runs mod p."""
+    rng = random.Random(2)
+    bundles = [from_syzygy(random_primary_monomial_spec(rng)) for _ in range(17)]
+    bundles += [b for b in (random_kernel_bundle(rng) for _ in range(75))
+                if validate(b, check_surjectivity=True).ok]
+    unstable = Counter()
+    for i, bundle in enumerate(bundles):
+        outcomes = []
+        for engine in ENGINES:
+            report = hoppe_check(bundle, engine=engine)
+            witness = report.witness
+            outcomes.append((report.verdict, report.stability,
+                             [dataclasses.replace(c, prime=None)
+                              for c in report.per_power],
+                             witness and (witness.q, witness.degree,
+                                          str(witness.element))))
+        assert outcomes[0] == outcomes[1] == outcomes[2], (i, outcomes)
+        if report.verdict == "unstable":
+            assert witness.verified
+            unstable["monomial" if i < 17 else "random"] += 1
+    assert unstable == Counter(monomial=11, random=5)
 
 
 def test_gb_scan_reads_only_the_window():
@@ -375,6 +415,55 @@ def test_analysis_runs_auxiliary_criteria():
     assert analysis.criteria["bohnhorst_spindler"].verdict == "stable"
     assert analysis.criteria["parameter_criterion"].verdict == "stable"
     assert analysis.report.stability == "proven_stable"
+
+
+def claim(monkeypatch, verdict):
+    """Make bohnhorst_spindler claim verdict for every bundle."""
+    import kbundle.stability as stability
+    monkeypatch.setattr(stability, "bohnhorst_spindler",
+                        lambda bundle: NumericCriterionResult(verdict, "claimed"))
+
+
+def test_stability_from_an_auxiliary_criterion(monkeypatch):
+    # the five quadrics end undetermined without the self-duality upgrade,
+    # and no criterion applies to them: a claimed "stable" decides
+    claim(monkeypatch, "stable")
+    report = analyze_bundle(five_quadrics(), upgrade_selfdual=False).report
+    assert report.stability == "proven_stable"
+    assert report.criteria_trace[-2:] == [
+        "bohnhorst_spindler: stable", "stability from an auxiliary criterion"]
+
+
+def test_unstable_pullback_says_nothing_downstairs(monkeypatch):
+    import kbundle.stability as stability
+    # a pullback cannot be unstable over QQ; an unstable stand-in reaches
+    # the branch
+    monkeypatch.setattr(stability, "pullback_powers",
+                        lambda bundle, k: monomial_cubes_family())
+    analysis = analyze_bundle(five_quadrics(), upgrade_selfdual=False,
+                              via_pullback=2)
+    assert analysis.pullback.report.verdict == "unstable"
+    assert analysis.report.stability == "undetermined"
+    assert analysis.report.criteria_trace[-1] == (
+        "pullback (k = 2) is unstable; this gives no information downstairs")
+
+
+@pytest.mark.parametrize("bundle, verdict, problem", [
+    (monomial_cubes_family, "stable",
+     "bohnhorst_spindler says stable but the exterior-power driver says "
+     "unstable"),
+    (five_quadrics, "unstable",
+     "bohnhorst_spindler says unstable but the exterior-power driver says "
+     "semistable"),
+    (lambda: syzygy_bundle(["X", "Y", "Z^2"]), "stable",
+     "bohnhorst_spindler says stable but the driver proved strict "
+     "semistability"),
+])
+def test_contradicting_criterion_raises(monkeypatch, bundle, verdict, problem):
+    claim(monkeypatch, verdict)
+    with pytest.raises(InternalCheckError) as info:
+        analyze_bundle(bundle(), upgrade_selfdual=False)
+    assert str(info.value) == problem
 
 
 def test_criteria_consistency_random_monomials():
