@@ -10,7 +10,6 @@ p != 0.  Nothing in this package touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, prod
@@ -63,8 +62,42 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """Base of the value records: equality, hashing, repr and `replace` over
+    the fields a subclass names in `__slots__`, which its `__init__` takes by
+    the same names.  A mutable record sets `__hash__ = None`; fields whose
+    names start with "_" stay out of the repr.  Plain methods instead of
+    `dataclasses`, whose generated code costs most of the package's import.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built by `__init__`."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return type(self)(**values)
+
+
+class FieldSpec(Record):
     """The rationals (char == 0) or the prime field Z/char.
 
     Elements are plain Fractions resp. ints in [0, char); the methods below
@@ -72,13 +105,14 @@ class FieldSpec:
     sums of term dicts.
     """
 
-    char: int = 0
+    __slots__ = ("char",)
 
-    def __post_init__(self):
-        if self.char < 0:
-            raise AlgebraError(f"invalid characteristic {self.char}")
-        if self.char > 0 and not is_prime(self.char):
-            raise AlgebraError(f"characteristic {self.char} is not prime")
+    def __init__(self, char: int = 0):
+        if char < 0:
+            raise AlgebraError(f"invalid characteristic {char}")
+        if char > 0 and not is_prime(char):
+            raise AlgebraError(f"characteristic {char} is not prime")
+        self.char = char
 
     def one(self):
         return 1 if self.char else Fraction(1)
@@ -174,21 +208,22 @@ def default_variables(nvars: int) -> tuple:
     return tuple(f"X{i}" for i in range(nvars))
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Record):
     """A polynomial ring: variable names, exact field, active monomial order."""
 
-    variables: tuple
-    field: FieldSpec = QQ
-    order: str = "degrevlex"
+    __slots__ = ("variables", "field", "order")
 
-    def __post_init__(self):
-        if len(self.variables) == 0:
+    def __init__(self, variables: tuple, field: FieldSpec = QQ,
+                 order: str = "degrevlex"):
+        if len(variables) == 0:
             raise AlgebraError("ring needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise AlgebraError("duplicate variable names")
-        if self.order not in MONOMIAL_ORDERS:
-            raise AlgebraError(f"unknown monomial order {self.order!r}")
+        if order not in MONOMIAL_ORDERS:
+            raise AlgebraError(f"unknown monomial order {order!r}")
+        self.variables = variables
+        self.field = field
+        self.order = order
 
     @property
     def nvars(self) -> int:

@@ -9,12 +9,11 @@ Frobenius-power membership tests below the bound.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb
 from typing import Optional
 
-from .algebra import AlgebraError, Poly, substitute_powers
+from .algebra import AlgebraError, Poly, Record, substitute_powers
 from .modgb import Caps, NO_CAPS, ideal_groebner, ideal_membership, is_irrelevant_primary
 
 
@@ -25,15 +24,18 @@ class BoundsError(AlgebraError):
 THEOREMS = ("flenner", "langer", "langer_strong")
 
 
-@dataclass(frozen=True)
-class RestrictionBound:
-    theorem: str
-    N: int
-    rank: int
-    delta: Fraction
-    c: int
-    k_min: int
-    conclusion: str
+class RestrictionBound(Record):
+    __slots__ = ("theorem", "N", "rank", "delta", "c", "k_min", "conclusion")
+
+    def __init__(self, theorem: str, N: int, rank: int, delta: Fraction,
+                 c: int, k_min: int, conclusion: str):
+        self.theorem = theorem
+        self.N = N
+        self.rank = rank
+        self.delta = delta
+        self.c = c
+        self.k_min = k_min
+        self.conclusion = conclusion
 
     def predicate(self, k: int) -> bool:
         return _restriction_predicate(self.theorem, self.N, self.rank,
@@ -124,28 +126,36 @@ def genus_plane_curve(degree: int) -> int:
     return (degree - 1) * (degree - 2) // 2
 
 
-@dataclass
-class ClosureQuery:
+class ClosureQuery(Record):
     """An irrelevant-primary homogeneous ideal plus the curve-side data.
 
     In characteristic 0 the caller must hold a semistability certificate for
-    the syzygy bundle; in characteristic p a strong-semistability
-    justification (general hypersurface, elliptic curve, or user-asserted).
+    the syzygy bundle ("semistable" or "stable"); in characteristic p a
+    strong-semistability justification in strong_flag (general hypersurface,
+    elliptic curve, or user-asserted).
     """
 
-    generators: tuple
-    certificate: Optional[str] = None          # "semistable" | "stable"
-    strong_flag: Optional[str] = None          # char p justification
-    genus: Optional[int] = None
-    plane_curve_degree: Optional[int] = None
-    candidate: Optional[Poly] = None
-    frobenius_exponent: Optional[int] = None
+    __slots__ = ("generators", "certificate", "strong_flag", "genus",
+                 "plane_curve_degree", "candidate", "frobenius_exponent")
+    __hash__ = None
 
-    def __post_init__(self):
-        if any(f.is_zero() for f in self.generators):
+    def __init__(self, generators: tuple, certificate: Optional[str] = None,
+                 strong_flag: Optional[str] = None,
+                 genus: Optional[int] = None,
+                 plane_curve_degree: Optional[int] = None,
+                 candidate: Optional[Poly] = None,
+                 frobenius_exponent: Optional[int] = None):
+        if any(f.is_zero() for f in generators):
             raise BoundsError("ideal generators must be nonzero")
-        if self.genus is not None and self.genus < 0:
-            raise BoundsError(f"genus must be >= 0, got {self.genus}")
+        if genus is not None and genus < 0:
+            raise BoundsError(f"genus must be >= 0, got {genus}")
+        self.generators = generators
+        self.certificate = certificate
+        self.strong_flag = strong_flag
+        self.genus = genus
+        self.plane_curve_degree = plane_curve_degree
+        self.candidate = candidate
+        self.frobenius_exponent = frobenius_exponent
 
     @property
     def ring(self):
@@ -167,12 +177,18 @@ class ClosureQuery:
         return None
 
 
-@dataclass
-class ClosureReport:
-    tau: Fraction
-    m_min: int            # every form of degree >= m_min lies in the closure
-    char: int
-    trace: list = field(default_factory=list)
+class ClosureReport(Record):
+    """m_min: every form of degree >= m_min lies in the closure."""
+
+    __slots__ = ("tau", "m_min", "char", "trace")
+    __hash__ = None
+
+    def __init__(self, tau: Fraction, m_min: int, char: int,
+                 trace: Optional[list] = None):
+        self.tau = tau
+        self.m_min = m_min
+        self.char = char
+        self.trace = [] if trace is None else trace
 
 
 def closure_threshold(query: ClosureQuery, caps: Caps = NO_CAPS,
@@ -212,13 +228,17 @@ def closure_threshold(query: ClosureQuery, caps: Caps = NO_CAPS,
     return ClosureReport(tau, m_min, query.char, trace)
 
 
-@dataclass
-class MembershipReport:
-    member: bool
-    decisive: bool
-    regime: str
-    via: str
-    trace: list = field(default_factory=list)
+class MembershipReport(Record):
+    __slots__ = ("member", "decisive", "regime", "via", "trace")
+    __hash__ = None
+
+    def __init__(self, member: bool, decisive: bool, regime: str, via: str,
+                 trace: Optional[list] = None):
+        self.member = member
+        self.decisive = decisive
+        self.regime = regime
+        self.via = via
+        self.trace = [] if trace is None else trace
 
 
 def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,

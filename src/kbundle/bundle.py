@@ -11,13 +11,13 @@ entries, so zero entries are meaningful.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 from typing import Sequence
 
-from .algebra import AlgebraError, Poly, PolyRing, mono_mul, substitute_powers
+from .algebra import (AlgebraError, Poly, PolyRing, Record, mono_mul,
+                      substitute_powers)
 from .modgb import (Caps, GradedFreeModule, NO_CAPS, free_module_dims,
                     has_degree, is_irrelevant_primary)
 
@@ -31,14 +31,18 @@ def module_from_twists(ring: PolyRing, twists: Sequence[int]) -> GradedFreeModul
     return GradedFreeModule(ring, tuple(-t for t in twists))
 
 
-@dataclass(frozen=True)
-class KernelBundle:
-    """Presentation 0 -> E -> (+) O(a_i) -> (+) O(b_j) -> 0 on P^N."""
+class KernelBundle(Record):
+    """Presentation 0 -> E -> (+) O(a_i) -> (+) O(b_j) -> 0 on P^N; matrix
+    holds m rows, each a tuple of n Poly entries."""
 
-    ring: PolyRing
-    twists_a: tuple
-    twists_b: tuple
-    matrix: tuple  # m rows, each a tuple of n Poly entries
+    __slots__ = ("ring", "twists_a", "twists_b", "matrix")
+
+    def __init__(self, ring: PolyRing, twists_a: tuple, twists_b: tuple,
+                 matrix: tuple):
+        self.ring = ring
+        self.twists_a = twists_a
+        self.twists_b = twists_b
+        self.matrix = matrix
 
     @property
     def N(self) -> int:
@@ -79,13 +83,15 @@ class KernelBundle:
                 f"b={list(self.twists_b)}, rank {self.rank}")
 
 
-@dataclass(frozen=True)
-class SyzygyBundleSpec:
+class SyzygyBundleSpec(Record):
     """Syz(f_1, ..., f_n) twisted by c: the single-row kernel presentation."""
 
-    ring: PolyRing
-    generators: tuple
-    twist: int = 0
+    __slots__ = ("ring", "generators", "twist")
+
+    def __init__(self, ring: PolyRing, generators: tuple, twist: int = 0):
+        self.ring = ring
+        self.generators = generators
+        self.twist = twist
 
     @property
     def degrees(self) -> tuple:
@@ -123,21 +129,27 @@ def from_syzygy(spec: SyzygyBundleSpec) -> KernelBundle:
     return make_kernel_bundle(ring, a, (spec.twist,), [list(spec.generators)])
 
 
-@dataclass
-class ValidationProblem:
-    code: str
-    location: tuple
-    message: str
+class ValidationProblem(Record):
+    __slots__ = ("code", "location", "message")
+    __hash__ = None
+
+    def __init__(self, code: str, location: tuple, message: str):
+        self.code = code
+        self.location = location
+        self.message = message
 
     def __str__(self):
         where = f" at {self.location}" if self.location else ""
         return f"{self.code}{where}: {self.message}"
 
 
-@dataclass
-class ValidationReport:
-    problems: list
-    surjective: bool | None = None
+class ValidationReport(Record):
+    __slots__ = ("problems", "surjective")
+    __hash__ = None
+
+    def __init__(self, problems: list, surjective: bool | None = None):
+        self.problems = problems
+        self.surjective = surjective
 
     @property
     def ok(self) -> bool:
@@ -292,15 +304,18 @@ def require_valid(bundle: KernelBundle, check_surjectivity: bool = False,
     return bundle
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(Record):
     """rank, c1, slope, c2 and discriminant, all exact."""
 
-    rank: int
-    c1: int
-    mu: Fraction
-    c2: Fraction
-    delta: Fraction
+    __slots__ = ("rank", "c1", "mu", "c2", "delta")
+
+    def __init__(self, rank: int, c1: int, mu: Fraction, c2: Fraction,
+                 delta: Fraction):
+        self.rank = rank
+        self.c1 = c1
+        self.mu = mu
+        self.c2 = c2
+        self.delta = delta
 
 
 def invariants(bundle: KernelBundle) -> Invariants:

@@ -7,11 +7,11 @@ internal cross-check mismatch; never a wrong verdict).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import (
     AlgebraError,
@@ -41,6 +41,9 @@ from .modgb import Caps, ResourceCapError
 from .stability import InternalCheckError, StabilityError, analyze_bundle
 from . import tannaka
 from .tannaka import TannakaError
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class InputError(ValueError):
@@ -535,6 +538,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only the command line needs it; execute_job does not
     parser = argparse.ArgumentParser(
         prog="kbundle",
         description="Exact semistability and section computations for kernel "

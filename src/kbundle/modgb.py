@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
@@ -49,6 +48,7 @@ from .algebra import (
     FieldSpec,
     Poly,
     PolyRing,
+    Record,
     add_scaled,
     mono_deg,
     monomials_of_degree,
@@ -68,21 +68,26 @@ class InternalCheckError(RuntimeError):
     """Two supposedly-equivalent computations disagreed; never a verdict."""
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(Record):
     """Resource guards.  Exceeding any cap aborts, never returns a wrong answer."""
 
-    max_degree: Optional[int] = None
-    max_pairs: Optional[int] = None
-    timeout_seconds: Optional[float] = None
-    _deadline: Optional[float] = field(default=None, repr=False)
+    __slots__ = ("max_degree", "max_pairs", "timeout_seconds", "_deadline")
+
+    def __init__(self, max_degree: Optional[int] = None,
+                 max_pairs: Optional[int] = None,
+                 timeout_seconds: Optional[float] = None,
+                 _deadline: Optional[float] = None):
+        self.max_degree = max_degree
+        self.max_pairs = max_pairs
+        self.timeout_seconds = timeout_seconds
+        self._deadline = _deadline
 
     def start(self) -> "Caps":
         """A copy whose timeout runs from now; an armed Caps is returned as
         it is, so the calls it is passed to share its deadline."""
         if self.timeout_seconds is None or self._deadline is not None:
             return self
-        return replace(self, _deadline=time.monotonic() + self.timeout_seconds)
+        return self.replace(_deadline=time.monotonic() + self.timeout_seconds)
 
     def check_time(self):
         if self._deadline is not None and time.monotonic() > self._deadline:
@@ -102,12 +107,14 @@ class Caps:
 NO_CAPS = Caps()
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
+class GradedFreeModule(Record):
     """Free module with one integer degree per basis vector."""
 
-    ring: PolyRing
-    generator_degrees: tuple
+    __slots__ = ("ring", "generator_degrees")
+
+    def __init__(self, ring: PolyRing, generator_degrees: tuple):
+        self.ring = ring
+        self.generator_degrees = generator_degrees
 
     @property
     def rank(self) -> int:
@@ -632,14 +639,16 @@ def _reduce_basis(codec: _TermCodec, basis, module: GradedFreeModule,
                  for nf in reduced)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Groebner basis of a submodule: its leading terms generate the
     leading-term module.  buchberger's is the reduced one: monic,
     auto-reduced, unique per order."""
 
-    module: GradedFreeModule
-    elements: tuple
+    __slots__ = ("module", "elements")
+
+    def __init__(self, module: GradedFreeModule, elements: tuple):
+        self.module = module
+        self.elements = elements
 
     def __len__(self):
         return len(self.elements)

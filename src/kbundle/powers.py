@@ -18,11 +18,10 @@ for tensor) in that nested order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import (combinations, combinations_with_replacement, count,
                        cycle, product, repeat)
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, Record
 from .bundle import KernelBundle, module_from_twists
 from .modgb import GradedFreeModule
 
@@ -36,18 +35,27 @@ class CharacteristicError(PowerError):
     holds p-th powers, which the map kills, so it is larger than Sym^q E."""
 
 
-@dataclass(frozen=True)
-class PowerPresentation:
-    """Kernel presentation of a tensor operation applied to a kernel bundle."""
+class PowerPresentation(Record):
+    """Kernel presentation of a tensor operation applied to a kernel bundle.
 
-    kind: str            # "tensor" | "exterior" | "symmetric"
-    q: int
-    ring: object
-    source_twists: tuple
-    target_twists: tuple
-    source_labels: tuple
-    target_labels: tuple
-    columns: tuple       # per source index: ((target index, entry Poly), ...)
+    kind is "tensor", "exterior" or "symmetric"; columns holds, per source
+    index, ((target index, entry Poly), ...).
+    """
+
+    __slots__ = ("kind", "q", "ring", "source_twists", "target_twists",
+                 "source_labels", "target_labels", "columns")
+
+    def __init__(self, kind: str, q: int, ring: object, source_twists: tuple,
+                 target_twists: tuple, source_labels: tuple,
+                 target_labels: tuple, columns: tuple):
+        self.kind = kind
+        self.q = q
+        self.ring = ring
+        self.source_twists = source_twists
+        self.target_twists = target_twists
+        self.source_labels = source_labels
+        self.target_labels = target_labels
+        self.columns = columns
 
     @property
     def n_source(self) -> int:

@@ -13,14 +13,12 @@ All slope comparisons are exact rational arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, comb, floor
 from typing import Optional
 
-from .algebra import AlgebraError, monomial_family_gcd, mono_deg
+from .algebra import AlgebraError, Record, monomial_family_gcd, mono_deg
 from .bundle import (
     KernelBundle,
     SyzygyBundleSpec,
@@ -52,8 +50,7 @@ MODES = ("semistability", "stability_evidence")
 ENGINES = ("gb", "linalg", "both")
 
 
-@dataclass
-class PowerCheck:
+class PowerCheck(Record):
     """Outcome of one exterior rank q.
 
     relation "<" means a section strictly below the threshold -q*mu exists
@@ -62,35 +59,57 @@ class PowerCheck:
     the prime whose elimination proved a ">" (None when QQ decided).
     """
 
-    q: int
-    alpha: Optional[int]
-    threshold: Fraction
-    relation: str
-    window_top: int
-    window_low: int
-    prime: Optional[int] = None
+    __slots__ = ("q", "alpha", "threshold", "relation", "window_top",
+                 "window_low", "prime")
+    __hash__ = None
+
+    def __init__(self, q: int, alpha: Optional[int], threshold: Fraction,
+                 relation: str, window_top: int, window_low: int,
+                 prime: Optional[int] = None):
+        self.q = q
+        self.alpha = alpha
+        self.threshold = threshold
+        self.relation = relation
+        self.window_top = window_top
+        self.window_low = window_low
+        self.prime = prime
 
 
-@dataclass
-class Witness:
-    q: int
-    degree: int
-    element: ModuleElement
-    verified: bool = False
+class Witness(Record):
+    __slots__ = ("q", "degree", "element", "verified")
+    __hash__ = None
+
+    def __init__(self, q: int, degree: int, element: ModuleElement,
+                 verified: bool = False):
+        self.q = q
+        self.degree = degree
+        self.element = element
+        self.verified = verified
 
 
-@dataclass
-class StabilityReport:
-    verdict: str                      # "unstable" | "semistable"
-    stability: Optional[str]          # meaningful only when semistable
-    rank: int
-    mu: Fraction
-    gate: str                         # "pass_strict" | "pass" | "fail"
-    mode: str
-    engine: str
-    per_power: list = field(default_factory=list)
-    witness: Optional[Witness] = None
-    criteria_trace: list = field(default_factory=list)
+class StabilityReport(Record):
+    """verdict is "unstable" or "semistable"; stability means something only
+    when semistable; gate is "pass_strict", "pass" or "fail"."""
+
+    __slots__ = ("verdict", "stability", "rank", "mu", "gate", "mode",
+                 "engine", "per_power", "witness", "criteria_trace")
+    __hash__ = None
+
+    def __init__(self, verdict: str, stability: Optional[str], rank: int,
+                 mu: Fraction, gate: str, mode: str, engine: str,
+                 per_power: Optional[list] = None,
+                 witness: Optional[Witness] = None,
+                 criteria_trace: Optional[list] = None):
+        self.verdict = verdict
+        self.stability = stability
+        self.rank = rank
+        self.mu = mu
+        self.gate = gate
+        self.mode = mode
+        self.engine = engine
+        self.per_power = [] if per_power is None else per_power
+        self.witness = witness
+        self.criteria_trace = [] if criteria_trace is None else criteria_trace
 
     @property
     def is_semistable(self) -> bool:
@@ -173,6 +192,13 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     alpha and its witness are still found over QQ.  The same injection mod p
     makes dim K_p,k non-decreasing in k, so that first k is searched from the
     top: top - 1 first, then by bisection below it.
+
+    D = dim K_p,top also bounds that search from below.  K_p is a submodule
+    of a free module over F_p[x_0..x_N], a domain, so a nonzero s in
+    K_p,top-j gives C(N+j, N) independent sections m*s in K_p,top, one per
+    monomial m of degree j.  Hence no section lies below top - j for the
+    largest j with C(N+j, N) <= D, and when D <= N the search ends at top
+    with no further elimination.
     """
     threshold = -q * mu
     semi_top = ceil(threshold) - 1
@@ -183,10 +209,15 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     start = low
     if engine == "linalg" and pres_p is not None:
         dim_p = _kernel_dims(pres_p, engine, caps, top)
-        if not dim_p(top):
+        sections = dim_p(top)
+        if not sections:
             return PowerCheck(q, None, threshold, ">", top, low,
                               PRIMARY_TEST_PRIME)
-        start = _first_mod_p_section(dim_p, low, top)
+        N = pres.ring.nvars - 1
+        j = 0
+        while j < top - low and comb(N + j + 1, N) <= sections:
+            j += 1
+        start = _first_mod_p_section(dim_p, top - j, top)
     alpha = _first_section(_kernel_dims(pres, engine, caps, top), start, top)
     if alpha is None:
         return PowerCheck(q, None, threshold, ">", top, low)
@@ -332,12 +363,20 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
 # Combinatorial and numerical criteria.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BrennerResult:
-    verdict: str                  # "stable" | "semistable" | "inconclusive"
-    bound: Fraction               # right-hand side -sum(d_i)/(n-1)
-    violations: list              # (indices, d_J, lhs) with lhs > bound
-    has_equality: bool
+class BrennerResult(Record):
+    """verdict is "stable", "semistable" or "inconclusive"; bound the
+    right-hand side -sum(d_i)/(n-1); violations the (indices, d_J, lhs) with
+    lhs > bound."""
+
+    __slots__ = ("verdict", "bound", "violations", "has_equality")
+    __hash__ = None
+
+    def __init__(self, verdict: str, bound: Fraction, violations: list,
+                 has_equality: bool):
+        self.verdict = verdict
+        self.bound = bound
+        self.violations = violations
+        self.has_equality = has_equality
 
 
 BRENNER_GENERATOR_CAP = 25   # the subset enumeration is exponential
@@ -391,10 +430,13 @@ def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS) -> BrennerRes
     return BrennerResult(verdict, bound, violations, has_equality)
 
 
-@dataclass
-class NumericCriterionResult:
-    verdict: str
-    detail: str
+class NumericCriterionResult(Record):
+    __slots__ = ("verdict", "detail")
+    __hash__ = None
+
+    def __init__(self, verdict: str, detail: str):
+        self.verdict = verdict
+        self.detail = detail
 
 
 def bohnhorst_spindler(bundle: KernelBundle) -> NumericCriterionResult:
@@ -463,7 +505,7 @@ def selfdual_upgrade(bundle: KernelBundle, report: StabilityReport,
 
     def unchanged(reason):
         trace.append(f"self-duality upgrade not applied: {reason}")
-        return dataclasses.replace(report, criteria_trace=trace)
+        return report.replace(criteria_trace=trace)
 
     if report.verdict != "semistable" or report.stability != "undetermined":
         return unchanged("only semistable bundles with undetermined stability "
@@ -497,16 +539,21 @@ def selfdual_upgrade(bundle: KernelBundle, report: StabilityReport,
         "self-duality upgrade: certified nondegenerate pairing (E0 = E0*), "
         "h0(E0 (x) E0) = 1, boundary sections only at q in "
         f"{sorted(equalities)}; stable")
-    return dataclasses.replace(report, stability="proven_via_selfduality",
-                               criteria_trace=trace)
+    return report.replace(stability="proven_via_selfduality",
+                          criteria_trace=trace)
 
 
-@dataclass
-class Analysis:
-    bundle: KernelBundle
-    report: StabilityReport
-    criteria: dict = field(default_factory=dict)
-    pullback: Optional["Analysis"] = None
+class Analysis(Record):
+    __slots__ = ("bundle", "report", "criteria", "pullback")
+    __hash__ = None
+
+    def __init__(self, bundle: KernelBundle, report: StabilityReport,
+                 criteria: Optional[dict] = None,
+                 pullback: Optional[Analysis] = None):
+        self.bundle = bundle
+        self.report = report
+        self.criteria = {} if criteria is None else criteria
+        self.pullback = pullback
 
 
 def _check_criteria_consistency(report: StabilityReport, criteria: dict):
@@ -605,7 +652,14 @@ def _analyze(bundle: KernelBundle, engine: str, mode: str,
             report.criteria_trace.append(
                 f"pullback (k = {via_pullback}) is semistable but its "
                 "stability is also undetermined")
+        elif bundle.ring.field.char == 0:
+            # in characteristic 0 the map is separable, and pulling back
+            # along a finite separable map keeps semistability
+            raise InternalCheckError(
+                f"the pullback (k = {via_pullback}) of a semistable bundle "
+                "is unstable over QQ")
         else:
+            # x_i -> x_i^k is inseparable when p divides k
             report.criteria_trace.append(
                 f"pullback (k = {via_pullback}) is unstable; this gives no "
                 "information downstairs")

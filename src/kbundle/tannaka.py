@@ -12,7 +12,6 @@ fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Optional
@@ -22,6 +21,7 @@ from .algebra import (
     CoefficientError,
     FieldSpec,
     PolyRing,
+    Record,
     reduce_poly_mod_p,
 )
 from .bundle import KernelBundle, invariants, twist
@@ -169,12 +169,15 @@ def _check_method(method) -> None:
                            "use 'default' or 'exact'")
 
 
-@dataclass(frozen=True)
-class DimCell:
+class DimCell(Record):
     """A section dimension known to lie in [lo, hi]."""
-    lo: int
-    hi: int
-    evidence: str
+
+    __slots__ = ("lo", "hi", "evidence")
+
+    def __init__(self, lo: int, hi: int, evidence: str):
+        self.lo = lo
+        self.hi = hi
+        self.evidence = evidence
 
     @property
     def value(self) -> int:
@@ -339,13 +342,20 @@ def _pairing_type(w) -> str:
                              "E0 (x) E0 to neither w nor -w")
 
 
-@dataclass
-class TannakaFingerprint:
-    rank: int
-    normalizing_twist: int
-    dims: dict                    # power -> DimCell, at extra twist 0
-    pairing: Optional[str]        # "symmetric"/"alternating" iff dims[2] == 1
-    stability: str
+class TannakaFingerprint(Record):
+    """dims maps a power q to its DimCell at extra twist 0; pairing is
+    "symmetric" or "alternating" iff dims[2] == 1, else None."""
+
+    __slots__ = ("rank", "normalizing_twist", "dims", "pairing", "stability")
+    __hash__ = None
+
+    def __init__(self, rank: int, normalizing_twist: int, dims: dict,
+                 pairing: Optional[str], stability: str):
+        self.rank = rank
+        self.normalizing_twist = normalizing_twist
+        self.dims = dims
+        self.pairing = pairing
+        self.stability = stability
 
     @property
     def selfdual(self) -> bool:
@@ -363,11 +373,16 @@ class TannakaFingerprint:
         return f"h0((E(x)E)(0)) = {h} >= 1 ({grade} grade)"
 
 
-@dataclass
-class GroupGuess:
-    group: str                    # "SL", "Sp" or "unknown"
-    degree: Optional[int]         # r in SL(r) / Sp(r)
-    justification: str
+class GroupGuess(Record):
+    """group is "SL", "Sp" or "unknown"; degree the r in SL(r) / Sp(r)."""
+
+    __slots__ = ("group", "degree", "justification")
+    __hash__ = None
+
+    def __init__(self, group: str, degree: Optional[int], justification: str):
+        self.group = group
+        self.degree = degree
+        self.justification = justification
 
     def label(self) -> str:
         if self.group == "unknown":

@@ -1,9 +1,8 @@
-import dataclasses
 import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import floor
+from math import comb, floor
 
 import pytest
 
@@ -19,10 +18,12 @@ from kbundle.bundle import (
 from kbundle.modgb import (
     PRIMARY_TEST_PRIME,
     Caps,
+    NO_CAPS,
     ResourceCapError,
     is_irrelevant_primary,
     kernel_dim_linalg,
 )
+from kbundle import tannaka
 from kbundle.powers import exterior_power_matrix
 from kbundle.stability import (
     ENGINES,
@@ -30,6 +31,7 @@ from kbundle.stability import (
     NumericCriterionResult,
     StabilityError,
     _first_mod_p_section,
+    _scan_exterior,
     analyze_bundle,
     bohnhorst_spindler,
     brenner_monomial,
@@ -264,7 +266,7 @@ def test_every_engine_reports_one_witness():
             report = hoppe_check(bundle, engine=engine)
             witness = report.witness
             outcomes.append((report.verdict, report.stability,
-                             [dataclasses.replace(c, prime=None)
+                             [c.replace(prime=None)
                               for c in report.per_power],
                              witness and (witness.q, witness.degree,
                                           str(witness.element))))
@@ -391,6 +393,36 @@ def test_selfdual_upgrade_declines_non_simple():
     assert any("not simple" in line for line in upgraded.criteria_trace)
 
 
+@pytest.mark.parametrize("change, reason", [
+    (lambda report: report.replace(verdict="unstable"),
+     "only semistable bundles with undetermined stability are eligible"),
+    (lambda report: report.replace(gate="pass"),
+     "the slope gate is not strict, so a corank-1 boundary subsheaf is not "
+     "excluded"),
+    (lambda report: report.replace(per_power=[
+        c.replace(relation="=") for c in report.per_power]),
+     "boundary sections at q = [1] are not of the self-dual pairing type"),
+])
+def test_selfdual_upgrade_declines_off_pattern_reports(change, reason):
+    bundle = five_quartics()
+    report = change(hoppe_check(bundle))
+    upgraded = selfdual_upgrade(bundle, report)
+    assert upgraded.stability == "undetermined"
+    assert upgraded.criteria_trace[-1] == (
+        f"self-duality upgrade not applied: {reason}")
+
+
+def test_selfdual_upgrade_declines_a_degenerate_pairing(monkeypatch):
+    monkeypatch.setattr(tannaka, "selfdual_certify", lambda bundle, caps: (
+        False, 1))
+    bundle = five_quartics()
+    upgraded = selfdual_upgrade(bundle, hoppe_check(bundle))
+    assert upgraded.stability == "undetermined"
+    assert upgraded.criteria_trace[-1] == (
+        "self-duality upgrade not applied: the section of E0 (x) E0 is a "
+        "degenerate pairing")
+
+
 def test_selfdual_upgrade_declines_non_integral_slope():
     bundle = five_quadrics()
     report = hoppe_check(bundle)
@@ -417,6 +449,19 @@ def test_analysis_runs_auxiliary_criteria():
     assert analysis.report.stability == "proven_stable"
 
 
+def test_criteria_skip_brenner_past_its_generator_cap(monkeypatch):
+    import kbundle.stability as stability
+    spec = sl3_spec()
+    bundle = from_syzygy(spec)
+    analysis = analyze_bundle(bundle, spec=spec, upgrade_selfdual=False)
+    assert list(analysis.criteria) == ["brenner_monomial"]
+    # four generators past a cap of three: brenner_monomial refuses them
+    monkeypatch.setattr(stability, "BRENNER_GENERATOR_CAP", 3)
+    analysis = analyze_bundle(bundle, spec=spec, upgrade_selfdual=False)
+    assert analysis.criteria == {}
+    assert analysis.report.is_semistable
+
+
 def claim(monkeypatch, verdict):
     """Make bohnhorst_spindler claim verdict for every bundle."""
     import kbundle.stability as stability
@@ -434,18 +479,32 @@ def test_stability_from_an_auxiliary_criterion(monkeypatch):
         "bohnhorst_spindler: stable", "stability from an auxiliary criterion"]
 
 
-def test_unstable_pullback_says_nothing_downstairs(monkeypatch):
+def test_unstable_pullback_over_qq_is_a_contradiction(monkeypatch):
     import kbundle.stability as stability
     # a pullback cannot be unstable over QQ; an unstable stand-in reaches
     # the branch
     monkeypatch.setattr(stability, "pullback_powers",
                         lambda bundle, k: monomial_cubes_family())
-    analysis = analyze_bundle(five_quadrics(), upgrade_selfdual=False,
-                              via_pullback=2)
+    with pytest.raises(InternalCheckError,
+                       match=r"pullback \(k = 2\) of a semistable bundle is "
+                             "unstable over QQ"):
+        analyze_bundle(five_quadrics(), upgrade_selfdual=False, via_pullback=2)
+
+
+def test_unstable_pullback_says_nothing_downstairs(monkeypatch):
+    import kbundle.stability as stability
+    # over F_7, x_i -> x_i^7 is inseparable: an unstable pullback is allowed
+    ring7 = make_ring(3, FieldSpec(7))
+    monkeypatch.setattr(stability, "pullback_powers", lambda bundle, k: (
+        syzygy_bundle(["X^3", "Y^3", "Z^3", "X*Y^2*Z^2"], ring=ring7)))
+    analysis = analyze_bundle(
+        syzygy_bundle(["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"],
+                      ring=ring7),
+        upgrade_selfdual=False, via_pullback=7)
     assert analysis.pullback.report.verdict == "unstable"
     assert analysis.report.stability == "undetermined"
     assert analysis.report.criteria_trace[-1] == (
-        "pullback (k = 2) is unstable; this gives no information downstairs")
+        "pullback (k = 7) is unstable; this gives no information downstairs")
 
 
 @pytest.mark.parametrize("bundle, verdict, problem", [
@@ -645,8 +704,6 @@ def test_prime_in_a_denominator_skips_the_first_pass(monkeypatch):
 
 
 def test_bundle_over_fp_is_never_reduced_to_another_prime(monkeypatch):
-    import kbundle.tannaka as tannaka
-
     def refuse(bundle, prime):
         raise AssertionError(f"reduced a bundle over {bundle.ring.field} "
                              f"mod {prime}")
@@ -671,9 +728,40 @@ def test_stable_generic_bundle_runs_no_qq_elimination(monkeypatch):
     assert calls[0] == 0 and calls[PRIMARY_TEST_PRIME] == len(report.per_power)
 
 
+def test_failed_gate_without_a_section_proves_semistability(monkeypatch):
+    import kbundle.stability as stability
+    # every valid presentation dualizes to a minimal resolution, where a
+    # failed gate means unstable; a failing stand-in gate reaches the branch
+    monkeypatch.setattr(stability, "numeric_slope_gate", lambda bundle: "fail")
+    report = hoppe_check(five_quadrics())
+    assert report.verdict == "semistable"
+    assert [c.q for c in report.per_power] == [1, 2, 3]
+    assert (
+        "gate failed but no exterior-power section violates the thresholds: "
+        "the dualized presentation is not minimal; the exhaustive exterior "
+        "checks prove semistability") in report.criteria_trace
+
+
+def test_empty_window_runs_no_elimination(monkeypatch):
+    import kbundle.stability as stability
+
+    def refuse(*args):
+        raise AssertionError("eliminated an empty window")
+
+    monkeypatch.setattr(stability, "_kernel_dims", refuse)
+    # wedge^1 of the five quadrics starts at degree 2; a slope of 0 puts
+    # the window's top at 0
+    pres = exterior_power_matrix(five_quadrics(), 1)
+    check = _scan_exterior(pres, pres, 1, Fraction(0), "stability_evidence",
+                           "linalg", NO_CAPS)
+    assert (check.alpha, check.relation, check.window_low, check.window_top,
+            check.prime) == (None, ">", 2, 0, None)
+
+
 def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
-    """The rank-6 check probes the mod-p kernel at top and top - 1 only:
-    with no section at top - 1, the QQ scan starts at top."""
+    """The rank-6 check probes the mod-p kernel at top only: with fewer
+    than N + 1 = 3 sections there, the section-count bound puts every
+    section at top, and the QQ scan starts there."""
     import kbundle.stability as stability
     probes = []
     real = stability.kernel_dim_linalg
@@ -689,9 +777,9 @@ def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
         (1, ">", -1, 0), (2, "=", -2, 0), (3, ">", -3, 0), (4, "=", -4, 0)]
     p = PRIMARY_TEST_PRIME
     assert probes == [(p, 0),                       # wedge^1: none at top
-                      (p, 0), (p, -1), (0, 0),      # wedge^2
+                      (p, 0), (0, 0),               # wedge^2
                       (p, 0),                       # wedge^3
-                      (p, 0), (p, -1), (0, 0)]      # wedge^4
+                      (p, 0), (0, 0)]               # wedge^4
 
 
 @pytest.mark.parametrize("low, top", [(-6, 0), (-3, 2), (0, 1), (2, 2), (-5, -4)])
@@ -706,3 +794,31 @@ def test_first_mod_p_section_bisects_a_monotone_count(low, top):
         assert _first_mod_p_section(dim_p, low, top) == first
         assert len(probes) <= 2 + (top - low).bit_length()
         assert all(low <= k < top for k in probes)
+
+
+@pytest.mark.parametrize("name", list(FIRST_PASS_CASES))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_section_spans_a_monomial_multiple_of_its_count(name, seed):
+    """The section-count bound of `_scan_exterior`: K_k != 0 forces
+    dim K_{k+j} >= C(N+j, N) over QQ and mod p, since a section times the
+    monomials of degree j stays independent; two degrees past the window
+    are counted as well.  The bounded first pass still finds what a plain
+    QQ scan finds."""
+    bundle = FIRST_PASS_CASES[name][0](seed)
+    N = bundle.N
+    bundle_p = tannaka.reduce_bundle_mod_p(bundle, PRIMARY_TEST_PRIME)
+    mu = invariants(bundle).mu
+    for q in range(1, bundle.rank):
+        for b in (bundle, bundle_p):
+            pres = exterior_power_matrix(b, q)
+            low = -max(pres.source_twists)
+            args = (pres.columns, pres.source_module(), pres.target_module())
+            dims = [kernel_dim_linalg(*args, k)
+                    for k in range(low, floor(-q * mu) + 3)]
+            for i, d in enumerate(dims):
+                if d:
+                    assert all(dims[i + j] >= comb(N + j, N)
+                               for j in range(len(dims) - i)), (q, dims)
+    report = hoppe_check(bundle, engine="linalg")
+    assert scan_fields(report) == reference_scan(
+        bundle, [c.q for c in report.per_power])

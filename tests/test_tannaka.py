@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -104,6 +103,14 @@ def test_exact_method_matches_default():
     assert exact.evidence == "exact-rational"
     assert cell.evidence == "F1000003 <= 3, pairing >= 3"
     assert tensor_dim_cell(sections, 4, 0, method="default") == cell
+
+
+def test_cell_skips_a_default_prime_in_a_denominator():
+    # Syz(X^3, Y^3, Z^3, XYZ/1000003)(4) is sl3_bundle() with a generator
+    # rescaled; the first default prime divides a denominator
+    bundle = syzygy_bundle(["X^3", "Y^3", "Z^3", "1/1000003*X*Y*Z"], twist=4)
+    assert tensor_dim_cell(TensorSections(bundle), 3, 0) == \
+        DimCell(1, 1, "F1000033 <= 1, determinant >= 1")
 
 
 def test_cell_without_lower_bound_is_open():
@@ -292,7 +299,7 @@ def test_fingerprint_twist_invariant():
     base = fingerprint(five_quartics(twist=5), "proven_stable")
     shifted = fingerprint(five_quartics(twist=2), "proven_stable")
     assert (base.normalizing_twist, shifted.normalizing_twist) == (0, 3)
-    assert dataclasses.replace(shifted, normalizing_twist=0) == base
+    assert shifted.replace(normalizing_twist=0) == base
 
 
 SYM2_ROWS = (("2*X^2", "Y^2", "Z^2", "0", "0", "0"),
