@@ -81,11 +81,21 @@ def restriction_bound(theorem: str, N: int, rank: int, delta, c: int = 1, *,
     Hypotheses are enforced: flenner needs characteristic 0 and a semistable
     input with 1 <= c <= N-1; langer needs a stable input of rank >= 2;
     langer_strong needs positive characteristic and a semistable input.
-    The left sides grow without bound in k, so the ascending search stops at
-    the first success, and minimality means k_min - 1 fails the inequality.
+
+    Each inequality is monotone in k: once it holds it holds for every
+    larger k.  langer, and the first inequality of langer_strong, compare k
+    with a constant.  C(k+N, N) = (k+1)...(k+N)/N! is a polynomial in k with
+    nonnegative coefficients and constant term 1, so (C(k+N, N) - 1)/k, the
+    left side of langer_strong's second inequality and, less c, of
+    flenner's, is a polynomial with nonnegative coefficients, non-decreasing
+    for k >= 1; for N >= 2 its term k^(N-1)/N! makes it unbounded.  So
+    doubling k finds a degree that satisfies the inequality, bisection below
+    it finds the first one, and minimality means k_min - 1 fails it.
     """
     if theorem not in THEOREMS:
         raise BoundsError(f"unknown restriction theorem {theorem!r}")
+    if N < 2:
+        raise BoundsError(f"restriction bounds need N >= 2, got N={N}")
     delta = Fraction(delta)
     if theorem == "flenner":
         if field_char != 0:
@@ -106,11 +116,20 @@ def restriction_bound(theorem: str, N: int, rank: int, delta, c: int = 1, *,
             raise BoundsError("langer_strong requires a semistability certificate")
         if rank < 2:
             raise BoundsError("langer_strong needs rank >= 2")
+
+    def holds(k):
+        return _restriction_predicate(theorem, N, rank, delta, c, k)
+
     k = 1
-    while not _restriction_predicate(theorem, N, rank, delta, c, k):
-        k += 1
-        if k > 10 ** 7:
-            raise BoundsError("no degree below 10^7 satisfies the inequality")
+    while not holds(k):
+        k *= 2
+    low = k // 2 + 1
+    while low < k:
+        mid = (low + k) // 2
+        if holds(mid):
+            k = mid
+        else:
+            low = mid + 1
     return RestrictionBound(theorem, N, rank, delta, c, k,
                             _CONCLUSIONS[theorem].format(c=c, k=k))
 

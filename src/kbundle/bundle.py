@@ -1,5 +1,5 @@
 """Kernel-bundle data model: validation, exact numeric invariants, twisting,
-and pullback along coordinate-power morphisms.
+pullback along coordinate-power morphisms, and reduction mod p.
 
 A kernel bundle on P^N is the kernel of a surjective map between splitting
 bundles, recorded as twist lists a_1 >= ... >= a_n, b_1 >= ... >= b_m and an
@@ -16,8 +16,8 @@ from itertools import combinations, combinations_with_replacement
 from math import lcm
 from typing import Sequence
 
-from .algebra import (AlgebraError, Poly, PolyRing, Record, mono_mul,
-                      substitute_powers)
+from .algebra import (AlgebraError, FieldSpec, Poly, PolyRing, Record,
+                      mono_mul, reduce_poly_mod_p, substitute_powers)
 from .modgb import (Caps, GradedFreeModule, NO_CAPS, free_module_dims,
                     has_degree, is_irrelevant_primary)
 
@@ -357,3 +357,12 @@ def pullback_powers(bundle: KernelBundle, k: int) -> KernelBundle:
                         tuple(a * k for a in bundle.twists_a),
                         tuple(b * k for b in bundle.twists_b),
                         rows)
+
+
+def reduce_bundle_mod_p(bundle: KernelBundle, prime: int) -> KernelBundle:
+    """The presentation with every entry reduced mod prime; raises
+    CoefficientError when prime divides a denominator."""
+    ring_p = PolyRing(bundle.ring.variables, FieldSpec(prime), bundle.ring.order)
+    rows = tuple(tuple(reduce_poly_mod_p(p, ring_p) for p in row)
+                 for row in bundle.matrix)
+    return KernelBundle(ring_p, bundle.twists_a, bundle.twists_b, rows)

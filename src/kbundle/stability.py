@@ -18,12 +18,14 @@ from itertools import combinations
 from math import ceil, comb, floor
 from typing import Optional
 
-from .algebra import AlgebraError, Record, monomial_family_gcd, mono_deg
+from .algebra import (AlgebraError, CoefficientError, Record,
+                      monomial_family_gcd, mono_deg)
 from .bundle import (
     KernelBundle,
     SyzygyBundleSpec,
     invariants,
     pullback_powers,
+    reduce_bundle_mod_p,
     require_valid,
     twist,
 )
@@ -285,8 +287,8 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     bundle_p = None
     if engine != "gb" and bundle.ring.field.char == 0:
         try:
-            bundle_p = tannaka.reduce_bundle_mod_p(bundle, PRIMARY_TEST_PRIME)
-        except tannaka.PrimeUnusableError:
+            bundle_p = reduce_bundle_mod_p(bundle, PRIMARY_TEST_PRIME)
+        except CoefficientError:
             pass
     engines = ("gb", "linalg") if engine == "both" else (engine,)
     for q in q_list:
@@ -652,12 +654,13 @@ def _analyze(bundle: KernelBundle, engine: str, mode: str,
             report.criteria_trace.append(
                 f"pullback (k = {via_pullback}) is semistable but its "
                 "stability is also undetermined")
-        elif bundle.ring.field.char == 0:
-            # in characteristic 0 the map is separable, and pulling back
+        elif (char := bundle.ring.field.char) == 0 or via_pullback % char:
+            # x_i -> x_i^k is separable unless p divides k, and pulling back
             # along a finite separable map keeps semistability
+            # (Huybrechts-Lehn, Lemma 3.2.2)
             raise InternalCheckError(
                 f"the pullback (k = {via_pullback}) of a semistable bundle "
-                "is unstable over QQ")
+                f"is unstable over {bundle.ring.field}")
         else:
             # x_i -> x_i^k is inseparable when p divides k
             report.criteria_trace.append(

@@ -16,15 +16,8 @@ from fractions import Fraction
 from math import prod
 from typing import Optional
 
-from .algebra import (
-    AlgebraError,
-    CoefficientError,
-    FieldSpec,
-    PolyRing,
-    Record,
-    reduce_poly_mod_p,
-)
-from .bundle import KernelBundle, invariants, twist
+from .algebra import AlgebraError, CoefficientError, Record
+from .bundle import KernelBundle, invariants, reduce_bundle_mod_p, twist
 from .modgb import (
     Caps,
     InternalCheckError,
@@ -42,26 +35,8 @@ class TannakaError(AlgebraError):
     pass
 
 
-class PrimeUnusableError(TannakaError):
-    """A chosen prime divides a denominator; pick another prime."""
-
-
 DEFAULT_PRIMES = (1000003, 1000033, 1000037, 1000039,
                   1000081, 1000099, 1000117, 1000121)
-
-
-# ---------------------------------------------------------------------------
-# Reductions mod p for the prefilter engines.
-# ---------------------------------------------------------------------------
-
-def reduce_bundle_mod_p(bundle: KernelBundle, prime: int) -> KernelBundle:
-    ring_p = PolyRing(bundle.ring.variables, FieldSpec(prime), bundle.ring.order)
-    try:
-        rows = tuple(tuple(reduce_poly_mod_p(p, ring_p) for p in row)
-                     for row in bundle.matrix)
-    except CoefficientError as exc:
-        raise PrimeUnusableError(str(exc)) from exc
-    return KernelBundle(ring_p, bundle.twists_a, bundle.twists_b, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +187,7 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
     for p in DEFAULT_PRIMES:
         try:
             reduced = reduce_bundle_mod_p(bundle, p)
-        except PrimeUnusableError:
+        except CoefficientError:
             continue
         break
     else:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from kbundle.algebra import FieldSpec, make_ring, parse_many, parse_polynomial
 from kbundle.modgb import Caps, ideal_groebner, ideal_membership
+from kbundle import bounds
 from kbundle.bounds import (
     BoundsError,
     ClosureQuery,
@@ -73,6 +75,42 @@ def test_boundary_reevaluation_randomized():
         assert not b.predicate(b.k_min - 1)
 
 
+def test_restriction_bound_needs_n_at_least_two():
+    # on P^1, (C(k+1, 1) - 1)/k = 1 never exceeds langer_strong's bound
+    with pytest.raises(BoundsError, match="need N >= 2, got N=1"):
+        restriction_bound("langer_strong", 1, 2, 0, field_char=5,
+                          certificate="semistable")
+
+
+@pytest.mark.parametrize("theorem", ["flenner", "langer", "langer_strong"])
+def test_restriction_bound_matches_the_linear_scan(theorem):
+    char = 5 if theorem == "langer_strong" else 0
+    for N in (2, 3, 4):
+        cs = range(1, N) if theorem == "flenner" else (1,)
+        for rank, delta, c in itertools.product(
+                (2, 3, 5), (0, Fraction(7, 3), 40, 1000), cs):
+            b = restriction_bound(theorem, N, rank, delta, c, field_char=char,
+                                  certificate="stable")
+            scan = next(k for k in itertools.count(1) if b.predicate(k))
+            assert b.k_min == scan
+
+
+def test_restriction_bound_search_is_logarithmic(monkeypatch):
+    # k > (1/2) * 3*10^7 + 1/2: the first degree is 15000001, which a scan
+    # from k = 1 reaches only after 1.5*10^7 evaluations
+    real, calls = bounds._restriction_predicate, []
+
+    def counting(*args):
+        calls.append(args)
+        assert len(calls) <= 100, "the search evaluates too many degrees"
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_restriction_predicate", counting)
+    b = restriction_bound("langer", 2, 2, 3 * 10 ** 7, certificate="stable")
+    assert b.k_min == 15000001
+    assert b.predicate(15000001) and not b.predicate(15000000)
+
+
 FIVE_QUADRICS = ["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"]
 
 
@@ -105,6 +143,19 @@ def test_closure_threshold_requires_primary():
     gens = parse_many(["X^2", "X*Y"], ring)
     with pytest.raises(BoundsError):
         closure_threshold(ClosureQuery(generators=gens, certificate="semistable"))
+
+
+def test_closure_threshold_needs_two_generators():
+    query = ClosureQuery(generators=(P("X^2"),), certificate="semistable")
+    with pytest.raises(BoundsError, match="need at least two ideal generators"):
+        closure_threshold(query)
+
+
+def test_closure_threshold_over_fp_needs_a_strong_flag():
+    query = ClosureQuery(generators=parse_many(["X^2", "Y^2", "Z^2"], ring7()))
+    with pytest.raises(BoundsError, match="positive characteristic needs a "
+                       "strong-semistability justification flag"):
+        closure_threshold(query)
 
 
 def test_closure_threshold_permutation_and_scaling():
@@ -187,6 +238,13 @@ def test_genus_helper():
     assert genus_plane_curve(4) == 3
     q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", plane_degree=4)
     assert q.resolved_genus() == 3
+
+
+def test_frobenius_below_threshold_needs_a_genus():
+    q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y")
+    with pytest.raises(BoundsError, match=r"genus \(or plane curve degree\) "
+                       "required below the threshold"):
+        frobenius_membership(q)
 
 
 def test_frobenius_exponent_zero_rejected():

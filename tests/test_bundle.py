@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from kbundle.algebra import FieldSpec, Poly, make_ring, reduce_poly_mod_p
+from kbundle.algebra import (FieldSpec, Poly, make_ring, parse_polynomial,
+                             reduce_poly_mod_p)
 from kbundle.bundle import (
     BundleError,
     KernelBundle,
@@ -90,6 +91,21 @@ def test_validate_unsorted():
                        ((P("X^2"), P("Y"), P("Z")),))
     report = validate(bad)
     assert any(p.code == "unsorted" for p in report.problems)
+
+
+def test_validate_unsorted_b_twists():
+    bad = KernelBundle(RING_QQ3, (-1, -1, -1), (0, 1),
+                       ((P("X"), P("Y"), P("Z")),
+                        (P("X^2"), P("Y^2"), P("Z^2"))))
+    assert [str(p) for p in validate(bad).problems] == [
+        "unsorted: twists b must be non-increasing"]
+
+
+def test_validate_entry_from_another_ring():
+    z7 = parse_polynomial("Z", make_ring(3, FieldSpec(7)))
+    bad = KernelBundle(RING_QQ3, (-1, -1, -1), (0,), ((P("X"), P("Y"), z7),))
+    assert [str(p) for p in validate(bad).problems] == [
+        "ring-mismatch at (0, 2): entry in a different ring"]
 
 
 def test_validate_shape():
@@ -303,6 +319,11 @@ def test_twist_delta_invariance_random():
 
 def test_pullback_five_quadrics_gives_five_quartics():
     assert pullback_powers(five_quadrics(), 2) == five_quartics()
+
+
+def test_pullback_power_below_one_is_refused():
+    with pytest.raises(BundleError, match="pullback power must be >= 1, got 0"):
+        pullback_powers(five_quadrics(), 0)
 
 
 def test_pullback_identity_and_scaling():

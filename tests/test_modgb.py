@@ -237,6 +237,14 @@ def test_kernel_dim_koszul_three_variables():
     assert kernel_dim_linalg(cols, source, target, 0) == 0
 
 
+def test_kernel_dim_linalg_rejects_an_entry_from_another_ring():
+    source, target = one_row_modules((1, 1))
+    y7 = parse_polynomial("Y", make_ring(3, FieldSpec(7)))
+    with pytest.raises(GradingError,
+                       match=r"entry \(0,1\) lives in the wrong ring"):
+        kernel_dim_linalg([[(0, P("X"))], [(0, y7)]], source, target, 2)
+
+
 def test_kernel_sections_give_verified_elements():
     source, target = one_row_modules((1, 1, 1))
     cols = [[(0, P("X"))], [(0, P("Y"))], [(0, P("Z"))]]

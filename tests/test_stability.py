@@ -423,6 +423,16 @@ def test_selfdual_upgrade_declines_a_degenerate_pairing(monkeypatch):
         "degenerate pairing")
 
 
+def test_selfdual_upgrade_declines_positive_characteristic():
+    ring7 = make_ring(3, FieldSpec(7))
+    bundle = syzygy_bundle(
+        ["X^4 - Y^4", "X^4 - Z^4", "X^2*Y^2", "X^2*Z^2", "Y^2*Z^2"], ring=ring7)
+    upgraded = selfdual_upgrade(bundle, hoppe_check(bundle))
+    assert upgraded.stability == "undetermined"
+    assert upgraded.criteria_trace[-1] == (
+        "self-duality upgrade not applied: requires characteristic 0")
+
+
 def test_selfdual_upgrade_declines_non_integral_slope():
     bundle = five_quadrics()
     report = hoppe_check(bundle)
@@ -491,16 +501,30 @@ def test_unstable_pullback_over_qq_is_a_contradiction(monkeypatch):
         analyze_bundle(five_quadrics(), upgrade_selfdual=False, via_pullback=2)
 
 
-def test_unstable_pullback_says_nothing_downstairs(monkeypatch):
+def analyze_with_unstable_pullback_over_f7(monkeypatch, k):
+    """analyze_bundle on the five quadrics over F_7 with an unstable
+    stand-in for their pullback along x_i -> x_i^k."""
     import kbundle.stability as stability
-    # over F_7, x_i -> x_i^7 is inseparable: an unstable pullback is allowed
     ring7 = make_ring(3, FieldSpec(7))
     monkeypatch.setattr(stability, "pullback_powers", lambda bundle, k: (
         syzygy_bundle(["X^3", "Y^3", "Z^3", "X*Y^2*Z^2"], ring=ring7)))
-    analysis = analyze_bundle(
+    return analyze_bundle(
         syzygy_bundle(["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"],
                       ring=ring7),
-        upgrade_selfdual=False, via_pullback=7)
+        upgrade_selfdual=False, via_pullback=k)
+
+
+def test_unstable_separable_pullback_over_fp_is_a_contradiction(monkeypatch):
+    # over F_7, x_i -> x_i^2 is separable and keeps semistability
+    with pytest.raises(InternalCheckError,
+                       match=r"pullback \(k = 2\) of a semistable bundle is "
+                             "unstable over F_7"):
+        analyze_with_unstable_pullback_over_f7(monkeypatch, 2)
+
+
+def test_unstable_pullback_says_nothing_downstairs(monkeypatch):
+    # over F_7, x_i -> x_i^7 is inseparable: an unstable pullback is allowed
+    analysis = analyze_with_unstable_pullback_over_f7(monkeypatch, 7)
     assert analysis.pullback.report.verdict == "unstable"
     assert analysis.report.stability == "undetermined"
     assert analysis.report.criteria_trace[-1] == (
@@ -704,11 +728,15 @@ def test_prime_in_a_denominator_skips_the_first_pass(monkeypatch):
 
 
 def test_bundle_over_fp_is_never_reduced_to_another_prime(monkeypatch):
+    import kbundle.stability as stability
+
     def refuse(bundle, prime):
         raise AssertionError(f"reduced a bundle over {bundle.ring.field} "
                              f"mod {prime}")
 
-    monkeypatch.setattr(tannaka, "reduce_bundle_mod_p", refuse)
+    # the first pass calls stability's binding, the Tannaka cells tannaka's
+    for module in (stability, tannaka):
+        monkeypatch.setattr(module, "reduce_bundle_mod_p", refuse)
     calls = count_linalg_calls_by_characteristic(monkeypatch)
     ring7 = make_ring(3, FieldSpec(7))
     bundle = from_syzygy(SyzygyBundleSpec(

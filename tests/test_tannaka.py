@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,8 @@ from kbundle.modgb import (
 )
 from kbundle.powers import symmetric_power_matrix, tensor_power_matrix
 from kbundle.tannaka import (
+    DEFAULT_PRIMES,
     DimCell,
-    PrimeUnusableError,
     TannakaError,
     TannakaFingerprint,
     TensorSections,
@@ -111,6 +112,26 @@ def test_cell_skips_a_default_prime_in_a_denominator():
     bundle = syzygy_bundle(["X^3", "Y^3", "Z^3", "1/1000003*X*Y*Z"], twist=4)
     assert tensor_dim_cell(TensorSections(bundle), 3, 0) == \
         DimCell(1, 1, "F1000033 <= 1, determinant >= 1")
+
+
+def test_cell_needs_a_usable_default_prime():
+    # every default prime divides the denominator of the XYZ coefficient
+    den = prod(DEFAULT_PRIMES)
+    bundle = syzygy_bundle(["X^3", "Y^3", "Z^3", f"1/{den}*X*Y*Z"], twist=4)
+    with pytest.raises(TannakaError,
+                       match="every default prime divides a denominator"):
+        tensor_dim_cell(TensorSections(bundle), 3, 0)
+
+
+def test_cell_with_lower_bound_above_the_fp_count_is_a_bug(monkeypatch):
+    # a mod-p store counting no sections contradicts det E = O at q = rank
+    real = TensorSections.dim
+    monkeypatch.setattr(TensorSections, "dim", lambda self, q, t: (
+        0 if self.ring.field.char else real(self, q, t)))
+    with pytest.raises(InternalCheckError,
+                       match=r"h0\(E\^\(x\)2\): determinant proves 1 "
+                             "sections, but F1000003 gives 0"):
+        tensor_dim_cell(TensorSections(rank2_degree0_bundle()), 2, 0)
 
 
 def test_cell_without_lower_bound_is_open():
@@ -440,7 +461,7 @@ def test_reduce_poly_prime_unusable():
     with pytest.raises(CoefficientError):
         reduce_poly_mod_p(p, ring5)
     bundle = syzygy_bundle(["1/5*X^2", "Y^2", "Z^2"])
-    with pytest.raises(PrimeUnusableError):
+    with pytest.raises(CoefficientError):
         reduce_bundle_mod_p(bundle, 5)
 
 
