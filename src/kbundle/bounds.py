@@ -22,6 +22,7 @@ class BoundsError(AlgebraError):
 
 
 THEOREMS = ("flenner", "langer", "langer_strong")
+CERTIFICATES = ("semistable", "stable")
 
 
 class RestrictionBound(Record):
@@ -100,7 +101,7 @@ def restriction_bound(theorem: str, N: int, rank: int, delta, c: int = 1, *,
     if theorem == "flenner":
         if field_char != 0:
             raise BoundsError("flenner requires characteristic 0")
-        if certificate not in ("semistable", "stable"):
+        if certificate not in CERTIFICATES:
             raise BoundsError("flenner requires a semistability certificate")
         if not 1 <= c <= N - 1:
             raise BoundsError(f"flenner needs 1 <= c <= N-1, got c={c}")
@@ -112,7 +113,7 @@ def restriction_bound(theorem: str, N: int, rank: int, delta, c: int = 1, *,
     else:
         if field_char == 0:
             raise BoundsError("langer_strong requires positive characteristic")
-        if certificate not in ("semistable", "stable"):
+        if certificate not in CERTIFICATES:
             raise BoundsError("langer_strong requires a semistability certificate")
         if rank < 2:
             raise BoundsError("langer_strong needs rank >= 2")
@@ -227,7 +228,7 @@ def closure_threshold(query: ClosureQuery, caps: Caps = NO_CAPS,
         raise BoundsError("the ideal is not irrelevant-primary")
     trace = []
     if query.char == 0:
-        if query.certificate not in ("semistable", "stable"):
+        if query.certificate not in CERTIFICATES:
             raise BoundsError(
                 "characteristic 0 needs a semistability certificate for the "
                 "syzygy bundle (run the stability checker first)")

@@ -1,8 +1,9 @@
 """Command-line front end: parse bundle/ideal descriptions, dispatch to the
 engines, and emit human-readable plus machine-readable reports.
 
-Exit codes: 0 = decided, 1 = input error, 2 = indeterminate (resource cap or
-internal cross-check mismatch; never a wrong verdict).
+Exit codes: 0 = decided, 1 = input error (a usage error of the command line
+too), 2 = indeterminate (resource cap or internal cross-check mismatch; never
+a wrong verdict).
 """
 
 from __future__ import annotations
@@ -13,34 +14,17 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import (
-    AlgebraError,
-    FieldSpec,
-    PolyRing,
-    default_variables,
-    parse_polynomial,
-)
-from .bounds import (
-    BoundsError,
-    ClosureQuery,
-    closure_threshold,
-    frobenius_membership,
-    restriction_bound,
-)
-from .bundle import (
-    BundleError,
-    KernelBundle,
-    SyzygyBundleSpec,
-    from_syzygy,
-    invariants,
-    make_kernel_bundle,
-    require_valid,
-    validate,
-)
+from .algebra import (MONOMIAL_ORDERS, AlgebraError, FieldSpec, PolyRing,
+                      default_variables, parse_polynomial)
+from .bounds import (CERTIFICATES, THEOREMS, BoundsError, ClosureQuery,
+                     closure_threshold, frobenius_membership, restriction_bound)
+from .bundle import (KernelBundle, SyzygyBundleSpec, from_syzygy, invariants,
+                     make_kernel_bundle, require_valid, validate)
 from .modgb import Caps, ResourceCapError
-from .stability import InternalCheckError, StabilityError, analyze_bundle
+from .powers import KINDS
+from .stability import ENGINES, MODES, InternalCheckError, analyze_bundle
 from . import tannaka
-from .tannaka import TannakaError
+from .tannaka import METHODS, PROVEN, SECTION_ENGINES, TannakaError
 
 if TYPE_CHECKING:
     import argparse
@@ -95,7 +79,7 @@ def _split_list(text: str) -> list:
 
 _BOOL, _INT, _STR = ("a boolean", bool), ("an integer", int), ("a string", str)
 _LIST, _DICT = ("a list", list), ("an object", dict)
-_NUMBER = ("a number", int, float)
+_NUMBER = ("a number", float, int)    # kind[1] converts a flag's text
 
 
 def _typed(value, kind: tuple, what: str):
@@ -162,52 +146,77 @@ def build_object(cfg: dict, ring: PolyRing):
             if not gens:
                 raise InputError("an ideal needs at least one generator")
             return "ideal", gens
-    except (AlgebraError, BundleError, KeyError) as exc:
+    except (AlgebraError, KeyError) as exc:
         raise InputError(str(exc)) from exc
     raise InputError("object block must contain syzygy, kernel, or ideal")
 
 
-# The options a job of each task takes, under the names a command line job
-# passes on, with the kind of their values; then the caps options (the fields
-# of Caps), which every task takes, and the stability assumptions a task
-# accepts.
+def _opt(kind, default=None, allowed=None, text=""):
+    return kind, default, allowed, text
+
+
+# Every option a job of each task takes, declared once: its name in the job
+# -> (kind of its values, default, allowed values or None, flag help).  The
+# allowed values are the tuple of the module that acts on them.  The flags,
+# the job check and the defaults the tasks read are all built from here; a
+# flag is `--` and the name with '-' for '_' unless _FLAGS names another
+# (None: no flag).  The caps options (the fields of Caps) belong to every task.
+_ENGINE = _opt(_STR, "linalg", ENGINES)
 _TASK_OPTIONS = {
-    "validate": {"surjectivity": _BOOL},
-    "check": {"engine": _STR, "mode": _STR, "via_pullback": _INT,
-              "upgrade_selfdual": _BOOL},
-    "sections": {"kind": _STR, "q": _INT, "twists": _STR, "engine": _STR},
-    "tannaka": {"q_max": _INT, "method": _STR, "engine": _STR,
-                "assume_stability": _STR, "via_pullback": _INT},
-    "restrict": {"theorem": _STR, "c": _INT, "engine": _STR,
-                 "assume_stability": _STR, "via_pullback": _INT},
-    "closure": {"engine": _STR, "candidate": _STR, "frobenius_exponent": _INT,
-                "genus": _INT, "plane_curve_degree": _INT, "strong_flag": _STR,
-                "assume_stability": _STR},
+    "validate": {"surjectivity": _opt(_BOOL, False)},
+    "check": {"engine": _opt(_STR, "both", ENGINES),
+              "mode": _opt(_STR, "stability_evidence", MODES),
+              "via_pullback": _opt(_INT), "upgrade_selfdual": _opt(_BOOL, True)},
+    "sections": {"kind": _opt(_STR, "exterior", KINDS), "q": _opt(_INT, 1),
+                 "twists": _opt(_STR, "0..0", None, "LO..HI or a comma list"),
+                 "engine": _opt(_STR, "linalg", SECTION_ENGINES)},
+    "tannaka": {"q_max": _opt(_INT, 4),
+                "method": _opt(_STR, "default", METHODS, "default: one prime "
+                               "plus proven lower bounds"),
+                "engine": _ENGINE, "assume_stability": _opt(_STR, None, PROVEN),
+                "via_pullback": _opt(_INT)},
+    "restrict": {"theorem": _opt(_STR, "langer", THEOREMS,
+                                 "a flag may spell it langer-strong"),
+                 "c": _opt(_INT, 1, None, "number of general divisors (flenner)"),
+                 "engine": _ENGINE,
+                 "assume_stability": _opt(_STR, None, CERTIFICATES),
+                 "via_pullback": _opt(_INT)},
+    "closure": {"engine": _ENGINE,
+                "candidate": _opt(_STR, None, None, "homogeneous element to test"),
+                "frobenius_exponent": _opt(_INT), "genus": _opt(_INT),
+                "plane_curve_degree": _opt(_INT),
+                "strong_flag": _opt(_STR, None, None, "justification for "
+                                    "strong semistability in char p"),
+                "assume_stability": _opt(_STR, None, CERTIFICATES)},
 }
-_CAPS_OPTIONS = {"max_degree": _INT, "max_pairs": _INT, "timeout_seconds": _NUMBER}
-_ASSUMPTIONS = {"tannaka": tannaka.PROVEN,
-                "restrict": ("semistable", "stable"),
-                "closure": ("semistable", "stable")}
+_CAPS_OPTIONS = {"max_degree": _opt(_INT), "max_pairs": _opt(_INT),
+                 "timeout_seconds": _opt(_NUMBER)}
+_FLAGS = {"surjectivity": "--check-surjectivity",
+          "frobenius_exponent": "--frobenius-e", "upgrade_selfdual": None}
 
 
-def _check_options(name: str, options: dict):
-    kinds = {**_TASK_OPTIONS[name], **_CAPS_OPTIONS}
+def _check_options(name: str, options: dict) -> dict:
+    """The options of a job of task `name`, checked, with every default
+    filled in.  This is the only check of an option's value; it runs before
+    any work, for flags and job files alike."""
+    declared = {**_TASK_OPTIONS[name], **_CAPS_OPTIONS}
     for key, value in options.items():
-        if key not in kinds:
+        if key not in declared:
             raise InputError(f"unknown option {key!r} for task {name!r}")
-        _typed(value, kinds[key], f"option {key!r}")
+        kind, _, allowed, _ = declared[key]
+        _typed(value, kind, f"option {key!r}")
+        if allowed is not None and value not in allowed:
+            raise InputError(f"option {key!r} must be one of "
+                             f"{', '.join(allowed)}, got {value!r}")
         if key in _CAPS_OPTIONS and not value >= 0:    # NaN fails too
             raise InputError(f"option {key!r} must be nonnegative, got {value!r}")
-    assumed = options.get("assume_stability")
-    if assumed is not None and assumed not in _ASSUMPTIONS[name]:
-        raise InputError(f"option 'assume_stability' must be one of "
-                         f"{', '.join(_ASSUMPTIONS[name])}, got {assumed!r}")
+    return {key: options.get(key, spec[1]) for key, spec in declared.items()}
 
 
-def _require_bundle(kind, payload, well_formed: bool = True):
-    """The (bundle, spec) payload.  Unless well_formed is False (validate,
-    which reports the problems), a presentation that fails validate's
-    structure checks is an input error; surjectivity is analyze_bundle's."""
+def _require_bundle(kind, payload, well_formed: bool = False):
+    """The (bundle, spec) payload.  With well_formed, a presentation that
+    fails validate's structure checks is an input error; the tasks that run
+    the stability analysis leave that check, and surjectivity, to it."""
     if kind != "bundle":
         raise InputError("this task needs a bundle object (syzygy or kernel)")
     if well_formed:
@@ -267,8 +276,9 @@ def _report_dict(report) -> dict:
 
 
 def task_validate(kind, payload, options, caps):
-    bundle, _ = _require_bundle(kind, payload, well_formed=False)
-    report = validate(bundle, check_surjectivity=options.get("surjectivity", False),
+    """validate a kernel presentation"""
+    bundle, _ = _require_bundle(kind, payload)
+    report = validate(bundle, check_surjectivity=options["surjectivity"],
                       caps=caps)
     results = {
         "bundle": _bundle_summary(bundle),
@@ -286,13 +296,14 @@ def task_validate(kind, payload, options, caps):
 
 
 def task_check(kind, payload, options, caps):
+    """decide semistability and stability"""
     bundle, spec = _require_bundle(kind, payload)
     analysis = analyze_bundle(
         bundle,
-        engine=options.get("engine", "both"),
-        mode=options.get("mode", "stability_evidence"),
-        upgrade_selfdual=options.get("upgrade_selfdual", True),
-        via_pullback=options.get("via_pullback"),
+        engine=options["engine"],
+        mode=options["mode"],
+        upgrade_selfdual=options["upgrade_selfdual"],
+        via_pullback=options["via_pullback"],
         spec=spec,
         caps=caps,
     )
@@ -305,7 +316,7 @@ def task_check(kind, payload, options, caps):
     }
     if analysis.pullback is not None:
         results["pullback"] = {
-            "k": options.get("via_pullback"),
+            "k": options["via_pullback"],
             "report": _report_dict(analysis.pullback.report),
         }
     lines = [f"bundle: {bundle.describe()}, mu = {report.mu}",
@@ -342,12 +353,12 @@ def _parse_twist_range(text: str):
 
 
 def task_sections(kind, payload, options, caps):
-    bundle, _ = _require_bundle(kind, payload)
-    kind_name = options.get("kind", "exterior")
-    q = options.get("q", 1)
-    twists = _parse_twist_range(options.get("twists", "0..0"))
-    engine = options.get("engine", "linalg")
-    table = tannaka.section_dim_table(bundle, kind_name, q, twists, engine, caps)
+    """section-dimension tables of powers"""
+    bundle, _ = _require_bundle(kind, payload, well_formed=True)
+    kind_name, q = options["kind"], options["q"]
+    twists = _parse_twist_range(options["twists"])
+    table = tannaka.section_dim_table(bundle, kind_name, q, twists,
+                                      options["engine"], caps)
     results = {
         "bundle": _bundle_summary(bundle),
         "power": {"kind": kind_name, "q": q},
@@ -360,15 +371,16 @@ def task_sections(kind, payload, options, caps):
 
 def _stability_report(bundle, spec, options, caps):
     """The stability analysis of `tannaka`, `restrict` and `closure` when no
-    stability is assumed: engine linalg unless the job names one."""
-    return analyze_bundle(bundle, engine=options.get("engine", "linalg"),
+    stability is assumed (closure takes no pullback)."""
+    return analyze_bundle(bundle, engine=options["engine"],
                           via_pullback=options.get("via_pullback"),
                           spec=spec, caps=caps).report
 
 
 def task_tannaka(kind, payload, options, caps):
-    bundle, spec = _require_bundle(kind, payload)
-    assume = options.get("assume_stability")
+    """invariant fingerprint and dual group"""
+    assume = options["assume_stability"]
+    bundle, spec = _require_bundle(kind, payload, well_formed=assume is not None)
     if assume:
         status = assume
         report_dict = {"assumed": assume}
@@ -376,8 +388,8 @@ def task_tannaka(kind, payload, options, caps):
         report = _stability_report(bundle, spec, options, caps)
         status = report.stability if report.is_semistable else "unstable"
         report_dict = _report_dict(report)
-    fp = tannaka.fingerprint(bundle, status, q_max=options.get("q_max", 4),
-                             method=options.get("method", "default"), caps=caps)
+    fp = tannaka.fingerprint(bundle, status, q_max=options["q_max"],
+                             method=options["method"], caps=caps)
     results = {
         "bundle": _bundle_summary(bundle),
         "stability": report_dict,
@@ -408,9 +420,9 @@ def task_tannaka(kind, payload, options, caps):
 
 
 def task_restrict(kind, payload, options, caps):
-    bundle, spec = _require_bundle(kind, payload)
-    inv = invariants(bundle)
-    assume = options.get("assume_stability")
+    """restriction-degree bounds"""
+    assume = options["assume_stability"]
+    bundle, spec = _require_bundle(kind, payload, well_formed=assume is not None)
     if assume:
         certificate = assume
         cert_source = f"assumed {assume}"
@@ -421,9 +433,9 @@ def task_restrict(kind, payload, options, caps):
                               "applies")
         certificate = "stable" if report.is_stable_proven else "semistable"
         cert_source = f"computed ({report.stability or report.verdict})"
-    theorem = options.get("theorem", "langer").replace("-", "_")
-    bound = restriction_bound(theorem, bundle.N, inv.rank, inv.delta,
-                              c=options.get("c", 1),
+    inv = invariants(bundle)
+    bound = restriction_bound(options["theorem"], bundle.N, inv.rank, inv.delta,
+                              c=options["c"],
                               field_char=bundle.ring.field.char,
                               certificate=certificate)
     results = {
@@ -440,9 +452,10 @@ def task_restrict(kind, payload, options, caps):
 
 
 def task_closure(kind, payload, options, caps):
+    """closure thresholds and membership"""
     gens = _require_ideal(kind, payload)
     ring = gens[0].ring
-    certificate = options.get("assume_stability")
+    certificate = options["assume_stability"]
     trace = []
     primary_proven = False
     if ring.field.char == 0 and certificate is None:
@@ -456,15 +469,15 @@ def task_closure(kind, payload, options, caps):
         trace.append(f"semistability certificate computed: {certificate}")
         # a bundle: the analysis proved its generators irrelevant-primary
         primary_proven = True
-    candidate_text = options.get("candidate")
+    candidate_text = options["candidate"]
     query = ClosureQuery(
         generators=gens,
         certificate=certificate,
-        strong_flag=options.get("strong_flag"),
-        genus=options.get("genus"),
-        plane_curve_degree=options.get("plane_curve_degree"),
+        strong_flag=options["strong_flag"],
+        genus=options["genus"],
+        plane_curve_degree=options["plane_curve_degree"],
         candidate=parse_polynomial(candidate_text, ring) if candidate_text else None,
-        frobenius_exponent=options.get("frobenius_exponent"),
+        frobenius_exponent=options["frobenius_exponent"],
     )
     closure = closure_threshold(query, caps, primary_proven)
     results = {
@@ -523,7 +536,8 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="projective dimension N (default 2)")
     parser.add_argument("--field", default="qq", help="qq or fp:P")
     parser.add_argument("--order", default="degrevlex",
-                        choices=["degrevlex", "deglex", "lex"])
+                        help=f"one of {', '.join(MONOMIAL_ORDERS)}; "
+                             "default %(default)s")
     parser.add_argument("--syzygy", help="comma-separated homogeneous generators")
     parser.add_argument("--twist", type=int, default=0,
                         help="twist for the syzygy bundle")
@@ -531,75 +545,45 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--matrix", help="rows separated by ';', entries by ','")
     parser.add_argument("--twists-a", dest="twists_a")
     parser.add_argument("--twists-b", dest="twists_b")
-    parser.add_argument("--max-degree", dest="max_degree", type=int)
-    parser.add_argument("--max-pairs", dest="max_pairs", type=int)
-    parser.add_argument("--timeout-seconds", dest="timeout_seconds", type=float)
     parser.add_argument("--json-out", dest="json_out")
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict):
+    """One flag per declared option that has one; argparse converts its
+    text, and _check_options checks its value."""
+    for key, (kind, default, allowed, text) in options.items():
+        flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+        if flag is None:
+            continue
+        notes = [text, allowed and f"one of {', '.join(allowed)}",
+                 kind is not _BOOL and default is not None and f"default {default}"]
+        how = {"action": "store_true"} if kind is _BOOL else {"type": kind[1]}
+        parser.add_argument(flag, dest=key, default=default,
+                            help="; ".join(filter(None, notes)), **how)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     import argparse  # only the command line needs it; execute_job does not
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # a usage error is an input error: exit 1, as the job check's
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="kbundle",
         description="Exact semistability and section computations for kernel "
                     "and syzygy bundles on projective space")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a kernel presentation")
-    _add_common(p)
-    p.add_argument("--check-surjectivity", action="store_true",
-                   dest="surjectivity")
-
-    p = sub.add_parser("check", help="decide semistability and stability")
-    _add_common(p)
-    p.add_argument("--engine", default="both", choices=["gb", "linalg", "both"])
-    p.add_argument("--mode", default="stability_evidence",
-                   choices=["semistability", "stability_evidence"])
-    p.add_argument("--upgrade", choices=["selfdual", "none"], default="selfdual")
-    p.add_argument("--via-pullback", dest="via_pullback", type=int)
-
-    p = sub.add_parser("sections", help="section-dimension tables of powers")
-    _add_common(p)
-    p.add_argument("--kind", default="exterior",
-                   choices=["tensor", "exterior", "symmetric"])
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--twists", default="0..0", help="LO..HI or a comma list")
-    p.add_argument("--engine", default="linalg",
-                   choices=["gb", "linalg", "staged", "both"])
-
-    p = sub.add_parser("tannaka", help="invariant fingerprint and dual group")
-    _add_common(p)
-    p.add_argument("--q-max", dest="q_max", type=int, default=4)
-    p.add_argument("--method", default="default",
-                   help="default (one prime plus proven lower bounds) or exact")
-    p.add_argument("--engine", default="linalg", choices=["gb", "linalg"])
-    p.add_argument("--assume-stability", dest="assume_stability",
-                   choices=_ASSUMPTIONS["tannaka"])
-    p.add_argument("--via-pullback", dest="via_pullback", type=int)
-
-    p = sub.add_parser("restrict", help="restriction-degree bounds")
-    _add_common(p)
-    p.add_argument("--theorem", default="langer",
-                   choices=["flenner", "langer", "langer-strong"])
-    p.add_argument("--c", type=int, default=1,
-                   help="number of general divisors (flenner)")
-    p.add_argument("--engine", default="linalg", choices=["gb", "linalg", "both"])
-    p.add_argument("--assume-stability", dest="assume_stability",
-                   choices=_ASSUMPTIONS["restrict"])
-    p.add_argument("--via-pullback", dest="via_pullback", type=int)
-
-    p = sub.add_parser("closure", help="closure thresholds and membership")
-    _add_common(p)
-    p.add_argument("--engine", default="linalg", choices=["gb", "linalg", "both"])
-    p.add_argument("--candidate", help="homogeneous element to test")
-    p.add_argument("--frobenius-e", dest="frobenius_exponent", type=int)
-    p.add_argument("--genus", type=int)
-    p.add_argument("--plane-curve-degree", dest="plane_curve_degree", type=int)
-    p.add_argument("--strong-flag", dest="strong_flag",
-                   help="justification for strong semistability in char p")
-    p.add_argument("--assume-stability", dest="assume_stability",
-                   choices=_ASSUMPTIONS["closure"])
-
+    for name, task in TASKS.items():
+        p = sub.add_parser(name, help=task.__doc__)
+        _add_common(p)
+        _add_options(p, {**_TASK_OPTIONS[name], **_CAPS_OPTIONS})
+        if name == "check":
+            p.add_argument("--upgrade", choices=["selfdual", "none"],
+                           default="selfdual", help="none: no self-duality "
+                           "upgrade (upgrade_selfdual false in a job)")
     p = sub.add_parser("run", help="execute a JSON job file")
     p.add_argument("jobfile")
     p.add_argument("--json-out", dest="json_out")
@@ -640,19 +624,20 @@ def _job_from_file(path: str) -> dict:
 
 
 def execute_job(job: dict):
-    """Run one job; returns (report dict, human lines, exit code)."""
-    ring = build_ring(job["ring"])
-    kind, payload = build_object(job["object"], ring)
+    """Run one job; returns (report dict, human lines, exit code).  The task
+    and its options are checked before anything else."""
     task = job["task"]
     name = task.get("name")
     if name not in TASKS:
         raise InputError(f"unknown task {name!r}")
     options = dict(task.get("options", {}))
-    _check_options(name, options)
-    resources = {key: options.get(key) for key in _CAPS_OPTIONS}
+    settings = _check_options(name, options)
+    ring = build_ring(job["ring"])
+    kind, payload = build_object(job["object"], ring)
+    resources = {key: settings[key] for key in _CAPS_OPTIONS}
     caps = Caps(**resources).start()
     started = time.perf_counter()
-    results, lines, code = TASKS[name](kind, payload, options, caps)
+    results, lines, code = TASKS[name](kind, payload, settings, caps)
     elapsed = time.perf_counter() - started
     report = {
         "job": {"ring": job["ring"], "object": job["object"],
@@ -673,8 +658,7 @@ def main(argv=None) -> int:
         else:
             job = _job_from_args(args)
         report, lines, code = execute_job(job)
-    except (InputError, AlgebraError, BundleError, StabilityError,
-            BoundsError, TannakaError) as exc:
+    except (InputError, AlgebraError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapError as exc:

@@ -83,6 +83,7 @@ _KINDS = {
                   lambda M: [(p, i, M.count(i)) for p, i in enumerate(M)
                              if not p or M[p - 1] != i]),
 }
+KINDS = tuple(_KINDS)
 
 
 def _power(bundle: KernelBundle, kind: str, q: int) -> PowerPresentation:
@@ -142,7 +143,7 @@ def symmetric_power_matrix(bundle: KernelBundle, q: int) -> PowerPresentation:
 
 
 def power_presentation(bundle: KernelBundle, kind: str, q: int) -> PowerPresentation:
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise PowerError(f"unknown power kind {kind!r}")
     return {"tensor": tensor_power_matrix, "exterior": exterior_power_matrix,
             "symmetric": symmetric_power_matrix}[kind](bundle, q)

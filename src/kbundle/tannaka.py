@@ -37,6 +37,8 @@ class TannakaError(AlgebraError):
 
 DEFAULT_PRIMES = (1000003, 1000033, 1000037, 1000039,
                   1000081, 1000099, 1000117, 1000121)
+SECTION_ENGINES = ("gb", "linalg", "both", "staged")
+METHODS = ("default", "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
         raise TannakaError(f"{kind} power needs q >= 1, got {q}")
     if engine == "auto":
         engine = "staged" if kind == "tensor" else "linalg"
-    if engine not in ("gb", "linalg", "both", "staged"):
+    if engine not in SECTION_ENGINES:
         raise TannakaError(f"unknown engine {engine!r}")
     if engine == "staged":
         if kind != "tensor":
@@ -139,7 +141,7 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
 # ---------------------------------------------------------------------------
 
 def _check_method(method) -> None:
-    if method not in ("default", "exact"):
+    if method not in METHODS:
         raise TannakaError(f"unknown dimension method {method!r}; "
                            "use 'default' or 'exact'")
 

@@ -28,6 +28,20 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+# the work a job does after its options are read
+WORK = ["kbundle.cli.analyze_bundle", "kbundle.stability.analyze_bundle",
+        "kbundle.tannaka.power_presentation", "kbundle.tannaka.fingerprint",
+        "kbundle.cli.restriction_bound", "kbundle.bounds.restriction_bound",
+        "kbundle.cli.closure_threshold", "kbundle.bounds.closure_threshold"]
+
+
+def forbid_work(monkeypatch):
+    for name in WORK:
+        def refused(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran before the options were checked")
+        monkeypatch.setattr(name, refused)
+
+
 def test_check_five_quadrics_via_pullback(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli([
@@ -272,12 +286,14 @@ def test_tannaka_q_max_below_two_is_input_error(capsys, q_max):
 
 
 @pytest.mark.parametrize("method", ["bogus", "prime:1000003", "two-prime"])
-def test_tannaka_method_is_validated(capsys, method):
-    code, _, err = run_cli([
+def test_tannaka_method_is_validated(capsys, monkeypatch, method):
+    forbid_work(monkeypatch)
+    code, out, err = run_cli([
         "tannaka", "--syzygy", "X^3, Y^3, Z^3, X*Y*Z", "--twist", "4",
         "--q-max", "3", "--method", method], capsys)
-    assert code == 1
-    assert "input error: unknown dimension method" in err
+    assert code == 1 and not out
+    assert err == (f"input error: option 'method' must be one of default, "
+                   f"exact, got {method!r}\n")
 
 
 def test_job_file_roundtrip_and_determinism(tmp_path, capsys):
@@ -469,20 +485,25 @@ def test_negative_cap_flags_are_input_errors(capsys, flag, value):
     assert f"input error: option '{option}' must be nonnegative" in err
 
 
+ENGINE_FAST = "option 'engine' must be one of gb, linalg, both, got 'fast'"
+
+
 @pytest.mark.parametrize("job, skipped, message", [
     (with_task("check", engine="fast"), "kbundle.bundle.maximal_minors",
-     "unknown engine 'fast'"),
+     ENGINE_FAST),
     (with_task("check", mode="quick"), "kbundle.bundle.maximal_minors",
-     "unknown mode 'quick'"),
+     "option 'mode' must be one of semistability, stability_evidence, "
+     "got 'quick'"),
     (with_task("tannaka", engine="fast"), "kbundle.bundle.maximal_minors",
-     "unknown engine 'fast'"),
+     ENGINE_FAST),
     (with_task("restrict", engine="fast"), "kbundle.bundle.maximal_minors",
-     "unknown engine 'fast'"),
+     ENGINE_FAST),
     ({**with_task("closure", engine="fast"),
       "object": {"ideal": {"generators": ["X^2", "Y^2", "Z^2"]}}},
-     "kbundle.bundle.maximal_minors", "unknown engine 'fast'"),
+     "kbundle.bundle.maximal_minors", ENGINE_FAST),
     (with_task("sections", engine="fast", q=2),
-     "kbundle.tannaka.power_presentation", "unknown engine 'fast'"),
+     "kbundle.tannaka.power_presentation",
+     "option 'engine' must be one of gb, linalg, both, staged, got 'fast'"),
 ])
 def test_unknown_engine_or_mode_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, job, skipped, message):
@@ -734,3 +755,188 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "proven_stable" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Task options: one declaration gives the flags, the job check and the
+# defaults.
+# ---------------------------------------------------------------------------
+
+from kbundle import cli  # noqa: E402
+from kbundle.bounds import CERTIFICATES, THEOREMS  # noqa: E402
+from kbundle.powers import KINDS  # noqa: E402
+from kbundle.stability import ENGINES, MODES  # noqa: E402
+from kbundle.tannaka import METHODS, PROVEN, SECTION_ENGINES  # noqa: E402
+
+# every choice-valued option, with the tuple of the module that acts on it
+CHOICES = {
+    ("check", "engine"): ENGINES, ("check", "mode"): MODES,
+    ("sections", "kind"): KINDS, ("sections", "engine"): SECTION_ENGINES,
+    ("tannaka", "method"): METHODS, ("tannaka", "engine"): ENGINES,
+    ("tannaka", "assume_stability"): PROVEN,
+    ("restrict", "theorem"): THEOREMS, ("restrict", "engine"): ENGINES,
+    ("restrict", "assume_stability"): CERTIFICATES,
+    ("closure", "engine"): ENGINES, ("closure", "assume_stability"): CERTIFICATES,
+}
+
+
+def flag_args(task, options, field="qq"):
+    obj = (["--ideal", "X^2, Y^2, Z^2"] if task == "closure" else
+           ["--syzygy", "X^2, Y^2, Z^2", "--twist", "3"])
+    argv = [task, "--field", field, *obj]
+    for key, value in options.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
+def file_args(tmp_path, task, options, field="qq"):
+    obj = ({"ideal": {"generators": ["X^2", "Y^2", "Z^2"]}} if task == "closure"
+           else {"syzygy": {"generators": ["X^2", "Y^2", "Z^2"], "twist": 3}})
+    job = {"ring": {"variables": ["X", "Y", "Z"], "field": field},
+           "object": obj, "task": {"name": task, "options": options}}
+    path = tmp_path / f"{task}.json"
+    path.write_text(json.dumps(job))
+    return ["run", str(path)]
+
+
+def test_every_choice_valued_option_is_listed():
+    declared = {(task, key) for task, options in cli._TASK_OPTIONS.items()
+                for key, (_, _, allowed, _) in options.items() if allowed}
+    assert declared == set(CHOICES)
+
+
+@pytest.mark.parametrize("task, key", sorted(CHOICES))
+def test_unknown_choice_is_refused_before_any_work(tmp_path, capsys,
+                                                   monkeypatch, task, key):
+    forbid_work(monkeypatch)
+    message = (f"input error: option {key!r} must be one of "
+               f"{', '.join(CHOICES[task, key])}, got 'bogus'\n")
+    for argv in (flag_args(task, {key: "bogus"}),
+                 file_args(tmp_path, task, {key: "bogus"})):
+        assert run_cli(argv, capsys) == (1, "", message), argv
+
+
+@pytest.mark.parametrize("task, options, field", [
+    # no analysis would read the engine: it is refused all the same
+    ("closure", {"engine": "fast", "strong_flag": "x"}, "fp:7"),
+    ("closure", {"engine": "fast", "assume_stability": "stable"}, "qq"),
+    ("restrict", {"engine": "fast", "assume_stability": "stable"}, "qq"),
+    ("tannaka", {"engine": "fast", "assume_stability": "proven_stable"}, "qq"),
+])
+def test_unread_engine_is_refused(tmp_path, capsys, monkeypatch, task, options,
+                                  field):
+    forbid_work(monkeypatch)
+    for argv in (flag_args(task, options, field),
+                 file_args(tmp_path, task, options, field)):
+        assert run_cli(argv, capsys) == (1, "", f"input error: {ENGINE_FAST}\n")
+
+
+def test_job_file_spells_the_theorem_as_bounds_does(tmp_path, capsys,
+                                                    monkeypatch):
+    code, out, _ = run_cli(flag_args("restrict", {
+        "theorem": "langer-strong", "assume_stability": "stable"}, "fp:7"),
+        capsys)
+    assert code == 0 and out.splitlines()[1].startswith("langer_strong: k_min")
+    forbid_work(monkeypatch)
+    argv = file_args(tmp_path, "restrict", {"theorem": "langer-strong"})
+    assert run_cli(argv, capsys) == (
+        1, "", "input error: option 'theorem' must be one of flenner, langer, "
+        "langer_strong, got 'langer-strong'\n")
+
+
+def test_tannaka_takes_engine_both(capsys):
+    code, out, _ = run_cli([
+        "tannaka", "--syzygy", "X^3, Y^3, Z^3, X*Y*Z", "--twist", "4",
+        "--q-max", "3", "--engine", "both"], capsys)
+    assert code == 0
+    assert "dual group: SL(3)" in out.splitlines()
+
+
+@pytest.mark.parametrize("task", list(cli.TASKS))
+def test_flag_defaults_are_the_job_defaults(tmp_path, capsys, task):
+    # a command line puts every default into its job, a job file none
+    reports = []
+    for argv in (flag_args(task, {}), file_args(tmp_path, task, {})):
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli([*argv, "--json-out", str(out_path)], capsys)
+        assert code == 0 and not err
+        reports.append((out, json.loads(out_path.read_text())["results"]))
+    assert reports[0] == reports[1]
+
+
+FLAGS = {
+    "validate": ["--check-surjectivity"],
+    "check": ["--engine", "--mode", "--via-pullback", "--upgrade"],
+    "sections": ["--kind", "--q", "--twists", "--engine"],
+    "tannaka": ["--q-max", "--method", "--engine", "--assume-stability",
+                "--via-pullback"],
+    "restrict": ["--theorem", "--c", "--engine", "--assume-stability",
+                 "--via-pullback"],
+    "closure": ["--engine", "--candidate", "--frobenius-e", "--genus",
+                "--plane-curve-degree", "--strong-flag", "--assume-stability"],
+}
+
+
+@pytest.mark.parametrize("task", list(cli.TASKS))
+def test_help_names_every_option_with_its_values(capsys, task):
+    with pytest.raises(SystemExit) as info:
+        main([task, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag in FLAGS[task] + ["--max-degree", "--max-pairs",
+                               "--timeout-seconds"]:
+        assert f" {flag} " in text, flag
+    for key, (_, default, allowed, _) in cli._TASK_OPTIONS[task].items():
+        if allowed:
+            assert f"one of {', '.join(allowed)}" in text, key
+        if default is not None and type(default) is not bool:
+            assert f"default {default}" in text, key
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--syzygy", "X^2,Y^2,Z^2", "--dim", "two"],
+     "argument --dim: invalid int value: 'two'"),
+    (["check", "--syzygy", "X^2,Y^2,Z^2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["check", "--syzygy", "X^2,Y^2,Z^2", "--upgrade", "never"],
+     "argument --upgrade: invalid choice: 'never'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("usage: kbundle")
+    assert f"error: {message}" in captured.err
+
+
+def test_command_line_jobs_golden():
+    # the job dict each command line builds, frozen before the flags were
+    # built from the option declaration
+    golden = json.loads((Path(__file__).parent / "cli_jobs_golden.json")
+                        .read_text())
+    assert {entry["argv"][0] for entry in golden} == set(cli.TASKS)
+    parser = cli._build_parser()
+    for entry in golden:
+        job = cli._job_from_args(parser.parse_args(entry["argv"]))
+        assert (json.dumps(job, sort_keys=True)
+                == json.dumps(entry["job"], sort_keys=True)), entry["argv"]
+
+
+def test_check_validates_the_presentation_twice(capsys, monkeypatch):
+    # analyze_bundle's call, with the bundle test, and hoppe_check's
+    import kbundle.bundle
+    validate = kbundle.bundle.validate
+    calls = []
+
+    def counted(bundle, *args):
+        calls.append(args[0] if args else False)    # check_surjectivity
+        return validate(bundle, *args)
+
+    monkeypatch.setattr(kbundle.bundle, "validate", counted)
+    code, _, _ = run_cli(["check", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3"],
+                         capsys)
+    assert code == 0
+    assert calls == [True, False]
