@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from kbundle import cli
+from kbundle.bounds import CERTIFICATES, THEOREMS
 from kbundle.cli import main
+from kbundle.powers import KINDS
+from kbundle.stability import ENGINES, MODES
+from kbundle.tannaka import METHODS, PROVEN, SECTION_ENGINES
 
 
 FIVE_QUADRICS = "X^2 - Y^2, X^2 - Z^2, X*Y, X*Z, Y*Z"
@@ -761,12 +766,6 @@ def test_console_script_entry_point():
 # Task options: one declaration gives the flags, the job check and the
 # defaults.
 # ---------------------------------------------------------------------------
-
-from kbundle import cli  # noqa: E402
-from kbundle.bounds import CERTIFICATES, THEOREMS  # noqa: E402
-from kbundle.powers import KINDS  # noqa: E402
-from kbundle.stability import ENGINES, MODES  # noqa: E402
-from kbundle.tannaka import METHODS, PROVEN, SECTION_ENGINES  # noqa: E402
 
 # every choice-valued option, with the tuple of the module that acts on it
 CHOICES = {
