@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Check that the tier-1 tests catch each of a fixed list of unsound edits.
+
+    python3 scripts/mutants.py [NAME ...]
+
+Each mutant is a one-spot edit of `src/kbundle`: a file, the exact text it
+replaces, the new text, and the claim the edit breaks.  For each named
+mutant (all of them when none is named) the script copies the repository,
+without `.git`, into a temporary directory, applies the edit there, and
+runs the tier-1 tests on the copy with `-x`:
+
+    PYTHONPATH=src python3 -m pytest -q -x --continue-on-collection-errors
+
+It prints one line per mutant, `killed` when a test fails and `survived`
+when all pass, with the seconds the run took; a run that takes longer
+than TIMEOUT_S is reported `timeout`.  A mutant whose old text no longer
+occurs exactly once in its file is reported `stale`.  The exit code
+is 0 when every mutant is killed, else 1.  The repository itself is never
+written.  Standard library only (the tests need pytest).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/kbundle, old text, new text, the claim it breaks)
+MUTANTS = [
+    ("primary-trusts-mod-p-no", "modgb.py",
+     "            if _leading_terms_cover_variables(reduced, caps, expected):\n"
+     "                return True\n",
+     "            return _leading_terms_cover_variables(reduced, caps, expected)\n",
+     "a 'no' of the primary test mod p proves nothing; QQ decides it"),
+    ("mod-p-section-as-alpha", "stability.py",
+     "    dim = _kernel_dims(pres, engine, caps, top)\n",
+     "    dim = _kernel_dims(pres_p or pres, engine, caps, top)\n",
+     "the first mod-p section only bounds alpha from below; alpha is found "
+     "over QQ"),
+    ("witness-unverified", "stability.py",
+     "witness.verified = _verify_witness(",
+     "witness.verified = True or _verify_witness(",
+     "an unstable verdict rests on a witness verified exactly"),
+    ("sym-char-guard-off-by-one", "powers.py",
+     "if kind == \"symmetric\" and 0 < fld.char <= q:",
+     "if kind == \"symmetric\" and 0 < fld.char < q:",
+     "Sym^q is refused in characteristic 0 < p <= q"),
+    ("section-count-one-too-many", "stability.py",
+     "comb(N + top - start + 1, N) <= sections",
+     "comb(N + top - start + 1, N) <= sections + 1",
+     "the walk trusts D sections at the top, not D + 1"),
+    ("sl-row-at-rank-6", "tannaka.py",
+     "if r <= 2 or (r <= 5 and not h2):",
+     "if r <= 2 or (r <= 6 and not h2):",
+     "from rank 6 on, one invariant in V^(x)r does not force SL(r)"),
+    ("restriction-bisection-skips", "bounds.py",
+     "    low = k // 2 + 1\n",
+     "    low = k // 2 + 2\n",
+     "restriction_bound returns the least k that satisfies the inequality"),
+    ("rank-2-equality-stable", "stability.py",
+     "            report.stability = \"not_stable\"\n",
+     "            report.stability = \"proven_stable\"\n",
+     "a rank-2 section at the boundary degree shows strict semistability"),
+    ("sp-row-four-invariants", "tannaka.py",
+     "and cell_4.value == 3 and cell_4.certified:",
+     "and cell_4.value >= 3 and cell_4.certified:",
+     "Sp(4) has 3 invariants in V^(x)4; SL(2) on Sym^3 has 4"),
+    ("witness-at-threshold", "stability.py",
+     "not Fraction(degree) < threshold:",
+     "not Fraction(degree) <= threshold:",
+     "a witness lies strictly below the threshold"),
+    ("non-strict-gate-proves-stability", "stability.py",
+     "if not equalities and gate == \"pass_strict\":",
+     "if not equalities and gate != \"fail\":",
+     "stability at rank >= 3 needs a strict slope gate"),
+    ("walk-past-bound", "stability.py",
+     "comb(N + top - start + 1, N) <= sections",
+     "comb(N + top - start, N) <= sections",
+     "the walk probes no degree the section-count bound rules out"),
+    ("walk-short-of-bound", "stability.py",
+     "comb(N + top - start + 1, N) <= sections",
+     "comb(N + top - start + 2, N) <= sections",
+     "the walk reaches a first mod-p section that sits on the bound"),
+    ("cell-prime-used-anyway", "tannaka.py",
+     "            pass                    # the prime divides a denominator\n",
+     "            reduced = bundle\n",
+     "a cell whose prime divides a denominator is exact, not 'F1000003 <='"),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+TIMEOUT_S = 600     # tier-1 takes about 15 s; a hang is no kill
+
+
+def run_mutant(file: str, old: str, new: str) -> str:
+    """'killed', 'survived', 'timeout' or 'stale' for one edit, on a copy
+    of the repository."""
+    with tempfile.TemporaryDirectory(prefix="kbundle-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".benchmarks"))
+        path = copy / "src" / "kbundle" / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return "stale"
+        path.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(TIER1, cwd=copy, env=env, timeout=TIMEOUT_S,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        return "survived" if done.returncode == 0 else "killed"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
+    outcomes = []
+    for name, file, old, new, claim in MUTANTS:
+        if names and name not in names:
+            continue
+        start = time.perf_counter()
+        outcome = run_mutant(file, old, new)
+        outcomes.append(outcome)
+        print(f"{outcome:8} {name} ({file}, {time.perf_counter() - start:.1f} s): "
+              f"{claim}", flush=True)
+    return 0 if all(o == "killed" for o in outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

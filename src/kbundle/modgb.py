@@ -356,10 +356,8 @@ class _Reducers:
         """(entry, shifted) for the first entry whose leading term divides
         the term t: shifted lists the terms of x^q * entry["tail"] for
         x^q = t / lt(entry), in the order of entry["tailcoeffs"].  None if no
-        entry divides t."""
+        entry divides t.  Callers read a remembered reduction first."""
         hit = self.memo.get(t, 0)
-        if type(hit) is tuple:
-            return hit
         codec = self.codec
         entries = self.by_comp.get(codec.comp(t), ())
         word, guard = codec.word(t), codec.guard

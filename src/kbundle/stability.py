@@ -148,27 +148,6 @@ def _verify_witness(pres, element: ModuleElement, degree: int,
     return image.is_zero()
 
 
-def _first_section(dim, start: int, top: int) -> Optional[int]:
-    """The first degree k in start..top with dim(k) != 0, or None."""
-    return next((k for k in range(start, top + 1) if dim(k)), None)
-
-
-def _first_mod_p_section(dim_p, low: int, top: int) -> int:
-    """The first degree k in low..top with dim_p(k) != 0, given dim_p(top)
-    != 0 and dim_p non-decreasing (see `_scan_exterior`): top when
-    dim_p(top - 1) == 0, else found by bisection below top - 1."""
-    hi = top - 1
-    if hi < low or not dim_p(hi):
-        return top
-    while low < hi:
-        mid = (low + hi) // 2
-        if dim_p(mid):
-            hi = mid
-        else:
-            low = mid + 1
-    return hi
-
-
 def _kernel_dims(pres, engine: str, caps: Caps, top: int):
     """k -> dimension of the degree-k kernel piece of pres, for k <= top:
     `gb` counts it on one Buchberger run on the image truncated at top,
@@ -191,15 +170,15 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     K_{k+1}, and K_top = 0 forces K_k = 0 for every k <= top.  Hence
     K_p,top = 0 proves that no section exists up to top, and the first k
     with K_p,k != 0 bounds alpha from below: the QQ scan starts there, and
-    alpha and its witness are still found over QQ.  The same injection mod p
-    makes dim K_p,k non-decreasing in k, so that first k is searched from the
-    top: top - 1 first, then by bisection below it.
+    alpha and its witness are still found over QQ.
 
-    D = dim K_p,top also bounds that search from below.  K_p is a submodule
-    of a free module over F_p[x_0..x_N], a domain, so a nonzero s in
-    K_p,top-j gives C(N+j, N) independent sections m*s in K_p,top, one per
-    monomial m of degree j.  Hence no section lies below top - j for the
-    largest j with C(N+j, N) <= D, and when D <= N the search ends at top
+    D = dim K_p,top bounds that first k from below.  K_p is a submodule of a
+    free module over F_p[x_0..x_N], a domain, so a nonzero s in K_p,top-j
+    gives C(N+j, N) independent sections m*s in K_p,top, one per monomial m
+    of degree j: no section lies below top - j when C(N+j, N) > D.  The same
+    injection mod p makes dim K_p,k non-decreasing in k.  So the first k is
+    found by one walk down from top, which stops at the first degree with no
+    section or where the bound rules one out; when D <= N it ends at top
     with no further elimination.
     """
     threshold = -q * mu
@@ -216,11 +195,12 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
             return PowerCheck(q, None, threshold, ">", top, low,
                               PRIMARY_TEST_PRIME)
         N = pres.ring.nvars - 1
-        j = 0
-        while j < top - low and comb(N + j + 1, N) <= sections:
-            j += 1
-        start = _first_mod_p_section(dim_p, top - j, top)
-    alpha = _first_section(_kernel_dims(pres, engine, caps, top), start, top)
+        start = top
+        while start > low and comb(N + top - start + 1, N) <= sections \
+                and dim_p(start - 1):
+            start -= 1
+    dim = _kernel_dims(pres, engine, caps, top)
+    alpha = next((k for k in range(start, top + 1) if dim(k)), None)
     if alpha is None:
         return PowerCheck(q, None, threshold, ">", top, low)
     relation = "<" if alpha < threshold else "="

@@ -35,8 +35,7 @@ class TannakaError(AlgebraError):
     pass
 
 
-DEFAULT_PRIMES = (1000003, 1000033, 1000037, 1000039,
-                  1000081, 1000099, 1000117, 1000121)
+CELL_PRIME = 1000003
 SECTION_ENGINES = ("gb", "linalg", "both", "staged")
 METHODS = ("default", "exact")
 
@@ -170,31 +169,28 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
     """h^0(E^{(x)q}(k)) as an interval [lo, hi] with its evidence, for the
     bundle E of a section store.
 
-    Over F_p, and with method "exact", lo == hi is the exact value read from
-    the store.  The default takes hi from a store of E mod the first usable
-    default prime (a kernel mod p is never smaller than over QQ) and lo from
-    sections proven to exist at k == 0 when c1(E) == 0: det E = O lies in
-    E^{(x)rank}, so lo >= 1 at q == rank; at q == 4 the slot permutations
-    w12*w34, w13*w24, w14*w23 of w (x) w, for a section w of E (x) E in the
-    store, stay in E^{(x)4}, and values independent at one point prove them
-    independent.  lo > hi is a bug.
+    Over F_p, with method "exact", and when CELL_PRIME divides a denominator
+    of E, lo == hi is the exact value read from the store.  The default
+    takes hi from a store of E mod CELL_PRIME (a kernel mod p is never
+    smaller than over QQ) and lo from sections proven to exist at k == 0
+    when c1(E) == 0: det E = O lies in E^{(x)rank}, so lo >= 1 at q == rank;
+    at q == 4 the slot permutations w12*w34, w13*w24, w14*w23 of w (x) w,
+    for a section w of E (x) E in the store, stay in E^{(x)4}, and values
+    independent at one point prove them independent.  lo > hi is a bug.
     """
     _check_method(method)
     bundle = sections.bundle
     char = bundle.ring.field.char
-    if char != 0 or method == "exact":
+    reduced = None
+    if char == 0 and method != "exact":
+        try:
+            reduced = reduce_bundle_mod_p(bundle, CELL_PRIME)
+        except CoefficientError:
+            pass                    # the prime divides a denominator
+    if reduced is None:
         value = sections.dim(q, k)
         return DimCell(value, value,
                        f"exact-F{char}" if char else "exact-rational")
-    for p in DEFAULT_PRIMES:
-        try:
-            reduced = reduce_bundle_mod_p(bundle, p)
-        except CoefficientError:
-            continue
-        break
-    else:
-        raise TannakaError("every default prime divides a denominator; "
-                           "rerun with method='exact'")
     hi = TensorSections(reduced, sections.caps).dim(q, k)
     lo, why = 0, ""
     if k == 0 and invariants(bundle).c1 == 0:
@@ -204,8 +200,8 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
             lo, why = pairing, "pairing"
     if lo > hi:
         raise InternalCheckError(f"h0(E^(x){q}): {why} proves {lo} sections, "
-                                 f"but F{p} gives {hi}")
-    return DimCell(lo, hi, f"F{p} <= {hi}" + (f", {why} >= {lo}" if lo else ""))
+                                 f"but F{CELL_PRIME} gives {hi}")
+    return DimCell(lo, hi, f"F{CELL_PRIME} <= {hi}" + (f", {why} >= {lo}" if lo else ""))
 
 
 # ---------------------------------------------------------------------------

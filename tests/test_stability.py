@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from math import comb, floor
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from kbundle.modgb import (
     ResourceCapError,
     is_irrelevant_primary,
     kernel_dim_linalg,
+    kernel_sections_linalg,
 )
 from kbundle import tannaka
 from kbundle.powers import exterior_power_matrix
@@ -30,8 +32,8 @@ from kbundle.stability import (
     InternalCheckError,
     NumericCriterionResult,
     StabilityError,
-    _first_mod_p_section,
     _scan_exterior,
+    _verify_witness,
     analyze_bundle,
     bohnhorst_spindler,
     brenner_monomial,
@@ -53,6 +55,7 @@ from sample_bundles import (
     random_kernel_bundle,
     random_primary_monomial_spec,
     rank6_bundle,
+    sl3_bundle,
     sl3_spec,
     syzygy_bundle,
     syzygy_spec,
@@ -205,6 +208,16 @@ def test_gb_section_without_linalg_witness_raises(monkeypatch):
     with pytest.raises(InternalCheckError,
                        match="witness at q=1, degree -1 failed verification"):
         hoppe_check(syzygy_bundle(["X^2", "Y^2", "Z^2"], twist=3), engine="gb")
+
+
+def test_witness_at_the_threshold_is_rejected():
+    # wedge^2 of the five quadrics has sections from degree 5 = -2*mu on: a
+    # genuine kernel element there lies on the threshold, not below it
+    pres = exterior_power_matrix(five_quadrics(), 2)
+    _, vectors = kernel_sections_linalg(
+        pres.columns, pres.source_module(), pres.target_module(), 5)
+    assert _verify_witness(pres, vectors[0], 5, Fraction(11, 2))
+    assert not _verify_witness(pres, vectors[0], 5, Fraction(5))
 
 
 def count_calls(monkeypatch, names) -> Counter:
@@ -770,6 +783,18 @@ def test_failed_gate_without_a_section_proves_semistability(monkeypatch):
         "checks prove semistability") in report.criteria_trace
 
 
+def test_non_strict_gate_leaves_stability_undetermined(monkeypatch):
+    import kbundle.stability as stability
+    # a gate at equality leaves a rank-1 quotient of slope mu open, so no
+    # strict exterior rank proves stability
+    monkeypatch.setattr(stability, "numeric_slope_gate", lambda bundle: "pass")
+    report = hoppe_check(sl3_bundle())
+    assert [c.relation for c in report.per_power] == [">"]
+    assert report.stability == "undetermined"
+    assert report.criteria_trace[-1] == \
+        "slope gate not strict: stability undetermined"
+
+
 def test_empty_window_runs_no_elimination(monkeypatch):
     import kbundle.stability as stability
 
@@ -811,17 +836,37 @@ def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
 
 
 @pytest.mark.parametrize("low, top", [(-6, 0), (-3, 2), (0, 1), (2, 2), (-5, -4)])
-def test_first_mod_p_section_bisects_a_monotone_count(low, top):
-    for first in range(low, top + 1):
-        probes = []
+def test_first_mod_p_section_walk_stops_at_the_bound(monkeypatch, low, top):
+    """The first pass walks down from top to the first mod-p section.  With
+    the fewest sections a section at `first` allows, C(N + k - first, N) in
+    degree k, the count D at top puts `first` exactly on the section-count
+    bound, which ends the walk there with no probe below it.  With many
+    sections the first degree without one ends it."""
+    import kbundle.stability as stability
+    p = PRIMARY_TEST_PRIME
+    for N in (1, 2):
+        for first in range(low, top + 1):
+            for tight in (True, False):
+                probes = []
 
-        def dim_p(k):
-            probes.append(k)
-            return int(k >= first)
+                def kernel_dims(pres, engine, caps, top_):
+                    def dim(k):
+                        probes.append((pres.field_char, k))
+                        if k < first:
+                            return 0
+                        return comb(N + k - first, N) if tight else 10 ** 6
+                    return dim
 
-        assert _first_mod_p_section(dim_p, low, top) == first
-        assert len(probes) <= 2 + (top - low).bit_length()
-        assert all(low <= k < top for k in probes)
+                monkeypatch.setattr(stability, "_kernel_dims", kernel_dims)
+                pres, pres_p = (SimpleNamespace(
+                    field_char=char, source_twists=(-low,),
+                    ring=SimpleNamespace(nvars=N + 1)) for char in (0, p))
+                check = _scan_exterior(pres, pres_p, 1, Fraction(-top),
+                                       "stability_evidence", "linalg", NO_CAPS)
+                assert check.alpha == first
+                stop = first if tight else max(first - 1, low)
+                assert probes == [(p, k) for k in range(top, stop - 1, -1)] \
+                    + [(0, first)], (N, first, tight)
 
 
 @pytest.mark.parametrize("name", list(FIRST_PASS_CASES))

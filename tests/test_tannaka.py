@@ -5,7 +5,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -27,7 +26,7 @@ from kbundle.modgb import (
 )
 from kbundle.powers import symmetric_power_matrix, tensor_power_matrix
 from kbundle.tannaka import (
-    DEFAULT_PRIMES,
+    CELL_PRIME,
     DimCell,
     TannakaError,
     TannakaFingerprint,
@@ -106,21 +105,13 @@ def test_exact_method_matches_default():
     assert tensor_dim_cell(sections, 4, 0, method="default") == cell
 
 
-def test_cell_skips_a_default_prime_in_a_denominator():
+def test_cell_is_exact_when_the_cell_prime_divides_a_denominator():
     # Syz(X^3, Y^3, Z^3, XYZ/1000003)(4) is sl3_bundle() with a generator
-    # rescaled; the first default prime divides a denominator
-    bundle = syzygy_bundle(["X^3", "Y^3", "Z^3", "1/1000003*X*Y*Z"], twist=4)
+    # rescaled; it has no image mod CELL_PRIME, so the cell is exact
+    bundle = syzygy_bundle(["X^3", "Y^3", "Z^3", f"1/{CELL_PRIME}*X*Y*Z"],
+                           twist=4)
     assert tensor_dim_cell(TensorSections(bundle), 3, 0) == \
-        DimCell(1, 1, "F1000033 <= 1, determinant >= 1")
-
-
-def test_cell_needs_a_usable_default_prime():
-    # every default prime divides the denominator of the XYZ coefficient
-    den = prod(DEFAULT_PRIMES)
-    bundle = syzygy_bundle(["X^3", "Y^3", "Z^3", f"1/{den}*X*Y*Z"], twist=4)
-    with pytest.raises(TannakaError,
-                       match="every default prime divides a denominator"):
-        tensor_dim_cell(TensorSections(bundle), 3, 0)
+        DimCell(1, 1, "exact-rational")
 
 
 def test_cell_with_lower_bound_above_the_fp_count_is_a_bug(monkeypatch):
@@ -377,6 +368,11 @@ def test_selfdual_certify_double_bundle_not_simple():
     assert h0 == 4
 
 
+def test_selfdual_certify_without_a_pairing():
+    # the standard SL(3) bundle is not self-dual: E0 (x) E0 has no section
+    assert selfdual_certify(sl3_bundle()) == (False, 0)
+
+
 def test_fingerprint_rank2():
     fp = fingerprint(rank2_degree0_bundle(), "proven_stable", q_max=4)
     assert fp.rank == 2
@@ -420,6 +416,9 @@ def test_classify_rule_table():
     assert classify_group(synthetic_fp(6, {2: 1, 4: 3}, alt)).label() == "Sp(6)"
     assert classify_group(synthetic_fp(3, {2: 0, 3: 1})).label() == "SL(3)"
     assert classify_group(synthetic_fp(2, {2: 1}, alt)).label() == "SL(2)"
+    # SL(2) on Sym^3 is self-dual and alternating, with 4 invariants in
+    # V^(x)4, not the 3 of Sp(4)
+    assert classify_group(synthetic_fp(4, {2: 1, 4: 4}, alt)).group == "unknown"
     guess = classify_group(synthetic_fp(4, {2: 0, 4: 4}))
     assert guess.group == "unknown"
     assert "type-A" in guess.justification
