@@ -105,13 +105,29 @@ def test_exact_method_matches_default():
     assert tensor_dim_cell(sections, 4, 0, method="default") == cell
 
 
-def test_cell_is_exact_when_the_cell_prime_divides_a_denominator():
+def test_cell_skips_a_default_prime_in_a_denominator():
     # Syz(X^3, Y^3, Z^3, XYZ/1000003)(4) is sl3_bundle() with a generator
     # rescaled; it has no image mod CELL_PRIME, so the cell is exact
     bundle = syzygy_bundle(["X^3", "Y^3", "Z^3", f"1/{CELL_PRIME}*X*Y*Z"],
                            twist=4)
     assert tensor_dim_cell(TensorSections(bundle), 3, 0) == \
         DimCell(1, 1, "exact-rational")
+
+
+def test_cell_needs_a_usable_default_prime():
+    # a denominator prime to CELL_PRIME keeps the modular pass; a multiple
+    # of CELL_PRIME makes the prime unusable and the cell exact
+    usable = syzygy_bundle(["X^3", "Y^3", "Z^3", "1/2*X*Y*Z"], twist=4)
+    assert tensor_dim_cell(TensorSections(usable), 3, 0) == \
+        DimCell(1, 1, f"F{CELL_PRIME} <= 1, determinant >= 1")
+    unusable = syzygy_bundle(
+        ["X^3", "Y^3", "Z^3", f"1/{2 * CELL_PRIME}*X*Y*Z"], twist=4)
+    with pytest.raises(CoefficientError):
+        reduce_bundle_mod_p(unusable, CELL_PRIME)
+    sections = TensorSections(unusable)
+    for q, k in ((2, 0), (3, 0), (3, -1)):
+        assert tensor_dim_cell(sections, q, k) == \
+            tensor_dim_cell(sections, q, k, method="exact")
 
 
 def test_cell_with_lower_bound_above_the_fp_count_is_a_bug(monkeypatch):
