@@ -89,6 +89,14 @@ MUTANTS = [
      "            pass                    # the prime divides a denominator\n",
      "            reduced = bundle\n",
      "a cell whose prime divides a denominator is exact, not 'F1000003 <='"),
+    ("composite-field-accepted", "algebra.py",
+     "            return False\n    return True\n",
+     "            continue\n    return True\n",
+     "fp:P is refused unless P passes every Miller-Rabin round"),
+    ("unknown-job-key-ignored", "cli.py",
+     "    _check_keys(job)\n",
+     "",
+     "a job key that its block does not take is refused, not ignored"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

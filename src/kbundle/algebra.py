@@ -1,5 +1,5 @@
-"""Exact coefficient fields, sparse multivariate polynomials, monomial orders,
-and the polynomial-expression parser.
+"""Exact coefficient fields, sparse multivariate polynomials, the monomial
+order, and the polynomial-expression parser.
 
 Coefficients are plain Python numbers: `fractions.Fraction` (or int) over the
 rationals, canonical ints in [0, p) over F_p.  Every sum of term dicts goes
@@ -187,18 +187,11 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple]:
             yield (e,) + rest
 
 
-MONOMIAL_ORDERS = ("degrevlex", "deglex", "lex")
-
-
-def monomial_sort_key(order: str):
-    """Sort key with larger key == larger monomial in the given order."""
-    if order == "degrevlex":
-        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
-    if order == "deglex":
-        return lambda m: (sum(m), m)
-    if order == "lex":
-        return lambda m: m
-    raise AlgebraError(f"unknown monomial order {order!r}")
+def mono_key(m: tuple) -> tuple:
+    """Sort key of degrevlex, larger key == larger monomial.  It is the one
+    order, as no answer depends on it: a homogeneous submodule's leading
+    terms have the same Hilbert function under every order."""
+    return sum(m), tuple([-e for e in reversed(m)])
 
 
 def default_variables(nvars: int) -> tuple:
@@ -209,29 +202,21 @@ def default_variables(nvars: int) -> tuple:
 
 
 class PolyRing(Record):
-    """A polynomial ring: variable names, exact field, active monomial order."""
+    """A polynomial ring: variable names and exact field."""
 
-    __slots__ = ("variables", "field", "order")
+    __slots__ = ("variables", "field")
 
-    def __init__(self, variables: tuple, field: FieldSpec = QQ,
-                 order: str = "degrevlex"):
+    def __init__(self, variables: tuple, field: FieldSpec = QQ):
         if len(variables) == 0:
             raise AlgebraError("ring needs at least one variable")
         if len(set(variables)) != len(variables):
             raise AlgebraError("duplicate variable names")
-        if order not in MONOMIAL_ORDERS:
-            raise AlgebraError(f"unknown monomial order {order!r}")
         self.variables = variables
         self.field = field
-        self.order = order
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    @property
-    def mono_key(self):
-        return monomial_sort_key(self.order)
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -243,10 +228,9 @@ class PolyRing(Record):
         return f"{self.field}[{','.join(self.variables)}]"
 
 
-def make_ring(nvars: int = 3, field: FieldSpec = QQ, order: str = "degrevlex",
-              variables=None) -> PolyRing:
+def make_ring(nvars: int = 3, field: FieldSpec = QQ, variables=None) -> PolyRing:
     names = tuple(variables) if variables is not None else default_variables(nvars)
-    return PolyRing(names, field, order)
+    return PolyRing(names, field)
 
 
 class Poly:
@@ -291,8 +275,7 @@ class Poly:
         return degs.pop()
 
     def sorted_terms(self):
-        key = self.ring.mono_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 

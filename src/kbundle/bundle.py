@@ -362,7 +362,7 @@ def pullback_powers(bundle: KernelBundle, k: int) -> KernelBundle:
 def reduce_bundle_mod_p(bundle: KernelBundle, prime: int) -> KernelBundle:
     """The presentation with every entry reduced mod prime; raises
     CoefficientError when prime divides a denominator."""
-    ring_p = PolyRing(bundle.ring.variables, FieldSpec(prime), bundle.ring.order)
+    ring_p = PolyRing(bundle.ring.variables, FieldSpec(prime))
     rows = tuple(tuple(reduce_poly_mod_p(p, ring_p) for p in row)
                  for row in bundle.matrix)
     return KernelBundle(ring_p, bundle.twists_a, bundle.twists_b, rows)

@@ -14,8 +14,8 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import (MONOMIAL_ORDERS, AlgebraError, FieldSpec, PolyRing,
-                      default_variables, parse_polynomial)
+from .algebra import (AlgebraError, FieldSpec, PolyRing, default_variables,
+                      parse_polynomial)
 from .bounds import (CERTIFICATES, THEOREMS, BoundsError, ClosureQuery,
                      closure_threshold, frobenius_membership, restriction_bound)
 from .bundle import (KernelBundle, SyzygyBundleSpec, from_syzygy, invariants,
@@ -47,7 +47,7 @@ def _ring_config_from_args(args) -> dict:
         variables = [v.strip() for v in args.vars.split(",") if v.strip()]
     else:
         variables = list(default_variables(args.dim + 1))
-    return {"variables": variables, "field": args.field, "order": args.order}
+    return {"variables": variables, "field": args.field}
 
 
 def build_ring(cfg: dict) -> PolyRing:
@@ -67,8 +67,12 @@ def build_ring(cfg: dict) -> PolyRing:
         raise InputError("the ring block needs a 'variables' list")
     variables = tuple(_typed(v, _STR, "variables entry")
                       for v in _typed(cfg["variables"], _LIST, "variables"))
+    order = cfg.get("order", "degrevlex")
+    if order != "degrevlex":
+        raise InputError(f"unknown monomial order {order!r} "
+                         "(kbundle computes in degrevlex)")
     try:
-        return PolyRing(variables, field, cfg.get("order", "degrevlex"))
+        return PolyRing(variables, field)
     except AlgebraError as exc:
         raise InputError(str(exc)) from exc
 
@@ -122,17 +126,18 @@ def _polys(texts, ring: PolyRing, what: str) -> list:
 
 
 def build_object(cfg: dict, ring: PolyRing):
-    """Returns (kind, payload): kind "bundle" pairs the bundle with an optional
-    syzygy spec; kind "ideal" carries the generator list."""
+    """Returns (kind, payload) for an object block that _check_keys passed:
+    kind "bundle" pairs the bundle with an optional syzygy spec; kind
+    "ideal" carries the generator list."""
     try:
         if "syzygy" in cfg:
-            spec_cfg = _typed(cfg["syzygy"], _DICT, "syzygy")
+            spec_cfg = cfg["syzygy"]
             gens = tuple(_polys(spec_cfg["generators"], ring, "generators"))
             spec = SyzygyBundleSpec(ring, gens,
                                     _typed(spec_cfg.get("twist", 0), _INT, "twist"))
             return "bundle", (from_syzygy(spec), spec)
         if "kernel" in cfg:
-            kcfg = _typed(cfg["kernel"], _DICT, "kernel")
+            kcfg = cfg["kernel"]
             matrix = [_polys(row, ring, "matrix row")
                       for row in _typed(kcfg["matrix"], _LIST, "matrix")]
             twists = [[_typed(t, _INT, f"{name} entry")
@@ -140,15 +145,39 @@ def build_object(cfg: dict, ring: PolyRing):
                       for name in ("twists_a", "twists_b")]
             bundle = make_kernel_bundle(ring, *twists, matrix)
             return "bundle", (bundle, None)
-        if "ideal" in cfg:
-            ideal_cfg = _typed(cfg["ideal"], _DICT, "ideal")
-            gens = tuple(_polys(ideal_cfg["generators"], ring, "generators"))
-            if not gens:
-                raise InputError("an ideal needs at least one generator")
-            return "ideal", gens
+        gens = tuple(_polys(cfg["ideal"]["generators"], ring, "generators"))
     except (AlgebraError, KeyError) as exc:
         raise InputError(str(exc)) from exc
-    raise InputError("object block must contain syzygy, kernel, or ideal")
+    if not gens:
+        raise InputError("an ideal needs at least one generator")
+    return "ideal", gens
+
+
+# The keys each block of a job may hold: the job itself, its ring, object and
+# task blocks, and the one object (syzygy, kernel or ideal) of its object block.
+_JOB_KEYS = {"job": ("ring", "object", "task"),
+             "ring": ("variables", "field", "order"),
+             "object": ("syzygy", "kernel", "ideal"),
+             "task": ("name", "options"),
+             "syzygy": ("generators", "twist"),
+             "kernel": ("twists_a", "twists_b", "matrix"),
+             "ideal": ("generators",)}
+
+
+def _check_keys(job: dict):
+    """Refuses, before any work, a key that its block does not take: a
+    misspelled key would otherwise be ignored and its default used."""
+    obj = job["object"]
+    blocks = {"job": job, "ring": job["ring"], "object": obj, "task": job["task"]}
+    blocks.update((name, _typed(obj[name], _DICT, name))
+                  for name in _JOB_KEYS["object"] if name in obj)
+    for name, block in blocks.items():
+        for key in block:
+            if key not in _JOB_KEYS[name]:
+                raise InputError(f"unknown key {key!r} in the {name!r} block")
+    if len(obj) != 1:
+        raise InputError("the 'object' block must hold exactly one of "
+                         "syzygy, kernel, ideal")
 
 
 def _opt(kind, default=None, allowed=None, text=""):
@@ -535,9 +564,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--dim", type=int, default=2,
                         help="projective dimension N (default 2)")
     parser.add_argument("--field", default="qq", help="qq or fp:P")
-    parser.add_argument("--order", default="degrevlex",
-                        help=f"one of {', '.join(MONOMIAL_ORDERS)}; "
-                             "default %(default)s")
     parser.add_argument("--syzygy", help="comma-separated homogeneous generators")
     parser.add_argument("--twist", type=int, default=0,
                         help="twist for the syzygy bundle")
@@ -624,8 +650,10 @@ def _job_from_file(path: str) -> dict:
 
 
 def execute_job(job: dict):
-    """Run one job; returns (report dict, human lines, exit code).  The task
-    and its options are checked before anything else."""
+    """Run one job; returns (report dict, human lines, exit code).  The keys
+    of every block, the task and its options are checked before anything
+    else."""
+    _check_keys(job)
     task = job["task"]
     name = task.get("name")
     if name not in TASKS:

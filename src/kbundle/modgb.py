@@ -13,7 +13,7 @@ piece of the kernel module.  Only this module speaks generator degrees; the
 bundle layer converts at the boundary.
 
 The module order is position-over-term: basis vectors compared by generator
-index ascending (e_0 largest), ties broken by the ring's monomial order.
+index ascending (e_0 largest), ties broken by degrevlex (algebra.mono_key).
 
 Buchberger, tail reduction and ideal membership share one reduction loop for
 both fields.  It runs on integer coefficients: fraction-free over QQ, residues
@@ -23,13 +23,13 @@ caller needs; the reduced basis is made monic at the end.
 The loop runs on terms packed into single ints (_TermCodec), encoded where
 terms enter a run and decoded where its results leave.  The encoding T =
 base(component) + L(monomial) is linear in the exponents, so multiplying by
-x^q adds L(q), and comparing ints is the module term order under degrevlex,
-deglex or lex.  The heap holds -T, the work dicts and the reduction memo are
-keyed by T, a reducer's shifted tail and an S-element are int shifts, and
-divisibility and lcms in the pair criteria are bit operations on the
-exponent digits.  Every field is TERM_FIELD_BITS wide; a degree that would
-not fit raises ResourceCapError naming the stage, so a value never wraps
-into the next field.
+x^q adds L(q), and comparing ints is the module term order.  The heap holds
+-T, the work dicts and the reduction memo are keyed by T, a reducer's
+shifted tail and an S-element are int shifts, and divisibility and lcms in
+the pair criteria are bit operations on the exponent digits.  Every field
+is TERM_FIELD_BITS wide; a degree that would not fit raises
+ResourceCapError naming the stage, so a value never wraps into the next
+field.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .algebra import (
     Record,
     add_scaled,
     mono_deg,
+    mono_key,
     monomials_of_degree,
     reduce_poly_mod_p,
 )
@@ -121,8 +122,7 @@ class GradedFreeModule(Record):
         return len(self.generator_degrees)
 
     def term_key(self):
-        mk = self.ring.mono_key
-        return lambda t: (-t[0], mk(t[1]))
+        return lambda t: (-t[0], mono_key(t[1]))
 
 
 class ModuleElement:
@@ -232,26 +232,24 @@ class _TermCodec:
     + L(mono), with L linear in the exponents and T ordered as the terms.
 
     Each field is TERM_FIELD_BITS = k bits wide, W = 2^k, n variables:
-    degrevlex L = deg * W^n - sum e_i W^i, deglex L = deg * W^n +
-    sum e_i W^(n-1-i), lex L = sum e_i W^(n-1-i).  The exponents are the
-    digits of a base-W number below the top field, which holds the degree,
-    so for one degree comparing L compares the exponent vectors
-    lexicographically: from the last variable, negated, under degrevlex,
-    from the first under the others.  base(comp) = (rank - 1 - comp) * 2^span
-    lies above every L, so component 0 is largest (position over term).  As
-    L is linear, T + L(q) is the term times x^q, and within a component a
+    L = deg * W^n - sum e_i W^i.  The exponents are the digits of a base-W
+    number below the top field, which holds the degree, so for one degree
+    comparing L compares the exponent vectors from the last variable,
+    negated: degrevlex.  base(comp) = (rank - 1 - comp) * 2^span lies above
+    every L, so component 0 is largest (position over term).  As L is
+    linear, T + L(q) is the term times x^q, and within a component a
     quotient of terms is a difference of ints.
 
-    The word of a term is its plain digits P = sum e_i W^i (W^(n-1-i) under
-    the others), read off T at one subtraction.  Each field keeps its top
-    bit clear, so a divides b iff P(b) - P(a) sets no top bit: the lowest
-    field where b falls short borrows into its own top bit.  The lcm of two
-    words takes per field the larger digit, chosen by the same top bits.
-    Every degree, the top field's included, must stay below W / 2: a larger
-    one raises ResourceCapError naming the stage, never wraps into a
-    neighbouring field or component.  The bound is on the module degree D,
-    set so that the monomials of degree D in every component fit; reductions
-    and S-elements of homogeneous elements keep D.
+    The word of a term is its plain digits P = sum e_i W^i, read off T at
+    one subtraction.  Each field keeps its top bit clear, so a divides b iff
+    P(b) - P(a) sets no top bit: the lowest field where b falls short
+    borrows into its own top bit.  The lcm of two words takes per field the
+    larger digit, chosen by the same top bits.  Every degree, the top
+    field's included, must stay below W / 2: a larger one raises
+    ResourceCapError naming the stage, never wraps into a neighbouring field
+    or component.  The bound is on the module degree D, set so that the
+    monomials of degree D in every component fit; reductions and S-elements
+    of homogeneous elements keep D.
     """
 
     def __init__(self, module: GradedFreeModule, stage: str):
@@ -262,16 +260,10 @@ class _TermCodec:
         self.rank = module.rank
         self.degrees = module.generator_degrees
         self.max_degree = (1 << (k - 1)) - 1 + min(self.degrees, default=0)
-        self.order = ring.order
         self.top = k * n              # the degree field starts here
-        if self.order == "degrevlex":
-            self.digits = [k * i for i in range(n)]
-            self.weights = [(1 << self.top) - (1 << s) for s in self.digits]
-        else:
-            self.digits = [k * (n - 1 - i) for i in range(n)]
-            high = (1 << self.top) if self.order == "deglex" else 0
-            self.weights = [high + (1 << s) for s in self.digits]
-        self.span = self.top + (self.order != "lex") * k
+        self.digits = [k * i for i in range(n)]
+        self.weights = [(1 << self.top) - (1 << s) for s in self.digits]
+        self.span = self.top + k
         self.base = [(self.rank - 1 - c) << self.span for c in range(self.rank)]
         self.field = (1 << k) - 1
         self.guard = sum(1 << (s + k - 1) for s in self.digits)
@@ -294,19 +286,14 @@ class _TermCodec:
     def from_word(self, comp: int, word: int, d: int) -> int:
         """The term of the word in component comp, of module degree d."""
         self.check_degree(d)
-        high = (d - self.degrees[comp]) << self.top
-        if self.order == "degrevlex":
-            return self.base[comp] + high - word
-        return self.base[comp] + (high if self.order == "deglex" else 0) + word
+        return self.base[comp] + ((d - self.degrees[comp]) << self.top) - word
 
     def comp(self, t: int) -> int:
         return self.rank - 1 - (t >> self.span)
 
     def word(self, t: int) -> int:
         ell = t & ((1 << self.span) - 1)
-        if self.order == "degrevlex":
-            return (-(-ell >> self.top) << self.top) - ell
-        return ell & ((1 << self.top) - 1)
+        return (-(-ell >> self.top) << self.top) - ell
 
     def degree(self, word: int) -> int:
         """The monomial degree of a word (an lcm's too): its digit sum, which
@@ -1197,7 +1184,7 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
         return False                # the unit ideal
     ring = polys[0].ring
     if ring.field.char == 0:
-        ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME), ring.order)
+        ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME))
         try:
             reduced = [reduce_poly_mod_p(p, ring_p) for p in polys]
         except CoefficientError:

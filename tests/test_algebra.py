@@ -9,8 +9,10 @@ from kbundle.algebra import (
     FieldSpec,
     Poly,
     PolyParseError,
+    is_prime,
     make_ring,
     mono_gcd,
+    mono_key,
     monomial_family_gcd,
     monomials_of_degree,
     parse_polynomial,
@@ -110,6 +112,31 @@ def test_prime_field_normalization():
 def test_fieldspec_rejects_composite_characteristic():
     with pytest.raises(AlgebraError):
         FieldSpec(6)
+
+
+def strong_probable_prime(n, a):
+    """n passes the Miller-Rabin round of base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, s))
+
+
+@pytest.mark.parametrize("n, prime", [
+    (0, False), (1, False),
+    (1763, False),          # 41 * 43: no factor <= 37, so a round refuses it
+    (1681, False),          # 41^2, n - 1 = 2^4 * 105: the squaring loop runs
+    (3215031751, False),    # strong pseudoprime to bases 2, 3, 5 and 7
+    (32003, True), (1000003, True), (2 ** 61 - 1, True),
+    (998244353, True),      # 119 * 2^23 + 1: the squaring loop ends early
+])
+def test_is_prime(n, prime):
+    assert is_prime(n) == prime
+    if n == 3215031751:
+        assert all(strong_probable_prime(n, a) for a in (2, 3, 5, 7))
+    if n > 37:
+        assert all(n % p for p in range(2, 38))
 
 
 def test_monomial_gcd_examples():
@@ -242,10 +269,9 @@ def test_monomials_of_degree_counts_and_order():
 
 
 def test_degrevlex_order():
-    key = RING_QQ3.mono_key
     # X^2*Y > X*Z^2 in degrevlex, and X > Y > Z
-    assert key((2, 1, 0)) > key((1, 0, 2))
-    assert key((1, 0, 0)) > key((0, 1, 0)) > key((0, 0, 1))
+    assert mono_key((2, 1, 0)) > mono_key((1, 0, 2))
+    assert mono_key((1, 0, 0)) > mono_key((0, 1, 0)) > mono_key((0, 0, 1))
 
 
 def test_alias_ring_names():

@@ -47,13 +47,25 @@ def test_langer_strong_requires_positive_characteristic():
 
 
 def test_hypothesis_enforcement():
-    with pytest.raises(BoundsError):
-        restriction_bound("langer", 2, 4, 80, certificate="semistable")
-    with pytest.raises(BoundsError):
-        restriction_bound("flenner", 2, 4, 0, c=2, certificate="semistable")
-    with pytest.raises(BoundsError):
-        restriction_bound("flenner", 2, 4, 0, c=1, field_char=5,
-                          certificate="semistable")
+    # restriction_bound(theorem, N, rank, ...) refuses each unmet hypothesis
+    for theorem, rank, options, message in [
+        ("bogus", 4, {}, "unknown restriction theorem 'bogus'"),
+        ("flenner", 4, {"field_char": 5, "certificate": "semistable"},
+         "flenner requires characteristic 0"),
+        ("flenner", 4, {}, "flenner requires a semistability certificate"),
+        ("flenner", 4, {"c": 2, "certificate": "semistable"},
+         "flenner needs 1 <= c <= N-1, got c=2"),
+        ("langer", 4, {"certificate": "semistable"},
+         "langer requires a stability certificate"),
+        ("langer", 1, {"certificate": "stable"}, "langer needs rank >= 2"),
+        ("langer_strong", 4, {"field_char": 5},
+         "langer_strong requires a semistability certificate"),
+        ("langer_strong", 1, {"field_char": 5, "certificate": "semistable"},
+         "langer_strong needs rank >= 2"),
+    ]:
+        with pytest.raises(BoundsError) as info:
+            restriction_bound(theorem, 2, rank, 80, **options)
+        assert str(info.value) == message
 
 
 def test_boundary_reevaluation_randomized():

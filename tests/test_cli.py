@@ -394,6 +394,8 @@ def test_sections_symmetric_power_in_small_characteristic_is_refused(capsys):
      "bad field spec 'fp:0': P must be a prime"),
     (["--matrix", "X, Y, Z", "--twists-a", "1,x,1", "--twists-b", "2"],
      "--twists-a must be integers, got '1,x,1'"),
+    (["--field", "fp:1763", "--syzygy", "X^2, Y^2, Z^2"],
+     "bad field spec 'fp:1763': characteristic 1763 is not prime"),
 ])
 def test_bad_ring_or_object_flags_are_input_errors(capsys, args, message):
     code, out, err = run_cli(["check"] + args, capsys)
@@ -407,6 +409,9 @@ SYZ_JOB = {
     "object": {"syzygy": {"generators": ["X^2", "Y^2", "Z^2"], "twist": 3}},
     "task": {"name": "check", "options": {}},
 }
+
+
+ONE_OBJECT = "the 'object' block must hold exactly one of syzygy, kernel, ideal"
 
 
 def with_object(**changes):
@@ -467,6 +472,9 @@ def with_task(name, **options):
      "option 'max_pairs' must be nonnegative, got -3"),
     (with_task("check", timeout_seconds=-0.5),
      "option 'timeout_seconds' must be nonnegative, got -0.5"),
+    ({**SYZ_JOB, "object": {}}, ONE_OBJECT),
+    ({**SYZ_JOB, "object": {**SYZ_JOB["object"], "ideal": {"generators": ["X"]}}},
+     ONE_OBJECT),
 ])
 def test_bad_job_file_values_are_input_errors(tmp_path, capsys, job, message):
     job_path = tmp_path / "bad.json"
@@ -475,6 +483,56 @@ def test_bad_job_file_values_are_input_errors(tmp_path, capsys, job, message):
     assert code == 1
     assert out == ""
     assert f"input error: {message}" in err
+
+
+def forbid_parsing(monkeypatch, *names):
+    forbid_work(monkeypatch)
+    for name in names:
+        def refused(*args, name=name):
+            raise AssertionError(f"{name} ran before the job was checked")
+        monkeypatch.setattr(cli, name, refused)
+
+
+def run_job(tmp_path, capsys, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return run_cli(["run", str(path)], capsys)
+
+
+@pytest.mark.parametrize("job, key, block", [
+    ({**SYZ_JOB, "ring": {"variables": ["X", "Y", "Z"], "feild": "fp:7"}},
+     "feild", "ring"),
+    ({**SYZ_JOB, "object": {**SYZ_JOB["object"], "twsit": 3}}, "twsit", "object"),
+    ({**SYZ_JOB, "object": {"syzygy": {"generators": ["X^2", "Y^2", "Z^2"],
+                                       "twsit": 3}}}, "twsit", "syzygy"),
+    (with_object(twist_b=[4, 4]), "twist_b", "kernel"),
+    ({**SYZ_JOB, "object": {"ideal": {"generator": ["X^2", "Y^2", "Z^2"]}}},
+     "generator", "ideal"),
+    ({**SYZ_JOB, "task": {"name": "check", "option": {"engine": "gb"}}},
+     "option", "task"),
+    ({**SYZ_JOB, "options": {"engine": "gb"}}, "options", "job"),
+])
+def test_unknown_job_key_is_refused_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, job, key, block):
+    # a misspelled key would leave its default in force: QQ, twist 0, ...
+    forbid_parsing(monkeypatch, "build_ring", "build_object")
+    assert run_job(tmp_path, capsys, job) == (
+        1, "", f"input error: unknown key {key!r} in the {block!r} block\n")
+
+
+def test_the_ring_order_can_only_be_degrevlex(tmp_path, capsys, monkeypatch):
+    # no answer depends on the monomial order, so there is only one
+    xyz = {"variables": ["X", "Y", "Z"]}
+    plain = run_job(tmp_path, capsys, {**SYZ_JOB, "ring": xyz})
+    assert plain[0] == 0
+    assert run_job(tmp_path, capsys, {**SYZ_JOB, "ring": {
+        **xyz, "order": "degrevlex"}}) == plain
+    forbid_parsing(monkeypatch, "build_object")
+    for order in ("lex", "deglex"):
+        assert run_job(tmp_path, capsys, {**SYZ_JOB, "ring": {
+            **xyz, "order": order}}) == (
+            1, "", f"input error: unknown monomial order {order!r} "
+                   "(kbundle computes in degrevlex)\n")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -900,6 +958,8 @@ def test_help_names_every_option_with_its_values(capsys, task):
     ([], "the following arguments are required: command"),
     (["check", "--syzygy", "X^2,Y^2,Z^2", "--upgrade", "never"],
      "argument --upgrade: invalid choice: 'never'"),
+    (["check", "--syzygy", "X^2,Y^2,Z^2", "--twist", "3", "--order", "lex"],
+     "unrecognized arguments: --order lex"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     with pytest.raises(SystemExit) as info:

@@ -336,6 +336,17 @@ def test_brenner_rejects_non_primary():
         brenner_monomial(syzygy_spec(["X^2", "X*Y", "X*Z"]))
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"mode": "quick"}, "unknown mode 'quick'"),
+    ({"engine": "fast"}, "unknown engine 'fast'"),
+])
+def test_hoppe_check_refuses_unknown_choices(options, message):
+    # the command line refuses these first; only a library call gets here
+    with pytest.raises(StabilityError) as info:
+        hoppe_check(five_quadrics(), **options)
+    assert str(info.value) == message
+
+
 def test_brenner_primary_test_matches_buchberger():
     # the exact monomial test (no constant, a pure power of every variable)
     # against the Groebner test, on families with and without pure powers

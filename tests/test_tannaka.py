@@ -379,6 +379,21 @@ def test_selfdual_certify_rejects_unnormalized():
         selfdual_certify(five_quartics())
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda: section_dim_table(five_quadrics(), "exterior", 1, [0], "fast"),
+     "unknown engine 'fast'"),
+    (lambda: section_dim_table(five_quadrics(), "exterior", 1, [0], "staged"),
+     "the staged engine only computes tensor powers"),
+    (lambda: tensor_dim_cell(TensorSections(five_quadrics()), 2, method="fast"),
+     "unknown dimension method 'fast'; use 'default' or 'exact'"),
+])
+def test_library_calls_refuse_unknown_choices(refused, message):
+    # the command line refuses these first; only a library call gets here
+    with pytest.raises(TannakaError) as info:
+        refused()
+    assert str(info.value) == message
+
+
 def test_selfdual_certify_double_bundle_not_simple():
     ok, h0 = selfdual_certify(double_rank2_bundle())
     assert h0 == 4
