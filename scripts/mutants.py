@@ -94,9 +94,22 @@ MUTANTS = [
      "            continue\n    return True\n",
      "fp:P is refused unless P passes every Miller-Rabin round"),
     ("unknown-job-key-ignored", "cli.py",
-     "    _check_keys(job)\n",
-     "",
+     "        if key not in required + optional:\n",
+     "        if False:\n",
      "a job key that its block does not take is refused, not ignored"),
+    ("missing-required-key-accepted", "cli.py",
+     "    for key in required:\n",
+     "    for key in ():\n",
+     "a job block without a key it must hold is refused before any parsing"),
+    ("object-kind-unchecked", "cli.py",
+     "    if (kind == \"ideal\") != (name == _IDEAL_TASK):\n",
+     "    if False:\n",
+     "closure takes an ideal and every other task a bundle, checked before "
+     "any parsing"),
+    ("genus-and-degree-both-accepted", "bounds.py",
+     "        if genus is not None and plane_curve_degree is not None:\n",
+     "        if False:\n",
+     "a closure query takes the genus or the plane curve degree, not both"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

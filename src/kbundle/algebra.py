@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, prod
-from operator import add, le
+from operator import add
 from typing import Iterator
 
 
@@ -169,10 +169,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 
 def mono_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_divides(a: tuple, b: tuple) -> bool:
-    return all(map(le, a, b))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple]:

@@ -169,6 +169,9 @@ class ClosureQuery(Record):
             raise BoundsError("ideal generators must be nonzero")
         if genus is not None and genus < 0:
             raise BoundsError(f"genus must be >= 0, got {genus}")
+        if genus is not None and plane_curve_degree is not None:
+            raise BoundsError("give the genus or the plane curve degree, "
+                              "not both")
         self.generators = generators
         self.certificate = certificate
         self.strong_flag = strong_flag

@@ -1,6 +1,11 @@
 """Command-line front end: parse bundle/ideal descriptions, dispatch to the
 engines, and emit human-readable plus machine-readable reports.
 
+A job is one dict of ring, object and task blocks, from flags, a job file
+(`kbundle run`) or a library caller of `execute_job`.  `execute_job` checks
+its shape (`_check_job`, declared in `_JOB_KEYS`) and its options
+(`_check_options`, declared in `_TASK_OPTIONS`) before anything is parsed.
+
 Exit codes: 0 = decided, 1 = input error (a usage error of the command line
 too), 2 = indeterminate (resource cap or internal cross-check mismatch; never
 a wrong verdict).
@@ -63,8 +68,6 @@ def build_ring(cfg: dict) -> PolyRing:
             raise InputError(f"bad field spec {field_text!r}: P must be a prime")
     else:
         raise InputError(f"unknown field {field_text!r} (use qq or fp:P)")
-    if "variables" not in cfg:
-        raise InputError("the ring block needs a 'variables' list")
     variables = tuple(_typed(v, _STR, "variables entry")
                       for v in _typed(cfg["variables"], _LIST, "variables"))
     order = cfg.get("order", "degrevlex")
@@ -126,7 +129,7 @@ def _polys(texts, ring: PolyRing, what: str) -> list:
 
 
 def build_object(cfg: dict, ring: PolyRing):
-    """Returns (kind, payload) for an object block that _check_keys passed:
+    """Returns (kind, payload) for an object block that _check_job passed:
     kind "bundle" pairs the bundle with an optional syzygy spec; kind
     "ideal" carries the generator list."""
     try:
@@ -146,38 +149,58 @@ def build_object(cfg: dict, ring: PolyRing):
             bundle = make_kernel_bundle(ring, *twists, matrix)
             return "bundle", (bundle, None)
         gens = tuple(_polys(cfg["ideal"]["generators"], ring, "generators"))
-    except (AlgebraError, KeyError) as exc:
+    except AlgebraError as exc:
         raise InputError(str(exc)) from exc
     if not gens:
         raise InputError("an ideal needs at least one generator")
     return "ideal", gens
 
 
-# The keys each block of a job may hold: the job itself, its ring, object and
-# task blocks, and the one object (syzygy, kernel or ideal) of its object block.
-_JOB_KEYS = {"job": ("ring", "object", "task"),
-             "ring": ("variables", "field", "order"),
-             "object": ("syzygy", "kernel", "ideal"),
-             "task": ("name", "options"),
-             "syzygy": ("generators", "twist"),
-             "kernel": ("twists_a", "twists_b", "matrix"),
-             "ideal": ("generators",)}
+# The shape of a job: each block -> (the keys it must hold, the keys it may
+# hold besides).  The object block holds exactly one object: an ideal for
+# _IDEAL_TASK, a syzygy or a kernel for every other task.
+_JOB_KEYS = {"job": (("ring", "object", "task"), ()),
+             "ring": (("variables",), ("field", "order")),
+             "object": ((), ("syzygy", "kernel", "ideal")),
+             "task": (("name",), ("options",)),
+             "syzygy": (("generators",), ("twist",)),
+             "kernel": (("twists_a", "twists_b", "matrix"), ()),
+             "ideal": (("generators",), ())}
+_IDEAL_TASK = "closure"
 
 
-def _check_keys(job: dict):
-    """Refuses, before any work, a key that its block does not take: a
-    misspelled key would otherwise be ignored and its default used."""
-    obj = job["object"]
-    blocks = {"job": job, "ring": job["ring"], "object": obj, "task": job["task"]}
-    blocks.update((name, _typed(obj[name], _DICT, name))
-                  for name in _JOB_KEYS["object"] if name in obj)
-    for name, block in blocks.items():
-        for key in block:
-            if key not in _JOB_KEYS[name]:
-                raise InputError(f"unknown key {key!r} in the {name!r} block")
+def _check_block(name: str, block) -> dict:
+    required, optional = _JOB_KEYS[name]
+    _typed(block, _DICT, f"the {name!r} block")
+    for key in block:
+        if key not in required + optional:
+            raise InputError(f"unknown key {key!r} in the {name!r} block")
+    for key in required:
+        if key not in block:
+            raise InputError(f"the {name!r} block is missing {key!r}")
+    return block
+
+
+def _check_job(job) -> dict:
+    """The one check of a job's shape, before anything in it is parsed: each
+    block is an object with every key it must hold and no other (a misspelled
+    key would leave its default in force), the task is known and takes the
+    one object, and its options, returned for _check_options, are an object."""
+    _check_block("job", job)
+    _, obj, task = (_check_block(name, job[name]) for name in _JOB_KEYS["job"][0])
     if len(obj) != 1:
         raise InputError("the 'object' block must hold exactly one of "
                          "syzygy, kernel, ideal")
+    [(kind, block)] = obj.items()
+    _check_block(kind, block)
+    name = task["name"]
+    if type(name) is not str or name not in TASKS:
+        raise InputError(f"unknown task {name!r}")
+    if (kind == "ideal") != (name == _IDEAL_TASK):
+        wanted = "ideal" if name == _IDEAL_TASK else "syzygy or kernel"
+        raise InputError(f"the 'object' block of a {name!r} job must hold "
+                         f"{wanted}, got {kind!r}")
+    return _typed(task.get("options", {}), _DICT, "task options")
 
 
 def _opt(kind, default=None, allowed=None, text=""):
@@ -242,23 +265,6 @@ def _check_options(name: str, options: dict) -> dict:
     return {key: options.get(key, spec[1]) for key, spec in declared.items()}
 
 
-def _require_bundle(kind, payload, well_formed: bool = False):
-    """The (bundle, spec) payload.  With well_formed, a presentation that
-    fails validate's structure checks is an input error; the tasks that run
-    the stability analysis leave that check, and surjectivity, to it."""
-    if kind != "bundle":
-        raise InputError("this task needs a bundle object (syzygy or kernel)")
-    if well_formed:
-        require_valid(payload[0])
-    return payload
-
-
-def _require_ideal(kind, payload):
-    if kind != "ideal":
-        raise InputError("this task needs an ideal object (--ideal)")
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # Task executors: each returns (results dict, human lines).
 # ---------------------------------------------------------------------------
@@ -304,9 +310,9 @@ def _report_dict(report) -> dict:
     return out
 
 
-def task_validate(kind, payload, options, caps):
+def task_validate(payload, options, caps):
     """validate a kernel presentation"""
-    bundle, _ = _require_bundle(kind, payload)
+    bundle, _ = payload
     report = validate(bundle, check_surjectivity=options["surjectivity"],
                       caps=caps)
     results = {
@@ -324,9 +330,9 @@ def task_validate(kind, payload, options, caps):
     return results, lines, 0 if report.ok else 1
 
 
-def task_check(kind, payload, options, caps):
+def task_check(payload, options, caps):
     """decide semistability and stability"""
-    bundle, spec = _require_bundle(kind, payload)
+    bundle, spec = payload
     analysis = analyze_bundle(
         bundle,
         engine=options["engine"],
@@ -381,9 +387,10 @@ def _parse_twist_range(text: str):
     return twists
 
 
-def task_sections(kind, payload, options, caps):
+def task_sections(payload, options, caps):
     """section-dimension tables of powers"""
-    bundle, _ = _require_bundle(kind, payload, well_formed=True)
+    bundle, _ = payload
+    require_valid(bundle)
     kind_name, q = options["kind"], options["q"]
     twists = _parse_twist_range(options["twists"])
     table = tannaka.section_dim_table(bundle, kind_name, q, twists,
@@ -406,11 +413,12 @@ def _stability_report(bundle, spec, options, caps):
                           spec=spec, caps=caps).report
 
 
-def task_tannaka(kind, payload, options, caps):
+def task_tannaka(payload, options, caps):
     """invariant fingerprint and dual group"""
     assume = options["assume_stability"]
-    bundle, spec = _require_bundle(kind, payload, well_formed=assume is not None)
+    bundle, spec = payload
     if assume:
+        require_valid(bundle)
         status = assume
         report_dict = {"assumed": assume}
     else:
@@ -448,11 +456,12 @@ def task_tannaka(kind, payload, options, caps):
     return results, lines, 0
 
 
-def task_restrict(kind, payload, options, caps):
+def task_restrict(payload, options, caps):
     """restriction-degree bounds"""
     assume = options["assume_stability"]
-    bundle, spec = _require_bundle(kind, payload, well_formed=assume is not None)
+    bundle, spec = payload
     if assume:
+        require_valid(bundle)
         certificate = assume
         cert_source = f"assumed {assume}"
     else:
@@ -480,9 +489,8 @@ def task_restrict(kind, payload, options, caps):
     return results, lines, 0
 
 
-def task_closure(kind, payload, options, caps):
+def task_closure(gens, options, caps):
     """closure thresholds and membership"""
-    gens = _require_ideal(kind, payload)
     ring = gens[0].ring
     certificate = options["assume_stability"]
     trace = []
@@ -636,36 +644,24 @@ def _job_from_args(args) -> dict:
 def _job_from_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            job = json.load(handle)
+            return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read job file {path}: {exc}") from exc
-    for block in ("ring", "object", "task"):
-        if block not in job:
-            raise InputError(f"job file is missing the {block!r} block")
-        if not isinstance(job[block], dict):
-            raise InputError(f"the {block!r} block must be an object")
-    if not isinstance(job["task"].get("options", {}), dict):
-        raise InputError("task options must be an object of name: value pairs")
-    return job
 
 
 def execute_job(job: dict):
-    """Run one job; returns (report dict, human lines, exit code).  The keys
-    of every block, the task and its options are checked before anything
-    else."""
-    _check_keys(job)
-    task = job["task"]
-    name = task.get("name")
-    if name not in TASKS:
-        raise InputError(f"unknown task {name!r}")
-    options = dict(task.get("options", {}))
+    """Run one job; returns (report dict, human lines, exit code).  The
+    job's shape (_check_job) and its options (_check_options) are checked
+    before anything in it is parsed."""
+    options = dict(_check_job(job))
+    name = job["task"]["name"]
     settings = _check_options(name, options)
     ring = build_ring(job["ring"])
-    kind, payload = build_object(job["object"], ring)
+    _, payload = build_object(job["object"], ring)
     resources = {key: settings[key] for key in _CAPS_OPTIONS}
     caps = Caps(**resources).start()
     started = time.perf_counter()
-    results, lines, code = TASKS[name](kind, payload, settings, caps)
+    results, lines, code = TASKS[name](payload, settings, caps)
     elapsed = time.perf_counter() - started
     report = {
         "job": {"ring": job["ring"], "object": job["object"],

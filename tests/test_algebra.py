@@ -146,6 +146,18 @@ def test_monomial_gcd_examples():
     assert monomial_family_gcd([P("Y^3"), P("Z^3")]) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda: substitute_powers(P("X*Y"), 0),
+     "power substitution needs k >= 1, got 0"),
+    (lambda: monomial_family_gcd([P("X^2"), P("X + Y")]),
+     "gcd of monomial family requires monomials"),
+])
+def test_monomial_helpers_refuse_bad_input(refused, message):
+    with pytest.raises(AlgebraError) as info:
+        refused()
+    assert str(info.value) == message
+
+
 def test_product_difference_of_squares():
     assert P("X - Y") * P("X + Y") == P("X^2 - Y^2")
 

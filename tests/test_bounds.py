@@ -252,6 +252,20 @@ def test_genus_helper():
     assert q.resolved_genus() == 3
 
 
+def test_plane_curve_degree_must_be_positive():
+    q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", plane_degree=0)
+    with pytest.raises(BoundsError, match="^plane curve degree must be positive$"):
+        frobenius_membership(q)
+
+
+def test_genus_and_plane_curve_degree_are_not_both_taken():
+    # a smooth plane quintic has genus 6, so genus 3 contradicts degree 5
+    with pytest.raises(BoundsError, match="^give the genus or the plane curve "
+                       "degree, not both$"):
+        fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=3, plane_degree=5)
+    assert fp_query(["X^2", "Y^2", "Z^2"], plane_degree=5).resolved_genus() == 6
+
+
 def test_frobenius_below_threshold_needs_a_genus():
     q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y")
     with pytest.raises(BoundsError, match=r"genus \(or plane curve degree\) "

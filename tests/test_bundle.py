@@ -70,6 +70,24 @@ def test_from_syzygy_rejects_constant():
         from_syzygy(SyzygyBundleSpec(RING_QQ3, (P("X"), P("2")), 0))
 
 
+@pytest.mark.parametrize("gens, message", [
+    (["X^2"], "a syzygy bundle needs at least two generators"),
+    (["X^2", "Y^2 + Z"], "syzygy generators must be nonzero homogeneous"),
+    (["X^2", "0"], "syzygy generators must be nonzero homogeneous"),
+])
+def test_from_syzygy_refuses_bad_generators(gens, message):
+    with pytest.raises(BundleError) as info:
+        from_syzygy(syzygy_spec(gens))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("twists_a, twists_b", [([-1, -1], [0]), ([-1], [0, 0])])
+def test_kernel_bundle_matrix_must_fit_the_twists(twists_a, twists_b):
+    with pytest.raises(BundleError) as info:
+        make_kernel_bundle(RING_QQ3, twists_a, twists_b, [[P("X")]])
+    assert str(info.value) == "matrix shape does not match the twist lists"
+
+
 def test_validate_degree_mismatch_location():
     bad = make_kernel_bundle(RING_QQ3, [-1, -1, -2], [0],
                              [[P("X"), P("Y^2"), P("Z^2")]])

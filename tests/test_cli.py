@@ -330,7 +330,7 @@ def test_job_file_missing_block(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("job, message", [
-    ({**DUAL_JOB, "ring": {}}, "the ring block needs a 'variables' list"),
+    ({**DUAL_JOB, "ring": {}}, "the 'ring' block is missing 'variables'"),
     ({**DUAL_JOB, "task": {"name": "check", "options": ["engine", "both"]}},
      "task options must be an object"),
     ({**DUAL_JOB, "ring": ["X", "Y", "Z"]}, "the 'ring' block must be an object"),
@@ -342,6 +342,16 @@ def test_malformed_job_file_is_input_error(tmp_path, capsys, job, message):
     code, _, err = run_cli(["run", str(job_path)], capsys)
     assert code == 1
     assert f"input error: {message}" in err
+
+
+@pytest.mark.parametrize("text", [None, "{\"ring\": ", "[1, 2"])
+def test_unreadable_job_file_is_input_error(tmp_path, capsys, text):
+    job_path = tmp_path / "job.json"
+    if text is not None:
+        job_path.write_text(text)
+    code, out, err = run_cli(["run", str(job_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: cannot read job file {job_path}: ")
 
 
 def test_ideal_without_generators_is_input_error(tmp_path, capsys):
@@ -396,6 +406,14 @@ def test_sections_symmetric_power_in_small_characteristic_is_refused(capsys):
      "--twists-a must be integers, got '1,x,1'"),
     (["--field", "fp:1763", "--syzygy", "X^2, Y^2, Z^2"],
      "bad field spec 'fp:1763': characteristic 1763 is not prime"),
+    (["--field", "gf:7", "--syzygy", "X^2, Y^2, Z^2"],
+     "unknown field 'gf:7' (use qq or fp:P)"),
+    (["--vars", "X,Y,X", "--syzygy", "X^2, Y^2"], "duplicate variable names"),
+    (["--syzygy", "X^2, Y^2, Z^2", "--ideal", "X^2, Y^2, Z^2"],
+     "give exactly one object: --syzygy, --ideal, or --matrix with "
+     "--twists-a/--twists-b"),
+    (["--matrix", "X, Y, Z", "--twists-a=-1,-1,-1"],
+     "--matrix needs --twists-a and --twists-b"),
 ])
 def test_bad_ring_or_object_flags_are_input_errors(capsys, args, message):
     code, out, err = run_cli(["check"] + args, capsys)
@@ -456,10 +474,10 @@ def with_task(name, **options):
      "generators must be a list, got 'X^2, Y^2, Z^2'"),
     ({**SYZ_JOB, "object": {"syzygy": {"generators": ["X^2", 2, "Z^2"]}}},
      "generators entry must be a string, got 2"),
-    ({**SYZ_JOB, "object": {"ideal": {"generators": 5}}},
+    ({**with_task("closure"), "object": {"ideal": {"generators": 5}}},
      "generators must be a list, got 5"),
     ({**SYZ_JOB, "object": {"syzygy": ["X^2", "Y^2", "Z^2"]}},
-     "syzygy must be an object, got ['X^2', 'Y^2', 'Z^2']"),
+     "the 'syzygy' block must be an object, got ['X^2', 'Y^2', 'Z^2']"),
     (with_object(twists_a=3), "twists_a must be a list, got 3"),
     (with_object(twists_b="44"), "twists_b must be a list, got '44'"),
     (with_object(matrix=5), "matrix must be a list, got 5"),
@@ -518,6 +536,54 @@ def test_unknown_job_key_is_refused_before_any_work(tmp_path, capsys,
     forbid_parsing(monkeypatch, "build_ring", "build_object")
     assert run_job(tmp_path, capsys, job) == (
         1, "", f"input error: unknown key {key!r} in the {block!r} block\n")
+
+
+CLOSURE_JOB = {"ring": {"variables": ["X", "Y", "Z"], "field": "fp:7"},
+               "object": {"ideal": {"generators": ["X^2", "Y^2", "Z^2"]}},
+               "task": {"name": "closure", "options": {}}}
+
+
+@pytest.mark.parametrize("job, message", [
+    ({"ring": SYZ_JOB["ring"], "object": SYZ_JOB["object"]},
+     "the 'job' block is missing 'task'"),
+    ([SYZ_JOB], "the 'job' block must be an object, got [{"),
+    ({**SYZ_JOB, "ring": {"field": "fp:7"}},
+     "the 'ring' block is missing 'variables'"),
+    ({**SYZ_JOB, "task": {}}, "the 'task' block is missing 'name'"),
+    ({**SYZ_JOB, "task": {"name": "verify"}}, "unknown task 'verify'"),
+    ({**SYZ_JOB, "task": {"name": ["check"]}}, "unknown task ['check']"),
+    ({**SYZ_JOB, "task": {"name": "check", "options": None}},
+     "task options must be an object, got None"),
+    ({**SYZ_JOB, "task": {"name": "check", "options": [["engine", "gb"]]}},
+     "task options must be an object, got [['engine', 'gb']]"),
+    ({**SYZ_JOB, "object": {"syzygy": {"twist": 3}}},
+     "the 'syzygy' block is missing 'generators'"),
+    ({**DUAL_JOB, "object": {"kernel": {"twists_a": [-1, -1],
+                                        "matrix": [["X", "Y"]]}}},
+     "the 'kernel' block is missing 'twists_b'"),
+    ({**SYZ_JOB, "object": {"ideal": {}}},
+     "the 'ideal' block is missing 'generators'"),
+    ({**CLOSURE_JOB, "object": SYZ_JOB["object"]},
+     "the 'object' block of a 'closure' job must hold ideal, got 'syzygy'"),
+    ({**CLOSURE_JOB, "object": DUAL_JOB["object"]},
+     "the 'object' block of a 'closure' job must hold ideal, got 'kernel'"),
+    ({**CLOSURE_JOB, "task": {"name": "check"}},
+     "the 'object' block of a 'check' job must hold syzygy or kernel, "
+     "got 'ideal'"),
+    ({**CLOSURE_JOB, "task": {"name": "sections"}},
+     "the 'object' block of a 'sections' job must hold syzygy or kernel, "
+     "got 'ideal'"),
+])
+def test_malformed_job_is_refused_before_anything_is_parsed(
+        tmp_path, capsys, monkeypatch, job, message):
+    # execute_job refuses it for a library caller just as `kbundle run` does
+    forbid_parsing(monkeypatch, "build_ring", "build_object")
+    with pytest.raises(cli.InputError) as info:
+        cli.execute_job(job)
+    assert str(info.value).startswith(message)
+    code, out, err = run_job(tmp_path, capsys, job)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {message}")
 
 
 def test_the_ring_order_can_only_be_degrevlex(tmp_path, capsys, monkeypatch):
@@ -633,6 +699,43 @@ def test_closure_candidate_in_characteristic_zero(capsys, tmp_path, candidate,
     membership = json.loads(out_path.read_text())["results"]["membership"]
     assert membership["candidate"] == candidate
     assert membership["member_by_threshold"] is member
+
+
+def test_closure_takes_the_genus_or_the_plane_curve_degree(capsys, monkeypatch):
+    # a smooth plane quintic has genus 6; the query is refused, not answered
+    # with genus 3, and over F_p before any Groebner work
+    forbid_work(monkeypatch)
+    assert run_cli([
+        "closure", "--field", "fp:7", "--ideal", "X^2, Y^2, Z^2",
+        "--candidate", "X*Y", "--genus", "3", "--plane-curve-degree", "5",
+        "--strong-flag", "assumed"], capsys) == (
+        1, "", "input error: give the genus or the plane curve degree, "
+               "not both\n")
+
+
+def test_closure_candidate_must_be_homogeneous_over_fp(capsys):
+    assert run_cli([
+        "closure", "--field", "fp:7", "--ideal", "X^2, Y^2, Z^2",
+        "--candidate", "X*Y + Z", "--genus", "3",
+        "--strong-flag", "assumed"], capsys) == (
+        1, "", "input error: need a nonzero homogeneous candidate element\n")
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_readme_job_file_runs():
+    text = re.search(r"### Job files\n\n```json\n(.*?)```", README, re.S)[1]
+    report, lines, code = cli.execute_job(json.loads(text))
+    assert code == 0
+    assert report["results"]["report"]["verdict"] == "semistable"
+    assert lines[-1] == "verdict: semistable; stability: proven_stable"
+
+
+def test_readme_library_example_runs(capsys):
+    code = re.search(r"## Library\n\n```python\n(.*?)```", README, re.S)[1]
+    exec(code, {})
+    assert capsys.readouterr().out == "semistable proven_stable\nSL(2)\n"
 
 
 def test_tannaka_of_unstable_bundle_is_not_classified(capsys):

@@ -12,7 +12,6 @@ from kbundle.algebra import (
     FieldSpec,
     Poly,
     make_ring,
-    mono_divides,
     mono_key,
     mono_mul,
     monomials_of_degree,
@@ -67,6 +66,11 @@ from sample_bundles import (
 )
 
 
+def mono_divides(a: tuple, b: tuple) -> bool:
+    """Whether monomial a divides b: the reference these tests check against."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def ideal_elements(*texts):
     module = GradedFreeModule(RING_QQ3, (0,))
     return [ModuleElement.from_components(module, {0: P(t)}) for t in texts]
@@ -115,6 +119,29 @@ def test_gb_independent_of_input_order():
 def test_gb_requires_homogeneous():
     with pytest.raises(AlgebraError):
         buchberger(ideal_elements("X^2 + Y"))
+
+
+def rank_two_basis():
+    module = GradedFreeModule(RING_QQ3, (0, 0))
+    return buchberger([ModuleElement.from_components(module, {0: P("X"), 1: P("Y")})])
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: buchberger([]),
+     "buchberger needs at least one generator (may be zero)"),
+    (lambda: buchberger(ideal_elements("X") + [ModuleElement.from_components(
+        GradedFreeModule(RING_QQ3, (1,)), {0: P("Y")})]),
+     "generators live in different modules"),
+    (lambda: ideal_groebner([]), "empty generating set"),
+    (lambda: ideal_membership(P("X"), rank_two_basis()),
+     "ideal membership needs a rank-one module"),
+    (lambda: is_irrelevant_primary([P("X^2"), P("Y^2 + Z")]),
+     "primary test requires homogeneous generators"),
+])
+def test_groebner_entry_points_refuse_bad_input(refused, message):
+    with pytest.raises(AlgebraError) as info:
+        refused()
+    assert str(info.value) == message
 
 
 def one_row_modules(degrees, ring=RING_QQ3):

@@ -394,6 +394,19 @@ def test_library_calls_refuse_unknown_choices(refused, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda: selfdual_certify(reduce_bundle_mod_p(five_quartics(twist=5), 7)),
+     "certification runs over the rationals"),
+    (lambda: fingerprint(reduce_bundle_mod_p(rank2_degree0_bundle(), 7),
+                         "proven_stable"),
+     "fingerprints are defined in characteristic 0"),
+])
+def test_fingerprint_layer_refuses_positive_characteristic(refused, message):
+    with pytest.raises(TannakaError) as info:
+        refused()
+    assert str(info.value) == message
+
+
 def test_selfdual_certify_double_bundle_not_simple():
     ok, h0 = selfdual_certify(double_rank2_bundle())
     assert h0 == 4
