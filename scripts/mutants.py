@@ -31,6 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (name, file under src/kbundle, old text, new text, the claim it breaks)
 MUTANTS = [
+    ("dense-keeps-zero-residue", "modgb.py",
+     "                continue            # cancelled mod p\n",
+     "                pass                # cancelled mod p\n",
+     "a coefficient that is 0 mod p leaves no term in the dense sweep's "
+     "normal form"),
     ("primary-trusts-mod-p-no", "modgb.py",
      "            if _leading_terms_cover_variables(reduced, caps, expected):\n"
      "                return True\n",

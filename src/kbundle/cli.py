@@ -262,7 +262,10 @@ def _check_options(name: str, options: dict) -> dict:
                              f"{', '.join(allowed)}, got {value!r}")
         if key in _CAPS_OPTIONS and not value >= 0:    # NaN fails too
             raise InputError(f"option {key!r} must be nonnegative, got {value!r}")
-    return {key: options.get(key, spec[1]) for key, spec in declared.items()}
+    settings = {key: options.get(key, spec[1]) for key, spec in declared.items()}
+    if "twists" in settings:
+        settings["twists"] = _parse_twist_range(settings["twists"])
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +376,27 @@ def task_check(payload, options, caps):
     return results, lines, 0
 
 
-def _parse_twist_range(text: str):
+# A sections table has one entry per twist, and a job has no default
+# timeout, so the number of twists is bounded before the list is built.
+MAX_TWISTS = 1000
+
+
+def _parse_twist_range(text: str) -> list:
+    """The twists of LO..HI or a comma list, at most MAX_TWISTS of them."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            twists = list(range(int(lo), int(hi) + 1))
+            twists = range(int(lo), int(hi) + 1)   # its length, not its list
         else:
             twists = [int(t) for t in _split_list(text)]
     except ValueError:
         raise InputError(f"bad twist range {text!r}: twists must be integers") from None
     if not twists:
         raise InputError(f"empty twist range {text!r}")
-    return twists
+    if len(twists) > MAX_TWISTS:
+        raise InputError(f"twist range {text!r} holds {len(twists)} twists, "
+                         f"more than {MAX_TWISTS}")
+    return list(twists)
 
 
 def task_sections(payload, options, caps):
@@ -392,7 +404,7 @@ def task_sections(payload, options, caps):
     bundle, _ = payload
     require_valid(bundle)
     kind_name, q = options["kind"], options["q"]
-    twists = _parse_twist_range(options["twists"])
+    twists = options["twists"]
     table = tannaka.section_dim_table(bundle, kind_name, q, twists,
                                       options["engine"], caps)
     results = {

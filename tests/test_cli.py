@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,30 @@ def test_malformed_twist_range_exits_1(twists, capsys):
         "sections", "--syzygy", FIVE_QUADRICS, f"--twists={twists}"], capsys)
     assert code == 1
     assert "input error" in err and "twist range" in err
+
+
+def test_twist_range_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # a sections table has one entry per twist and a job has no default
+    # timeout: a range of more than MAX_TWISTS twists, counted from its
+    # endpoints, is refused with the options, before anything is parsed
+    job = {**SYZ_JOB, "task": {"name": "sections",
+                               "options": {"twists": "0..100000000"}}}
+    forbid_parsing(monkeypatch, "build_ring", "build_object")
+    started = time.perf_counter()
+    with pytest.raises(cli.InputError,
+                       match="holds 100000001 twists, more than 1000$"):
+        cli.execute_job(job)
+    assert time.perf_counter() - started < 1.0
+    code, out, err = run_job(tmp_path, capsys, job)
+    assert (code, out) == (1, "") and err.endswith("more than 1000\n")
+    limit = cli.MAX_TWISTS
+    at_limit = cli._check_options("sections", {"twists": f"-5..{limit - 6}"})
+    assert at_limit["twists"] == list(range(-5, limit - 5))
+    assert len(cli._check_options("sections", {"twists": ",".join(
+        map(str, range(limit)))})["twists"]) == limit
+    for text in (f"-5..{limit - 5}", ",".join(map(str, range(limit + 1)))):
+        with pytest.raises(cli.InputError, match=f"holds {limit + 1} twists"):
+            cli._check_options("sections", {"twists": text})
 
 
 @pytest.mark.parametrize("presentation", [

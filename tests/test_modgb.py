@@ -1,7 +1,7 @@
 import itertools
 import json
 import random
-from math import comb
+from math import comb, inf
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from kbundle.algebra import (
 )
 from kbundle import modgb
 from kbundle.bounds import ClosureQuery, closure_threshold, frobenius_membership
+from kbundle.cli import execute_job
 from kbundle.bundle import (
     maximal_minors,
     minor_ideal_dims,
@@ -954,17 +955,31 @@ def test_reducers_memo_keeps_first_divisor():
     assert reducers.reduction(x2y) == (xy, [term((1, 0, 2))])
     assert xy["tailcoeffs"] == [-1]
     assert reducers.memo[x2y] == (xy, [term((1, 0, 2))])
+    # the same rule when the dense accumulator remembers the tails as
+    # positions in the degree-3 layout, in a memo of their own
+    _, index = codec.layout(3)
+    reducers = _Reducers(codec, [xy])
+    assert reducers.reduction(x2z, index) is None
+    reducers.add(x2)
+    assert reducers.reduction(x2z, index) == (x2, [index[term((0, 1, 2))]])
+    assert reducers.reduction(x2y, index) == (xy, [index[term((1, 0, 2))]])
+    assert reducers.by_index[x2y] == (xy, [index[term((1, 0, 2))]])
+    assert not reducers.memo
+    assert reducers.reduction(x2y) == (xy, [term((1, 0, 2))])
+    assert reducers.by_index[x2y] == (xy, [index[term((1, 0, 2))]])
 
 
-def loop_normal_form(f, gb):
+def loop_normal_form(f, gb, degree=None):
     """The reduction loop's normal form of f on the reducers of gb's
-    elements, set up as ideal_membership does, as {mono: coefficient}."""
+    elements, set up as ideal_membership does, as {mono: coefficient};
+    degree, when given, is f's degree, passed on as the Buchberger driver
+    passes it."""
     codec = _TermCodec(gb.module, "test")
     reducers = _Reducers(codec, [
         _reducer_entry(_integerize(codec.encode_terms(e.terms)), codec)
         for e in gb.elements])
     terms = _integerize(codec.encode_terms({(0, m): c for m, c in f.terms.items()}))
-    nf = modgb._normal_form_terms(terms, reducers, Caps())
+    nf = modgb._normal_form_terms(terms, reducers, Caps(), degree)
     return {mono: c for (_, mono), c in codec.decode_terms(nf).items()}
 
 
@@ -987,11 +1002,12 @@ def division_normal_form(f, gb):
 
 
 @pytest.mark.parametrize("char", [0, 7, 32003])
-def test_normal_form_is_the_division_remainder(char):
+def test_normal_form_is_the_division_remainder(char, monkeypatch):
     """Random ideals and forms with rational coefficients: mod p the loop's
     lazy residues leave only residues in 1..p-1, and the result is the
-    normal form; over QQ it is a positive multiple of it.  f - NF(f)
-    reduces to zero on the reduced basis."""
+    normal form; over QQ it is a positive multiple of it, on the dense
+    accumulator the same one.  f - NF(f) reduces to zero on the reduced
+    basis."""
     rng = random.Random(4242 + char)
     ring = make_ring(3, FieldSpec(char))
     fld = ring.field
@@ -1004,6 +1020,8 @@ def test_normal_form_is_the_division_remainder(char):
                 Fraction(rng.randint(1, 5), rng.randint(1, 4))))
                 for _ in range(2)), ring.zero())
             nf, want = loop_normal_form(f, gb), division_normal_form(f, gb)
+            assert on_accumulator(monkeypatch, "dense",
+                                  lambda: loop_normal_form(f, gb, d))[0] == nf
             if char:
                 assert all(type(c) is int and 0 < c < char for c in nf.values())
                 assert nf == want.terms
@@ -1015,6 +1033,186 @@ def test_normal_form_is_the_division_remainder(char):
                     ratio = nf[mono] / want.terms[mono]
                     assert ratio > 0 and Poly(ring, nf) == want.scale(ratio)
             assert ideal_membership(f - want, gb)
+
+
+# (DENSE_FLOOR, DENSE_RATIO) that send every homogeneous normal form to one
+# accumulator; "dense" still refuses a layout more than a million times the
+# input, such as those of the degrees near the term-field bound
+ACCUMULATORS = {"dense": (0, 10 ** 6), "heap": (inf, 0)}
+
+
+def on_accumulator(monkeypatch, path, call):
+    """(call(), how many normal forms took the dense accumulator, how many
+    ran in all) with the rule forced to one accumulator, or as it stands
+    when path is "rule"."""
+    dense, total = [], []
+    sweep, loop = modgb._dense_normal_form, modgb._normal_form_terms
+
+    def counting_sweep(*args):
+        dense.append(len(args[0]))
+        return sweep(*args)
+
+    def counting_loop(*args):
+        total.append(len(args[0]))
+        return loop(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(modgb, "_dense_normal_form", counting_sweep)
+        m.setattr(modgb, "_normal_form_terms", counting_loop)
+        if path != "rule":
+            floor, ratio = ACCUMULATORS[path]
+            m.setattr(modgb, "DENSE_FLOOR", floor)
+            m.setattr(modgb, "DENSE_RATIO", ratio)
+        return call(), len(dense), len(total)
+
+
+def random_module_element(module, degree, rng):
+    """A random element of module degree degree, every component a random
+    form (random_homogeneous) where the degree allows one."""
+    return ModuleElement.from_components(module, {
+        c: random_homogeneous(module.ring, degree - e, rng)
+        for c, e in enumerate(module.generator_degrees) if e <= degree})
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_layout_lists_the_terms_of_one_degree(rank):
+    """A degree's layout is its terms in descending order, as encoding and
+    sorting them gives, and its index inverts it; layout_size counts it."""
+    rng = random.Random(31 + rank)
+    for nvars in (1, 3, 4):
+        module = GradedFreeModule(make_ring(nvars),
+                                  tuple(rng.randint(-1, 2) for _ in range(rank)))
+        codec = _TermCodec(module, "test")
+        for d in range(-1, 5):
+            layout, index = codec.layout(d)
+            want = sorted((codec.encode(c, mono)
+                           for c, e in enumerate(module.generator_degrees)
+                           if e <= d for mono in monomials_of_degree(nvars, d - e)),
+                          reverse=True)
+            assert layout == want and len(layout) == codec.layout_size(d)
+            assert [index[t] for t in layout] == list(range(len(layout)))
+            assert codec.layout(d)[0] is layout
+    with pytest.raises(ResourceCapError, match="^test: degree"):
+        codec.layout(codec.max_degree + 1)
+
+
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_dense_and_heap_accumulators_agree(char, monkeypatch):
+    """Seeded random homogeneous ideals and rank-2/3 modules: every
+    Buchberger run (_gb_core), reduced basis and normal form is the same,
+    term and coefficient, on either accumulator and under the rule, which
+    sends some of them to each (test_normal_form_is_the_division_remainder
+    checks both against the division algorithm).  An inhomogeneous
+    membership test keeps the heap."""
+    rng = random.Random(2900 + char)
+    ring = make_ring(4, FieldSpec(char))
+    sides = {"dense": 0, "heap": 0}
+    for trial in range(6):
+        rank = (1, 1, 2, 3, 1, 2)[trial]
+        module = GradedFreeModule(ring, tuple(rng.randint(0, 1) for _ in range(rank)))
+        gens = [random_module_element(module, rng.randint(2, 3), rng)
+                for _ in range(rng.randint(2, 3) if char else 2)]
+        runs = {}
+        for path in ("dense", "heap", "rule"):
+            (_, basis), dense, total = on_accumulator(
+                monkeypatch, path, lambda: modgb._gb_core(gens, module, Caps()))
+            runs[path] = [b["terms"] for b in basis]
+            if path == "dense":
+                assert dense == total
+            elif path == "heap":
+                assert dense == 0
+            else:
+                sides["dense"] += dense
+                sides["heap"] += total - dense
+        assert runs["dense"] == runs["heap"] == runs["rule"]
+        gb, _, _ = on_accumulator(monkeypatch, "heap", lambda: buchberger(gens))
+        assert on_accumulator(monkeypatch, "dense", lambda: buchberger(gens))[0] == gb
+        for _ in range(3):
+            d = rng.randint(3, 5)
+            f = random_module_element(module, d, rng)
+            forms = {}
+            for path in ("dense", "heap", "rule"):
+                codec = _TermCodec(module, "test")
+                reducers = _Reducers(codec, [
+                    _reducer_entry(_integerize(codec.encode_terms(e.terms)), codec)
+                    for e in gb.elements])
+                terms = _integerize(codec.encode_terms(f.terms))
+                forms[path], _, _ = on_accumulator(
+                    monkeypatch, path,
+                    lambda: modgb._normal_form_terms(terms, reducers, Caps(), d))
+            assert forms["dense"] == forms["heap"] == forms["rule"]
+        if rank == 1:
+            polys = [g.components()[0] for g in gens]
+            member = (polys[0] * random_homogeneous(ring, 1, rng)
+                      + polys[1] * random_homogeneous(ring, 2, rng))
+            ideal = ideal_groebner(polys)
+            first = Poly(ring, {(1, 0, 0, 0): ring.field.one()})
+            for f in (member, member + first):
+                (answer, dense), heap = [
+                    on_accumulator(monkeypatch, path,
+                                   lambda: ideal_membership(f, ideal))[:2]
+                    for path in ("dense", "heap")]
+                assert (answer, dense) == heap and dense == 0
+                assert answer or f is not member
+    assert sides["dense"] and sides["heap"]
+
+
+def test_dense_normal_form_keeps_the_caps(monkeypatch):
+    """A dense normal form checks the deadline once per reduction step, as
+    the heap loop does, so a timeout aborts inside it."""
+    gb = ideal_groebner([random_homogeneous(make_ring(4, FieldSpec(7)), 2,
+                                            random.Random(i)) for i in range(3)])
+    codec = _TermCodec(gb.module, "test")
+    entries = [_reducer_entry(_integerize(codec.encode_terms(e.terms)), codec)
+               for e in gb.elements]
+    f = random_homogeneous(gb.module.ring, 4, random.Random(5), density=1.0)
+    terms = codec.encode_terms({(0, m): c for m, c in f.terms.items()})
+    checks = {}
+    check_time = Caps.check_time
+
+    def counting(self):
+        checks[path] += 1
+        check_time(self)
+
+    monkeypatch.setattr(Caps, "check_time", counting)
+    for path in ("dense", "heap"):
+        checks[path] = 0
+        _, dense, _ = on_accumulator(monkeypatch, path, lambda: modgb._normal_form_terms(
+            terms, _Reducers(codec, entries), Caps(), 4))
+        assert dense == (path == "dense")
+    assert checks["dense"] == checks["heap"] > 0
+    expired = Caps(_deadline=0.0)
+    for path in ("dense", "heap"):
+        with pytest.raises(ResourceCapError, match="timeout"):
+            on_accumulator(monkeypatch, path, lambda: modgb._normal_form_terms(
+                terms, _Reducers(codec, entries), expired, 4))
+
+
+def test_heap_normal_forms_build_no_layout(monkeypatch):
+    """The selection reads a degree's size without building its layout:
+    the Frobenius power of closure/squares/fp7 reduces in degree 98, whose
+    4950-term layout stays unbuilt."""
+    sizes = []
+    loop = modgb._normal_form_terms
+
+    def recording(terms, reducers, caps, degree=None):
+        if degree is not None:
+            sizes.append(reducers.codec.layout_size(degree))
+        return loop(terms, reducers, caps, degree)
+
+    def forbidden(self, d):
+        raise AssertionError(f"built the layout of degree {d}")
+
+    monkeypatch.setattr(modgb, "_normal_form_terms", recording)
+    monkeypatch.setattr(_TermCodec, "layout", forbidden)
+    job = {"ring": {"variables": ["X", "Y", "Z"], "field": "fp:7",
+                    "order": "degrevlex"},
+           "object": {"ideal": {"generators": ["X^2", "Y^2", "Z^2"]}},
+           "task": {"name": "closure", "options": {
+               "candidate": "X*Y", "genus": 3, "frobenius_exponent": 2,
+               "strong_flag": "elliptic-curve"}}}
+    _, _, code = execute_job(job)
+    assert code == 0 and max(sizes) == comb(98 + 2, 2) == 4950
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
