@@ -7,9 +7,11 @@ Each mutant is a one-spot edit of `src/kbundle`: a file, the exact text it
 replaces, the new text, and the claim the edit breaks.  For each named
 mutant (all of them when none is named) the script copies the repository,
 without `.git`, into a temporary directory, applies the edit there, and
-runs the tier-1 tests on the copy with `-x`:
+runs the tier-1 tests on the copy with `-x`, but for
+`tests/test_mutants.py`, which checks the unedited tree:
 
-    PYTHONPATH=src python3 -m pytest -q -x --continue-on-collection-errors
+    PYTHONPATH=src python3 -m pytest -q -x --continue-on-collection-errors \
+        --ignore=tests/test_mutants.py
 
 It prints one line per mutant, `killed` when a test fails and `survived`
 when all pass, with the seconds the run took; a run that takes longer
@@ -42,8 +44,8 @@ MUTANTS = [
      "            return _leading_terms_cover_variables(reduced, caps, expected)\n",
      "a 'no' of the primary test mod p proves nothing; QQ decides it"),
     ("mod-p-section-as-alpha", "stability.py",
-     "    dim = _kernel_dims(pres, engine, caps, top)\n",
-     "    dim = _kernel_dims(pres_p or pres, engine, caps, top)\n",
+     "    dim = pres.kernel_dims(engine, caps, top)\n",
+     "    dim = (pres_p or pres).kernel_dims(engine, caps, top)\n",
      "the first mod-p section only bounds alpha from below; alpha is found "
      "over QQ"),
     ("witness-unverified", "stability.py",
@@ -91,9 +93,18 @@ MUTANTS = [
      "comb(N + top - start + 2, N) <= sections",
      "the walk reaches a first mod-p section that sits on the bound"),
     ("cell-prime-used-anyway", "tannaka.py",
-     "            pass                    # the prime divides a denominator\n",
-     "            reduced = bundle\n",
+     "else modular_twin(bundle, CELL_PRIME)\n",
+     "else modular_twin(bundle, CELL_PRIME) or bundle\n",
      "a cell whose prime divides a denominator is exact, not 'F1000003 <='"),
+    ("section-table-both-unchecked", "tannaka.py",
+     "    first, table = tables[0], tables[-1]\n",
+     "    first, table = tables[-1], tables[-1]\n",
+     "a 'both' section table compares the gb table with the linalg one"),
+    ("fp-polynomial-reduced-mod-p", "algebra.py",
+     "    if p.ring.field.char:\n        raise RingMismatchError(",
+     "    if False:\n        raise RingMismatchError(",
+     "only a polynomial over QQ is reduced mod p; residues mod another prime "
+     "are no rationals"),
     ("composite-field-accepted", "algebra.py",
      "            return False\n    return True\n",
      "            continue\n    return True\n",
@@ -117,8 +128,10 @@ MUTANTS = [
      "a closure query takes the genus or the plane curve degree, not both"),
 ]
 
+# tests/test_mutants.py checks that every edit applies to the unedited tree,
+# which a copy with one edit applied is not
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 TIMEOUT_S = 600     # tier-1 takes about 15 s; a hang is no kill
 
 

@@ -361,7 +361,10 @@ def substitute_powers(p: Poly, k: int) -> Poly:
 
 def reduce_poly_mod_p(p: Poly, ring_p: PolyRing) -> Poly:
     """Image of a rational polynomial in ring_p, the same ring over F_p.
-    Raises CoefficientError when p divides a denominator."""
+    Raises CoefficientError when p divides a denominator and
+    RingMismatchError unless the polynomial is over QQ."""
+    if p.ring.field.char:
+        raise RingMismatchError(f"reduction mod p needs QQ, not {p.ring.field}")
     fld = ring_p.field
     terms = {}
     for mono, c in p.terms.items():

@@ -14,10 +14,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .algebra import (AlgebraError, FieldSpec, Poly, PolyRing, Record,
-                      mono_mul, reduce_poly_mod_p, substitute_powers)
+from .algebra import (AlgebraError, CoefficientError, FieldSpec, Poly,
+                      PolyRing, Record, mono_mul, reduce_poly_mod_p,
+                      substitute_powers)
 from .modgb import (Caps, GradedFreeModule, NO_CAPS, free_module_dims,
                     has_degree, is_irrelevant_primary)
 
@@ -360,9 +361,17 @@ def pullback_powers(bundle: KernelBundle, k: int) -> KernelBundle:
 
 
 def reduce_bundle_mod_p(bundle: KernelBundle, prime: int) -> KernelBundle:
-    """The presentation with every entry reduced mod prime; raises
-    CoefficientError when prime divides a denominator."""
+    """The presentation with every entry reduced by reduce_poly_mod_p."""
     ring_p = PolyRing(bundle.ring.variables, FieldSpec(prime))
     rows = tuple(tuple(reduce_poly_mod_p(p, ring_p) for p in row)
                  for row in bundle.matrix)
     return KernelBundle(ring_p, bundle.twists_a, bundle.twists_b, rows)
+
+
+def modular_twin(bundle: KernelBundle, prime: int) -> Optional[KernelBundle]:
+    """The bundle reduced mod prime, for every modular pass on a bundle;
+    None over F_p or when prime divides a denominator."""
+    try:
+        return None if bundle.ring.field.char else reduce_bundle_mod_p(bundle, prime)
+    except CoefficientError:
+        return None

@@ -321,9 +321,8 @@ class _TermCodec:
         """The number of terms of module degree d, counted, not built."""
         size = self.sizes.get(d)
         if size is None:
-            n = len(self.digits)
-            size = self.sizes[d] = sum(comb(d - g + n - 1, n - 1)
-                                       for g in self.degrees if d >= g)
+            size = self.sizes[d] = free_module_dims(
+                Counter(self.degrees), len(self.digits))(d)
         return size
 
     def layout(self, d: int) -> tuple:
@@ -562,9 +561,8 @@ def _reducer_entry(terms: dict, codec: _TermCodec) -> dict:
     for t, c in terms.items():
         terms[t] = c * inv % p if p else c // g
     tail = [t for t in terms if t != lt]
-    comp, mono = codec.decode(lt)
     return {"terms": terms, "lt": lt, "ltword": codec.word(lt),
-            "ltcomp": comp, "ltmono": mono, "ltcoeff": terms[lt],
+            "ltcomp": codec.comp(lt), "ltcoeff": terms[lt],
             "tail": tail, "tailcoeffs": [terms[t] for t in tail]}
 
 
@@ -613,10 +611,10 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
              top: Optional[int] = None, expected=None,
              cover: Optional[set] = None) -> tuple:
     """Shared Buchberger driver on homogeneous elements; returns the run's
-    _TermCodec and the basis as reducer entries keyed by it, in the order
-    the run found them; callers decode only the terms they read.  Every
-    update goes through _gebauer_moller, with the product criterion at rank
-    one only.
+    _LeadingSpan, whose _TermCodec keys the basis, and the basis as reducer
+    entries, in the order the run found them; callers decode only the terms
+    they read.  Every update goes through _gebauer_moller, with the product
+    criterion at rank one only.
 
     With top set, the run is truncated at degree top (degree-by-degree
     Buchberger, Kreuzer & Robbiano, Computational Commutative Algebra 2,
@@ -656,7 +654,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
     pending: dict = {}          # (i, j) -> lcm word of the pairs still to process
     processed_pairs = 0
     nvars = module.ring.nvars
-    span = _LeadingSpan(module)
+    span = _LeadingSpan(codec)
 
     def covered() -> bool:
         return cover is not None and len(cover) == nvars
@@ -668,11 +666,11 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         if not nf:
             return
         entry = _reducer_entry(nf, codec)
-        comp, mono = entry["ltcomp"], entry["ltmono"]
+        comp = entry["ltcomp"]
         caps.check_degree(degree)
-        span.add(comp, mono)
+        span.add(entry["lt"], degree)
         if cover is not None:
-            support = [k for k, e in enumerate(mono) if e]
+            support = [k for k, e in enumerate(codec.decode(entry["lt"])[1]) if e]
             if len(support) == 1:
                 cover.add(support[0])
         idx = len(basis)
@@ -717,7 +715,7 @@ def _gb_core(gens, module: GradedFreeModule, caps: Caps,
         s = add_scaled({}, b["ltcoeff"] // g, _shifted(a, top_term), p)
         add_element(add_scaled(s, -(a["ltcoeff"] // g), _shifted(b, top_term), p),
                     deg)
-    return codec, basis
+    return span, basis
 
 
 def _shifted(entry: dict, term: int) -> dict:
@@ -771,8 +769,8 @@ def buchberger(generators: Sequence[ModuleElement],
         if g.module != module:
             raise AlgebraError("generators live in different modules")
     caps = caps.start()
-    return GroebnerBasis(module, _reduce_basis(*_gb_core(gens, module, caps),
-                                               module, caps))
+    span, basis = _gb_core(gens, module, caps)
+    return GroebnerBasis(module, _reduce_basis(span.codec, basis, module, caps))
 
 
 def ideal_groebner(polys: Sequence[Poly], caps: Caps = NO_CAPS) -> GroebnerBasis:
@@ -830,10 +828,10 @@ def syzygy_module_columns(columns, source: GradedFreeModule,
         terms = {(j, mono): c for j, entry in col for mono, c in entry.terms.items()}
         terms[(m + i, unit)] = source.ring.field.one()
         inputs.append(ModuleElement(graph, terms))
-    codec, basis = _gb_core(inputs, graph, caps, top)
+    span, basis = _gb_core(inputs, graph, caps, top)
     key = source.term_key()
     kernel = (ModuleElement(source, {(k - m, mono): c for (k, mono), c in
-                                     codec.decode_terms(b["terms"]).items()})
+                                     span.codec.decode_terms(b["terms"]).items()})
               for b in basis if b["ltcomp"] >= m)
     return GroebnerBasis(source, tuple(sorted(
         (e.monic() for e in kernel),
@@ -856,25 +854,22 @@ def apply_columns(columns, target: GradedFreeModule, element: ModuleElement) -> 
 
 class _LeadingSpan:
     """Counts the degree-d monomial terms of a module divisible by one of
-    the leading terms (component, monomial) added: by Macaulay's basis
-    theorem, the degree-d dimension of a submodule whose leading terms in
-    degrees <= d are these.  The set S_d of such terms, encoded
-    (_TermCodec), is x * S_{d-1} joined with the leading terms of degree d;
-    it is built upward from below the lowest one, and its sizes are
-    remembered for queries below the degree reached.  A leading term added
-    at that degree joins S_d, one added below it makes the count start
-    over."""
+    the leading terms added: by Macaulay's basis theorem, the degree-d
+    dimension of a submodule whose leading terms in degrees <= d are these.
+    The set S_d of such terms, encoded by a _TermCodec of the module (a
+    Buchberger run's own), is x * S_{d-1} joined with the leading terms of
+    degree d; it is built upward from below the lowest one, and its sizes
+    are remembered for queries below the degree reached.  A leading term
+    added at that degree joins S_d, one added below it makes the count
+    start over."""
 
-    def __init__(self, module: GradedFreeModule, leading=()):
-        self.codec = _TermCodec(module, "leading-term count")
+    def __init__(self, codec: _TermCodec):
+        self.codec = codec
         self.leads: dict = {}       # degree -> encoded leading terms
         self.deg, self.span, self.sizes = None, set(), {}  # S_deg, |S_e| (e < deg)
-        for comp, mono in leading:
-            self.add(comp, mono)
 
-    def add(self, comp: int, mono: tuple):
-        d = mono_deg(mono) + self.codec.degrees[comp]
-        t = self.codec.encode(comp, mono)
+    def add(self, t: int, d: int):
+        """The encoded leading term t, of module degree d, joins."""
         self.leads.setdefault(d, []).append(t)
         if d == self.deg:
             self.span.add(t)
@@ -906,7 +901,11 @@ def free_module_dims(degrees: dict, nvars: int):
 def graded_piece_dim(gb: GroebnerBasis, t: int) -> int:
     """Dimension of the degree-t piece of the submodule a Groebner basis
     spans, counted on its leading terms."""
-    return _LeadingSpan(gb.module, (e.leading()[0] for e in gb.elements)).size(t)
+    codec = _TermCodec(gb.module, "leading-term count")
+    span = _LeadingSpan(codec)
+    for e in gb.elements:
+        span.add(codec.encode(*e.leading()[0]), e.degree())
+    return span.size(t)
 
 
 def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
@@ -916,13 +915,12 @@ def kernel_dims_gb(columns, source: GradedFreeModule, target: GradedFreeModule,
     degree-k piece of the image the columns span in the target.  One
     Buchberger run on the columns, truncated at top (_gb_core), is a
     Groebner basis in degrees <= top; it is not reduced, since that keeps
-    its leading terms, which count the image."""
+    its leading terms, which count the image on the run's _LeadingSpan."""
     _validate_columns(columns, source, target)
     gens = [ModuleElement(target, {(j, mono): c for j, entry in col
                                    for mono, c in entry.terms.items()})
             for col in columns]
-    _, basis = _gb_core(gens, target, caps, top)
-    image = _LeadingSpan(target, ((b["ltcomp"], b["ltmono"]) for b in basis))
+    image, _ = _gb_core(gens, target, caps, top)
     free = free_module_dims(Counter(source.generator_degrees), source.ring.nvars)
 
     def dim(k: int) -> int:
@@ -1293,6 +1291,8 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
     then runs over QQ, without expected.  The pass is skipped when the prime
     divides a denominator, since the generators have no image mod p.  Over
     F_p the plain run follows a driven one only when expected is given.
+    It reduces an ideal's generators, not a bundle, so it is the one modular
+    pass that keeps its own reduction instead of bundle.modular_twin.
     """
     caps = caps.start()
     polys = [p for p in generators if not p.is_zero()]

@@ -23,7 +23,7 @@ from itertools import (combinations, combinations_with_replacement, count,
 
 from .algebra import AlgebraError, Record
 from .bundle import KernelBundle, module_from_twists
-from .modgb import GradedFreeModule
+from .modgb import Caps, GradedFreeModule, kernel_dim_linalg, kernel_dims_gb
 
 
 class PowerError(AlgebraError):
@@ -70,6 +70,14 @@ class PowerPresentation(Record):
 
     def target_module(self) -> GradedFreeModule:
         return module_from_twists(self.ring, self.target_twists)
+
+    def kernel_dims(self, engine: str, caps: Caps, top: int):
+        """k -> dim of the degree-k kernel piece, k <= top, for every engine:
+        `gb` counts it on one run truncated at top, `linalg` eliminates k."""
+        args = (self.columns, self.source_module(), self.target_module())
+        if engine == "gb":
+            return kernel_dims_gb(*args, caps, top)
+        return lambda k: kernel_dim_linalg(*args, k, caps)
 
 
 # kind -> (label family, slots (p, label[p], scalar) of a label)

@@ -4,9 +4,11 @@ The driver applies Hoppe's criterion: E is semistable iff for every exterior
 rank q below the rank and every integer k strictly below -q*mu(E) the twisted
 exterior power (wedge^q E)(k) has no nonzero global section.  Sections are
 read off the kernel presentations of the exterior powers degree by degree,
-through either the Groebner engine (rank-nullity on the leading terms of the
-image) or the linear-algebra engine (exact elimination); a numeric slope gate
-handles line-bundle quotients, which covers the top exterior rank.
+through `PowerPresentation.kernel_dims`: the Groebner engine (rank-nullity on
+the leading terms of the image) or the linear-algebra engine (exact
+elimination), the latter after a first pass on `bundle.modular_twin`; a
+numeric slope gate handles line-bundle quotients, which covers the top
+exterior rank.
 
 All slope comparisons are exact rational arithmetic.
 """
@@ -18,14 +20,13 @@ from itertools import combinations
 from math import ceil, comb, floor
 from typing import Optional
 
-from .algebra import (AlgebraError, CoefficientError, Record,
-                      monomial_family_gcd, mono_deg)
+from .algebra import AlgebraError, Record, monomial_family_gcd, mono_deg
 from .bundle import (
     KernelBundle,
     SyzygyBundleSpec,
     invariants,
+    modular_twin,
     pullback_powers,
-    reduce_bundle_mod_p,
     require_valid,
     twist,
 )
@@ -36,8 +37,6 @@ from .modgb import (
     PRIMARY_TEST_PRIME,
     ModuleElement,
     apply_columns,
-    kernel_dim_linalg,
-    kernel_dims_gb,
     kernel_sections_linalg,
 )
 from .powers import exterior_power_matrix
@@ -148,16 +147,6 @@ def _verify_witness(pres, element: ModuleElement, degree: int,
     return image.is_zero()
 
 
-def _kernel_dims(pres, engine: str, caps: Caps, top: int):
-    """k -> dimension of the degree-k kernel piece of pres, for k <= top:
-    `gb` counts it on one Buchberger run on the image truncated at top,
-    `linalg` eliminates degree k."""
-    args = (pres.columns, pres.source_module(), pres.target_module())
-    if engine == "gb":
-        return kernel_dims_gb(*args, caps, top)
-    return lambda k: kernel_dim_linalg(*args, k, caps)
-
-
 def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
                    caps: Caps) -> PowerCheck:
     """Check one exterior rank on its presentation pres.
@@ -189,7 +178,7 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
         return PowerCheck(q, None, threshold, ">", top, low)
     start = low
     if engine == "linalg" and pres_p is not None:
-        dim_p = _kernel_dims(pres_p, engine, caps, top)
+        dim_p = pres_p.kernel_dims(engine, caps, top)
         sections = dim_p(top)
         if not sections:
             return PowerCheck(q, None, threshold, ">", top, low,
@@ -199,7 +188,7 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
         while start > low and comb(N + top - start + 1, N) <= sections \
                 and dim_p(start - 1):
             start -= 1
-    dim = _kernel_dims(pres, engine, caps, top)
+    dim = pres.kernel_dims(engine, caps, top)
     alpha = next((k for k in range(start, top + 1) if dim(k)), None)
     if alpha is None:
         return PowerCheck(q, None, threshold, ">", top, low)
@@ -225,9 +214,9 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     top exterior rank; when the gate fails, the loop extends to rank-1 and a
     found section is returned as an explicit verified witness.  Each
     exterior presentation is built once and serves every engine and the
-    witness check.  Over QQ the `linalg` engine reduces the bundle mod
-    PRIMARY_TEST_PRIME once for its first pass (see `_scan_exterior`); `gb`
-    runs over QQ only.  Every engine takes the "<" witness from one
+    witness check.  The `linalg` engine takes its first pass on the bundle's
+    `modular_twin` mod PRIMARY_TEST_PRIME (see `_scan_exterior`); `gb` has
+    none.  Every engine takes the "<" witness from one
     `kernel_sections_linalg` call at alpha (the first vector of the
     canonical kernel basis), so all three report the same witness, and
     `_verify_witness` checks it exactly.
@@ -264,12 +253,7 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                              mu=mu, gate=gate, mode=mode, engine=engine,
                              criteria_trace=trace)
 
-    bundle_p = None
-    if engine != "gb" and bundle.ring.field.char == 0:
-        try:
-            bundle_p = reduce_bundle_mod_p(bundle, PRIMARY_TEST_PRIME)
-        except CoefficientError:
-            pass
+    bundle_p = None if engine == "gb" else modular_twin(bundle, PRIMARY_TEST_PRIME)
     engines = ("gb", "linalg") if engine == "both" else (engine,)
     for q in q_list:
         pres = exterior_power_matrix(bundle, q)

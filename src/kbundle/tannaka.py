@@ -16,8 +16,10 @@ from fractions import Fraction
 from math import prod
 from typing import Optional
 
-from .algebra import AlgebraError, CoefficientError, Record
-from .bundle import KernelBundle, invariants, reduce_bundle_mod_p, twist
+from .algebra import AlgebraError, Record
+# reduce_bundle_mod_p is bound only for the span bench/tracing.py names here
+from .bundle import (KernelBundle, invariants, modular_twin,
+                     reduce_bundle_mod_p, twist)
 from .modgb import (
     Caps,
     InternalCheckError,
@@ -25,8 +27,6 @@ from .modgb import (
     _echelon_kernel,
     _monomial_vectors,
     _section_kernel,
-    kernel_dim_linalg,
-    kernel_dims_gb,
 )
 from .powers import power_presentation
 
@@ -102,12 +102,13 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
     Engines: "linalg" eliminates the degree-k pieces of the power
     presentation, "gb" subtracts the image's degree-k piece, counted on the
     leading terms of one Buchberger run on the columns (computed only up to
-    the largest twist), from the source's, "both" runs the two and raises
-    InternalCheckError when their tables differ, and "staged" (tensor only)
-    intersects slot conditions level by level.  "auto" picks staged for
-    every tensor power (its level 1 is the linalg step on E itself) and
-    linalg otherwise.  The presentation, its image basis or the staged
-    levels are built once.  Every engine needs q >= 1.
+    the largest twist), from the source's, both in PowerPresentation's
+    kernel_dims; "both" runs gb, then linalg, and raises InternalCheckError
+    when their tables differ; "staged" (tensor only) intersects slot
+    conditions level by level.  "auto" picks staged for every tensor power
+    (its level 1 is the linalg step on E itself) and linalg otherwise.  The
+    presentation, its image basis or the staged levels are built once, and
+    every engine needs q >= 1.
     """
     caps = caps.start()
     if q < 1:
@@ -122,16 +123,14 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
         sections = TensorSections(bundle, caps)
         return {k: sections.dim(q, k) for k in twists}
     pres = power_presentation(bundle, kind, q)
-    args = (pres.columns, pres.source_module(), pres.target_module())
-    if engine != "linalg":
-        dim = kernel_dims_gb(*args, caps, max(twists))
-        table_gb = {k: dim(k) for k in twists}
-        if engine == "gb":
-            return table_gb
-    table = {k: kernel_dim_linalg(*args, k, caps) for k in twists}
-    if engine == "both" and table != table_gb:
+    tables = []
+    for e in ("gb", "linalg") if engine == "both" else (engine,):
+        dim = pres.kernel_dims(e, caps, max(twists, default=0))
+        tables.append({k: dim(k) for k in twists})
+    first, table = tables[0], tables[-1]
+    if first != table:
         raise InternalCheckError(
-            f"engine mismatch in section table: gb {table_gb} vs linalg {table}")
+            f"engine mismatch in section table: gb {first} vs linalg {table}")
     return table
 
 
@@ -171,8 +170,8 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
 
     Over F_p, with method "exact", and when CELL_PRIME divides a denominator
     of E, lo == hi is the exact value read from the store.  The default
-    takes hi from a store of E mod CELL_PRIME (a kernel mod p is never
-    smaller than over QQ) and lo from sections proven to exist at k == 0
+    takes hi from a store of modular_twin(E, CELL_PRIME) (a kernel mod p is
+    never smaller than over QQ) and lo from sections proven to exist at k == 0
     when c1(E) == 0: det E = O lies in E^{(x)rank}, so lo >= 1 at q == rank;
     at q == 4 the slot permutations w12*w34, w13*w24, w14*w23 of w (x) w,
     for a section w of E (x) E in the store, stay in E^{(x)4}, and values
@@ -181,12 +180,7 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
     _check_method(method)
     bundle = sections.bundle
     char = bundle.ring.field.char
-    reduced = None
-    if char == 0 and method != "exact":
-        try:
-            reduced = reduce_bundle_mod_p(bundle, CELL_PRIME)
-        except CoefficientError:
-            pass                    # the prime divides a denominator
+    reduced = None if method == "exact" else modular_twin(bundle, CELL_PRIME)
     if reduced is None:
         value = sections.dim(q, k)
         return DimCell(value, value,

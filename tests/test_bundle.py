@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from kbundle.algebra import (FieldSpec, Poly, make_ring, parse_polynomial,
-                             reduce_poly_mod_p)
+from kbundle.algebra import (FieldSpec, Poly, RingMismatchError, make_ring,
+                             parse_polynomial, reduce_poly_mod_p)
 from kbundle.bundle import (
     BundleError,
     KernelBundle,
@@ -16,7 +16,9 @@ from kbundle.bundle import (
     make_kernel_bundle,
     maximal_minors,
     minor_ideal_dims,
+    modular_twin,
     pullback_powers,
+    reduce_bundle_mod_p,
     require_valid,
     twist,
     validate,
@@ -294,6 +296,27 @@ def test_minor_ideal_dims_need_n_minus_m_equal_N():
     assert minor_ideal_dims(five_quadrics()) is None
     assert minor_ideal_dims(syzygy_bundle(["X^2", "Y^2"])) is None
     assert minor_ideal_dims(syzygy_bundle(["X^2", "Y^2", "Z^2"])) is not None
+
+
+def test_only_a_bundle_over_qq_is_reduced_mod_p():
+    """Residues mod 7 are no rationals, so reducing them "mod 32003" would
+    reduce nothing: the entries and the bundle of the F_7 bundle
+    Syz(X^2, Y^2, 3*Z^2 + 5*X*Y)(3) are refused, and it has no modular
+    twin.  The same bundle over QQ has one, unless the prime divides a
+    denominator."""
+    gens = ["X^2", "Y^2", "3*Z^2 + 5*X*Y"]
+    bundle = syzygy_bundle(gens, 3, make_ring(3, FieldSpec(7)))
+    ring_p = make_ring(3, FieldSpec(32003))
+    for reduce in (lambda: reduce_poly_mod_p(bundle.matrix[0][0], ring_p),
+                   lambda: reduce_bundle_mod_p(bundle, 32003)):
+        with pytest.raises(RingMismatchError,
+                           match="^reduction mod p needs QQ, not F_7$"):
+            reduce()
+    assert modular_twin(bundle, 32003) is None
+    rational = syzygy_bundle(gens, 3)
+    assert modular_twin(rational, 7) == reduce_bundle_mod_p(rational, 7)
+    assert modular_twin(rational, 7).ring.field == FieldSpec(7)
+    assert modular_twin(syzygy_bundle(["X^2", "Y^2", "1/7*Z^2"]), 7) is None
 
 
 def test_invariants_five_quadrics():

@@ -925,9 +925,9 @@ def test_report_digest_scan_gb_matches_frozen_answers():
 
 
 def test_engine_mismatch_exits_2(capsys, monkeypatch):
-    import kbundle.stability as stability
+    import kbundle.powers as powers
     # a gb engine that never finds a section disagrees with linalg at q = 2
-    monkeypatch.setattr(stability, "kernel_dims_gb", lambda *args: lambda k: 0)
+    monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 0)
     code, out, err = run_cli([
         "check", "--matrix", "X, -Y, -Y, 0, -Z, 0; 0, 0, X, -Y, 0, Z",
         "--twists-a", "3,3,3,3,3,3", "--twists-b", "4,4",

@@ -917,20 +917,34 @@ def test_kernel_dims_gb_counts_the_image():
                        target, Caps(), 2)
 
 
+def leading_span(module, leading=()):
+    """A _LeadingSpan on a codec of module, with (component, monomial)
+    leading terms added, and a function adding one more."""
+    codec = _TermCodec(module, "test")
+    span = _LeadingSpan(codec)
+
+    def add(comp, mono):
+        span.add(codec.encode(comp, mono), sum(mono) + module.generator_degrees[comp])
+
+    for comp, mono in leading:
+        add(comp, mono)
+    return span, add
+
+
 def test_leading_span_counts_leads_added_at_or_below_the_degree_reached():
     module = GradedFreeModule(RING_QQ3, (0,))
-    span = _LeadingSpan(module, [(0, (2, 0, 0))])      # X^2
+    span, add = leading_span(module, [(0, (2, 0, 0))])  # X^2
     assert [span.size(d) for d in (3, 1, 2)] == [3, 0, 1]
-    span.add(0, (0, 0, 3))                              # Z^3, at degree 3
+    add(0, (0, 0, 3))                                   # Z^3, at degree 3
     assert span.size(3) == 4
-    span.add(0, (0, 1, 0))                              # Y, below it
+    add(0, (0, 1, 0))                                   # Y, below it
     # degree 3: all ten cubics but X*Z^2 (Z^3 is a lead now)
     assert [span.size(d) for d in (1, 2, 3)] == [1, 4, 9]
     # a module counts per component, from its generator degrees
-    span = _LeadingSpan(GradedFreeModule(RING_QQ3, (0, 1)),
-                        [(0, (1, 0, 0)), (1, (0, 0, 0))])
+    span, _ = leading_span(GradedFreeModule(RING_QQ3, (0, 1)),
+                           [(0, (1, 0, 0)), (1, (0, 0, 0))])
     assert [span.size(d) for d in (0, 1, 2)] == [0, 1 + 1, 3 + 3]
-    assert _LeadingSpan(module).size(4) == 0
+    assert leading_span(module)[0].size(4) == 0
 
 
 def test_reducers_memo_keeps_first_divisor():

@@ -2,6 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import comb, floor
 from types import SimpleNamespace
 
@@ -193,18 +194,18 @@ def test_engine_agreement_is_enforced():
 
 
 def test_engine_mismatch_raises(monkeypatch):
-    import kbundle.stability as stability
+    import kbundle.powers as powers
     # a gb engine that never finds a section disagrees with linalg at q = 2
-    monkeypatch.setattr(stability, "kernel_dims_gb", lambda *args: lambda k: 0)
+    monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 0)
     with pytest.raises(InternalCheckError, match="engine mismatch at q=2"):
         hoppe_check(dual_five_monomials(), engine="both")
 
 
 def test_gb_section_without_linalg_witness_raises(monkeypatch):
-    import kbundle.stability as stability
+    import kbundle.powers as powers
     # a gb engine that counts a section in every degree claims q = 1 at the
     # lowest degree, where linalg finds no vector to witness it
-    monkeypatch.setattr(stability, "kernel_dims_gb", lambda *args: lambda k: 1)
+    monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 1)
     with pytest.raises(InternalCheckError,
                        match="witness at q=1, degree -1 failed verification"):
         hoppe_check(syzygy_bundle(["X^2", "Y^2", "Z^2"], twist=3), engine="gb")
@@ -221,17 +222,21 @@ def test_witness_at_the_threshold_is_rejected():
 
 
 def count_calls(monkeypatch, names) -> Counter:
-    """Count the calls stability makes to the named functions."""
+    """Count the calls made to the named functions where the scan makes
+    them: the engines' counts through PowerPresentation.kernel_dims (the
+    bindings of powers), the witness through stability's binding."""
+    import kbundle.powers as powers
     import kbundle.stability as stability
     calls = Counter()
     for name in names:
-        real = getattr(stability, name)
+        module = stability if name == "kernel_sections_linalg" else powers
+        real = getattr(module, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(stability, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -729,15 +734,15 @@ def test_prime_dividing_a_coefficient_does_not_decide():
 
 
 def count_linalg_calls_by_characteristic(monkeypatch):
-    import kbundle.stability as stability
+    import kbundle.powers as powers
     calls = Counter()
-    real = stability.kernel_dim_linalg
+    real = powers.kernel_dim_linalg
 
     def counting(columns, source, target, t, caps):
         calls[source.ring.field.char] += 1
         return real(columns, source, target, t, caps)
 
-    monkeypatch.setattr(stability, "kernel_dim_linalg", counting)
+    monkeypatch.setattr(powers, "kernel_dim_linalg", counting)
     return calls
 
 
@@ -752,15 +757,15 @@ def test_prime_in_a_denominator_skips_the_first_pass(monkeypatch):
 
 
 def test_bundle_over_fp_is_never_reduced_to_another_prime(monkeypatch):
-    import kbundle.stability as stability
+    import kbundle.bundle as bundle_module
 
     def refuse(bundle, prime):
         raise AssertionError(f"reduced a bundle over {bundle.ring.field} "
                              f"mod {prime}")
 
-    # the first pass calls stability's binding, the Tannaka cells tannaka's
-    for module in (stability, tannaka):
-        monkeypatch.setattr(module, "reduce_bundle_mod_p", refuse)
+    # the first pass and the Tannaka cells both take their twin from
+    # bundle.modular_twin, which calls bundle's binding
+    monkeypatch.setattr(bundle_module, "reduce_bundle_mod_p", refuse)
     calls = count_linalg_calls_by_characteristic(monkeypatch)
     ring7 = make_ring(3, FieldSpec(7))
     bundle = from_syzygy(SyzygyBundleSpec(
@@ -807,12 +812,12 @@ def test_non_strict_gate_leaves_stability_undetermined(monkeypatch):
 
 
 def test_empty_window_runs_no_elimination(monkeypatch):
-    import kbundle.stability as stability
+    from kbundle.powers import PowerPresentation
 
     def refuse(*args):
         raise AssertionError("eliminated an empty window")
 
-    monkeypatch.setattr(stability, "_kernel_dims", refuse)
+    monkeypatch.setattr(PowerPresentation, "kernel_dims", refuse)
     # wedge^1 of the five quadrics starts at degree 2; a slope of 0 puts
     # the window's top at 0
     pres = exterior_power_matrix(five_quadrics(), 1)
@@ -826,15 +831,15 @@ def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
     """The rank-6 check probes the mod-p kernel at top only: with fewer
     than N + 1 = 3 sections there, the section-count bound puts every
     section at top, and the QQ scan starts there."""
-    import kbundle.stability as stability
+    import kbundle.powers as powers
     probes = []
-    real = stability.kernel_dim_linalg
+    real = powers.kernel_dim_linalg
 
     def logging(columns, source, target, t, caps):
         probes.append((source.ring.field.char, t))
         return real(columns, source, target, t, caps)
 
-    monkeypatch.setattr(stability, "kernel_dim_linalg", logging)
+    monkeypatch.setattr(powers, "kernel_dim_linalg", logging)
     report = hoppe_check(rank6_bundle(), engine="linalg")
     assert [(c.q, c.relation, c.window_low, c.window_top)
             for c in report.per_power] == [
@@ -853,24 +858,22 @@ def test_first_mod_p_section_walk_stops_at_the_bound(monkeypatch, low, top):
     degree k, the count D at top puts `first` exactly on the section-count
     bound, which ends the walk there with no probe below it.  With many
     sections the first degree without one ends it."""
-    import kbundle.stability as stability
     p = PRIMARY_TEST_PRIME
     for N in (1, 2):
         for first in range(low, top + 1):
             for tight in (True, False):
                 probes = []
 
-                def kernel_dims(pres, engine, caps, top_):
+                def kernel_dims(char, engine, caps, top_):
                     def dim(k):
-                        probes.append((pres.field_char, k))
+                        probes.append((char, k))
                         if k < first:
                             return 0
                         return comb(N + k - first, N) if tight else 10 ** 6
                     return dim
 
-                monkeypatch.setattr(stability, "_kernel_dims", kernel_dims)
                 pres, pres_p = (SimpleNamespace(
-                    field_char=char, source_twists=(-low,),
+                    kernel_dims=partial(kernel_dims, char), source_twists=(-low,),
                     ring=SimpleNamespace(nvars=N + 1)) for char in (0, p))
                 check = _scan_exterior(pres, pres_p, 1, Fraction(-top),
                                        "stability_evidence", "linalg", NO_CAPS)

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -544,16 +545,37 @@ def test_section_dim_table_gb_matches_linalg_randomized():
 
 
 def test_section_dim_table_both_raises_on_mismatch(monkeypatch):
-    import kbundle.tannaka as tannaka
+    import kbundle.powers as powers
     b = dual_five_monomials()
     assert section_dim_table(b, "exterior", 2, range(-6, -4), "both") == \
         {-6: 0, -5: section_dim_power(b, "exterior", 2, -5, "linalg")}
     # a gb engine that never finds a section disagrees with linalg at -5
-    monkeypatch.setattr(tannaka, "kernel_dims_gb", lambda *args: lambda k: 0)
+    monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 0)
     with pytest.raises(InternalCheckError,
                        match=r"engine mismatch in section table: "
                              r"gb \{-6: 0, -5: 0\} vs linalg \{-6: 0, -5: [1-9]"):
         section_dim_table(b, "exterior", 2, range(-6, -4), "both")
+
+
+def test_section_dim_table_both_runs_one_gb_count_and_linalg_per_twist(monkeypatch):
+    """"both" builds its gb table on one truncated Buchberger run and its
+    linalg table on one elimination per twist, counted where every engine
+    is chosen (PowerPresentation.kernel_dims calls powers' bindings)."""
+    import kbundle.powers as powers
+    calls = Counter()
+    for name in ("kernel_dims_gb", "kernel_dim_linalg"):
+        real = getattr(powers, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(powers, name, counting)
+    b = dual_five_monomials()
+    table = section_dim_table(b, "exterior", 2, range(-7, -4), "both")
+    assert calls == Counter(kernel_dims_gb=1, kernel_dim_linalg=3)
+    assert table == {k: section_dim_power(b, "exterior", 2, k, "linalg")
+                     for k in range(-7, -4)}
 
 
 def test_staged_respects_m_greater_one():
