@@ -126,6 +126,15 @@ MUTANTS = [
      "        if genus is not None and plane_curve_degree is not None:\n",
      "        if False:\n",
      "a closure query takes the genus or the plane curve degree, not both"),
+    ("scan-skips-bundle-test", "stability.py",
+     "    require_valid(bundle, check_surjectivity=True, caps=caps)\n",
+     "    require_valid(bundle, check_surjectivity=False, caps=caps)\n",
+     "hoppe_check gives a verdict only on a bundle: surjectivity is tested "
+     "before any scan"),
+    ("staged-skips-shape-check", "tannaka.py",
+     "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
+     "    caps = caps.start()\n    if q < 1:\n",
+     "a section table, under every engine, refuses a mis-graded presentation"),
 ]
 
 # tests/test_mutants.py checks that every edit applies to the unedited tree,

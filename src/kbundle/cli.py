@@ -402,7 +402,6 @@ def _parse_twist_range(text: str) -> list:
 def task_sections(payload, options, caps):
     """section-dimension tables of powers"""
     bundle, _ = payload
-    require_valid(bundle)
     kind_name, q = options["kind"], options["q"]
     twists = options["twists"]
     table = tannaka.section_dim_table(bundle, kind_name, q, twists,
@@ -430,7 +429,6 @@ def task_tannaka(payload, options, caps):
     assume = options["assume_stability"]
     bundle, spec = payload
     if assume:
-        require_valid(bundle)
         status = assume
         report_dict = {"assumed": assume}
     else:

@@ -196,13 +196,6 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     return PowerCheck(q, alpha, threshold, relation, top, low)
 
 
-def _check_choices(engine: str, mode: str):
-    if mode not in MODES:
-        raise StabilityError(f"unknown mode {mode!r}")
-    if engine not in ENGINES:
-        raise StabilityError(f"unknown engine {engine!r}")
-
-
 def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                 mode: str = "stability_evidence",
                 caps: Caps = NO_CAPS) -> StabilityReport:
@@ -220,10 +213,18 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     `kernel_sections_linalg` call at alpha (the first vector of the
     canonical kernel basis), so all three report the same witness, and
     `_verify_witness` checks it exactly.
+
+    The verdict holds only for a bundle, so the presentation's shape and
+    surjectivity (its maximal minors irrelevant-primary) are checked first,
+    under the caps, and BundleError is raised before any exterior
+    presentation is built.
     """
-    _check_choices(engine, mode)
-    require_valid(bundle)
+    if mode not in MODES:
+        raise StabilityError(f"unknown mode {mode!r}")
+    if engine not in ENGINES:
+        raise StabilityError(f"unknown engine {engine!r}")
     caps = caps.start()
+    require_valid(bundle, check_surjectivity=True, caps=caps)
     inv = invariants(bundle)
     mu = inv.mu
     r = inv.rank
@@ -572,16 +573,13 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
     pullbacks (stability of the pullback implies stability downstairs).
 
     The presentation must be surjective (its maximal minors irrelevant-
-    primary), else it is no bundle and BundleError is raised before any
-    scan, but after the engine, mode and pullback exponent are checked.
-    The caps' timeout bounds the whole call."""
-    _check_choices(engine, mode)
+    primary), else it is no bundle and `hoppe_check` raises BundleError
+    before any scan, but after the engine, mode and pullback exponent are
+    checked.  The caps' timeout bounds the whole call."""
     if via_pullback is not None and via_pullback < 1:
         raise StabilityError(f"pullback exponent must be >= 1, got {via_pullback}")
-    caps = caps.start()
-    require_valid(bundle, check_surjectivity=True, caps=caps)
     return _analyze(bundle, engine, mode, upgrade_selfdual, via_pullback,
-                    spec, caps)
+                    spec, caps.start())
 
 
 def _analyze(bundle: KernelBundle, engine: str, mode: str,
@@ -604,7 +602,6 @@ def _analyze(bundle: KernelBundle, engine: str, mode: str,
 
     if via_pullback and report.is_semistable \
             and report.stability == "undetermined":
-        # the pullback along a finite surjective map of a bundle is a bundle
         pb = _analyze(pullback_powers(bundle, via_pullback), engine, mode,
                       upgrade_selfdual, None, None, caps)
         analysis.pullback = pb

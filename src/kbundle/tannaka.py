@@ -19,7 +19,7 @@ from typing import Optional
 from .algebra import AlgebraError, Record
 # reduce_bundle_mod_p is bound only for the span bench/tracing.py names here
 from .bundle import (KernelBundle, invariants, modular_twin,
-                     reduce_bundle_mod_p, twist)
+                     reduce_bundle_mod_p, require_valid, twist)
 from .modgb import (
     Caps,
     InternalCheckError,
@@ -53,7 +53,8 @@ class TensorSections:
     """Exact section spaces of tensor powers, computed slot by slot.
 
     Vectors are sparse dicts keyed by (index tuple alpha, monomial); the level
-    q ambient module is the q-fold tensor power of the splitting bundle.
+    q ambient module is the q-fold tensor power of the splitting bundle.  The
+    bundle is taken as checked (`section_dim_table`, `fingerprint`).
     """
 
     def __init__(self, bundle: KernelBundle, caps: Caps = NO_CAPS):
@@ -90,13 +91,13 @@ class TensorSections:
 
 
 def section_dim_power(bundle: KernelBundle, kind: str, q: int, k: int = 0,
-                      engine: str = "auto", caps: Caps = NO_CAPS) -> int:
+                      engine: str = "linalg", caps: Caps = NO_CAPS) -> int:
     """h^0 of the q-th tensor/exterior/symmetric power twisted by k."""
     return section_dim_table(bundle, kind, q, (k,), engine, caps)[k]
 
 
 def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
-                      engine: str = "auto", caps: Caps = NO_CAPS) -> dict:
+                      engine: str = "linalg", caps: Caps = NO_CAPS) -> dict:
     """h^0 of the q-th tensor/exterior/symmetric power for a range of twists.
 
     Engines: "linalg" eliminates the degree-k pieces of the power
@@ -105,16 +106,14 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
     the largest twist), from the source's, both in PowerPresentation's
     kernel_dims; "both" runs gb, then linalg, and raises InternalCheckError
     when their tables differ; "staged" (tensor only) intersects slot
-    conditions level by level.  "auto" picks staged for every tensor power
-    (its level 1 is the linalg step on E itself) and linalg otherwise.  The
-    presentation, its image basis or the staged levels are built once, and
-    every engine needs q >= 1.
+    conditions level by level.  The presentation, its image basis or the
+    staged levels are built once, and every engine needs q >= 1.  The
+    presentation's shape is checked first (BundleError).
     """
+    require_valid(bundle)
     caps = caps.start()
     if q < 1:
         raise TannakaError(f"{kind} power needs q >= 1, got {q}")
-    if engine == "auto":
-        engine = "staged" if kind == "tensor" else "linalg"
     if engine not in SECTION_ENGINES:
         raise TannakaError(f"unknown engine {engine!r}")
     if engine == "staged":
@@ -175,7 +174,8 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
     when c1(E) == 0: det E = O lies in E^{(x)rank}, so lo >= 1 at q == rank;
     at q == 4 the slot permutations w12*w34, w13*w24, w14*w23 of w (x) w,
     for a section w of E (x) E in the store, stay in E^{(x)4}, and values
-    independent at one point prove them independent.  lo > hi is a bug.
+    independent at one point prove them independent.  lo > hi is a bug.  The
+    store's bundle is taken as checked.
     """
     _check_method(method)
     bundle = sections.bundle
@@ -207,13 +207,9 @@ def _candidate_points(nvars: int):
         yield tuple(Fraction(t) ** i for i in range(nvars))
 
 
-def _rank_at_point(columns, point, caps: Caps) -> int:
-    """Rank over QQ of a polynomial matrix, given by sparse columns
-    [(row, entry), ...], evaluated at a point."""
-    vectors = [{j: v for j, entry in col if (v := entry.evaluate(point))}
-               for col in columns]
-    dim, _ = _echelon_kernel(vectors, 0, caps)
-    return len(columns) - dim
+def _rank(vectors, caps: Caps) -> int:
+    """Rank over QQ of sparse vectors {index: value}."""
+    return len(vectors) - _echelon_kernel(vectors, 0, caps)[0]
 
 
 def _values_at(section, point) -> dict:
@@ -223,20 +219,6 @@ def _values_at(section, point) -> dict:
     for (alpha, mono), c in section.items():
         values[alpha] = values.get(alpha, 0) + c * prod(map(pow, point, mono))
     return {alpha: v for alpha, v in values.items() if v}
-
-
-def _pairing_rank(n: int, values: dict, caps: Caps) -> int:
-    """Rank of the n x n matrix {(i1, i2): value} of a section of (E (x) E)(t)
-    evaluated at a point.
-
-    The section lies fiberwise in E_x (x) E_x, so its matrix rank equals the
-    rank of the induced pairing; full rank at one point certifies that the
-    associated map E* -> E(t) is an isomorphism (its determinant is a constant).
-    """
-    rows: list = [{} for _ in range(n)]
-    for (i1, i2), v in values.items():
-        rows[i1][i2] = v
-    return n - _echelon_kernel(rows, 0, caps)[0]
 
 
 def _pairing_products_rank(sections: TensorSections) -> int:
@@ -255,7 +237,7 @@ def _pairing_products_rank(sections: TensorSections) -> int:
             for (c, d), y in w:
                 products[0][a, b, c, d] = products[1][a, c, b, d] = \
                     products[2][a, c, d, b] = x * y
-        best = max(best, 3 - _echelon_kernel(products, 0, sections.caps)[0])
+        best = max(best, _rank(products, sections.caps))
         if best == 3:
             break
     return best
@@ -265,7 +247,8 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
     """Certify nondegeneracy of the pairing on a degree-0 bundle over QQ.
 
     Extracts the sections of (E (x) E)(0) exactly and checks that some section
-    has full matrix rank at a generic point.  Returns (ok, h0).
+    has full matrix rank at a generic point.  Returns (ok, h0).  The bundle is
+    taken as checked (`selfdual_upgrade` reaches it from `hoppe_check`).
     """
     caps = caps.start()
     if bundle0.ring.field.char != 0:
@@ -277,14 +260,20 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
         return False, 0
     columns = bundle0.columns()
     for point in _candidate_points(bundle0.ring.nvars):
-        if _rank_at_point(columns, point, caps) != bundle0.m:
+        fiber = [{j: v for j, entry in col if (v := entry.evaluate(point))}
+                 for col in columns]
+        if _rank(fiber, caps) != bundle0.m:
             continue
-        # the determinant of each induced map E* -> E is a constant, so one
-        # point with a full-rank fiber decides per section; callers pair this
-        # with h0 = 1, where the basis section is the only candidate
+        # a section lies fiberwise in E_x (x) E_x, so the rank of its n x n
+        # matrix at a point with a full-rank fiber is that of its pairing;
+        # the determinant of each induced map E* -> E is a constant, so that
+        # point decides per section; callers pair this with h0 = 1, where the
+        # basis section is the only candidate
         for section in square:
-            values = _values_at(section, point)
-            if _pairing_rank(bundle0.n, values, caps) == bundle0.rank:
+            rows: list = [{} for _ in range(bundle0.n)]
+            for (i1, i2), v in _values_at(section, point).items():
+                rows[i1][i2] = v
+            if _rank(rows, caps) == bundle0.rank:
                 return True, len(square)
         return False, len(square)
     raise TannakaError("no generic evaluation point found")
@@ -367,8 +356,10 @@ def fingerprint(bundle: KernelBundle, stability_status: str,
     q == 4, the slot permutations of w (x) w for a section w of E0 (x) E0:
     they stay in E0^{(x)4}, and are independent when their values at one
     point are.  When dims[2] == 1 the pairing records whether w is
-    symmetric or alternating.
+    symmetric or alternating.  The presentation's shape is checked first
+    (BundleError).
     """
+    require_valid(bundle)
     caps = caps.start()
     _check_method(method)
     if q_max < 2:

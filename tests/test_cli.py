@@ -1112,8 +1112,8 @@ def test_command_line_jobs_golden():
                 == json.dumps(entry["job"], sort_keys=True)), entry["argv"]
 
 
-def test_check_validates_the_presentation_twice(capsys, monkeypatch):
-    # analyze_bundle's call, with the bundle test, and hoppe_check's
+def test_check_validates_the_presentation_once(capsys, monkeypatch):
+    # hoppe_check's call, with the bundle test
     import kbundle.bundle
     validate = kbundle.bundle.validate
     calls = []
@@ -1126,4 +1126,4 @@ def test_check_validates_the_presentation_twice(capsys, monkeypatch):
     code, _, _ = run_cli(["check", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3"],
                          capsys)
     assert code == 0
-    assert calls == [True, False]
+    assert calls == [True]

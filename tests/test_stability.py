@@ -224,12 +224,14 @@ def test_witness_at_the_threshold_is_rejected():
 def count_calls(monkeypatch, names) -> Counter:
     """Count the calls made to the named functions where the scan makes
     them: the engines' counts through PowerPresentation.kernel_dims (the
-    bindings of powers), the witness through stability's binding."""
+    bindings of powers), the witness and the exterior presentations through
+    stability's bindings."""
     import kbundle.powers as powers
     import kbundle.stability as stability
     calls = Counter()
     for name in names:
-        module = stability if name == "kernel_sections_linalg" else powers
+        module = stability if name in ("kernel_sections_linalg",
+                                       "exterior_power_matrix") else powers
         real = getattr(module, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
@@ -247,6 +249,15 @@ def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
     for engine in ENGINES:
         with pytest.raises(BundleError, match="not-surjective"):
             analyze_bundle(from_syzygy(spec), engine=engine, spec=spec)
+    assert calls == Counter()
+
+
+def test_hoppe_check_refuses_a_non_bundle_before_any_presentation(monkeypatch):
+    calls = count_calls(monkeypatch, ("exterior_power_matrix",))
+    bundle = syzygy_bundle(["X", "Y", "X + Y"])     # common zero (0:0:1)
+    for engine in ENGINES:
+        with pytest.raises(BundleError, match="not-surjective"):
+            hoppe_check(bundle, engine=engine)
     assert calls == Counter()
 
 
@@ -296,20 +307,25 @@ def test_every_engine_reports_one_witness():
 
 
 def test_gb_scan_reads_only_the_window():
-    """Generic Syz of 4 cubics on P^3: the gb scan stops at the window top,
-    so ten S-pairs decide it, as linalg does.  The full syzygy module takes
-    hundreds of pairs."""
+    """Generic Syz of 4 cubics on P^3: the gb count stops at the window top,
+    so ten S-pairs decide each scanned rank, as linalg does.  The full
+    syzygy module takes hundreds of pairs."""
     ring = make_ring(4)
     rng = random.Random(7)
     gens = [Poly(ring, {m: ring.field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
                         for m in monomials_of_degree(4, 3)})
             for _ in range(4)]
     bundle = from_syzygy(SyzygyBundleSpec(ring, gens, 0))
-    gb = hoppe_check(bundle, engine="gb", caps=Caps(max_pairs=10))
+    gb = hoppe_check(bundle, engine="gb")
     la = hoppe_check(bundle, engine="linalg")
     assert (gb.verdict, gb.stability) == (la.verdict, la.stability)
     assert ([(c.q, c.alpha, c.relation) for c in gb.per_power]
             == [(c.q, c.alpha, c.relation) for c in la.per_power])
+    for c in la.per_power:
+        dim = exterior_power_matrix(bundle, c.q).kernel_dims(
+            "gb", Caps(max_pairs=10), c.window_top)
+        window = range(c.window_low, c.window_top + 1)
+        assert next((k for k in window if dim(k)), None) == c.alpha
 
 
 def test_brenner_stable_family():
@@ -703,11 +719,21 @@ FIRST_PASS_CASES = {
 }
 
 
+# draws whose linear forms meet at (1:0:1), where the third form vanishes:
+# the maximal minors are not irrelevant-primary, so they are no bundles
+NOT_BUNDLES = {("p2 degrees 1,1,2", 3), ("p2 degrees 1,1,4", 3)}
+
+
 @pytest.mark.parametrize("name", list(FIRST_PASS_CASES))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_linalg_first_pass_matches_plain_qq_scan_and_gb(name, seed):
     build, relations = FIRST_PASS_CASES[name]
     bundle = build(seed)
+    if (name, seed) in NOT_BUNDLES:
+        for engine in ("linalg", "gb"):
+            with pytest.raises(BundleError, match="not-surjective"):
+                hoppe_check(bundle, engine=engine)
+        return
     la = hoppe_check(bundle, engine="linalg")
     gb = hoppe_check(bundle, engine="gb")
     assert [c.relation for c in la.per_power] == relations

@@ -12,6 +12,8 @@ import pytest
 
 from kbundle.algebra import CoefficientError, Poly, reduce_poly_mod_p
 from kbundle.bundle import (
+    BundleError,
+    KernelBundle,
     SyzygyBundleSpec,
     from_syzygy,
     make_kernel_bundle,
@@ -28,6 +30,7 @@ from kbundle.modgb import (
 from kbundle.powers import symmetric_power_matrix, tensor_power_matrix
 from kbundle.tannaka import (
     CELL_PRIME,
+    SECTION_ENGINES,
     DimCell,
     TannakaError,
     TannakaFingerprint,
@@ -406,6 +409,16 @@ def test_fingerprint_layer_refuses_positive_characteristic(refused, message):
     with pytest.raises(TannakaError) as info:
         refused()
     assert str(info.value) == message
+
+
+def test_section_tables_and_fingerprint_refuse_a_misgraded_presentation():
+    # entry (0, 2) has degree 3, where twists (1, 1, 1) -> (3,) want 2
+    bad = KernelBundle(RING_QQ3, (1, 1, 1), (3,), ((P("X^2"), P("Y^2"), P("Z^3")),))
+    for engine in SECTION_ENGINES:
+        with pytest.raises(BundleError, match="degree-mismatch"):
+            section_dim_table(bad, "tensor", 1, [0, 1], engine)
+    with pytest.raises(BundleError, match="degree-mismatch"):
+        fingerprint(bad, "proven_stable")
 
 
 def test_selfdual_certify_double_bundle_not_simple():
