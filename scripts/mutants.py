@@ -39,8 +39,7 @@ MUTANTS = [
      "a coefficient that is 0 mod p leaves no term in the dense sweep's "
      "normal form"),
     ("primary-trusts-mod-p-no", "modgb.py",
-     "            if _leading_terms_cover_variables(reduced, caps, expected):\n"
-     "                return True\n",
+     "            span = _leading_terms_cover_variables(reduced, caps, expected)\n",
      "            return _leading_terms_cover_variables(reduced, caps, expected)\n",
      "a 'no' of the primary test mod p proves nothing; QQ decides it"),
     ("mod-p-section-as-alpha", "stability.py",
@@ -127,10 +126,23 @@ MUTANTS = [
      "        if False:\n",
      "a closure query takes the genus or the plane curve degree, not both"),
     ("scan-skips-bundle-test", "stability.py",
-     "    require_valid(bundle, check_surjectivity=True, caps=caps)\n",
-     "    require_valid(bundle, check_surjectivity=False, caps=caps)\n",
+     "    checked = require_valid(bundle, check_surjectivity=True, caps=caps)\n",
+     "    checked = require_valid(bundle, check_surjectivity=False, caps=caps)\n",
      "hoppe_check gives a verdict only on a bundle: surjectivity is tested "
      "before any scan"),
+    ("koszul-range-one-low", "stability.py",
+     "        if q < n - N - 1:\n",
+     "        if q < n - N - 2:\n",
+     "the Koszul complex is exact above degree n - N - 1 only: rank "
+     "n - N - 2 has homology the count leaves out"),
+    ("koszul-upper-from-lower", "stability.py",
+     "    if not bounds(top)[1]:\n",
+     "    if not bounds(top)[0]:\n",
+     "a Koszul '>' needs the upper bound on h^0 at the window top to vanish"),
+    ("koszul-no-hf-term", "stability.py",
+     "            if q > n - N - 1:\n",
+     "            if q >= n - N - 1:\n",
+     "rank n - N - 1 carries the top Koszul homology HF(S/I, D - N - 1 - e)"),
     ("staged-skips-shape-check", "tannaka.py",
      "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
      "    caps = caps.start()\n    if q < 1:\n",

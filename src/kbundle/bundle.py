@@ -145,12 +145,17 @@ class ValidationProblem(Record):
 
 
 class ValidationReport(Record):
-    __slots__ = ("problems", "surjective")
+    """span is the _LeadingSpan of the run that proved surjectivity (see
+    modgb.is_irrelevant_primary), None unless it was proved."""
+
+    __slots__ = ("problems", "surjective", "span")
     __hash__ = None
 
-    def __init__(self, problems: list, surjective: bool | None = None):
+    def __init__(self, problems: list, surjective: bool | None = None,
+                 span=None):
         self.problems = problems
         self.surjective = surjective
+        self.span = span
 
     @property
     def ok(self) -> bool:
@@ -249,7 +254,8 @@ def validate(bundle: KernelBundle, check_surjectivity: bool = False,
 
     Surjectivity holds iff the ideal of all m x m minors has radical
     (X_0, ..., X_N), which is decided by the zero-dimensionality test,
-    Hilbert-driven by minor_ideal_dims where n - m = N.
+    Hilbert-driven by minor_ideal_dims where n - m = N.  The report keeps
+    the leading-term span of the run that proved it.
     """
     caps = caps.start()
     problems = []
@@ -285,24 +291,26 @@ def validate(bundle: KernelBundle, check_surjectivity: bool = False,
                 problems.append(ValidationProblem(
                     "constant-entry", (j, i),
                     "nonzero constant entries are not allowed"))
-    surjective = None
+    surjective = span = None
     if check_surjectivity and not problems:
-        surjective = is_irrelevant_primary(
+        span = is_irrelevant_primary(
             [p for p in maximal_minors(bundle) if not p.is_zero()] or
             [bundle.ring.zero()], caps, expected=minor_ideal_dims(bundle))
+        surjective = span is not None
         if not surjective:
             problems.append(ValidationProblem(
                 "not-surjective", (),
                 "the ideal of maximal minors is not irrelevant-primary"))
-    return ValidationReport(problems, surjective)
+    return ValidationReport(problems, surjective, span)
 
 
 def require_valid(bundle: KernelBundle, check_surjectivity: bool = False,
-                  caps: Caps = NO_CAPS) -> KernelBundle:
+                  caps: Caps = NO_CAPS) -> ValidationReport:
+    """validate's report, or BundleError naming its problems."""
     report = validate(bundle, check_surjectivity, caps)
     if not report.ok:
         raise BundleError("; ".join(str(p) for p in report.problems))
-    return bundle
+    return report
 
 
 class Invariants(Record):

@@ -360,13 +360,16 @@ def task_check(payload, options, caps):
     lines = [f"bundle: {bundle.describe()}, mu = {report.mu}",
              f"slope gate: {report.gate}"]
     for c in report.per_power:
+        # the counter that decided the rank: a prime, or KOSZUL
         if c.relation == ">":
-            by = f", mod {c.prime}" if c.prime else ""
+            by = (f", mod {c.prime}" if isinstance(c.prime, int)
+                  else f", {c.prime}" if c.prime else "")
             lines.append(f"q={c.q}: no sections up to twist {c.window_top} "
                          f"(threshold {c.threshold}{by})")
         else:
+            by = f" ({c.prime})" if c.prime else ""
             lines.append(f"q={c.q}: first section at twist {c.alpha} "
-                         f"{c.relation} threshold {c.threshold}")
+                         f"{c.relation} threshold {c.threshold}{by}")
     if report.witness:
         lines.append(f"witness: q={report.witness.q}, degree "
                      f"{report.witness.degree}, verified")
@@ -558,7 +561,8 @@ def task_closure(gens, options, caps):
                 "regime": membership.regime,
                 "via": membership.via,
             }
-            results["trace"].extend(membership.trace)
+            # membership.trace starts with the closure's own lines
+            results["trace"] = trace + membership.trace
             lines.append(f"membership: {membership.member} ({membership.regime})")
     return results, lines, 0
 

@@ -1241,26 +1241,31 @@ def ideal_membership(f: Poly, gb: GroebnerBasis, caps: Caps = NO_CAPS) -> bool:
 PRIMARY_TEST_PRIME = 32003
 
 
-def _leading_terms_cover_variables(polys, caps: Caps, expected=None) -> bool:
-    """The leading-term ideal of the homogeneous, non-constant polys (zeros
-    ignored) contains a pure power of every variable.  The run (_gb_core)
-    stops at the first cover: its elements lie in the ideal I, so their
-    leading monomials lie in LT(I).  Without a cover it completes the basis,
-    whose leading monomials generate LT(I), so a "no" is a proof too; not so
-    with expected, which may drop pairs, and then only a "yes" is."""
+def _leading_terms_cover_variables(polys, caps: Caps,
+                                   expected=None) -> Optional[_LeadingSpan]:
+    """The run's _LeadingSpan when the leading-term ideal of the
+    homogeneous, non-constant polys (zeros ignored) contains a pure power of
+    every variable, else None.  The run (_gb_core) stops at the first cover:
+    its elements lie in the ideal I, so their leading monomials lie in
+    LT(I).  Without a cover it completes the basis, whose leading monomials
+    generate LT(I), so a "no" is a proof too; not so with expected, which
+    may drop pairs, and then only a "yes" is."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
-        return False
+        return None
     module = GradedFreeModule(polys[0].ring, (0,))
     covered: set = set()
-    _gb_core([ModuleElement.from_components(module, {0: p}) for p in polys],
-             module, caps, expected=expected, cover=covered)
-    return len(covered) == module.ring.nvars
+    span, _ = _gb_core([ModuleElement.from_components(module, {0: p})
+                        for p in polys],
+                       module, caps, expected=expected, cover=covered)
+    return span if len(covered) == module.ring.nvars else None
 
 
 def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
-                          expected=None) -> bool:
-    """True iff the homogeneous ideal has radical equal to (X_0, ..., X_N).
+                          expected=None) -> Optional[_LeadingSpan]:
+    """A true value iff the homogeneous ideal has radical equal to
+    (X_0, ..., X_N): the _LeadingSpan of the run that proved the cover, or
+    None.
 
     Zero-dimensionality test: the leading-term ideal must contain a pure
     power of every variable.  The unit ideal fails the test.  Every "yes"
@@ -1293,17 +1298,26 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
     F_p the plain run follows a driven one only when expected is given.
     It reduces an ideal's generators, not a bundle, so it is the one modular
     pass that keeps its own reduction instead of bundle.modular_twin.
+
+    The span bounds the Hilbert function of R/I from above in every degree
+    d, not only below the degree where the run stopped: each of its
+    span.size(d) terms is x^a * lt(g) for an element g of the run, so the
+    products x^a * g are that many independent elements of (I_p)_d (or of
+    I_d), and dim (I_p)_d <= dim I_d by the Macaulay rank argument above.
+    So HF(R/I, d) <= dim R_d - span.size(d).  The Koszul counter of
+    stability.hoppe_check reads it there.
     """
     caps = caps.start()
     polys = [p for p in generators if not p.is_zero()]
     if not polys:
-        return False
+        return None
     for p in polys:
         if not p.is_homogeneous():
             raise AlgebraError("primary test requires homogeneous generators")
     if any(p.is_constant() for p in polys):
-        return False                # the unit ideal
+        return None                 # the unit ideal
     ring = polys[0].ring
+    span = None
     if ring.field.char == 0:
         ring_p = PolyRing(ring.variables, FieldSpec(PRIMARY_TEST_PRIME))
         try:
@@ -1311,9 +1325,7 @@ def is_irrelevant_primary(generators: Sequence[Poly], caps: Caps = NO_CAPS,
         except CoefficientError:
             pass                    # the prime divides a denominator
         else:
-            if _leading_terms_cover_variables(reduced, caps, expected):
-                return True
-    elif expected is not None and _leading_terms_cover_variables(
-            polys, caps, expected):
-        return True
-    return _leading_terms_cover_variables(polys, caps)
+            span = _leading_terms_cover_variables(reduced, caps, expected)
+    elif expected is not None:
+        span = _leading_terms_cover_variables(polys, caps, expected)
+    return span or _leading_terms_cover_variables(polys, caps)

@@ -2,10 +2,12 @@
 
 The driver applies Hoppe's criterion: E is semistable iff for every exterior
 rank q below the rank and every integer k strictly below -q*mu(E) the twisted
-exterior power (wedge^q E)(k) has no nonzero global section.  Sections are
-read off the kernel presentations of the exterior powers degree by degree,
-through `PowerPresentation.kernel_dims`: the Groebner engine (rank-nullity on
-the leading terms of the image) or the linear-algebra engine (exact
+exterior power (wedge^q E)(k) has no nonzero global section.  On a syzygy
+bundle the ranks q >= n - N - 1 are first read off the Koszul complex of its
+generators (`_koszul_bounds`).  Other sections are read off the kernel
+presentations of the exterior powers degree by degree, through
+`PowerPresentation.kernel_dims`: the Groebner engine (rank-nullity on the
+leading terms of the image) or the linear-algebra engine (exact
 elimination), the latter after a first pass on `bundle.modular_twin`; a
 numeric slope gate handles line-bundle quotients, which covers the top
 exterior rank.
@@ -15,6 +17,7 @@ All slope comparisons are exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, floor
@@ -37,6 +40,7 @@ from .modgb import (
     PRIMARY_TEST_PRIME,
     ModuleElement,
     apply_columns,
+    free_module_dims,
     kernel_sections_linalg,
 )
 from .powers import exterior_power_matrix
@@ -56,8 +60,10 @@ class PowerCheck(Record):
 
     relation "<" means a section strictly below the threshold -q*mu exists
     (witnessed), "=" means the first section sits exactly at the threshold,
-    ">" means no section up to window_top (the scanned boundary).  prime is
-    the prime whose elimination proved a ">" (None when QQ decided).
+    ">" means no section up to window_top (the scanned boundary).  prime
+    names the counter that decided the rank: the prime whose elimination
+    proved a ">", KOSZUL when the Koszul complex decided it, None when the
+    engine did over the bundle's field (or the window is empty).
     """
 
     __slots__ = ("q", "alpha", "threshold", "relation", "window_top",
@@ -147,6 +153,100 @@ def _verify_witness(pres, element: ModuleElement, degree: int,
     return image.is_zero()
 
 
+def _window(q: int, mu: Fraction, mode: str) -> tuple:
+    """(threshold, top) of exterior rank q: Hoppe's threshold -q*mu and the
+    largest twist whose sections the mode reads."""
+    threshold = -q * mu
+    if mode == "stability_evidence":
+        return threshold, floor(threshold)
+    return threshold, ceil(threshold) - 1
+
+
+KOSZUL = "koszul"
+
+
+def _koszul_bounds(bundle: KernelBundle, span):
+    """q -> (k -> (lo, hi)), lo <= h^0((wedge^q E)(k)) <= hi, for a syzygy
+    bundle E = Syz(f_1, ..., f_n)(c) on P^N whose bundle test returned the
+    _LeadingSpan span; the rank's counter is None for q < n - N - 1.  The
+    whole result is None unless the presentation is one row without a zero
+    entry and span proved it surjective, i.e. I = (f) m-primary.
+
+    Write d_i = deg f_i, D = sum d_i, S = k[x_0..x_N] and K = K(f; S) for
+    the Koszul complex, K_j = (+)_{|A|=j} S(-sum_A d_i).  H^0 is left exact
+    on 0 -> wedge^q E -> wedge^q F -> wedge^(q-1) F (c), F = (+) O(c - d_i),
+    so h^0((wedge^q E)(k)) = dim Z_q in degree e = k + q*c: the cycles of
+    K_q, that is B_q + H_q.  I has depth N + 1, so H_j(f; S) = 0 for
+    j > n - N - 1 (depth sensitivity; Eisenbud, Commutative Algebra,
+    Thm 17.4).  For q >= n - N - 1 the tail K_n -> ... -> K_(q+1) -> B_q
+    is then exact, and dim (B_q)_e is the alternating sum
+    sum_{j>q} (-1)^(j-q-1) dim (K_j)_e.  H_q = 0 for q >= n - N.  At
+    q = n - N - 1, H_q = Ext^(N+1)(S/I, S)(-D) (Koszul self-duality), and
+    graded duality for the Artinian S/I gives dim (H_q)_e =
+    HF(S/I, D - N - 1 - e).  That term is bracketed over the bundle's
+    field: I_t is spanned by the x^a * f_i, so
+    HF(S/I, t) >= dim S_t - sum_i dim S_(t - d_i); and
+    HF(S/I, t) <= dim S_t - span.size(t) (modgb.is_irrelevant_primary).
+    The ranks q >= n - N are exact: lo = hi.
+    """
+    if bundle.m != 1 or span is None or \
+            any(f.is_zero() for f in bundle.matrix[0]):
+        return None
+    N, n, c = bundle.N, bundle.n, bundle.twists_b[0]
+    d = [c - a for a in bundle.twists_a]
+    # by_size[j][s]: the number of j-subsets A with sum_A d_i = s
+    by_size = [Counter({0: 1})] + [Counter() for _ in range(n)]
+    for di in d:
+        for j in range(n, 0, -1):
+            for s, count in by_size[j - 1].items():
+                by_size[j][s + di] += count
+    relations = Counter({0: 1})
+    relations.subtract(d)
+    forms = free_module_dims({0: 1}, N + 1)         # t -> dim S_t
+    uncovered = free_module_dims(relations, N + 1)  # dim S_t - sum dim S_(t-d_i)
+    socle = sum(d) - N - 1
+
+    def counter(q: int):
+        if q < n - N - 1:
+            return None
+        terms = Counter()
+        for j in range(q + 1, n + 1):
+            for s, count in by_size[j].items():
+                terms[s] += (-1) ** (j - q - 1) * count
+        boundaries = free_module_dims(terms, N + 1)
+
+        def bounds(k: int) -> tuple:
+            e = k + q * c
+            b = boundaries(e)
+            if q > n - N - 1:
+                return b, b
+            t = socle - e
+            return b + max(0, uncovered(t)), b + forms(t) - span.size(t)
+
+        return bounds
+
+    return counter
+
+
+def _koszul_exterior(bounds, q: int, mu: Fraction, mode: str,
+                     low: int) -> Optional[PowerCheck]:
+    """Decide exterior rank q, window [low, top], from the bounds of
+    _koszul_bounds, or None when they do not pin it.  Sections of a
+    torsion-free sheaf do not vanish under a linear form, so hi(top) = 0
+    proves ">".  Otherwise hi vanishes below the first k with hi(k) > 0, and
+    lo(k) > 0 there makes k the first section alpha.  The window is never
+    empty: every a_i lies below c, so the q largest sum to more than q*mu
+    (sum a_i / n > (sum a_i - c) / (n - 1)), and low < threshold."""
+    threshold, top = _window(q, mu, mode)
+    if not bounds(top)[1]:
+        return PowerCheck(q, None, threshold, ">", top, low, KOSZUL)
+    alpha = next(k for k in range(low, top + 1) if bounds(k)[1])
+    if not bounds(alpha)[0]:
+        return None
+    relation = "<" if alpha < threshold else "="
+    return PowerCheck(q, alpha, threshold, relation, top, low, KOSZUL)
+
+
 def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
                    caps: Caps) -> PowerCheck:
     """Check one exterior rank on its presentation pres.
@@ -170,9 +270,7 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     section or where the bound rules one out; when D <= N it ends at top
     with no further elimination.
     """
-    threshold = -q * mu
-    semi_top = ceil(threshold) - 1
-    top = floor(threshold) if mode == "stability_evidence" else semi_top
+    threshold, top = _window(q, mu, mode)
     low = -max(pres.source_twists)
     if low > top:
         return PowerCheck(q, None, threshold, ">", top, low)
@@ -208,23 +306,37 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     found section is returned as an explicit verified witness.  Each
     exterior presentation is built once and serves every engine and the
     witness check.  The `linalg` engine takes its first pass on the bundle's
-    `modular_twin` mod PRIMARY_TEST_PRIME (see `_scan_exterior`); `gb` has
-    none.  Every engine takes the "<" witness from one
-    `kernel_sections_linalg` call at alpha (the first vector of the
-    canonical kernel basis), so all three report the same witness, and
-    `_verify_witness` checks it exactly.
+    `modular_twin` mod PRIMARY_TEST_PRIME (see `_scan_exterior`), built for
+    the first rank it scans; `gb` has none.  Every engine takes the "<"
+    witness from one `kernel_sections_linalg` call at alpha (the first
+    vector of the canonical kernel basis), so all three report the same
+    witness, and `_verify_witness` checks it exactly.
 
     The verdict holds only for a bundle, so the presentation's shape and
     surjectivity (its maximal minors irrelevant-primary) are checked first,
     under the caps, and BundleError is raised before any exterior
     presentation is built.
+
+    On a syzygy bundle (one row, no zero entry) that test proved the ideal
+    I of the entries m-primary, so its Koszul complex is exact above
+    homological degree n - N - 1.  Every rank q >= n - N - 1 is then first
+    read off the Koszul complex (`_koszul_bounds`), under every engine and
+    before its presentation is built: h^0((wedge^q E)(k)) is an alternating
+    sum of dimensions of graded pieces of S for q >= n - N, and at
+    q = n - N - 1 that sum plus HF(S/I, D - N - 1 - e), bracketed by the
+    bundle test's own leading-term span from above and by the products
+    x^a * f_i from below.  hi(top) = 0 gives ">", and a first k with
+    hi(k) > 0 and lo(k) > 0 is alpha (`_koszul_exterior`); such a rank
+    names the counter KOSZUL.  Where the bracket leaves alpha open, the rank
+    is scanned as above.  No rank is read this way unless the bundle test
+    proved surjectivity, and the rule runs no Buchberger of its own.
     """
     if mode not in MODES:
         raise StabilityError(f"unknown mode {mode!r}")
     if engine not in ENGINES:
         raise StabilityError(f"unknown engine {engine!r}")
     caps = caps.start()
-    require_valid(bundle, check_surjectivity=True, caps=caps)
+    checked = require_valid(bundle, check_surjectivity=True, caps=caps)
     inv = invariants(bundle)
     mu = inv.mu
     r = inv.rank
@@ -254,23 +366,37 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                              mu=mu, gate=gate, mode=mode, engine=engine,
                              criteria_trace=trace)
 
-    bundle_p = None if engine == "gb" else modular_twin(bundle, PRIMARY_TEST_PRIME)
+    koszul = _koszul_bounds(bundle, checked.span)
+    bundle_p, twin_built = None, engine == "gb"
     engines = ("gb", "linalg") if engine == "both" else (engine,)
     for q in q_list:
-        pres = exterior_power_matrix(bundle, q)
-        pres_p = None if bundle_p is None else exterior_power_matrix(bundle_p, q)
-        scans = [_scan_exterior(pres, pres_p, q, mu, mode, e, caps)
-                 for e in engines]
-        first, check = scans[0], scans[-1]
-        if (first.alpha, first.relation) != (check.alpha, check.relation):
-            raise InternalCheckError(
-                f"engine mismatch at q={q}: gb found ({first.alpha}, "
-                f"{first.relation}), linalg found ({check.alpha}, "
-                f"{check.relation})")
+        caps.check_time()   # the Koszul counter itself checks no deadline
+        # the window starts at -(the largest twist of wedge^q F)
+        bounds = koszul and koszul(q)
+        check = bounds and _koszul_exterior(bounds, q, mu, mode,
+                                            -sum(bundle.twists_a[:q]))
+        pres = None
+        if check is None:
+            pres = exterior_power_matrix(bundle, q)
+            if not twin_built:
+                bundle_p = modular_twin(bundle, PRIMARY_TEST_PRIME)
+                twin_built = True
+            pres_p = None if bundle_p is None else exterior_power_matrix(bundle_p, q)
+            scans = [_scan_exterior(pres, pres_p, q, mu, mode, e, caps)
+                     for e in engines]
+            first, check = scans[0], scans[-1]
+            if (first.alpha, first.relation) != (check.alpha, check.relation):
+                raise InternalCheckError(
+                    f"engine mismatch at q={q}: gb found ({first.alpha}, "
+                    f"{first.relation}), linalg found ({check.alpha}, "
+                    f"{check.relation})")
         report.per_power.append(check)
         if check.relation == "<":
-            # under gb an empty kernel here is an engine disagreement, which
-            # the verification below reports
+            # under gb an empty kernel here is an engine disagreement, and
+            # under the Koszul counter a wrong alpha: the verification below
+            # reports either
+            if pres is None:
+                pres = exterior_power_matrix(bundle, q)
             source = pres.source_module()
             _, vectors = kernel_sections_linalg(
                 pres.columns, source, pres.target_module(), check.alpha, caps)

@@ -235,7 +235,7 @@ def test_bundle_test_reads_the_minors_mod_p(monkeypatch):
         rows.add(bundle.m)
         minors = [f for f in cofactor_minors(bundle) if not f.is_zero()]
         assert runs[0] == [reduce_poly_mod_p(f, ring_p) for f in minors]
-        assert report.surjective == is_irrelevant_primary(minors)
+        assert report.surjective == bool(is_irrelevant_primary(minors))
     assert rows == {1, 2, 3}
     bundle = KernelBundle(RING_QQ3, (-1, -1, -1, -1), (0, 0), (
         (P(f"1/{PRIMARY_TEST_PRIME}*X"), P("Y"), P("Z"), P("0")),

@@ -266,6 +266,22 @@ def test_closure_frobenius(capsys, monkeypatch):
     assert len(calls) == 1      # the membership test reuses the threshold
 
 
+@pytest.mark.parametrize("args", [
+    ["--ideal", FIVE_QUADRICS, "--candidate", "X*Y*Z"],
+    ["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2", "--candidate", "X*Y",
+     "--genus", "3", "--frobenius-e", "2", "--strong-flag", "elliptic-curve"],
+])
+def test_closure_trace_has_each_line_once(capsys, tmp_path, args):
+    # over F_p the membership trace starts with the closure's own lines
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(["closure"] + args + ["--json-out", str(out_path)],
+                         capsys)
+    assert code == 0
+    trace = json.loads(out_path.read_text())["results"]["trace"]
+    assert any(line.startswith("tau = ") for line in trace)
+    assert len(set(trace)) == len(trace), trace
+
+
 @pytest.mark.parametrize("args, message", [
     (["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2, 0", "--strong-flag", "x"],
      "ideal generators must be nonzero"),
@@ -890,13 +906,13 @@ def test_check_reports_the_deciding_prime(capsys, tmp_path):
         lines[engine] = out.splitlines()[2:4]
         per_power = json.loads(out_path.read_text())["results"]["report"]["per_power"]
         assert [c["prime"] for c in per_power] == (
-            [32003, None] if engine == "linalg" else [None, None])
+            [32003, "koszul"] if engine == "linalg" else [None, "koszul"])
     assert lines["linalg"] == [
         "q=1: no sections up to twist 2 (threshold 5/2, mod 32003)",
-        "q=2: first section at twist 5 = threshold 5"]
+        "q=2: first section at twist 5 = threshold 5 (koszul)"]
     assert lines["gb"] == [
         "q=1: no sections up to twist 2 (threshold 5/2)",
-        "q=2: first section at twist 5 = threshold 5"]
+        "q=2: first section at twist 5 = threshold 5 (koszul)"]
 
 
 def test_report_digest_scan_linalg_matches_frozen_answers():

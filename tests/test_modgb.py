@@ -418,12 +418,12 @@ def test_wrong_expected_never_changes_the_answer(char):
     to dim R_d or off by one, the answer stays the plain test's."""
     answers = []
     for polys, hilbert in primary_test_ideals(char):
-        truth = is_irrelevant_primary(polys)
+        truth = bool(is_irrelevant_primary(polys))
         answers.append(truth)
         mutants = [hilbert, lambda d: 0, lambda d: comb(d + 2, 2),
                    lambda d: hilbert(d) + 1, lambda d: hilbert(d) - 1]
         for expected in mutants:
-            assert is_irrelevant_primary(polys, Caps(), expected) == truth
+            assert bool(is_irrelevant_primary(polys, Caps(), expected)) == truth
     assert answers[:10] == [True, False, True, True, True, True, True, False,
                             False, False]
     assert True in answers[10:] and False in answers[10:]
@@ -489,7 +489,8 @@ def test_ideal_groebner_matches_macaulay_rank(char, nvars):
             assert graded_piece_dim(gb, d) == macaulay_rank(polys, d)
         bound = nvars * (max(f.homogeneous_degree() for f in polys) - 1) + 1
         full = len(list(monomials_of_degree(nvars, bound)))
-        assert is_irrelevant_primary(polys) == (macaulay_rank(polys, bound) == full)
+        assert bool(is_irrelevant_primary(polys)) == (
+            macaulay_rank(polys, bound) == full)
 
 
 def module_macaulay_rank(gens, d):

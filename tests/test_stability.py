@@ -14,6 +14,7 @@ from kbundle.bundle import (
     SyzygyBundleSpec,
     invariants,
     make_kernel_bundle,
+    modular_twin,
     twist,
     validate,
 )
@@ -30,9 +31,11 @@ from kbundle import tannaka
 from kbundle.powers import exterior_power_matrix
 from kbundle.stability import (
     ENGINES,
+    KOSZUL,
     InternalCheckError,
     NumericCriterionResult,
     StabilityError,
+    _koszul_bounds,
     _scan_exterior,
     _verify_witness,
     analyze_bundle,
@@ -45,6 +48,8 @@ from kbundle.stability import (
 )
 
 from sample_bundles import (
+    P,
+    RING_QQ3,
     double_rank2_bundle,
     dual_five_monomials,
     five_quadrics,
@@ -204,11 +209,12 @@ def test_engine_mismatch_raises(monkeypatch):
 def test_gb_section_without_linalg_witness_raises(monkeypatch):
     import kbundle.powers as powers
     # a gb engine that counts a section in every degree claims q = 1 at the
-    # lowest degree, where linalg finds no vector to witness it
+    # lowest degree, where linalg finds no vector to witness it; q = 1 of
+    # the five quadrics lies below the Koszul counter's ranks
     monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 1)
     with pytest.raises(InternalCheckError,
-                       match="witness at q=1, degree -1 failed verification"):
-        hoppe_check(syzygy_bundle(["X^2", "Y^2", "Z^2"], twist=3), engine="gb")
+                       match="witness at q=1, degree 2 failed verification"):
+        hoppe_check(five_quadrics(), engine="gb")
 
 
 def test_witness_at_the_threshold_is_rejected():
@@ -253,12 +259,29 @@ def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
 
 
 def test_hoppe_check_refuses_a_non_bundle_before_any_presentation(monkeypatch):
+    import kbundle.stability as stability
     calls = count_calls(monkeypatch, ("exterior_power_matrix",))
+    # the Koszul counter's degree formula is wrong off an m-primary ideal:
+    # it must not run either
+    for name in ("_koszul_bounds", "_koszul_exterior", "_scan_exterior"):
+        def refuse(*args, _name=name):
+            calls[_name] += 1
+        monkeypatch.setattr(stability, name, refuse)
     bundle = syzygy_bundle(["X", "Y", "X + Y"])     # common zero (0:0:1)
     for engine in ENGINES:
         with pytest.raises(BundleError, match="not-surjective"):
             hoppe_check(bundle, engine=engine)
     assert calls == Counter()
+
+
+def split_unstable_bundle():
+    """Syz(X^2, Y^2, Z^2)(3) + Syz(X, Y, Z)(2) as one m = 2 presentation:
+    rank 4, mu = 1/4, destabilized by the second summand, whose wedge^2 is
+    O(1).  Every rank is scanned: q = 1 has no section, q = 2 one at -1."""
+    z = RING_QQ3.zero()
+    return make_kernel_bundle(RING_QQ3, [1] * 6, [3, 2], [
+        [P("X^2"), P("Y^2"), P("Z^2"), z, z, z],
+        [z, z, z, P("X"), P("Y"), P("Z")]])
 
 
 def test_witness_comes_from_the_kept_engine(monkeypatch):
@@ -268,7 +291,7 @@ def test_witness_comes_from_the_kept_engine(monkeypatch):
     witnesses = {}
     for engine in ENGINES:
         calls.clear()
-        report = hoppe_check(monomial_cubes_family(), engine=engine)
+        report = hoppe_check(split_unstable_bundle(), engine=engine)
         assert report.witness.verified and report.witness.q == 2
         witnesses[engine] = str(report.witness.element)
         assert calls == {
@@ -387,7 +410,7 @@ def test_brenner_primary_test_matches_buchberger():
             except StabilityError as exc:
                 assert "irrelevant-primary" in str(exc)
                 primary = False
-            assert primary == is_irrelevant_primary(list(gens))
+            assert primary == bool(is_irrelevant_primary(list(gens)))
             answers.add((primary, (0,) * nvars in monos))
     assert {(True, False), (False, False), (False, True)} <= answers
 
@@ -657,15 +680,15 @@ def random_form(ring, degree, rng):
                        for m in monomials_of_degree(ring.nvars, degree)})
 
 
-def random_syzygy_bundle(N, degrees, seed):
-    ring = make_ring(N + 1)
+def random_syzygy_bundle(N, degrees, seed, field=FieldSpec(0)):
+    ring = make_ring(N + 1, field)
     rng = random.Random(seed)
     gens = tuple(random_form(ring, d, rng) for d in degrees)
     return from_syzygy(SyzygyBundleSpec(ring, gens, 0))
 
 
-def random_m2_kernel_bundle(N, twists_a, twists_b, seed):
-    ring = make_ring(N + 1)
+def random_m2_kernel_bundle(N, twists_a, twists_b, seed, field=FieldSpec(0)):
+    ring = make_ring(N + 1, field)
     rng = random.Random(seed)
     rows = [[random_form(ring, b - a, rng) for a in twists_a] for b in twists_b]
     return make_kernel_bundle(ring, list(twists_a), list(twists_b), rows)
@@ -693,9 +716,13 @@ def reference_scan(bundle, qs):
     return out
 
 
-def scan_fields(report):
+def rank_fields(checks):
     return [(c.q, c.alpha, c.relation, c.window_low, c.window_top)
-            for c in report.per_power]
+            for c in checks]
+
+
+def scan_fields(report):
+    return rank_fields(report.per_power)
 
 
 # (builder, per exterior rank: relation; "<" ends the scan as unstable)
@@ -724,6 +751,18 @@ FIRST_PASS_CASES = {
 NOT_BUNDLES = {("p2 degrees 1,1,2", 3), ("p2 degrees 1,1,4", 3)}
 
 
+def scan_ranks(bundle, qs, engine):
+    """_scan_exterior on each rank's presentation, with the `linalg` first
+    pass on the bundle's modular twin: the scan hoppe_check runs where the
+    Koszul counter does not decide the rank."""
+    mu = invariants(bundle).mu
+    twin = None if engine == "gb" else modular_twin(bundle, PRIMARY_TEST_PRIME)
+    return [_scan_exterior(exterior_power_matrix(bundle, q),
+                           twin and exterior_power_matrix(twin, q), q, mu,
+                           "stability_evidence", engine, NO_CAPS)
+            for q in qs]
+
+
 @pytest.mark.parametrize("name", list(FIRST_PASS_CASES))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_linalg_first_pass_matches_plain_qq_scan_and_gb(name, seed):
@@ -734,29 +773,46 @@ def test_linalg_first_pass_matches_plain_qq_scan_and_gb(name, seed):
             with pytest.raises(BundleError, match="not-surjective"):
                 hoppe_check(bundle, engine=engine)
         return
-    la = hoppe_check(bundle, engine="linalg")
-    gb = hoppe_check(bundle, engine="gb")
-    assert [c.relation for c in la.per_power] == relations
-    assert scan_fields(la) == reference_scan(bundle, [c.q for c in la.per_power])
-    assert scan_fields(la) == scan_fields(gb)
-    assert (la.verdict, la.stability) == (gb.verdict, gb.stability)
-    assert [c.prime for c in gb.per_power] == [None] * len(gb.per_power)
+    la_report = hoppe_check(bundle, engine="linalg")
+    gb_report = hoppe_check(bundle, engine="gb")
+    qs = [c.q for c in la_report.per_power]
+    # the Koszul counter decides most of these syzygy ranks before any
+    # presentation is built, so the engines' scans run on them directly
+    la = scan_ranks(bundle, qs, "linalg")
+    gb = scan_ranks(bundle, qs, "gb")
+    assert [c.relation for c in la] == relations
+    assert scan_fields(la_report) == scan_fields(gb_report) == \
+        reference_scan(bundle, qs)
+    assert rank_fields(la) == rank_fields(gb) == scan_fields(la_report)
+    assert (la_report.verdict, la_report.stability) == \
+        (gb_report.verdict, gb_report.stability)
+    assert [c.prime for c in gb] == [None] * len(gb)
     # on these generic bundles the prime sees what QQ sees
-    assert [c.prime for c in la.per_power] == [
-        PRIMARY_TEST_PRIME if c.relation == ">" else None for c in la.per_power]
-    if la.verdict == "unstable":
-        assert la.witness.verified and la.witness.degree == gb.witness.degree
+    assert [c.prime for c in la] == [
+        PRIMARY_TEST_PRIME if c.relation == ">" else None for c in la]
+    if la_report.verdict == "unstable":
+        assert la_report.witness.verified and \
+            la_report.witness.degree == gb_report.witness.degree
+
+
+FIVE_QUADRICS = ["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"]
+
+
+def five_quadrics_with(third):
+    """The five quadrics with X*Y replaced by third: n - N - 1 = 2, so rank
+    q = 1 is scanned, and q = 2 is read off the Koszul complex."""
+    return syzygy_bundle(FIVE_QUADRICS[:2] + [third] + FIVE_QUADRICS[3:])
 
 
 def test_prime_dividing_a_coefficient_does_not_decide():
     # mod 32003 the third generator vanishes and sections appear in the
-    # window; QQ has none, so QQ decides ">"
-    base = hoppe_check(syzygy_bundle(["X", "Y", "Z"]), engine="linalg")
-    report = hoppe_check(syzygy_bundle(["X", "Y", "32003*Z"]), engine="linalg")
+    # window of q = 1; QQ has none, so QQ decides ">"
+    base = hoppe_check(five_quadrics(), engine="linalg")
+    report = hoppe_check(five_quadrics_with("32003*X*Y"), engine="linalg")
     assert (report.verdict, report.stability) == (base.verdict, base.stability)
     assert scan_fields(report) == scan_fields(base)
-    assert [c.prime for c in base.per_power] == [PRIMARY_TEST_PRIME]
-    assert [c.prime for c in report.per_power] == [None]
+    assert [c.prime for c in base.per_power] == [PRIMARY_TEST_PRIME, KOSZUL]
+    assert [c.prime for c in report.per_power] == [None, KOSZUL]
 
 
 def count_linalg_calls_by_characteristic(monkeypatch):
@@ -774,11 +830,11 @@ def count_linalg_calls_by_characteristic(monkeypatch):
 
 def test_prime_in_a_denominator_skips_the_first_pass(monkeypatch):
     calls = count_linalg_calls_by_characteristic(monkeypatch)
-    base = hoppe_check(syzygy_bundle(["X", "Y", "Z"]), engine="linalg")
+    base = hoppe_check(five_quadrics(), engine="linalg")
     calls.clear()
-    report = hoppe_check(syzygy_bundle(["X", "Y", "1/32003*Z"]), engine="linalg")
+    report = hoppe_check(five_quadrics_with("1/32003*X*Y"), engine="linalg")
     assert scan_fields(report) == scan_fields(base)
-    assert [c.prime for c in report.per_power] == [None]
+    assert [c.prime for c in report.per_power] == [None, KOSZUL]
     assert set(calls) == {0}
 
 
@@ -793,19 +849,20 @@ def test_bundle_over_fp_is_never_reduced_to_another_prime(monkeypatch):
     # bundle.modular_twin, which calls bundle's binding
     monkeypatch.setattr(bundle_module, "reduce_bundle_mod_p", refuse)
     calls = count_linalg_calls_by_characteristic(monkeypatch)
-    ring7 = make_ring(3, FieldSpec(7))
-    bundle = from_syzygy(SyzygyBundleSpec(
-        ring7, parse_many(["X^2", "Y^2", "Z^2"], ring7), 3))
+    # m = 2: every rank is scanned
+    bundle = random_m2_kernel_bundle(3, (0,) * 6, (1, 1), 1,
+                                     field=FieldSpec(7))
     for engine in ("linalg", "both"):
         report = hoppe_check(bundle, engine=engine)
         assert report.stability == "proven_stable"
-        assert [c.prime for c in report.per_power] == [None]
+        assert [c.prime for c in report.per_power] == [None, None]
     assert set(calls) == {7}
 
 
 def test_stable_generic_bundle_runs_no_qq_elimination(monkeypatch):
     calls = count_linalg_calls_by_characteristic(monkeypatch)
-    report = hoppe_check(random_syzygy_bundle(2, (3, 3, 3, 3), 5),
+    # m = 2: every rank is scanned
+    report = hoppe_check(random_m2_kernel_bundle(3, (0,) * 6, (1, 1), 1),
                          engine="linalg")
     assert report.stability == "proven_stable"
     assert calls[0] == 0 and calls[PRIMARY_TEST_PRIME] == len(report.per_power)
@@ -935,3 +992,110 @@ def test_a_section_spans_a_monomial_multiple_of_its_count(name, seed):
     report = hoppe_check(bundle, engine="linalg")
     assert scan_fields(report) == reference_scan(
         bundle, [c.q for c in report.per_power])
+
+
+# ---------------------------------------------------------------------------
+# The Koszul counter of syzygy bundles.
+# ---------------------------------------------------------------------------
+
+F7 = FieldSpec(7)
+RING_F7_3 = make_ring(3, F7)
+RING_QQ4 = make_ring(4)
+
+# name -> builder of a syzygy bundle; the monomial ideals are those whose
+# cover run stops on the pure powers, where the bracket at rank n - N - 1
+# can be loose
+KOSZUL_CASES = {
+    "p2 qq 5 quadrics": lambda: random_syzygy_bundle(2, (2,) * 5, 1),
+    "p2 qq degrees 1,2,2,3,3": lambda: random_syzygy_bundle(
+        2, (1, 2, 2, 3, 3), 2),
+    "p2 f7 degrees 1,2,2,3": lambda: random_syzygy_bundle(
+        2, (1, 2, 2, 3), 3, F7),
+    "p2 f7 6 quadrics": lambda: random_syzygy_bundle(2, (2,) * 6, 4, F7),
+    "p3 qq degrees 1,2,2,2,3": lambda: random_syzygy_bundle(
+        3, (1, 2, 2, 2, 3), 5),
+    "p3 f7 5 quadrics": lambda: random_syzygy_bundle(3, (2,) * 5, 6, F7),
+    "p2 qq monomial": lambda: syzygy_bundle(["X^2", "Y^2", "Z^2", "X*Y", "X*Z"]),
+    "p2 f7 monomial": lambda: syzygy_bundle(
+        ["X^4", "Y^4", "Z^4", "X^2*Y^2", "Y^2*Z^2", "X*Y*Z^2"], ring=RING_F7_3),
+    "p3 qq monomial": lambda: syzygy_bundle(
+        ["X0^3", "X1^3", "X2^3", "X3^3", "X0*X1*X2"], ring=RING_QQ4),
+}
+
+
+@pytest.mark.parametrize("name", list(KOSZUL_CASES))
+def test_koszul_bracket_holds_against_elimination(name):
+    """Seeded differential test: lo <= dim K_k <= hi for the exterior
+    presentation of every rank q >= n - N - 1, k from below the window to
+    past its top, exact for q >= n - N; no counter below n - N - 1."""
+    bundle = KOSZUL_CASES[name]()
+    n, N = bundle.n, bundle.N
+    checked = validate(bundle, check_surjectivity=True)
+    assert checked.ok
+    counter = _koszul_bounds(bundle, checked.span)
+    mu = invariants(bundle).mu
+    loose = 0
+    for q in range(1, bundle.rank):
+        bounds = counter(q)
+        if q < n - N - 1:
+            assert bounds is None, q
+            continue
+        pres = exterior_power_matrix(bundle, q)
+        top = floor(-q * mu) + 2
+        dim = pres.kernel_dims("linalg", NO_CAPS, top)
+        for k in range(-max(pres.source_twists) - 1, top + 1):
+            lo, hi = bounds(k)
+            assert lo <= dim(k) <= hi, (q, k, lo, dim(k), hi)
+            assert lo == hi or q == n - N - 1, (q, k)
+            loose += lo < hi
+    assert bool(loose) == ("monomial" in name)
+
+
+def test_koszul_counter_needs_a_row_without_zeros():
+    # an m = 2 presentation, and a zero entry, which splits off a summand
+    z = RING_QQ3.zero()
+    bundles = [dual_five_monomials(), make_kernel_bundle(
+        RING_QQ3, [-1, -1, -1, -1], [1], [[P("X^2"), P("Y^2"), P("Z^2"), z]])]
+    for bundle in bundles:
+        checked = validate(bundle, check_surjectivity=True)
+        assert checked.ok and checked.span is not None
+        assert _koszul_bounds(bundle, checked.span) is None
+
+
+def koszul_report_bundles():
+    yield from (build() for build in KOSZUL_CASES.values())
+    yield from (five_quadrics(), five_quartics(), monomial_cubes_family(),
+                sl3_bundle(), rank6_bundle(),
+                syzygy_bundle(["X", "Y", "Z^5"]),
+                random_syzygy_bundle(3, (1, 1, 2, 4), 1),
+                random_syzygy_bundle(3, (1, 1, 1, 3), 2))
+
+
+def test_koszul_ranks_match_the_scan_under_every_engine():
+    """Every rank the counter decides has the (q, alpha, relation) that
+    _scan_exterior finds on the same presentation, under each engine the
+    report ran; the others were scanned.  The pool reaches all three
+    relations through the counter, and a fallback at rank n - N - 1."""
+    seen = Counter()
+    for bundle in koszul_report_bundles():
+        mu = invariants(bundle).mu
+        twin = modular_twin(bundle, PRIMARY_TEST_PRIME)
+        for engine in ENGINES:
+            report = hoppe_check(bundle, engine=engine)
+            for c in report.per_power:
+                if c.prime != KOSZUL:
+                    if c.q >= bundle.n - bundle.N - 1 and c.window_low <= c.window_top:
+                        seen["fallback"] += 1
+                    continue
+                seen[c.relation] += 1
+                pres = exterior_power_matrix(bundle, c.q)
+                pres_p = twin and exterior_power_matrix(twin, c.q)
+                for e in ("gb", "linalg") if engine == "both" else (engine,):
+                    scan = _scan_exterior(pres, pres_p, c.q, mu,
+                                          "stability_evidence", e, NO_CAPS)
+                    assert (scan.q, scan.alpha, scan.relation) == \
+                        (c.q, c.alpha, c.relation), (bundle.describe(), e)
+            if report.witness is not None:
+                assert report.witness.verified
+    assert {">", "=", "<", "fallback"} <= set(seen), seen
+
