@@ -95,10 +95,21 @@ MUTANTS = [
      "else modular_twin(bundle, CELL_PRIME)\n",
      "else modular_twin(bundle, CELL_PRIME) or bundle\n",
      "a cell whose prime divides a denominator is exact, not 'F1000003 <='"),
-    ("section-table-both-unchecked", "tannaka.py",
-     "    first, table = tables[0], tables[-1]\n",
-     "    first, table = tables[-1], tables[-1]\n",
-     "a 'both' section table compares the gb table with the linalg one"),
+    ("section-table-both-unchecked", "powers.py",
+     "            if gb != linalg:\n",
+     "            if False:\n",
+     "'both' compares the gb count with the linalg one, in a section table "
+     "as in the Hoppe scan"),
+    ("both-compares-first-degree-only", "powers.py",
+     "            if not runs:\n"
+     "                runs.append(kernel_dims_gb(*args, caps, top))\n"
+     "            gb, linalg = runs[0](k), kernel_dim_linalg(*args, k, caps)\n",
+     "            gb = linalg = kernel_dim_linalg(*args, k, caps)\n"
+     "            if not runs:\n"
+     "                runs.append(kernel_dims_gb(*args, caps, top))\n"
+     "                gb = runs[0](k)\n",
+     "'both' compares the two counts at every degree it reads, not only at "
+     "the first"),
     ("fp-polynomial-reduced-mod-p", "algebra.py",
      "    if p.ring.field.char:\n        raise RingMismatchError(",
      "    if False:\n        raise RingMismatchError(",

@@ -216,7 +216,8 @@ def _opt(kind, default=None, allowed=None, text=""):
 _ENGINE = _opt(_STR, "linalg", ENGINES)
 _TASK_OPTIONS = {
     "validate": {"surjectivity": _opt(_BOOL, False)},
-    "check": {"engine": _opt(_STR, "both", ENGINES),
+    "check": {"engine": _opt(_STR, "both", ENGINES, "both: linalg, and gb "
+                             "re-counts the degrees read over the field"),
               "mode": _opt(_STR, "stability_evidence", MODES),
               "via_pullback": _opt(_INT), "upgrade_selfdual": _opt(_BOOL, True)},
     "sections": {"kind": _opt(_STR, "exterior", KINDS), "q": _opt(_INT, 1),
@@ -414,7 +415,9 @@ def task_sections(payload, options, caps):
         "power": {"kind": kind_name, "q": q},
         "sections": {str(k): table[k] for k in twists},
     }
-    lines = [f"h^0(({kind_name}^{q} E)(k)) for k in {twists[0]}..{twists[-1]}:"]
+    run = all(b == a + 1 for a, b in zip(twists, twists[1:]))
+    shown = f"{twists[0]}..{twists[-1]}" if run else ",".join(map(str, twists))
+    lines = [f"h^0(({kind_name}^{q} E)(k)) for k in {shown}:"]
     lines.extend(f"  k = {k}: {table[k]}" for k in twists)
     return results, lines, 0
 

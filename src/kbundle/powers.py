@@ -23,7 +23,8 @@ from itertools import (combinations, combinations_with_replacement, count,
 
 from .algebra import AlgebraError, Record
 from .bundle import KernelBundle, module_from_twists
-from .modgb import Caps, GradedFreeModule, kernel_dim_linalg, kernel_dims_gb
+from .modgb import (Caps, GradedFreeModule, InternalCheckError,
+                    kernel_dim_linalg, kernel_dims_gb)
 
 
 class PowerError(AlgebraError):
@@ -72,12 +73,28 @@ class PowerPresentation(Record):
         return module_from_twists(self.ring, self.target_twists)
 
     def kernel_dims(self, engine: str, caps: Caps, top: int):
-        """k -> dim of the degree-k kernel piece, k <= top, for every engine:
-        `gb` counts it on one run truncated at top, `linalg` eliminates k."""
+        """k -> dim of the degree-k kernel piece, k <= top, for each of
+        ENGINES: `gb` counts it on one run truncated at top, `linalg`
+        eliminates k, and `both` eliminates k and re-counts it on that run,
+        built at the first degree read (InternalCheckError if they differ)."""
         args = (self.columns, self.source_module(), self.target_module())
         if engine == "gb":
             return kernel_dims_gb(*args, caps, top)
-        return lambda k: kernel_dim_linalg(*args, k, caps)
+        if engine == "linalg":
+            return lambda k: kernel_dim_linalg(*args, k, caps)
+        runs = []   # the one gb run
+
+        def both(k: int) -> int:
+            if not runs:
+                runs.append(kernel_dims_gb(*args, caps, top))
+            gb, linalg = runs[0](k), kernel_dim_linalg(*args, k, caps)
+            if gb != linalg:
+                raise InternalCheckError(
+                    f"engine mismatch in {self.kind}^{self.q} at degree {k}: "
+                    f"gb {gb}, linalg {linalg}")
+            return linalg
+
+        return both
 
 
 # kind -> (label family, slots (p, label[p], scalar) of a label)
@@ -92,6 +109,7 @@ _KINDS = {
                              if not p or M[p - 1] != i]),
 }
 KINDS = tuple(_KINDS)
+ENGINES = ("gb", "linalg", "both")   # of PowerPresentation.kernel_dims
 
 
 def _power(bundle: KernelBundle, kind: str, q: int) -> PowerPresentation:

@@ -43,7 +43,7 @@ from .modgb import (
     free_module_dims,
     kernel_sections_linalg,
 )
-from .powers import exterior_power_matrix
+from .powers import ENGINES, exterior_power_matrix
 from . import tannaka
 
 
@@ -52,7 +52,6 @@ class StabilityError(AlgebraError):
 
 
 MODES = ("semistability", "stability_evidence")
-ENGINES = ("gb", "linalg", "both")
 
 
 class PowerCheck(Record):
@@ -251,8 +250,8 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
                    caps: Caps) -> PowerCheck:
     """Check one exterior rank on its presentation pres.
 
-    pres_p, the same presentation mod PRIMARY_TEST_PRIME, gives the `linalg`
-    scan its first pass.  It is sound for two reasons.  The degree-k matrix
+    pres_p, the same presentation mod PRIMARY_TEST_PRIME, gives every
+    engine but `gb` a first pass.  It is sound for two reasons.  The degree-k matrix
     of pres_p is that of pres reduced mod p, and rank mod p never exceeds
     rank over QQ, so dim K_p,k >= dim K_k.  The kernel K of a graded map of
     free modules is torsion-free, so a linear form maps K_k injectively into
@@ -275,8 +274,8 @@ def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
     if low > top:
         return PowerCheck(q, None, threshold, ">", top, low)
     start = low
-    if engine == "linalg" and pres_p is not None:
-        dim_p = pres_p.kernel_dims(engine, caps, top)
+    if engine != "gb" and pres_p is not None:
+        dim_p = pres_p.kernel_dims("linalg", caps, top)
         sections = dim_p(top)
         if not sections:
             return PowerCheck(q, None, threshold, ">", top, low,
@@ -305,12 +304,14 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     top exterior rank; when the gate fails, the loop extends to rank-1 and a
     found section is returned as an explicit verified witness.  Each
     exterior presentation is built once and serves every engine and the
-    witness check.  The `linalg` engine takes its first pass on the bundle's
+    witness check.  `linalg` and `both` take a first pass on the bundle's
     `modular_twin` mod PRIMARY_TEST_PRIME (see `_scan_exterior`), built for
-    the first rank it scans; `gb` has none.  Every engine takes the "<"
-    witness from one `kernel_sections_linalg` call at alpha (the first
-    vector of the canonical kernel basis), so all three report the same
-    witness, and `_verify_witness` checks it exactly.
+    the first rank they scan; `gb` has none.  `both` re-counts with `gb`
+    only the degrees read over the bundle's field, the ranks reported with
+    prime None: a mod-p ">" or a Koszul rank is already a proof.  Every
+    engine takes the "<" witness from one `kernel_sections_linalg` call at
+    alpha (the first vector of the canonical kernel basis), so all three
+    report the same witness, and `_verify_witness` checks it exactly.
 
     The verdict holds only for a bundle, so the presentation's shape and
     surjectivity (its maximal minors irrelevant-primary) are checked first,
@@ -318,18 +319,12 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     presentation is built.
 
     On a syzygy bundle (one row, no zero entry) that test proved the ideal
-    I of the entries m-primary, so its Koszul complex is exact above
-    homological degree n - N - 1.  Every rank q >= n - N - 1 is then first
-    read off the Koszul complex (`_koszul_bounds`), under every engine and
-    before its presentation is built: h^0((wedge^q E)(k)) is an alternating
-    sum of dimensions of graded pieces of S for q >= n - N, and at
-    q = n - N - 1 that sum plus HF(S/I, D - N - 1 - e), bracketed by the
-    bundle test's own leading-term span from above and by the products
-    x^a * f_i from below.  hi(top) = 0 gives ">", and a first k with
-    hi(k) > 0 and lo(k) > 0 is alpha (`_koszul_exterior`); such a rank
-    names the counter KOSZUL.  Where the bracket leaves alpha open, the rank
-    is scanned as above.  No rank is read this way unless the bundle test
-    proved surjectivity, and the rule runs no Buchberger of its own.
+    I of the entries m-primary.  Every rank q >= n - N - 1 is then first
+    read off its Koszul complex, bracketed by the bundle test's own
+    leading-term span, under every engine and before its presentation is
+    built (`_koszul_bounds`, `_koszul_exterior`).  Such a rank names the
+    counter KOSZUL and runs no Buchberger; where the bracket leaves alpha
+    open, the rank is scanned as above.
     """
     if mode not in MODES:
         raise StabilityError(f"unknown mode {mode!r}")
@@ -368,7 +363,6 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
 
     koszul = _koszul_bounds(bundle, checked.span)
     bundle_p, twin_built = None, engine == "gb"
-    engines = ("gb", "linalg") if engine == "both" else (engine,)
     for q in q_list:
         caps.check_time()   # the Koszul counter itself checks no deadline
         # the window starts at -(the largest twist of wedge^q F)
@@ -382,19 +376,10 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                 bundle_p = modular_twin(bundle, PRIMARY_TEST_PRIME)
                 twin_built = True
             pres_p = None if bundle_p is None else exterior_power_matrix(bundle_p, q)
-            scans = [_scan_exterior(pres, pres_p, q, mu, mode, e, caps)
-                     for e in engines]
-            first, check = scans[0], scans[-1]
-            if (first.alpha, first.relation) != (check.alpha, check.relation):
-                raise InternalCheckError(
-                    f"engine mismatch at q={q}: gb found ({first.alpha}, "
-                    f"{first.relation}), linalg found ({check.alpha}, "
-                    f"{check.relation})")
+            check = _scan_exterior(pres, pres_p, q, mu, mode, engine, caps)
         report.per_power.append(check)
         if check.relation == "<":
-            # under gb an empty kernel here is an engine disagreement, and
-            # under the Koszul counter a wrong alpha: the verification below
-            # reports either
+            # an empty kernel (gb) or a wrong alpha (Koszul) fails the check
             if pres is None:
                 pres = exterior_power_matrix(bundle, q)
             source = pres.source_module()

@@ -28,7 +28,7 @@ from .modgb import (
     _monomial_vectors,
     _section_kernel,
 )
-from .powers import power_presentation
+from .powers import ENGINES, power_presentation
 
 
 class TannakaError(AlgebraError):
@@ -36,7 +36,7 @@ class TannakaError(AlgebraError):
 
 
 CELL_PRIME = 1000003
-SECTION_ENGINES = ("gb", "linalg", "both", "staged")
+SECTION_ENGINES = ENGINES + ("staged",)
 METHODS = ("default", "exact")
 
 
@@ -100,15 +100,14 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
                       engine: str = "linalg", caps: Caps = NO_CAPS) -> dict:
     """h^0 of the q-th tensor/exterior/symmetric power for a range of twists.
 
-    Engines: "linalg" eliminates the degree-k pieces of the power
-    presentation, "gb" subtracts the image's degree-k piece, counted on the
-    leading terms of one Buchberger run on the columns (computed only up to
-    the largest twist), from the source's, both in PowerPresentation's
-    kernel_dims; "both" runs gb, then linalg, and raises InternalCheckError
-    when their tables differ; "staged" (tensor only) intersects slot
-    conditions level by level.  The presentation, its image basis or the
-    staged levels are built once, and every engine needs q >= 1.  The
-    presentation's shape is checked first (BundleError).
+    Engines: PowerPresentation.kernel_dims counts the degree-k kernel piece
+    of the power presentation under "linalg" (elimination), "gb" (one
+    Buchberger run on the columns, truncated at the largest twist) and
+    "both" (linalg, re-counted by gb at every twist: InternalCheckError
+    where they differ); "staged" (tensor only) intersects slot conditions
+    level by level.  The presentation, its image basis or the staged levels
+    are built once, and every engine needs q >= 1.  The presentation's
+    shape is checked first (BundleError).
     """
     require_valid(bundle)
     caps = caps.start()
@@ -121,16 +120,9 @@ def section_dim_table(bundle: KernelBundle, kind: str, q: int, twists,
             raise TannakaError("the staged engine only computes tensor powers")
         sections = TensorSections(bundle, caps)
         return {k: sections.dim(q, k) for k in twists}
-    pres = power_presentation(bundle, kind, q)
-    tables = []
-    for e in ("gb", "linalg") if engine == "both" else (engine,):
-        dim = pres.kernel_dims(e, caps, max(twists, default=0))
-        tables.append({k: dim(k) for k in twists})
-    first, table = tables[0], tables[-1]
-    if first != table:
-        raise InternalCheckError(
-            f"engine mismatch in section table: gb {first} vs linalg {table}")
-    return table
+    dim = power_presentation(bundle, kind, q).kernel_dims(
+        engine, caps, max(twists, default=0))
+    return {k: dim(k) for k in twists}
 
 
 # ---------------------------------------------------------------------------

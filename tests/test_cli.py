@@ -74,6 +74,21 @@ def test_sections_exterior_on_dual_bundle(capsys):
     assert nonzero_at_minus5 and not nonzero_at_minus5[0].endswith(" 0")
 
 
+@pytest.mark.parametrize("twists, shown", [
+    ("-3,5,1", "-3,5,1"), ("1,0", "1,0"), ("0,2", "0,2"), ("-1,0,1", "-1..1"),
+    ("-1..1", "-1..1"), ("4", "4..4")])
+def test_sections_header_names_the_twists_it_lists(twists, shown, capsys):
+    # LO..HI only for one ascending run; any other list is shown as given
+    code, out, _ = run_cli([
+        "sections", "--syzygy", "X^2,Y^2,Z^2,X*Y", "--twist", "3", "--kind",
+        "tensor", "--q", "2", f"--twists={twists}"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"h^0((tensor^2 E)(k)) for k in {shown}:"
+    assert [l.split(":")[0] for l in lines[1:]] == \
+        [f"  k = {k}" for k in cli._parse_twist_range(twists)]
+
+
 def test_malformed_polynomial_exits_1(capsys):
     code, _, err = run_cli(["check", "--syzygy", "X^2 +* Y"], capsys)
     assert code == 1
@@ -942,7 +957,8 @@ def test_report_digest_scan_gb_matches_frozen_answers():
 
 def test_engine_mismatch_exits_2(capsys, monkeypatch):
     import kbundle.powers as powers
-    # a gb engine that never finds a section disagrees with linalg at q = 2
+    # a gb engine that never finds a section disagrees with linalg at q = 2,
+    # at the one degree its QQ scan reads
     monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 0)
     code, out, err = run_cli([
         "check", "--matrix", "X, -Y, -Y, 0, -Z, 0; 0, 0, X, -Y, 0, Z",
@@ -950,9 +966,9 @@ def test_engine_mismatch_exits_2(capsys, monkeypatch):
         "--engine", "both"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("INTERNAL cross-check mismatch, no verdict: "
-                          "engine mismatch at q=2: gb found (None, >), "
-                          "linalg found (-5, =)")
+    assert err == ("INTERNAL cross-check mismatch, no verdict: "
+                   "engine mismatch in exterior^2 at degree -5: "
+                   "gb 0, linalg 3\n")
 
 
 def test_console_script_entry_point():

@@ -200,9 +200,11 @@ def test_engine_agreement_is_enforced():
 
 def test_engine_mismatch_raises(monkeypatch):
     import kbundle.powers as powers
-    # a gb engine that never finds a section disagrees with linalg at q = 2
+    # a gb engine that never finds a section disagrees with linalg at q = 2,
+    # at the one degree its QQ scan reads
     monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 0)
-    with pytest.raises(InternalCheckError, match="engine mismatch at q=2"):
+    with pytest.raises(InternalCheckError, match=r"engine mismatch in "
+                       r"exterior\^2 at degree -5: gb 0, linalg 3$"):
         hoppe_check(dual_five_monomials(), engine="both")
 
 
@@ -286,7 +288,8 @@ def split_unstable_bundle():
 
 def test_witness_comes_from_the_kept_engine(monkeypatch):
     # every engine builds the "<" rank's witness with one
-    # kernel_sections_linalg call, so all three report the same one
+    # kernel_sections_linalg call, so all three report the same one; both
+    # re-counts with gb only q = 2, since q = 1 is a ">" proven mod p
     calls = count_calls(monkeypatch, ("kernel_dims_gb", "kernel_sections_linalg"))
     witnesses = {}
     for engine in ENGINES:
@@ -297,9 +300,49 @@ def test_witness_comes_from_the_kept_engine(monkeypatch):
         assert calls == {
             "gb": Counter(kernel_dims_gb=2, kernel_sections_linalg=1),
             "linalg": Counter(kernel_sections_linalg=1),
-            "both": Counter(kernel_dims_gb=2, kernel_sections_linalg=1),
+            "both": Counter(kernel_dims_gb=1, kernel_sections_linalg=1),
         }[engine]
     assert witnesses["gb"] == witnesses["linalg"] == witnesses["both"]
+
+
+def test_both_rechecks_only_field_read_ranks(monkeypatch):
+    """Under both, gb runs once on each rank read over the bundle's field
+    (prime None, window not empty) and on no rank proven mod p or by the
+    Koszul counter; it is compared at every degree read, not only the
+    first."""
+    import kbundle.powers as powers
+    calls = count_calls(monkeypatch, ("kernel_dims_gb",))
+    bundles = {"split": split_unstable_bundle(), "five quadrics": five_quadrics(),
+               "p3 seven quadrics": random_syzygy_bundle(3, (2,) * 7, 0),
+               "p2 f7 monomial": KOSZUL_CASES["p2 f7 monomial"]()}
+    primes = {}
+    for name, bundle in bundles.items():
+        calls.clear()
+        report = hoppe_check(bundle, engine="both")
+        primes[name] = [c.prime for c in report.per_power]
+        assert calls["kernel_dims_gb"] == sum(
+            c.prime is None and c.window_low <= c.window_top
+            for c in report.per_power), name
+    assert primes == {"split": [PRIMARY_TEST_PRIME, None],
+                      "five quadrics": [PRIMARY_TEST_PRIME, KOSZUL],
+                      "p3 seven quadrics": [PRIMARY_TEST_PRIME] * 2 + [KOSZUL] * 2,
+                      "p2 f7 monomial": [None] * 3}
+    # a gb count off by one at degree 9, which q = 2 of the F_7 bundle
+    # reads after 8, and at -5, which the section table reads after -6
+    real = powers.kernel_dims_gb
+
+    def wrong_at(degree):
+        return lambda *args: partial(
+            lambda dims, k: dims(k) + (k == degree), real(*args))
+
+    monkeypatch.setattr(powers, "kernel_dims_gb", wrong_at(9))
+    with pytest.raises(InternalCheckError, match=r"exterior\^2 at degree 9: "):
+        hoppe_check(bundles["p2 f7 monomial"], engine="both")
+    monkeypatch.setattr(powers, "kernel_dims_gb", wrong_at(-5))
+    with pytest.raises(InternalCheckError, match=r"exterior\^2 at degree -5: "
+                       r"gb 4, linalg 3$"):
+        tannaka.section_dim_table(dual_five_monomials(), "exterior", 2,
+                                  range(-6, -4), "both")
 
 
 def test_every_engine_reports_one_witness():

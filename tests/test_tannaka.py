@@ -565,8 +565,8 @@ def test_section_dim_table_both_raises_on_mismatch(monkeypatch):
     # a gb engine that never finds a section disagrees with linalg at -5
     monkeypatch.setattr(powers, "kernel_dims_gb", lambda *args: lambda k: 0)
     with pytest.raises(InternalCheckError,
-                       match=r"engine mismatch in section table: "
-                             r"gb \{-6: 0, -5: 0\} vs linalg \{-6: 0, -5: [1-9]"):
+                       match=r"engine mismatch in exterior\^2 at degree -5: "
+                             r"gb 0, linalg [1-9]"):
         section_dim_table(b, "exterior", 2, range(-6, -4), "both")
 
 
