@@ -154,6 +154,16 @@ MUTANTS = [
      "            if q > n - N - 1:\n",
      "            if q >= n - N - 1:\n",
      "rank n - N - 1 carries the top Koszul homology HF(S/I, D - N - 1 - e)"),
+    ("koszul-exact-term-over-fp", "stability.py",
+     "partial(ideal_piece_dim, bundle.matrix[0], caps=caps)",
+     "partial(ideal_piece_dim, (modular_twin(bundle, PRIMARY_TEST_PRIME) "
+     "or bundle).matrix[0], caps=caps)",
+     "HF mod p only bounds HF over QQ from above; the exact term is "
+     "eliminated over the bundle's own field"),
+    ("koszul-exact-term-off-by-one", "stability.py",
+     "lo = hi = forms(t) - ideal_dim(t)\n",
+     "lo = hi = forms(t) - ideal_dim(t - 1)\n",
+     "the top Koszul homology in degree e is HF(S/I, t), t = D - N - 1 - e"),
     ("staged-skips-shape-check", "tannaka.py",
      "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
      "    caps = caps.start()\n    if q < 1:\n",

@@ -44,7 +44,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -1218,6 +1218,21 @@ def kernel_sections_linalg(columns, source: GradedFreeModule,
     return dim, [ModuleElement(source, {(alpha[0], mono): c
                                         for (alpha, mono), c in v.items()})
                  for v in vectors]
+
+
+def ideal_piece_dim(polys: Sequence[Poly], t: int, caps: Caps = NO_CAPS) -> int:
+    """dim I_t of the ideal the homogeneous polys generate (zeros ignored),
+    by exact elimination over their field: I_t is the row space of the
+    Macaulay matrix, whose rows are the products x^a * f of degree t, so its
+    dimension is their number minus the dimension of their kernel.  Like
+    kernel_dim_linalg it never touches a Groebner basis."""
+    rows = [{tuple(map(add, a, mono)): c for mono, c in f.terms.items()}
+            for f in polys if not f.is_zero()
+            for a in monomials_of_degree(f.ring.nvars, t - f.homogeneous_degree())]
+    if not rows:
+        return 0
+    kernel, _ = _echelon_kernel(rows, polys[0].ring.field.char, caps)
+    return len(rows) - kernel
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 from math import ceil, comb, floor
 from typing import Optional
@@ -41,6 +42,7 @@ from .modgb import (
     ModuleElement,
     apply_columns,
     free_module_dims,
+    ideal_piece_dim,
     kernel_sections_linalg,
 )
 from .powers import ENGINES, exterior_power_matrix
@@ -164,7 +166,7 @@ def _window(q: int, mu: Fraction, mode: str) -> tuple:
 KOSZUL = "koszul"
 
 
-def _koszul_bounds(bundle: KernelBundle, span):
+def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
     """q -> (k -> (lo, hi)), lo <= h^0((wedge^q E)(k)) <= hi, for a syzygy
     bundle E = Syz(f_1, ..., f_n)(c) on P^N whose bundle test returned the
     _LeadingSpan span; the rank's counter is None for q < n - N - 1.  The
@@ -182,11 +184,18 @@ def _koszul_bounds(bundle: KernelBundle, span):
     sum_{j>q} (-1)^(j-q-1) dim (K_j)_e.  H_q = 0 for q >= n - N.  At
     q = n - N - 1, H_q = Ext^(N+1)(S/I, S)(-D) (Koszul self-duality), and
     graded duality for the Artinian S/I gives dim (H_q)_e =
-    HF(S/I, D - N - 1 - e).  That term is bracketed over the bundle's
-    field: I_t is spanned by the x^a * f_i, so
+    HF(S/I, t), t = D - N - 1 - e.  That term is first bracketed over the
+    bundle's field: I_t is spanned by the x^a * f_i, so
     HF(S/I, t) >= dim S_t - sum_i dim S_(t - d_i); and
     HF(S/I, t) <= dim S_t - span.size(t) (modgb.is_irrelevant_primary).
-    The ranks q >= n - N are exact: lo = hi.
+    Where the bracket leaves open whether h^0 vanishes (lo = 0 < hi), the
+    only question _koszul_exterior asks of it, the term is made exact by
+    modgb.ideal_piece_dim, the rank of the Macaulay matrix of those
+    sum_i dim S_(t - d_i) products over the bundle's field, under caps;
+    but only when they are no more vectors than the degree-k piece of
+    wedge^q F, sum_{|A|=q} dim S_(e - sum_A d_i), which a scan of the rank
+    would eliminate instead.  Otherwise the bracket stands.  Each dim I_t
+    is eliminated once per call.  The ranks q >= n - N are exact: lo = hi.
     """
     if bundle.m != 1 or span is None or \
             any(f.is_zero() for f in bundle.matrix[0]):
@@ -199,11 +208,11 @@ def _koszul_bounds(bundle: KernelBundle, span):
         for j in range(n, 0, -1):
             for s, count in by_size[j - 1].items():
                 by_size[j][s + di] += count
-    relations = Counter({0: 1})
-    relations.subtract(d)
     forms = free_module_dims({0: 1}, N + 1)         # t -> dim S_t
-    uncovered = free_module_dims(relations, N + 1)  # dim S_t - sum dim S_(t-d_i)
+    products = free_module_dims(Counter(d), N + 1)  # t -> #{x^a * f_i of degree t}
     socle = sum(d) - N - 1
+    # t -> dim I_t, eliminated at most once in this call
+    ideal_dim = cache(partial(ideal_piece_dim, bundle.matrix[0], caps=caps))
 
     def counter(q: int):
         if q < n - N - 1:
@@ -213,6 +222,7 @@ def _koszul_bounds(bundle: KernelBundle, span):
             for s, count in by_size[j].items():
                 terms[s] += (-1) ** (j - q - 1) * count
         boundaries = free_module_dims(terms, N + 1)
+        sources = free_module_dims(by_size[q], N + 1)   # e -> dim (wedge^q F)_k
 
         def bounds(k: int) -> tuple:
             e = k + q * c
@@ -220,7 +230,10 @@ def _koszul_bounds(bundle: KernelBundle, span):
             if q > n - N - 1:
                 return b, b
             t = socle - e
-            return b + max(0, uncovered(t)), b + forms(t) - span.size(t)
+            lo, hi = max(0, forms(t) - products(t)), forms(t) - span.size(t)
+            if b == lo == 0 < hi and products(t) <= sources(e):
+                lo = hi = forms(t) - ideal_dim(t)
+            return b + lo, b + hi
 
         return bounds
 
@@ -231,15 +244,21 @@ def _koszul_exterior(bounds, q: int, mu: Fraction, mode: str,
                      low: int) -> Optional[PowerCheck]:
     """Decide exterior rank q, window [low, top], from the bounds of
     _koszul_bounds, or None when they do not pin it.  Sections of a
-    torsion-free sheaf do not vanish under a linear form, so hi(top) = 0
-    proves ">".  Otherwise hi vanishes below the first k with hi(k) > 0, and
-    lo(k) > 0 there makes k the first section alpha.  The window is never
-    empty: every a_i lies below c, so the q largest sum to more than q*mu
-    (sum a_i / n > (sum a_i - c) / (n - 1)), and low < threshold."""
+    torsion-free sheaf do not vanish under a linear form, so h^0 does not
+    decrease in k, and hi(top) = 0 proves ">".  Otherwise the walk goes
+    down from top, as _scan_exterior's does, to the first k with
+    hi(k - 1) = 0 (or k = low): no section lies below k, so lo(k) > 0 makes
+    k the first section alpha.  The walk reads the bounds only from top
+    down to alpha - 1, so it eliminates no degree below that.  The window
+    is never empty: every a_i lies below c, so the q largest sum to more
+    than q*mu (sum a_i / n > (sum a_i - c) / (n - 1)), and low < threshold.
+    """
     threshold, top = _window(q, mu, mode)
     if not bounds(top)[1]:
         return PowerCheck(q, None, threshold, ">", top, low, KOSZUL)
-    alpha = next(k for k in range(low, top + 1) if bounds(k)[1])
+    alpha = top
+    while alpha > low and bounds(alpha - 1)[1]:
+        alpha -= 1
     if not bounds(alpha)[0]:
         return None
     relation = "<" if alpha < threshold else "="
@@ -320,11 +339,14 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
 
     On a syzygy bundle (one row, no zero entry) that test proved the ideal
     I of the entries m-primary.  Every rank q >= n - N - 1 is then first
-    read off its Koszul complex, bracketed by the bundle test's own
-    leading-term span, under every engine and before its presentation is
-    built (`_koszul_bounds`, `_koszul_exterior`).  Such a rank names the
-    counter KOSZUL and runs no Buchberger; where the bracket leaves alpha
-    open, the rank is scanned as above.
+    read off its Koszul complex, under every engine and before its
+    presentation is built (`_koszul_bounds`, `_koszul_exterior`).  At
+    q = n - N - 1 the Hilbert-function term is bracketed by the bundle
+    test's own leading-term span and, where that leaves a section open,
+    eliminated exactly over the bundle's field when its Macaulay matrix is
+    no larger than the exterior piece.  Such a rank names the counter KOSZUL and
+    runs no Buchberger; where alpha stays open, the rank is scanned as
+    above.
     """
     if mode not in MODES:
         raise StabilityError(f"unknown mode {mode!r}")
@@ -361,10 +383,10 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                              mu=mu, gate=gate, mode=mode, engine=engine,
                              criteria_trace=trace)
 
-    koszul = _koszul_bounds(bundle, checked.span)
+    koszul = _koszul_bounds(bundle, checked.span, caps)
     bundle_p, twin_built = None, engine == "gb"
     for q in q_list:
-        caps.check_time()   # the Koszul counter itself checks no deadline
+        caps.check_time()   # a rank read off the degrees alone checks none
         # the window starts at -(the largest twist of wedge^q F)
         bounds = koszul and koszul(q)
         check = bounds and _koszul_exterior(bounds, q, mu, mode,

@@ -493,6 +493,28 @@ def test_ideal_groebner_matches_macaulay_rank(char, nvars):
             macaulay_rank(polys, bound) == full)
 
 
+@pytest.mark.parametrize("char", [0, 7])
+def test_ideal_piece_dim_matches_macaulay_rank_and_groebner(char):
+    """dim I_t by the helper equals the Macaulay rank and the Groebner count,
+    over QQ with Fraction coefficients and over F_7, for t < 0, t below the
+    least generator degree (2) and above it; a zero generator is ignored."""
+    rng = random.Random(char)
+    ring = make_ring(3, FieldSpec(char))
+    for _ in range(12):
+        polys = []
+        for _ in range(rng.randint(2, 4)):
+            f = sparse_form(ring, rng.randint(2, 3), rng)
+            polys.append(Poly(ring, {m: c * ring.field.from_fraction(
+                Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 5])))
+                for m, c in f.terms.items()}))
+        gb = ideal_groebner(polys)
+        for t in range(-2, 7):
+            dim = modgb.ideal_piece_dim(polys, t)
+            assert dim == macaulay_rank(polys, t) == graded_piece_dim(gb, t), t
+            assert modgb.ideal_piece_dim(polys + [ring.zero()], t, Caps()) == dim
+            assert dim == 0 or t >= 2
+
+
 def module_macaulay_rank(gens, d):
     """dim U_d as the rank of the rows x^a * g of module degree d."""
     ring = gens[0].module.ring

@@ -326,7 +326,7 @@ def test_both_rechecks_only_field_read_ranks(monkeypatch):
     assert primes == {"split": [PRIMARY_TEST_PRIME, None],
                       "five quadrics": [PRIMARY_TEST_PRIME, KOSZUL],
                       "p3 seven quadrics": [PRIMARY_TEST_PRIME] * 2 + [KOSZUL] * 2,
-                      "p2 f7 monomial": [None] * 3}
+                      "p2 f7 monomial": [None, None, KOSZUL]}
     # a gb count off by one at degree 9, which q = 2 of the F_7 bundle
     # reads after 8, and at -5, which the section table reads after -6
     real = powers.kernel_dims_gb
@@ -956,7 +956,8 @@ def test_empty_window_runs_no_elimination(monkeypatch):
 def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
     """The rank-6 check probes the mod-p kernel at top only: with fewer
     than N + 1 = 3 sections there, the section-count bound puts every
-    section at top, and the QQ scan starts there."""
+    section at top, and the QQ scan starts there.  wedge^4 is read off the
+    Koszul complex and probes nothing."""
     import kbundle.powers as powers
     probes = []
     real = powers.kernel_dim_linalg
@@ -973,8 +974,7 @@ def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
     p = PRIMARY_TEST_PRIME
     assert probes == [(p, 0),                       # wedge^1: none at top
                       (p, 0), (0, 0),               # wedge^2
-                      (p, 0),                       # wedge^3
-                      (p, 0), (0, 0)]               # wedge^4
+                      (p, 0)]                       # wedge^3
 
 
 @pytest.mark.parametrize("low, top", [(-6, 0), (-3, 2), (0, 1), (2, 2), (-5, -4)])
@@ -1063,6 +1063,10 @@ KOSZUL_CASES = {
         ["X^4", "Y^4", "Z^4", "X^2*Y^2", "Y^2*Z^2", "X*Y*Z^2"], ring=RING_F7_3),
     "p3 qq monomial": lambda: syzygy_bundle(
         ["X0^3", "X1^3", "X2^3", "X3^3", "X0*X1*X2"], ring=RING_QQ4),
+    # mod 32003 this is five_quartics(): HF(S/I, 7), the term q = 2 reads
+    # at its window top, is 1 mod 32003 and 0 over QQ
+    "p2 qq quartics, 32003 on X^3*Y": lambda: syzygy_bundle(
+        ["X^4 - Y^4", "X^4 - Z^4", "X^2*Y^2 + 32003*X^3*Y", "X^2*Z^2", "Y^2*Z^2"]),
 }
 
 
@@ -1070,9 +1074,14 @@ KOSZUL_CASES = {
 def test_koszul_bracket_holds_against_elimination(name):
     """Seeded differential test: lo <= dim K_k <= hi for the exterior
     presentation of every rank q >= n - N - 1, k from below the window to
-    past its top, exact for q >= n - N; no counter below n - N - 1."""
+    past its top, exact for q >= n - N, and at q = n - N - 1 exact or
+    showing a section wherever the Macaulay matrix of the Hilbert-function
+    term has no more rows than the source piece has monomials; no counter
+    below n - N - 1."""
     bundle = KOSZUL_CASES[name]()
     n, N = bundle.n, bundle.N
+    d = [bundle.twists_b[0] - a for a in bundle.twists_a]
+    socle = sum(d) - N - 1
     checked = validate(bundle, check_surjectivity=True)
     assert checked.ok
     counter = _koszul_bounds(bundle, checked.span)
@@ -1089,7 +1098,11 @@ def test_koszul_bracket_holds_against_elimination(name):
         for k in range(-max(pres.source_twists) - 1, top + 1):
             lo, hi = bounds(k)
             assert lo <= dim(k) <= hi, (q, k, lo, dim(k), hi)
-            assert lo == hi or q == n - N - 1, (q, k)
+            t = socle - k - q * bundle.twists_b[0]
+            rows = sum(comb(t - di + N, N) for di in d if t >= di)
+            columns = sum(comb(k - g + N, N)
+                          for g in pres.source_module().generator_degrees if k >= g)
+            assert lo == hi or (q == n - N - 1 and (lo or rows > columns)), (q, k)
             loose += lo < hi
     assert bool(loose) == ("monomial" in name)
 
@@ -1111,7 +1124,10 @@ def koszul_report_bundles():
                 sl3_bundle(), rank6_bundle(),
                 syzygy_bundle(["X", "Y", "Z^5"]),
                 random_syzygy_bundle(3, (1, 1, 2, 4), 1),
-                random_syzygy_bundle(3, (1, 1, 1, 3), 2))
+                random_syzygy_bundle(3, (1, 1, 1, 3), 2),
+                # a section at the top of q = 1 that only the upper bound
+                # sees: the size rule keeps the bracket (0, 1) there
+                syzygy_bundle(["X^4", "Y^4", "Z^4", "Y*Z^2"]))
 
 
 def test_koszul_ranks_match_the_scan_under_every_engine():
@@ -1142,3 +1158,42 @@ def test_koszul_ranks_match_the_scan_under_every_engine():
                 assert report.witness.verified
     assert {">", "=", "<", "fallback"} <= set(seen), seen
 
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("build, q", [(rank6_bundle, 4), (five_quartics, 2),
+                                      (five_quadrics, 2)])
+def test_boundary_rank_reads_the_exact_hilbert_term(monkeypatch, engine, build, q):
+    """Rank n - N - 1 of these bundles is read off the Koszul complex (on
+    the first two the leading-term bracket alone leaves it open, and the
+    Hilbert-function term is eliminated): its presentation is never built,
+    and it agrees with the scan."""
+    import kbundle.stability as stability
+    bundle = build()
+    assert q == bundle.n - bundle.N - 1
+    built = []
+    real = stability.exterior_power_matrix
+
+    def building(b, rank):
+        built.append(rank)
+        return real(b, rank)
+
+    monkeypatch.setattr(stability, "exterior_power_matrix", building)
+    check, = (c for c in hoppe_check(bundle, engine=engine).per_power if c.q == q)
+    assert check.prime == KOSZUL and q not in built, built
+    twin = modular_twin(bundle, PRIMARY_TEST_PRIME)
+    scan = _scan_exterior(real(bundle, q), twin and real(twin, q), q,
+                          invariants(bundle).mu, "stability_evidence", engine,
+                          NO_CAPS)
+    assert (scan.q, scan.alpha, scan.relation) == (q, check.alpha, check.relation)
+
+
+def test_exact_hilbert_term_runs_under_the_caps():
+    with pytest.raises(ResourceCapError):
+        hoppe_check(rank6_bundle(), caps=Caps(timeout_seconds=0))
+    # the Macaulay elimination at the window top of wedge^4 checks the
+    # deadline itself
+    bundle = rank6_bundle()
+    checked = validate(bundle, check_surjectivity=True)
+    bounds = _koszul_bounds(bundle, checked.span, Caps(timeout_seconds=0).start())(4)
+    with pytest.raises(ResourceCapError):
+        bounds(0)
