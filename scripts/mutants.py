@@ -43,8 +43,8 @@ MUTANTS = [
      "            return _leading_terms_cover_variables(reduced, caps, expected)\n",
      "a 'no' of the primary test mod p proves nothing; QQ decides it"),
     ("mod-p-section-as-alpha", "stability.py",
-     "    dim = pres.kernel_dims(engine, caps, top)\n",
-     "    dim = (pres_p or pres).kernel_dims(engine, caps, top)\n",
+     "yield PRIMARY_TEST_PRIME, lambda k: (0, dim_p(k))",
+     "yield PRIMARY_TEST_PRIME, lambda k: (dim_p(k), dim_p(k))",
      "the first mod-p section only bounds alpha from below; alpha is found "
      "over QQ"),
     ("witness-unverified", "stability.py",
@@ -56,8 +56,8 @@ MUTANTS = [
      "if kind == \"symmetric\" and 0 < fld.char < q:",
      "Sym^q is refused in characteristic 0 < p <= q"),
     ("section-count-one-too-many", "stability.py",
-     "comb(N + top - start + 1, N) <= sections",
-     "comb(N + top - start + 1, N) <= sections + 1",
+     "comb(N + top - k + 1, N) <= sections",
+     "comb(N + top - k + 1, N) <= sections + 1",
      "the walk trusts D sections at the top, not D + 1"),
     ("sl-row-at-rank-6", "tannaka.py",
      "if r <= 2 or (r <= 5 and not h2):",
@@ -84,12 +84,12 @@ MUTANTS = [
      "if not equalities and gate != \"fail\":",
      "stability at rank >= 3 needs a strict slope gate"),
     ("walk-past-bound", "stability.py",
-     "comb(N + top - start + 1, N) <= sections",
-     "comb(N + top - start, N) <= sections",
+     "comb(N + top - k + 1, N) <= sections",
+     "comb(N + top - k, N) <= sections",
      "the walk probes no degree the section-count bound rules out"),
     ("walk-short-of-bound", "stability.py",
-     "comb(N + top - start + 1, N) <= sections",
-     "comb(N + top - start + 2, N) <= sections",
+     "comb(N + top - k + 1, N) <= sections",
+     "comb(N + top - k + 2, N) <= sections",
      "the walk reaches a first mod-p section that sits on the bound"),
     ("cell-prime-used-anyway", "tannaka.py",
      "else modular_twin(bundle, CELL_PRIME)\n",
@@ -147,9 +147,15 @@ MUTANTS = [
      "the Koszul complex is exact above degree n - N - 1 only: rank "
      "n - N - 2 has homology the count leaves out"),
     ("koszul-upper-from-lower", "stability.py",
-     "    if not bounds(top)[1]:\n",
-     "    if not bounds(top)[0]:\n",
-     "a Koszul '>' needs the upper bound on h^0 at the window top to vanish"),
+     "            sections = bounds(top)[1]\n",
+     "            sections = bounds(top)[0]\n",
+     "a '>' of a pass, the Koszul one too, needs the upper bound on h^0 at "
+     "the window top to vanish"),
+    ("pass-start-one-high", "stability.py",
+     "            start = k\n",
+     "            start = k + 1\n",
+     "a pass that leaves alpha open hands on the degree where it stopped, "
+     "not the one above"),
     ("koszul-no-hf-term", "stability.py",
      "            if q > n - N - 1:\n",
      "            if q >= n - N - 1:\n",

@@ -169,6 +169,9 @@ class ClosureQuery(Record):
             raise BoundsError("ideal generators must be nonzero")
         if genus is not None and genus < 0:
             raise BoundsError(f"genus must be >= 0, got {genus}")
+        if plane_curve_degree is not None and plane_curve_degree < 1:
+            raise BoundsError("plane curve degree must be >= 1, got "
+                              f"{plane_curve_degree}")
         if genus is not None and plane_curve_degree is not None:
             raise BoundsError("give the genus or the plane curve degree, "
                               "not both")

@@ -2,15 +2,15 @@
 
 The driver applies Hoppe's criterion: E is semistable iff for every exterior
 rank q below the rank and every integer k strictly below -q*mu(E) the twisted
-exterior power (wedge^q E)(k) has no nonzero global section.  On a syzygy
-bundle the ranks q >= n - N - 1 are first read off the Koszul complex of its
-generators (`_koszul_bounds`).  Other sections are read off the kernel
-presentations of the exterior powers degree by degree, through
-`PowerPresentation.kernel_dims`: the Groebner engine (rank-nullity on the
-leading terms of the image) or the linear-algebra engine (exact
-elimination), the latter after a first pass on `bundle.modular_twin`; a
-numeric slope gate handles line-bundle quotients, which covers the top
-exterior rank.
+exterior power (wedge^q E)(k) has no nonzero global section.  Each rank is
+one walk (`_scan_exterior`) through first passes that bracket its sections:
+on a syzygy bundle, for q >= n - N - 1, the Koszul complex of its generators
+(`_koszul_bounds`); then a count on `bundle.modular_twin`.  What they leave
+open is read off the kernel presentation of the exterior power degree by
+degree, through `PowerPresentation.kernel_dims`: the Groebner engine
+(rank-nullity on the leading terms of the image) or the linear-algebra
+engine (exact elimination).  A numeric slope gate handles line-bundle
+quotients, which covers the top exterior rank.
 
 All slope comparisons are exact rational arithmetic.
 """
@@ -189,8 +189,8 @@ def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
     HF(S/I, t) >= dim S_t - sum_i dim S_(t - d_i); and
     HF(S/I, t) <= dim S_t - span.size(t) (modgb.is_irrelevant_primary).
     Where the bracket leaves open whether h^0 vanishes (lo = 0 < hi), the
-    only question _koszul_exterior asks of it, the term is made exact by
-    modgb.ideal_piece_dim, the rank of the Macaulay matrix of those
+    only question the walk of _scan_exterior asks of it, the term is made
+    exact by modgb.ideal_piece_dim, the rank of the Macaulay matrix of those
     sum_i dim S_(t - d_i) products over the bundle's field, under caps;
     but only when they are no more vectors than the degree-k piece of
     wedge^q F, sum_{|A|=q} dim S_(e - sum_A d_i), which a scan of the rank
@@ -240,76 +240,65 @@ def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
     return counter
 
 
-def _koszul_exterior(bounds, q: int, mu: Fraction, mode: str,
-                     low: int) -> Optional[PowerCheck]:
-    """Decide exterior rank q, window [low, top], from the bounds of
-    _koszul_bounds, or None when they do not pin it.  Sections of a
-    torsion-free sheaf do not vanish under a linear form, so h^0 does not
-    decrease in k, and hi(top) = 0 proves ">".  Otherwise the walk goes
-    down from top, as _scan_exterior's does, to the first k with
-    hi(k - 1) = 0 (or k = low): no section lies below k, so lo(k) > 0 makes
-    k the first section alpha.  The walk reads the bounds only from top
-    down to alpha - 1, so it eliminates no degree below that.  The window
-    is never empty: every a_i lies below c, so the q largest sum to more
-    than q*mu (sum a_i / n > (sum a_i - c) / (n - 1)), and low < threshold.
+def _scan_exterior(bundle: KernelBundle, twin, q: int, mu: Fraction, mode: str,
+                   engine: str, caps: Caps, koszul=None) -> tuple:
+    """Check exterior rank q: its PowerCheck, and the rank's presentation
+    when the engine scanned it (else None).
+
+    The first section alpha is sought in the window [low, top], low =
+    -(the largest twist of wedge^q F), first by an ordered list of passes
+    k -> (lo, hi), lo <= h^0((wedge^q E)(k)) <= hi: koszul, the rank's
+    bracket from _koszul_bounds, when it has one; then, under every engine
+    but `gb`, the `linalg` count on the presentation over twin(), the
+    bundle mod PRIMARY_TEST_PRIME when it has one, with lo = 0.  That count
+    is an upper bound: the degree-k matrix mod p is the one over QQ reduced
+    mod p, and rank mod p never exceeds rank over QQ.  The kernel K of a
+    graded map of free modules over a domain is torsion-free, so a nonzero
+    s in K_(top-j) gives C(N+j, N) independent sections m*s in K_top, one
+    per monomial m of degree j.  Hence h^0 does not decrease in k,
+    hi(top) = 0 proves ">", and no section lies below top - j when
+    C(N+j, N) > hi(top).  So each pass walks down from top to the first k
+    where hi(k - 1) = 0, where that bound rules out k - 1, or where the
+    previous pass stopped: no section lies below k, and lo(k) > 0 makes k
+    alpha.  Otherwise the next pass starts at k; what no pass pins, the
+    engine scans upward from there on the rank's presentation over the
+    bundle's field.  A pass is built only when the walk reaches it, and
+    the mod-p one eliminates each degree once; with hi(top) <= N it reads
+    top alone.  The PowerCheck names the pass that decided as its prime:
+    None for the engine or an empty window.
     """
     threshold, top = _window(q, mu, mode)
-    if not bounds(top)[1]:
-        return PowerCheck(q, None, threshold, ">", top, low, KOSZUL)
-    alpha = top
-    while alpha > low and bounds(alpha - 1)[1]:
-        alpha -= 1
-    if not bounds(alpha)[0]:
-        return None
-    relation = "<" if alpha < threshold else "="
-    return PowerCheck(q, alpha, threshold, relation, top, low, KOSZUL)
+    low = -sum(bundle.twists_a[:q])
+    N = bundle.N
 
+    def passes():
+        if koszul:
+            yield KOSZUL, koszul
+        if engine != "gb" and (bundle_p := twin()) is not None:
+            dim_p = cache(exterior_power_matrix(bundle_p, q).kernel_dims(
+                "linalg", caps, top))
+            yield PRIMARY_TEST_PRIME, lambda k: (0, dim_p(k))
 
-def _scan_exterior(pres, pres_p, q: int, mu: Fraction, mode: str, engine: str,
-                   caps: Caps) -> PowerCheck:
-    """Check one exterior rank on its presentation pres.
-
-    pres_p, the same presentation mod PRIMARY_TEST_PRIME, gives every
-    engine but `gb` a first pass.  It is sound for two reasons.  The degree-k matrix
-    of pres_p is that of pres reduced mod p, and rank mod p never exceeds
-    rank over QQ, so dim K_p,k >= dim K_k.  The kernel K of a graded map of
-    free modules is torsion-free, so a linear form maps K_k injectively into
-    K_{k+1}, and K_top = 0 forces K_k = 0 for every k <= top.  Hence
-    K_p,top = 0 proves that no section exists up to top, and the first k
-    with K_p,k != 0 bounds alpha from below: the QQ scan starts there, and
-    alpha and its witness are still found over QQ.
-
-    D = dim K_p,top bounds that first k from below.  K_p is a submodule of a
-    free module over F_p[x_0..x_N], a domain, so a nonzero s in K_p,top-j
-    gives C(N+j, N) independent sections m*s in K_p,top, one per monomial m
-    of degree j: no section lies below top - j when C(N+j, N) > D.  The same
-    injection mod p makes dim K_p,k non-decreasing in k.  So the first k is
-    found by one walk down from top, which stops at the first degree with no
-    section or where the bound rules one out; when D <= N it ends at top
-    with no further elimination.
-    """
-    threshold, top = _window(q, mu, mode)
-    low = -max(pres.source_twists)
-    if low > top:
-        return PowerCheck(q, None, threshold, ">", top, low)
-    start = low
-    if engine != "gb" and pres_p is not None:
-        dim_p = pres_p.kernel_dims("linalg", caps, top)
-        sections = dim_p(top)
-        if not sections:
-            return PowerCheck(q, None, threshold, ">", top, low,
-                              PRIMARY_TEST_PRIME)
-        N = pres.ring.nvars - 1
-        start = top
-        while start > low and comb(N + top - start + 1, N) <= sections \
-                and dim_p(start - 1):
-            start -= 1
-    dim = pres.kernel_dims(engine, caps, top)
-    alpha = next((k for k in range(start, top + 1) if dim(k)), None)
-    if alpha is None:
-        return PowerCheck(q, None, threshold, ">", top, low)
-    relation = "<" if alpha < threshold else "="
-    return PowerCheck(q, alpha, threshold, relation, top, low)
+    alpha, prime, pres, start = None, None, None, low
+    if low <= top:
+        for prime, bounds in passes():
+            sections = bounds(top)[1]
+            if not sections:
+                break
+            k = top
+            while k > start and comb(N + top - k + 1, N) <= sections \
+                    and bounds(k - 1)[1]:
+                k -= 1
+            if bounds(k)[0]:
+                alpha = k
+                break
+            start = k
+        else:   # no pass pinned alpha: the engine reads [start, top]
+            prime, pres = None, exterior_power_matrix(bundle, q)
+            dim = pres.kernel_dims(engine, caps, top)
+            alpha = next((k for k in range(start, top + 1) if dim(k)), None)
+    relation = ">" if alpha is None else "<" if alpha < threshold else "="
+    return PowerCheck(q, alpha, threshold, relation, top, low, prime), pres
 
 
 def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
@@ -321,16 +310,18 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     The loop runs q = 1 .. rank-2 (with a lone q = 1 for rank <= 3) when the
     slope gate passes, since the gate covers rank-1 quotients and hence the
     top exterior rank; when the gate fails, the loop extends to rank-1 and a
-    found section is returned as an explicit verified witness.  Each
-    exterior presentation is built once and serves every engine and the
-    witness check.  `linalg` and `both` take a first pass on the bundle's
-    `modular_twin` mod PRIMARY_TEST_PRIME (see `_scan_exterior`), built for
-    the first rank they scan; `gb` has none.  `both` re-counts with `gb`
-    only the degrees read over the bundle's field, the ranks reported with
-    prime None: a mod-p ">" or a Koszul rank is already a proof.  Every
-    engine takes the "<" witness from one `kernel_sections_linalg` call at
-    alpha (the first vector of the canonical kernel basis), so all three
-    report the same witness, and `_verify_witness` checks it exactly.
+    found section is returned as an explicit verified witness.  Each rank
+    is one `_scan_exterior` walk: its first passes, then the engine on the
+    rank's presentation, which is built only when no pass decides the rank
+    (or for the witness of a "<") and serves both.  `linalg` and `both`
+    take the mod PRIMARY_TEST_PRIME pass on the bundle's `modular_twin`,
+    reduced once per call, when the first rank reaches it; `gb` has none.
+    `both` re-counts with `gb` only the degrees read over the bundle's
+    field, the ranks reported with prime None: a mod-p ">" or a Koszul rank
+    is already a proof.  Every engine takes the "<" witness from one
+    `kernel_sections_linalg` call at alpha (the first vector of the
+    canonical kernel basis), so all three report the same witness, and
+    `_verify_witness` checks it exactly.
 
     The verdict holds only for a bundle, so the presentation's shape and
     surjectivity (its maximal minors irrelevant-primary) are checked first,
@@ -338,15 +329,14 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     presentation is built.
 
     On a syzygy bundle (one row, no zero entry) that test proved the ideal
-    I of the entries m-primary.  Every rank q >= n - N - 1 is then first
-    read off its Koszul complex, under every engine and before its
-    presentation is built (`_koszul_bounds`, `_koszul_exterior`).  At
-    q = n - N - 1 the Hilbert-function term is bracketed by the bundle
-    test's own leading-term span and, where that leaves a section open,
-    eliminated exactly over the bundle's field when its Macaulay matrix is
-    no larger than the exterior piece.  Such a rank names the counter KOSZUL and
-    runs no Buchberger; where alpha stays open, the rank is scanned as
-    above.
+    I of the entries m-primary.  Every rank q >= n - N - 1 then takes the
+    bracket of its Koszul complex (`_koszul_bounds`) as its first pass,
+    under every engine.  At q = n - N - 1 the Hilbert-function term is
+    bracketed by the bundle test's own leading-term span and, where that
+    leaves a section open, eliminated exactly over the bundle's field when
+    its Macaulay matrix is no larger than the exterior piece.  A rank the
+    bracket decides names the counter KOSZUL and runs no Buchberger; where
+    it leaves alpha open, the next pass starts where it stopped.
     """
     if mode not in MODES:
         raise StabilityError(f"unknown mode {mode!r}")
@@ -384,26 +374,15 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
                              criteria_trace=trace)
 
     koszul = _koszul_bounds(bundle, checked.span, caps)
-    bundle_p, twin_built = None, engine == "gb"
+    twin = cache(partial(modular_twin, bundle, PRIMARY_TEST_PRIME))
     for q in q_list:
         caps.check_time()   # a rank read off the degrees alone checks none
-        # the window starts at -(the largest twist of wedge^q F)
-        bounds = koszul and koszul(q)
-        check = bounds and _koszul_exterior(bounds, q, mu, mode,
-                                            -sum(bundle.twists_a[:q]))
-        pres = None
-        if check is None:
-            pres = exterior_power_matrix(bundle, q)
-            if not twin_built:
-                bundle_p = modular_twin(bundle, PRIMARY_TEST_PRIME)
-                twin_built = True
-            pres_p = None if bundle_p is None else exterior_power_matrix(bundle_p, q)
-            check = _scan_exterior(pres, pres_p, q, mu, mode, engine, caps)
+        check, pres = _scan_exterior(bundle, twin, q, mu, mode, engine, caps,
+                                     koszul and koszul(q))
         report.per_power.append(check)
         if check.relation == "<":
-            # an empty kernel (gb) or a wrong alpha (Koszul) fails the check
-            if pres is None:
-                pres = exterior_power_matrix(bundle, q)
+            # an empty kernel (gb) or a wrong alpha (a pass) fails the check
+            pres = pres or exterior_power_matrix(bundle, q)
             source = pres.source_module()
             _, vectors = kernel_sections_linalg(
                 pres.columns, source, pres.target_module(), check.alpha, caps)
@@ -558,14 +537,13 @@ def bohnhorst_spindler(bundle: KernelBundle) -> NumericCriterionResult:
                 "not_applicable",
                 f"interlacing fails: b_{j + 1} = {bundle.twists_b[j]} is not "
                 f"greater than a_{j + 1} = {bundle.twists_a[j]}")
-    mu = invariants(bundle).mu
-    a_min = bundle.twists_a[-1]
-    if a_min > mu:
-        return NumericCriterionResult("stable", f"a_n = {a_min} > mu = {mu}")
-    if a_min == mu:
-        return NumericCriterionResult(
-            "semistable", f"a_n = {a_min} = mu (semistable, not stable)")
-    return NumericCriterionResult("unstable", f"a_n = {a_min} < mu = {mu}")
+    mu, a_min = invariants(bundle).mu, bundle.twists_a[-1]
+    verdict, detail = {
+        "pass_strict": ("stable", f"a_n = {a_min} > mu = {mu}"),
+        "pass": ("semistable", f"a_n = {a_min} = mu (semistable, not stable)"),
+        "fail": ("unstable", f"a_n = {a_min} < mu = {mu}"),
+    }[numeric_slope_gate(bundle)]
+    return NumericCriterionResult(verdict, detail)
 
 
 def parameter_criterion(N: int, degrees) -> NumericCriterionResult:

@@ -253,9 +253,20 @@ def test_genus_helper():
 
 
 def test_plane_curve_degree_must_be_positive():
-    q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", plane_degree=0)
     with pytest.raises(BoundsError, match="^plane curve degree must be positive$"):
-        frobenius_membership(q)
+        genus_plane_curve(0)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_plane_curve_degree_below_one_is_refused_when_not_needed(degree):
+    # X*Y*Z has degree tau = 3, so the inclusion bound answers without the
+    # genus; the query is refused when it is built, as a negative genus is
+    with pytest.raises(BoundsError, match=f"^plane curve degree must be >= 1, "
+                       f"got {degree}$"):
+        fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", plane_degree=degree)
+    assert frobenius_membership(fp_query(
+        ["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", plane_degree=1)).regime \
+        == "inclusion-bound"
 
 
 def test_genus_and_plane_curve_degree_are_not_both_taken():

@@ -305,6 +305,9 @@ def test_closure_trace_has_each_line_once(capsys, tmp_path, args):
     (["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2", "--candidate", "X*Y",
       "--genus", "-3", "--strong-flag", "x"],
      "genus must be >= 0, got -3"),
+    (["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2", "--candidate", "X*Y*Z",
+      "--strong-flag", "general", "--plane-curve-degree", "0"],
+     "plane curve degree must be >= 1, got 0"),
 ])
 def test_closure_invalid_query_is_input_error(capsys, args, message):
     code, out, err = run_cli(["closure"] + args, capsys)

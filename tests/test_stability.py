@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb, floor
 from types import SimpleNamespace
 
@@ -265,7 +265,7 @@ def test_hoppe_check_refuses_a_non_bundle_before_any_presentation(monkeypatch):
     calls = count_calls(monkeypatch, ("exterior_power_matrix",))
     # the Koszul counter's degree formula is wrong off an m-primary ideal:
     # it must not run either
-    for name in ("_koszul_bounds", "_koszul_exterior", "_scan_exterior"):
+    for name in ("_koszul_bounds", "_scan_exterior"):
         def refuse(*args, _name=name):
             calls[_name] += 1
         monkeypatch.setattr(stability, name, refuse)
@@ -795,14 +795,14 @@ NOT_BUNDLES = {("p2 degrees 1,1,2", 3), ("p2 degrees 1,1,4", 3)}
 
 
 def scan_ranks(bundle, qs, engine):
-    """_scan_exterior on each rank's presentation, with the `linalg` first
-    pass on the bundle's modular twin: the scan hoppe_check runs where the
-    Koszul counter does not decide the rank."""
+    """_scan_exterior on each rank without the Koszul pass: the `linalg`
+    first pass on the bundle's modular twin, then the engine on the rank's
+    presentation, as hoppe_check runs where the Koszul counter does not
+    decide the rank."""
     mu = invariants(bundle).mu
-    twin = None if engine == "gb" else modular_twin(bundle, PRIMARY_TEST_PRIME)
-    return [_scan_exterior(exterior_power_matrix(bundle, q),
-                           twin and exterior_power_matrix(twin, q), q, mu,
-                           "stability_evidence", engine, NO_CAPS)
+    twin = partial(modular_twin, bundle, PRIMARY_TEST_PRIME)
+    return [_scan_exterior(bundle, twin, q, mu, "stability_evidence", engine,
+                           NO_CAPS)[0]
             for q in qs]
 
 
@@ -938,19 +938,22 @@ def test_non_strict_gate_leaves_stability_undetermined(monkeypatch):
 
 
 def test_empty_window_runs_no_elimination(monkeypatch):
+    import kbundle.stability as stability
     from kbundle.powers import PowerPresentation
 
     def refuse(*args):
         raise AssertionError("eliminated an empty window")
 
     monkeypatch.setattr(PowerPresentation, "kernel_dims", refuse)
+    monkeypatch.setattr(stability, "exterior_power_matrix", refuse)
     # wedge^1 of the five quadrics starts at degree 2; a slope of 0 puts
-    # the window's top at 0
-    pres = exterior_power_matrix(five_quadrics(), 1)
-    check = _scan_exterior(pres, pres, 1, Fraction(0), "stability_evidence",
-                           "linalg", NO_CAPS)
+    # the window's top at 0, below every pass, the twin and the engine
+    check, pres = _scan_exterior(five_quadrics(), refuse, 1, Fraction(0),
+                                 "stability_evidence", "linalg", NO_CAPS,
+                                 refuse)
     assert (check.alpha, check.relation, check.window_low, check.window_top,
             check.prime) == (None, ">", 2, 0, None)
+    assert pres is None
 
 
 def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
@@ -977,6 +980,21 @@ def test_first_mod_p_section_is_searched_from_the_top(monkeypatch):
                       (p, 0)]                       # wedge^3
 
 
+def stub_bundles(monkeypatch, N, low, dims):
+    """A stand-in bundle on P^N whose wedge^1 window starts at low, and its
+    twin mod PRIMARY_TEST_PRIME: each one's presentation counts sections by
+    dims(char, k)."""
+    import kbundle.stability as stability
+
+    def kernel_dims(char, engine, caps, top):
+        return partial(dims, char)
+
+    monkeypatch.setattr(stability, "exterior_power_matrix", lambda b, q: (
+        SimpleNamespace(kernel_dims=partial(kernel_dims, b.char))))
+    return (SimpleNamespace(char=char, N=N, twists_a=(-low,))
+            for char in (0, PRIMARY_TEST_PRIME))
+
+
 @pytest.mark.parametrize("low, top", [(-6, 0), (-3, 2), (0, 1), (2, 2), (-5, -4)])
 def test_first_mod_p_section_walk_stops_at_the_bound(monkeypatch, low, top):
     """The first pass walks down from top to the first mod-p section.  With
@@ -990,23 +1008,72 @@ def test_first_mod_p_section_walk_stops_at_the_bound(monkeypatch, low, top):
             for tight in (True, False):
                 probes = []
 
-                def kernel_dims(char, engine, caps, top_):
-                    def dim(k):
-                        probes.append((char, k))
-                        if k < first:
-                            return 0
-                        return comb(N + k - first, N) if tight else 10 ** 6
-                    return dim
+                def dim(char, k):
+                    probes.append((char, k))
+                    if k < first:
+                        return 0
+                    return comb(N + k - first, N) if tight else 10 ** 6
 
-                pres, pres_p = (SimpleNamespace(
-                    kernel_dims=partial(kernel_dims, char), source_twists=(-low,),
-                    ring=SimpleNamespace(nvars=N + 1)) for char in (0, p))
-                check = _scan_exterior(pres, pres_p, 1, Fraction(-top),
-                                       "stability_evidence", "linalg", NO_CAPS)
+                bundle, bundle_p = stub_bundles(monkeypatch, N, low, dim)
+                check, _ = _scan_exterior(bundle, lambda: bundle_p, 1,
+                                          Fraction(-top), "stability_evidence",
+                                          "linalg", NO_CAPS)
                 assert check.alpha == first
                 stop = first if tight else max(first - 1, low)
                 assert probes == [(p, k) for k in range(top, stop - 1, -1)] \
                     + [(0, first)], (N, first, tight)
+
+
+@pytest.mark.parametrize("engine", ["linalg", "gb"])
+def test_a_pass_hands_its_stop_to_the_next(monkeypatch, engine):
+    """A pass that stops at k with lo(k) = 0 hands k on: the mod-p walk
+    probes nothing below k, though it has sections there, the engine scan
+    starts at k, and the section exactly at k is alpha."""
+    p = PRIMARY_TEST_PRIME
+    probes, reads = [], []
+
+    def dim(char, k):
+        probes.append((char, k))
+        return 10 ** 6 if char == p and k >= -5 else int(k >= -3)
+
+    def koszul(k):
+        reads.append(k)
+        return 0, 10 ** 6 * (k >= -3)
+
+    bundle, bundle_p = stub_bundles(monkeypatch, 2, -6, dim)
+    check, _ = _scan_exterior(bundle, lambda: bundle_p, 1, Fraction(0),
+                              "stability_evidence", engine, NO_CAPS, koszul)
+    assert (check.alpha, check.relation, check.prime) == (-3, "<", None)
+    assert min(reads) == -4
+    assert probes == ([(p, k) for k in range(0, -4, -1)] if engine == "linalg"
+                      else []) + [(0, -3)]
+
+
+DUPLICATE_CASES = [five_quadrics, five_quartics, dual_five_monomials,
+                   sl3_bundle, rank6_bundle, double_rank2_bundle] + [
+    partial(build, seed) for name, (build, _) in FIRST_PASS_CASES.items()
+    for seed in (1, 2, 3) if (name, seed) not in NOT_BUNDLES]
+
+
+@pytest.mark.parametrize("engine", ["linalg", "both"])
+def test_no_degree_is_eliminated_twice_in_one_check(monkeypatch, engine):
+    """Within one hoppe_check, every pass and the engine read each degree
+    once: no (field, source degrees, target degrees, degree) reaches
+    kernel_dim_linalg twice."""
+    import kbundle.powers as powers
+    seen = Counter()
+    real = powers.kernel_dim_linalg
+
+    def logging(columns, source, target, t, caps):
+        seen[source.ring.field.char, source.generator_degrees,
+             target.generator_degrees, t] += 1
+        return real(columns, source, target, t, caps)
+
+    monkeypatch.setattr(powers, "kernel_dim_linalg", logging)
+    for build in DUPLICATE_CASES:
+        seen.clear()
+        hoppe_check(build(), engine=engine)
+        assert max(seen.values(), default=1) == 1, build
 
 
 @pytest.mark.parametrize("name", list(FIRST_PASS_CASES))
@@ -1132,13 +1199,13 @@ def koszul_report_bundles():
 
 def test_koszul_ranks_match_the_scan_under_every_engine():
     """Every rank the counter decides has the (q, alpha, relation) that
-    _scan_exterior finds on the same presentation, under each engine the
+    _scan_exterior finds without the Koszul pass, under each engine the
     report ran; the others were scanned.  The pool reaches all three
     relations through the counter, and a fallback at rank n - N - 1."""
     seen = Counter()
     for bundle in koszul_report_bundles():
         mu = invariants(bundle).mu
-        twin = modular_twin(bundle, PRIMARY_TEST_PRIME)
+        twin = cache(partial(modular_twin, bundle, PRIMARY_TEST_PRIME))
         for engine in ENGINES:
             report = hoppe_check(bundle, engine=engine)
             for c in report.per_power:
@@ -1147,11 +1214,9 @@ def test_koszul_ranks_match_the_scan_under_every_engine():
                         seen["fallback"] += 1
                     continue
                 seen[c.relation] += 1
-                pres = exterior_power_matrix(bundle, c.q)
-                pres_p = twin and exterior_power_matrix(twin, c.q)
                 for e in ("gb", "linalg") if engine == "both" else (engine,):
-                    scan = _scan_exterior(pres, pres_p, c.q, mu,
-                                          "stability_evidence", e, NO_CAPS)
+                    scan, _ = _scan_exterior(bundle, twin, c.q, mu,
+                                             "stability_evidence", e, NO_CAPS)
                     assert (scan.q, scan.alpha, scan.relation) == \
                         (c.q, c.alpha, c.relation), (bundle.describe(), e)
             if report.witness is not None:
@@ -1180,10 +1245,11 @@ def test_boundary_rank_reads_the_exact_hilbert_term(monkeypatch, engine, build, 
     monkeypatch.setattr(stability, "exterior_power_matrix", building)
     check, = (c for c in hoppe_check(bundle, engine=engine).per_power if c.q == q)
     assert check.prime == KOSZUL and q not in built, built
-    twin = modular_twin(bundle, PRIMARY_TEST_PRIME)
-    scan = _scan_exterior(real(bundle, q), twin and real(twin, q), q,
-                          invariants(bundle).mu, "stability_evidence", engine,
-                          NO_CAPS)
+    # the same rank without the Koszul pass
+    scan, _ = _scan_exterior(bundle, partial(modular_twin, bundle,
+                                             PRIMARY_TEST_PRIME), q,
+                             invariants(bundle).mu, "stability_evidence",
+                             engine, NO_CAPS)
     assert (scan.q, scan.alpha, scan.relation) == (q, check.alpha, check.relation)
 
 
