@@ -161,15 +161,20 @@ MUTANTS = [
      "            if q >= n - N - 1:\n",
      "rank n - N - 1 carries the top Koszul homology HF(S/I, D - N - 1 - e)"),
     ("koszul-exact-term-over-fp", "stability.py",
-     "partial(ideal_piece_dim, bundle.matrix[0], caps=caps)",
-     "partial(ideal_piece_dim, (modular_twin(bundle, PRIMARY_TEST_PRIME) "
-     "or bundle).matrix[0], caps=caps)",
+     "        bundle.columns(), bundle.source_module(), bundle.target_module(), t, caps))\n",
+     "        (b := modular_twin(bundle, PRIMARY_TEST_PRIME) or bundle).columns(),\n"
+     "        b.source_module(), b.target_module(), t, caps))\n",
      "HF mod p only bounds HF over QQ from above; the exact term is "
      "eliminated over the bundle's own field"),
     ("koszul-exact-term-off-by-one", "stability.py",
-     "lo = hi = forms(t) - ideal_dim(t)\n",
-     "lo = hi = forms(t) - ideal_dim(t - 1)\n",
+     "lo = hi = forms(t) - products(t) + h0(t - c)\n",
+     "lo = hi = forms(t) - products(t) + h0(t - c - 1)\n",
      "the top Koszul homology in degree e is HF(S/I, t), t = D - N - 1 - e"),
+    ("koszul-exact-term-untwisted", "stability.py",
+     "lo = hi = forms(t) - products(t) + h0(t - c)\n",
+     "lo = hi = forms(t) - products(t) + h0(t)\n",
+     "dim I_t is read off E = Syz(f)(c) at the dual twist t - c, where its "
+     "column i has the monomials of degree t - d_i"),
     ("staged-skips-shape-check", "tannaka.py",
      "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
      "    caps = caps.start()\n    if q < 1:\n",

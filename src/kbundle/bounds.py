@@ -172,6 +172,9 @@ class ClosureQuery(Record):
         if plane_curve_degree is not None and plane_curve_degree < 1:
             raise BoundsError("plane curve degree must be >= 1, got "
                               f"{plane_curve_degree}")
+        if frobenius_exponent is not None and frobenius_exponent < 1:
+            raise BoundsError("Frobenius exponent must be >= 1, got "
+                              f"{frobenius_exponent}")
         if genus is not None and plane_curve_degree is not None:
             raise BoundsError("give the genus or the plane curve degree, "
                               "not both")
@@ -285,8 +288,6 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
     if f is None or f.is_zero() or not f.is_homogeneous():
         raise BoundsError("need a nonzero homogeneous candidate element")
     e = 1 if query.frobenius_exponent is None else query.frobenius_exponent
-    if e < 1:
-        raise BoundsError("Frobenius exponent must be >= 1")
     qpow = p ** e
     if closure is None:
         closure = closure_threshold(query, caps)

@@ -711,11 +711,15 @@ def main(argv=None) -> int:
         return 2
     for line in lines:
         print(line)
-    json_out = getattr(args, "json_out", None)
-    if json_out:
-        with open(json_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    if args.json_out:   # every subcommand declares --json-out
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"input error: cannot write report file {args.json_out}: "
+                  f"{exc}", file=sys.stderr)
+            return 1
     return code
 
 

@@ -42,7 +42,7 @@ from .modgb import (
     ModuleElement,
     apply_columns,
     free_module_dims,
-    ideal_piece_dim,
+    kernel_dim_linalg,
     kernel_sections_linalg,
 )
 from .powers import ENGINES, exterior_power_matrix
@@ -190,12 +190,12 @@ def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
     HF(S/I, t) <= dim S_t - span.size(t) (modgb.is_irrelevant_primary).
     Where the bracket leaves open whether h^0 vanishes (lo = 0 < hi), the
     only question the walk of _scan_exterior asks of it, the term is made
-    exact by modgb.ideal_piece_dim, the rank of the Macaulay matrix of those
-    sum_i dim S_(t - d_i) products over the bundle's field, under caps;
-    but only when they are no more vectors than the degree-k piece of
-    wedge^q F, sum_{|A|=q} dim S_(e - sum_A d_i), which a scan of the rank
-    would eliminate instead.  Otherwise the bracket stands.  Each dim I_t
-    is eliminated once per call.  The ranks q >= n - N are exact: lo = hi.
+    exact: E's degree-(t - c) piece, x^a e_i -> x^a * f_i, is the Macaulay
+    matrix of I_t, so dim I_t = sum_i dim S_(t - d_i) - h^0(E(t - c)), one
+    kernel_dim_linalg count over E's field under caps, once per degree per
+    call; but only when those columns are no more than the degree-k piece
+    of wedge^q F has, sum_{|A|=q} dim S_(e - sum_A d_i), which a scan of
+    the rank would eliminate instead.  Otherwise the bracket stands.
     """
     if bundle.m != 1 or span is None or \
             any(f.is_zero() for f in bundle.matrix[0]):
@@ -211,8 +211,8 @@ def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
     forms = free_module_dims({0: 1}, N + 1)         # t -> dim S_t
     products = free_module_dims(Counter(d), N + 1)  # t -> #{x^a * f_i of degree t}
     socle = sum(d) - N - 1
-    # t -> dim I_t, eliminated at most once in this call
-    ideal_dim = cache(partial(ideal_piece_dim, bundle.matrix[0], caps=caps))
+    h0 = cache(lambda t: kernel_dim_linalg(  # t -> h^0(E(t)), built when read
+        bundle.columns(), bundle.source_module(), bundle.target_module(), t, caps))
 
     def counter(q: int):
         if q < n - N - 1:
@@ -232,7 +232,7 @@ def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
             t = socle - e
             lo, hi = max(0, forms(t) - products(t)), forms(t) - span.size(t)
             if b == lo == 0 < hi and products(t) <= sources(e):
-                lo = hi = forms(t) - ideal_dim(t)
+                lo = hi = forms(t) - products(t) + h0(t - c)
             return b + lo, b + hi
 
         return bounds
@@ -333,8 +333,8 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     bracket of its Koszul complex (`_koszul_bounds`) as its first pass,
     under every engine.  At q = n - N - 1 the Hilbert-function term is
     bracketed by the bundle test's own leading-term span and, where that
-    leaves a section open, eliminated exactly over the bundle's field when
-    its Macaulay matrix is no larger than the exterior piece.  A rank the
+    leaves a section open, read exactly off one `linalg` count of h^0 of E
+    when its piece is no larger than the exterior one.  A rank the
     bracket decides names the counter KOSZUL and runs no Buchberger; where
     it leaves alpha open, the next pass starts where it stopped.
     """

@@ -285,9 +285,27 @@ def test_frobenius_below_threshold_needs_a_genus():
 
 
 def test_frobenius_exponent_zero_rejected():
-    q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", e=0, genus=3)
-    with pytest.raises(BoundsError):
-        frobenius_membership(q)
+    with pytest.raises(BoundsError, match="^Frobenius exponent must be >= 1, "
+                       "got 0$"):
+        fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", e=0, genus=3)
+
+
+@pytest.mark.parametrize("e", [0, -1])
+def test_frobenius_exponent_below_one_is_refused_when_not_needed(e):
+    # over QQ the Frobenius test never runs, and over F_7 X*Y*Z has degree
+    # tau = 3, so the inclusion bound answers before the exponent is read;
+    # the query is refused when it is built all the same
+    message = f"^Frobenius exponent must be >= 1, got {e}$"
+    ring = make_ring(3)
+    with pytest.raises(BoundsError, match=message):
+        ClosureQuery(generators=parse_many(["X^2", "Y^2", "Z^2"], ring),
+                     candidate=parse_polynomial("X*Y*Z", ring),
+                     frobenius_exponent=e)
+    with pytest.raises(BoundsError, match=message):
+        fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", e=e)
+    assert frobenius_membership(fp_query(
+        ["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", e=1)).regime \
+        == "inclusion-bound"
 
 
 def test_frobenius_requires_positive_characteristic():

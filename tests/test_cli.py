@@ -308,6 +308,11 @@ def test_closure_trace_has_each_line_once(capsys, tmp_path, args):
     (["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2", "--candidate", "X*Y*Z",
       "--strong-flag", "general", "--plane-curve-degree", "0"],
      "plane curve degree must be >= 1, got 0"),
+    (["--ideal", "X^2, Y^2, Z^2", "--candidate", "X*Y*Z", "--frobenius-e", "0"],
+     "Frobenius exponent must be >= 1, got 0"),
+    (["--field", "fp:7", "--ideal", "X^2, Y^2, Z^2", "--strong-flag", "g",
+      "--frobenius-e", "0"],
+     "Frobenius exponent must be >= 1, got 0"),
 ])
 def test_closure_invalid_query_is_input_error(capsys, args, message):
     code, out, err = run_cli(["closure"] + args, capsys)
@@ -411,6 +416,21 @@ def test_unreadable_job_file_is_input_error(tmp_path, capsys, text):
     code, out, err = run_cli(["run", str(job_path)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: cannot read job file {job_path}: ")
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_report_file_is_input_error(tmp_path, capsys, where):
+    """The verdict is printed, then the report that cannot be written is an
+    input error (exit 1), not a traceback."""
+    out_path = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    code, out, err = run_cli([
+        "check", "--syzygy", "X^2, Y^2, Z^2", "--twist", "3",
+        "--json-out", str(out_path)], capsys)
+    assert code == 1
+    assert "verdict" in out
+    assert err.startswith(
+        f"input error: cannot write report file {out_path}: "), err
+    assert err.count("\n") == 1
 
 
 def test_ideal_without_generators_is_input_error(tmp_path, capsys):

@@ -21,6 +21,8 @@ from kbundle import modgb
 from kbundle.bounds import ClosureQuery, closure_threshold, frobenius_membership
 from kbundle.cli import execute_job
 from kbundle.bundle import (
+    SyzygyBundleSpec,
+    from_syzygy,
     maximal_minors,
     minor_ideal_dims,
     module_from_twists,
@@ -494,24 +496,29 @@ def test_ideal_groebner_matches_macaulay_rank(char, nvars):
 
 
 @pytest.mark.parametrize("char", [0, 7])
-def test_ideal_piece_dim_matches_macaulay_rank_and_groebner(char):
-    """dim I_t by the helper equals the Macaulay rank and the Groebner count,
-    over QQ with Fraction coefficients and over F_7, for t < 0, t below the
-    least generator degree (2) and above it; a zero generator is ignored."""
+def test_syzygy_bundle_piece_gives_ideal_piece(char):
+    """dim I_t = sum_i dim S_(t - d_i) - h^0(E(t - c)) for E = Syz(f)(c):
+    the degree-(t - c) piece of E's presentation is the Macaulay matrix of
+    I_t.  It equals the Macaulay rank and the Groebner count, over QQ with
+    Fraction coefficients and over F_7, with twists c != 0, for t < 0, t
+    below the least generator degree (2) and above it."""
     rng = random.Random(char)
     ring = make_ring(3, FieldSpec(char))
-    for _ in range(12):
+    for twist in [-3, 2, 5] * 4:
         polys = []
         for _ in range(rng.randint(2, 4)):
             f = sparse_form(ring, rng.randint(2, 3), rng)
             polys.append(Poly(ring, {m: c * ring.field.from_fraction(
                 Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 5])))
                 for m, c in f.terms.items()}))
+        bundle = from_syzygy(SyzygyBundleSpec(ring, tuple(polys), twist))
+        args = (bundle.columns(), bundle.source_module(), bundle.target_module())
         gb = ideal_groebner(polys)
         for t in range(-2, 7):
-            dim = modgb.ideal_piece_dim(polys, t)
+            products = sum(comb(t - f.homogeneous_degree() + 2, 2)
+                           for f in polys if t >= f.homogeneous_degree())
+            dim = products - kernel_dim_linalg(*args, t - twist, Caps())
             assert dim == macaulay_rank(polys, t) == graded_piece_dim(gb, t), t
-            assert modgb.ideal_piece_dim(polys + [ring.zero()], t, Caps()) == dim
             assert dim == 0 or t >= 2
 
 

@@ -1057,10 +1057,11 @@ DUPLICATE_CASES = [five_quadrics, five_quartics, dual_five_monomials,
 
 @pytest.mark.parametrize("engine", ["linalg", "both"])
 def test_no_degree_is_eliminated_twice_in_one_check(monkeypatch, engine):
-    """Within one hoppe_check, every pass and the engine read each degree
-    once: no (field, source degrees, target degrees, degree) reaches
-    kernel_dim_linalg twice."""
+    """Within one hoppe_check, every pass, the Koszul counter's exact term
+    and the engine read each degree once: no (field, source degrees, target
+    degrees, degree) reaches kernel_dim_linalg twice."""
     import kbundle.powers as powers
+    import kbundle.stability as stability
     seen = Counter()
     real = powers.kernel_dim_linalg
 
@@ -1070,6 +1071,7 @@ def test_no_degree_is_eliminated_twice_in_one_check(monkeypatch, engine):
         return real(columns, source, target, t, caps)
 
     monkeypatch.setattr(powers, "kernel_dim_linalg", logging)
+    monkeypatch.setattr(stability, "kernel_dim_linalg", logging)
     for build in DUPLICATE_CASES:
         seen.clear()
         hoppe_check(build(), engine=engine)
