@@ -175,6 +175,16 @@ MUTANTS = [
      "lo = hi = forms(t) - products(t) + h0(t)\n",
      "dim I_t is read off E = Syz(f)(c) at the dual twist t - c, where its "
      "column i has the monomials of degree t - d_i"),
+    ("syzygy-forms-keeps-zero-entry", "bundle.py",
+     "    if bundle.m != 1 or any(f.is_zero() for f in bundle.matrix[0]):\n",
+     "    if bundle.m != 1:\n",
+     "a one-row presentation with a zero entry is no syzygy bundle: neither "
+     "the syzygy criteria nor the Koszul counter reads it"),
+    ("frobenius-trusts-foreign-closure", "bounds.py",
+     "    elif closure.query != query:\n",
+     "    elif False:\n",
+     "a closure report answers membership only for the query it was "
+     "computed for"),
     ("staged-skips-shape-check", "tannaka.py",
      "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
      "    caps = caps.start()\n    if q < 1:\n",

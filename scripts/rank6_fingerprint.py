@@ -33,11 +33,10 @@ GENERATORS = [
 
 def main() -> int:
     ring = make_ring(3)
-    spec = SyzygyBundleSpec(ring, parse_many(GENERATORS, ring), twist=7)
-    bundle = from_syzygy(spec)
+    bundle = from_syzygy(SyzygyBundleSpec(ring, parse_many(GENERATORS, ring), twist=7))
     started = time.perf_counter()
 
-    analysis = analyze_bundle(bundle, engine="both", spec=spec)
+    analysis = analyze_bundle(bundle, engine="both")
     report = analysis.report
     print(f"verdict: {report.verdict}; stability: {report.stability}")
     for check in report.per_power:

@@ -207,16 +207,16 @@ class ClosureQuery(Record):
 
 
 class ClosureReport(Record):
-    """m_min: every form of degree >= m_min lies in the closure."""
+    """Every form of degree >= m_min lies in the closure of query's ideal."""
 
-    __slots__ = ("tau", "m_min", "char", "trace")
+    __slots__ = ("tau", "m_min", "query", "trace")
     __hash__ = None
 
-    def __init__(self, tau: Fraction, m_min: int, char: int,
+    def __init__(self, tau: Fraction, m_min: int, query: ClosureQuery,
                  trace: Optional[list] = None):
         self.tau = tau
         self.m_min = m_min
-        self.char = char
+        self.query = query
         self.trace = [] if trace is None else trace
 
 
@@ -254,7 +254,7 @@ def closure_threshold(query: ClosureQuery, caps: Caps = NO_CAPS,
     tau = Fraction(sum(degrees), len(degrees) - 1)
     m_min = ceil(tau)
     trace.append(f"tau = {tau}; R_m lies in the closure for every m >= {m_min}")
-    return ClosureReport(tau, m_min, query.char, trace)
+    return ClosureReport(tau, m_min, query, trace)
 
 
 class MembershipReport(Record):
@@ -278,7 +278,8 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
     sits inside tight closure).  The report states which prime/exponent regime
     the data satisfies: p above 4(g-1)(n-1)^3, or q above 6g, makes the test
     decide tight closure; otherwise it is labeled necessary-condition only.
-    closure is closure_threshold(query) when the caller already has it.
+    closure is closure_threshold(query) when the caller already has it; a
+    report computed for another query raises BoundsError.
     """
     caps = caps.start()
     p = query.char
@@ -291,6 +292,8 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
     qpow = p ** e
     if closure is None:
         closure = closure_threshold(query, caps)
+    elif closure.query != query:
+        raise BoundsError("the closure report was computed for another query")
     trace = list(closure.trace)
     m = f.homogeneous_degree()
     if m >= closure.tau:

@@ -76,9 +76,6 @@ class KernelBundle(Record):
             cols.append(col)
         return cols
 
-    def entry(self, j: int, i: int) -> Poly:
-        return self.matrix[j][i]
-
     def describe(self) -> str:
         return (f"kernel bundle on P^{self.N}: a={list(self.twists_a)}, "
                 f"b={list(self.twists_b)}, rank {self.rank}")
@@ -93,10 +90,6 @@ class SyzygyBundleSpec(Record):
         self.ring = ring
         self.generators = generators
         self.twist = twist
-
-    @property
-    def degrees(self) -> tuple:
-        return tuple(f.homogeneous_degree() for f in self.generators)
 
 
 def make_kernel_bundle(ring: PolyRing, twists_a, twists_b, matrix) -> KernelBundle:
@@ -126,8 +119,16 @@ def from_syzygy(spec: SyzygyBundleSpec) -> KernelBundle:
             raise BundleError("syzygy generators must be nonzero homogeneous")
         if f.is_constant():
             raise BundleError("constant syzygy generator gives a split summand")
-    a = [spec.twist - d for d in spec.degrees]
+    a = [spec.twist - f.homogeneous_degree() for f in spec.generators]
     return make_kernel_bundle(ring, a, (spec.twist,), [list(spec.generators)])
+
+
+def syzygy_forms(bundle: KernelBundle) -> Optional[tuple]:
+    """The forms f_i of a syzygy bundle Syz(f_1..f_n)(b_1), deg f_i = b_1 - a_i:
+    the row of a one-row presentation without a zero entry, else None."""
+    if bundle.m != 1 or any(f.is_zero() for f in bundle.matrix[0]):
+        return None
+    return bundle.matrix[0]
 
 
 class ValidationProblem(Record):

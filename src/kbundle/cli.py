@@ -336,14 +336,13 @@ def task_validate(payload, options, caps):
 
 def task_check(payload, options, caps):
     """decide semistability and stability"""
-    bundle, spec = payload
+    bundle, _ = payload
     analysis = analyze_bundle(
         bundle,
         engine=options["engine"],
         mode=options["mode"],
         upgrade_selfdual=options["upgrade_selfdual"],
         via_pullback=options["via_pullback"],
-        spec=spec,
         caps=caps,
     )
     report = analysis.report
@@ -422,23 +421,23 @@ def task_sections(payload, options, caps):
     return results, lines, 0
 
 
-def _stability_report(bundle, spec, options, caps):
+def _stability_report(bundle, options, caps):
     """The stability analysis of `tannaka`, `restrict` and `closure` when no
     stability is assumed (closure takes no pullback)."""
     return analyze_bundle(bundle, engine=options["engine"],
                           via_pullback=options.get("via_pullback"),
-                          spec=spec, caps=caps).report
+                          caps=caps).report
 
 
 def task_tannaka(payload, options, caps):
     """invariant fingerprint and dual group"""
     assume = options["assume_stability"]
-    bundle, spec = payload
+    bundle, _ = payload
     if assume:
         status = assume
         report_dict = {"assumed": assume}
     else:
-        report = _stability_report(bundle, spec, options, caps)
+        report = _stability_report(bundle, options, caps)
         status = report.stability if report.is_semistable else "unstable"
         report_dict = _report_dict(report)
     fp = tannaka.fingerprint(bundle, status, q_max=options["q_max"],
@@ -475,13 +474,13 @@ def task_tannaka(payload, options, caps):
 def task_restrict(payload, options, caps):
     """restriction-degree bounds"""
     assume = options["assume_stability"]
-    bundle, spec = payload
+    bundle, _ = payload
     if assume:
         require_valid(bundle)
         certificate = assume
         cert_source = f"assumed {assume}"
     else:
-        report = _stability_report(bundle, spec, options, caps)
+        report = _stability_report(bundle, options, caps)
         if not report.is_semistable:
             raise BoundsError("the bundle is unstable; no restriction theorem "
                               "applies")
@@ -512,8 +511,8 @@ def task_closure(gens, options, caps):
     trace = []
     primary_proven = False
     if ring.field.char == 0 and certificate is None:
-        spec = SyzygyBundleSpec(ring, gens, 0)
-        report = _stability_report(from_syzygy(spec), spec, options, caps)
+        report = _stability_report(from_syzygy(SyzygyBundleSpec(ring, gens, 0)),
+                                   options, caps)
         if not report.is_semistable:
             raise BoundsError(
                 "the syzygy bundle of the ideal is unstable; the inclusion "

@@ -28,7 +28,7 @@ The loop runs on terms packed into single ints (_TermCodec), encoded where
 terms enter a run and decoded where its results leave.  The encoding T =
 base(component) + L(monomial) is linear in the exponents, so multiplying by
 x^q adds L(q), and comparing ints is the module term order.  The heap holds
--T, the work dicts, the degree layouts and the reduction memos are keyed by
+-T, the work dicts, the degree layouts and the reduction memo are keyed by
 T, a reducer's shifted tail and an S-element are int shifts, and
 divisibility and lcms in the pair criteria are bit operations on the
 exponent digits.  Every field is TERM_FIELD_BITS wide; a degree that would
@@ -360,42 +360,35 @@ class _Reducers:
     by the first divisor, and a term that had none is next checked against
     the new entries only.  Terms recur across the normal forms of one
     Buchberger run; the memo spares them the scan of the basis and the
-    shift of the reducer's tail.  The heap accumulator remembers the
-    shifted tail as terms (memo), the dense one as positions in its degree's
-    layout (by_index), each in a memo of its own.
+    shift of the reducer's tail.  Both accumulators share it: the dense
+    sweep fills in the shifted tail's positions in its degree's layout on
+    first use, and a term's degree fixes that layout.
     """
 
     def __init__(self, codec: _TermCodec, entries=()):
         self.codec = codec
         self.by_comp: dict = {}
         self.memo: dict = {}        # term -> reduction, or the count of entries seen
-        self.by_index: dict = {}    # the same, with the tail as layout positions
         for entry in entries:
             self.add(entry)
 
     def add(self, entry: dict):
         self.by_comp.setdefault(entry["ltcomp"], []).append(entry)
 
-    def reduction(self, t: int, index: Optional[dict] = None):
-        """(entry, shifted) for the first entry whose leading term divides
-        the term t: shifted lists the terms of x^q * entry["tail"] for
-        x^q = t / lt(entry), in the order of entry["tailcoeffs"], or with
-        index (a _TermCodec.layout's) their positions in the layout.  None if
+    def reduction(self, t: int):
+        """[entry, shifted, None] for the first entry whose leading term
+        divides the term t: shifted lists the terms of x^q * entry["tail"]
+        for x^q = t / lt(entry), in the order of entry["tailcoeffs"]; the
+        dense sweep sets the last slot to their layout positions.  None if
         no entry divides t.  Callers read a remembered reduction first."""
-        memo = self.memo if index is None else self.by_index
-        hit = memo.get(t, 0)
-        codec = self.codec
+        codec, memo = self.codec, self.memo
         entries = self.by_comp.get(codec.comp(t), ())
         word, guard = codec.word(t), codec.guard
-        for k in range(hit, len(entries)):
+        for k in range(memo.get(t, 0), len(entries)):
             entry = entries[k]
             if not (word - entry["ltword"]) & guard:
                 shift = t - entry["lt"]
-                if index is None:
-                    hit = (entry, [u + shift for u in entry["tail"]])
-                else:
-                    hit = (entry, [index[u + shift] for u in entry["tail"]])
-                memo[t] = hit
+                hit = memo[t] = [entry, [u + shift for u in entry["tail"]], None]
                 return hit
         memo[t] = len(entries)
         return None
@@ -468,13 +461,13 @@ def _normal_form_terms(terms: dict, reducers: _Reducers, caps: Caps,
         if not c:
             continue                # cancelled since it was queued
         reduction = memo.get(t)
-        if type(reduction) is not tuple:
+        if type(reduction) is not list:
             reduction = reducers.reduction(t)
             if reduction is None:
                 done[t] = c
                 continue
         caps.check_time()
-        reducer, shifted = reduction
+        reducer, shifted, _ = reduction
         lead = reducer["ltcoeff"]
         cc = c
         if lead != 1:
@@ -507,9 +500,9 @@ def _dense_normal_form(terms: dict, reducers: _Reducers, caps: Caps,
     coefficient of layout[i], the terms of the input's degree in descending
     order, and one sweep from the top takes them largest-first.  A
     reduction adds the reducer's tail at the layout positions of its shifted
-    terms (_Reducers.by_index), all below the current one."""
+    terms (a _Reducers memo entry's last slot), all below the current one."""
     p = reducers.codec.p
-    memo = reducers.by_index
+    memo = reducers.memo
     acc = [0] * len(layout)
     for t, c in terms.items():
         acc[index[t]] = c
@@ -523,13 +516,15 @@ def _dense_normal_form(terms: dict, reducers: _Reducers, caps: Caps,
                 continue            # cancelled mod p
         t = layout[i]
         reduction = memo.get(t)
-        if type(reduction) is not tuple:
-            reduction = reducers.reduction(t, index)
+        if type(reduction) is not list:
+            reduction = reducers.reduction(t)
             if reduction is None:
                 done[t] = c
                 continue
         caps.check_time()
-        reducer, shifted = reduction
+        reducer, shifted, positions = reduction
+        if positions is None:
+            positions = reduction[2] = [index[u] for u in shifted]
         lead = reducer["ltcoeff"]
         cc = c
         if lead != 1:
@@ -540,7 +535,7 @@ def _dense_normal_form(terms: dict, reducers: _Reducers, caps: Caps,
                 acc[i + 1:] = [x * ll for x in acc[i + 1:]]
                 for tt in done:
                     done[tt] *= ll
-        for j, rc in zip(shifted, reducer["tailcoeffs"]):
+        for j, rc in zip(positions, reducer["tailcoeffs"]):
             acc[j] += cc * (p - rc)
     return done
 

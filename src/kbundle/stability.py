@@ -27,11 +27,11 @@ from typing import Optional
 from .algebra import AlgebraError, Record, monomial_family_gcd, mono_deg
 from .bundle import (
     KernelBundle,
-    SyzygyBundleSpec,
     invariants,
     modular_twin,
     pullback_powers,
     require_valid,
+    syzygy_forms,
     twist,
 )
 from .modgb import (
@@ -170,8 +170,8 @@ def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
     """q -> (k -> (lo, hi)), lo <= h^0((wedge^q E)(k)) <= hi, for a syzygy
     bundle E = Syz(f_1, ..., f_n)(c) on P^N whose bundle test returned the
     _LeadingSpan span; the rank's counter is None for q < n - N - 1.  The
-    whole result is None unless the presentation is one row without a zero
-    entry and span proved it surjective, i.e. I = (f) m-primary.
+    whole result is None unless the presentation is a syzygy bundle's
+    (`syzygy_forms`) and span proved it surjective, i.e. I = (f) m-primary.
 
     Write d_i = deg f_i, D = sum d_i, S = k[x_0..x_N] and K = K(f; S) for
     the Koszul complex, K_j = (+)_{|A|=j} S(-sum_A d_i).  H^0 is left exact
@@ -197,8 +197,7 @@ def _koszul_bounds(bundle: KernelBundle, span, caps: Caps = NO_CAPS):
     of wedge^q F has, sum_{|A|=q} dim S_(e - sum_A d_i), which a scan of
     the rank would eliminate instead.  Otherwise the bracket stands.
     """
-    if bundle.m != 1 or span is None or \
-            any(f.is_zero() for f in bundle.matrix[0]):
+    if span is None or syzygy_forms(bundle) is None:
         return None
     N, n, c = bundle.N, bundle.n, bundle.twists_b[0]
     d = [c - a for a in bundle.twists_a]
@@ -328,7 +327,7 @@ def hoppe_check(bundle: KernelBundle, engine: str = "linalg",
     under the caps, and BundleError is raised before any exterior
     presentation is built.
 
-    On a syzygy bundle (one row, no zero entry) that test proved the ideal
+    On a syzygy bundle (`syzygy_forms`) that test proved the ideal
     I of the entries m-primary.  Every rank q >= n - N - 1 then takes the
     bracket of its Koszul complex (`_koszul_bounds`) as its first pass,
     under every engine.  At q = n - N - 1 the Hilbert-function term is
@@ -461,8 +460,9 @@ class BrennerResult(Record):
 BRENNER_GENERATOR_CAP = 25   # the subset enumeration is exponential
 
 
-def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS) -> BrennerResult:
-    """Subset criterion for monomial families.
+def brenner_monomial(bundle: KernelBundle, caps: Caps = NO_CAPS) -> BrennerResult:
+    """Subset criterion for the syzygy bundle of a monomial family, the
+    bundle's row (`syzygy_forms`, else StabilityError), d_i = b_1 - a_i.
 
     For every subset J of at least two generators compare
     (deg gcd(J) - sum_J d_i) / (|J| - 1) with -sum_I d_i / (n - 1): all below
@@ -472,19 +472,20 @@ def brenner_monomial(spec: SyzygyBundleSpec, caps: Caps = NO_CAPS) -> BrennerRes
     pure power among them.
     """
     caps = caps.start()
-    gens = spec.generators
+    gens = syzygy_forms(bundle)
+    if gens is None:
+        raise StabilityError("the monomial criterion needs a syzygy bundle")
     n = len(gens)
     if n > BRENNER_GENERATOR_CAP:
         raise StabilityError(f"{n} generators exceed the subset enumeration "
                              f"cap {BRENNER_GENERATOR_CAP}")
-    for g in gens:
-        if not g.is_monomial():
-            raise StabilityError("the monomial criterion needs monomial generators")
+    if not all(g.is_monomial() for g in gens):
+        raise StabilityError("the monomial criterion needs monomial generators")
     supports = [[k for k, e in enumerate(mono) if e] for g in gens for mono in g.terms]
     powers = {s[0] for s in supports if len(s) == 1}
-    if not all(supports) or len(powers) < spec.ring.nvars:
+    if not all(supports) or len(powers) < bundle.ring.nvars:
         raise StabilityError("the monomial family must be irrelevant-primary")
-    degrees = spec.degrees
+    degrees = [bundle.twists_b[0] - a for a in bundle.twists_a]
     bound = Fraction(-sum(degrees), n - 1)
     violations = []
     has_equality = False
@@ -653,23 +654,22 @@ def _check_criteria_consistency(report: StabilityReport, criteria: dict):
         raise InternalCheckError(problem)
 
 
-def _criteria(bundle: KernelBundle, spec: Optional[SyzygyBundleSpec],
-              caps: Caps) -> dict:
-    """The auxiliary criteria that apply."""
+def _criteria(bundle: KernelBundle, caps: Caps) -> dict:
+    """The auxiliary criteria that apply: the syzygy-bundle ones when
+    `syzygy_forms` reads the bundle as one, however it was given."""
     criteria = {}
     bs = bohnhorst_spindler(bundle)
     if bs.verdict != "not_applicable":
         criteria["bohnhorst_spindler"] = bs
-    if spec is None:
-        return criteria
-    if all(g.is_monomial() for g in spec.generators):
+    forms = syzygy_forms(bundle) or ()
+    if forms and all(f.is_monomial() for f in forms):
         try:
-            criteria["brenner_monomial"] = brenner_monomial(spec, caps)
+            criteria["brenner_monomial"] = brenner_monomial(bundle, caps)
         except StabilityError:
             pass
-    if len(spec.generators) == bundle.N + 1:
+    if len(forms) == bundle.N + 1:
         criteria["parameter_criterion"] = parameter_criterion(
-            bundle.N, spec.degrees)
+            bundle.N, [bundle.twists_b[0] - a for a in bundle.twists_a])
     return criteria
 
 
@@ -677,11 +677,12 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
                    mode: str = "stability_evidence",
                    upgrade_selfdual: bool = True,
                    via_pullback: Optional[int] = None,
-                   spec: Optional[SyzygyBundleSpec] = None,
                    caps: Caps = NO_CAPS) -> Analysis:
-    """Full driver: slope gate + exterior loop, auxiliary criteria, the
-    self-duality upgrade, and stability descent along coordinate-power
-    pullbacks (stability of the pullback implies stability downstairs).
+    """Full driver: slope gate + exterior loop, the auxiliary criteria that
+    the bundle alone admits (`_criteria`, each checked against the loop's
+    verdict), the self-duality upgrade, and stability descent along
+    coordinate-power pullbacks (stability of the pullback implies
+    stability downstairs).
 
     The presentation must be surjective (its maximal minors irrelevant-
     primary), else it is no bundle and `hoppe_check` raises BundleError
@@ -690,14 +691,14 @@ def analyze_bundle(bundle: KernelBundle, *, engine: str = "linalg",
     if via_pullback is not None and via_pullback < 1:
         raise StabilityError(f"pullback exponent must be >= 1, got {via_pullback}")
     return _analyze(bundle, engine, mode, upgrade_selfdual, via_pullback,
-                    spec, caps.start())
+                    caps.start())
 
 
 def _analyze(bundle: KernelBundle, engine: str, mode: str,
              upgrade_selfdual: bool, via_pullback: Optional[int],
-             spec: Optional[SyzygyBundleSpec], caps: Caps) -> Analysis:
+             caps: Caps) -> Analysis:
     report = hoppe_check(bundle, engine, mode, caps)
-    criteria = _criteria(bundle, spec, caps)
+    criteria = _criteria(bundle, caps)
     analysis = Analysis(bundle=bundle, report=report, criteria=criteria)
     _check_criteria_consistency(report, criteria)
     for name, res in criteria.items():
@@ -714,7 +715,7 @@ def _analyze(bundle: KernelBundle, engine: str, mode: str,
     if via_pullback and report.is_semistable \
             and report.stability == "undetermined":
         pb = _analyze(pullback_powers(bundle, via_pullback), engine, mode,
-                      upgrade_selfdual, None, None, caps)
+                      upgrade_selfdual, None, caps)
         analysis.pullback = pb
         if pb.report.is_stable_proven:
             report.stability = pb.report.stability

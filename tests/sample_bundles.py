@@ -26,10 +26,6 @@ def five_quadrics():
     return syzygy_bundle(["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"])
 
 
-def five_quadrics_spec():
-    return syzygy_spec(["X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"])
-
-
 def five_quartics(twist=0):
     """Syz(X^4-Y^4, X^4-Z^4, X^2Y^2, X^2Z^2, Y^2Z^2)(twist): rank 4."""
     return syzygy_bundle(
@@ -54,17 +50,9 @@ def monomial_cubes_family():
     return syzygy_bundle(["X^3", "Y^3", "Z^3", "X*Y^2*Z^2"])
 
 
-def monomial_cubes_spec():
-    return syzygy_spec(["X^3", "Y^3", "Z^3", "X*Y^2*Z^2"])
-
-
 def sl3_bundle():
     """Syz(X^3, Y^3, Z^3, XYZ)(4): stable of degree 0, rank 3."""
     return syzygy_bundle(["X^3", "Y^3", "Z^3", "X*Y*Z"], twist=4)
-
-
-def sl3_spec():
-    return syzygy_spec(["X^3", "Y^3", "Z^3", "X*Y*Z"], twist=4)
 
 
 def rank2_degree0_bundle():

@@ -37,16 +37,13 @@ from sample_bundles import (
     RING_QQ3,
     dual_five_monomials,
     five_quadrics,
-    five_quadrics_spec,
     five_quartics,
     monomial_cubes_family,
-    monomial_cubes_spec,
     random_homogeneous,
     random_kernel_bundle,
     random_primary_monomial_spec,
     rank6_bundle,
     sl3_bundle,
-    sl3_spec,
     syzygy_bundle,
 )
 
@@ -84,7 +81,7 @@ def test_criterion_02_monomial_cubes_unstable():
     pres = exterior_power_matrix(monomial_cubes_family(), 2)
     assert apply_columns(pres.columns, pres.target_module(),
                          w.element).is_zero()
-    res = brenner_monomial(monomial_cubes_spec())
+    res = brenner_monomial(monomial_cubes_family())
     assert res.verdict == "inconclusive"
     viol = {(v[0], v[2]) for v in res.violations}
     assert ((0, 1, 2), Fraction(-9, 2)) in viol
@@ -125,17 +122,17 @@ def test_criterion_04_five_quadrics_pullback():
     report = hoppe_check(bundle, engine="both")
     assert report.verdict == "semistable"
     assert pullback_powers(bundle, 2) == five_quartics()
-    analysis = analyze_bundle(bundle, via_pullback=2, spec=five_quadrics_spec())
+    analysis = analyze_bundle(bundle, via_pullback=2)
     assert analysis.report.is_stable_proven
     assert analysis.pullback.report.stability == "proven_via_selfduality"
     announce(4, "five quadrics semistable, pullback matches, combined stable;")
 
 
 def test_criterion_05_sl3_case():
-    res = brenner_monomial(sl3_spec())
+    res = brenner_monomial(sl3_bundle())
     assert res.verdict == "stable"
     bundle = sl3_bundle()
-    analysis = analyze_bundle(bundle, spec=sl3_spec())
+    analysis = analyze_bundle(bundle)
     assert analysis.report.stability == "proven_stable"
     sections = TensorSections(bundle)
     cell3 = tensor_dim_cell(sections, 3, 0)
@@ -171,7 +168,7 @@ def test_criterion_07_criteria_agreement_suite():
             continue
         bundle = from_syzygy(spec)
         # analyze_bundle raises InternalCheckError on any contradiction
-        analyze_bundle(bundle, spec=spec, upgrade_selfdual=False)
+        analyze_bundle(bundle, upgrade_selfdual=False)
         checked_monomial += 1
     # Bohnhorst-Spindler shaped instances of rank 2 and 3
     from kbundle.algebra import make_ring

@@ -235,6 +235,20 @@ def test_frobenius_regime_labels():
     assert rep2.decisive
 
 
+def test_frobenius_refuses_a_closure_of_another_query():
+    # the closure of (X, Y, Z, X+Y+Z) has tau = 4/3 <= deg X*Y, which would
+    # wrongly put X*Y in the closure of (X^2, Y^2, Z^2)
+    q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=3)
+    alone = frobenius_membership(q)
+    assert (alone.member, alone.decisive) == (False, False)
+    other = fp_query(["X", "Y", "Z", "X + Y + Z"], candidate="X*Y", genus=3)
+    with pytest.raises(BoundsError, match="computed for another query"):
+        frobenius_membership(q, closure=closure_threshold(other))
+    # an equal query's report is this query's
+    assert frobenius_membership(q, closure=closure_threshold(
+        fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=3))) == alone
+
+
 def test_frobenius_monotone_in_generators():
     small = fp_query(["X^2", "Y^2", "Z^4"], candidate="Z^3", genus=3)
     large = fp_query(["X^2", "Y^2", "Z^4", "Z^3"], candidate="Z^3", genus=3)

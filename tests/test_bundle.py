@@ -157,10 +157,10 @@ def cofactor_minors(bundle):
     bundle.maximal_minors computed them before it went fraction-free."""
     def det(rows, cols):
         if len(rows) == 1:
-            return bundle.entry(rows[0], cols[0])
+            return bundle.matrix[rows[0]][cols[0]]
         total = bundle.ring.zero()
         for k, c in enumerate(cols):
-            e = bundle.entry(rows[0], c)
+            e = bundle.matrix[rows[0]][c]
             if e.is_zero():
                 continue
             term = e * det(rows[1:], cols[:k] + cols[k + 1:])

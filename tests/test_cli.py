@@ -48,6 +48,21 @@ def forbid_work(monkeypatch):
         monkeypatch.setattr(name, refused)
 
 
+def test_check_reads_a_syzygy_bundle_however_it_is_given():
+    # Syz(X^3, Y^3, Z^3, XYZ)(4) as a syzygy job and as a one-row kernel
+    # job: one bundle, so the same criteria and the same report
+    ring = {"variables": ["X", "Y", "Z"]}
+    task = {"name": "check"}
+    syzygy = cli.execute_job({"ring": ring, "task": task, "object": {"syzygy": {
+        "generators": ["X^3", "Y^3", "Z^3", "X*Y*Z"], "twist": 4}}})
+    kernel = cli.execute_job({"ring": ring, "task": task, "object": {"kernel": {
+        "twists_a": [1, 1, 1, 1], "twists_b": [4],
+        "matrix": [["X^3", "Y^3", "Z^3", "X*Y*Z"]]}}})
+    assert kernel[0]["results"] == syzygy[0]["results"]
+    assert kernel[1:] == syzygy[1:]
+    assert list(kernel[0]["results"]["criteria"]) == ["brenner_monomial"]
+
+
 def test_check_five_quadrics_via_pullback(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli([

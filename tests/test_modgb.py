@@ -65,7 +65,7 @@ from sample_bundles import (
     interlaced_bundle,
     random_homogeneous,
     random_kernel_bundle,
-    syzygy_spec,
+    syzygy_bundle,
 )
 
 
@@ -994,23 +994,30 @@ def test_reducers_memo_keeps_first_divisor():
     x2z, x2y = term((2, 0, 1)), term((2, 1, 0))
     assert reducers.reduction(x2z) is None
     reducers.add(x2)
-    assert reducers.reduction(x2z) == (x2, [term((0, 1, 2))])
+    assert reducers.reduction(x2z) == [x2, [term((0, 1, 2))], None]
     assert x2["tailcoeffs"] == [1]
-    assert reducers.reduction(x2y) == (xy, [term((1, 0, 2))])
+    assert reducers.reduction(x2y) == [xy, [term((1, 0, 2))], None]
     assert xy["tailcoeffs"] == [-1]
-    assert reducers.memo[x2y] == (xy, [term((1, 0, 2))])
-    # the same rule when the dense accumulator remembers the tails as
-    # positions in the degree-3 layout, in a memo of their own
-    _, index = codec.layout(3)
+    assert reducers.memo[x2y] == [xy, [term((1, 0, 2))], None]
+
+
+def test_dense_sweep_fills_the_shared_memo():
+    # the dense sweep reads the heap's remembered reduction and fills in the
+    # tail's positions in its degree's layout, in the same memo entry
+    codec = _TermCodec(GradedFreeModule(RING_QQ3, (0,)), "test")
+    terms = _integerize(codec.encode_terms(
+        {(0, m): c for m, c in P("X^2*Y + Y^3").terms.items()}))
+    xy = _reducer_entry(_integerize(codec.encode_terms(
+        {(0, m): c for m, c in P("X*Y - Z^2").terms.items()})), codec)
     reducers = _Reducers(codec, [xy])
-    assert reducers.reduction(x2z, index) is None
-    reducers.add(x2)
-    assert reducers.reduction(x2z, index) == (x2, [index[term((0, 1, 2))]])
-    assert reducers.reduction(x2y, index) == (xy, [index[term((1, 0, 2))]])
-    assert reducers.by_index[x2y] == (xy, [index[term((1, 0, 2))]])
-    assert not reducers.memo
-    assert reducers.reduction(x2y) == (xy, [term((1, 0, 2))])
-    assert reducers.by_index[x2y] == (xy, [index[term((1, 0, 2))]])
+    x2y = codec.encode(0, (2, 1, 0))
+    heap = modgb._normal_form_terms(terms, reducers, modgb.NO_CAPS)
+    assert reducers.memo[x2y][2] is None
+    layout, index = codec.layout(3)
+    dense = modgb._dense_normal_form(terms, reducers, modgb.NO_CAPS, layout, index)
+    assert dense == heap
+    assert reducers.memo[x2y] == [xy, [codec.encode(0, (1, 0, 2))],
+                                  [index[codec.encode(0, (1, 0, 2))]]]
 
 
 def loop_normal_form(f, gb, degree=None):
@@ -1372,7 +1379,7 @@ def test_one_deadline_per_public_call(monkeypatch):
             gens7, strong_flag="elliptic-curve", genus=0,
             candidate=P("X*Z", ring7)), caps),
         "brenner_monomial": lambda: brenner_monomial(
-            syzygy_spec(["X^2", "Y^2", "Z^2", "X*Y"]), caps),
+            syzygy_bundle(["X^2", "Y^2", "Z^2", "X*Y"]), caps),
         "buchberger": lambda: buchberger(ideal_elements("X^2 - Y^2", "X*Y"), caps),
         "ideal_membership": lambda: ideal_membership(P("X^3"), gb, caps),
     }

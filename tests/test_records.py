@@ -89,7 +89,7 @@ def report():
 def test_mutable_records_are_unhashable():
     assert report() == report()
     for record in (report(), PowerCheck(1, None, Fraction(1), ">", 0, 0),
-                   ClosureReport(Fraction(3, 2), 2, 0),
+                   ClosureReport(Fraction(3, 2), 2, None),
                    ClosureQuery((P("X^2"), P("Y^2")))):
         with pytest.raises(TypeError):
             hash(record)
@@ -101,7 +101,7 @@ def test_default_lists_are_fresh():
     a.criteria_trace.append("line")
     assert b.per_power == [] and b.criteria_trace == []
     assert a != b
-    assert ClosureReport(1, 1, 0).trace is not ClosureReport(1, 1, 0).trace
+    assert ClosureReport(1, 1, None).trace is not ClosureReport(1, 1, None).trace
     assert MembershipReport(True, True, "", "").trace is not \
         MembershipReport(True, True, "", "").trace
     first = Analysis(five_quadrics(), a)

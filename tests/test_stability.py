@@ -15,6 +15,7 @@ from kbundle.bundle import (
     invariants,
     make_kernel_bundle,
     modular_twin,
+    syzygy_forms,
     twist,
     validate,
 )
@@ -53,18 +54,14 @@ from sample_bundles import (
     double_rank2_bundle,
     dual_five_monomials,
     five_quadrics,
-    five_quadrics_spec,
     five_quartics,
     monomial_cubes_family,
-    monomial_cubes_spec,
     rank2_degree0_bundle,
     random_kernel_bundle,
     random_primary_monomial_spec,
     rank6_bundle,
     sl3_bundle,
-    sl3_spec,
     syzygy_bundle,
-    syzygy_spec,
 )
 from kbundle.bundle import from_syzygy
 
@@ -253,10 +250,10 @@ def count_calls(monkeypatch, names) -> Counter:
 def test_non_bundle_is_rejected_before_the_scan(monkeypatch):
     calls = count_calls(monkeypatch, ("kernel_dim_linalg", "kernel_dims_gb",
                                       "kernel_sections_linalg"))
-    spec = syzygy_spec(["X^2", "X*Y", "Y^2"])     # common zero (0:0:1)
+    bundle = syzygy_bundle(["X^2", "X*Y", "Y^2"])     # common zero (0:0:1)
     for engine in ENGINES:
         with pytest.raises(BundleError, match="not-surjective"):
-            analyze_bundle(from_syzygy(spec), engine=engine, spec=spec)
+            analyze_bundle(bundle, engine=engine)
     assert calls == Counter()
 
 
@@ -395,13 +392,13 @@ def test_gb_scan_reads_only_the_window():
 
 
 def test_brenner_stable_family():
-    res = brenner_monomial(sl3_spec())
+    res = brenner_monomial(sl3_bundle())
     assert res.verdict == "stable"
     assert not res.violations
 
 
 def test_brenner_inconclusive_with_violation_details():
-    res = brenner_monomial(monomial_cubes_spec())
+    res = brenner_monomial(monomial_cubes_family())
     assert res.verdict == "inconclusive"
     assert res.bound == Fraction(-14, 3)
     viols = {(v[0], v[2]) for v in res.violations}
@@ -409,18 +406,18 @@ def test_brenner_inconclusive_with_violation_details():
 
 
 def test_brenner_coordinate_family_stable():
-    res = brenner_monomial(syzygy_spec(["X", "Y", "Z"]))
+    res = brenner_monomial(syzygy_bundle(["X", "Y", "Z"]))
     assert res.verdict == "stable"
 
 
 def test_brenner_rejects_non_monomial():
     with pytest.raises(StabilityError):
-        brenner_monomial(five_quadrics_spec())
+        brenner_monomial(five_quadrics())
 
 
 def test_brenner_rejects_non_primary():
     with pytest.raises(StabilityError):
-        brenner_monomial(syzygy_spec(["X^2", "X*Y", "X*Z"]))
+        brenner_monomial(syzygy_bundle(["X^2", "X*Y", "X*Z"]))
 
 
 @pytest.mark.parametrize("options, message", [
@@ -447,8 +444,11 @@ def test_brenner_primary_test_matches_buchberger():
             monos += [tuple(rng.randint(0, 2) for _ in range(nvars))
                       for _ in range(rng.randint(2, 4))]
             gens = tuple(Poly(ring, {m: ring.field.one()}) for m in monos)
+            # make_kernel_bundle, not from_syzygy, which refuses a constant
+            bundle = make_kernel_bundle(
+                ring, [-sum(m) for m in monos], [0], [gens])
             try:
-                brenner_monomial(SyzygyBundleSpec(ring, gens))
+                brenner_monomial(bundle)
                 primary = True
             except StabilityError as exc:
                 assert "irrelevant-primary" in str(exc)
@@ -553,8 +553,7 @@ def test_selfdual_upgrade_declines_non_integral_slope():
 
 
 def test_analysis_five_quadrics_via_pullback():
-    analysis = analyze_bundle(five_quadrics(), via_pullback=2,
-                              spec=five_quadrics_spec())
+    analysis = analyze_bundle(five_quadrics(), via_pullback=2)
     assert analysis.report.verdict == "semistable"
     assert analysis.report.stability == "proven_via_selfduality"
     assert analysis.pullback is not None
@@ -563,8 +562,7 @@ def test_analysis_five_quadrics_via_pullback():
 
 
 def test_analysis_runs_auxiliary_criteria():
-    analysis = analyze_bundle(rank2_degree0_bundle(),
-                              spec=syzygy_spec(["X^2", "Y^2", "Z^2"], twist=3))
+    analysis = analyze_bundle(rank2_degree0_bundle())
     assert analysis.criteria["bohnhorst_spindler"].verdict == "stable"
     assert analysis.criteria["parameter_criterion"].verdict == "stable"
     assert analysis.report.stability == "proven_stable"
@@ -572,15 +570,33 @@ def test_analysis_runs_auxiliary_criteria():
 
 def test_criteria_skip_brenner_past_its_generator_cap(monkeypatch):
     import kbundle.stability as stability
-    spec = sl3_spec()
-    bundle = from_syzygy(spec)
-    analysis = analyze_bundle(bundle, spec=spec, upgrade_selfdual=False)
+    bundle = sl3_bundle()
+    analysis = analyze_bundle(bundle, upgrade_selfdual=False)
     assert list(analysis.criteria) == ["brenner_monomial"]
     # four generators past a cap of three: brenner_monomial refuses them
     monkeypatch.setattr(stability, "BRENNER_GENERATOR_CAP", 3)
-    analysis = analyze_bundle(bundle, spec=spec, upgrade_selfdual=False)
+    analysis = analyze_bundle(bundle, upgrade_selfdual=False)
     assert analysis.criteria == {}
     assert analysis.report.is_semistable
+
+
+def test_one_row_with_a_zero_entry_is_no_syzygy_bundle():
+    # Syz(X^2, Y^2, Z^2)(3) + O: one row, but its zero entry is no form of
+    # a Koszul complex, so neither the syzygy criteria nor the Koszul
+    # counter reads it
+    z = RING_QQ3.zero()
+    bundle = make_kernel_bundle(RING_QQ3, [1, 1, 1, 0], [3],
+                                [[P("X^2"), P("Y^2"), P("Z^2"), z]])
+    assert syzygy_forms(bundle) is None
+    assert syzygy_forms(rank2_degree0_bundle()) == (P("X^2"), P("Y^2"), P("Z^2"))
+    with pytest.raises(StabilityError, match="needs a syzygy bundle"):
+        brenner_monomial(bundle)
+    analysis = analyze_bundle(bundle, upgrade_selfdual=False)
+    assert analysis.criteria == {}
+    assert [(c.q, c.alpha, c.relation, c.prime)
+            for c in analysis.report.per_power] == [(1, 0, "=", None)]
+    assert (analysis.report.verdict, analysis.report.stability) == \
+        ("semistable", "undetermined")
 
 
 def claim(monkeypatch, verdict):
@@ -666,7 +682,7 @@ def test_criteria_consistency_random_monomials():
         spec = random_primary_monomial_spec(rng)
         bundle = from_syzygy(spec)
         # raises InternalCheckError if any criterion contradicts the driver
-        analyze_bundle(bundle, spec=spec, upgrade_selfdual=False)
+        analyze_bundle(bundle, upgrade_selfdual=False)
 
 
 def test_mod_p_run_allowed():
@@ -683,9 +699,8 @@ def test_mod_p_run_allowed():
 def test_reused_caps_apply_per_call():
     # the second call starts after the first call's budget has run out
     caps = Caps(timeout_seconds=0.5)
-    spec = syzygy_spec(["X^2", "Y^2", "Z^2"], twist=3)
     for _ in range(2):
-        analysis = analyze_bundle(rank2_degree0_bundle(), spec=spec, caps=caps)
+        analysis = analyze_bundle(rank2_degree0_bundle(), caps=caps)
         assert analysis.report.stability == "proven_stable"
         time.sleep(0.6)
     assert caps == Caps(timeout_seconds=0.5)
@@ -707,8 +722,7 @@ def test_analysis_shares_one_deadline(monkeypatch):
 
     monkeypatch.setattr(stability, "hoppe_check", recording)
     caps = Caps(timeout_seconds=60)
-    analyze_bundle(five_quadrics(), via_pullback=2, spec=five_quadrics_spec(),
-                   caps=caps)
+    analyze_bundle(five_quadrics(), via_pullback=2, caps=caps)
     # the bundle and its pullback are scanned under one armed copy
     assert len(seen) == 2 and seen[0] is seen[1]
     assert seen[0]._deadline is not None and caps._deadline is None
