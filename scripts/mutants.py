@@ -180,11 +180,10 @@ MUTANTS = [
      "    if bundle.m != 1:\n",
      "a one-row presentation with a zero entry is no syzygy bundle: neither "
      "the syzygy criteria nor the Koszul counter reads it"),
-    ("frobenius-trusts-foreign-closure", "bounds.py",
-     "    elif closure.query != query:\n",
-     "    elif False:\n",
-     "a closure report answers membership only for the query it was "
-     "computed for"),
+    ("membership-trace-repeats-closure", "bounds.py",
+     "    trace = []\n    m = f.homogeneous_degree()\n",
+     "    trace = list(closure.trace)\n    m = f.homogeneous_degree()\n",
+     "a closure report's trace holds each of its lines once"),
     ("staged-skips-shape-check", "tannaka.py",
      "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
      "    caps = caps.start()\n    if q < 1:\n",

@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kbundle.algebra import make_ring, parse_many
-from kbundle.bundle import SyzygyBundleSpec, from_syzygy
+from kbundle.bundle import from_syzygy
 from kbundle.stability import analyze_bundle
 from kbundle.tannaka import TensorSections, classify_group, fingerprint, tensor_dim_cell
 
@@ -32,8 +32,7 @@ GENERATORS = [
 
 
 def main() -> int:
-    ring = make_ring(3)
-    bundle = from_syzygy(SyzygyBundleSpec(ring, parse_many(GENERATORS, ring), twist=7))
+    bundle = from_syzygy(parse_many(GENERATORS, make_ring(3)), twist=7)
     started = time.perf_counter()
 
     analysis = analyze_bundle(bundle, engine="both")

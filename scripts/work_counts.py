@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Elimination and Buchberger call counts per benchmark workload, to check
-that two versions of kbundle do the same work.
+"""Elimination, Buchberger and primary-test call counts per benchmark
+workload, to check that two versions of kbundle do the same work.
 
     python3 scripts/work_counts.py [WORKLOAD ...]
 
@@ -35,7 +35,8 @@ from kbundle import modgb  # noqa: E402
 from kbundle.cli import execute_job  # noqa: E402
 
 COUNTED = ["kernel_dim_linalg", "kernel_sections_linalg", "kernel_dims_gb",
-           "_section_kernel", "_echelon_kernel", "_gb_core"]
+           "_section_kernel", "_echelon_kernel", "_gb_core",
+           "is_irrelevant_primary", "ideal_groebner"]
 
 
 def install(counts: Counter) -> None:

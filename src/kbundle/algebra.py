@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
 from math import gcd, prod
 from operator import add
 from typing import Iterator
@@ -444,10 +443,10 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
     state, last = _START, None
     sign, num, den, exps = 1, 1, 1, [0] * nvars
 
-    def fail(error, pending=None):
-        """Raise error, unless the token pending or one after it is
-        unexpected."""
-        for match in chain((pending,) if pending else (), tokens):
+    def fail(error):
+        """Raise the text's first unexpected character, else error: every
+        token consumed before a failure is an expected one."""
+        for match in _TOKEN.finditer(text):
             unexpected = _unexpected(match)
             if unexpected is not None:
                 raise unexpected
@@ -512,14 +511,11 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
                     fail(PolyParseError(
                         "expected denominator after '/'" if op == "/" else
                         "expected integer exponent after '^'",
-                        _start(after) if after else len(text)), after)
+                        _start(after) if after else len(text)))
             elif state == _START and (op == "+" or op == "-"):
                 sign = -1 if op == "-" else 1
                 state = _ATOM
                 continue
-        unexpected = _unexpected(match)
-        if unexpected is not None:
-            raise unexpected
         fail(PolyParseError("unexpected trailing input" if state == _AFTER_ATOM else
                             "expected a coefficient or a variable", _start(match)))
     if state != _AFTER_ATOM:

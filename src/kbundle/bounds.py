@@ -270,18 +270,19 @@ class MembershipReport(Record):
         self.trace = [] if trace is None else trace
 
 
-def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
-                         closure: Optional[ClosureReport] = None) -> MembershipReport:
-    """Frobenius-power membership test f^q in (f_1^q, ..., f_n^q), q = p^e.
+def frobenius_membership(closure: ClosureReport,
+                         caps: Caps = NO_CAPS) -> MembershipReport:
+    """Frobenius-power membership test f^q in (f_1^q, ..., f_n^q), q = p^e,
+    for the candidate of closure.query.
 
     A positive answer always certifies closure membership (Frobenius closure
     sits inside tight closure).  The report states which prime/exponent regime
     the data satisfies: p above 4(g-1)(n-1)^3, or q above 6g, makes the test
     decide tight closure; otherwise it is labeled necessary-condition only.
-    closure is closure_threshold(query) when the caller already has it; a
-    report computed for another query raises BoundsError.
+    The trace holds the membership's own lines, not the closure's.
     """
     caps = caps.start()
+    query = closure.query
     p = query.char
     if p == 0:
         raise BoundsError("Frobenius membership requires positive characteristic")
@@ -290,11 +291,7 @@ def frobenius_membership(query: ClosureQuery, caps: Caps = NO_CAPS,
         raise BoundsError("need a nonzero homogeneous candidate element")
     e = 1 if query.frobenius_exponent is None else query.frobenius_exponent
     qpow = p ** e
-    if closure is None:
-        closure = closure_threshold(query, caps)
-    elif closure.query != query:
-        raise BoundsError("the closure report was computed for another query")
-    trace = list(closure.trace)
+    trace = []
     m = f.homogeneous_degree()
     if m >= closure.tau:
         trace.append(f"deg f = {m} >= tau = {closure.tau}: in the closure by "

@@ -81,17 +81,6 @@ class KernelBundle(Record):
                 f"b={list(self.twists_b)}, rank {self.rank}")
 
 
-class SyzygyBundleSpec(Record):
-    """Syz(f_1, ..., f_n) twisted by c: the single-row kernel presentation."""
-
-    __slots__ = ("ring", "generators", "twist")
-
-    def __init__(self, ring: PolyRing, generators: tuple, twist: int = 0):
-        self.ring = ring
-        self.generators = generators
-        self.twist = twist
-
-
 def make_kernel_bundle(ring: PolyRing, twists_a, twists_b, matrix) -> KernelBundle:
     """Assemble a bundle, sorting both twist lists (matrix permuted
     consistently) so equal presentations compare equal."""
@@ -109,18 +98,18 @@ def make_kernel_bundle(ring: PolyRing, twists_a, twists_b, matrix) -> KernelBund
                         tuple(tuple(r) for r in rows))
 
 
-def from_syzygy(spec: SyzygyBundleSpec) -> KernelBundle:
-    """Kernel presentation of Syz(f_1..f_n)(c): a_i = c - deg f_i, b = (c)."""
-    ring = spec.ring
-    if len(spec.generators) < 2:
+def from_syzygy(generators: Sequence[Poly], twist: int = 0) -> KernelBundle:
+    """Kernel presentation of Syz(f_1..f_n)(c) over the ring of f_1:
+    a_i = c - deg f_i, b = (c)."""
+    if len(generators) < 2:
         raise BundleError("a syzygy bundle needs at least two generators")
-    for f in spec.generators:
+    for f in generators:
         if f.is_zero() or not f.is_homogeneous():
             raise BundleError("syzygy generators must be nonzero homogeneous")
         if f.is_constant():
             raise BundleError("constant syzygy generator gives a split summand")
-    a = [spec.twist - f.homogeneous_degree() for f in spec.generators]
-    return make_kernel_bundle(ring, a, (spec.twist,), [list(spec.generators)])
+    a = [twist - f.homogeneous_degree() for f in generators]
+    return make_kernel_bundle(generators[0].ring, a, (twist,), [list(generators)])
 
 
 def syzygy_forms(bundle: KernelBundle) -> Optional[tuple]:

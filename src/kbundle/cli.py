@@ -23,7 +23,7 @@ from .algebra import (AlgebraError, FieldSpec, PolyRing, default_variables,
                       parse_polynomial)
 from .bounds import (CERTIFICATES, THEOREMS, BoundsError, ClosureQuery,
                      closure_threshold, frobenius_membership, restriction_bound)
-from .bundle import (KernelBundle, SyzygyBundleSpec, from_syzygy, invariants,
+from .bundle import (KernelBundle, from_syzygy, invariants,
                      make_kernel_bundle, require_valid, validate)
 from .modgb import Caps, ResourceCapError
 from .powers import KINDS
@@ -130,15 +130,14 @@ def _polys(texts, ring: PolyRing, what: str) -> list:
 
 def build_object(cfg: dict, ring: PolyRing):
     """Returns (kind, payload) for an object block that _check_job passed:
-    kind "bundle" pairs the bundle with an optional syzygy spec; kind
-    "ideal" carries the generator list."""
+    kind "bundle" carries (bundle, None); kind "ideal" carries the
+    generator list."""
     try:
         if "syzygy" in cfg:
-            spec_cfg = cfg["syzygy"]
-            gens = tuple(_polys(spec_cfg["generators"], ring, "generators"))
-            spec = SyzygyBundleSpec(ring, gens,
-                                    _typed(spec_cfg.get("twist", 0), _INT, "twist"))
-            return "bundle", (from_syzygy(spec), spec)
+            syz = cfg["syzygy"]
+            gens = _polys(syz["generators"], ring, "generators")
+            bundle = from_syzygy(gens, _typed(syz.get("twist", 0), _INT, "twist"))
+            return "bundle", (bundle, None)
         if "kernel" in cfg:
             kcfg = cfg["kernel"]
             matrix = [_polys(row, ring, "matrix row")
@@ -511,8 +510,7 @@ def task_closure(gens, options, caps):
     trace = []
     primary_proven = False
     if ring.field.char == 0 and certificate is None:
-        report = _stability_report(from_syzygy(SyzygyBundleSpec(ring, gens, 0)),
-                                   options, caps)
+        report = _stability_report(from_syzygy(gens), options, caps)
         if not report.is_semistable:
             raise BoundsError(
                 "the syzygy bundle of the ideal is unstable; the inclusion "
@@ -555,7 +553,7 @@ def task_closure(gens, options, caps):
                          + ("in the closure by the threshold rule" if member
                             else "below the threshold; not decided"))
         else:
-            membership = frobenius_membership(query, caps, closure)
+            membership = frobenius_membership(closure, caps)
             results["membership"] = {
                 "candidate": str(query.candidate),
                 "member": membership.member,
@@ -563,8 +561,7 @@ def task_closure(gens, options, caps):
                 "regime": membership.regime,
                 "via": membership.via,
             }
-            # membership.trace starts with the closure's own lines
-            results["trace"] = trace + membership.trace
+            results["trace"] += membership.trace
             lines.append(f"membership: {membership.member} ({membership.regime})")
     return results, lines, 0
 

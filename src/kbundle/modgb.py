@@ -853,15 +853,14 @@ class _LeadingSpan:
     dimension of a submodule whose leading terms in degrees <= d are these.
     The set S_d of such terms, encoded by a _TermCodec of the module (a
     Buchberger run's own), is x * S_{d-1} joined with the leading terms of
-    degree d; it is built upward from below the lowest one, and its sizes
-    are remembered for queries below the degree reached.  A leading term
-    added at that degree joins S_d, one added below it makes the count
-    start over."""
+    degree d; it is built upward from below the lowest one.  A leading term
+    added at the degree reached joins S_d; one added below it, or a query
+    below it, makes the count start over."""
 
     def __init__(self, codec: _TermCodec):
         self.codec = codec
         self.leads: dict = {}       # degree -> encoded leading terms
-        self.deg, self.span, self.sizes = None, set(), {}  # S_deg, |S_e| (e < deg)
+        self.deg, self.span = None, set()       # S_deg
 
     def add(self, t: int, d: int):
         """The encoded leading term t, of module degree d, joins."""
@@ -872,17 +871,16 @@ class _LeadingSpan:
             self.deg = None
 
     def size(self, d: int) -> int:
-        if self.deg is None:
+        if self.deg is None or d < self.deg:
             self.deg = min(self.leads, default=d) - 1
-            self.span, self.sizes = set(), {}
+            self.span = set()
         steps = self.codec.weights      # x_v * t is t + weights[v]
         while self.deg < d:
-            self.sizes[self.deg] = len(self.span)
             self.deg += 1
             self.codec.check_degree(self.deg)
             self.span = {t + x for t in self.span for x in steps}
             self.span.update(self.leads.get(self.deg, ()))
-        return len(self.span) if d == self.deg else self.sizes.get(d, 0)
+        return len(self.span) if d == self.deg else 0
 
 
 def free_module_dims(degrees: dict, nvars: int):

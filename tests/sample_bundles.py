@@ -4,7 +4,7 @@ from fractions import Fraction
 import random
 
 from kbundle.algebra import FieldSpec, make_ring, parse_many, parse_polynomial
-from kbundle.bundle import SyzygyBundleSpec, from_syzygy, make_kernel_bundle
+from kbundle.bundle import from_syzygy, make_kernel_bundle
 
 RING_QQ3 = make_ring(3)
 
@@ -13,12 +13,8 @@ def P(text, ring=RING_QQ3):
     return parse_polynomial(text, ring)
 
 
-def syzygy_spec(gens, twist=0, ring=RING_QQ3):
-    return SyzygyBundleSpec(ring, parse_many(gens, ring), twist)
-
-
 def syzygy_bundle(gens, twist=0, ring=RING_QQ3):
-    return from_syzygy(syzygy_spec(gens, twist, ring))
+    return from_syzygy(parse_many(gens, ring), twist)
 
 
 def five_quadrics():
@@ -117,7 +113,7 @@ def random_kernel_bundle(rng, ring=RING_QQ3, max_n=4, max_m=2):
     return make_kernel_bundle(ring, a, b, rows)
 
 
-def random_primary_monomial_spec(rng, max_extra=3, max_degree=4):
+def random_primary_monomial_forms(rng, max_extra=3, max_degree=4):
     """Monomial family on P^2 containing pure powers, hence irrelevant-primary."""
     ring = RING_QQ3
     from kbundle.algebra import Poly
@@ -135,8 +131,8 @@ def random_primary_monomial_spec(rng, max_extra=3, max_degree=4):
             seen.append(mo)
     gens = tuple(Poly(ring, {mo: ring.field.one()}) for mo in seen)
     if len(gens) < 3:
-        return random_primary_monomial_spec(rng, max_extra, max_degree)
-    return SyzygyBundleSpec(ring, gens, 0)
+        return random_primary_monomial_forms(rng, max_extra, max_degree)
+    return gens
 
 
 def interlaced_bundle(rng, ring=RING_QQ3, m=1, low=-2):

@@ -41,7 +41,7 @@ from sample_bundles import (
     monomial_cubes_family,
     random_homogeneous,
     random_kernel_bundle,
-    random_primary_monomial_spec,
+    random_primary_monomial_forms,
     rank6_bundle,
     sl3_bundle,
     syzygy_bundle,
@@ -163,10 +163,10 @@ def test_criterion_07_criteria_agreement_suite():
     rng = random.Random(7771)
     checked_monomial = 0
     while checked_monomial < 50:
-        spec = random_primary_monomial_spec(rng, max_extra=3, max_degree=4)
-        if len(spec.generators) > 6:
+        gens = random_primary_monomial_forms(rng, max_extra=3, max_degree=4)
+        if len(gens) > 6:
             continue
-        bundle = from_syzygy(spec)
+        bundle = from_syzygy(gens)
         # analyze_bundle raises InternalCheckError on any contradiction
         analyze_bundle(bundle, upgrade_selfdual=False)
         checked_monomial += 1

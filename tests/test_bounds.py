@@ -204,20 +204,20 @@ def fp_query(gens, candidate=None, e=1, genus=None, plane_degree=None):
 def test_frobenius_membership_ideal_element():
     # f = X^2 * Y lies in the ideal, so every Frobenius power stays inside
     q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X^2*Y", genus=3)
-    rep = frobenius_membership(q)
+    rep = frobenius_membership(closure_threshold(q))
     assert rep.member
 
 
 def test_frobenius_short_circuit_above_threshold():
     q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", genus=3)
-    rep = frobenius_membership(q)
+    rep = frobenius_membership(closure_threshold(q))
     assert rep.member and rep.decisive
     assert rep.via == "threshold"
 
 
 def test_frobenius_non_member_below_threshold():
     q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=0)
-    rep = frobenius_membership(q)
+    rep = frobenius_membership(closure_threshold(q))
     assert not rep.member
     # q = 7 > 6g = 0: the test decides tight closure
     assert rep.decisive
@@ -226,34 +226,33 @@ def test_frobenius_non_member_below_threshold():
 def test_frobenius_regime_labels():
     # small prime, positive genus, e=1: q = 7 <= 6g and p <= 4(g-1)(n-1)^3
     q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=3)
-    rep = frobenius_membership(q)
+    rep = frobenius_membership(closure_threshold(q))
     assert not rep.decisive
     assert "necessary-condition" in rep.regime
     # raising the exponent past 6g makes it decisive: 7^2 = 49 > 18
     q2 = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", e=2, genus=3)
-    rep2 = frobenius_membership(q2)
+    rep2 = frobenius_membership(closure_threshold(q2))
     assert rep2.decisive
 
 
-def test_frobenius_refuses_a_closure_of_another_query():
-    # the closure of (X, Y, Z, X+Y+Z) has tau = 4/3 <= deg X*Y, which would
-    # wrongly put X*Y in the closure of (X^2, Y^2, Z^2)
-    q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=3)
-    alone = frobenius_membership(q)
-    assert (alone.member, alone.decisive) == (False, False)
-    other = fp_query(["X", "Y", "Z", "X + Y + Z"], candidate="X*Y", genus=3)
-    with pytest.raises(BoundsError, match="computed for another query"):
-        frobenius_membership(q, closure=closure_threshold(other))
-    # an equal query's report is this query's
-    assert frobenius_membership(q, closure=closure_threshold(
-        fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=3))) == alone
+def test_frobenius_answers_the_query_of_its_report():
+    # the closure of (X, Y, Z, X+Y+Z) has tau = 4/3 <= deg X*Y, so the
+    # candidate X*Y is in it by the inclusion bound; (X^2, Y^2, Z^2) has
+    # tau = 3, and there the Frobenius test answers
+    rep = frobenius_membership(closure_threshold(
+        fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y", genus=3)))
+    assert (rep.member, rep.decisive) == (False, False)
+    rep = frobenius_membership(closure_threshold(
+        fp_query(["X", "Y", "Z", "X + Y + Z"], candidate="X*Y", genus=3)))
+    assert (rep.member, rep.decisive, rep.regime) == (True, True,
+                                                      "inclusion-bound")
 
 
 def test_frobenius_monotone_in_generators():
     small = fp_query(["X^2", "Y^2", "Z^4"], candidate="Z^3", genus=3)
     large = fp_query(["X^2", "Y^2", "Z^4", "Z^3"], candidate="Z^3", genus=3)
-    rep_small = frobenius_membership(small)
-    rep_large = frobenius_membership(large)
+    rep_small = frobenius_membership(closure_threshold(small))
+    rep_large = frobenius_membership(closure_threshold(large))
     assert rep_large.member
     assert (not rep_small.member) or rep_large.member
 
@@ -278,8 +277,8 @@ def test_plane_curve_degree_below_one_is_refused_when_not_needed(degree):
     with pytest.raises(BoundsError, match=f"^plane curve degree must be >= 1, "
                        f"got {degree}$"):
         fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", plane_degree=degree)
-    assert frobenius_membership(fp_query(
-        ["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", plane_degree=1)).regime \
+    assert frobenius_membership(closure_threshold(fp_query(
+        ["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", plane_degree=1))).regime \
         == "inclusion-bound"
 
 
@@ -295,7 +294,7 @@ def test_frobenius_below_threshold_needs_a_genus():
     q = fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y")
     with pytest.raises(BoundsError, match=r"genus \(or plane curve degree\) "
                        "required below the threshold"):
-        frobenius_membership(q)
+        frobenius_membership(closure_threshold(q))
 
 
 def test_frobenius_exponent_zero_rejected():
@@ -317,8 +316,8 @@ def test_frobenius_exponent_below_one_is_refused_when_not_needed(e):
                      frobenius_exponent=e)
     with pytest.raises(BoundsError, match=message):
         fp_query(["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", e=e)
-    assert frobenius_membership(fp_query(
-        ["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", e=1)).regime \
+    assert frobenius_membership(closure_threshold(fp_query(
+        ["X^2", "Y^2", "Z^2"], candidate="X*Y*Z", e=1))).regime \
         == "inclusion-bound"
 
 
@@ -327,7 +326,7 @@ def test_frobenius_requires_positive_characteristic():
     q = ClosureQuery(generators=parse_many(["X^2", "Y^2", "Z^2"], ring),
                      certificate="semistable", candidate=P("X*Y"))
     with pytest.raises(BoundsError):
-        frobenius_membership(q)
+        frobenius_membership(closure_threshold(q))
 
 
 def power_by_multiplication(f, n):
@@ -348,12 +347,13 @@ def test_frobenius_membership_matches_repeated_multiplication(candidate, e):
                          for g in query.generators])
     expected = ideal_membership(
         power_by_multiplication(query.candidate, qpow), gb)
-    assert frobenius_membership(query).member == expected
+    assert frobenius_membership(closure_threshold(query)).member == expected
 
 
 def test_frobenius_high_exponent_decides_under_the_cap():
     query = fp_query(["X^2 + Y^2", "Y^2 + Z^2", "X*Z"],
                      candidate="X*Y + Z^2", e=6, genus=3)
-    rep = frobenius_membership(query, Caps(timeout_seconds=5))
+    rep = frobenius_membership(closure_threshold(query),
+                               Caps(timeout_seconds=5))
     assert rep.decisive and not rep.member
     assert rep.regime == "q = 117649 > 6g = 18: decides tight closure"

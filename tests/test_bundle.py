@@ -10,7 +10,6 @@ from kbundle.algebra import (FieldSpec, Poly, RingMismatchError, make_ring,
 from kbundle.bundle import (
     BundleError,
     KernelBundle,
-    SyzygyBundleSpec,
     from_syzygy,
     invariants,
     make_kernel_bundle,
@@ -36,7 +35,6 @@ from sample_bundles import (
     random_homogeneous,
     random_kernel_bundle,
     syzygy_bundle,
-    syzygy_spec,
 )
 
 
@@ -61,15 +59,14 @@ def test_twisted_quartics_presentation():
 
 
 def test_from_syzygy_sorts_twists():
-    spec = syzygy_spec(["X*Y*Z", "X^2", "Y^3"])  # degrees 3, 2, 3
-    b = from_syzygy(spec)
+    b = syzygy_bundle(["X*Y*Z", "X^2", "Y^3"])  # degrees 3, 2, 3
     assert b.twists_a == (-2, -3, -3)
     assert b.matrix[0][0] == P("X^2")
 
 
 def test_from_syzygy_rejects_constant():
     with pytest.raises(BundleError):
-        from_syzygy(SyzygyBundleSpec(RING_QQ3, (P("X"), P("2")), 0))
+        from_syzygy((P("X"), P("2")))
 
 
 @pytest.mark.parametrize("gens, message", [
@@ -79,7 +76,7 @@ def test_from_syzygy_rejects_constant():
 ])
 def test_from_syzygy_refuses_bad_generators(gens, message):
     with pytest.raises(BundleError) as info:
-        from_syzygy(syzygy_spec(gens))
+        syzygy_bundle(gens)
     assert str(info.value) == message
 
 
@@ -279,8 +276,8 @@ def test_minor_ideal_dims_of_one_row_is_complete_intersection():
         ring = make_ring(N + 1, FieldSpec(0))
         for _ in range(5):
             degrees = [rng.randint(1, 4) for _ in range(N + 1)]
-            bundle = from_syzygy(SyzygyBundleSpec(ring, tuple(
-                random_homogeneous(ring, d, rng) for d in degrees)))
+            bundle = from_syzygy([random_homogeneous(ring, d, rng)
+                                  for d in degrees])
             numerator = {0: 1}
             for d in degrees:
                 for e, c in list(numerator.items()):

@@ -302,7 +302,7 @@ def test_closure_frobenius(capsys, monkeypatch):
      "--genus", "3", "--frobenius-e", "2", "--strong-flag", "elliptic-curve"],
 ])
 def test_closure_trace_has_each_line_once(capsys, tmp_path, args):
-    # over F_p the membership trace starts with the closure's own lines
+    # over F_p the membership's lines follow the closure's, each once
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(["closure"] + args + ["--json-out", str(out_path)],
                          capsys)

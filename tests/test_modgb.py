@@ -21,7 +21,6 @@ from kbundle import modgb
 from kbundle.bounds import ClosureQuery, closure_threshold, frobenius_membership
 from kbundle.cli import execute_job
 from kbundle.bundle import (
-    SyzygyBundleSpec,
     from_syzygy,
     maximal_minors,
     minor_ideal_dims,
@@ -511,7 +510,7 @@ def test_syzygy_bundle_piece_gives_ideal_piece(char):
             polys.append(Poly(ring, {m: c * ring.field.from_fraction(
                 Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 5])))
                 for m, c in f.terms.items()}))
-        bundle = from_syzygy(SyzygyBundleSpec(ring, tuple(polys), twist))
+        bundle = from_syzygy(polys, twist)
         args = (bundle.columns(), bundle.source_module(), bundle.target_module())
         gb = ideal_groebner(polys)
         for t in range(-2, 7):
@@ -1364,6 +1363,8 @@ def test_one_deadline_per_public_call(monkeypatch):
     gens7 = tuple(P(t, ring7) for t in ("X^2 - Y^2", "X*Y", "Z^2"))
     quadrics = tuple(P(t) for t in ("X^2 - Y^2", "X^2 - Z^2", "X*Y", "X*Z", "Y*Z"))
     gb = ideal_groebner([P("X^2 - Y^2"), P("X*Y")])
+    closure7 = closure_threshold(ClosureQuery(
+        gens7, strong_flag="elliptic-curve", genus=0, candidate=P("X*Z", ring7)))
     calls = {
         "validate": lambda: validate(five_quadrics(), True, caps),
         "is_irrelevant_primary": lambda: is_irrelevant_primary(
@@ -1375,9 +1376,7 @@ def test_one_deadline_per_public_call(monkeypatch):
         "selfdual_certify": lambda: selfdual_certify(five_quartics(twist=5), caps),
         "closure_threshold": lambda: closure_threshold(
             ClosureQuery(quadrics, certificate="semistable"), caps),
-        "frobenius_membership": lambda: frobenius_membership(ClosureQuery(
-            gens7, strong_flag="elliptic-curve", genus=0,
-            candidate=P("X*Z", ring7)), caps),
+        "frobenius_membership": lambda: frobenius_membership(closure7, caps),
         "brenner_monomial": lambda: brenner_monomial(
             syzygy_bundle(["X^2", "Y^2", "Z^2", "X*Y"]), caps),
         "buchberger": lambda: buchberger(ideal_elements("X^2 - Y^2", "X*Y"), caps),

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from kbundle.algebra import FieldSpec, make_ring, parse_many
-from kbundle.bundle import SyzygyBundleSpec, from_syzygy
+from kbundle.bundle import from_syzygy
 from kbundle.modgb import apply_columns, syzygy_module_columns
 from kbundle.powers import (
     CharacteristicError,
@@ -86,7 +86,7 @@ def omega_bundle(char):
     """Syz(X, Y, Z) on P^2 over QQ (char 0) or F_char: rank 2."""
     ring = make_ring(3, FieldSpec(char)) if char else make_ring(3)
     gens = parse_many(["X", "Y", "Z"], ring)
-    return from_syzygy(SyzygyBundleSpec(ring, gens, 0))
+    return from_syzygy(gens)
 
 
 def test_symmetric_characteristic_guard():

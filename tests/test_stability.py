@@ -11,7 +11,6 @@ import pytest
 from kbundle.algebra import FieldSpec, Poly, make_ring, monomials_of_degree, parse_many
 from kbundle.bundle import (
     BundleError,
-    SyzygyBundleSpec,
     invariants,
     make_kernel_bundle,
     modular_twin,
@@ -58,7 +57,7 @@ from sample_bundles import (
     monomial_cubes_family,
     rank2_degree0_bundle,
     random_kernel_bundle,
-    random_primary_monomial_spec,
+    random_primary_monomial_forms,
     rank6_bundle,
     sl3_bundle,
     syzygy_bundle,
@@ -348,7 +347,7 @@ def test_every_engine_reports_one_witness():
     and witness string under gb, linalg and both.  The deciding prime is
     left out, since only linalg's first pass runs mod p."""
     rng = random.Random(2)
-    bundles = [from_syzygy(random_primary_monomial_spec(rng)) for _ in range(17)]
+    bundles = [from_syzygy(random_primary_monomial_forms(rng)) for _ in range(17)]
     bundles += [b for b in (random_kernel_bundle(rng) for _ in range(75))
                 if validate(b, check_surjectivity=True).ok]
     unstable = Counter()
@@ -378,7 +377,7 @@ def test_gb_scan_reads_only_the_window():
     gens = [Poly(ring, {m: ring.field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
                         for m in monomials_of_degree(4, 3)})
             for _ in range(4)]
-    bundle = from_syzygy(SyzygyBundleSpec(ring, gens, 0))
+    bundle = from_syzygy(gens)
     gb = hoppe_check(bundle, engine="gb")
     la = hoppe_check(bundle, engine="linalg")
     assert (gb.verdict, gb.stability) == (la.verdict, la.stability)
@@ -679,18 +678,16 @@ def test_contradicting_criterion_raises(monkeypatch, bundle, verdict, problem):
 def test_criteria_consistency_random_monomials():
     rng = random.Random(90210)
     for _ in range(12):
-        spec = random_primary_monomial_spec(rng)
-        bundle = from_syzygy(spec)
+        bundle = from_syzygy(random_primary_monomial_forms(rng))
         # raises InternalCheckError if any criterion contradicts the driver
         analyze_bundle(bundle, upgrade_selfdual=False)
 
 
 def test_mod_p_run_allowed():
     from kbundle.algebra import FieldSpec, make_ring, parse_many
-    from kbundle.bundle import SyzygyBundleSpec
     ring5 = make_ring(3, FieldSpec(5))
     gens = parse_many(["X^2", "Y^2", "Z^2"], ring5)
-    bundle = from_syzygy(SyzygyBundleSpec(ring5, gens, 3))
+    bundle = from_syzygy(gens, 3)
     report = hoppe_check(bundle, engine="both")
     assert report.verdict == "semistable"
     assert report.stability == "proven_stable"
@@ -741,7 +738,7 @@ def random_syzygy_bundle(N, degrees, seed, field=FieldSpec(0)):
     ring = make_ring(N + 1, field)
     rng = random.Random(seed)
     gens = tuple(random_form(ring, d, rng) for d in degrees)
-    return from_syzygy(SyzygyBundleSpec(ring, gens, 0))
+    return from_syzygy(gens)
 
 
 def random_m2_kernel_bundle(N, twists_a, twists_b, seed, field=FieldSpec(0)):

@@ -14,7 +14,6 @@ from kbundle.algebra import CoefficientError, Poly, reduce_poly_mod_p
 from kbundle.bundle import (
     BundleError,
     KernelBundle,
-    SyzygyBundleSpec,
     from_syzygy,
     make_kernel_bundle,
     twist,
@@ -171,7 +170,7 @@ def random_degree0_syzygy_bundles(seed):
         twist0 = sum(degrees) // (len(degrees) - 1)
         while True:
             gens = tuple(random_homogeneous(RING_QQ3, d, rng) for d in degrees)
-            bundle = from_syzygy(SyzygyBundleSpec(RING_QQ3, gens, twist0))
+            bundle = from_syzygy(gens, twist0)
             if validate(bundle, check_surjectivity=True).ok:
                 yield bundle
                 break
