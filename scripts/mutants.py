@@ -184,6 +184,11 @@ MUTANTS = [
      "    trace = []\n    m = f.homogeneous_degree()\n",
      "    trace = list(closure.trace)\n    m = f.homogeneous_degree()\n",
      "a closure report's trace holds each of its lines once"),
+    ("staged-drops-singular-minor", "tannaka.py",
+     "        self.drop = _minor_columns(bundle)\n",
+     "        self.drop = tuple(range(bundle.m))\n",
+     "a staged level drops only the columns of a nonzero maximal minor: "
+     "the projection is injective on E only then"),
     ("staged-skips-shape-check", "tannaka.py",
      "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
      "    caps = caps.start()\n    if q < 1:\n",

@@ -9,9 +9,11 @@ workload (all of them when none is named) through
 `kbundle.cli.execute_job` (from this checkout's `src/`), one after another
 in this process, and prints one line per workload
 
-    <workload> jobs=<n> raised=<n> kernel_dim_linalg=<calls> ...
+    <workload> jobs=<n> raised=<n> kernel_dim_linalg=<calls> ... echelon_terms=<n>
 
-with the number of calls of each COUNTED function of `kbundle.modgb`.  Each
+with the number of calls of each COUNTED function of `kbundle.modgb`, and
+`echelon_terms`, the sum over every `_echelon_kernel` call of the terms of
+its input vectors: the size of what was eliminated.  Each
 function is replaced by a counting wrapper in every kbundle module that
 binds it, as `bench/tracing.py` does, so a call made through
 `kbundle.stability.kernel_dim_linalg` counts as well as one made inside
@@ -50,6 +52,8 @@ def install(counts: Counter) -> None:
 
         def wrapper(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
+            if _name == "_echelon_kernel":
+                counts["echelon_terms"] += sum(map(len, args[0]))
             return _fn(*args, **kwargs)
 
         for mod in modules:
@@ -77,6 +81,9 @@ def main(argv=None) -> int:
                 raised += 1
         cells = [f"{fn}={counts[fn] if hasattr(modgb, fn) else '-'}"
                  for fn in COUNTED]
+        cells.append("echelon_terms="
+                     + (str(counts["echelon_terms"])
+                        if hasattr(modgb, "_echelon_kernel") else "-"))
         print(name, f"jobs={len(ids)}", f"raised={raised}", *cells, flush=True)
     return 0
 

@@ -1078,7 +1078,7 @@ def _monomial_vectors(nvars: int, d: int) -> list:
 
 
 def _section_kernel(columns, sections, p: int, caps: Caps,
-                    want_vectors: bool = False):
+                    want_vectors: bool = False, drop=()):
     """Kernel of a presentation on given sections of its source.
 
     sections[i] lists sparse vectors {(beta, mono): c} in source summand i,
@@ -1087,6 +1087,21 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
     are eliminated, and each kernel combination is lifted to
     {((i,) + beta, mono): c}.  Returns (kernel dimension, lifted vectors,
     empty unless want_vectors).
+
+    drop is a set D of source indices: empty, or m of them on which the m
+    rows of the columns have a nonzero minor M_D.  An image then keeps only
+    its blocks (j, beta) with no index of beta in D, which changes no kernel
+    when every vector of sections[i] lies in E^{(x)k}, k = len(beta), for
+    E = ker(columns) (a staged level's basis does).  Over the function field
+    K, E meets F_D = (+)_{i in D} e_i in ker M_D = 0, so the projection
+    pi: F -> F/F_D is injective on E (an isomorphism: both have dimension
+    n - m).  Hence pi^{(x)k} is injective on E^{(x)k}, and id_G (x) pi^{(x)k}
+    on G (x) E^{(x)k}, where every combination of the images lies (it is
+    sum_j e_j (x) sum_i M_ji w_i, each w_i in E^{(x)k}).  So a combination
+    of the images vanishes iff its projection does: the kernel is the same,
+    and with it its dimension, the unique basis below and the lifted
+    vectors.  Monomial sections have beta = (), so nothing is dropped from
+    them.
 
     A target coordinate is one int, block(j, beta) << span plus the exponents
     of mono as digits of w bits, span = w * nvars.  Every exponent of an
@@ -1114,6 +1129,7 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
         return sum(e << s for e, s in zip(mono, shifts))
 
     packed = {mono: pack(mono) for mono in monos}
+    drop = frozenset(drop)
     blocks: dict = {}
     packs: dict = {}            # (id(vec), j) -> [(coordinate of (j, beta, mono), c)]
 
@@ -1123,7 +1139,7 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
         if hit is None:
             hit = packs[key] = [
                 (blocks.setdefault((j, beta), len(blocks) << span) + packed[mono], c)
-                for (beta, mono), c in vec.items()]
+                for (beta, mono), c in vec.items() if drop.isdisjoint(beta)]
         return hit
 
     images = []
@@ -1143,7 +1159,7 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
                 if row is None:
                     row = rows[beta] = [
                         (blocks.setdefault((j, beta), len(blocks) << span) + pem, ec)
-                        for j, pem, ec in col]
+                        for j, pem, ec in col] if drop.isdisjoint(beta) else []
                 m = packed[mono]
                 out = {r + m: ec for r, ec in row}
             else:

@@ -49,12 +49,57 @@ METHODS = ("default", "exact")
 # module coordinates.  This avoids materializing the full power presentation.
 # ---------------------------------------------------------------------------
 
+def _candidate_points(nvars: int):
+    for t in (1, 2, 3, 5, 7, 11, 13):
+        yield tuple(t ** i for i in range(nvars))
+
+
+def _minor_columns(bundle: KernelBundle) -> tuple:
+    """m columns of the presentation whose m x m minor is nonzero, or () if
+    no candidate point shows one.  At each point the fiber's columns are
+    reduced in order, and the first point where m of them are independent
+    gives those m: their minor does not vanish there, so it is not zero.
+    For m = 1 that is one column with a nonzero entry."""
+    p = bundle.ring.field.char
+    for point in _candidate_points(bundle.ring.nvars):
+        pivots: dict = {}           # lead row -> reduced fiber column, 1 there
+        chosen = []
+        for i in range(bundle.n):
+            v = [row[i].evaluate(point) for row in bundle.matrix]
+            for lead, u in pivots.items():
+                if c := v[lead]:
+                    v = [x - c * y for x, y in zip(v, u)]
+            if p:
+                v = [x % p for x in v]
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead is None:
+                continue
+            inv = pow(v[lead], -1, p) if p else 1 / Fraction(v[lead])
+            pivots[lead] = [x * inv % p if p else x * inv for x in v]
+            chosen.append(i)
+            if len(chosen) == bundle.m:
+                return tuple(chosen)
+    return ()
+
+
 class TensorSections:
     """Exact section spaces of tensor powers, computed slot by slot.
 
     Vectors are sparse dicts keyed by (index tuple alpha, monomial); the level
     q ambient module is the q-fold tensor power of the splitting bundle.  The
     bundle is taken as checked (`section_dim_table`, `fingerprint`).
+
+    Level q >= 2 is built in quotient coordinates: the store picks once, from
+    its own bundle (a mod-p twin's store from the twin), the columns D of a
+    nonzero maximal minor (`_minor_columns`), and `_section_kernel` drops
+    from every image the blocks whose index tuple meets D.  Level q-1's
+    basis lies in E^{(x)(q-1)}, on which the projection
+    F^{(x)(q-1)} -> (F/F_D)^{(x)(q-1)} is injective (E meets F_D in
+    ker M_D = 0 over the function field; the proof is in `_section_kernel`),
+    so the kernel, its dimension, its unique basis and the lifted vectors
+    are those of the full images; only fewer terms are built and
+    eliminated.  Level 1 has nothing to drop, and without a nonzero minor
+    D = () drops nothing.
     """
 
     def __init__(self, bundle: KernelBundle, caps: Caps = NO_CAPS):
@@ -62,6 +107,7 @@ class TensorSections:
         self.ring = bundle.ring
         self.caps = caps
         self.columns = bundle.columns()
+        self.drop = _minor_columns(bundle)
         self._basis_cache: dict = {}
 
     def _kernel(self, q: int, t: int, want_vectors: bool):
@@ -69,7 +115,7 @@ class TensorSections:
         a = self.bundle.twists_a
         lower = [self.basis(q - 1, t + a[i]) for i in range(self.bundle.n)]
         return _section_kernel(self.columns, lower, self.ring.field.char,
-                               self.caps, want_vectors)
+                               self.caps, want_vectors, self.drop)
 
     def basis(self, q: int, t: int):
         """Basis vectors of the degree-t sections of the q-th tensor power."""
@@ -193,11 +239,6 @@ def tensor_dim_cell(sections: TensorSections, q: int, k: int = 0,
 # ---------------------------------------------------------------------------
 # Pairings: the q == 4 lower bound and the self-duality certificate.
 # ---------------------------------------------------------------------------
-
-def _candidate_points(nvars: int):
-    for t in (1, 2, 3, 5, 7, 11, 13):
-        yield tuple(Fraction(t) ** i for i in range(nvars))
-
 
 def _rank(vectors, caps: Caps) -> int:
     """Rank over QQ of sparse vectors {index: value}."""

@@ -15,6 +15,7 @@ from kbundle.bundle import (
     BundleError,
     KernelBundle,
     from_syzygy,
+    invariants,
     make_kernel_bundle,
     twist,
     validate,
@@ -51,6 +52,7 @@ from sample_bundles import (
     dual_five_monomials,
     five_quadrics,
     five_quartics,
+    interlaced_bundle,
     random_homogeneous,
     random_kernel_bundle,
     rank2_degree0_bundle,
@@ -192,9 +194,12 @@ def test_interval_contains_exact_value():
 def test_staged_square_matches_presentation():
     """The staged basis of (E (x) E)(t) against the full tensor-square
     presentation: the same dimension, every staged vector in its kernel (the
-    pair (i1, i2) is source label i1 * n + i2), and independent vectors."""
+    pair (i1, i2) is source label i1 * n + i2), and independent vectors.
+    The last two bundles have m = 2 and a zero minor on columns (0, 1), so
+    a store that dropped those would find too many sections."""
     bundles = [five_quartics(twist=5), rank6_bundle(), rank2_degree0_bundle(),
-               *islice(random_degree0_syzygy_bundles(20261018), 1, 3)]
+               *islice(random_degree0_syzygy_bundles(20261018), 1, 3),
+               double_rank2_bundle(), twist(dual_five_monomials(), -3)]
     for bundle in bundles:
         pres = tensor_power_matrix(bundle, 2)
         columns, source, target = (pres.columns, pres.source_module(),
@@ -210,6 +215,38 @@ def test_staged_square_matches_presentation():
                     for ((i1, i2), mono), c in vec.items()})
                 assert apply_columns(columns, target, element).is_zero()
             assert _echelon_kernel(staged, 0, sections.caps)[0] == 0
+
+
+@pytest.mark.parametrize("m, seed", [(1, 20261022), (2, 20261024)])
+@pytest.mark.parametrize("prime", [0, 1000003])
+def test_staged_levels_same_without_dropped_columns(m, seed, prime):
+    """Levels 2 and 3 of a store, at three twists, built in the quotient
+    coordinates of its nonzero minor and in the full coordinates: the same
+    bases, hence the same dimensions, over QQ and mod 1000003."""
+    bundle = interlaced_bundle(random.Random(seed), m=m, low=-1)
+    bundle = twist(bundle, -(invariants(bundle).c1 // bundle.rank))
+    if prime:
+        bundle = reduce_bundle_mod_p(bundle, prime)
+    projected, full = TensorSections(bundle), TensorSections(bundle)
+    full.drop = ()
+    assert len(projected.drop) == m
+    bases = {(q, t): projected.basis(q, t) for q in (2, 3) for t in (-1, 0, 1)}
+    assert bases == {key: full.basis(*key) for key in bases}
+    assert all(bases[q, 1] for q in (2, 3))
+
+
+def test_presentation_without_nonzero_minor_drops_nothing():
+    """A shape-valid presentation with a zero row has no nonzero maximal
+    minor: its store drops no column, and its staged counts are the full
+    presentation's."""
+    z = RING_QQ3.zero()
+    bundle = make_kernel_bundle(RING_QQ3, [0, 0, 0, 0], [1, 1],
+                                [[P("X"), P("Y"), P("Z"), P("X+Y")], [z] * 4])
+    assert validate(bundle).ok
+    assert TensorSections(bundle).drop == ()
+    for k in (0, 1):
+        assert section_dim_power(bundle, "tensor", 2, k, "staged") == \
+               section_dim_power(bundle, "tensor", 2, k, "linalg")
 
 
 # The one section of E0^(x)3 in degree 0 for E0 = sl3_bundle(), as
