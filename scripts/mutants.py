@@ -185,10 +185,21 @@ MUTANTS = [
      "    trace = list(closure.trace)\n    m = f.homogeneous_degree()\n",
      "a closure report's trace holds each of its lines once"),
     ("staged-drops-singular-minor", "tannaka.py",
-     "        self.drop = _minor_columns(bundle)\n",
-     "        self.drop = tuple(range(bundle.m))\n",
+     "        self.point, self.drop = _generic_fiber(bundle, caps)\n",
+     "        self.point, self.drop = (_generic_fiber(bundle, caps)[0],\n"
+     "                                 tuple(range(bundle.m)))\n",
      "a staged level drops only the columns of a nonzero maximal minor: "
      "the projection is injective on E only then"),
+    ("monomial-lift-without-summand", "modgb.py",
+     "                key = ((i,), vec)\n",
+     "                key = ((), vec)\n",
+     "a kernel combination lifts the monomial section mono of summand i to "
+     "the key ((i,), mono)"),
+    ("selfdual-at-first-candidate", "tannaka.py",
+     "    if (point := sections.point) is None:\n",
+     "    if (point := next(_candidate_points(bundle0.ring.nvars))) is None:\n",
+     "selfdual_certify evaluates at its store's point, where the fiber has "
+     "rank m, not at the first candidate point"),
     ("staged-skips-shape-check", "tannaka.py",
      "    require_valid(bundle)\n    caps = caps.start()\n    if q < 1:\n",
      "    caps = caps.start()\n    if q < 1:\n",

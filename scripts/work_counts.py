@@ -10,10 +10,14 @@ workload (all of them when none is named) through
 in this process, and prints one line per workload
 
     <workload> jobs=<n> raised=<n> kernel_dim_linalg=<calls> ... echelon_terms=<n>
+        sections_monomial=<n> sections_vector=<n>
 
-with the number of calls of each COUNTED function of `kbundle.modgb`, and
+with the number of calls of each COUNTED function of `kbundle.modgb`,
 `echelon_terms`, the sum over every `_echelon_kernel` call of the terms of
-its input vectors: the size of what was eliminated.  Each
+its input vectors: the size of what was eliminated, and the sections that
+`_section_kernel` receives, by kind: `sections_monomial` counts the
+monomial sections (an exponent tuple, or a one-term vector {((), mono): 1}
+as older versions spell them), `sections_vector` every other vector.  Each
 function is replaced by a counting wrapper in every kbundle module that
 binds it, as `bench/tracing.py` does, so a call made through
 `kbundle.stability.kernel_dim_linalg` counts as well as one made inside
@@ -41,6 +45,16 @@ COUNTED = ["kernel_dim_linalg", "kernel_sections_linalg", "kernel_dims_gb",
            "is_irrelevant_primary", "ideal_groebner"]
 
 
+def is_monomial(section) -> bool:
+    """An exponent tuple, or the one-term unit vector {((), mono): 1}."""
+    if isinstance(section, tuple):
+        return True
+    if len(section) != 1:
+        return False
+    ((beta, _), c), = section.items()
+    return beta == () and c == 1
+
+
 def install(counts: Counter) -> None:
     """Wrap each COUNTED function wherever a kbundle module binds it."""
     modules = [m for name, m in sorted(sys.modules.items())
@@ -54,6 +68,11 @@ def install(counts: Counter) -> None:
             counts[_name] += 1
             if _name == "_echelon_kernel":
                 counts["echelon_terms"] += sum(map(len, args[0]))
+            elif _name == "_section_kernel":
+                for vecs in args[1]:
+                    for vec in vecs:
+                        counts["sections_monomial" if is_monomial(vec)
+                               else "sections_vector"] += 1
             return _fn(*args, **kwargs)
 
         for mod in modules:
@@ -81,9 +100,10 @@ def main(argv=None) -> int:
                 raised += 1
         cells = [f"{fn}={counts[fn] if hasattr(modgb, fn) else '-'}"
                  for fn in COUNTED]
-        cells.append("echelon_terms="
-                     + (str(counts["echelon_terms"])
-                        if hasattr(modgb, "_echelon_kernel") else "-"))
+        cells += [f"{key}={counts[key] if hasattr(modgb, fn) else '-'}"
+                  for key, fn in (("echelon_terms", "_echelon_kernel"),
+                                  ("sections_monomial", "_section_kernel"),
+                                  ("sections_vector", "_section_kernel"))]
         print(name, f"jobs={len(ids)}", f"raised={raised}", *cells, flush=True)
     return 0
 

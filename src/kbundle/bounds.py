@@ -152,7 +152,8 @@ class ClosureQuery(Record):
     In characteristic 0 the caller must hold a semistability certificate for
     the syzygy bundle ("semistable" or "stable"); in characteristic p a
     strong-semistability justification in strong_flag (general hypersurface,
-    elliptic curve, or user-asserted).
+    elliptic curve, or user-asserted).  A candidate is a nonzero homogeneous
+    form.
     """
 
     __slots__ = ("generators", "certificate", "strong_flag", "genus",
@@ -178,6 +179,9 @@ class ClosureQuery(Record):
         if genus is not None and plane_curve_degree is not None:
             raise BoundsError("give the genus or the plane curve degree, "
                               "not both")
+        if candidate is not None and (candidate.is_zero()
+                                      or not candidate.is_homogeneous()):
+            raise BoundsError("need a nonzero homogeneous candidate element")
         self.generators = generators
         self.certificate = certificate
         self.strong_flag = strong_flag
@@ -287,8 +291,8 @@ def frobenius_membership(closure: ClosureReport,
     if p == 0:
         raise BoundsError("Frobenius membership requires positive characteristic")
     f = query.candidate
-    if f is None or f.is_zero() or not f.is_homogeneous():
-        raise BoundsError("need a nonzero homogeneous candidate element")
+    if f is None:
+        raise BoundsError("Frobenius membership needs a candidate element")
     e = 1 if query.frobenius_exponent is None else query.frobenius_exponent
     qpow = p ** e
     trace = []

@@ -541,7 +541,7 @@ def task_closure(gens, options, caps):
     if query.candidate is not None:
         if ring.field.char == 0:
             m = query.candidate.homogeneous_degree()
-            member = m is not None and Fraction(m) >= closure.tau
+            member = Fraction(m) >= closure.tau
             results["membership"] = {
                 "candidate": str(query.candidate),
                 "member_by_threshold": member,

@@ -1072,19 +1072,15 @@ def _divide_content(v: dict, combo, sign: int = 1):
                 combo[k] //= g
 
 
-def _monomial_vectors(nvars: int, d: int) -> list:
-    """The monomial sections of degree d as vectors {((), mono): 1}."""
-    return [{((), mono): 1} for mono in monomials_of_degree(nvars, d)]
-
-
 def _section_kernel(columns, sections, p: int, caps: Caps,
                     want_vectors: bool = False, drop=()):
     """Kernel of a presentation on given sections of its source.
 
-    sections[i] lists sparse vectors {(beta, mono): c} in source summand i,
-    beta an index tuple (() for monomial sections).  Each vector is mapped
-    through column i to the target coordinates (j, beta, mono), the images
-    are eliminated, and each kernel combination is lifted to
+    sections[i] lists the sections of source summand i, each an exponent
+    tuple mono (the monomial section, beta = ()) or a sparse vector
+    {(beta, mono): c}, beta an index tuple.  Each section is mapped through
+    column i to the target coordinates (j, beta, mono), the images are
+    eliminated, and each kernel combination is lifted to
     {((i,) + beta, mono): c}.  Returns (kernel dimension, lifted vectors,
     empty unless want_vectors).
 
@@ -1110,13 +1106,15 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
     next digit: a product of monomials is one addition, and distinct
     coordinates are distinct ints.  So the image of a vector is a sum of
     shifts of its coordinates in block j, one per term of the entry in row j.
-    A vector with several terms is packed into those coordinates once per
-    block j: slots with equal twists list the same vectors, so the packing
-    is kept by vector for the call.
+    The image of a monomial section is the column's row of packed entries,
+    built once per column, shifted by the monomial.  A vector is packed into
+    those coordinates once per block j: slots with equal twists list the
+    same vectors, so the packing is kept by vector for the call.
     """
     terms = [[(j, em, ec) for j, entry in col for em, ec in entry.terms.items()]
              for col in columns]
-    monos = {mono for vecs in sections for vec in vecs for _, mono in vec}
+    monos = {mono for vecs in sections for vec in vecs
+             for mono in ([vec] if isinstance(vec, tuple) else [m for _, m in vec])}
     if not monos:
         return 0, []
     top = max(map(sum, monos)) + max((sum(em) for col in terms for _, em, _ in col),
@@ -1149,18 +1147,13 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
         by_row: dict = {}       # j -> [(packed em, ec)]
         for j, pem, ec in col:
             by_row.setdefault(j, []).append((pem, ec))
-        rows: dict = {}         # beta -> [(coordinate of (j, beta, em), ec)]
+        row = None              # [(coordinate of (j, (), em), ec)]
         for vec in sections[i]:
-            if len(vec) == 1 and next(iter(vec.values())) == 1:
-                # one unit term: a monomial section or a kernel vector scaled
-                # to one at its lead
-                (beta, mono), = vec
-                row = rows.get(beta)
+            if isinstance(vec, tuple):
                 if row is None:
-                    row = rows[beta] = [
-                        (blocks.setdefault((j, beta), len(blocks) << span) + pem, ec)
-                        for j, pem, ec in col] if drop.isdisjoint(beta) else []
-                m = packed[mono]
+                    row = [(blocks.setdefault((j, ()), len(blocks) << span) + pem, ec)
+                           for j, pem, ec in col]
+                m = packed[vec]
                 out = {r + m: ec for r, ec in row}
             else:
                 out = {}
@@ -1185,6 +1178,10 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
         get = out.get
         for idx, coeff in combo.items():
             i, vec = labels[idx]
+            if isinstance(vec, tuple):
+                key = ((i,), vec)
+                out[key] = get(key, 0) + coeff
+                continue
             for (beta, mono), c in vec.items():
                 key = ((i,) + beta, mono)
                 x = coeff if c == 1 else coeff * c
@@ -1199,9 +1196,11 @@ def _section_kernel(columns, sections, p: int, caps: Caps,
 
 
 def _monomial_sections(source: GradedFreeModule, t: int) -> list:
-    """Per source summand, its monomial sections in module degree t."""
-    nvars = source.ring.nvars
-    return [_monomial_vectors(nvars, t - d) for d in source.generator_degrees]
+    """Per source summand, its monomial sections in module degree t: one
+    list of exponent tuples per distinct summand degree."""
+    degrees, nvars = source.generator_degrees, source.ring.nvars
+    lists = {d: list(monomials_of_degree(nvars, t - d)) for d in set(degrees)}
+    return [lists[d] for d in degrees]
 
 
 def kernel_dim_linalg(columns, source: GradedFreeModule, target: GradedFreeModule,

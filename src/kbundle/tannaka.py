@@ -12,11 +12,10 @@ fingerprint.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from typing import Optional
 
-from .algebra import AlgebraError, Record
+from .algebra import AlgebraError, Record, monomials_of_degree
 # reduce_bundle_mod_p is bound only for the span bench/tracing.py names here
 from .bundle import (KernelBundle, invariants, modular_twin,
                      reduce_bundle_mod_p, require_valid, twist)
@@ -25,7 +24,6 @@ from .modgb import (
     InternalCheckError,
     NO_CAPS,
     _echelon_kernel,
-    _monomial_vectors,
     _section_kernel,
 )
 from .powers import ENGINES, power_presentation
@@ -50,36 +48,29 @@ METHODS = ("default", "exact")
 # ---------------------------------------------------------------------------
 
 def _candidate_points(nvars: int):
+    """Fixed points (1, t, t^2, ...) for `_generic_fiber` and the pairing
+    bound; ints, so a point evaluates mod p too."""
     for t in (1, 2, 3, 5, 7, 11, 13):
         yield tuple(t ** i for i in range(nvars))
 
 
-def _minor_columns(bundle: KernelBundle) -> tuple:
-    """m columns of the presentation whose m x m minor is nonzero, or () if
-    no candidate point shows one.  At each point the fiber's columns are
-    reduced in order, and the first point where m of them are independent
-    gives those m: their minor does not vanish there, so it is not zero.
-    For m = 1 that is one column with a nonzero entry."""
+def _generic_fiber(bundle: KernelBundle, caps: Caps):
+    """(point, D): the first candidate point where the fiber has rank m,
+    and the m columns D at which no `_echelon_kernel` relation of its
+    columns leads (each leads at a column that depends on those before it),
+    or (None, ()).  The minor on D does not vanish at the point, so it is a
+    nonzero polynomial."""
     p = bundle.ring.field.char
+    columns = bundle.columns()
     for point in _candidate_points(bundle.ring.nvars):
-        pivots: dict = {}           # lead row -> reduced fiber column, 1 there
-        chosen = []
-        for i in range(bundle.n):
-            v = [row[i].evaluate(point) for row in bundle.matrix]
-            for lead, u in pivots.items():
-                if c := v[lead]:
-                    v = [x - c * y for x, y in zip(v, u)]
-            if p:
-                v = [x % p for x in v]
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
-                continue
-            inv = pow(v[lead], -1, p) if p else 1 / Fraction(v[lead])
-            pivots[lead] = [x * inv % p if p else x * inv for x in v]
-            chosen.append(i)
-            if len(chosen) == bundle.m:
-                return tuple(chosen)
-    return ()
+        fiber = [{j: v for j, entry in col if (v := entry.evaluate(point))}
+                 for col in columns]
+        _, relations = _echelon_kernel(fiber, p, caps, want_vectors=True)
+        dependent = {max(rel) for rel in relations}
+        independent = tuple(i for i in range(bundle.n) if i not in dependent)
+        if len(independent) == bundle.m:
+            return point, independent
+    return None, ()
 
 
 class TensorSections:
@@ -89,17 +80,19 @@ class TensorSections:
     q ambient module is the q-fold tensor power of the splitting bundle.  The
     bundle is taken as checked (`section_dim_table`, `fingerprint`).
 
-    Level q >= 2 is built in quotient coordinates: the store picks once, from
-    its own bundle (a mod-p twin's store from the twin), the columns D of a
-    nonzero maximal minor (`_minor_columns`), and `_section_kernel` drops
+    Level 0 in degree t is the list of exponent tuples of degree t, the
+    monomial sections.  Level q >= 2 is built in quotient coordinates: the
+    store finds once, from its own bundle (a mod-p twin's store from the
+    twin), a point where the fiber has rank m and the columns D of a
+    nonzero maximal minor (`_generic_fiber`), and `_section_kernel` drops
     from every image the blocks whose index tuple meets D.  Level q-1's
     basis lies in E^{(x)(q-1)}, on which the projection
     F^{(x)(q-1)} -> (F/F_D)^{(x)(q-1)} is injective (E meets F_D in
     ker M_D = 0 over the function field; the proof is in `_section_kernel`),
     so the kernel, its dimension, its unique basis and the lifted vectors
     are those of the full images; only fewer terms are built and
-    eliminated.  Level 1 has nothing to drop, and without a nonzero minor
-    D = () drops nothing.
+    eliminated.  Level 1 has nothing to drop, and without a point (None,
+    which `selfdual_certify` refuses) D = () drops nothing.
     """
 
     def __init__(self, bundle: KernelBundle, caps: Caps = NO_CAPS):
@@ -107,7 +100,7 @@ class TensorSections:
         self.ring = bundle.ring
         self.caps = caps
         self.columns = bundle.columns()
-        self.drop = _minor_columns(bundle)
+        self.point, self.drop = _generic_fiber(bundle, caps)
         self._basis_cache: dict = {}
 
     def _kernel(self, q: int, t: int, want_vectors: bool):
@@ -123,7 +116,7 @@ class TensorSections:
         basis = self._basis_cache.get(key)
         if basis is None:
             if q == 0:
-                basis = _monomial_vectors(self.ring.nvars, t)
+                basis = list(monomials_of_degree(self.ring.nvars, t))
             else:
                 _, basis = self._kernel(q, t, want_vectors=True)
             self._basis_cache[key] = basis
@@ -280,7 +273,8 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
     """Certify nondegeneracy of the pairing on a degree-0 bundle over QQ.
 
     Extracts the sections of (E (x) E)(0) exactly and checks that some section
-    has full matrix rank at a generic point.  Returns (ok, h0).  The bundle is
+    has full matrix rank at the store's point, where the fiber has rank m
+    (TannakaError when the store has none).  Returns (ok, h0).  The bundle is
     taken as checked (`selfdual_upgrade` reaches it from `hoppe_check`).
     """
     caps = caps.start()
@@ -288,28 +282,24 @@ def selfdual_certify(bundle0: KernelBundle, caps: Caps = NO_CAPS):
         raise TannakaError("certification runs over the rationals")
     if invariants(bundle0).mu != 0:
         raise TannakaError("certification expects a degree-0 bundle")
-    square = TensorSections(bundle0, caps).basis(2, 0)
+    sections = TensorSections(bundle0, caps)
+    square = sections.basis(2, 0)
     if not square:
         return False, 0
-    columns = bundle0.columns()
-    for point in _candidate_points(bundle0.ring.nvars):
-        fiber = [{j: v for j, entry in col if (v := entry.evaluate(point))}
-                 for col in columns]
-        if _rank(fiber, caps) != bundle0.m:
-            continue
-        # a section lies fiberwise in E_x (x) E_x, so the rank of its n x n
-        # matrix at a point with a full-rank fiber is that of its pairing;
-        # the determinant of each induced map E* -> E is a constant, so that
-        # point decides per section; callers pair this with h0 = 1, where the
-        # basis section is the only candidate
-        for section in square:
-            rows: list = [{} for _ in range(bundle0.n)]
-            for (i1, i2), v in _values_at(section, point).items():
-                rows[i1][i2] = v
-            if _rank(rows, caps) == bundle0.rank:
-                return True, len(square)
-        return False, len(square)
-    raise TannakaError("no generic evaluation point found")
+    if (point := sections.point) is None:
+        raise TannakaError("no generic evaluation point found")
+    # a section lies fiberwise in E_x (x) E_x, so the rank of its n x n
+    # matrix at a point with a full-rank fiber is that of its pairing; the
+    # determinant of each induced map E* -> E is a constant, so that point
+    # decides per section; callers pair this with h0 = 1, where the basis
+    # section is the only candidate
+    for section in square:
+        rows: list = [{} for _ in range(bundle0.n)]
+        for (i1, i2), v in _values_at(section, point).items():
+            rows[i1][i2] = v
+        if _rank(rows, caps) == bundle0.rank:
+            return True, len(square)
+    return False, len(square)
 
 
 # ---------------------------------------------------------------------------

@@ -815,6 +815,19 @@ def test_closure_candidate_must_be_homogeneous_over_fp(capsys):
         1, "", "input error: need a nonzero homogeneous candidate element\n")
 
 
+@pytest.mark.parametrize("field", [
+    [], ["--field", "fp:7", "--strong-flag", "x", "--genus", "1"]],
+    ids=["QQ", "F7"])
+@pytest.mark.parametrize("candidate", ["0", "X*Y + Z"])
+def test_closure_candidate_must_be_nonzero_homogeneous(capsys, field, candidate):
+    # the query refuses the candidate over either field, before any
+    # threshold or membership line is printed
+    assert run_cli([
+        "closure", "--ideal", "X^2, Y^2, Z^2", "--candidate", candidate,
+        *field], capsys) == (
+        1, "", "input error: need a nonzero homogeneous candidate element\n")
+
+
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 

@@ -286,15 +286,17 @@ def test_kernel_sections_give_verified_elements():
 
 @pytest.mark.parametrize("p", [0, 7])
 def test_section_kernel_scales_one_term_sections(p):
-    # one-term sections with coefficients other than one (no caller passes
-    # them today) have the same kernel as the monomial sections, each
-    # lifted vector a multiple of the unscaled one
+    # monomial sections given as exponent tuples, and the same sections
+    # spelled as one-term vectors {((), mono): c} with coefficients other
+    # than one, which take the vector path: the same kernel, each lifted
+    # vector a multiple of the one lifted from the tuples; the last summand
+    # has negative degree and so no sections
     ring = make_ring(3, FieldSpec(p))
-    columns = [[(0, P(t, ring))] for t in ("X", "Y", "Z", "X + Y")]
-    sections = [modgb._monomial_vectors(3, 1) for _ in columns]
+    columns = [[(0, P(t, ring))] for t in ("X", "Y", "Z", "X + Y", "X^3")]
+    sections = [list(monomials_of_degree(3, d)) for d in (1, 1, 1, 1, -1)]
     rng = random.Random(5)
-    scaled = [[{key: ring.field.from_int(rng.choice((2, 3, -1, 1)))
-                for key in vec} for vec in vecs] for vecs in sections]
+    scaled = [[{((), mono): ring.field.from_int(rng.choice((2, 3, -1, 1)))}
+               for mono in monos] for monos in sections]
     dim, vectors = modgb._section_kernel(columns, sections, p, Caps(), True)
     dim_c, vectors_c = modgb._section_kernel(columns, scaled, p, Caps(), True)
 
@@ -303,7 +305,9 @@ def test_section_kernel_scales_one_term_sections(p):
         inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
         return {k: c * inv % p if p else c * inv for k, c in vec.items()}
 
+    assert sections[-1] == []
     assert dim == dim_c == len(vectors) == 6
+    assert all(len(alpha) == 1 and alpha[0] < 4 for v in vectors for alpha, _ in v)
     assert [monic(v) for v in vectors_c] == [monic(v) for v in vectors]
 
 

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from kbundle.tannaka import (
     TannakaError,
     TannakaFingerprint,
     TensorSections,
+    _candidate_points,
     _pairing_products_rank,
     classify_group,
     fingerprint,
@@ -243,10 +245,76 @@ def test_presentation_without_nonzero_minor_drops_nothing():
     bundle = make_kernel_bundle(RING_QQ3, [0, 0, 0, 0], [1, 1],
                                 [[P("X"), P("Y"), P("Z"), P("X+Y")], [z] * 4])
     assert validate(bundle).ok
-    assert TensorSections(bundle).drop == ()
+    sections = TensorSections(bundle)
+    assert sections.point is None and sections.drop == ()
     for k in (0, 1):
         assert section_dim_power(bundle, "tensor", 2, k, "staged") == \
                section_dim_power(bundle, "tensor", 2, k, "linalg")
+
+
+def _fiber_minor(bundle, cols, point):
+    """The maximal minor of the presentation on cols, at point, over QQ."""
+    values = [[Fraction(row[i].evaluate(point)) for i in cols]
+              for row in bundle.matrix]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(bundle.m)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * prod(values[j][perm[j]] for j in range(bundle.m))
+    return total
+
+
+def _skew_line_presentation():
+    """(X - Y, Y - Z): O(1)^2 -> O(2), degree 0 and shape-valid, but the
+    fiber vanishes at (1, 1, 1), the first candidate point."""
+    return make_kernel_bundle(RING_QQ3, [1, 1], [2], [[P("X - Y"), P("Y - Z")]])
+
+
+@pytest.mark.parametrize("bundle, point", [
+    (five_quartics(twist=5), (1, 1, 1)),
+    (rank6_bundle(), (1, 1, 1)),
+    (dual_five_monomials(), (1, 1, 1)),
+    (_skew_line_presentation(), (1, 2, 4)),
+    (make_kernel_bundle(RING_QQ3, [0, 0, 0], [1, 1],
+                        [[P("X"), P("Y"), P("Z")], [P("Y"), P("Z"), P("X")]]),
+     (1, 2, 4))],
+    ids=["five_quartics", "rank6", "dual_five_monomials", "skew_line",
+         "cyclic_rows"])
+def test_store_point_is_first_point_of_full_fiber_rank(bundle, point):
+    """A store's point is the first candidate point where some maximal minor
+    of the fiber is nonzero, and D is the first m columns (in the order of
+    combinations) whose minor is nonzero there: the columns independent of
+    those before them.  The last two are no bundles: their fibers drop rank
+    at (1, 1, 1)."""
+    sections = TensorSections(bundle)
+    subsets = list(itertools.combinations(range(bundle.n), bundle.m))
+    first = next(x for x in _candidate_points(bundle.ring.nvars)
+                 if any(_fiber_minor(bundle, cols, x) for cols in subsets))
+    assert sections.point == first == point
+    assert sections.drop == next(cols for cols in subsets
+                                 if _fiber_minor(bundle, cols, first))
+
+
+def test_selfdual_certify_reads_the_store_point():
+    """The one section of (E (x) E)(0) is v (x) v for v = (Y - Z, Y - X):
+    its matrix has rank one at (1, 2, 4), the store's point, but is zero at
+    (1, 1, 1), where the fiber vanishes."""
+    bundle = _skew_line_presentation()
+    assert invariants(bundle).mu == 0
+    assert TensorSections(bundle).point == (1, 2, 4)
+    assert selfdual_certify(bundle) == (True, 1)
+
+
+def test_selfdual_certify_needs_a_store_point():
+    """A zero row leaves every fiber short of rank m: the store has no point,
+    and the certificate refuses, though E (x) E has sections."""
+    z = RING_QQ3.zero()
+    bundle = make_kernel_bundle(RING_QQ3, [1, 1, 1], [2, 1],
+                                [[P("X"), P("Y"), P("Z")], [z] * 3])
+    assert invariants(bundle).mu == 0
+    sections = TensorSections(bundle)
+    assert sections.point is None and sections.basis(2, 0)
+    with pytest.raises(TannakaError, match="no generic evaluation point found"):
+        selfdual_certify(bundle)
 
 
 # The one section of E0^(x)3 in degree 0 for E0 = sl3_bundle(), as
